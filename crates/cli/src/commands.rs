@@ -17,7 +17,7 @@ use anycast_daemon::{
     ServeOptions, ShutdownFlag,
 };
 use anycast_estimator::{CalibrationOptions, Estimator};
-use anycast_net::{metrics, LinkId, NodeId, RouteMode, Topology};
+use anycast_net::{metrics, LinkId, NodeId, Topology};
 use anycast_sim::SimRng;
 use anycast_telemetry::export::{to_csv, to_jsonl};
 use anycast_telemetry::{
@@ -42,12 +42,6 @@ pub fn print_help(command: &str) {
              \x20                                waxman:N:SEED | fat_tree:K |\n\
              \x20                                clos:SPINE:LEAF:HOSTS |\n\
              \x20                                <edge-list file> (default mci)\n\
-             \x20 --route-mode MODE              table (precompute all routes up front,\n\
-             \x20                                default) | oracle (compute on demand\n\
-             \x20                                through a bounded per-source cache;\n\
-             \x20                                results are bit-identical)\n\
-             \x20 --route-cache N                oracle cache capacity in source entries\n\
-             \x20                                (default 4096; implies --route-mode oracle)\n\
              \x20 --group IDS                    comma-separated member routers (default 0,4,8,12,16)\n\
              \x20 --sources IDS                  comma-separated source routers (default: odd\n\
              \x20                                routers on mci, all non-members elsewhere)\n\
@@ -310,47 +304,6 @@ fn common_config(
     }
     if args.switch("batch") {
         config = config.with_batching(true);
-    }
-    // Route resolution: the precomputed table (default) or the on-demand
-    // oracle. Purely an execution knob — results are bit-identical.
-    let route_mode = args.get_str("route-mode");
-    let route_cache = args.get_str("route-cache");
-    match route_mode.as_deref() {
-        None | Some("table") => {
-            if let Some(raw) = &route_cache {
-                if route_mode.is_some() {
-                    return Err("--route-cache applies only to --route-mode oracle".to_string());
-                }
-                // --route-cache alone implies the oracle.
-                let capacity: usize = raw
-                    .parse()
-                    .map_err(|e| format!("--route-cache: cannot parse `{raw}`: {e}"))?;
-                if capacity == 0 {
-                    return Err("--route-cache must be at least 1".to_string());
-                }
-                config = config.with_routing(RouteMode::OnDemand { capacity });
-            }
-        }
-        Some("oracle") => {
-            let mode = match &route_cache {
-                None => RouteMode::on_demand(),
-                Some(raw) => {
-                    let capacity: usize = raw
-                        .parse()
-                        .map_err(|e| format!("--route-cache: cannot parse `{raw}`: {e}"))?;
-                    if capacity == 0 {
-                        return Err("--route-cache must be at least 1".to_string());
-                    }
-                    RouteMode::OnDemand { capacity }
-                }
-            };
-            config = config.with_routing(mode);
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown route mode `{other}` (expected table or oracle)"
-            ))
-        }
     }
     if let Some(b) = args.get_str("burstiness") {
         let burstiness: f64 = b
@@ -1423,39 +1376,6 @@ mod tests {
         }
         let mut args = Args::parse(strs(&[]), &[]).unwrap();
         assert!(common_config(&mut args, -1.0, "wddh").is_err());
-    }
-
-    #[test]
-    fn route_mode_flags_map_to_config() {
-        let mut args = Args::parse(strs(&["--route-mode", "oracle"]), &[]).unwrap();
-        let (_, config) = common_config(&mut args, 10.0, "wddh").unwrap();
-        assert_eq!(config.routing, RouteMode::on_demand());
-
-        let mut args = Args::parse(
-            strs(&["--route-mode", "oracle", "--route-cache", "32"]),
-            &[],
-        )
-        .unwrap();
-        let (_, config) = common_config(&mut args, 10.0, "wddh").unwrap();
-        assert_eq!(config.routing, RouteMode::OnDemand { capacity: 32 });
-
-        // --route-cache alone implies the oracle.
-        let mut args = Args::parse(strs(&["--route-cache", "8"]), &[]).unwrap();
-        let (_, config) = common_config(&mut args, 10.0, "wddh").unwrap();
-        assert_eq!(config.routing, RouteMode::OnDemand { capacity: 8 });
-
-        let mut args = Args::parse(strs(&[]), &[]).unwrap();
-        let (_, config) = common_config(&mut args, 10.0, "wddh").unwrap();
-        assert_eq!(config.routing, RouteMode::Precomputed);
-
-        for flags in [
-            vec!["--route-mode", "bogus"],
-            vec!["--route-mode", "table", "--route-cache", "8"],
-            vec!["--route-cache", "0"],
-        ] {
-            let mut args = Args::parse(strs(&flags), &[]).unwrap();
-            assert!(common_config(&mut args, 10.0, "wddh").is_err(), "{flags:?}");
-        }
     }
 
     #[test]

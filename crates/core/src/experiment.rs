@@ -19,8 +19,8 @@ use anycast_chaos::{
 };
 use anycast_net::routing::RoutingScratch;
 use anycast_net::{
-    topologies, AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, RouteBook, RouteCacheStats,
-    RouteMode, RouteProvider, RouteSet, Topology,
+    topologies, AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, RouteSet, RouteTable,
+    Topology,
 };
 use anycast_rsvp::{
     MessageKind, MessageLedger, PathStep, RefreshTracker, ReservationEngine, SessionId, SetupId,
@@ -309,15 +309,6 @@ pub struct ExperimentConfig {
     /// the default reproduces bit-for-bit).
     #[serde(default)]
     pub holding: HoldingModel,
-    /// How per-source routes are obtained: the precomputed all-pairs
-    /// [`RouteTable`](anycast_net::RouteTable) (the §3 reference) or the
-    /// bounded on-demand [`RouteOracle`](anycast_net::RouteOracle). An
-    /// execution knob, never an experimental parameter: both modes yield
-    /// bit-identical routes (the paths are a pure function of the
-    /// immutable topology), hence bit-identical metrics — the oracle
-    /// equivalence tests are the proof.
-    #[serde(default)]
-    pub routing: RouteMode,
     /// Fault-injection plan (extension; the paper's analysis is
     /// fault-free, which [`FaultPlan::none`] reproduces exactly).
     pub faults: FaultPlan,
@@ -372,7 +363,6 @@ impl ExperimentConfig {
             system,
             arrivals: ArrivalProcess::Poisson,
             holding: HoldingModel::Exponential,
-            routing: RouteMode::Precomputed,
             faults: FaultPlan::none(),
             signaling: SignalingMode::Atomic,
             batch: false,
@@ -431,13 +421,6 @@ impl ExperimentConfig {
     /// Replaces the holding-time model (extension beyond the paper).
     pub fn with_holding_model(mut self, holding: HoldingModel) -> Self {
         self.holding = holding;
-        self
-    }
-
-    /// Replaces the route-lookup mode (execution knob; metrics are
-    /// bit-identical for every mode and cache capacity).
-    pub fn with_routing(mut self, routing: RouteMode) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -1039,8 +1022,8 @@ fn transit(fault: &MessageFault, per_hop_secs: f64, rng: &mut SimRng) -> Option<
 ///
 /// Panics if the configuration is inconsistent with the topology (unknown
 /// nodes, empty groups or sources, non-positive durations, an invalid
-/// policy parameter, a disconnected topology, or a fault plan whose
-/// scripted actions reference unknown links or nodes).
+/// policy parameter, a source that cannot reach some group member, or a
+/// fault plan whose scripted actions reference unknown links or nodes).
 pub fn run_experiment(topo: &Topology, config: &ExperimentConfig) -> Metrics {
     run_experiment_traced(topo, config, &mut NullRecorder)
 }
@@ -1072,24 +1055,6 @@ pub fn run_experiment_traced(
     sim.finish(horizon).0
 }
 
-/// [`run_experiment`] plus the run's aggregated route-cache statistics:
-/// `Some` (hits, misses, evictions, peak resident entries, …) when the
-/// config's [`RouteMode`] is on-demand, `None` under the precomputed
-/// reference table. The metrics are bit-identical to [`run_experiment`]'s
-/// — the counters are observational, never consulted by the simulation.
-pub fn run_experiment_with_route_stats(
-    topo: &Topology,
-    config: &ExperimentConfig,
-) -> (Metrics, Option<RouteCacheStats>) {
-    let mut recorder = NullRecorder;
-    let recorder: &mut dyn Recorder = &mut recorder;
-    let (mut sim, mut engine) = Sim::new(topo, config, recorder, false);
-    let horizon = sim.horizon;
-    engine.run_until(horizon, |eng, now, event| sim.handle(eng, now, event));
-    let stats = sim.route_cache_stats();
-    (sim.finish(horizon).0, stats)
-}
-
 /// The full state of one closed-loop simulation between events: every
 /// table, RNG stream, statistic and timer the handler needs.
 ///
@@ -1103,7 +1068,8 @@ pub(crate) struct Sim<R: Recorder> {
     config: ExperimentConfig,
     topo: Topology,
     groups: Vec<AnycastGroup>,
-    route_books: Vec<RouteBook>,
+    /// The fixed §3 routes, `route_sets[group_index][source_index]`.
+    route_sets: Vec<Vec<RouteSet>>,
     links: LinkStateTable,
     rsvp: ReservationEngine,
     systems: Vec<SystemState>,
@@ -1209,16 +1175,31 @@ impl<R: Recorder> Sim<R> {
         }
         let group_specs = config.effective_groups();
         let mut groups = Vec::with_capacity(group_specs.len());
-        let mut route_books = Vec::with_capacity(group_specs.len());
+        let mut route_tables = Vec::with_capacity(group_specs.len());
         for (gi, spec) in group_specs.iter().enumerate() {
             let group = AnycastGroup::new(format!("G{gi}"), spec.members.iter().copied())
                 .expect("group must be non-empty");
             for m in group.members() {
                 assert!(topo.contains_node(*m), "member {m} not in topology");
             }
-            route_books.push(RouteBook::for_mode(config.routing, topo, &group));
+            // Only the configured sources originate traffic, so only they
+            // must reach every member.
+            route_tables.push(
+                RouteTable::for_sources(topo, &group, config.sources.iter().copied())
+                    .unwrap_or_else(|e| panic!("cannot route group {gi}: {e}")),
+            );
             groups.push(group);
         }
+        let route_sets: Vec<Vec<RouteSet>> = route_tables
+            .iter()
+            .map(|table| {
+                config
+                    .sources
+                    .iter()
+                    .map(|&s| table.route_set(s).expect("table was built for this source"))
+                    .collect()
+            })
+            .collect();
         let links = LinkStateTable::with_uniform_fraction(
             topo,
             config.default_link_capacity,
@@ -1231,15 +1212,16 @@ impl<R: Recorder> Sim<R> {
         // allocation-light even on datacenter-sized source sets.
         let mut dist_buf: Vec<u32> = Vec::new();
         let mut systems: Vec<SystemState> = Vec::with_capacity(groups.len());
-        for (group, book) in groups.iter().zip(route_books.iter_mut()) {
+        for (group, table) in groups.iter().zip(&route_tables) {
             systems.push(match &config.system {
                 SystemSpec::Dac { policy, retrial } => SystemState::Dac(
                     config
                         .sources
                         .iter()
                         .map(|&s| {
-                            book.distances_into(topo, s, &mut dist_buf)
-                                .expect("sources are in the topology and reach every member");
+                            table
+                                .distances_into(s, &mut dist_buf)
+                                .expect("table was built for this source");
                             AdmissionController::new(
                                 policy.build().expect("policy parameters validated"),
                                 *retrial,
@@ -1253,7 +1235,8 @@ impl<R: Recorder> Sim<R> {
                     retrial,
                     paths_per_member,
                 } => {
-                    let table = MultipathRouteTable::build(topo, group, *paths_per_member);
+                    let fans =
+                        MultipathRouteTable::build(topo, group, &config.sources, *paths_per_member);
                     let controllers = config
                         .sources
                         .iter()
@@ -1261,11 +1244,11 @@ impl<R: Recorder> Sim<R> {
                             MultipathController::new(
                                 policy.build().expect("policy parameters validated"),
                                 *retrial,
-                                table.distances(s),
+                                fans.distances(s),
                             )
                         })
                         .collect();
-                    SystemState::DacMulti(Box::new(table), controllers)
+                    SystemState::DacMulti(Box::new(fans), controllers)
                 }
                 SystemSpec::ShortestPath => SystemState::Sp(
                     config
@@ -1273,8 +1256,9 @@ impl<R: Recorder> Sim<R> {
                         .iter()
                         .map(|&s| {
                             ShortestPathSystem::new(
-                                book.nearest_member(topo, s)
-                                    .expect("sources are in the topology and reach every member"),
+                                table
+                                    .nearest_member(s)
+                                    .expect("table was built for this source"),
                             )
                         })
                         .collect(),
@@ -1438,7 +1422,7 @@ impl<R: Recorder> Sim<R> {
             config: config.clone(),
             topo: topo.clone(),
             groups,
-            route_books,
+            route_sets,
             links,
             rsvp,
             systems,
@@ -1500,7 +1484,7 @@ impl<R: Recorder> Sim<R> {
             config,
             topo,
             groups,
-            route_books,
+            route_sets,
             links,
             rsvp,
             systems,
@@ -1664,10 +1648,7 @@ impl<R: Recorder> Sim<R> {
                         .expect("attempt needs a pending admission");
                     (p.group_index, p.source_index, p.pick, p.demand)
                 };
-                let route = route_books[gi]
-                    .routes(&*topo, config.sources[si])
-                    .expect("configured sources have routes to every member")[pick]
-                    .clone();
+                let route = route_sets[gi][si][pick].clone();
                 if route.hops() == 0 {
                     // The member is local: zero links to signal over, so the
                     // setup completes on the spot — same as the atomic engine.
@@ -1753,10 +1734,8 @@ impl<R: Recorder> Sim<R> {
                                 },
                             );
                         }
-                        let routes = route_books[gi]
-                            .routes(&*topo, config.sources[si])
-                            .expect("configured sources have routes to every member");
-                        let weights = controllers[si].selection_weights(&routes, &*links);
+                        let weights =
+                            controllers[si].selection_weights(&route_sets[gi][si], &*links);
                         let p = tp.pending.get_mut(&req).expect("still pending");
                         let next_pick = AdmissionController::pick_destination(
                             &weights,
@@ -1818,17 +1797,8 @@ impl<R: Recorder> Sim<R> {
                 let group = &groups[group_index];
                 // SP and the single-path DAC walk the fixed routes; GDI
                 // searches the live topology and multipath keeps its own
-                // fan table, so only the former consult the route book
-                // (and, in on-demand mode, touch the oracle's cache).
-                let route_set: Option<RouteSet> = match &systems[group_index] {
-                    SystemState::Dac(_) | SystemState::Sp(_) => Some(
-                        route_books[group_index]
-                            .routes(&*topo, source)
-                            .expect("configured sources have routes to every member"),
-                    ),
-                    _ => None,
-                };
-                let routes = route_set.as_deref();
+                // fan table.
+                let routes: &[Path] = &route_sets[group_index][source_index];
                 let request_id = *next_request_id;
                 *next_request_id += 1;
                 if rec_on {
@@ -1856,7 +1826,7 @@ impl<R: Recorder> Sim<R> {
                         _ => unreachable!("checked above"),
                     };
                     let weights = controllers[source_index]
-                        .selection_weights(routes.expect("DAC fetched its routes"), &*links);
+                        .selection_weights(routes, &*links);
                     let untried = vec![true; weights.len()];
                     let pick = AdmissionController::pick_destination(
                         &weights,
@@ -1891,7 +1861,7 @@ impl<R: Recorder> Sim<R> {
                             // Degenerate two-phase (zero delay, inert faults):
                             // synchronous per-hop walk, bit-identical to atomic.
                             Some(tp) => controllers[source_index].admit_two_phase_express(
-                                routes.expect("DAC fetched its routes"),
+                                routes,
                                 &mut *links,
                                 &mut *rsvp,
                                 &mut tp.table,
@@ -1901,7 +1871,7 @@ impl<R: Recorder> Sim<R> {
                                 &mut tracer,
                             ),
                             None => controllers[source_index].admit_traced(
-                                routes.expect("DAC fetched its routes"),
+                                routes,
                                 &mut *links,
                                 &mut *rsvp,
                                 demand,
@@ -1935,7 +1905,7 @@ impl<R: Recorder> Sim<R> {
                             out
                         }
                         SystemState::Sp(per_source) => per_source[source_index].admit_traced(
-                            routes.expect("SP fetched its routes"),
+                            routes,
                             &mut *links,
                             &mut *rsvp,
                             demand,
@@ -2117,16 +2087,8 @@ impl<R: Recorder> Sim<R> {
                 if arrival_batch.len() > 1 {
                     enum PrimeTask {
                         /// Route-bandwidth vector for one (group, source)
-                        /// DAC controller. The routes are fetched from the
-                        /// book *sequentially* at task-build time (the
-                        /// oracle needs `&mut`); the cheap shared
-                        /// [`RouteSet`] handle then crosses into the
-                        /// worker threads.
-                        RouteBw {
-                            group: usize,
-                            source: usize,
-                            routes: RouteSet,
-                        },
+                        /// DAC controller.
+                        RouteBw { group: usize, source: usize },
                         /// Exhaustive residual search for one GDI
                         /// (group, source node, demand) triple.
                         Gdi {
@@ -2146,18 +2108,14 @@ impl<R: Recorder> Sim<R> {
                                 if controllers[slot.source_index].needs_route_bandwidth()
                                     && !tasks.iter().any(|t| {
                                         matches!(t,
-                                        PrimeTask::RouteBw { group, source, .. }
+                                        PrimeTask::RouteBw { group, source }
                                             if *group == slot.group_index
                                                 && *source == slot.source_index)
                                     }) =>
                             {
-                                let routes = route_books[slot.group_index]
-                                    .routes(&*topo, config.sources[slot.source_index])
-                                    .expect("configured sources have routes to every member");
                                 tasks.push(PrimeTask::RouteBw {
                                     group: slot.group_index,
                                     source: slot.source_index,
-                                    routes,
                                 });
                             }
                             // Interleaved multi-group GDI resets its memo
@@ -2192,8 +2150,11 @@ impl<R: Recorder> Sim<R> {
                             &tasks,
                             RoutingScratch::new,
                             |scratch, _, task| match task {
-                                PrimeTask::RouteBw { routes, .. } => PrimeResult::RouteBw(
-                                    AdmissionController::route_bandwidths_against(routes, snap),
+                                PrimeTask::RouteBw { group, source } => PrimeResult::RouteBw(
+                                    AdmissionController::route_bandwidths_against(
+                                        &route_sets[*group][*source],
+                                        snap,
+                                    ),
                                 ),
                                 PrimeTask::Gdi {
                                     group,
@@ -2215,7 +2176,7 @@ impl<R: Recorder> Sim<R> {
                         for (task, result) in tasks.iter().zip(results) {
                             match (task, result) {
                                 (
-                                    PrimeTask::RouteBw { group, source, .. },
+                                    PrimeTask::RouteBw { group, source },
                                     PrimeResult::RouteBw(values),
                                 ) => {
                                     if let SystemState::Dac(controllers) = &mut systems[*group] {
@@ -2330,27 +2291,11 @@ impl<R: Recorder> Sim<R> {
             }
             Event::Fault(action) => {
                 let t = now.as_secs();
-                // Tell every route book which links the fault touched. The
-                // fixed §3 routes are a function of the immutable topology,
-                // so an oracle's recomputation provably returns the same
-                // paths — the stamp discipline (invalidate only sources
-                // whose cached routes cross the link) is exercised under
-                // chaos without ever being able to change a metric.
-                macro_rules! note_links {
-                    ($links:expr) => {
-                        for link in $links {
-                            for bk in route_books.iter_mut() {
-                                bk.note_link_change(link);
-                            }
-                        }
-                    };
-                }
                 let victims: Vec<SessionId> = match action {
                     FaultAction::FailLink(link) => {
                         links
                             .fail_link(link)
                             .expect("fault plan references known links");
-                        note_links!([link]);
                         book.record_down(FaultEntity::Link(link), t);
                         if rec_on {
                             recorder.record(
@@ -2366,7 +2311,6 @@ impl<R: Recorder> Sim<R> {
                         links
                             .restore_link(link)
                             .expect("fault plan references known links");
-                        note_links!([link]);
                         book.record_up(FaultEntity::Link(link), t);
                         if rec_on {
                             recorder.record(
@@ -2382,7 +2326,6 @@ impl<R: Recorder> Sim<R> {
                         links
                             .fail_node(node)
                             .expect("fault plan references known nodes");
-                        note_links!(topo.neighbors(node).iter().map(|&(_, l)| l));
                         book.record_down(FaultEntity::Node(node), t);
                         if rec_on {
                             recorder.record(
@@ -2398,7 +2341,6 @@ impl<R: Recorder> Sim<R> {
                         links
                             .restore_node(node)
                             .expect("fault plan references known nodes");
-                        note_links!(topo.neighbors(node).iter().map(|&(_, l)| l));
                         book.record_up(FaultEntity::Node(node), t);
                         if rec_on {
                             recorder.record(
@@ -3015,20 +2957,6 @@ impl<R: Recorder> Sim<R> {
     /// Number of effective anycast groups.
     pub(crate) fn group_count(&self) -> usize {
         self.group_shares.len()
-    }
-
-    /// Route-cache statistics absorbed across every group's book: `Some`
-    /// when at least one book is an on-demand oracle, `None` when every
-    /// book is the precomputed reference table (which keeps no counters).
-    pub(crate) fn route_cache_stats(&self) -> Option<RouteCacheStats> {
-        let mut agg: Option<RouteCacheStats> = None;
-        for book in &self.route_books {
-            if let Some(stats) = book.cache_stats() {
-                agg.get_or_insert_with(RouteCacheStats::default)
-                    .absorb(&stats);
-            }
-        }
-        agg
     }
 
     /// Turns on per-request [`Decision`] capture (off for offline runs,
@@ -3910,198 +3838,52 @@ mod tests {
         }
     }
 
-    /// The PR 10 tentpole equivalence: the on-demand route oracle is
-    /// bit-identical to the precomputed table for every system, because
-    /// routes are pure functions of the immutable topology — the oracle
-    /// may only recompute, never diverge.
+    /// MCI plus node `n19`, which has no links.
+    fn mci_plus_isolated_node() -> Topology {
+        let mci = topologies::mci();
+        let mut b = anycast_net::TopologyBuilder::new(mci.node_count() + 1);
+        for l in mci.links() {
+            b.link(l.a(), l.b(), l.capacity()).unwrap();
+        }
+        let topo = b.build();
+        assert!(!topo.is_connected());
+        topo
+    }
+
+    /// Only configured sources need routes: a spare node that reaches
+    /// nothing is no obstacle, and the run is bit-identical to the same
+    /// network without it.
     #[test]
-    fn oracle_is_bit_identical_to_table_for_every_system() {
-        let topo = topologies::mci();
+    fn isolated_spare_node_changes_nothing() {
+        let mci = topologies::mci();
+        let with_spare = mci_plus_isolated_node();
         for system in [
-            SystemSpec::dac(PolicySpec::Ed, 2),
             SystemSpec::dac(PolicySpec::wd_dh_default(), 2),
-            SystemSpec::dac(PolicySpec::WdDb, 2),
-            SystemSpec::dac_multipath(PolicySpec::wd_dh_default(), 2, 2),
             SystemSpec::ShortestPath,
             SystemSpec::GlobalDynamic,
+            SystemSpec::dac_multipath(PolicySpec::Ed, 2, 2),
         ] {
-            for lambda in [30.0, 50.0] {
-                let cfg = quick(lambda, system);
-                let table = run_experiment(&topo, &cfg);
-                let oracle =
-                    run_experiment(&topo, &cfg.clone().with_routing(RouteMode::on_demand()));
-                assert_eq!(
-                    table, oracle,
-                    "route oracle diverged for {} at λ={lambda}",
-                    table.label
-                );
-                assert_all_finite(&oracle, "oracle");
-            }
-        }
-    }
-
-    /// Chaos link flaps invalidate oracle cache entries mid-run; the
-    /// recomputed routes must still replay the precomputed run exactly,
-    /// and the invalidation discipline must actually fire.
-    #[test]
-    fn oracle_matches_table_under_chaos() {
-        let topo = topologies::mci();
-        let plan = FaultPlan::none()
-            .with_link_model(400.0, 60.0)
-            .with_member_model(600.0, 120.0)
-            .with_teardown_loss(0.1)
-            .with_teardown_delay(2.0);
-        for system in [
-            SystemSpec::dac(PolicySpec::wd_dh_default(), 2),
-            SystemSpec::GlobalDynamic,
-            SystemSpec::ShortestPath,
-        ] {
-            let cfg = quick(25.0, system).with_faults(plan.clone());
-            let table = run_experiment(&topo, &cfg);
-            let oracle_cfg = cfg.clone().with_routing(RouteMode::on_demand());
-            let (oracle, stats) = run_experiment_with_route_stats(&topo, &oracle_cfg);
+            let cfg = quick(30.0, system);
             assert_eq!(
-                table, oracle,
-                "route oracle diverged under the chaos plan for {}",
-                table.label
-            );
-            assert!(table.outages > 0, "the plan must actually fire");
-            let stats = stats.expect("on-demand runs surface cache stats");
-            // GDI computes its own residual-capacity paths and never
-            // consults the route book, so its cache holds nothing to
-            // invalidate; the route-driven systems must see flap-driven
-            // invalidations.
-            if !matches!(system, SystemSpec::GlobalDynamic) {
-                assert!(
-                    stats.invalidations > 0,
-                    "{}: link flaps must invalidate cached routes",
-                    table.label
-                );
-            }
-        }
-    }
-
-    /// Two-phase signalling (both the degenerate express mode and real
-    /// delayed exchanges) replays identically through the oracle.
-    #[test]
-    fn oracle_matches_table_under_two_phase() {
-        let topo = topologies::mci();
-        for cfg in [
-            quick(30.0, SystemSpec::dac(PolicySpec::Ed, 2))
-                .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig::default())),
-            quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_signaling(
-                SignalingMode::TwoPhase(TwoPhaseConfig {
-                    per_hop_delay_secs: 0.05,
-                    ..TwoPhaseConfig::default()
-                }),
-            ),
-        ] {
-            let table = run_experiment(&topo, &cfg);
-            let oracle = run_experiment(&topo, &cfg.clone().with_routing(RouteMode::on_demand()));
-            assert_eq!(
-                table, oracle,
-                "route oracle diverged under two-phase signalling"
+                run_experiment(&mci, &cfg),
+                run_experiment(&with_spare, &cfg),
+                "{}",
+                cfg.system.label()
             );
         }
     }
 
-    /// Multi-group runs with a demand mix, batched at every worker count:
-    /// batch priming prefetches route sets through the oracle before the
-    /// parallel phase, so the jobs knob must never leak into results.
+    /// A source that cannot reach a member is rejected at construction,
+    /// naming the pair, not by a mid-run lookup.
     #[test]
-    fn oracle_matches_table_multi_group_batched_all_jobs() {
-        let topo = topologies::mci();
-        let groups = vec![
-            GroupSpec {
-                members: vec![NodeId::new(0), NodeId::new(8), NodeId::new(16)],
-                share: 2.0,
-            },
-            GroupSpec {
-                members: vec![NodeId::new(4), NodeId::new(12)],
-                share: 1.0,
-            },
-        ];
-        let mix = vec![
-            DemandClass {
-                bandwidth: Bandwidth::from_kbps(64),
-                weight: 3.0,
-            },
-            DemandClass {
-                bandwidth: Bandwidth::from_kbps(256),
-                weight: 1.0,
-            },
-        ];
-        for system in [
-            SystemSpec::GlobalDynamic,
-            SystemSpec::dac(PolicySpec::wd_dh_default(), 2),
-        ] {
-            let base = quick(30.0, system)
-                .with_groups(groups.clone())
-                .with_demand_mix(mix.clone());
-            let reference = run_experiment(&topo, &base);
-            for jobs in [1, 2, 4] {
-                let cfg = base
-                    .clone()
-                    .with_routing(RouteMode::on_demand())
-                    .with_batching(true)
-                    .with_batch_jobs(jobs);
-                let oracle = run_experiment(&topo, &cfg);
-                assert_eq!(
-                    reference, oracle,
-                    "oracle+batch diverged for {} at jobs={jobs}",
-                    reference.label
-                );
-            }
-        }
-    }
-
-    /// Cache eviction is invisible: results are independent of the cache
-    /// capacity, from a single-entry cache (thrashing on every lookup)
-    /// through one big enough to never evict.
-    #[test]
-    fn oracle_cache_capacity_never_changes_results() {
-        let topo = topologies::mci();
-        let cfg = quick(30.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
-            .with_faults(FaultPlan::none().with_link_model(400.0, 60.0));
-        let reference = run_experiment(&topo, &cfg);
-        for capacity in [1, 2, 64] {
-            let oracle_cfg = cfg.clone().with_routing(RouteMode::OnDemand { capacity });
-            let (m, stats) = run_experiment_with_route_stats(&topo, &oracle_cfg);
-            assert_eq!(
-                reference, m,
-                "cache capacity {capacity} changed experiment results"
-            );
-            let stats = stats.expect("on-demand runs surface cache stats");
-            assert!(
-                stats.peak_entries <= capacity,
-                "eviction must bound residency"
-            );
-            if capacity == 1 {
-                assert!(stats.evictions > 0, "a 1-entry cache must evict");
-            }
-        }
-    }
-
-    /// Cache stats are surfaced only by on-demand runs, and a steady-state
-    /// run is overwhelmingly cache hits.
-    #[test]
-    fn route_cache_stats_follow_the_mode() {
-        let topo = topologies::mci();
-        let cfg = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2));
-        let (_, none) = run_experiment_with_route_stats(&topo, &cfg);
-        assert!(none.is_none(), "precomputed runs have no cache to report");
-        let (_, stats) = run_experiment_with_route_stats(
-            &topo,
-            &cfg.clone().with_routing(RouteMode::on_demand()),
-        );
-        let stats = stats.expect("on-demand runs surface cache stats");
-        assert!(stats.hits > 0);
-        assert!(stats.misses > 0, "cold start must miss");
-        assert!(
-            stats.hit_rate() > 0.9,
-            "steady state should be hit-dominated, got {}",
-            stats.hit_rate()
-        );
+    #[should_panic(expected = "no route from n19 to n0")]
+    fn cut_off_source_is_rejected_at_construction() {
+        let topo = mci_plus_isolated_node();
+        let mut sources = quick(5.0, SystemSpec::GlobalDynamic).sources;
+        sources.push(NodeId::new(19));
+        let cfg = quick(5.0, SystemSpec::GlobalDynamic).with_sources(sources);
+        let mut recorder = NullRecorder;
+        let _ = Sim::new(&topo, &cfg, &mut recorder, false);
     }
 
     /// Diurnal and flash-crowd arrival processes are deterministic under a
@@ -4194,9 +3976,6 @@ mod tests {
             a.admitted, exp.admitted,
             "a different holding law must explore a different sample path"
         );
-        // Oracle equivalence holds under the new workloads too.
-        let oracle = run_experiment(&topo, &pareto.clone().with_routing(RouteMode::on_demand()));
-        assert_eq!(a, oracle);
     }
 
     #[test]

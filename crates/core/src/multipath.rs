@@ -17,8 +17,8 @@ use anycast_rsvp::ReservationEngine;
 use anycast_sim::SimRng;
 use std::collections::HashMap;
 
-/// Fixed multipath routes: for every `(source, member)` pair, the `k`
-/// shortest loop-free paths in preference order.
+/// Fixed multipath routes: for every listed source and every member, the
+/// `k` shortest loop-free paths in preference order.
 #[derive(Debug, Clone)]
 pub struct MultipathRouteTable {
     group: AnycastGroup,
@@ -28,17 +28,22 @@ pub struct MultipathRouteTable {
 }
 
 impl MultipathRouteTable {
-    /// Builds up to `paths_per_member` routes from every node to every
-    /// member.
+    /// Builds up to `paths_per_member` routes from each of `sources` to
+    /// every member.
     ///
     /// # Panics
     ///
     /// Panics if `paths_per_member` is zero or some member is unreachable
-    /// from some node (the paper's connectivity assumption).
-    pub fn build(topo: &Topology, group: &AnycastGroup, paths_per_member: usize) -> Self {
+    /// from some source (the paper's connectivity assumption).
+    pub fn build(
+        topo: &Topology,
+        group: &AnycastGroup,
+        sources: &[NodeId],
+        paths_per_member: usize,
+    ) -> Self {
         assert!(paths_per_member > 0, "need at least one path per member");
-        let mut routes = HashMap::with_capacity(topo.node_count());
-        for src in topo.nodes() {
+        let mut routes = HashMap::with_capacity(sources.len());
+        for &src in sources {
             let per_member: Vec<Vec<Path>> = group
                 .members()
                 .iter()
@@ -75,7 +80,7 @@ impl MultipathRouteTable {
     ///
     /// # Panics
     ///
-    /// Panics if `source` was not a node of the topology.
+    /// Panics if the table was not built for `source`.
     pub fn routes_from(&self, source: NodeId) -> &[Vec<Path>] {
         self.routes
             .get(&source)
@@ -88,7 +93,7 @@ impl MultipathRouteTable {
     ///
     /// # Panics
     ///
-    /// Panics if `source` was not a node of the topology.
+    /// Panics if the table was not built for `source`.
     pub fn distances(&self, source: NodeId) -> Vec<u32> {
         self.routes_from(source)
             .iter()
@@ -286,7 +291,7 @@ mod tests {
             .unwrap();
         let topo = b.build();
         let group = AnycastGroup::new("G", [NodeId::new(3)]).unwrap();
-        let table = MultipathRouteTable::build(&topo, &group, 2);
+        let table = MultipathRouteTable::build(&topo, &group, &[NodeId::new(0)], 2);
         (topo, group, table)
     }
 
@@ -368,9 +373,9 @@ mod tests {
         // exactly like the classic one under the same RNG stream.
         let topo = topologies::mci();
         let group = AnycastGroup::new("G", topologies::MCI_GROUP_MEMBERS.map(NodeId::new)).unwrap();
-        let multi = MultipathRouteTable::build(&topo, &group, 1);
-        let single = anycast_net::RouteTable::shortest_paths(&topo, &group);
         let source = NodeId::new(7);
+        let multi = MultipathRouteTable::build(&topo, &group, &[source], 1);
+        let single = anycast_net::RouteTable::shortest_paths(&topo, &group);
         let mut links_a =
             LinkStateTable::with_uniform_fraction(&topo, Bandwidth::from_mbps(100), 0.2);
         let mut links_b = links_a.clone();
@@ -421,6 +426,6 @@ mod tests {
     #[should_panic(expected = "at least one path")]
     fn zero_paths_rejected() {
         let (topo, group, _) = diamond();
-        let _ = MultipathRouteTable::build(&topo, &group, 0);
+        let _ = MultipathRouteTable::build(&topo, &group, &[NodeId::new(0)], 0);
     }
 }

@@ -225,24 +225,6 @@ mod tests {
         assert_eq!(serial.canonical_json(), parallel.canonical_json());
     }
 
-    /// Calibration bursts run through the experiment engine, so the
-    /// route-oracle execution knob must not perturb the table either.
-    #[test]
-    fn route_oracle_does_not_change_the_table() {
-        let topo = topologies::mci();
-        let base = ExperimentConfig::paper_defaults(10.0, SystemSpec::dac(PolicySpec::Ed, 2));
-        let opts = quick_options();
-        let table = calibrate(&topo, &base, &opts);
-        let oracle = calibrate(
-            &topo,
-            &base
-                .clone()
-                .with_routing(anycast_net::RouteMode::on_demand()),
-            &opts,
-        );
-        assert_eq!(table.canonical_json(), oracle.canonical_json());
-    }
-
     #[test]
     fn compression_keeps_real_lambda_and_boosts_evidence() {
         let topo = topologies::mci();

@@ -52,8 +52,5 @@ pub use group::AnycastGroup;
 pub use ids::{LinkId, NodeId};
 pub use link_state::{LinkSnapshot, LinkStateTable, LinkSummary, ShardedSnapshot, LINKS_PER_SHARD};
 pub use path::Path;
-pub use routing::{
-    RouteBook, RouteCacheStats, RouteMode, RouteOracle, RouteProvider, RouteSet, RouteTable,
-    DEFAULT_ROUTE_CACHE_CAPACITY,
-};
+pub use routing::{RouteSet, RouteTable};
 pub use topology::{Link, Topology, TopologyBuilder};

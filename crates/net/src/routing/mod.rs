@@ -3,8 +3,8 @@
 //! The paper assumes "to one source, there is a fixed path to each member in
 //! an anycast group" obtained via existing routing protocols (§3). We
 //! reproduce that with deterministic breadth-first shortest-path trees
-//! (minimum hop count, ties broken toward the lowest-id predecessor), cached
-//! in a [`RouteTable`].
+//! (minimum hop count, ties broken toward the lowest-id predecessor), one
+//! tree per traffic source, held in a [`RouteTable`].
 //!
 //! The GDI baseline (§5.1) additionally needs *dynamic* searches over the
 //! residual network: [`filtered_shortest_path`] finds the shortest path
@@ -20,7 +20,6 @@
 mod bfs;
 mod dijkstra;
 mod filtered;
-mod oracle;
 mod scratch;
 mod table;
 mod widest;
@@ -29,11 +28,7 @@ mod yen;
 pub use bfs::{bfs_tree, shortest_path, BfsTree};
 pub use dijkstra::{dijkstra_path, dijkstra_path_with};
 pub use filtered::{filtered_shortest_path, filtered_shortest_path_with};
-pub use oracle::{
-    RouteBook, RouteCacheStats, RouteMode, RouteOracle, RouteProvider, RouteSet,
-    DEFAULT_ROUTE_CACHE_CAPACITY,
-};
 pub use scratch::RoutingScratch;
-pub use table::RouteTable;
+pub use table::{RouteSet, RouteTable};
 pub use widest::widest_path;
 pub use yen::k_shortest_paths;

@@ -1,23 +1,28 @@
-//! Precomputed fixed routes from every source to every group member.
+//! Fixed routes from a set of sources to every group member.
 
 use crate::routing::bfs_tree;
-use crate::routing::oracle::RouteSet;
-use crate::{AnycastGroup, NodeId, Path, Topology};
+use crate::{AnycastGroup, NetError, NodeId, Path, Topology};
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// A source's routes to every group member, in member order.
+///
+/// Shared and cheaply clonable so a consumer can keep a source's routes
+/// (or hand them to worker threads) without copying paths.
+pub type RouteSet = Arc<[Path]>;
 
 /// The fixed-route table assumed by §3: for every `(source, member)` pair,
 /// one deterministic shortest path.
 ///
 /// Route distances feed the `1/D_i` terms of the weighted selection
 /// algorithms; the paths themselves are what the reservation engine walks.
-/// This is the eager reference implementation; the on-demand
-/// [`RouteOracle`](crate::RouteOracle) produces bit-identical routes with
-/// a bounded memory footprint for datacenter-scale topologies.
+/// Routes are a pure function of the immutable [`Topology`] (faults live in
+/// the link-state ledger, not the graph), so a table never goes stale.
 ///
-/// Every lookup takes an `Option`/`Result` form: a source outside the
-/// topology the table was built from yields `None` (or a typed error via
-/// [`RouteProvider`](crate::RouteProvider)) rather than a panic, so
-/// chaos-partitioned topologies cannot die mid-run.
+/// A table holds routes only for the sources it was built for
+/// ([`RouteTable::for_sources`]; [`RouteTable::shortest_paths`] lists every
+/// node). Every lookup takes an `Option` form: a source the table was not
+/// built for yields `None` rather than a panic.
 ///
 /// ```rust
 /// use anycast_net::{topologies, AnycastGroup, NodeId, RouteTable};
@@ -25,7 +30,7 @@ use std::collections::HashMap;
 /// # fn main() -> Result<(), anycast_net::NetError> {
 /// let topo = topologies::mci();
 /// let group = AnycastGroup::new("A", [0u32, 4, 8, 12, 16].map(NodeId::new))?;
-/// let routes = RouteTable::shortest_paths(&topo, &group);
+/// let routes = RouteTable::for_sources(&topo, &group, [NodeId::new(1)])?;
 /// let dists = routes.distances(NodeId::new(1)).unwrap();
 /// assert_eq!(dists.len(), group.len());
 /// # Ok(())
@@ -34,12 +39,41 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     group: AnycastGroup,
-    /// `routes[source][member_index]`; shared sets so handing routes to
-    /// worker threads or trait consumers never copies paths.
+    /// `routes[source][member_index]`.
     routes: HashMap<NodeId, RouteSet>,
 }
 
 impl RouteTable {
+    /// Builds shortest-path routes from each of `sources` to every member
+    /// of `group`: one breadth-first tree per listed source.
+    ///
+    /// Errors with [`NetError::UnknownNode`] when a source is not a node of
+    /// `topo` and [`NetError::NoRoute`] naming the first `(source, member)`
+    /// pair that is disconnected.
+    pub fn for_sources(
+        topo: &Topology,
+        group: &AnycastGroup,
+        sources: impl IntoIterator<Item = NodeId>,
+    ) -> Result<Self, NetError> {
+        let mut routes = HashMap::new();
+        for src in sources {
+            if !topo.contains_node(src) {
+                return Err(NetError::UnknownNode(src));
+            }
+            let tree = bfs_tree(topo, src);
+            let paths = group
+                .members()
+                .iter()
+                .map(|&m| tree.path_to(topo, m).ok_or(NetError::NoRoute(src, m)))
+                .collect::<Result<Vec<Path>, NetError>>()?;
+            routes.insert(src, RouteSet::from(paths));
+        }
+        Ok(RouteTable {
+            group: group.clone(),
+            routes,
+        })
+    }
+
     /// Builds shortest-path routes from *every* node of `topo` to every
     /// member of `group`.
     ///
@@ -55,22 +89,10 @@ impl RouteTable {
         )
     }
 
-    /// Builds shortest-path routes, returning `None` if any `(source,
-    /// member)` pair is disconnected.
+    /// Builds shortest-path routes from every node, returning `None` if any
+    /// `(source, member)` pair is disconnected.
     pub fn try_shortest_paths(topo: &Topology, group: &AnycastGroup) -> Option<Self> {
-        let mut routes = HashMap::with_capacity(topo.node_count());
-        for src in topo.nodes() {
-            let tree = bfs_tree(topo, src);
-            let mut paths = Vec::with_capacity(group.len());
-            for &m in group.members() {
-                paths.push(tree.path_to(topo, m)?);
-            }
-            routes.insert(src, RouteSet::from(paths));
-        }
-        Some(RouteTable {
-            group: group.clone(),
-            routes,
-        })
+        Self::for_sources(topo, group, topo.nodes()).ok()
     }
 
     /// The anycast group this table routes toward.
@@ -80,8 +102,8 @@ impl RouteTable {
 
     /// All routes from `source`, indexed by member index.
     ///
-    /// Returns `None` when `source` was not a node of the topology the
-    /// table was built from (mirroring [`RouteTable::route`]).
+    /// Returns `None` when the table was not built for `source` (mirroring
+    /// [`RouteTable::route`]).
     pub fn routes_from(&self, source: NodeId) -> Option<&[Path]> {
         self.routes.get(&source).map(|set| &set[..])
     }
@@ -122,7 +144,7 @@ impl RouteTable {
     /// Member index of the member with the shortest route from `source`
     /// (the SP baseline's choice). Ties break toward the lower member index.
     ///
-    /// Returns `None` when `source` was not a node of the topology.
+    /// Returns `None` when the table was not built for `source`.
     pub fn nearest_member(&self, source: NodeId) -> Option<usize> {
         let paths = self.routes_from(source)?;
         let mut best = 0;
@@ -138,7 +160,14 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bandwidth, NetError, TopologyBuilder};
+    use crate::routing::shortest_path;
+    use crate::{topologies, Bandwidth, TopologyBuilder};
+
+    fn mci_group() -> (Topology, AnycastGroup) {
+        let topo = topologies::mci();
+        let group = AnycastGroup::new("A", [0u32, 4, 8, 12, 16].map(NodeId::new)).unwrap();
+        (topo, group)
+    }
 
     fn line5_group() -> (Topology, AnycastGroup) {
         let mut b = TopologyBuilder::new(5);
@@ -206,6 +235,72 @@ mod tests {
         let mut buf = vec![7u32];
         assert!(table.distances_into(foreign, &mut buf).is_none());
         assert!(buf.is_empty(), "distances_into clears the buffer first");
+    }
+
+    #[test]
+    fn listed_sources_get_the_all_nodes_routes_and_nothing_else() {
+        let (topo, group) = mci_group();
+        let full = RouteTable::shortest_paths(&topo, &group);
+        for s in topo.nodes() {
+            for (i, &m) in group.members().iter().enumerate() {
+                assert_eq!(
+                    Some(&full.routes_from(s).unwrap()[i]),
+                    shortest_path(&topo, s, m).as_ref(),
+                    "source {s}, member {m}"
+                );
+            }
+        }
+        let listed = [1u32, 7, 13].map(NodeId::new);
+        let subset = RouteTable::for_sources(&topo, &group, listed).unwrap();
+        for s in topo.nodes() {
+            if listed.contains(&s) {
+                assert_eq!(subset.routes_from(s), full.routes_from(s), "source {s}");
+            } else {
+                assert!(subset.routes_from(s).is_none(), "source {s} was not listed");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_source_and_unreachable_member_are_typed_errors() {
+        let (topo, group) = mci_group();
+        assert_eq!(
+            RouteTable::for_sources(&topo, &group, [NodeId::new(999)]).unwrap_err(),
+            NetError::UnknownNode(NodeId::new(999))
+        );
+        let mut b = TopologyBuilder::new(3);
+        b.link(NodeId::new(0), NodeId::new(1), Bandwidth::from_mbps(1))
+            .unwrap();
+        let island = b.build();
+        let g = AnycastGroup::new("B", [NodeId::new(2)]).unwrap();
+        assert_eq!(
+            RouteTable::for_sources(&island, &g, [NodeId::new(0)]).unwrap_err(),
+            NetError::NoRoute(NodeId::new(0), NodeId::new(2))
+        );
+        // The cut-off member is its own source: only listed sources matter.
+        assert!(RouteTable::for_sources(&island, &g, [NodeId::new(2)]).is_ok());
+    }
+
+    #[test]
+    fn distances_are_route_hops_and_nearest_is_the_first_minimum() {
+        let (topo, group) = mci_group();
+        let table = RouteTable::shortest_paths(&topo, &group);
+        for s in topo.nodes() {
+            let dists = table.distances(s).unwrap();
+            let hops: Vec<u32> = table
+                .routes_from(s)
+                .unwrap()
+                .iter()
+                .map(|p| p.hops() as u32)
+                .collect();
+            assert_eq!(dists, hops);
+            let min = *dists.iter().min().unwrap();
+            assert_eq!(
+                table.nearest_member(s),
+                dists.iter().position(|&d| d == min),
+                "source {s}: ties break toward the lower member index"
+            );
+        }
     }
 
     #[test]

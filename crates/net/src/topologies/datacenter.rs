@@ -1,16 +1,14 @@
 //! Datacenter fabrics: three-tier fat trees and two-tier leaf–spine Clos.
 //!
-//! These are the topologies where on-demand routing pays off: a `k = 34`
-//! fat tree has 11 271 nodes, so the all-pairs [`RouteTable`] would
-//! materialise `node_count × group_len` paths while a typical scenario
-//! only ever asks for routes from its configured source hosts — the
-//! [`RouteOracle`](crate::RouteOracle) keeps exactly those resident.
+//! These are the topologies where per-source routing pays off: a `k = 34`
+//! fat tree has 11 271 nodes while a typical scenario only ever asks for
+//! routes from its configured source hosts, so
+//! [`RouteTable::for_sources`](crate::RouteTable::for_sources) runs one
+//! BFS per source instead of one per node.
 //!
 //! Node-id layout is documented per builder and exposed through the
 //! `*_hosts` helpers so experiment configs can pick sources and anycast
 //! members without re-deriving the arithmetic.
-//!
-//! [`RouteTable`]: crate::RouteTable
 
 use crate::{Bandwidth, NodeId, Topology, TopologyBuilder};
 
@@ -161,7 +159,7 @@ mod tests {
 
     #[test]
     fn fat_tree_scales_past_ten_thousand_nodes() {
-        // The bench_pr10 size: k=34 -> 11271 nodes, buildable in-memory.
+        // The perfbench `offline_fattree` size: k=34 -> 11271 nodes, buildable in-memory.
         assert_eq!(fat_tree_node_count(34), 11271);
         let t = fat_tree(10, CAP);
         assert_eq!(t.node_count(), fat_tree_node_count(10));

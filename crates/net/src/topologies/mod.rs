@@ -11,8 +11,8 @@
 //!
 //! The datacenter fabrics ([`fat_tree`], [`clos`]) scale the reproduction
 //! past paper-size meshes — thousands of hosts behind regular switching
-//! tiers, served by the on-demand
-//! [`RouteOracle`](crate::RouteOracle) instead of the all-pairs table.
+//! tiers, routed only from the hosts a scenario lists as sources
+//! ([`RouteTable::for_sources`](crate::RouteTable::for_sources)).
 
 mod datacenter;
 mod mci;
