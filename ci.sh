@@ -58,6 +58,15 @@ cargo run --release --offline -p anycast-bench --bin bench_pr9 -- --smoke --out 
 echo "==> perfbench self-tests (the untouched benchmark must still compile against the product API)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> pinned engine digests (full-size offline workloads at seed 11; a one-bit behaviour change fails the run)"
+# The smoke sizes above carry no pinned digest. Three full-size cycles
+# each; `perf` exits non-zero unless the run's digest equals the one in
+# perfbench/src/expected.json.
+for workload in offline_mci offline_fattree; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 11 --seconds 1 --trace 0
+done
+
 echo "==> NaN gate (no bench artifact may contain NaN or infinite values)"
 ! grep -qiE 'nan|inf' /tmp/BENCH_pr2_ci.json /tmp/BENCH_pr3_ci.json \
     /tmp/BENCH_pr4_ci.json /tmp/BENCH_pr5_ci.json /tmp/BENCH_pr6_ci.json \

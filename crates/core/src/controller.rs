@@ -727,6 +727,8 @@ mod tests {
             assert_eq!(rsvp_a.ledger(), rsvp_e.ledger(), "step {step}");
         }
         assert!(links_a.iter().zip(links_e.iter()).all(|(x, y)| x == y));
+        // The hold column by full scan, which also vouches for the O(1) total.
+        assert_eq!(links_e.audit().unwrap().pending_bps, 0);
         assert_eq!(links_e.total_pending(), Bandwidth::ZERO);
         assert!(setups.in_flight() == 0, "express leaves no live setups");
     }

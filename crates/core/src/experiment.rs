@@ -1055,6 +1055,34 @@ pub fn run_experiment_traced(
     sim.finish(horizon).0
 }
 
+/// The measurement window's time-weighted load signals: concurrently
+/// active sessions and total reserved bandwidth. Both reads are field
+/// loads (the ledger keeps its own totals), so every event that moves
+/// either notes them here, whatever the fabric size.
+struct LoadWindow {
+    active: TimeWeighted,
+    reserved_bw: TimeWeighted,
+}
+
+impl LoadWindow {
+    /// Opens the window at `at` on the current load.
+    fn open(at: SimTime, rsvp: &ReservationEngine, links: &LinkStateTable) -> Self {
+        let mut window = LoadWindow {
+            active: TimeWeighted::new(at, 0.0),
+            reserved_bw: TimeWeighted::new(at, 0.0),
+        };
+        window.note(at, rsvp, links);
+        window
+    }
+
+    /// Records the load as of `at`.
+    fn note(&mut self, at: SimTime, rsvp: &ReservationEngine, links: &LinkStateTable) {
+        self.active.update(at, rsvp.active_sessions() as f64);
+        self.reserved_bw
+            .update(at, links.total_reserved().bps() as f64);
+    }
+}
+
 /// The full state of one closed-loop simulation between events: every
 /// table, RNG stream, statistic and timer the handler needs.
 ///
@@ -1085,10 +1113,9 @@ pub(crate) struct Sim<R: Recorder> {
     stats: AdmissionStats,
     group_stats: Vec<AdmissionStats>,
     member_counts: Vec<Vec<u64>>,
-    active: Option<TimeWeighted>,
-    reserved_bw: Option<TimeWeighted>,
+    /// `None` until warm-up ends.
+    load: Option<LoadWindow>,
     availability: Option<TimeWeighted>,
-    total_partition: f64,
     tracker: RefreshTracker,
     soft_wheel: TimerWheel<SessionId>,
     live_flows: HashSet<SessionId>,
@@ -1308,9 +1335,6 @@ impl<R: Recorder> Sim<R> {
             .map(|_| AdmissionStats::new(warmup_end))
             .collect();
         let member_counts: Vec<Vec<u64>> = groups.iter().map(|g| vec![0u64; g.len()]).collect();
-        let active: Option<TimeWeighted> = None;
-        let reserved_bw: Option<TimeWeighted> = None;
-        let total_partition: f64 = links.iter().map(|(_, s)| s.capacity.bps() as f64).sum();
 
         // --- Fault-injection state ---------------------------------------
         // The timeline is expanded up front (deterministically, from its own
@@ -1438,10 +1462,8 @@ impl<R: Recorder> Sim<R> {
             stats,
             group_stats,
             member_counts,
-            active,
-            reserved_bw,
+            load: None,
             availability,
-            total_partition,
             tracker,
             soft_wheel,
             live_flows,
@@ -1498,8 +1520,7 @@ impl<R: Recorder> Sim<R> {
             stats,
             group_stats,
             member_counts,
-            active,
-            reserved_bw,
+            load,
             availability,
             tracker,
             soft_wheel,
@@ -1526,11 +1547,8 @@ impl<R: Recorder> Sim<R> {
         // commit loop.
         macro_rules! tw_note {
             ($at:expr) => {{
-                if let Some(tw) = active.as_mut() {
-                    tw.update($at, rsvp.active_sessions() as f64);
-                }
-                if let Some(tw) = reserved_bw.as_mut() {
-                    tw.update($at, links.total_reserved().bps() as f64);
+                if let Some(window) = load.as_mut() {
+                    window.note($at, rsvp, links);
                 }
             }};
         }
@@ -2379,6 +2397,7 @@ impl<R: Recorder> Sim<R> {
                         }
                     }
                 }
+                debug_assert_eq!(links.audit().err(), None, "after {action:?}");
                 if let Some(tw) = availability.as_mut() {
                     tw.update(now, links.operational_fraction());
                 }
@@ -2475,8 +2494,7 @@ impl<R: Recorder> Sim<R> {
             }
             Event::WarmupEnd => {
                 rsvp.reset_ledger();
-                *active = Some(TimeWeighted::new(now, rsvp.active_sessions() as f64));
-                *reserved_bw = Some(TimeWeighted::new(now, links.total_reserved().bps() as f64));
+                *load = Some(LoadWindow::open(now, rsvp, links));
                 *availability = Some(TimeWeighted::new(now, links.operational_fraction()));
             }
             Event::PathHop { req, setup, hop } => {
@@ -2833,13 +2851,19 @@ impl<R: Recorder> Sim<R> {
         // Drain in-flight two-phase setups: their exchanges never resolved
         // (censored, like any open request at the horizon) and their holds
         // go back. Every held bit must belong to a tabled setup — whatever
-        // `total_pending` still shows afterwards leaked.
-        let leaked_hold_bps = {
-            if let Some(tp) = self.two_phase.as_mut() {
-                let _ = tp.table.drain(&mut self.links);
-            }
-            self.links.total_pending().bps()
-        };
+        // the hold column still shows afterwards leaked.
+        if let Some(tp) = self.two_phase.as_mut() {
+            let _ = tp.table.drain(&mut self.links);
+        }
+        // The run's one full pass over the ledger (release builds too):
+        // the leak figures below come from the scanned columns, not from
+        // the running totals the hot path read, and a total that drifted
+        // from its column is a bug worth stopping on.
+        let audited = self
+            .links
+            .audit()
+            .expect("the link ledger must pass its end-of-run audit");
+        let leaked_hold_bps = audited.pending_bps;
         // Audit the bandwidth ledger: every reserved bit must be
         // attributable to a surviving session (live flows, pending
         // teardowns, and orphans still inside their soft-state lifetime).
@@ -2848,11 +2872,7 @@ impl<R: Recorder> Sim<R> {
             .sessions()
             .map(|(_, r)| r.bandwidth().bps() * r.path().links().len() as u64)
             .sum();
-        let leaked_bandwidth_bps = self
-            .links
-            .total_reserved()
-            .bps()
-            .saturating_sub(attributable);
+        let leaked_bandwidth_bps = audited.reserved_bps.saturating_sub(attributable);
 
         let messages = self.rsvp.ledger().clone();
         let offered = self.stats.offered();
@@ -2896,21 +2916,16 @@ impl<R: Recorder> Sim<R> {
                 })
                 .collect(),
             mean_active_flows: self
-                .active
+                .load
                 .as_ref()
-                .map(|tw| tw.average_until(end))
-                .unwrap_or(0.0),
-            mean_network_utilization: self
-                .reserved_bw
-                .as_ref()
-                .map(|tw| {
-                    if self.total_partition == 0.0 {
-                        0.0
-                    } else {
-                        tw.average_until(end) / self.total_partition
-                    }
-                })
-                .unwrap_or(0.0),
+                .map_or(0.0, |w| w.active.average_until(end)),
+            mean_network_utilization: self.load.as_ref().map_or(0.0, |w| {
+                if audited.capacity_bps == 0 {
+                    0.0
+                } else {
+                    w.reserved_bw.average_until(end) / audited.capacity_bps as f64
+                }
+            }),
             availability: self
                 .availability
                 .as_ref()
@@ -3058,11 +3073,8 @@ impl<R: Recorder> Sim<R> {
                     },
                 );
             }
-            if let Some(tw) = self.active.as_mut() {
-                tw.update(now, self.rsvp.active_sessions() as f64);
-            }
-            if let Some(tw) = self.reserved_bw.as_mut() {
-                tw.update(now, self.links.total_reserved().bps() as f64);
+            if let Some(window) = self.load.as_mut() {
+                window.note(now, &self.rsvp, &self.links);
             }
         }
         true

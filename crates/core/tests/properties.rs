@@ -148,7 +148,9 @@ proptest! {
                 links.reserve(l, avail).unwrap();
             }
         }
-        let baseline_reserved = links.total_reserved();
+        // `audit` scans the reserved column and checks the ledger's
+        // running total against it.
+        let baseline_reserved = links.audit().unwrap().reserved_bps;
         let mut rsvp = ReservationEngine::new();
         let mut rng = SimRng::seed_from(seed);
         let source = NodeId::new(9);
@@ -182,7 +184,7 @@ proptest! {
         for s in sessions {
             rsvp.teardown(&mut links, s).unwrap();
         }
-        prop_assert_eq!(links.total_reserved(), baseline_reserved);
+        prop_assert_eq!(links.audit().unwrap().reserved_bps, baseline_reserved);
     }
 
     /// The delay→bandwidth mapping is safe (the granted rate meets the

@@ -34,6 +34,14 @@ pub enum NetError {
         /// The bandwidth currently reserved on the link.
         reserved: Bandwidth,
     },
+    /// The link ledger's audit found a per-link invariant broken, or a
+    /// running total that disagrees with the column it sums.
+    InconsistentLedger {
+        /// The offending link; `None` when a whole-table total is off.
+        link: Option<LinkId>,
+        /// Which condition failed.
+        what: &'static str,
+    },
     /// An anycast group was created with no members.
     EmptyGroup,
     /// A path was constructed from an inconsistent node/link sequence.
@@ -81,6 +89,10 @@ impl fmt::Display for NetError {
                 f,
                 "release underflow on {link}: releasing {released} with only {reserved} reserved"
             ),
+            NetError::InconsistentLedger { link, what } => match link {
+                Some(l) => write!(f, "inconsistent ledger at {l}: {what}"),
+                None => write!(f, "inconsistent ledger: {what}"),
+            },
             NetError::EmptyGroup => write!(f, "anycast group must have at least one member"),
             NetError::MalformedPath(why) => write!(f, "malformed path: {why}"),
             NetError::NoRoute(s, d) => write!(f, "no route from {s} to {d}"),
@@ -131,6 +143,14 @@ mod tests {
                 link: LinkId::new(0),
                 released: Bandwidth::from_bps(10),
                 reserved: Bandwidth::from_bps(5),
+            },
+            NetError::InconsistentLedger {
+                link: Some(LinkId::new(4)),
+                what: "reserved + held exceeds capacity",
+            },
+            NetError::InconsistentLedger {
+                link: None,
+                what: "running totals disagree with the per-link columns",
             },
             NetError::EmptyGroup,
             NetError::MalformedPath("gap"),

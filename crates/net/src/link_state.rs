@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Links per shard of the striped ledger view. Each shard carries its own
-/// last-touched stamp, so a reader scanning many links (summary, telemetry
+/// last-touched stamp, so a reader scanning many links (telemetry
 /// sampling, route-bandwidth refresh) can skip whole stripes whose stamp
 /// has not advanced past the version it last saw. 64 keeps a shard's
 /// snapshots within a cache line or two while still collapsing the paper
@@ -65,7 +65,9 @@ impl LinkSnapshot {
 }
 
 /// Whole-table aggregate of the ledger, for operational snapshots (the
-/// admission daemon's `stats` endpoint) — one pass over every link.
+/// admission daemon's `stats` endpoint). [`LinkStateTable::summary`] reads
+/// it from the ledger's running totals in O(1);
+/// [`LinkStateTable::audit`] recomputes it with a pass over every link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkSummary {
     /// Links tracked by the ledger.
@@ -87,6 +89,14 @@ pub struct LinkSummary {
 /// ledger enforces the two invariants the admission control relies on:
 /// reservations never exceed capacity, and releases never exceed
 /// reservations.
+///
+/// The ledger also owns its whole-table aggregates — total reserved, total
+/// held, effectively-failed link count, total capacity — as running
+/// totals adjusted by the same mutators that move the per-link columns, so
+/// [`total_reserved`](Self::total_reserved), [`summary`](Self::summary)
+/// and friends cost a field load whatever the fabric size. Bandwidth is
+/// integer bit/s, so each total is *exactly* the sum of its column;
+/// [`audit`](Self::audit) is the full scan that proves it.
 ///
 /// Path-level operations ([`reserve_path`](Self::reserve_path)) are
 /// all-or-nothing: on failure the ledger is left exactly as it was.
@@ -119,6 +129,14 @@ pub struct LinkStateTable {
     /// an unchanged shard stamp proves the whole stripe is unchanged.
     #[serde(default)]
     shard_stamps: Vec<u64>,
+    /// Running `Σ reserved` over `states`.
+    total_reserved: Bandwidth,
+    /// Running `Σ held` over `states`.
+    total_held: Bandwidth,
+    /// Running count of `states` with `failed` set.
+    failed_links: usize,
+    /// `Σ capacity` over `states`; fixed at construction.
+    total_capacity: Bandwidth,
 }
 
 impl LinkStateTable {
@@ -139,7 +157,7 @@ impl LinkStateTable {
         default_capacity: Bandwidth,
         fraction: f64,
     ) -> Self {
-        let states = topo
+        let states: Vec<LinkSnapshot> = topo
             .links()
             .map(|l| {
                 let base = if l.capacity().is_zero() {
@@ -159,6 +177,10 @@ impl LinkStateTable {
             .collect();
         let endpoints = topo.links().map(|l| (l.a(), l.b())).collect();
         LinkStateTable {
+            total_reserved: Bandwidth::ZERO,
+            total_held: Bandwidth::ZERO,
+            failed_links: 0,
+            total_capacity: states.iter().map(|s| s.capacity).sum(),
             states,
             link_failed: vec![false; topo.link_count()],
             node_failed: vec![false; topo.node_count()],
@@ -322,6 +344,7 @@ impl LinkStateTable {
         }
         state.reserved += bw;
         state.flows += 1;
+        self.total_reserved += bw;
         self.touch(link.index());
         Ok(())
     }
@@ -346,6 +369,7 @@ impl LinkStateTable {
         }
         state.reserved -= bw;
         state.flows -= 1;
+        self.total_reserved -= bw;
         self.touch(link.index());
         Ok(())
     }
@@ -377,6 +401,7 @@ impl LinkStateTable {
         }
         state.held += bw;
         state.holds += 1;
+        self.total_held += bw;
         self.touch(link.index());
         Ok(())
     }
@@ -402,6 +427,7 @@ impl LinkStateTable {
         }
         state.held -= bw;
         state.holds -= 1;
+        self.total_held -= bw;
         self.touch(link.index());
         Ok(())
     }
@@ -431,6 +457,8 @@ impl LinkStateTable {
         state.holds -= 1;
         state.reserved += bw;
         state.flows += 1;
+        self.total_held -= bw;
+        self.total_reserved += bw;
         // Availability is unchanged by the commit itself, but the hold and
         // reservation columns both moved; stamp conservatively so any
         // cached per-column view invalidates too.
@@ -439,10 +467,10 @@ impl LinkStateTable {
     }
 
     /// Total bandwidth held by pending (unconfirmed) setups across all
-    /// links. Zero whenever no two-phase signalling is in flight — the
-    /// end-of-run leak-freedom invariant checks exactly this.
+    /// links, in O(1) from the running total ([`audit`](Self::audit) is
+    /// the scan). Zero whenever no two-phase signalling is in flight.
     pub fn total_pending(&self) -> Bandwidth {
-        self.states.iter().map(|s| s.held).sum()
+        self.total_held
     }
 
     /// Checks whether `bw` is available on every link of `path` without
@@ -515,15 +543,71 @@ impl LinkStateTable {
             .map(|(i, s)| (LinkId::new(i as u32), *s))
     }
 
-    /// Total reserved bandwidth across all links (a congestion indicator).
+    /// Total reserved bandwidth across all links (a congestion indicator),
+    /// in O(1) from the running total ([`audit`](Self::audit) is the scan).
     pub fn total_reserved(&self) -> Bandwidth {
-        self.states.iter().map(|s| s.reserved).sum()
+        self.total_reserved
     }
 
-    /// Aggregates the whole ledger into a [`LinkSummary`] — one pass over
-    /// every link, folded shard by shard through the striped view.
+    /// The whole ledger as a [`LinkSummary`], in O(1) from the running
+    /// totals ([`audit`](Self::audit) is the scan).
     pub fn summary(&self) -> LinkSummary {
-        self.sharded().summary()
+        LinkSummary {
+            links: self.states.len(),
+            failed_links: self.failed_links,
+            capacity_bps: self.total_capacity.bps(),
+            reserved_bps: self.total_reserved.bps(),
+            pending_bps: self.total_held.bps(),
+        }
+    }
+
+    /// Full consistency pass: recomputes every aggregate from the per-link
+    /// columns, checks each link's own invariants (`reserved + held ≤
+    /// capacity`; no flows ⇒ nothing reserved; no holds ⇒ nothing held)
+    /// and compares the recomputed aggregates with the running totals.
+    /// Returns the *scanned* summary, so leak audits and conservation
+    /// checks built on it read the columns, never a counter that could
+    /// have drifted with them. O(links): for end-of-run audits and tests,
+    /// not for the admission path.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InconsistentLedger`] naming the first broken link, or
+    /// no link when a running total disagrees with its column.
+    pub fn audit(&self) -> Result<LinkSummary, NetError> {
+        let mut scanned = LinkSummary {
+            links: self.states.len(),
+            failed_links: 0,
+            capacity_bps: 0,
+            reserved_bps: 0,
+            pending_bps: 0,
+        };
+        for (i, s) in self.states.iter().enumerate() {
+            let broken = |what| NetError::InconsistentLedger {
+                link: Some(LinkId::new(i as u32)),
+                what,
+            };
+            if s.reserved + s.held > s.capacity {
+                return Err(broken("reserved + held exceeds capacity"));
+            }
+            if s.flows == 0 && !s.reserved.is_zero() {
+                return Err(broken("bandwidth reserved by no flow"));
+            }
+            if s.holds == 0 && !s.held.is_zero() {
+                return Err(broken("bandwidth held by no setup"));
+            }
+            scanned.failed_links += usize::from(s.failed);
+            scanned.capacity_bps += s.capacity.bps();
+            scanned.reserved_bps += s.reserved.bps();
+            scanned.pending_bps += s.held.bps();
+        }
+        if scanned != self.summary() {
+            return Err(NetError::InconsistentLedger {
+                link: None,
+                what: "running totals disagree with the per-link columns",
+            });
+        }
+        Ok(scanned)
     }
 
     /// Number of links with zero available bandwidth for a demand of `bw`.
@@ -625,9 +709,10 @@ impl LinkStateTable {
         self.states[link.index()].failed
     }
 
-    /// Number of links currently (effectively) down.
+    /// Number of links currently (effectively) down, in O(1) from the
+    /// running count ([`audit`](Self::audit) is the scan).
     pub fn failed_link_count(&self) -> usize {
-        self.states.iter().filter(|s| s.failed).count()
+        self.failed_links
     }
 
     /// Fraction of links currently operational, in `[0, 1]` — the
@@ -647,6 +732,11 @@ impl LinkStateTable {
             || self.node_failed[b.index()];
         if self.states[link_index].failed != failed {
             self.states[link_index].failed = failed;
+            if failed {
+                self.failed_links += 1;
+            } else {
+                self.failed_links -= 1;
+            }
             self.touch(link_index);
         }
     }
@@ -672,6 +762,9 @@ impl LinkStateTable {
         }
         self.link_failed.fill(false);
         self.node_failed.fill(false);
+        self.total_reserved = Bandwidth::ZERO;
+        self.total_held = Bandwidth::ZERO;
+        self.failed_links = 0;
         // The version stays monotone across a reset: every link's
         // availability (potentially) changed, so stamp them all.
         self.version += 1;
@@ -691,12 +784,11 @@ impl LinkStateTable {
 /// the sequential commit loop regains the `&mut` only after every view is
 /// dropped.
 ///
-/// Whole-table scans ([`summary`](Self::summary),
-/// [`saturated_links`](Self::saturated_links), shard iteration) walk the
-/// ledger stripe by stripe in ascending shard order, which is exactly
-/// ascending link order — so shard-aware readers observe the same sequence
-/// as a flat scan, and the stripes exist purely to let stamp-based readers
-/// skip unchanged ranges.
+/// Whole-table scans ([`saturated_links`](Self::saturated_links), shard
+/// iteration) walk the ledger stripe by stripe in ascending shard order,
+/// which is exactly ascending link order — so shard-aware readers observe
+/// the same sequence as a flat scan, and the stripes exist purely to let
+/// stamp-based readers skip unchanged ranges.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedSnapshot<'a> {
     table: &'a LinkStateTable,
@@ -756,26 +848,10 @@ impl<'a> ShardedSnapshot<'a> {
         self.table.min_available_on(path)
     }
 
-    /// Aggregates the ledger into a [`LinkSummary`], folding shard by
-    /// shard. Identical to a flat scan: stripes partition the link range
-    /// in ascending order.
+    /// The ledger's [`LinkSummary`] at the pinned version, as
+    /// [`LinkStateTable::summary`]: O(1) from the running totals.
     pub fn summary(&self) -> LinkSummary {
-        let mut s = LinkSummary {
-            links: self.table.states.len(),
-            failed_links: 0,
-            capacity_bps: 0,
-            reserved_bps: 0,
-            pending_bps: 0,
-        };
-        for shard in 0..self.shard_count() {
-            for state in &self.table.states[self.table.shard_range(shard)] {
-                s.failed_links += usize::from(state.failed);
-                s.capacity_bps += state.capacity.bps();
-                s.reserved_bps += state.reserved.bps();
-                s.pending_bps += state.held.bps();
-            }
-        }
-        s
+        self.table.summary()
     }
 
     /// Number of links with less than `bw` available, folded shard by
@@ -1231,6 +1307,43 @@ mod tests {
         assert_eq!(s.capacity_bps, 3 * Bandwidth::from_mbps(100).bps());
         assert_eq!(s.reserved_bps, Bandwidth::from_mbps(10).bps());
         assert_eq!(s.pending_bps, Bandwidth::from_mbps(5).bps());
+        assert_eq!(table.audit(), Ok(s), "the column scan agrees");
+    }
+
+    #[test]
+    fn audit_catches_a_drifted_total_and_a_broken_link() {
+        let (topo, _) = line4();
+        let mut table = LinkStateTable::from_topology(&topo);
+        table
+            .reserve(LinkId::new(0), Bandwidth::from_mbps(10))
+            .unwrap();
+        assert!(table.audit().is_ok());
+
+        // A running total that moved without its column.
+        let mut drifted = table.clone();
+        drifted.total_reserved += Bandwidth::from_bps(1);
+        assert_eq!(
+            drifted.audit(),
+            Err(NetError::InconsistentLedger {
+                link: None,
+                what: "running totals disagree with the per-link columns",
+            })
+        );
+        let mut drifted = table.clone();
+        drifted.failed_links += 1;
+        assert!(drifted.audit().is_err());
+
+        // A partial release (a caller bug the ledger cannot refuse) leaves
+        // bandwidth that no flow owns; the totals still agree, the link
+        // does not.
+        table
+            .release(LinkId::new(0), Bandwidth::from_mbps(4))
+            .unwrap();
+        assert_eq!(table.total_reserved(), Bandwidth::from_mbps(6));
+        assert!(matches!(
+            table.audit(),
+            Err(NetError::InconsistentLedger { link: Some(l), .. }) if l == LinkId::new(0)
+        ));
     }
 
     #[test]
@@ -1295,7 +1408,7 @@ mod tests {
         let snap = table.sharded();
         assert_eq!(snap.version(), table.version());
         assert_eq!(snap.link_count(), table.link_count());
-        assert_eq!(snap.summary(), table.summary());
+        assert_eq!(Ok(snap.summary()), table.audit());
         assert_eq!(
             snap.saturated_links(Bandwidth::from_mbps(96)),
             table.saturated_links(Bandwidth::from_mbps(96))
@@ -1334,7 +1447,7 @@ mod tests {
         assert_eq!(table.shard_stamp(0), 0);
         assert_eq!(table.shard_stamp(1), table.version());
         let snap = table.sharded();
-        assert_eq!(snap.summary(), table.summary());
+        assert_eq!(Ok(snap.summary()), table.audit());
         assert_eq!(
             snap.iter_shard(0).count() + snap.iter_shard(1).count(),
             table.link_count()

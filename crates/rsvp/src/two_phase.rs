@@ -417,6 +417,17 @@ mod tests {
         (topo, links, path)
     }
 
+    /// The hold column's total by the ledger's full scan; `audit` also
+    /// checks the O(1) `total_pending` against it.
+    fn pending(links: &LinkStateTable) -> Bandwidth {
+        Bandwidth::from_bps(links.audit().unwrap().pending_bps)
+    }
+
+    /// As [`pending`], for the reservation column.
+    fn reserved(links: &LinkStateTable) -> Bandwidth {
+        Bandwidth::from_bps(links.audit().unwrap().reserved_bps)
+    }
+
     #[test]
     fn express_matches_atomic_engine_on_success() {
         let (_t, mut links_a, path) = line4();
@@ -436,7 +447,7 @@ mod tests {
         for (la, lb) in links_a.iter().zip(links_b.iter()) {
             assert_eq!(la, lb, "link state must match the atomic engine");
         }
-        assert_eq!(links_b.total_pending(), Bandwidth::ZERO);
+        assert_eq!(pending(&links_b), Bandwidth::ZERO);
         assert_eq!(table.in_flight(), 0);
         // Teardown works through the normal engine path.
         two.teardown(&mut links_b, b.session).unwrap();
@@ -463,7 +474,7 @@ mod tests {
         for (la, lb) in links_a.iter().zip(links_b.iter()) {
             assert_eq!(la, lb);
         }
-        assert_eq!(links_b.total_pending(), Bandwidth::ZERO);
+        assert_eq!(pending(&links_b), Bandwidth::ZERO);
         assert_eq!(table.in_flight(), 0);
     }
 
@@ -514,18 +525,18 @@ mod tests {
         let id = table.begin(path.clone(), bw, 0.0);
         table.path_step(&mut engine, &mut links, id, 0);
         table.path_step(&mut engine, &mut links, id, 1);
-        assert_eq!(links.total_pending(), Bandwidth::from_bps(128_000));
+        assert_eq!(pending(&links), Bandwidth::from_bps(128_000));
         // Source times out: holds survive (remote routers don't know).
         assert_eq!(table.abandon(id), 2);
         assert!(table.contains(id));
         assert!(!table.is_live(id));
-        assert_eq!(links.total_pending(), Bandwidth::from_bps(128_000));
+        assert_eq!(pending(&links), Bandwidth::from_bps(128_000));
         // Hold timers fire one by one.
         assert_eq!(table.expire_hold(&mut links, id, 0), Some(path.links()[0]));
         assert!(table.contains(id), "state lingers while holds remain");
         assert_eq!(table.expire_hold(&mut links, id, 1), Some(path.links()[1]));
         assert!(!table.contains(id), "reaped once the last hold drains");
-        assert_eq!(links.total_pending(), Bandwidth::ZERO);
+        assert_eq!(pending(&links), Bandwidth::ZERO);
         // Late messages for the reaped setup are dropped.
         assert!(table.path_step(&mut engine, &mut links, id, 2).is_none());
         assert!(!table.resv_step(&mut engine, id));
@@ -543,15 +554,15 @@ mod tests {
         }
         // RESV crosses one hop then is lost; nothing was committed.
         assert!(table.resv_step(&mut engine, id));
-        assert_eq!(links.total_reserved(), Bandwidth::ZERO);
+        assert_eq!(reserved(&links), Bandwidth::ZERO);
         assert_eq!(engine.active_sessions(), 0);
         // Source timeout, then the hold timers fire; all bandwidth returns.
         table.abandon(id);
         for hop in 0..3 {
             table.expire_hold(&mut links, id, hop);
         }
-        assert_eq!(links.total_pending(), Bandwidth::ZERO);
-        assert_eq!(links.total_reserved(), Bandwidth::ZERO);
+        assert_eq!(pending(&links), Bandwidth::ZERO);
+        assert_eq!(reserved(&links), Bandwidth::ZERO);
     }
 
     #[test]
@@ -568,7 +579,7 @@ mod tests {
         table.expire_hold(&mut links, id, 1);
         assert!(table.complete(&mut engine, &mut links, id).is_none());
         assert_eq!(engine.active_sessions(), 0);
-        assert_eq!(links.total_pending(), Bandwidth::ZERO, "survivors freed");
+        assert_eq!(pending(&links), Bandwidth::ZERO, "survivors freed");
         assert!(!table.contains(id));
     }
 
@@ -586,7 +597,7 @@ mod tests {
         let (released, bw_released) = table.drain(&mut links);
         assert_eq!(released, 3);
         assert_eq!(bw_released, Bandwidth::from_kbps(300));
-        assert_eq!(links.total_pending(), Bandwidth::ZERO);
+        assert_eq!(pending(&links), Bandwidth::ZERO);
         assert_eq!(table.in_flight(), 0);
     }
 }

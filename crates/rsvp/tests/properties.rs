@@ -44,6 +44,8 @@ proptest! {
         for s in live {
             engine.teardown(&mut links, s).unwrap();
         }
+        // The column scan, which also vouches for the O(1) total.
+        prop_assert_eq!(links.audit().unwrap().reserved_bps, 0);
         prop_assert_eq!(links.total_reserved(), Bandwidth::ZERO);
         prop_assert_eq!(engine.active_sessions(), 0);
         // Teardown hops mirror reservation hops once everything drained.

@@ -53,9 +53,11 @@ fn ledger_never_leaks_under_random_schedule() {
             rsvp.teardown(&mut links, session).unwrap();
             expected_flow_bandwidth -= demand * hops as u64;
         }
+        // `audit` scans the reserved column (and checks the ledger's O(1)
+        // running total against it), so this still reads the links.
         assert_eq!(
-            links.total_reserved(),
-            expected_flow_bandwidth,
+            links.audit().unwrap().reserved_bps,
+            expected_flow_bandwidth.bps(),
             "step {step}: ledger total must equal the sum of live reservations"
         );
         assert_eq!(rsvp.active_sessions(), live.len());
@@ -64,6 +66,7 @@ fn ledger_never_leaks_under_random_schedule() {
     for (session, _) in live {
         rsvp.teardown(&mut links, session).unwrap();
     }
+    assert_eq!(links.audit().unwrap().reserved_bps, 0);
     assert_eq!(links.total_reserved(), Bandwidth::ZERO);
     for (_, snap) in links.iter() {
         assert_eq!(snap.flows, 0);

@@ -245,8 +245,9 @@ fn soft_state_reclaims_orphaned_reservations() {
         tracker.register(out.session, i as f64 * 10.0);
         sessions.push(out.session);
     }
-    let reserved_before = links.total_reserved();
-    assert!(!reserved_before.is_zero());
+    // `audit` is the column scan; it also vouches for `total_reserved`.
+    let reserved_before = links.audit().unwrap().reserved_bps;
+    assert_eq!(reserved_before, 3 * 64_000 * route.hops() as u64);
 
     // Refresh until the crash...
     for t in [30.0, 60.0, 90.0] {
@@ -261,6 +262,7 @@ fn soft_state_reclaims_orphaned_reservations() {
     for s in expired {
         rsvp.teardown(&mut links, s).unwrap();
     }
+    assert_eq!(links.audit().unwrap().reserved_bps, 0);
     assert_eq!(links.total_reserved(), Bandwidth::ZERO);
     assert_eq!(rsvp.active_sessions(), 0);
 }

@@ -1,0 +1,146 @@
+//! Bit-exact pins of whole-run `Metrics` on the three engine paths that
+//! move the ledger's *held* and *failed* totals — a chaos plan with a link
+//! outage and a node crash, lossy two-phase signalling, and batched GDI
+//! on a fat-tree. The perfbench digests cover fault-free atomic DAC on
+//! MCI and `fat_tree(34)` only, so these are what notices a one-bit
+//! change in the utilisation, availability or leak statistics elsewhere.
+//!
+//! The expected strings are the `Debug` rendering of `Metrics` (shortest
+//! round-trip floats, so exact) captured at the commit before the ledger
+//! began keeping running totals.
+
+use anycast::chaos::{MessageFault, SignalingFaults};
+use anycast::dac::experiment::{SignalingMode, TwoPhaseConfig};
+use anycast::prelude::*;
+
+fn short_run(lambda: f64, system: SystemSpec) -> ExperimentConfig {
+    ExperimentConfig::paper_defaults(lambda, system)
+        .with_warmup_secs(200.0)
+        .with_measure_secs(500.0)
+        .with_seed(23)
+}
+
+/// MCI ⟨WD/D+B,2⟩ with a link outage, a member crash/restore that
+/// overlaps it, an explicit fault on one of the crashed member's own
+/// links (so the restore must not resurrect it), and lost teardowns.
+#[test]
+fn mci_wddb_under_link_and_node_faults() {
+    let topo = topologies::mci();
+    let member = NodeId::new(4);
+    let (_, member_link) = topo.neighbors(member)[0];
+    let plan = FaultPlan::none()
+        .with_teardown_loss(0.05)
+        .with_scripted(250.0, FaultAction::FailLink(LinkId::new(7)))
+        .with_scripted(300.0, FaultAction::CrashNode(member))
+        .with_scripted(320.0, FaultAction::FailLink(member_link))
+        .with_scripted(450.0, FaultAction::RestoreLink(LinkId::new(7)))
+        .with_scripted(500.0, FaultAction::RestoreNode(member))
+        .with_scripted(600.0, FaultAction::RestoreLink(member_link));
+    let cfg = short_run(45.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_faults(plan);
+    let m = run_experiment(&topo, &cfg);
+    assert!(m.availability < 1.0 && m.flows_killed_by_failure > 0 && m.outages == 3);
+    assert_eq!(format!("{m:?}"), MCI_WDDB_FAULTS);
+}
+
+/// MCI ⟨WD/D+H,2⟩ over event-driven two-phase signalling with 5% loss on
+/// every message kind: holds are placed, expired and committed.
+#[test]
+fn mci_two_phase_lossy_signalling() {
+    let topo = topologies::mci();
+    let lossy = MessageFault {
+        loss_probability: 0.05,
+        extra_delay_secs: 0.0,
+    };
+    let sig = SignalingFaults {
+        path: MessageFault {
+            extra_delay_secs: 0.02,
+            ..lossy
+        },
+        resv: lossy,
+        resv_err: lossy,
+    };
+    let cfg = short_run(45.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
+        .with_faults(FaultPlan::none().with_signaling(sig))
+        .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig {
+            per_hop_delay_secs: 0.02,
+            setup_timeout_secs: 0.5,
+            ..TwoPhaseConfig::default()
+        }));
+    let m = run_experiment(&topo, &cfg);
+    assert!(m.holds_placed > 0 && m.holds_expired > 0 && m.setups_completed > 0);
+    assert_eq!(format!("{m:?}"), MCI_TWO_PHASE_LOSSY);
+}
+
+/// `fat_tree(4)`, two members and fourteen sources among the sixteen
+/// hosts, GDI with same-quantum batching fanned over two workers.
+#[test]
+fn fat_tree4_batched_gdi() {
+    let topo = topologies::fat_tree(4, Bandwidth::from_mbps(100));
+    let hosts = topologies::fat_tree_hosts(4);
+    let members = vec![hosts[0], hosts[9]];
+    let sources: Vec<NodeId> = hosts
+        .iter()
+        .copied()
+        .filter(|h| !members.contains(h))
+        .collect();
+    let cfg = short_run(4.0, SystemSpec::GlobalDynamic)
+        .with_group(members)
+        .with_sources(sources)
+        .with_batching(true)
+        .with_batch_jobs(2);
+    let m = run_experiment(&topo, &cfg);
+    assert!(m.admission_probability < 1.0, "the pin must see rejections");
+    assert_eq!(format!("{m:?}"), FAT_TREE4_BATCHED_GDI);
+}
+
+const MCI_WDDB_FAULTS: &str = concat!(
+    r#"Metrics { label: "<WD/D+B,2>", lambda: 45.0, seed: 23, "#,
+    r#"admission_probability: 0.5015140719629497, ap_ci95: 0.006539141578441682, "#,
+    r#"offered: 22456, admitted: 11262, mean_tries: 1.5688457427859037, "#,
+    r#"mean_retrials: 0.5688457427858924, messages: MessageLedger { path: 52474, "#,
+    r#"resv: 19892, resv_err: 32582, path_tear: 19567 }, "#,
+    r#"messages_per_request: 5.544843249020307, mean_active_flows: 3639.566256260944, "#,
+    r#"tries_histogram: [0, 9682, 12774], per_group_ap: [0.5015140719629497], "#,
+    r#"mean_network_utilization: 0.6510056078068653, "#,
+    r#"member_share: [[0.19383768424791334, 0.247646954359794, 0.22482685135855088, "#,
+    r#"0.13567749955602912, 0.19801101047771266]], availability: 0.93125, "#,
+    r#"flows_killed_by_failure: 1224, outages: 3, "#,
+    r#"mean_recovery_secs: 226.66666666666666, orphaned_reservations: 609, "#,
+    r#"orphans_reclaimed: 537, leaked_bandwidth_bps: 0, holds_placed: 0, "#,
+    r#"holds_expired: 0, setups_completed: 0, retransmits: 0, "#,
+    r#"signaling_messages_lost: 0, mean_setup_latency_secs: 0.0, leaked_hold_bps: 0 }"#,
+);
+
+const MCI_TWO_PHASE_LOSSY: &str = concat!(
+    r#"Metrics { label: "<WD/D+H,2>", lambda: 45.0, seed: 23, "#,
+    r#"admission_probability: 0.5329978624866405, ap_ci95: 0.006524917985023338, "#,
+    r#"offered: 22456, admitted: 11969, mean_tries: 1.6544798717492069, "#,
+    r#"mean_retrials: 0.6544798717491984, messages: MessageLedger { path: 68431, "#,
+    r#"resv: 21211, resv_err: 43037, path_tear: 19766 }, "#,
+    r#"messages_per_request: 6.788608835055219, mean_active_flows: 4254.822527567862, "#,
+    r#"tries_histogram: [0, 7759, 14697], per_group_ap: [0.5329978624866405], "#,
+    r#"mean_network_utilization: 0.7140702255159774, "#,
+    r#"member_share: [[0.19909766897819367, 0.2853204110619099, 0.21647589606483417, "#,
+    r#"0.05447405798312307, 0.24463196591193917]], availability: 1.0, "#,
+    r#"flows_killed_by_failure: 0, outages: 0, mean_recovery_secs: 0.0, "#,
+    r#"orphaned_reservations: 0, orphans_reclaimed: 0, leaked_bandwidth_bps: 0, "#,
+    r#"holds_placed: 59669, holds_expired: 8811, setups_completed: 19269, "#,
+    r#"retransmits: 7271, signaling_messages_lost: 7314, "#,
+    r#"mean_setup_latency_secs: 0.09887427110616308, leaked_hold_bps: 0 }"#,
+);
+
+const FAT_TREE4_BATCHED_GDI: &str = concat!(
+    r#"Metrics { label: "GDI", lambda: 4.0, seed: 23, "#,
+    r#"admission_probability: 0.8726053639846744, ap_ci95: 0.014304532100614645, "#,
+    r#"offered: 2088, admitted: 1822, mean_tries: 1.0, mean_retrials: 0.0, "#,
+    r#"messages: MessageLedger { path: 9326, resv: 9326, resv_err: 0, "#,
+    r#"path_tear: 8522 }, messages_per_request: 13.014367816091953, "#,
+    r#"mean_active_flows: 608.8534800171742, tries_histogram: [0, 2088], "#,
+    r#"per_group_ap: [0.8726053639846744], "#,
+    r#"mean_network_utilization: 0.20725419137393108, "#,
+    r#"member_share: [[0.47804610318331503, 0.5219538968166849]], availability: 1.0, "#,
+    r#"flows_killed_by_failure: 0, outages: 0, mean_recovery_secs: 0.0, "#,
+    r#"orphaned_reservations: 0, orphans_reclaimed: 0, leaked_bandwidth_bps: 0, "#,
+    r#"holds_placed: 0, holds_expired: 0, setups_completed: 0, retransmits: 0, "#,
+    r#"signaling_messages_lost: 0, mean_setup_latency_secs: 0.0, leaked_hold_bps: 0 }"#,
+);

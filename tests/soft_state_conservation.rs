@@ -48,7 +48,7 @@ proptest! {
                 .expect("light load always fits");
             tracker.register(out.session, i as f64);
             live.push(out.session);
-            prop_assert_eq!(links.total_reserved().bps(), attributable(&rsvp));
+            prop_assert_eq!(links.audit().unwrap().reserved_bps, attributable(&rsvp));
         }
         let reserved_peak = links.total_reserved();
         prop_assert!(!reserved_peak.is_zero());
@@ -62,7 +62,7 @@ proptest! {
                 rsvp.teardown(&mut links, s).unwrap();
                 tracker.forget(s);
             }
-            prop_assert_eq!(links.total_reserved().bps(), attributable(&rsvp));
+            prop_assert_eq!(links.audit().unwrap().reserved_bps, attributable(&rsvp));
         }
         prop_assert_eq!(rsvp.active_sessions(), orphans);
 
@@ -73,6 +73,7 @@ proptest! {
         for s in expired {
             rsvp.teardown(&mut links, s).unwrap();
         }
+        prop_assert_eq!(links.audit().unwrap().reserved_bps, 0);
         prop_assert_eq!(links.total_reserved(), Bandwidth::ZERO);
         prop_assert_eq!(rsvp.active_sessions(), 0);
     }
