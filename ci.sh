@@ -67,6 +67,12 @@ for workload in offline_mci offline_fattree; do
         --workload "$workload" --seed 11 --seconds 1 --trace 0
 done
 
+echo "==> flash crowd (daemon_overload at seed 11; exit status is the gate)"
+# ≈15 s. `perf` exits non-zero if any warm-up admit is refused, the
+# accounting identity does not balance, or an admit gets no reply or two.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload daemon_overload --seed 11 --seconds 10 --trace 0
+
 echo "==> NaN gate (no bench artifact may contain NaN or infinite values)"
 ! grep -qiE 'nan|inf' /tmp/BENCH_pr2_ci.json /tmp/BENCH_pr3_ci.json \
     /tmp/BENCH_pr4_ci.json /tmp/BENCH_pr5_ci.json /tmp/BENCH_pr6_ci.json \

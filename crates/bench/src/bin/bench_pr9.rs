@@ -1,6 +1,6 @@
 //! PR 9 daemon overload benchmark: sustained request rate and decision
 //! latency against a live `anycast-daemon` service loop at 1×, 2× and 4×
-//! its engine capacity, with and without the hysteresis shed controller,
+//! its engine capacity, with and without the queue-depth shed controller,
 //! written to `BENCH_pr9.json`.
 //!
 //! Capacity is made synthetic and explicit: every dispatched admit burns
@@ -12,15 +12,17 @@
 //!
 //! * offered and decided request rates;
 //! * decision latency p50/p99 (the daemon's own `latency_us`, measured
-//!   from queue admission to verdict delivery — queueing delay included);
+//!   from reading the line to verdict delivery — queueing delay included);
 //! * how many admits were refused `overloaded` (shed controller or hard
 //!   queue bound) and how many the shutdown drain rejected.
 //!
-//! The gate: at every load factor with shedding enabled, latency p99
+//! The gates: at every load factor with shedding enabled, latency p99
 //! must stay under the structural bound `queue_limit × spin` with slack
 //! — overload must surface as explicit refusals, not unbounded queueing
-//! delay — and the service-layer accounting identity must balance in
-//! every cell.
+//! delay; at 2× and above the daemon must decide at least 0.7 times as
+//! many requests per second with shedding as without — a controller that
+//! bounds p99 by deciding nothing is not protection; and the
+//! service-layer accounting identity must balance in every cell.
 
 use anycast_bench::json::JsonValue;
 use anycast_bench::stats::percentile;
@@ -34,6 +36,10 @@ use anycast_telemetry::json::parse;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Under overload, the least the decided rate with shedding may be as a
+/// share of the rate without it. p99 alone is met by deciding nothing.
+const MIN_DECIDED_SHARE: f64 = 0.7;
 
 /// Sizing for one profile.
 struct Profile {
@@ -242,7 +248,8 @@ fn main() {
                 println!("usage: bench_pr9 [--smoke|--quick|--full] [--out PATH]");
                 println!("  drives a live daemon at 1x/2x/4x engine capacity with and");
                 println!("  without overload shedding, gates decision-latency p99 under");
-                println!("  the structural queue bound, and writes {out}");
+                println!("  the structural queue bound and the decided rate under overload");
+                println!("  against the unshed one, and writes {out}");
                 return;
             }
             other => {
@@ -268,6 +275,7 @@ fn main() {
     let mut cells = Vec::new();
     let mut gate_failures = Vec::new();
     for &factor in &[1.0, 2.0, 4.0] {
+        let mut decided_rate_shedding = 0.0;
         for &shedding in &[true, false] {
             let cell = run_cell(&profile, factor, shedding);
             let mut sorted = cell.latencies_us.clone();
@@ -295,6 +303,14 @@ fn main() {
             if shedding && !sorted.is_empty() && p99 > p99_bound_us {
                 gate_failures.push(format!(
                     "factor={factor} p99={p99}us exceeds bound={p99_bound_us}us"
+                ));
+            }
+            if shedding {
+                decided_rate_shedding = decided_rate;
+            } else if factor >= 2.0 && decided_rate_shedding < MIN_DECIDED_SHARE * decided_rate {
+                gate_failures.push(format!(
+                    "factor={factor} decided {decided_rate_shedding:.0}/s with shedding, under \
+                     {MIN_DECIDED_SHARE} of the {decided_rate:.0}/s without"
                 ));
             }
             cells.push(JsonValue::obj([
@@ -347,8 +363,11 @@ fn main() {
     // The hard gate, last so the JSON survives for debugging a failure.
     assert!(
         gate_failures.is_empty(),
-        "overload latency not bounded under shedding:\n  {}",
+        "shedding did not protect the service under overload:\n  {}",
         gate_failures.join("\n  ")
     );
-    println!("bench_pr9: p99 stayed under {p99_bound_us}us in every shedding cell");
+    println!(
+        "bench_pr9: p99 stayed under {p99_bound_us}us in every shedding cell, and the decided \
+         rate at 2x and 4x at or above {MIN_DECIDED_SHARE} of the unshed one"
+    );
 }

@@ -42,7 +42,7 @@ pub mod trace;
 pub mod wire;
 
 pub use journal::{DecisionJournal, JournalEntry};
-pub use overload::{AdmissionQueue, OverloadOptions, PushRefusal, ShedConfig, ShedController};
+pub use overload::{AdmissionQueue, OverloadOptions, PushRefusal, ShedController};
 pub use replay::{replay_trace, ReplayOutcome, ReplayPacing};
 pub use server::{BoundServer, DaemonCounters, Endpoint, ServeOptions, ServeReport};
 pub use shutdown::{drain_unserved, install_signal_handler, signalled, ShutdownFlag};

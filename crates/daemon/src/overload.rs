@@ -1,6 +1,6 @@
 //! Overload protection for the service loop: a bounded admission queue
 //! with per-connection fairness, and a hysteresis shed controller driven
-//! by queue depth and decision latency.
+//! by queue depth alone.
 //!
 //! The paper's controllers assume a well-behaved arrival process; a
 //! deployed daemon cannot. Two mechanisms keep an overloaded engine
@@ -13,12 +13,14 @@
 //!   server answers with an explicit `overloaded` line, never a silent
 //!   drop.
 //! * **The [`ShedController`]** engages *before* the hard bound: once
-//!   queue depth or the decision-latency EWMA crosses its high
-//!   watermark, new admits are shed until both fall back below the low
-//!   watermarks. The hysteresis gap keeps the daemon from oscillating
-//!   admit/shed at the boundary, and shedding early is what keeps p99
-//!   decision latency bounded under sustained overload (the `bench_pr9`
-//!   claim).
+//!   queue depth reaches 3/4 of the bound, new admits are shed until it
+//!   falls back to 1/4. The hysteresis gap keeps the daemon from
+//!   oscillating admit/shed at the boundary, and shedding early is what
+//!   keeps p99 decision latency bounded under sustained overload (the
+//!   `bench_pr9` claim). Backlog is the only signal: an empty queue is
+//!   below the release mark by construction, so the controller cannot
+//!   stay engaged once the work is gone, and signalling round trips —
+//!   which a decision's latency includes — cannot engage it at all.
 
 use anycast_net::Bandwidth;
 use std::collections::{HashMap, VecDeque};
@@ -38,8 +40,6 @@ pub struct OverloadOptions {
     /// Whether the hysteresis shed controller is active. Off, only the
     /// hard queue bound sheds — the configuration `bench_pr9` contrasts.
     pub shed: bool,
-    /// Shed-controller watermarks.
-    pub shed_config: ShedConfig,
     /// Busy-work burned per dispatched admit. Zero in production; the
     /// overload benchmarks raise it to give the engine a known capacity
     /// so 1×/2×/4× driving rates mean something.
@@ -54,26 +54,22 @@ impl Default for OverloadOptions {
             dispatch_per_tick: 256,
             journal_limit: 4096,
             shed: true,
-            shed_config: ShedConfig::default(),
             admit_spin: Duration::ZERO,
         }
     }
 }
 
 impl OverloadOptions {
-    /// Sets the queue bound and rescales the shed watermarks to it
-    /// (enter at 3/4, exit at 1/4; latency watermarks unchanged).
+    /// Sets the queue bound; the shed watermarks follow it (see
+    /// [`ShedController::new`]).
     pub fn with_queue_limit(mut self, limit: usize) -> Self {
-        let depths = ShedConfig::for_queue_limit(limit);
         self.queue_limit = limit;
-        self.shed_config.enter_depth = depths.enter_depth;
-        self.shed_config.exit_depth = depths.exit_depth;
         self
     }
 }
 
-/// One admit waiting for the engine thread, stamped at enqueue so
-/// decision latency includes its queueing delay.
+/// One admit waiting for the engine thread, stamped when its line was
+/// read so decision latency includes every wait on the daemon's side.
 #[derive(Debug)]
 pub struct QueuedAdmit {
     /// Connection that submitted it.
@@ -88,7 +84,7 @@ pub struct QueuedAdmit {
     pub demand: Bandwidth,
     /// Flow holding time, seconds.
     pub holding_secs: f64,
-    /// When the line entered the queue.
+    /// When the reader thread read the line off the socket.
     pub received: Instant,
 }
 
@@ -192,84 +188,36 @@ impl AdmissionQueue {
     }
 }
 
-/// Shed-controller watermarks. Defaults suit the default queue bound of
-/// 1024: engage at 3/4 depth or 250 ms smoothed decision latency,
-/// disengage only once depth is below 1/4 *and* latency below 50 ms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedConfig {
-    /// Queue depth at or above which shedding engages.
-    pub enter_depth: usize,
-    /// Queue depth at or below which shedding may disengage.
-    pub exit_depth: usize,
-    /// Smoothed decision latency at or above which shedding engages.
-    pub enter_latency: Duration,
-    /// Smoothed decision latency at or below which shedding may disengage.
-    pub exit_latency: Duration,
-}
-
-impl Default for ShedConfig {
-    fn default() -> Self {
-        ShedConfig::for_queue_limit(1024)
-    }
-}
-
-impl ShedConfig {
-    /// Watermarks scaled to a queue bound: enter at 3/4, exit at 1/4.
-    pub fn for_queue_limit(limit: usize) -> Self {
-        ShedConfig {
-            enter_depth: (limit * 3 / 4).max(1),
-            exit_depth: limit / 4,
-            enter_latency: Duration::from_millis(250),
-            exit_latency: Duration::from_millis(50),
-        }
-    }
-}
-
-/// EWMA weight for newly observed decision latencies (~last 20 decisions
-/// dominate). Heavy enough to react within a tick's worth of decisions,
-/// light enough that one slow decision cannot flap the controller.
-const LATENCY_EWMA_ALPHA: f64 = 0.1;
-
-/// Hysteresis load shedding: sheds while the service is over its high
-/// watermarks, readmits only when comfortably below the low ones.
+/// Hysteresis load shedding on queue depth: sheds from the high
+/// watermark until the backlog has drained to the low one.
 #[derive(Debug)]
 pub struct ShedController {
-    config: ShedConfig,
-    latency_ewma_us: f64,
+    enter_depth: usize,
+    exit_depth: usize,
     shedding: bool,
     engaged: u64,
 }
 
 impl ShedController {
-    /// A disengaged controller.
-    pub fn new(config: ShedConfig) -> Self {
+    /// A disengaged controller for a queue bounded at `queue_limit`:
+    /// engages at 3/4 of the bound, releases at 1/4.
+    pub fn new(queue_limit: usize) -> Self {
         ShedController {
-            config,
-            latency_ewma_us: 0.0,
+            enter_depth: (queue_limit * 3 / 4).max(1),
+            exit_depth: queue_limit / 4,
             shedding: false,
             engaged: 0,
         }
     }
 
-    /// Folds one decision's wall-clock latency into the EWMA.
-    pub fn observe_latency(&mut self, latency_us: u64) {
-        self.latency_ewma_us = (1.0 - LATENCY_EWMA_ALPHA) * self.latency_ewma_us
-            + LATENCY_EWMA_ALPHA * latency_us as f64;
-    }
-
     /// Re-evaluates the hysteresis against the current queue depth and
     /// returns whether the daemon is now shedding.
     pub fn update(&mut self, queue_depth: usize) -> bool {
-        let lat = self.latency_ewma_us;
         if self.shedding {
-            if queue_depth <= self.config.exit_depth
-                && lat <= self.config.exit_latency.as_micros() as f64
-            {
+            if queue_depth <= self.exit_depth {
                 self.shedding = false;
             }
-        } else if queue_depth >= self.config.enter_depth
-            || lat >= self.config.enter_latency.as_micros() as f64
-        {
+        } else if queue_depth >= self.enter_depth {
             self.shedding = true;
             self.engaged += 1;
         }
@@ -282,14 +230,9 @@ impl ShedController {
     }
 
     /// How many times shedding has engaged (not per-request; per
-    /// excursion over the high watermarks).
+    /// excursion over the high watermark).
     pub fn times_engaged(&self) -> u64 {
         self.engaged
-    }
-
-    /// The current decision-latency EWMA, microseconds.
-    pub fn latency_ewma_us(&self) -> f64 {
-        self.latency_ewma_us
     }
 }
 
@@ -347,28 +290,18 @@ mod tests {
 
     #[test]
     fn shed_hysteresis_engages_and_releases() {
-        let mut s = ShedController::new(ShedConfig {
-            enter_depth: 8,
-            exit_depth: 2,
-            enter_latency: Duration::from_millis(100),
-            exit_latency: Duration::from_millis(10),
-        });
+        let mut s = ShedController::new(11); // marks: enter 8, exit 2
         assert!(!s.update(7));
         assert!(s.update(8), "enter on depth");
         // Between the watermarks: still shedding (hysteresis).
         assert!(s.update(5));
         assert!(!s.update(2), "exit only at the low watermark");
+        assert!(!s.update(7), "and stay out below the high one");
         assert_eq!(s.times_engaged(), 1);
 
-        // Latency alone engages it too.
-        for _ in 0..200 {
-            s.observe_latency(200_000);
-        }
-        assert!(s.update(0), "enter on latency EWMA");
-        for _ in 0..200 {
-            s.observe_latency(0);
-        }
-        assert!(!s.update(0));
-        assert_eq!(s.times_engaged(), 2);
+        // A bound too small to divide still engages before it overflows.
+        let mut tiny = ShedController::new(1);
+        assert!(tiny.update(1));
+        assert!(!tiny.update(0));
     }
 }

@@ -13,8 +13,8 @@
 //! Between the wire and the engine sits the overload machinery of
 //! [`crate::overload`]: admits wait in a bounded, per-connection-fair
 //! [`AdmissionQueue`]; a hysteresis [`ShedController`] watches queue
-//! depth and decision latency and answers `overloaded` when the daemon
-//! is past its watermarks. Tokens are journaled in a bounded
+//! depth and answers `overloaded` while the backlog is past its
+//! watermarks. Tokens are journaled in a bounded
 //! [`DecisionJournal`] so reconnecting clients can `resume` verdicts
 //! they missed, with duplicate-submit idempotency.
 //!
@@ -303,7 +303,10 @@ impl Drop for ClosingWriter {
 /// Messages from reader/accept threads into the engine thread.
 enum Inbound {
     Connected(u64, Box<dyn Write + Send>),
-    Request(u64, Request),
+    /// A parsed line and when the reader thread read it: the engine
+    /// thread may not get to it for a whole dispatch batch, and that wait
+    /// belongs in the `latency_us` the client is told.
+    Request(u64, Request, Instant),
     /// A line that never became a request: the structured error plus the
     /// offending line (truncated by the reader) to echo back.
     Malformed(u64, WireError, String),
@@ -365,6 +368,7 @@ impl ServiceState {
         demand: anycast_net::Bandwidth,
         holding_secs: f64,
         token: Option<String>,
+        received: Instant,
     ) {
         self.counters.admits_received += 1;
 
@@ -413,7 +417,7 @@ impl ServiceState {
             group_index,
             demand,
             holding_secs,
-            received: Instant::now(),
+            received,
         };
         match self.queue.push(item) {
             Ok(()) => {
@@ -482,13 +486,12 @@ impl ServiceState {
     }
 
     /// Routes finalised decisions back to their connections, journaling
-    /// tokened ones and feeding the latency EWMA.
+    /// tokened ones.
     fn route(&mut self, decisions: Vec<Decision>) {
         for d in decisions {
             self.decided += 1;
             if let Some(p) = self.pending.remove(&d.request) {
                 let latency_us = p.since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                self.shed.observe_latency(latency_us);
                 let line = decision_response(&d, latency_us, p.token.as_deref());
                 if let Some(t) = p.token.as_deref() {
                     self.journal.decide(t, line.clone());
@@ -582,7 +585,7 @@ impl BoundServer {
             writers: HashMap::new(),
             pending: HashMap::new(),
             queue: AdmissionQueue::new(ov.queue_limit, ov.per_conn_limit),
-            shed: ShedController::new(ov.shed_config),
+            shed: ShedController::new(ov.queue_limit),
             shed_enabled: ov.shed,
             journal: DecisionJournal::new(ov.journal_limit),
             counters: DaemonCounters::default(),
@@ -690,7 +693,7 @@ fn handle_inbound(
         Inbound::Malformed(conn, err, line) => {
             state.send_error(conn, &err, &line);
         }
-        Inbound::Request(conn, request) => match request {
+        Inbound::Request(conn, request, received) => match request {
             Request::Admit {
                 source_index,
                 group_index,
@@ -727,6 +730,7 @@ fn handle_inbound(
                         demand,
                         holding_secs,
                         token,
+                        received,
                     );
                 }
             }
@@ -846,8 +850,9 @@ fn spawn_acceptor(
                                     if line.trim().is_empty() {
                                         continue;
                                     }
+                                    let received = Instant::now();
                                     match parse_request(&line) {
-                                        Ok(req) => Inbound::Request(conn, req),
+                                        Ok(req) => Inbound::Request(conn, req, received),
                                         Err(e) => Inbound::Malformed(conn, e, line),
                                     }
                                 }

@@ -3,7 +3,7 @@
 
 use anycast_dac::experiment::{ExperimentConfig, SignalingMode, SystemSpec, TwoPhaseConfig};
 use anycast_dac::policy::PolicySpec;
-use anycast_daemon::{BoundServer, Endpoint, ServeOptions, ShutdownFlag};
+use anycast_daemon::{BoundServer, Endpoint, OverloadOptions, ServeOptions, ShutdownFlag};
 use anycast_net::topologies;
 use anycast_telemetry::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader, Write};
@@ -576,5 +576,89 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
     assert_eq!(report.counters.duplicates, 1);
     assert!(report.counters.resumed >= 5);
     assert_eq!(report.metrics.leaked_hold_bps, 0);
+    assert_eq!(report.metrics.leaked_bandwidth_bps, 0);
+}
+
+/// A burst that engages shedding must not leave it engaged: once the
+/// backlog has drained the daemon decides again, for every connection.
+#[test]
+fn shedding_releases_once_the_burst_has_drained() {
+    const CONNECTIONS: usize = 4;
+    const BURST: usize = 100;
+    let admit =
+        "{\"op\":\"admit\",\"source\":1,\"group\":0,\"demand_bps\":64000,\"holding_secs\":10}";
+
+    let topo = topologies::mci();
+    let config = service_config(SystemSpec::dac(PolicySpec::wd_dh_default(), 2));
+    let options = ServeOptions {
+        speed: 200.0,
+        tick: Duration::from_millis(2),
+        window_secs: Some(300.0),
+        overload: OverloadOptions {
+            admit_spin: Duration::from_millis(1),
+            ..OverloadOptions::default().with_queue_limit(64)
+        },
+        ..ServeOptions::default()
+    };
+    let shutdown = ShutdownFlag::new();
+    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = server.tcp_addr().unwrap();
+
+    // Verdicts are asserted after the scope: a panic inside it would wait
+    // forever on a daemon nobody told to stop.
+    let (report, overloaded, released, after) = std::thread::scope(|s| {
+        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
+        let mut clients: Vec<_> = (0..CONNECTIONS)
+            .map(|_| {
+                let stream = TcpStream::connect(addr).unwrap();
+                Client {
+                    writer: stream.try_clone().unwrap(),
+                    reader: BufReader::new(stream),
+                }
+            })
+            .collect();
+
+        // 400 admits land at once on a queue of 64 served at 1 ms each.
+        let burst = format!("{admit}\n").repeat(BURST);
+        for client in &mut clients {
+            client.writer.write_all(burst.as_bytes()).unwrap();
+        }
+        let mut overloaded = 0u64;
+        for client in &mut clients {
+            for _ in 0..BURST {
+                overloaded += u64::from(op_of(&client.recv()) == "overloaded");
+            }
+        }
+
+        // Every reply is in, so the backlog is gone. The flag is
+        // re-evaluated once per loop iteration, after inbound is handled:
+        // a `stats` or two may still report the previous evaluation.
+        let released = (0..10).any(|_| {
+            clients[0].send("{\"op\":\"stats\"}");
+            field(&clients[0].recv(), "shedding") == Some(&JsonValue::Bool(false))
+        });
+        let after: Vec<String> = clients
+            .iter_mut()
+            .map(|client| {
+                client.send(admit);
+                op_of(&client.recv())
+            })
+            .collect();
+
+        clients[0].send("{\"op\":\"shutdown\"}");
+        assert_eq!(op_of(&clients[0].recv()), "shutting_down");
+        (serve.join().unwrap(), overloaded, released, after)
+    });
+
+    let c = &report.counters;
+    assert!(overloaded > 0, "the burst must overflow the queue");
+    assert!(c.shed_engaged >= 1, "the burst must engage the controller");
+    assert!(released, "still shedding with an empty queue");
+    assert_eq!(after, ["decision"; CONNECTIONS]);
+    assert_eq!(c.shed, overloaded);
+    assert_eq!(
+        c.admits_received,
+        report.submitted + c.duplicates + c.shed + c.rejected_shutdown
+    );
     assert_eq!(report.metrics.leaked_bandwidth_bps, 0);
 }
