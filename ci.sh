@@ -122,6 +122,26 @@ cargo run --release --offline -p anycast-cli --bin anycast -- \
 grep -q 'leaked holds          0 bps' /tmp/two_phase_smoke.txt
 rm -f "$plan" /tmp/two_phase_smoke.txt
 
+echo "==> soft-state leak smoke (lost teardowns must be reclaimed, leaking nothing)"
+# One PATH_TEAR in five vanishes while links fail and heal under it:
+# orphans expire on their soft-state deadlines unless a link fault gets to
+# them first, and either way every reserved bit is accounted for.
+plan=$(mktemp)
+cat > "$plan" <<'EOF'
+[links]
+mtbf_secs = 300.0
+mttr_secs = 30.0
+
+[control]
+teardown_loss_probability = 0.2
+EOF
+cargo run --release --offline -p anycast-cli --bin anycast -- \
+    simulate --lambda 40 --r 2 --warmup 10 --measure 600 --faults "$plan" \
+    | tee /tmp/soft_state_smoke.txt
+grep -q 'leaked bandwidth      0 bps' /tmp/soft_state_smoke.txt
+grep -Eq 'orphaned reservations [0-9]+ \([1-9][0-9]* reclaimed\)' /tmp/soft_state_smoke.txt
+rm -f "$plan" /tmp/soft_state_smoke.txt
+
 echo "==> trace smoke (exported JSONL must parse and contain a rejection)"
 trace_dir=$(mktemp -d)
 cargo run --release --offline -p anycast-cli --bin anycast -- \

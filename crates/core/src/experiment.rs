@@ -12,6 +12,7 @@ use crate::backoff::BackoffPolicy;
 use crate::baselines::{GlobalDynamicSystem, ShortestPathSystem};
 use crate::multipath::{MultipathController, MultipathRouteTable};
 use crate::policy::PolicySpec;
+use crate::soft_state::OrphanTimers;
 use crate::{AdmissionController, AdmissionOutcome, RetrialPolicy};
 use anycast_chaos::{
     build_timeline, ControlFaultModel, FaultAction, FaultBook, FaultEntity, FaultPlan,
@@ -23,8 +24,7 @@ use anycast_net::{
     Topology,
 };
 use anycast_rsvp::{
-    MessageKind, MessageLedger, PathStep, RefreshTracker, ReservationEngine, SessionId, SetupId,
-    SetupTable,
+    MessageKind, MessageLedger, PathStep, ReservationEngine, SessionId, SetupId, SetupTable,
 };
 use anycast_sim::pool::parallel_map_with;
 use anycast_sim::stats::{AdmissionStats, TimeWeighted};
@@ -604,8 +604,9 @@ pub(crate) enum Event {
     Teardown(SessionId),
     /// One fault-plan action firing.
     Fault(FaultAction),
-    /// Periodic soft-state refresh: live sources re-arm their sessions;
-    /// orphans miss the refresh and eventually expire.
+    /// Periodic soft-state refresh: every session that still has a source
+    /// is refreshed — which takes recording the instant, not visiting the
+    /// sessions; orphans miss the refresh and eventually expire.
     RefreshSweep,
     /// Periodic telemetry link-state sample. Only ever scheduled when the
     /// recorder asks for it, and touches no RNG stream and no simulation
@@ -653,8 +654,9 @@ pub(crate) enum Event {
     RetrySetup(u64),
     /// Two-phase: wake-up for the hold-expiry timer wheel.
     HoldTick,
-    /// Wake-up for the soft-state timer wheel: reclaim reservations whose
-    /// refresh deadline passed, at the exact deadline.
+    /// Wake-up for the orphan timers: reclaim the orphaned reservations
+    /// whose soft-state lifetime ends at this instant. Never scheduled
+    /// before the first teardown is lost.
     SoftTick,
 }
 
@@ -1116,10 +1118,12 @@ pub(crate) struct Sim<R: Recorder> {
     /// `None` until warm-up ends.
     load: Option<LoadWindow>,
     availability: Option<TimeWeighted>,
-    tracker: RefreshTracker,
-    soft_wheel: TimerWheel<SessionId>,
-    live_flows: HashSet<SessionId>,
-    orphaned: HashSet<SessionId>,
+    /// Soft-state expiry timers for orphaned reservations.
+    orphans: OrphanTimers,
+    /// Admitted flows whose source is still there, with the instant each
+    /// reservation was installed — the last refresh of a session no sweep
+    /// has seen yet.
+    live_flows: HashMap<SessionId, f64>,
     killed: HashSet<SessionId>,
     /// Sessions torn down early over the wire (`teardown` op): their
     /// still-scheduled holding-time [`Event::Departure`] must become a
@@ -1338,19 +1342,16 @@ impl<R: Recorder> Sim<R> {
 
         // --- Fault-injection state ---------------------------------------
         // The timeline is expanded up front (deterministically, from its own
-        // forked stream) and scheduled as ordinary events; the soft-state
-        // tracker runs even in fault-free experiments, so reservation
+        // forked stream) and scheduled as ordinary events; the refresh
+        // sweep runs even in fault-free experiments, so reservation
         // lifecycle behaviour never depends on whether faults are possible.
-        let tracker = RefreshTracker::new(refresh);
-        // Exact-deadline soft-state expiry: every register/refresh arms this
-        // wheel at the session's deadline; a SoftTick event reclaims expired
-        // orphans the moment their lifetime ends, instead of waiting for the
-        // next sweep to poll. Fault-free runs pop nothing (live sessions are
-        // refreshed well before their deadlines), so the wheel cannot perturb
-        // them.
-        let soft_wheel: TimerWheel<SessionId> = TimerWheel::new();
-        let live_flows: HashSet<SessionId> = HashSet::new();
-        let orphaned: HashSet<SessionId> = HashSet::new();
+        // Soft state costs nothing per live flow: a session whose source
+        // refreshes it cannot expire, so only a reservation that loses its
+        // PATH_TEAR gets a deadline, armed at the moment it is orphaned; a
+        // SoftTick event reclaims it the moment that lifetime ends. A run
+        // that orphans nothing arms nothing and schedules no SoftTick.
+        let orphans = OrphanTimers::new(refresh);
+        let live_flows: HashMap<SessionId, f64> = HashMap::new();
         let killed: HashSet<SessionId> = HashSet::new();
         let wire_torn: HashSet<SessionId> = HashSet::new();
         let book = FaultBook::new();
@@ -1464,10 +1465,8 @@ impl<R: Recorder> Sim<R> {
             member_counts,
             load: None,
             availability,
-            tracker,
-            soft_wheel,
+            orphans,
             live_flows,
-            orphaned,
             killed,
             wire_torn,
             book,
@@ -1522,10 +1521,8 @@ impl<R: Recorder> Sim<R> {
             member_counts,
             load,
             availability,
-            tracker,
-            soft_wheel,
+            orphans,
             live_flows,
-            orphaned,
             killed,
             wire_torn,
             book,
@@ -1550,26 +1547,6 @@ impl<R: Recorder> Sim<R> {
                 if let Some(window) = load.as_mut() {
                     window.note($at, rsvp, links);
                 }
-            }};
-        }
-        // Register a session with the soft-state tracker and arm its
-        // exact-deadline expiry timer.
-        macro_rules! soft_track {
-            ($session:expr, $at:expr) => {{
-                let s = $session;
-                tracker.register(s, $at.as_secs());
-                let deadline = tracker.deadline(s).expect("session was just registered");
-                soft_wheel.arm(s, deadline);
-                if let Some(tick) = soft_wheel.tick_needed() {
-                    eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
-                }
-            }};
-        }
-        macro_rules! soft_forget {
-            ($session:expr) => {{
-                let s = $session;
-                tracker.forget(s);
-                soft_wheel.cancel(&s);
             }};
         }
         // Finish an event-mode two-phase admission: credit the
@@ -1643,8 +1620,7 @@ impl<R: Recorder> Sim<R> {
                 if now >= warmup_end {
                     member_counts[p.group_index][p.pick] += 1;
                 }
-                live_flows.insert(session);
-                soft_track!(session, now);
+                live_flows.insert(session, now.as_secs());
                 eng.schedule_in(
                     now,
                     anycast_sim::Duration::from_secs(p.holding_secs),
@@ -1979,8 +1955,7 @@ impl<R: Recorder> Sim<R> {
                         }
                     }
                     if let Some(flow) = outcome.admitted {
-                        live_flows.insert(flow.session);
-                        soft_track!(flow.session, at);
+                        live_flows.insert(flow.session, at.as_secs());
                         eng.schedule_in(
                             at,
                             anycast_sim::Duration::from_secs(holding_secs),
@@ -2258,7 +2233,9 @@ impl<R: Recorder> Sim<R> {
                     // holding-time departure has nothing left to do.
                     return;
                 }
-                live_flows.remove(&session);
+                let admitted_at = live_flows
+                    .remove(&session)
+                    .expect("a flow is live until it departs");
                 if killed.remove(&session) {
                     // The reservation already died with a fault; the flow's
                     // endpoints have nothing left to tear down.
@@ -2267,7 +2244,9 @@ impl<R: Recorder> Sim<R> {
                 {
                     // PATH_TEAR lost: the reservation holds its bandwidth
                     // until soft state expires it.
-                    orphaned.insert(session);
+                    if let Some(tick) = orphans.orphan(session, admitted_at) {
+                        eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
+                    }
                     book.note_orphan_created();
                 } else if control.teardown_delay_secs > 0.0 {
                     let delay = fault_rng.exp_duration(control.teardown_delay_secs);
@@ -2275,7 +2254,6 @@ impl<R: Recorder> Sim<R> {
                 } else {
                     rsvp.teardown(&mut *links, session)
                         .expect("departing flows hold live sessions");
-                    soft_forget!(session);
                     if rec_on {
                         recorder.record(
                             now.as_secs(),
@@ -2294,7 +2272,6 @@ impl<R: Recorder> Sim<R> {
                 } else {
                     rsvp.teardown(&mut *links, session)
                         .expect("delayed teardowns target live sessions");
-                    soft_forget!(session);
                     if rec_on {
                         recorder.record(
                             now.as_secs(),
@@ -2374,7 +2351,6 @@ impl<R: Recorder> Sim<R> {
                 for session in victims {
                     rsvp.teardown(&mut *links, session)
                         .expect("fault victims hold live reservations");
-                    soft_forget!(session);
                     if rec_on {
                         recorder.record(
                             t,
@@ -2384,7 +2360,7 @@ impl<R: Recorder> Sim<R> {
                             },
                         );
                     }
-                    if orphaned.remove(&session) {
+                    if orphans.cancel(session) {
                         // The fault returned an orphan's bandwidth before soft
                         // state got to it.
                         book.note_orphan_reclaimed();
@@ -2392,7 +2368,7 @@ impl<R: Recorder> Sim<R> {
                         // A Departure or delayed Teardown event is still
                         // pending for this session and must become a no-op.
                         killed.insert(session);
-                        if live_flows.contains(&session) {
+                        if live_flows.contains_key(&session) {
                             book.note_flow_killed();
                         }
                     }
@@ -2404,46 +2380,24 @@ impl<R: Recorder> Sim<R> {
                 tw_note!(now);
             }
             Event::RefreshSweep => {
-                let t = now.as_secs();
-                for session in rsvp.session_ids_sorted() {
-                    if !orphaned.contains(&session) {
-                        // The flow's source (or, post-departure, its pending
-                        // delayed teardown) still exists and keeps the state
-                        // alive. Re-arm the expiry wheel at the pushed-out
-                        // deadline; orphans keep their stale one and expire
-                        // on it via SoftTick.
-                        tracker
-                            .refresh(session, t)
-                            .expect("live sessions are tracked");
-                        let deadline = tracker.deadline(session).expect("just refreshed");
-                        soft_wheel.arm(session, deadline);
-                    }
-                }
-                if let Some(tick) = soft_wheel.tick_needed() {
-                    eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
-                }
+                // Every flow whose source (or, post-departure, pending
+                // delayed teardown) still exists refreshes its state now.
+                // None of them holds a deadline, so the sweep is its
+                // instant; orphans miss it and keep the deadline they were
+                // armed with.
+                orphans.note_sweep(now.as_secs());
                 eng.schedule_in(now, refresh_interval, Event::RefreshSweep);
             }
             Event::SoftTick => {
                 // Exact-deadline soft-state expiry: reclaim precisely the
-                // orphans whose lifetime just ended. Live sessions popping
-                // here are stale wheel entries (their refresh re-armed a
-                // later deadline) and are skipped untouched; the handler
-                // consumes no randomness, so in fault-free runs it is inert.
+                // orphans whose lifetime just ended. Only ever scheduled
+                // once a reservation has been orphaned, and consumes no
+                // randomness.
                 let t = now.as_secs();
                 let mut reclaimed_any = false;
-                for session in soft_wheel.pop_due(t) {
-                    if !orphaned.contains(&session) {
-                        continue;
-                    }
-                    match tracker.deadline(session) {
-                        Some(deadline) if deadline <= t => {}
-                        _ => continue,
-                    }
-                    tracker.forget(session);
+                for session in orphans.pop_expired(t) {
                     rsvp.teardown(&mut *links, session)
                         .expect("expired sessions hold reservations");
-                    orphaned.remove(&session);
                     book.note_orphan_reclaimed();
                     reclaimed_any = true;
                     if rec_on {
@@ -2459,7 +2413,7 @@ impl<R: Recorder> Sim<R> {
                 if reclaimed_any {
                     tw_note!(now);
                 }
-                if let Some(tick) = soft_wheel.tick_needed() {
+                if let Some(tick) = orphans.tick_needed() {
                     eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
                 }
             }
@@ -2844,9 +2798,8 @@ impl<R: Recorder> Sim<R> {
     /// the horizon; the online engine passes wherever its clock stopped.
     pub(crate) fn finish(mut self, end: SimTime) -> (Metrics, R) {
         // Orphans expire exactly at their soft-state deadline via SoftTick
-        // events inside the run, so no closing sweep is needed: anything
-        // the tracker still holds at the horizon is genuinely within
-        // lifetime.
+        // events inside the run, so no closing sweep is needed: an orphan
+        // still armed at the horizon is genuinely within lifetime.
         //
         // Drain in-flight two-phase setups: their exchanges never resolved
         // (censored, like any open request at the horizon) and their holds
@@ -3034,7 +2987,7 @@ impl<R: Recorder> Sim<R> {
     /// [`Event::Teardown`] lands later). Either way the still-scheduled
     /// holding-time departure is neutralised via `wire_torn`.
     pub(crate) fn teardown_session(&mut self, eng: &mut Engine<Event>, session: SessionId) -> bool {
-        if !self.live_flows.contains(&session) {
+        if !self.live_flows.contains_key(&session) {
             return false;
         }
         if self.killed.contains(&session) {
@@ -3043,7 +2996,10 @@ impl<R: Recorder> Sim<R> {
             // still-scheduled holding-time departure to consume.
             return false;
         }
-        self.live_flows.remove(&session);
+        let admitted_at = self
+            .live_flows
+            .remove(&session)
+            .expect("checked live above");
         let now = eng.now();
         self.wire_torn.insert(session);
         if self.control.teardown_loss_probability > 0.0
@@ -3051,7 +3007,9 @@ impl<R: Recorder> Sim<R> {
         {
             // PATH_TEAR lost: the reservation holds its bandwidth until
             // soft state expires it — §4.4, end to end over the wire.
-            self.orphaned.insert(session);
+            if let Some(tick) = self.orphans.orphan(session, admitted_at) {
+                eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
+            }
             self.book.note_orphan_created();
         } else if self.control.teardown_delay_secs > 0.0 {
             let delay = self
@@ -3062,8 +3020,6 @@ impl<R: Recorder> Sim<R> {
             self.rsvp
                 .teardown(&mut self.links, session)
                 .expect("live flows hold live sessions");
-            self.tracker.forget(session);
-            self.soft_wheel.cancel(&session);
             if self.rec_on {
                 self.recorder.record(
                     now.as_secs(),
@@ -3461,6 +3417,40 @@ mod tests {
             m.admission_probability < 1.0,
             "lost capacity must cost some admissions"
         );
+    }
+
+    /// Soft state is work per orphan, not per flow: a run that loses no
+    /// teardown — link faults, delayed teardowns and all — arms no expiry
+    /// timer and handles no `SoftTick`, and a lossy one arms exactly one
+    /// timer per orphan. Counted, not timed.
+    #[test]
+    fn only_orphans_arm_soft_state_timers() {
+        let topo = topologies::mci();
+        let run = |plan: FaultPlan| {
+            let cfg = quick(25.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_faults(plan);
+            let (mut sim, mut engine) = Sim::new(&topo, &cfg, NullRecorder, false);
+            let horizon = sim.horizon;
+            let (mut sweeps, mut soft_ticks) = (0u64, 0u64);
+            engine.run_until(horizon, |eng, now, event| {
+                sweeps += u64::from(matches!(event, Event::RefreshSweep));
+                soft_ticks += u64::from(matches!(event, Event::SoftTick));
+                sim.handle(eng, now, event)
+            });
+            assert_eq!(sweeps, 30, "one sweep per 30 s of a 900 s run");
+            let armed = sim.orphans.armed_total();
+            (armed, soft_ticks, sim.finish(horizon).0)
+        };
+        let lossless = FaultPlan::none()
+            .with_link_model(400.0, 60.0)
+            .with_teardown_delay(2.0);
+        let (armed, soft_ticks, m) = run(lossless.clone());
+        assert!(m.flows_killed_by_failure > 0 && m.admitted > 10_000);
+        assert_eq!((armed, soft_ticks), (0, 0));
+
+        let (armed, soft_ticks, m) = run(lossless.with_teardown_loss(0.1));
+        assert!(m.orphaned_reservations > 100 && m.orphans_reclaimed > 0);
+        assert_eq!(armed, m.orphaned_reservations);
+        assert!(soft_ticks > 0);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod online;
 pub mod policy;
 pub mod qos;
 mod retrial;
+mod soft_state;
 mod weights;
 
 pub use backoff::BackoffPolicy;

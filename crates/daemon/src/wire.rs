@@ -34,7 +34,8 @@
 //! bytes, unique per request): the daemon journals the verdict under the
 //! token, duplicate submits are idempotent, and `resume` on a fresh
 //! connection re-delivers it. `latency_us` is wall-clock time from the
-//! line entering the admission queue to the decision.
+//! reader thread reading the line to the decision, so it includes the
+//! wait for the engine thread.
 
 use anycast_dac::experiment::{Decision, ServiceSnapshot};
 use anycast_net::Bandwidth;

@@ -12,6 +12,12 @@
 //! caller feeds it the current simulated time, and it reports which
 //! sessions have timed out. This keeps the module testable in isolation
 //! and usable from any event loop.
+//!
+//! The experiment loop does not run the tracker: rewriting one deadline
+//! per live session per refresh was most of a simulated request's cost,
+//! and a refreshed session's deadline is never read. It keeps deadlines
+//! for orphans only (`anycast_dac`'s `soft_state` module), and the
+//! tracker is the naive reference that module is tested against.
 
 use crate::SessionId;
 use serde::{Deserialize, Serialize};
@@ -50,7 +56,11 @@ impl Default for RefreshConfig {
     }
 }
 
-/// Tracks refresh deadlines for active sessions.
+/// Tracks refresh deadlines for active sessions — the naive model of
+/// soft state: one deadline per session, pushed out by every refresh,
+/// polled for expiries. Simple enough to be obviously right, which is
+/// what it is kept for: the simulator's per-orphan timers are checked
+/// against it.
 ///
 /// ```rust
 /// use anycast_rsvp::{RefreshConfig, RefreshTracker, SessionId};

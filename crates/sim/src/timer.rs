@@ -1,11 +1,14 @@
 //! A keyed deadline structure for soft timers riding on the event queue.
 //!
-//! The two-phase signalling engine and the soft-state refresh machinery
-//! both need *cancellable* timers: "expire this hold at `t + timeout`
-//! unless it is confirmed first". A [`TimerWheel`] tracks one pending
-//! deadline per key over a binary heap with generation-stamped lazy
-//! cancellation — re-arming or cancelling a key invalidates its old heap
-//! entry without touching the heap, and stale entries are skipped on pop.
+//! The two-phase signalling engine and soft-state expiry both need
+//! *cancellable* timers: "expire this hold at `t + timeout` unless it is
+//! confirmed first", "reclaim this orphaned reservation at its deadline
+//! unless a fault releases it first" (orphans only — a reservation whose
+//! source still refreshes it has no timer). A [`TimerWheel`] tracks one
+//! pending deadline per key over a binary heap with generation-stamped
+//! lazy cancellation — re-arming or cancelling a key invalidates its old
+//! heap entry without touching the heap, and stale entries are skipped on
+//! pop.
 //!
 //! The wheel does not run time itself; the owning simulation schedules an
 //! engine event at [`next_deadline`](TimerWheel::next_deadline) and calls
@@ -131,6 +134,12 @@ impl<K: Clone + Eq + Hash> TimerWheel<K> {
     /// Number of armed timers.
     pub fn len(&self) -> usize {
         self.live.len()
+    }
+
+    /// Calls to [`arm`](Self::arm) over the wheel's whole life — zero
+    /// means no timer was ever armed, not merely that none is pending.
+    pub fn armed_total(&self) -> u64 {
+        self.next_seq
     }
 
     /// Whether no timer is armed.

@@ -28,8 +28,9 @@ fn field<'a>(v: &'a JsonValue, key: &str) -> &'a JsonValue {
     .unwrap_or_else(|| panic!("no `{key}` in {v:?}"))
 }
 
-#[test]
-fn admit_stats_shutdown_over_tcp() {
+/// Runs the daemon on a loopback port for the duration of `client`, which
+/// must end the session with a wire `shutdown`.
+fn with_daemon(client: impl FnOnce(&mut BufReader<TcpStream>)) -> anycast_daemon::ServeReport {
     let topo = topologies::mci();
     let config =
         ExperimentConfig::paper_defaults(1.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
@@ -44,31 +45,57 @@ fn admit_stats_shutdown_over_tcp() {
     let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
     let addr = server.tcp_addr().unwrap();
 
-    let report = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let serve = s.spawn(|| {
             server
                 .run(&topo, &config, &options, ShutdownFlag::new())
                 .unwrap()
         });
-        let mut client = BufReader::new(TcpStream::connect(addr).unwrap());
+        let mut stream = BufReader::new(TcpStream::connect(addr).unwrap());
+        client(&mut stream);
+        let bye = round_trip(&mut stream, r#"{"op":"shutdown"}"#);
+        assert_eq!(field(&bye, "op"), &JsonValue::Str("shutting_down".into()));
+        serve.join().unwrap()
+    })
+}
 
-        let decision = round_trip(
-            &mut client,
-            r#"{"op":"admit","source":1,"group":0,"demand_bps":64000,"holding_secs":120}"#,
-        );
+const ADMIT: &str = r#"{"op":"admit","source":1,"group":0,"demand_bps":64000,"holding_secs":120}"#;
+
+#[test]
+fn admit_stats_shutdown_over_tcp() {
+    let report = with_daemon(|client| {
+        let decision = round_trip(client, ADMIT);
         assert_eq!(field(&decision, "op"), &JsonValue::Str("decision".into()));
         assert_eq!(field(&decision, "admitted"), &JsonValue::Bool(true));
 
-        let stats = round_trip(&mut client, r#"{"op":"stats"}"#);
+        let stats = round_trip(client, r#"{"op":"stats"}"#);
         assert_eq!(field(&stats, "offered"), &JsonValue::Num(1.0));
-
-        let bye = round_trip(&mut client, r#"{"op":"shutdown"}"#);
-        assert_eq!(field(&bye, "op"), &JsonValue::Str("shutting_down".into()));
-        serve.join().unwrap()
     });
 
     assert_eq!(report.decided, 1);
     assert_eq!(report.metrics.offered, 1);
     assert_eq!(report.metrics.leaked_hold_bps, 0);
     assert_eq!(report.metrics.leaked_bandwidth_bps, 0);
+}
+
+/// A line nested 4 000 deep fits the wire's line limit and used to take
+/// the reader thread's stack with it (one parser frame per level). It is
+/// an ordinary parse error: answered, and the connection carries on.
+#[test]
+fn deeply_nested_line_is_a_parse_error() {
+    let deep = format!(
+        r#"{{"op":"stats","x":{}{}}}"#,
+        "[".repeat(4_000),
+        "]".repeat(4_000)
+    );
+    assert!(deep.len() < anycast_daemon::MAX_LINE_BYTES);
+    let report = with_daemon(|client| {
+        let error = round_trip(client, &deep);
+        assert_eq!(field(&error, "op"), &JsonValue::Str("error".into()));
+        assert_eq!(field(&error, "reason"), &JsonValue::Str("parse".into()));
+
+        let decision = round_trip(client, ADMIT);
+        assert_eq!(field(&decision, "op"), &JsonValue::Str("decision".into()));
+    });
+    assert_eq!(report.decided, 1);
 }

@@ -7,11 +7,14 @@
 //!
 //! The expected strings are the `Debug` rendering of `Metrics` (shortest
 //! round-trip floats, so exact) captured at the commit before the ledger
-//! began keeping running totals.
+//! began keeping running totals. `soft_state_expiry_sequences` adds what
+//! `Metrics` only counts: which orphans soft state reclaimed, when, and in
+//! what order.
 
 use anycast::chaos::{MessageFault, SignalingFaults};
 use anycast::dac::experiment::{SignalingMode, TwoPhaseConfig};
 use anycast::prelude::*;
+use anycast::telemetry::{Event, Recorder, TeardownReason};
 
 fn short_run(lambda: f64, system: SystemSpec) -> ExperimentConfig {
     ExperimentConfig::paper_defaults(lambda, system)
@@ -23,9 +26,7 @@ fn short_run(lambda: f64, system: SystemSpec) -> ExperimentConfig {
 /// MCI ⟨WD/D+B,2⟩ with a link outage, a member crash/restore that
 /// overlaps it, an explicit fault on one of the crashed member's own
 /// links (so the restore must not resurrect it), and lost teardowns.
-#[test]
-fn mci_wddb_under_link_and_node_faults() {
-    let topo = topologies::mci();
+fn mci_wddb_fault_config(topo: &Topology) -> ExperimentConfig {
     let member = NodeId::new(4);
     let (_, member_link) = topo.neighbors(member)[0];
     let plan = FaultPlan::none()
@@ -36,8 +37,13 @@ fn mci_wddb_under_link_and_node_faults() {
         .with_scripted(450.0, FaultAction::RestoreLink(LinkId::new(7)))
         .with_scripted(500.0, FaultAction::RestoreNode(member))
         .with_scripted(600.0, FaultAction::RestoreLink(member_link));
-    let cfg = short_run(45.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_faults(plan);
-    let m = run_experiment(&topo, &cfg);
+    short_run(45.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_faults(plan)
+}
+
+#[test]
+fn mci_wddb_under_link_and_node_faults() {
+    let topo = topologies::mci();
+    let m = run_experiment(&topo, &mci_wddb_fault_config(&topo));
     assert!(m.availability < 1.0 && m.flows_killed_by_failure > 0 && m.outages == 3);
     assert_eq!(format!("{m:?}"), MCI_WDDB_FAULTS);
 }
@@ -91,6 +97,77 @@ fn fat_tree4_batched_gdi() {
     let m = run_experiment(&topo, &cfg);
     assert!(m.admission_probability < 1.0, "the pin must see rejections");
     assert_eq!(format!("{m:?}"), FAT_TREE4_BATCHED_GDI);
+}
+
+/// Records the run's soft-state expiries — `(instant, session)` in stream
+/// order — as a count and an FNV-1a digest over the instants' bits and the
+/// raw session numbers.
+struct ExpiryLog {
+    count: u64,
+    digest: u64,
+}
+
+impl ExpiryLog {
+    fn of(topo: &Topology, cfg: &ExperimentConfig) -> (Metrics, Self) {
+        let mut log = ExpiryLog {
+            count: 0,
+            digest: 0xcbf2_9ce4_8422_2325,
+        };
+        let m = run_experiment_traced(topo, cfg, &mut log);
+        (m, log)
+    }
+}
+
+impl Recorder for ExpiryLog {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, time_secs: f64, event: Event) {
+        if let Event::ReservationTeardown {
+            session,
+            reason: TeardownReason::SoftStateExpired,
+        } = event
+        {
+            self.count += 1;
+            for word in [time_secs.to_bits(), session.raw()] {
+                for byte in word.to_le_bytes() {
+                    self.digest = (self.digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+    }
+}
+
+/// The orphan path end to end, pinned at the commit before soft state
+/// became lazy (one deadline per live session, re-armed every sweep):
+/// which orphans expire, when, and in what order — on the fault plan
+/// above, where most orphans were last refreshed by a sweep and share its
+/// deadline, and on flows living 5 s on average, which are admitted,
+/// orphaned and mostly expired without any sweep ever seeing them.
+#[test]
+fn soft_state_expiry_sequences() {
+    let topo = topologies::mci();
+    let (m, log) = ExpiryLog::of(&topo, &mci_wddb_fault_config(&topo));
+    assert_eq!(format!("{m:?}"), MCI_WDDB_FAULTS, "recording moved the run");
+    assert_eq!((log.count, log.digest), (507, 0xca18_5743_b3b0_cbbf));
+    assert!(log.count <= m.orphans_reclaimed && m.orphans_reclaimed <= m.orphaned_reservations);
+    assert_eq!(m.leaked_bandwidth_bps, 0);
+
+    let mut brief = short_run(100.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
+        .with_faults(FaultPlan::none().with_teardown_loss(0.3));
+    brief.mean_holding_secs = 5.0;
+    let (m, log) = ExpiryLog::of(&topo, &brief);
+    assert_eq!((log.count, log.digest), (18_316, 0x7903_5619_dba4_76a5));
+    assert_eq!(
+        (m.orphaned_reservations, m.orphans_reclaimed, m.offered),
+        (20_794, 18_316, 50_229)
+    );
+    assert_eq!(
+        log.count, m.orphans_reclaimed,
+        "no fault competes for orphans here"
+    );
+    assert_eq!(m.leaked_bandwidth_bps, 0);
 }
 
 const MCI_WDDB_FAULTS: &str = concat!(
