@@ -73,6 +73,13 @@ echo "==> flash crowd (daemon_overload at seed 11; exit status is the gate)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload daemon_overload --seed 11 --seconds 10 --trace 0
 
+echo "==> wire codec under load (daemon_saturation at seed 11; exit status is the gate)"
+# `perf` exits non-zero unless every admit got exactly one well-formed
+# reply carrying its token and the daemon counted zero wire errors:
+# some 600 k lines through the hand-written codec in each direction.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload daemon_saturation --seed 11 --seconds 3 --trace 0
+
 echo "==> NaN gate (no bench artifact may contain NaN or infinite values)"
 ! grep -qiE 'nan|inf' /tmp/BENCH_pr2_ci.json /tmp/BENCH_pr3_ci.json \
     /tmp/BENCH_pr4_ci.json /tmp/BENCH_pr5_ci.json /tmp/BENCH_pr6_ci.json \

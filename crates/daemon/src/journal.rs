@@ -16,6 +16,7 @@
 //! `unknown` and the client must treat the request as undecided.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Where a journaled request stands.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +46,10 @@ pub enum JournalEntry {
 #[derive(Debug)]
 pub struct DecisionJournal {
     limit: usize,
-    entries: HashMap<String, JournalEntry>,
-    /// Insertion order; each live token appears exactly once.
-    order: VecDeque<String>,
+    entries: HashMap<Arc<str>, JournalEntry>,
+    /// Insertion order; each live token appears exactly once, sharing
+    /// the allocation of its `entries` key.
+    order: VecDeque<Arc<str>>,
     evicted: u64,
 }
 
@@ -107,10 +109,13 @@ impl DecisionJournal {
                 let Some(oldest) = self.order.pop_front() else {
                     break;
                 };
-                if matches!(self.entries.get(&oldest), Some(JournalEntry::Queued { .. })) {
+                if matches!(
+                    self.entries.get(&*oldest),
+                    Some(JournalEntry::Queued { .. })
+                ) {
                     self.order.push_back(oldest);
                 } else {
-                    self.entries.remove(&oldest);
+                    self.entries.remove(&*oldest);
                     self.evicted += 1;
                     evicted_one = true;
                     break;
@@ -118,14 +123,15 @@ impl DecisionJournal {
             }
             if !evicted_one {
                 if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
+                    self.entries.remove(&*oldest);
                     self.evicted += 1;
                 }
             }
         }
+        let token: Arc<str> = token.into();
         self.entries
-            .insert(token.to_string(), JournalEntry::Queued { conn });
-        self.order.push_back(token.to_string());
+            .insert(Arc::clone(&token), JournalEntry::Queued { conn });
+        self.order.push_back(token);
     }
 
     /// Rebinds a still-queued token to a new connection (duplicate submit
@@ -169,7 +175,7 @@ impl DecisionJournal {
     /// not `pending`).
     pub fn forget(&mut self, token: &str) {
         if self.entries.remove(token).is_some() {
-            self.order.retain(|t| t != token);
+            self.order.retain(|t| &**t != token);
         }
     }
 }

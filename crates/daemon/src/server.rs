@@ -79,7 +79,9 @@ pub struct ServeOptions {
     /// the last `window_secs` of simulated time. `None` keeps the
     /// configured finite horizon.
     pub window_secs: Option<f64>,
-    /// Overload protection: queue bounds, shed watermarks, journal bound.
+    /// Overload protection: queue, per-connection and journal bounds, the
+    /// dispatch budget, and whether the shed controller runs (its
+    /// watermarks follow the queue bound).
     pub overload: OverloadOptions,
 }
 
@@ -493,10 +495,10 @@ impl ServiceState {
             if let Some(p) = self.pending.remove(&d.request) {
                 let latency_us = p.since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                 let line = decision_response(&d, latency_us, p.token.as_deref());
-                if let Some(t) = p.token.as_deref() {
-                    self.journal.decide(t, line.clone());
-                }
                 self.respond(p.conn, &line);
+                if let Some(t) = p.token.as_deref() {
+                    self.journal.decide(t, line);
+                }
             }
         }
     }

@@ -3,11 +3,13 @@
 
 use anycast_dac::experiment::{ExperimentConfig, SignalingMode, SystemSpec, TwoPhaseConfig};
 use anycast_dac::policy::PolicySpec;
-use anycast_daemon::{BoundServer, Endpoint, OverloadOptions, ServeOptions, ShutdownFlag};
+use anycast_daemon::{
+    BoundServer, Endpoint, OverloadOptions, ServeOptions, ServeReport, ShutdownFlag,
+};
 use anycast_net::topologies;
 use anycast_telemetry::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
@@ -55,27 +57,61 @@ impl<W: Write, R: BufRead> Client<W, R> {
     }
 }
 
+/// Asks the daemon to stop when dropped. A client assertion that panics
+/// inside `std::thread::scope` unwinds through this, so the scope's join
+/// of the server thread returns and the test fails — instead of waiting
+/// for ever on a server nobody told to shut down.
+struct StopOnDrop(ShutdownFlag);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.request();
+    }
+}
+
+/// Runs the daemon on MCI at `endpoint` for the duration of `client`,
+/// which is given the bound TCP address (if the endpoint has one) and
+/// must end the session with a wire `shutdown`.
+fn with_daemon<T>(
+    endpoint: &Endpoint,
+    config: &ExperimentConfig,
+    options: &ServeOptions,
+    client: impl FnOnce(Option<SocketAddr>) -> T,
+) -> (ServeReport, T) {
+    let topo = topologies::mci();
+    let shutdown = ShutdownFlag::new();
+    let server = BoundServer::bind(endpoint).unwrap();
+    let addr = server.tcp_addr();
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(shutdown.clone());
+        let serve = s.spawn(|| server.run(&topo, config, options, shutdown).unwrap());
+        let out = client(addr);
+        (serve.join().unwrap(), out)
+    })
+}
+
+fn loopback() -> Endpoint {
+    Endpoint::Tcp("127.0.0.1:0".into())
+}
+
+fn connect(addr: Option<SocketAddr>) -> Client<TcpStream, BufReader<TcpStream>> {
+    let stream = TcpStream::connect(addr.expect("a TCP endpoint")).unwrap();
+    Client {
+        writer: stream.try_clone().unwrap(),
+        reader: BufReader::new(stream),
+    }
+}
+
 #[test]
 fn tcp_round_trip_admit_stats_shutdown() {
-    let topo = topologies::mci();
     let config = service_config(SystemSpec::dac(PolicySpec::wd_dh_default(), 2));
     let options = ServeOptions {
         speed: 50.0,
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
+        let mut client = connect(addr);
 
         // Malformed line: error response, connection stays usable.
         client.send("{\"op\":\"frobnicate\"}");
@@ -115,7 +151,6 @@ fn tcp_round_trip_admit_stats_shutdown() {
         // Graceful exit over the wire.
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
 
     assert_eq!(report.submitted, 1);
@@ -128,20 +163,17 @@ fn tcp_round_trip_admit_stats_shutdown() {
 
 #[test]
 fn unix_socket_round_trip() {
-    let topo = topologies::mci();
     let config = service_config(SystemSpec::dac(PolicySpec::Ed, 2));
     let options = ServeOptions {
         speed: 50.0,
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
     let path =
         std::env::temp_dir().join(format!("anycast-daemon-test-{}.sock", std::process::id()));
-    let server = BoundServer::bind(&Endpoint::Unix(path.clone())).unwrap();
+    let endpoint = Endpoint::Unix(path.clone());
 
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
+    let (report, ()) = with_daemon(&endpoint, &config, &options, |_| {
         let stream = UnixStream::connect(&path).unwrap();
         let mut client = Client {
             writer: stream.try_clone().unwrap(),
@@ -154,7 +186,6 @@ fn unix_socket_round_trip() {
         assert_eq!(op_of(&v), "decision");
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
     assert_eq!(report.submitted, 1);
     assert!(!path.exists(), "socket file must be unlinked on shutdown");
@@ -165,7 +196,6 @@ fn unix_socket_round_trip() {
 /// telemetry stream.
 #[test]
 fn graceful_shutdown_drains_two_phase_holds_and_flushes_telemetry() {
-    let topo = topologies::mci();
     // Slow signalling (0.5 s/hop at 1x speed): setups submitted just
     // before shutdown cannot complete first, so holds are pending when
     // the drain runs.
@@ -185,17 +215,8 @@ fn graceful_shutdown_drains_two_phase_holds_and_flushes_telemetry() {
         ..ServeOptions::default()
     };
     let telemetry_path = options.telemetry.clone().unwrap();
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
+        let mut client = connect(addr);
         for source in [1, 3, 5, 7] {
             client.send(&format!(
                 "{{\"op\":\"admit\",\"source\":{source},\"group\":0,\"demand_bps\":64000,\"holding_secs\":600}}"
@@ -216,7 +237,6 @@ fn graceful_shutdown_drains_two_phase_holds_and_flushes_telemetry() {
         }
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
 
     assert_eq!(report.submitted, 4);
@@ -254,17 +274,8 @@ fn malformed_client_input_never_panics_the_engine() {
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
+        let mut client = connect(addr);
         // Every hostile line draws an error response, never a crash:
         // garbage bytes, wrong types, zero/negative/non-finite numerics,
         // out-of-range indices.
@@ -288,7 +299,6 @@ fn malformed_client_input_never_panics_the_engine() {
         assert_eq!(op_of(&client.recv()), "decision");
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
     assert_eq!(
         report.submitted, 1,
@@ -339,24 +349,14 @@ fn str_field(v: &JsonValue, key: &str) -> String {
 
 #[test]
 fn wire_errors_carry_reason_codes_and_the_offending_line() {
-    let topo = topologies::mci();
     let config = service_config(SystemSpec::dac(PolicySpec::wd_dh_default(), 2));
     let options = ServeOptions {
         speed: 50.0,
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
+        let mut client = connect(addr);
 
         // Unknown op: the reason names it and the echo shows the line.
         client.send("{\"op\":\"frobnicate\"}");
@@ -396,7 +396,6 @@ fn wire_errors_carry_reason_codes_and_the_offending_line() {
         assert_eq!(op_of(&client.recv()), "decision");
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
 
     assert_eq!(report.counters.wire_errors, 4);
@@ -407,24 +406,14 @@ fn wire_errors_carry_reason_codes_and_the_offending_line() {
 
 #[test]
 fn wire_teardown_reclaims_a_live_session_exactly_once() {
-    let topo = topologies::mci();
     let config = service_config(SystemSpec::dac(PolicySpec::wd_dh_default(), 2));
     let options = ServeOptions {
         speed: 50.0,
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
+        let mut client = connect(addr);
 
         client.send(
             "{\"op\":\"admit\",\"source\":1,\"group\":0,\"demand_bps\":64000,\"holding_secs\":600}",
@@ -461,7 +450,6 @@ fn wire_teardown_reclaims_a_live_session_exactly_once() {
 
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
 
     assert_eq!(report.counters.torn_down, 1);
@@ -476,7 +464,6 @@ fn wire_teardown_reclaims_a_live_session_exactly_once() {
 /// it was gone, or delivered to the new connection when still in flight.
 #[test]
 fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
-    let topo = topologies::mci();
     // Slow two-phase signalling so decisions are still in flight when
     // the first connection dies.
     let config = service_config(SystemSpec::dac(PolicySpec::Ed, 2)).with_signaling(
@@ -490,35 +477,28 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
         tick: Duration::from_millis(2),
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let report = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-
+    let (report, ()) = with_daemon(&loopback(), &config, &options, |addr| {
         // First life: four tokened admits, then the process "crashes"
         // (connection dropped without reading a single verdict).
         {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut client = Client {
-                writer: stream.try_clone().unwrap(),
-                reader: BufReader::new(stream),
-            };
+            let mut client = connect(addr);
             for t in 0..4 {
                 client.send(&format!(
                     "{{\"op\":\"admit\",\"source\":{t},\"group\":0,\"demand_bps\":64000,\
                      \"holding_secs\":600,\"token\":\"boot-{t}\"}}"
                 ));
             }
+            // Not before the daemon has taken them in, though: `stats`
+            // answers after dispatching everything sent ahead of it, and
+            // at 0.3 s per hop no verdict can come first. Without this the
+            // second life's resumes can overtake admits still sitting in
+            // this connection's reader thread and rightly draw `unknown`.
+            client.send("{\"op\":\"stats\"}");
+            assert_eq!(op_of(&client.recv()), "stats");
         }
 
         // Second life: same tokens, new connection.
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        };
+        let mut client = connect(addr);
         for t in 0..4 {
             client.send(&format!("{{\"op\":\"resume\",\"token\":\"boot-{t}\"}}"));
         }
@@ -568,7 +548,6 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
 
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
-        serve.join().unwrap()
     });
 
     assert_eq!(report.submitted, 4, "the engine decided each request once");
@@ -588,7 +567,6 @@ fn shedding_releases_once_the_burst_has_drained() {
     let admit =
         "{\"op\":\"admit\",\"source\":1,\"group\":0,\"demand_bps\":64000,\"holding_secs\":10}";
 
-    let topo = topologies::mci();
     let config = service_config(SystemSpec::dac(PolicySpec::wd_dh_default(), 2));
     let options = ServeOptions {
         speed: 200.0,
@@ -600,55 +578,41 @@ fn shedding_releases_once_the_burst_has_drained() {
         },
         ..ServeOptions::default()
     };
-    let shutdown = ShutdownFlag::new();
-    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-    let addr = server.tcp_addr().unwrap();
+    let (report, (overloaded, released, after)) =
+        with_daemon(&loopback(), &config, &options, |addr| {
+            let mut clients: Vec<_> = (0..CONNECTIONS).map(|_| connect(addr)).collect();
 
-    // Verdicts are asserted after the scope: a panic inside it would wait
-    // forever on a daemon nobody told to stop.
-    let (report, overloaded, released, after) = std::thread::scope(|s| {
-        let serve = s.spawn(|| server.run(&topo, &config, &options, shutdown).unwrap());
-        let mut clients: Vec<_> = (0..CONNECTIONS)
-            .map(|_| {
-                let stream = TcpStream::connect(addr).unwrap();
-                Client {
-                    writer: stream.try_clone().unwrap(),
-                    reader: BufReader::new(stream),
-                }
-            })
-            .collect();
-
-        // 400 admits land at once on a queue of 64 served at 1 ms each.
-        let burst = format!("{admit}\n").repeat(BURST);
-        for client in &mut clients {
-            client.writer.write_all(burst.as_bytes()).unwrap();
-        }
-        let mut overloaded = 0u64;
-        for client in &mut clients {
-            for _ in 0..BURST {
-                overloaded += u64::from(op_of(&client.recv()) == "overloaded");
+            // 400 admits land at once on a queue of 64 served at 1 ms each.
+            let burst = format!("{admit}\n").repeat(BURST);
+            for client in &mut clients {
+                client.writer.write_all(burst.as_bytes()).unwrap();
             }
-        }
+            let mut overloaded = 0u64;
+            for client in &mut clients {
+                for _ in 0..BURST {
+                    overloaded += u64::from(op_of(&client.recv()) == "overloaded");
+                }
+            }
 
-        // Every reply is in, so the backlog is gone. The flag is
-        // re-evaluated once per loop iteration, after inbound is handled:
-        // a `stats` or two may still report the previous evaluation.
-        let released = (0..10).any(|_| {
-            clients[0].send("{\"op\":\"stats\"}");
-            field(&clients[0].recv(), "shedding") == Some(&JsonValue::Bool(false))
+            // Every reply is in, so the backlog is gone. The flag is
+            // re-evaluated once per loop iteration, after inbound is handled:
+            // a `stats` or two may still report the previous evaluation.
+            let released = (0..10).any(|_| {
+                clients[0].send("{\"op\":\"stats\"}");
+                field(&clients[0].recv(), "shedding") == Some(&JsonValue::Bool(false))
+            });
+            let after: Vec<String> = clients
+                .iter_mut()
+                .map(|client| {
+                    client.send(admit);
+                    op_of(&client.recv())
+                })
+                .collect();
+
+            clients[0].send("{\"op\":\"shutdown\"}");
+            assert_eq!(op_of(&clients[0].recv()), "shutting_down");
+            (overloaded, released, after)
         });
-        let after: Vec<String> = clients
-            .iter_mut()
-            .map(|client| {
-                client.send(admit);
-                op_of(&client.recv())
-            })
-            .collect();
-
-        clients[0].send("{\"op\":\"shutdown\"}");
-        assert_eq!(op_of(&clients[0].recv()), "shutting_down");
-        (serve.join().unwrap(), overloaded, released, after)
-    });
 
     let c = &report.counters;
     assert!(overloaded > 0, "the burst must overflow the queue");
