@@ -36,7 +36,7 @@ pub mod stats;
 mod sweep;
 mod table;
 
-pub use anycast_sim::pool::{default_jobs, parallel_map, parallel_map_with};
+pub use anycast_sim::pool::{default_jobs, parallel_map};
 pub use settings::{parse_args, RunSettings};
 pub use sweep::{
     mean_and_stderr, run_grid, run_grid_traced, run_replicated, ReplicatedMetrics, TracedCell,

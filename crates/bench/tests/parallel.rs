@@ -20,30 +20,33 @@ fn chaotic_plan() -> FaultPlan {
         .with_teardown_delay(2.0)
 }
 
-fn short(lambda: f64, system: SystemSpec) -> ExperimentConfig {
+fn short(lambda: f64, system: SystemSpec, plan: FaultPlan) -> ExperimentConfig {
     ExperimentConfig::paper_defaults(lambda, system)
         .with_warmup_secs(30.0)
         .with_measure_secs(90.0)
-        .with_faults(chaotic_plan())
+        .with_faults(plan)
 }
 
-/// All five systems of Figures 6/7 (ED, WD/D+H, WD/D+B, SP, GDI) under
-/// faults: `--jobs 2` and `--jobs 8` reproduce `--jobs 1` exactly.
+/// All five systems of Figures 6/7 (ED, WD/D+H, WD/D+B, SP, GDI), under
+/// faults and fault-free: `--jobs 2` and `--jobs 8` reproduce `--jobs 1`
+/// exactly.
 #[test]
-fn five_systems_with_faults_are_jobs_invariant() {
+fn five_systems_are_jobs_invariant_with_and_without_faults() {
     let topo = topologies::mci();
-    let configs: Vec<ExperimentConfig> = comparison_systems()
-        .into_iter()
-        .map(|system| short(25.0, system))
-        .collect();
-    assert_eq!(configs.len(), 5, "ED, WD/D+H, WD/D+B, SP, GDI");
     let seeds = [SimRng::substream_seed(9, 0), SimRng::substream_seed(9, 1)];
-    let serial = run_grid(&topo, &configs, &seeds, 1);
-    for jobs in [2, 8] {
-        let parallel = run_grid(&topo, &configs, &seeds, jobs);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.runs, b.runs, "{}: jobs={jobs} diverged", a.label);
+    for plan in [chaotic_plan(), FaultPlan::none()] {
+        let configs: Vec<ExperimentConfig> = comparison_systems()
+            .into_iter()
+            .map(|system| short(25.0, system, plan.clone()))
+            .collect();
+        assert_eq!(configs.len(), 5, "ED, WD/D+H, WD/D+B, SP, GDI");
+        let serial = run_grid(&topo, &configs, &seeds, 1);
+        for jobs in [2, 8] {
+            let parallel = run_grid(&topo, &configs, &seeds, jobs);
+            assert_eq!(serial.len(), parallel.len());
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.runs, b.runs, "{}: jobs={jobs} diverged", a.label);
+            }
         }
     }
 }
@@ -61,7 +64,7 @@ fn sampled_sweeps_are_jobs_invariant() {
         let master = sampler.next_u64();
         let configs: Vec<ExperimentConfig> = comparison_systems()
             .into_iter()
-            .map(|system| short(lambda, system))
+            .map(|system| short(lambda, system, chaotic_plan()))
             .collect();
         let seeds = [
             SimRng::substream_seed(master, 0),

@@ -2,9 +2,10 @@
 //! degenerate two-phase (zero per-hop delay, no signalling faults,
 //! whatever the timeout) is bit-identical to the atomic engine — same
 //! metrics, same message ledger, same event streams — for every `--jobs`
-//! value, and delayed two-phase sweeps stay jobs-invariant too.
+//! value, and delayed and lossy two-phase sweeps stay jobs-invariant too.
 
 use anycast_bench::{run_grid_traced, TracedCell};
+use anycast_chaos::{FaultPlan, MessageFault, SignalingFaults};
 use anycast_dac::experiment::{ExperimentConfig, SignalingMode, SystemSpec, TwoPhaseConfig};
 use anycast_dac::policy::PolicySpec;
 use anycast_net::topologies;
@@ -55,27 +56,44 @@ fn degenerate_two_phase_matches_atomic_for_every_job_count() {
 }
 
 #[test]
-fn delayed_two_phase_sweep_is_jobs_invariant() {
+fn delayed_and_lossy_two_phase_sweeps_are_jobs_invariant() {
     let topo = topologies::mci();
     let seeds = [11, 22];
     let delayed = configs(SignalingMode::TwoPhase(TwoPhaseConfig {
         per_hop_delay_secs: 0.05,
         ..TwoPhaseConfig::default()
     }));
-    let (serial_sum, serial_cells) =
-        run_grid_traced(&topo, &delayed, &seeds, 1, TelemetryMode::ring());
-    for jobs in [2, 4] {
-        let (par_sum, par_cells) =
-            run_grid_traced(&topo, &delayed, &seeds, jobs, TelemetryMode::ring());
-        assert_cells_identical(&serial_cells, &par_cells, "delayed two-phase");
-        for (a, b) in serial_sum.iter().zip(&par_sum) {
-            assert_eq!(a.runs, b.runs, "jobs={jobs}");
+    // 2% loss per hop crossing on every message kind: timeouts, hold
+    // expiry and retransmission all fire.
+    let lost = MessageFault {
+        loss_probability: 0.02,
+        extra_delay_secs: 0.0,
+    };
+    let lossy_plan = FaultPlan::none().with_signaling(SignalingFaults {
+        path: lost,
+        resv: lost,
+        resv_err: lost,
+    });
+    let lossy: Vec<ExperimentConfig> = delayed
+        .iter()
+        .map(|c| c.clone().with_faults(lossy_plan.clone()))
+        .collect();
+    for (what, grid) in [("delayed two-phase", delayed), ("lossy two-phase", lossy)] {
+        let (serial_sum, serial_cells) =
+            run_grid_traced(&topo, &grid, &seeds, 1, TelemetryMode::ring());
+        for jobs in [2, 4] {
+            let (par_sum, par_cells) =
+                run_grid_traced(&topo, &grid, &seeds, jobs, TelemetryMode::ring());
+            assert_cells_identical(&serial_cells, &par_cells, what);
+            for (a, b) in serial_sum.iter().zip(&par_sum) {
+                assert_eq!(a.runs, b.runs, "{what}: jobs={jobs}");
+            }
         }
+        assert!(
+            serial_cells
+                .iter()
+                .all(|c| c.metrics.setups_completed > 0 && c.metrics.holds_placed > 0),
+            "{what}: cells actually exercised the signalling engine"
+        );
     }
-    assert!(
-        serial_cells
-            .iter()
-            .all(|c| c.metrics.setups_completed > 0 && c.metrics.holds_placed > 0),
-        "delayed cells actually exercised the signalling engine"
-    );
 }

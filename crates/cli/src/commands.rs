@@ -49,10 +49,8 @@ pub fn print_help(command: &str) {
              \x20 --reps N                       independent replications; seeds are RNG\n\
              \x20                                substreams of --seed (default 1)\n\
              \x20 --jobs N                       worker threads for replications/sweep\n\
-             \x20                                points, and with --batch also for the\n\
-             \x20                                in-batch candidate evaluation fan-out\n\
-             \x20                                (default: available cores; results are\n\
-             \x20                                bit-identical for every N)\n\
+             \x20                                points (default: available cores; results\n\
+             \x20                                are bit-identical for every N)\n\
              \x20 --warmup SECS                  warm-up period (default 1800)\n\
              \x20 --measure SECS                 measured period (default 3600)\n\
              \x20 --burstiness B                 MMPP-2 burstiness in [1,2) (default: Poisson)\n\
@@ -60,11 +58,6 @@ pub fn print_help(command: &str) {
              \x20                                anycast-chaos::spec for the grammar)\n\
              \x20 --telemetry                    attach the ring recorder and print an\n\
              \x20                                event summary (results are unchanged)\n\
-             \x20 --batch                        batched same-quantum admission: drain\n\
-             \x20                                arrivals sharing the event-queue quantum\n\
-             \x20                                and evaluate them against one sharded\n\
-             \x20                                link-state snapshot, fanned across --jobs\n\
-             \x20                                workers (results are bit-identical)\n\
              \x20 --signaling-delay SECS         per-hop signalling latency; switches the\n\
              \x20                                DAC engine to two-phase PATH/RESV setup\n\
              \x20                                with pending holds (0 = atomic-identical)\n\
@@ -143,10 +136,6 @@ pub fn print_help(command: &str) {
              \x20                                simulated seconds per real second\n\
              \x20                                (default: virtual time, no waiting;\n\
              \x20                                results are identical either way)\n\
-             \x20 --jobs N                       with --batch, worker threads for the\n\
-             \x20                                in-batch candidate evaluation (default:\n\
-             \x20                                available cores; results are\n\
-             \x20                                bit-identical for every N)\n\
              \x20 --stream PATH                  stream telemetry events to PATH as\n\
              \x20                                JSONL while the replay executes"
         ),
@@ -301,9 +290,6 @@ fn common_config(
         if config.sources.is_empty() {
             return Err("every node is a group member; no sources remain".to_string());
         }
-    }
-    if args.switch("batch") {
-        config = config.with_batching(true);
     }
     if let Some(b) = args.get_str("burstiness") {
         let burstiness: f64 = b
@@ -494,17 +480,6 @@ fn replication_plan(args: &mut Args, base_seed: u64) -> Result<(Vec<u64>, usize)
     Ok((seeds, jobs))
 }
 
-/// Applies the shared `--jobs` worker count to the in-batch candidate
-/// evaluation fan-out when batching is on. Purely an execution knob:
-/// results are bit-identical for every worker count.
-fn with_batch_workers(config: ExperimentConfig, jobs: usize) -> ExperimentConfig {
-    if config.batch {
-        config.with_batch_jobs(jobs)
-    } else {
-        config
-    }
-}
-
 fn print_replicated(rep: &anycast_bench::ReplicatedMetrics, reps: usize, base_seed: u64) {
     println!("system                {}", rep.label);
     println!("lambda                {:.3} flows/s", rep.lambda);
@@ -539,13 +514,12 @@ fn print_telemetry_summary(cells: &[TracedCell]) {
 
 /// `anycast simulate`.
 pub fn simulate(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["telemetry", "batch"])?;
+    let mut args = Args::parse(raw, &["telemetry"])?;
     let telemetry = args.switch("telemetry");
     let lambda: f64 = args.require("lambda")?;
     let (topo, config) = common_config(&mut args, lambda, "wddh")?;
     let (seeds, jobs) = replication_plan(&mut args, config.seed)?;
     args.finish()?;
-    let config = with_batch_workers(config, jobs);
     if telemetry {
         let (mut summaries, cells) = run_grid_traced(
             &topo,
@@ -577,7 +551,7 @@ pub fn simulate(raw: Vec<String>) -> Result<(), String> {
 
 /// `anycast sweep`.
 pub fn sweep(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["no-header", "telemetry", "batch"])?;
+    let mut args = Args::parse(raw, &["no-header", "telemetry"])?;
     let no_header = args.switch("no-header");
     let telemetry = args.switch("telemetry");
     let lambdas = parse_range(
@@ -591,7 +565,6 @@ pub fn sweep(raw: Vec<String>) -> Result<(), String> {
     let (topo, base) = common_config(&mut args, lambdas[0], "wddh")?;
     let (seeds, jobs) = replication_plan(&mut args, base.seed)?;
     args.finish()?;
-    let base = with_batch_workers(base, jobs);
     if !no_header {
         println!(
             "{:>8} {:>10} {:>8} {:>9} {:>7}",
@@ -654,12 +627,11 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
             ))
         }
     };
-    let mut args = Args::parse(raw, &["check", "batch"])?;
+    let mut args = Args::parse(raw, &["check"])?;
     let check = args.switch("check");
     let lambda: f64 = args.get_or("lambda", preset_lambda)?;
     let (topo, config) = common_config(&mut args, lambda, preset_system)?;
     let (seeds, jobs) = replication_plan(&mut args, config.seed)?;
-    let config = with_batch_workers(config, jobs);
     let out_dir = args.get_str("out").unwrap_or_else(|| "traces".into());
     let sample: f64 = args.get_or("sample", 60.0)?;
     if !(sample.is_finite() && sample > 0.0) {
@@ -803,7 +775,7 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
 /// `anycast record`: draw a config's complete arrival process and write
 /// it as a replayable JSONL trace. No admission control runs.
 pub fn record(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["batch"])?;
+    let mut args = Args::parse(raw, &[])?;
     let lambda: f64 = args.require("lambda")?;
     let (_topo, config) = common_config(&mut args, lambda, "wddh")?;
     let out = args.get_str("out").unwrap_or_else(|| "trace.jsonl".into());
@@ -827,7 +799,7 @@ pub fn record(raw: Vec<String>) -> Result<(), String> {
 /// lines to stderr, so a virtual-time replay's stdout diffs clean against
 /// the offline run it reproduces.
 pub fn replay(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["batch"])?;
+    let mut args = Args::parse(raw, &[])?;
     let lambda: f64 = args.require("lambda")?;
     let (topo, config) = common_config(&mut args, lambda, "wddh")?;
     let trace_path = args
@@ -835,11 +807,6 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
         .ok_or_else(|| "missing required flag --trace".to_string())?;
     let speed = args.get_str("speed");
     let stream = args.get_str("stream");
-    let jobs: usize = args.get_or("jobs", default_jobs())?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
-    let config = with_batch_workers(config, jobs);
     args.finish()?;
     let pacing = match speed {
         None => ReplayPacing::Virtual,
@@ -889,7 +856,7 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
 /// `anycast serve`: run the admission controller as a long-lived daemon
 /// behind a TCP or Unix socket.
 pub fn serve(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["batch", "no-shed"])?;
+    let mut args = Args::parse(raw, &["no-shed"])?;
     let lambda: f64 = args.get_or("lambda", 1.0)?;
     let (topo, config) = common_config(&mut args, lambda, "wddh")?;
     let listen = args.get_str("listen");
@@ -1759,79 +1726,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_switch_enables_batched_admission() {
-        let mut args = Args::parse(strs(&["--batch"]), &["batch"]).unwrap();
-        let (_, config) = common_config(&mut args, 20.0, "wddh").unwrap();
-        assert!(config.batch, "--batch must toggle batched admission");
-        let mut args = Args::parse(strs(&[]), &["batch"]).unwrap();
-        let (_, config) = common_config(&mut args, 20.0, "wddh").unwrap();
-        assert!(!config.batch, "batching defaults to off");
-        // End-to-end through the real command parser.
-        simulate(strs(&[
-            "--lambda",
-            "3",
-            "--system",
-            "gdi",
-            "--warmup",
-            "20",
-            "--measure",
-            "40",
-            "--batch",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn jobs_flag_feeds_the_batch_evaluator() {
-        // The shared --jobs count reaches the in-batch fan-out only when
-        // batching is on; otherwise the config keeps its default of 1.
-        let mut args = Args::parse(strs(&["--batch"]), &["batch"]).unwrap();
-        let (_, config) = common_config(&mut args, 20.0, "wddh").unwrap();
-        assert_eq!(with_batch_workers(config, 6).batch_jobs, 6);
-        let mut args = Args::parse(strs(&[]), &["batch"]).unwrap();
-        let (_, config) = common_config(&mut args, 20.0, "wddh").unwrap();
-        assert_eq!(with_batch_workers(config, 6).batch_jobs, 1);
-        // End-to-end: batched simulate with an explicit worker count.
-        simulate(strs(&[
-            "--lambda",
-            "3",
-            "--system",
-            "wddb",
-            "--warmup",
-            "20",
-            "--measure",
-            "40",
-            "--batch",
-            "--jobs",
-            "3",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn replay_accepts_jobs_for_batched_runs() {
-        let path = std::env::temp_dir().join("anycast_cli_replay_jobs_test.jsonl");
-        std::fs::remove_file(&path).ok();
-        let flags = [
-            "--lambda",
-            "8",
-            "--system",
-            "ed",
-            "--warmup",
-            "10",
-            "--measure",
-            "30",
-        ];
-        let mut record_args: Vec<&str> = flags.to_vec();
-        record_args.extend(["--out", path.to_str().unwrap()]);
-        record(strs(&record_args)).unwrap();
-        let mut replay_args: Vec<&str> = flags.to_vec();
-        replay_args.extend(["--trace", path.to_str().unwrap(), "--batch", "--jobs", "2"]);
-        replay(strs(&replay_args)).unwrap();
-        let mut bad_args: Vec<&str> = flags.to_vec();
-        bad_args.extend(["--trace", path.to_str().unwrap(), "--jobs", "0"]);
-        assert!(replay(strs(&bad_args)).is_err());
-        std::fs::remove_file(&path).ok();
+    fn batch_is_an_unknown_flag() {
+        // Admission has one path; `--batch` fails like any other typo.
+        let err = simulate(strs(&["--lambda", "5", "--batch"])).unwrap_err();
+        assert_eq!(err, "flag --batch expects a value");
+        let err = simulate(strs(&["--lambda", "5", "--batch", "1"])).unwrap_err();
+        assert_eq!(err, "unknown flag --batch for this command");
     }
 
     #[test]
@@ -1892,10 +1792,10 @@ mod tests {
         record_args.extend(["--out", path.to_str().unwrap()]);
         record(strs(&record_args)).unwrap();
         assert!(path.exists());
-        // Replaying with the same config (batched, paced or virtual) works;
-        // the bit-identity itself is asserted in the daemon/core tests.
+        // Replaying with the same config (paced or virtual) works; the
+        // bit-identity itself is asserted in the daemon/core tests.
         let mut replay_args: Vec<&str> = flags.to_vec();
-        replay_args.extend(["--trace", path.to_str().unwrap(), "--batch"]);
+        replay_args.extend(["--trace", path.to_str().unwrap()]);
         replay(strs(&replay_args)).unwrap();
         let mut paced_args: Vec<&str> = flags.to_vec();
         paced_args.extend(["--trace", path.to_str().unwrap(), "--speed", "10000"]);

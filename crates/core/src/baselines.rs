@@ -121,96 +121,6 @@ impl ShortestPathSystem {
 #[derive(Debug, Clone, Default)]
 pub struct GlobalDynamicSystem {
     scratch: RoutingScratch,
-    batch: GdiBatchCache,
-}
-
-/// One memoised exhaustive search: the full per-member feasibility verdict
-/// and the winning (member, path) for a `(source, demand)` pair, valid
-/// while no availability threshold relevant to `demand` has been crossed.
-#[derive(Debug, Clone)]
-struct GdiBatchEntry {
-    source: NodeId,
-    demand_bps: u64,
-    /// `flips.len()` at the moment this entry was computed; only flips
-    /// recorded after that index can invalidate it.
-    flips_seen: usize,
-    feasible: Vec<bool>,
-    best: Option<(usize, Path)>,
-}
-
-/// Same-quantum memo for GDI's exhaustive residual search.
-///
-/// Within an arrival batch the ledger moves in one direction: the only
-/// mutations are GDI's own reservations (anything else — a departure, a
-/// fault, a refresh sweep — flushes the batch), so per-link availability
-/// only *decreases*. A cached search for demand `d` therefore stays exact
-/// until some link's availability crosses `d` downward: links that dropped
-/// but stayed ≥ `d` leave the feasible-link set — and hence the
-/// deterministic BFS result — untouched, and no link can become feasible
-/// again. Each reservation records its per-link `(old, new)` availability
-/// pair; an entry is revalidated by scanning the flips recorded since it
-/// was computed for one that crossed its demand.
-#[derive(Debug, Clone, Default)]
-struct GdiBatchCache {
-    entries: Vec<GdiBatchEntry>,
-    /// `(old_available_bps, new_available_bps)` of every link availability
-    /// drop since the batch began.
-    flips: Vec<(u64, u64)>,
-}
-
-/// A memo hit: the per-member feasibility flags and the winning
-/// `(member_index, path)`, if any member was feasible.
-type GdiMemoHit<'a> = (&'a [bool], &'a Option<(usize, Path)>);
-
-impl GdiBatchCache {
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.flips.clear();
-    }
-
-    /// A still-exact memo for `(source, demand)`, if one exists.
-    fn lookup(&self, source: NodeId, demand_bps: u64) -> Option<GdiMemoHit<'_>> {
-        let e = self
-            .entries
-            .iter()
-            .find(|e| e.source == source && e.demand_bps == demand_bps)?;
-        let crossed = self.flips[e.flips_seen..]
-            .iter()
-            .any(|&(old, new)| old >= demand_bps && new < demand_bps);
-        if crossed {
-            None
-        } else {
-            Some((&e.feasible, &e.best))
-        }
-    }
-
-    fn store(
-        &mut self,
-        source: NodeId,
-        demand_bps: u64,
-        feasible: Vec<bool>,
-        best: Option<(usize, Path)>,
-    ) {
-        let entry = GdiBatchEntry {
-            source,
-            demand_bps,
-            flips_seen: self.flips.len(),
-            feasible,
-            best,
-        };
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.source == source && e.demand_bps == demand_bps)
-        {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
-        }
-    }
-
-    fn note_drop(&mut self, old_bps: u64, new_bps: u64) {
-        self.flips.push((old_bps, new_bps));
-    }
 }
 
 impl GlobalDynamicSystem {
@@ -295,150 +205,6 @@ impl GlobalDynamicSystem {
                 let outcome = rsvp
                     .probe_and_reserve(links, &path, demand)
                     .expect("filtered search returned a feasible path");
-                tracer.note_probe(member_index, 0.0, ProbeResult::Admitted);
-                tracer.finish_admitted(outcome.session, member_index, path.hops(), 1);
-                AdmissionOutcome {
-                    admitted: Some(AdmittedFlow {
-                        session: outcome.session,
-                        member_index,
-                        route_bandwidth: outcome.route_bandwidth,
-                    }),
-                    tries: 1,
-                }
-            }
-            None => {
-                tracer.finish_rejected(1);
-                AdmissionOutcome {
-                    admitted: None,
-                    tries: 1,
-                }
-            }
-        }
-    }
-
-    /// Starts a new same-quantum arrival batch: forgets every memoised
-    /// search. Must be called before the first admission of each batch
-    /// (including size-one batches) — the cache's exactness argument only
-    /// holds while nothing but this system's own reservations touches the
-    /// ledger, which is precisely what a batch guarantees.
-    pub fn begin_batch(&mut self) {
-        self.batch.clear();
-    }
-
-    /// The exhaustive per-member residual search for one `(source, demand)`
-    /// pair: the per-member feasibility verdict and the winning
-    /// `(member_index, path)` (fewest hops, first member winning ties).
-    ///
-    /// A pure function of the ledger: this is the read-only half of a
-    /// batched admission, factored out so batch priming can fan it out
-    /// across worker threads, each with its own `scratch`, against a
-    /// shared frozen snapshot.
-    pub fn compute_batch_entry(
-        scratch: &mut RoutingScratch,
-        topo: &Topology,
-        group: &AnycastGroup,
-        links: &LinkStateTable,
-        source: NodeId,
-        demand: Bandwidth,
-    ) -> (Vec<bool>, Option<(usize, Path)>) {
-        let mut feasible = Vec::with_capacity(group.members().len());
-        let mut best: Option<(usize, Path)> = None;
-        for (idx, &member) in group.members().iter().enumerate() {
-            let found = filtered_shortest_path_with(scratch, topo, links, source, member, demand);
-            feasible.push(found.is_some());
-            if let Some(path) = found {
-                let better = match &best {
-                    Some((_, current)) => path.hops() < current.hops(),
-                    None => true,
-                };
-                if better {
-                    best = Some((idx, path));
-                }
-            }
-        }
-        (feasible, best)
-    }
-
-    /// Installs a batch-start memo entry computed by
-    /// [`compute_batch_entry`](Self::compute_batch_entry) for
-    /// `(source, demand)`.
-    ///
-    /// Must run after [`begin_batch`](Self::begin_batch) and before any
-    /// admission of that batch: with the flips ledger still empty, the
-    /// entry records `flips_seen = 0`, so every in-batch availability drop
-    /// is scanned at lookup time — a primed entry revalidates exactly like
-    /// one the miss path computed itself, and admission outcomes are
-    /// bit-identical either way.
-    pub fn prime_batch_entry(
-        &mut self,
-        source: NodeId,
-        demand: Bandwidth,
-        feasible: Vec<bool>,
-        best: Option<(usize, Path)>,
-    ) {
-        self.batch.store(source, demand.bps(), feasible, best);
-    }
-
-    /// [`admit_traced`](Self::admit_traced) memoising the exhaustive
-    /// search across a same-quantum arrival batch (see [`GdiBatchCache`]).
-    /// Bit-identical to the uncached path: outcomes, the RSVP message
-    /// ledger and the telemetry trace all match, whether the search was
-    /// recomputed or replayed from the memo.
-    #[allow(clippy::too_many_arguments)]
-    pub fn admit_batched_traced(
-        &mut self,
-        topo: &Topology,
-        group: &AnycastGroup,
-        source: NodeId,
-        links: &mut LinkStateTable,
-        rsvp: &mut ReservationEngine,
-        demand: Bandwidth,
-        tracer: &mut RequestTracer<'_>,
-    ) -> AdmissionOutcome {
-        let demand_bps = demand.bps();
-        let (feasible, best): (Vec<bool>, Option<(usize, Path)>) =
-            match self.batch.lookup(source, demand_bps) {
-                Some((f, b)) => (f.to_vec(), b.clone()),
-                None => {
-                    let (feasible, best) = Self::compute_batch_entry(
-                        &mut self.scratch,
-                        topo,
-                        group,
-                        links,
-                        source,
-                        demand,
-                    );
-                    self.batch
-                        .store(source, demand_bps, feasible.clone(), best.clone());
-                    (feasible, best)
-                }
-            };
-        if tracer.is_armed() {
-            let chosen = best.as_ref().map(|(idx, _)| *idx);
-            for (idx, &ok) in feasible.iter().enumerate() {
-                if Some(idx) == chosen {
-                    continue; // reported below as the admitted probe
-                }
-                let skip = if ok {
-                    SkipReason::NotSelected
-                } else {
-                    SkipReason::NoFeasiblePath
-                };
-                tracer.note_skip(idx, 0.0, skip);
-            }
-        }
-        match best {
-            Some((member_index, path)) => {
-                let outcome = rsvp
-                    .probe_and_reserve(links, &path, demand)
-                    .expect("memoised feasible path stays reservable within a batch");
-                // Record this reservation's availability drops so later
-                // lookups can tell whether their demand threshold was
-                // crossed.
-                for l in path.links() {
-                    let new = links.available(*l).bps();
-                    self.batch.note_drop(new + demand_bps, new);
-                }
                 tracer.note_probe(member_index, 0.0, ProbeResult::Admitted);
                 tracer.finish_admitted(outcome.session, member_index, path.hops(), 1);
                 AdmissionOutcome {
@@ -593,128 +359,6 @@ mod tests {
         // Member 3 is adjacent to source 4; member 4 is the source itself —
         // its trivial path has 0 hops and must win.
         assert_eq!(out.admitted.unwrap().member_index, 1);
-    }
-
-    #[test]
-    fn batched_gdi_matches_sequential_bit_for_bit() {
-        // Two identical universes take the same arrival sequence; one runs
-        // the plain exhaustive search, the other the batch-memoised one.
-        // Repeated (source, demand) pairs inside a batch exercise cache
-        // hits; shrinking capacity exercises threshold invalidation; the
-        // batch boundary resets the memo.
-        let (topo, group, _table) = fixture();
-        let mut links_s = LinkStateTable::from_topology(&topo);
-        let mut links_b = LinkStateTable::from_topology(&topo);
-        let mut rsvp_s = ReservationEngine::new();
-        let mut rsvp_b = ReservationEngine::new();
-        let mut seq = GlobalDynamicSystem::new();
-        let mut bat = GlobalDynamicSystem::new();
-        // Batches of same-quantum arrivals: (source, demand_kbps) lists.
-        let batches: &[&[(u32, u64)]] = &[
-            &[(0, 48), (0, 48), (0, 48), (1, 48)],
-            &[(0, 48), (2, 64), (0, 48), (0, 64)],
-            &[(1, 32), (1, 32), (1, 32), (1, 32), (1, 32)],
-        ];
-        for (bi, batch) in batches.iter().enumerate() {
-            bat.begin_batch();
-            for (ai, &(src, kbps)) in batch.iter().enumerate() {
-                let source = NodeId::new(src);
-                let demand = Bandwidth::from_kbps(kbps);
-                let a = seq.admit(&topo, &group, source, &mut links_s, &mut rsvp_s, demand);
-                let b = bat.admit_batched_traced(
-                    &topo,
-                    &group,
-                    source,
-                    &mut links_b,
-                    &mut rsvp_b,
-                    demand,
-                    &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
-                );
-                assert_eq!(a, b, "batch {bi} arrival {ai}");
-                assert_eq!(rsvp_s.ledger(), rsvp_b.ledger(), "batch {bi} arrival {ai}");
-            }
-            // Between batches anything may happen; tear everything down so
-            // the next batch starts from a fresh (identical) ledger.
-            for s in rsvp_s.session_ids_sorted() {
-                rsvp_s.teardown(&mut links_s, s).unwrap();
-            }
-            for s in rsvp_b.session_ids_sorted() {
-                rsvp_b.teardown(&mut links_b, s).unwrap();
-            }
-        }
-        assert!(links_s.iter().zip(links_b.iter()).all(|(x, y)| x == y));
-    }
-
-    /// Priming the batch memo from entries precomputed at batch start is
-    /// indistinguishable from letting the miss path fill it lazily: the
-    /// primed entries record `flips_seen = 0`, so every in-batch
-    /// reservation revalidates them exactly as a lazily stored entry
-    /// computed before any drop.
-    #[test]
-    fn primed_batch_entries_match_lazy_memoisation() {
-        let (topo, group, _table) = fixture();
-        let mut links_l = LinkStateTable::from_topology(&topo);
-        let mut links_p = LinkStateTable::from_topology(&topo);
-        let mut rsvp_l = ReservationEngine::new();
-        let mut rsvp_p = ReservationEngine::new();
-        let mut lazy = GlobalDynamicSystem::new();
-        let mut primed = GlobalDynamicSystem::new();
-        // Repeats exercise memo hits; the 96k demand crosses thresholds
-        // mid-batch, so primed entries must also invalidate correctly.
-        let batches: &[&[(u32, u64)]] = &[
-            &[(0, 48), (0, 48), (1, 96), (0, 48), (0, 96)],
-            &[(2, 32), (2, 32), (0, 64), (2, 32)],
-        ];
-        for (bi, batch) in batches.iter().enumerate() {
-            lazy.begin_batch();
-            primed.begin_batch();
-            // Precompute every distinct (source, demand) of the batch
-            // against the batch-start ledger, then install.
-            let mut tasks: Vec<(NodeId, Bandwidth)> = Vec::new();
-            for &(src, kbps) in batch.iter() {
-                let t = (NodeId::new(src), Bandwidth::from_kbps(kbps));
-                if !tasks.contains(&t) {
-                    tasks.push(t);
-                }
-            }
-            let mut scratch = RoutingScratch::new();
-            for &(source, demand) in &tasks {
-                let (feasible, best) = GlobalDynamicSystem::compute_batch_entry(
-                    &mut scratch,
-                    &topo,
-                    &group,
-                    &links_p,
-                    source,
-                    demand,
-                );
-                primed.prime_batch_entry(source, demand, feasible, best);
-            }
-            for (ai, &(src, kbps)) in batch.iter().enumerate() {
-                let source = NodeId::new(src);
-                let demand = Bandwidth::from_kbps(kbps);
-                let a = lazy.admit_batched_traced(
-                    &topo,
-                    &group,
-                    source,
-                    &mut links_l,
-                    &mut rsvp_l,
-                    demand,
-                    &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
-                );
-                let b = primed.admit_batched_traced(
-                    &topo,
-                    &group,
-                    source,
-                    &mut links_p,
-                    &mut rsvp_p,
-                    demand,
-                    &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
-                );
-                assert_eq!(a, b, "batch {bi} arrival {ai}");
-                assert_eq!(rsvp_l.ledger(), rsvp_p.ledger(), "batch {bi} arrival {ai}");
-            }
-        }
-        assert!(links_l.iter().zip(links_p.iter()).all(|(x, y)| x == y));
     }
 
     #[test]

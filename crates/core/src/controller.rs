@@ -2,7 +2,7 @@
 
 use crate::policy::{SelectionContext, WeightAssigner};
 use crate::{HistoryTable, RetrialPolicy};
-use anycast_net::{Bandwidth, LinkStateTable, Path, ShardedSnapshot};
+use anycast_net::{Bandwidth, LinkStateTable, Path};
 use anycast_rsvp::{ProbeError, ReservationEngine, ReservationOutcome, SessionId, SetupTable};
 use anycast_sim::SimRng;
 use anycast_telemetry::{NullRecorder, ProbeResult, RequestTracer, SkipReason};
@@ -361,9 +361,8 @@ impl AdmissionController {
     /// contract is that a controller observes a *single* ledger whose
     /// version counter is monotone over its lifetime — the §4.2 model of
     /// one AC-router against one link-state table, which is how every
-    /// experiment drives it. Within a request's retrial loop (and across a
-    /// same-quantum arrival batch) the whole-vector version check makes
-    /// repeat evaluations O(1).
+    /// experiment drives it. Within a request's retrial loop the
+    /// whole-vector version check makes repeat evaluations O(1).
     fn refresh_route_bandwidth(&mut self, routes: &[Path], links: &LinkStateTable) {
         if !self.policy.needs_route_bandwidth() {
             return; // bw_cache stays empty, as the policy contract expects
@@ -395,54 +394,6 @@ impl AdmissionController {
                 }
             }
         }
-        self.bw_version = Some(version);
-    }
-
-    /// Whether this controller's policy consumes route bandwidth at all —
-    /// i.e. whether [`prime_route_bandwidth`](Self::prime_route_bandwidth)
-    /// would install anything.
-    pub fn needs_route_bandwidth(&self) -> bool {
-        self.policy.needs_route_bandwidth()
-    }
-
-    /// Computes the route-bandwidth vector for `routes` against a frozen
-    /// sharded view — the pure half of the bandwidth-cache refresh, safe
-    /// to fan out across worker threads. Feed the result to
-    /// [`prime_route_bandwidth`](Self::prime_route_bandwidth) with the
-    /// view's version.
-    pub fn route_bandwidths_against(routes: &[Path], links: ShardedSnapshot<'_>) -> Vec<f64> {
-        routes
-            .iter()
-            .map(|r| {
-                let bw = links.min_available_on(r).bps();
-                if bw == u64::MAX {
-                    1e18
-                } else {
-                    bw as f64
-                }
-            })
-            .collect()
-    }
-
-    /// Installs a route-bandwidth vector precomputed (at ledger version
-    /// `version`) by [`route_bandwidths_against`](Self::route_bandwidths_against).
-    ///
-    /// Value-identical to letting the lazy refresh compute it: if the
-    /// ledger is still at `version` when the controller next evaluates,
-    /// the refresh's version check accepts the primed vector as-is; if
-    /// links moved in between, members whose routes were touched carry a
-    /// stamp newer than `version` and are recomputed exactly as they would
-    /// have been, while untouched members' primed values already equal a
-    /// fresh recompute. No-op for policies that never read route
-    /// bandwidth.
-    pub fn prime_route_bandwidth(&mut self, values: &[f64], version: u64) {
-        if !self.policy.needs_route_bandwidth() {
-            return;
-        }
-        self.bw_cache.clear();
-        self.bw_cache.extend_from_slice(values);
-        self.bw_epoch.clear();
-        self.bw_epoch.resize(values.len(), version);
         self.bw_version = Some(version);
     }
 }
@@ -767,49 +718,6 @@ mod tests {
         check(&mut cached, &links);
         links.reset();
         check(&mut cached, &links);
-    }
-
-    /// Priming the bandwidth cache from a precomputed vector is
-    /// indistinguishable from letting the lazy refresh build it — both
-    /// when the ledger is untouched afterwards and when links move between
-    /// priming and evaluation.
-    #[test]
-    fn primed_route_bandwidth_matches_lazy_refresh() {
-        let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
-        links
-            .reserve(routes[0].links()[0], Bandwidth::from_kbps(32))
-            .unwrap();
-
-        let mut lazy = controller(Box::new(WdDb), 2, dists.clone());
-        let mut primed = controller(Box::new(WdDb), 2, dists.clone());
-        assert!(primed.needs_route_bandwidth());
-        let values = AdmissionController::route_bandwidths_against(&routes, links.sharded());
-        primed.prime_route_bandwidth(&values, links.version());
-
-        // Untouched ledger: the primed vector is accepted verbatim.
-        assert_eq!(
-            primed.current_weights(&routes, &links),
-            lazy.current_weights(&routes, &links)
-        );
-
-        // Ledger moves after priming: touched members recompute, untouched
-        // members keep their (still exact) primed values.
-        let values = AdmissionController::route_bandwidths_against(&routes, links.sharded());
-        primed.prime_route_bandwidth(&values, links.version());
-        links
-            .reserve(routes[1].links()[0], Bandwidth::from_kbps(16))
-            .unwrap();
-        assert_eq!(
-            primed.current_weights(&routes, &links),
-            lazy.current_weights(&routes, &links)
-        );
-
-        // Policies that never read route bandwidth ignore priming.
-        let mut ed = controller(Box::new(Ed), 1, dists);
-        assert!(!ed.needs_route_bandwidth());
-        ed.prime_route_bandwidth(&[1.0; 2], links.version());
-        assert!(ed.current_weights(&routes, &links).iter().all(|w| *w > 0.0));
     }
 
     #[test]

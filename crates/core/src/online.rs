@@ -21,8 +21,7 @@
 //! contract; `core/tests/online_replay.rs` enforces it.
 
 use crate::experiment::{
-    draw_arrival_trace, ArrivalSlot, Decision, Event, ExperimentConfig, Metrics, ServiceSnapshot,
-    Sim,
+    draw_arrival_trace, Decision, Event, ExperimentConfig, Metrics, ServiceSnapshot, Sim,
 };
 use anycast_net::{Bandwidth, Topology};
 use anycast_rsvp::SessionId;
@@ -261,16 +260,7 @@ impl<R: Recorder> OnlineEngine<R> {
             at,
             self.sim.horizon()
         );
-        self.sim.submit_slot(
-            &mut self.engine,
-            ArrivalSlot {
-                at,
-                source_index: arrival.source_index,
-                group_index: arrival.group_index,
-                holding_secs: arrival.holding_secs,
-                demand: arrival.demand,
-            },
-        );
+        self.sim.submit_arrival(&mut self.engine, arrival);
         self.last_submit = at;
     }
 
@@ -355,13 +345,4 @@ impl<R: Recorder> OnlineEngine<R> {
 /// [`OnlineEngine::replay`] reproduces the offline run bit-identically.
 pub fn record_arrivals(config: &ExperimentConfig) -> Vec<OnlineArrival> {
     draw_arrival_trace(config)
-        .into_iter()
-        .map(|s: ArrivalSlot| OnlineArrival {
-            at_secs: s.at.as_secs(),
-            source_index: s.source_index,
-            group_index: s.group_index,
-            holding_secs: s.holding_secs,
-            demand: s.demand,
-        })
-        .collect()
 }

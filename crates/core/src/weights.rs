@@ -22,11 +22,11 @@ pub fn uniform_weights(k: usize) -> Vec<f64> {
 
 /// [`uniform_weights`] writing into a caller-owned buffer.
 ///
-/// The `_into` variants exist for the batched admission path: evaluating a
-/// batch of same-quantum arrivals recomputes weights once per arrival, and
-/// reusing one flat buffer per controller keeps that loop allocation-free.
-/// Each produces bit-identical results to its allocating twin — same
-/// formula, same operation order.
+/// The `_into` variants exist for policies that recompute weights on every
+/// arrival (`policy.rs`'s WD/D+H keeps its eq. (4) base vector in one): a
+/// reused flat buffer keeps that computation allocation-free. Each produces
+/// bit-identical results to its allocating twin — same formula, same
+/// operation order.
 ///
 /// # Panics
 ///

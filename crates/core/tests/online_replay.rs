@@ -1,8 +1,8 @@
 //! Replay determinism: feeding a recorded arrival trace through the
 //! externally-fed [`OnlineEngine`] in virtual time must be bit-identical
 //! to the self-driving offline engine — same [`Metrics`], same telemetry
-//! event stream, same per-request decisions — for every system, batching
-//! mode, signalling mode and fault plan, and for any worker count.
+//! event stream, same per-request decisions — for every system,
+//! signalling mode and fault plan, and for any worker count.
 
 use anycast_chaos::FaultPlan;
 use anycast_dac::experiment::{
@@ -60,13 +60,8 @@ fn assert_replay_identical(config: &ExperimentConfig) {
 }
 
 #[test]
-fn replay_matches_offline_batched_dac() {
-    assert_replay_identical(&quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_batching(true));
-}
-
-#[test]
-fn replay_matches_offline_sequential_dac() {
-    assert_replay_identical(&quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_batching(false));
+fn replay_matches_offline_dac() {
+    assert_replay_identical(&quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)));
 }
 
 #[test]
@@ -78,34 +73,33 @@ fn replay_matches_offline_every_system() {
         SystemSpec::ShortestPath,
         SystemSpec::GlobalDynamic,
     ] {
-        assert_replay_identical(&quick(25.0, system).with_batching(true));
+        assert_replay_identical(&quick(25.0, system));
     }
 }
 
 #[test]
 fn replay_matches_offline_two_phase_express() {
     // Zero per-hop delay with inert signaling faults degenerates to the
-    // atomic exchange; batching stays active on this path.
+    // atomic exchange.
     assert_replay_identical(
         &quick(20.0, SystemSpec::dac(PolicySpec::WdDb, 2))
-            .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig::default()))
-            .with_batching(true),
+            .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig::default())),
     );
 }
 
 #[test]
 fn replay_matches_offline_two_phase_async() {
     // Real per-hop latency: admission is event-driven and asynchronous,
-    // decisions resolve after their arrival instant, batching is
-    // auto-disabled. Replay must still be bit-identical.
+    // decisions resolve after their arrival instant. Replay must still be
+    // bit-identical.
     assert_replay_identical(
-        &quick(15.0, SystemSpec::dac(PolicySpec::WdDb, 2))
-            .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig {
+        &quick(15.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_signaling(SignalingMode::TwoPhase(
+            TwoPhaseConfig {
                 per_hop_delay_secs: 0.002,
                 setup_timeout_secs: 1.0,
                 ..TwoPhaseConfig::default()
-            }))
-            .with_batching(true),
+            },
+        )),
     );
 }
 
@@ -144,8 +138,7 @@ fn replay_matches_offline_under_chaos() {
             plan.control.teardown_loss_probability = 0.05;
             plan.control.teardown_delay_secs = 2.0;
             plan
-        })
-        .with_batching(true);
+        });
     assert_replay_identical(&config);
 }
 
@@ -165,7 +158,7 @@ fn recorded_trace_is_deterministic_and_ordered() {
 #[test]
 fn every_sync_arrival_gets_exactly_one_decision() {
     let topo = topologies::mci();
-    let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_batching(true);
+    let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2));
     let trace = record_arrivals(&config);
     let (metrics, decisions, _) = OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
     assert_eq!(
@@ -189,24 +182,38 @@ fn every_sync_arrival_gets_exactly_one_decision() {
 #[test]
 fn incremental_pumping_equals_one_shot_replay() {
     // Submitting arrival-by-arrival with a pump after each (as the live
-    // daemon does) must equal submitting everything then finishing.
+    // daemon does) must equal submitting everything then finishing — also
+    // for GDI's search and for asynchronous two-phase signalling, where
+    // decisions resolve across later pumps.
     let topo = topologies::mci();
-    let config = quick(20.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_batching(true);
-    let trace = record_arrivals(&config);
+    for config in [
+        quick(20.0, SystemSpec::dac(PolicySpec::WdDb, 2)),
+        quick(20.0, SystemSpec::GlobalDynamic),
+        quick(15.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2)).with_signaling(
+            SignalingMode::TwoPhase(TwoPhaseConfig {
+                per_hop_delay_secs: 0.002,
+                setup_timeout_secs: 1.0,
+                ..TwoPhaseConfig::default()
+            }),
+        ),
+    ] {
+        let trace = record_arrivals(&config);
 
-    let (one_shot, one_decisions, _) = OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
+        let (one_shot, one_decisions, _) =
+            OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
 
-    let mut eng = OnlineEngine::new(&topo, &config, NullRecorder);
-    let mut incremental = Vec::new();
-    for a in &trace {
-        eng.submit(*a);
-        incremental.extend(eng.pump());
+        let mut eng = OnlineEngine::new(&topo, &config, NullRecorder);
+        let mut incremental = Vec::new();
+        for a in &trace {
+            eng.submit(*a);
+            incremental.extend(eng.pump());
+        }
+        let (stepped, tail, _) = eng.finish();
+        incremental.extend(tail);
+
+        assert_eq!(one_shot, stepped, "pacing must not change the outcome");
+        assert_eq!(one_decisions, incremental);
     }
-    let (stepped, tail, _) = eng.finish();
-    incremental.extend(tail);
-
-    assert_eq!(one_shot, stepped, "pacing must not change the outcome");
-    assert_eq!(one_decisions, incremental);
 }
 
 #[test]
@@ -217,9 +224,7 @@ fn replay_is_identical_for_any_worker_count() {
     let seeds: Vec<u64> = (0..4).collect();
     let run_all = |jobs: usize| {
         parallel_map(jobs, &seeds, |_, &seed| {
-            let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2))
-                .with_seed(seed)
-                .with_batching(true);
+            let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_seed(seed);
             let trace = record_arrivals(&config);
             let (metrics, decisions, _) =
                 OnlineEngine::replay(&topo, &config, &trace, NullRecorder);

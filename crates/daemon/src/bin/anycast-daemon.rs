@@ -34,7 +34,6 @@ options:
   --speed X        simulated seconds per real second (default 1)
   --tick-ms MS     engine tick while idle (default 5)
   --telemetry PATH stream telemetry events to PATH as JSONL
-  --batch          batched same-quantum admission
   --window SECS    rolling-horizon mode: serve forever, report trailing
                    admission stats over the last SECS simulated seconds
                    (--horizon is ignored)
@@ -55,7 +54,6 @@ fn parse_flags(argv: Vec<String>) -> Result<(Endpoint, ExperimentConfig, ServeOp
     let mut seed: u64 = 1;
     let mut horizon: f64 = 86_400.0;
     let mut options = ServeOptions::default();
-    let mut batch = false;
 
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
@@ -75,7 +73,6 @@ fn parse_flags(argv: Vec<String>) -> Result<(Endpoint, ExperimentConfig, ServeOp
                 options.tick = Duration::from_millis(parse_num(&value("--tick-ms")?, "--tick-ms")?);
             }
             "--telemetry" => options.telemetry = Some(value("--telemetry")?.into()),
-            "--batch" => batch = true,
             "--window" => {
                 let secs: f64 = parse_num(&value("--window")?, "--window")?;
                 if !(secs.is_finite() && secs > 0.0) {
@@ -118,8 +115,7 @@ fn parse_flags(argv: Vec<String>) -> Result<(Endpoint, ExperimentConfig, ServeOp
     let config = ExperimentConfig::paper_defaults(1.0, system)
         .with_seed(seed)
         .with_warmup_secs(0.0)
-        .with_measure_secs(horizon)
-        .with_batching(batch);
+        .with_measure_secs(horizon);
     Ok((endpoint, config, options))
 }
 

@@ -140,8 +140,7 @@ mod tests {
         let config = ExperimentConfig::paper_defaults(8.0, SystemSpec::dac(PolicySpec::Ed, 2))
             .with_warmup_secs(20.0)
             .with_measure_secs(40.0)
-            .with_seed(3)
-            .with_batching(true);
+            .with_seed(3);
         let path = temp_path("paced.jsonl");
         write_trace(&path, &config, &record_arrivals(&config))?;
 

@@ -307,11 +307,9 @@ impl LinkStateTable {
         start..(start + LINKS_PER_SHARD).min(self.states.len())
     }
 
-    /// A read-only, shard-aware view of the ledger. The view is `Copy` and
-    /// `Sync`, so it is what batch evaluation fans out across worker
-    /// threads: every parallel reader sees the same frozen version, and the
-    /// borrow checker guarantees no mutation can interleave while any view
-    /// is alive.
+    /// A read-only, shard-aware view of the ledger. The view is `Copy`:
+    /// every reader sees the same frozen version, and the borrow checker
+    /// guarantees no mutation can interleave while any view is alive.
     pub fn sharded(&self) -> ShardedSnapshot<'_> {
         ShardedSnapshot { table: self }
     }
@@ -779,10 +777,6 @@ impl LinkStateTable {
 /// The view pins one version of the ledger for its whole lifetime: it
 /// holds a shared borrow, so no mutation can interleave while any copy is
 /// alive, and every copy observes the identical availability picture.
-/// That makes it the unit of work for parallel batch evaluation — workers
-/// each get a `Copy` of the view, read whichever stripes they need, and
-/// the sequential commit loop regains the `&mut` only after every view is
-/// dropped.
 ///
 /// Whole-table scans ([`saturated_links`](Self::saturated_links), shard
 /// iteration) walk the ledger stripe by stripe in ascending shard order,

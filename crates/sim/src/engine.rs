@@ -43,15 +43,6 @@ impl<E> Engine<E> {
         self.queue.len()
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    ///
-    /// Handlers can use this to decide whether more work lands in the
-    /// current quantum before yielding control back to the driver loop
-    /// (e.g. draining a batch of simultaneous arrivals).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -203,23 +194,6 @@ mod tests {
         engine.schedule_at(SimTime::from_secs(5.0), Ev::Stop);
         engine.run(|eng, _, _| {
             eng.schedule_at(SimTime::from_secs(1.0), Ev::Stop);
-        });
-    }
-
-    #[test]
-    fn peek_time_tracks_head_without_popping() {
-        let mut engine: Engine<Ev> = Engine::new();
-        assert_eq!(engine.peek_time(), None);
-        engine.schedule_at(SimTime::from_secs(2.0), Ev::Tick(2));
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Tick(1));
-        assert_eq!(engine.peek_time(), Some(SimTime::from_secs(1.0)));
-        assert_eq!(engine.pending(), 2);
-        engine.run(|eng, now, _| {
-            if now == SimTime::from_secs(1.0) {
-                assert_eq!(eng.peek_time(), Some(SimTime::from_secs(2.0)));
-            } else {
-                assert_eq!(eng.peek_time(), None);
-            }
         });
     }
 

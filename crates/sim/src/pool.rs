@@ -42,61 +42,25 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_with(jobs, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`parallel_map`] with per-worker scratch state: `init` runs once on
-/// each worker thread (and once inline on the serial path) and the value
-/// it builds is threaded mutably through every item that worker claims.
-///
-/// This is the fan-out shape for evaluation over a borrowed snapshot:
-/// workers share read-only borrows (`T: Sync`, captured references) while
-/// each reuses its own allocation-heavy scratch (e.g. a routing
-/// workspace) across items, without any cross-thread synchronisation on
-/// the scratch itself.
-///
-/// `f` must be a pure function of `(index, &item)` — the scratch is a
-/// reusable buffer, never a carrier of state between items — and the
-/// output vector is then bit-for-bit identical for every `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, or if `init` or `f` panics (propagated once all
-/// workers have stopped).
-pub fn parallel_map_with<T, R, S, I, F>(jobs: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     assert!(jobs > 0, "worker pool needs at least one job slot");
     if jobs == 1 || items.len() <= 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let workers = jobs.min(items.len());
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else {
-                        break;
-                    };
-                    let r = f(&mut scratch, i, item);
-                    results
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .push((i, r));
-                }
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let r = f(i, item);
+                results
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .push((i, r));
             });
         }
     });
@@ -127,24 +91,6 @@ mod tests {
         let none: Vec<u32> = parallel_map(4, &[], |_, &x: &u32| x);
         assert!(none.is_empty());
         assert_eq!(parallel_map(4, &[9], |i, &x| x + i as u32), vec![9]);
-    }
-
-    #[test]
-    fn scratch_is_reused_within_a_worker_but_never_leaks_between_items() {
-        // The scratch buffer grows across items; results depend only on
-        // (index, item), so any claiming order yields the same vector.
-        let items: Vec<usize> = (0..50).collect();
-        let run = |jobs| {
-            parallel_map_with(jobs, &items, Vec::<u8>::new, |scratch, i, &x| {
-                scratch.resize(x + 1, 0);
-                i * 100 + scratch.len() - 1
-            })
-        };
-        let serial = run(1);
-        assert_eq!(serial, (0..50).map(|i| i * 101).collect::<Vec<_>>());
-        for jobs in [2, 5, 16] {
-            assert_eq!(run(jobs), serial, "jobs={jobs}");
-        }
     }
 
     #[test]

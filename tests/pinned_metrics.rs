@@ -1,7 +1,7 @@
 //! Bit-exact pins of whole-run `Metrics` on the three engine paths that
 //! move the ledger's *held* and *failed* totals — a chaos plan with a link
-//! outage and a node crash, lossy two-phase signalling, and batched GDI
-//! on a fat-tree. The perfbench digests cover fault-free atomic DAC on
+//! outage and a node crash, lossy two-phase signalling, and GDI on a
+//! fat-tree. The perfbench digests cover fault-free atomic DAC on
 //! MCI and `fat_tree(34)` only, so these are what notices a one-bit
 //! change in the utilisation, availability or leak statistics elsewhere.
 //!
@@ -78,9 +78,9 @@ fn mci_two_phase_lossy_signalling() {
 }
 
 /// `fat_tree(4)`, two members and fourteen sources among the sixteen
-/// hosts, GDI with same-quantum batching fanned over two workers.
+/// hosts, GDI.
 #[test]
-fn fat_tree4_batched_gdi() {
+fn fat_tree4_gdi() {
     let topo = topologies::fat_tree(4, Bandwidth::from_mbps(100));
     let hosts = topologies::fat_tree_hosts(4);
     let members = vec![hosts[0], hosts[9]];
@@ -91,12 +91,10 @@ fn fat_tree4_batched_gdi() {
         .collect();
     let cfg = short_run(4.0, SystemSpec::GlobalDynamic)
         .with_group(members)
-        .with_sources(sources)
-        .with_batching(true)
-        .with_batch_jobs(2);
+        .with_sources(sources);
     let m = run_experiment(&topo, &cfg);
     assert!(m.admission_probability < 1.0, "the pin must see rejections");
-    assert_eq!(format!("{m:?}"), FAT_TREE4_BATCHED_GDI);
+    assert_eq!(format!("{m:?}"), FAT_TREE4_GDI);
 }
 
 /// Records the run's soft-state expiries — `(instant, session)` in stream
@@ -206,7 +204,7 @@ const MCI_TWO_PHASE_LOSSY: &str = concat!(
     r#"mean_setup_latency_secs: 0.09887427110616308, leaked_hold_bps: 0 }"#,
 );
 
-const FAT_TREE4_BATCHED_GDI: &str = concat!(
+const FAT_TREE4_GDI: &str = concat!(
     r#"Metrics { label: "GDI", lambda: 4.0, seed: 23, "#,
     r#"admission_probability: 0.8726053639846744, ap_ci95: 0.014304532100614645, "#,
     r#"offered: 2088, admitted: 1822, mean_tries: 1.0, mean_retrials: 0.0, "#,
