@@ -18,11 +18,6 @@ cargo clippy -p anycast-estimator --offline -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> estimator smoke (bench_pr8: |AP_est - AP_sim| <= 0.05 on every cell)"
-# The binary hard-asserts the error bound per cell before writing the
-# artifact, so a plain exit-status check is the accuracy gate.
-cargo run --release --offline -p anycast-bench --bin bench_pr8 -- --smoke --jobs 2 --out /tmp/BENCH_pr8_ci.json
-
 echo "==> daemon overload smoke (bench_pr9: shedding must bound p99 under overload)"
 # The binary hard-asserts the accounting identity (every request is
 # admitted, shed, a duplicate, or a shutdown rejection) and the p99
@@ -64,7 +59,7 @@ echo "==> NaN gate (no bench artifact and no printed metric may be NaN or infini
 cargo run --release --offline -p anycast-cli --bin anycast -- \
     simulate --lambda 45 --system gdi --warmup 20 --measure 80 \
     > /tmp/gdi_metrics.txt
-! grep -qiE 'nan|inf' /tmp/BENCH_pr8_ci.json /tmp/BENCH_pr9_ci.json \
+! grep -qiE 'nan|inf' /tmp/BENCH_pr9_ci.json \
     BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json /tmp/gdi_metrics.txt
 rm -f /tmp/gdi_metrics.txt
 

@@ -1,7 +1,7 @@
 //! The two baseline systems of §5.1: SP and GDI.
 
 use crate::{AdmissionOutcome, AdmittedFlow};
-use anycast_net::routing::{filtered_shortest_path_with, RoutingScratch};
+use anycast_net::routing::{nearest_feasible_member, RoutingScratch};
 use anycast_net::{AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, Topology};
 use anycast_rsvp::ReservationEngine;
 use anycast_telemetry::{NullRecorder, ProbeResult, RequestTracer, SkipReason};
@@ -114,10 +114,10 @@ impl ShortestPathSystem {
 /// The paper calls this system "ideal, but ... not realistic": it exists
 /// to upper-bound what any destination-selection algorithm could achieve.
 ///
-/// The system owns a [`RoutingScratch`] so the per-member residual-network
-/// searches (one per group member per admission request — the hottest loop
-/// in every sweep) reuse their BFS buffers instead of reallocating them;
-/// `admit` therefore takes `&mut self`.
+/// Each admission runs one residual-network BFS from the source that stops
+/// at the nearest feasible member ([`nearest_feasible_member`]). The system
+/// owns the [`RoutingScratch`] that search reuses instead of reallocating
+/// its buffers; `admit` therefore takes `&mut self`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalDynamicSystem {
     scratch: RoutingScratch,
@@ -132,10 +132,10 @@ impl GlobalDynamicSystem {
     /// Attempts to admit one flow with full knowledge of the residual
     /// network.
     ///
-    /// Searches a feasible path to every member (filtered BFS over links
-    /// with `AB_l ≥ demand`), reserves along the best one found, and
-    /// rejects only when no member is reachable — the information-theoretic
-    /// optimum for single-path admission.
+    /// Searches the residual network from the source (BFS over links with
+    /// `AB_l ≥ demand`) for the nearest reachable member, reserves along
+    /// that path, and rejects only when no member is reachable — the
+    /// information-theoretic optimum for single-path admission.
     pub fn admit(
         &mut self,
         topo: &Topology,
@@ -154,8 +154,9 @@ impl GlobalDynamicSystem {
     /// vector (candidates are traced with weight 0.0); the trace instead
     /// records, for every member, whether a feasible path existed
     /// (`no_feasible_path`) and which feasible members lost the
-    /// shortest-path tie-break (`not_selected`). Per-member bookkeeping is
-    /// gated on [`RequestTracer::is_armed`], so disabled runs skip it.
+    /// shortest-path tie-break (`not_selected`). An armed tracer runs the
+    /// search to exhaustion so every member's verdict is known; a disarmed
+    /// one stops at the nearest member's level. Both pick the same member.
     #[allow(clippy::too_many_arguments)]
     pub fn admit_traced(
         &mut self,
@@ -167,32 +168,24 @@ impl GlobalDynamicSystem {
         demand: Bandwidth,
         tracer: &mut RequestTracer<'_>,
     ) -> AdmissionOutcome {
-        let mut best: Option<(usize, Path)> = None;
-        // (member_index, feasible) per candidate; only kept when tracing.
-        let mut considered: Vec<(usize, bool)> = Vec::new();
-        for (idx, &member) in group.members().iter().enumerate() {
-            let found =
-                filtered_shortest_path_with(&mut self.scratch, topo, links, source, member, demand);
-            if tracer.is_armed() {
-                considered.push((idx, found.is_some()));
-            }
-            if let Some(path) = found {
-                let better = match &best {
-                    Some((_, current)) => path.hops() < current.hops(),
-                    None => true,
-                };
-                if better {
-                    best = Some((idx, path));
-                }
-            }
-        }
-        if tracer.is_armed() {
+        let armed = tracer.is_armed();
+        let members = group.members();
+        let best = nearest_feasible_member(
+            &mut self.scratch,
+            topo,
+            links,
+            source,
+            members,
+            demand,
+            armed,
+        );
+        if armed {
             let chosen = best.as_ref().map(|(idx, _)| *idx);
-            for (idx, feasible) in considered {
+            for (idx, &member) in members.iter().enumerate() {
                 if Some(idx) == chosen {
                     continue; // reported below as the admitted probe
                 }
-                let skip = if feasible {
+                let skip = if self.scratch.reached(member) {
                     SkipReason::NotSelected
                 } else {
                     SkipReason::NoFeasiblePath

@@ -22,8 +22,9 @@
 //!    anchor-interpolated residual correction for everything the
 //!    link-independence assumption still misses.
 //! 3. [`Estimator::predict_batch`] fans a λ grid over the worker pool —
-//!    a full five-system sweep costs milliseconds after calibration,
-//!    and `bench_pr8` cross-validates every cell against the full DES.
+//!    a full five-system sweep costs milliseconds after calibration;
+//!    `anycast-bench`'s `tests/estimator_accuracy.rs` cross-validates a
+//!    grid of cells against the full DES.
 //!
 //! [`Estimator::analytic`] runs the same machinery with closed-form
 //! weights and unit peakedness, reducing exactly to the Appendix-A

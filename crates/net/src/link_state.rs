@@ -1285,6 +1285,39 @@ mod tests {
     }
 
     #[test]
+    fn node_faults_stamp_exactly_the_incident_links_in_link_order() {
+        let topo = crate::topologies::fat_tree(8, Bandwidth::from_mbps(100));
+        // Node ids span hosts, edge, aggregation and core switches.
+        for node in topo.nodes().step_by(37) {
+            let mut table = LinkStateTable::from_topology(&topo);
+            let mut incident: Vec<LinkId> = topo.neighbors(node).iter().map(|&(_, l)| l).collect();
+            incident.sort_unstable();
+            for fault in [true, false] {
+                let before = table.version();
+                if fault {
+                    table.fail_node(node).unwrap();
+                } else {
+                    table.restore_node(node).unwrap();
+                }
+                assert_eq!(table.version() - before, topo.degree(node) as u64);
+                let stamped: Vec<LinkId> = table
+                    .iter()
+                    .map(|(l, _)| l)
+                    .filter(|&l| table.stamp(l) > before)
+                    .collect();
+                assert_eq!(stamped, incident, "node {node}");
+                // Stamped one by one in ascending link id, as a full scan would.
+                let stamps: Vec<u64> = stamped.iter().map(|&l| table.stamp(l)).collect();
+                assert_eq!(stamps, (before + 1..=table.version()).collect::<Vec<_>>());
+                assert_eq!(
+                    table.failed_link_count(),
+                    if fault { incident.len() } else { 0 }
+                );
+            }
+        }
+    }
+
+    #[test]
     fn summary_aggregates_all_columns() {
         let (topo, _) = line4();
         let mut table = LinkStateTable::from_topology(&topo);

@@ -6,16 +6,18 @@
 //! (minimum hop count, ties broken toward the lowest-id predecessor), one
 //! tree per traffic source, held in a [`RouteTable`].
 //!
-//! The GDI baseline (§5.1) additionally needs *dynamic* searches over the
-//! residual network: [`filtered_shortest_path`] finds the shortest path
-//! using only links with enough available bandwidth, and [`widest_path`]
-//! finds the maximum-bottleneck path (an extension used by examples and
-//! ablations).
+//! The GDI baseline (§5.1) additionally needs a *dynamic* search over the
+//! residual network: [`nearest_feasible_member`] runs one BFS from the
+//! source over links with enough available bandwidth and stops at the
+//! nearest group member it reaches. [`filtered_shortest_path`] is the same
+//! search for one destination, kept as its naive per-pair reference, and
+//! [`widest_path`] finds the maximum-bottleneck path (an extension used by
+//! examples and ablations).
 //!
-//! The dynamic searches run once per group member per admission request, so
-//! hot callers hold a [`RoutingScratch`] and use the `_with` variants
-//! ([`filtered_shortest_path_with`], [`dijkstra_path_with`]) to reuse search
-//! buffers across calls instead of reallocating them.
+//! GDI searches once per admission request, so it holds a
+//! [`RoutingScratch`] that [`nearest_feasible_member`] (like
+//! [`dijkstra_path_with`]) reuses across calls instead of reallocating its
+//! buffers.
 
 mod bfs;
 mod dijkstra;
@@ -27,7 +29,7 @@ mod yen;
 
 pub use bfs::{bfs_tree, shortest_path, BfsTree};
 pub use dijkstra::{dijkstra_path, dijkstra_path_with};
-pub use filtered::{filtered_shortest_path, filtered_shortest_path_with};
+pub use filtered::{filtered_shortest_path, nearest_feasible_member};
 pub use scratch::RoutingScratch;
 pub use table::{RouteSet, RouteTable};
 pub use widest::widest_path;

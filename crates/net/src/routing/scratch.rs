@@ -1,11 +1,10 @@
 //! Reusable search state for the dynamic routing primitives.
 //!
-//! The GDI baseline runs a residual-network search **once per group
-//! member per admission request** — at paper scale that is five BFS
-//! sweeps per arrival, millions per sweep point. Allocating fresh
+//! The GDI baseline runs one residual-network BFS **per admission
+//! request** — millions per sweep point. Allocating fresh
 //! `parent`/`seen`/`dist` vectors and a fresh queue for every call
 //! dominates the cost of the search itself on small topologies, so the
-//! hot-path entry points ([`filtered_shortest_path_with`],
+//! hot-path entry points ([`nearest_feasible_member`],
 //! [`dijkstra_path_with`]) borrow a [`RoutingScratch`] that owns the
 //! buffers across calls.
 //!
@@ -13,7 +12,7 @@
 //! counter instead of clearing the vectors, so per-search reset is O(1)
 //! in the number of nodes.
 //!
-//! [`filtered_shortest_path_with`]: super::filtered_shortest_path_with
+//! [`nearest_feasible_member`]: super::nearest_feasible_member
 //! [`dijkstra_path_with`]: super::dijkstra_path_with
 
 use crate::{LinkId, NodeId};
@@ -85,9 +84,10 @@ impl RoutingScratch {
         self.heap.clear();
     }
 
-    /// Whether `node` was discovered in the current search.
-    pub(crate) fn is_seen(&self, node: NodeId) -> bool {
-        self.seen[node.index()] == self.epoch
+    /// Whether the current (or last) search on this scratch reached
+    /// `node`. A node outside the searched topology never was.
+    pub fn reached(&self, node: NodeId) -> bool {
+        self.seen.get(node.index()) == Some(&self.epoch)
     }
 
     /// Marks `node` discovered with the given predecessor edge (`None`
@@ -110,7 +110,7 @@ impl RoutingScratch {
     /// The tentative distance of `node`, or `+∞` if undiscovered this
     /// search.
     pub(crate) fn distance(&self, node: NodeId) -> f64 {
-        if self.is_seen(node) {
+        if self.reached(node) {
             self.dist[node.index()]
         } else {
             f64::INFINITY
@@ -153,12 +153,12 @@ mod tests {
         s.mark_seen(NodeId::new(2), None);
         s.mark_done(NodeId::new(2));
         s.set_distance(NodeId::new(3), 1.5, Some((NodeId::new(2), LinkId::new(0))));
-        assert!(s.is_seen(NodeId::new(2)));
+        assert!(s.reached(NodeId::new(2)));
         assert!(s.is_done(NodeId::new(2)));
         assert_eq!(s.distance(NodeId::new(3)), 1.5);
         // A new search sees none of it without any buffer clearing.
         s.begin(4);
-        assert!(!s.is_seen(NodeId::new(2)));
+        assert!(!s.reached(NodeId::new(2)));
         assert!(!s.is_done(NodeId::new(2)));
         assert_eq!(s.distance(NodeId::new(3)), f64::INFINITY);
     }
@@ -169,9 +169,9 @@ mod tests {
         s.begin(2);
         s.begin(10);
         s.mark_seen(NodeId::new(9), None);
-        assert!(s.is_seen(NodeId::new(9)));
+        assert!(s.reached(NodeId::new(9)));
         // Shrinking the node count must not shrink the buffers.
         s.begin(3);
-        assert!(!s.is_seen(NodeId::new(9)));
+        assert!(!s.reached(NodeId::new(9)));
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the network substrate invariants.
 
 use anycast_net::routing::{
-    bfs_tree, dijkstra_path, filtered_shortest_path, k_shortest_paths, widest_path,
+    bfs_tree, dijkstra_path, filtered_shortest_path, k_shortest_paths, nearest_feasible_member,
+    widest_path, RoutingScratch,
 };
 use anycast_net::{topologies, Bandwidth, LinkId, LinkStateTable, NodeId, Path, Topology};
 use proptest::prelude::*;
@@ -11,6 +12,23 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     (5usize..30, any::<u64>()).prop_map(|(n, seed)| {
         topologies::waxman(n, 0.6, 0.6, seed, Bandwidth::from_mbps(100))
             .expect("waxman retry finds a connected graph at these densities")
+    })
+}
+
+/// Strategy: a connected topology from any generator — Waxman, grid,
+/// ring, star, the MCI backbone — or `fat_tree(4)`, all at 100 Mb/s.
+fn arb_connected_topology() -> impl Strategy<Value = Topology> {
+    (0u8..6, 2usize..8, 2usize..8, any::<u64>()).prop_map(|(kind, a, b, seed)| {
+        let cap = Bandwidth::from_mbps(100);
+        match kind {
+            0 => topologies::waxman(a + b + 3, 0.6, 0.6, seed, cap)
+                .expect("waxman retry finds a connected graph at these densities"),
+            1 => topologies::grid(a, b, cap),
+            2 => topologies::ring(a + b, cap),
+            3 => topologies::star(a + b, cap),
+            4 => topologies::mci(),
+            _ => topologies::fat_tree(4, cap),
+        }
     })
 }
 
@@ -132,6 +150,85 @@ proptest! {
         let free = filtered_shortest_path(&topo, &idle, s, d, demand).unwrap();
         let bfs = bfs_tree(&topo, s).path_to(&topo, d).unwrap();
         prop_assert_eq!(free.hops(), bfs.hops());
+    }
+
+    /// GDI's one residual search picks what a per-pair search to every
+    /// member would: the lowest-index member among those with the fewest
+    /// hops, over the same path, and — run to exhaustion — the same
+    /// feasibility verdict for every member. Every node takes a turn as the
+    /// source. Members may repeat, sit at the source, or lie outside the
+    /// topology (on a scratch with stale marks from a larger graph);
+    /// demands run from 0 past link capacity.
+    #[test]
+    fn nearest_member_is_the_per_pair_argmin(
+        topo in arb_connected_topology(),
+        member_seeds in prop::collection::vec(any::<u32>(), 1..10),
+        special in (any::<bool>(), any::<bool>(), any::<u32>(), any::<u32>()),
+        loads in prop::collection::vec((any::<u32>(), 0.0f64..1.0, any::<bool>()), 0..40),
+        demand_bps in (0u8..5, 0u64..=120_000_000),
+    ) {
+        let n = topo.node_count() as u32;
+        let (with_source, with_outsider, at, outsider) = special;
+        let mut table = LinkStateTable::from_topology(&topo);
+        for (raw, frac, saturate) in loads {
+            let l = LinkId::new(raw % topo.link_count() as u32);
+            let avail = table.available(l);
+            let bw = if saturate { avail } else { avail.scaled(frac) };
+            if !bw.is_zero() {
+                table.reserve(l, bw).unwrap();
+            }
+        }
+        let demand = Bandwidth::from_bps(match demand_bps.0 {
+            0 => 0,
+            1 => 100_000_000,
+            2 => 100_000_001,
+            _ => demand_bps.1,
+        });
+        let mut scratch = RoutingScratch::new();
+        let wide = topologies::grid(8, 8, Bandwidth::from_mbps(100));
+        let everyone: Vec<NodeId> = wide.nodes().collect();
+        let idle = LinkStateTable::from_topology(&wide);
+        nearest_feasible_member(&mut scratch, &wide, &idle, NodeId::new(0), &everyone, demand, true);
+
+        for src in topo.nodes() {
+            let mut members: Vec<NodeId> =
+                member_seeds.iter().map(|&m| NodeId::new(m % n)).collect();
+            if with_source {
+                members.insert(at as usize % (members.len() + 1), src);
+            }
+            if with_outsider {
+                let outside = NodeId::new(n + outsider % 16);
+                members.insert(at as usize / 7 % (members.len() + 1), outside);
+            }
+            let reference: Vec<Option<Path>> = members
+                .iter()
+                .map(|&m| filtered_shortest_path(&topo, &table, src, m, demand))
+                .collect();
+            let expected = reference
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| p.as_ref().map(|p| (i, p)))
+                .min_by_key(|&(i, p)| (p.hops(), i));
+            for exhaustive in [false, true] {
+                let got = nearest_feasible_member(
+                    &mut scratch, &topo, &table, src, &members, demand, exhaustive,
+                );
+                prop_assert_eq!(
+                    got.as_ref().map(|(i, _)| *i),
+                    expected.map(|(i, _)| i),
+                    "source {}, members {:?}", src, members
+                );
+                if let (Some((_, path)), Some((_, want))) = (&got, expected) {
+                    prop_assert_eq!(path.nodes(), want.nodes());
+                    prop_assert_eq!(path.links(), want.links());
+                }
+                if exhaustive {
+                    for (&m, r) in members.iter().zip(&reference) {
+                        prop_assert_eq!(scratch.reached(m), r.is_some(), "member {}", m);
+                    }
+                }
+            }
+        }
     }
 
     /// The widest path's claimed width equals the measured bottleneck and
