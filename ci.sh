@@ -12,9 +12,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo clippy (estimator crate, lib-only pass)"
-cargo clippy -p anycast-estimator --offline -- -D warnings
-
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
@@ -66,7 +63,9 @@ rm -f /tmp/gdi_metrics.txt
 echo "==> two-phase leak smoke (lossy signalling must leak zero held bandwidth)"
 # 5% loss on every signalling message kind plus real per-hop latency:
 # timeouts, hold expiry and retransmission all fire, and the run must
-# still end with every pending hold released.
+# still end with every pending hold released. Non-zero holds, retransmits
+# and lost messages prove the run went through the signalling engine, not
+# the atomic exchange.
 plan=$(mktemp)
 cat > "$plan" <<'EOF'
 [signaling]
@@ -80,6 +79,9 @@ cargo run --release --offline -p anycast-cli --bin anycast -- \
     --signaling-delay 0.02 --setup-timeout 0.5 --faults "$plan" \
     | tee /tmp/two_phase_smoke.txt
 grep -q 'leaked holds          0 bps' /tmp/two_phase_smoke.txt
+grep -Eq '^holds placed +[1-9][0-9]* ' /tmp/two_phase_smoke.txt
+grep -Eq '^retransmits +[1-9]' /tmp/two_phase_smoke.txt
+grep -Eq '^signaling msgs lost +[1-9]' /tmp/two_phase_smoke.txt
 rm -f "$plan" /tmp/two_phase_smoke.txt
 
 echo "==> soft-state leak smoke (lost teardowns must be reclaimed, leaking nothing)"

@@ -311,11 +311,18 @@ fn common_config(
         config = config.with_faults(plan);
     }
     // Two-phase signalling: any of the three flags switches the engine
-    // from atomic to latency-aware two-phase mode.
+    // from atomic to latency-aware two-phase mode. `[signaling]` faults act
+    // on its messages, so a plan with them needs one of the flags.
     let signaling_delay = args.get_str("signaling-delay");
     let setup_timeout = args.get_str("setup-timeout");
     let backoff = args.get_str("backoff");
-    if signaling_delay.is_some() || setup_timeout.is_some() || backoff.is_some() {
+    let two_phase = signaling_delay.is_some() || setup_timeout.is_some() || backoff.is_some();
+    if !two_phase && !config.faults.signaling.is_inert() {
+        return Err("a [signaling] fault section needs two-phase signalling \
+                    (pass --signaling-delay)"
+            .to_string());
+    }
+    if two_phase {
         if !matches!(config.system, SystemSpec::Dac { .. }) {
             return Err(format!(
                 "two-phase signalling flags require a DAC system \
@@ -1690,6 +1697,36 @@ mod tests {
                 "{flag} {value}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn signaling_faults_need_two_phase_signalling() {
+        let path = std::env::temp_dir().join("anycast_cli_signaling_faults.toml");
+        std::fs::write(
+            &path,
+            "[signaling]\npath_loss_probability = 0.5\nresv_loss_probability = 0.5\n\
+             extra_delay_secs = 0.2\n",
+        )
+        .unwrap();
+        let plan = path.to_str().unwrap();
+        let run = [
+            "--lambda",
+            "3",
+            "--warmup",
+            "10",
+            "--measure",
+            "20",
+            "--faults",
+            plan,
+        ];
+        let err = simulate(strs(&run)).unwrap_err();
+        assert!(
+            err.contains("[signaling]") && err.contains("--signaling-delay"),
+            "{err}"
+        );
+        // The same plan over two-phase signalling, even without delay, runs.
+        simulate(strs(&[&run[..], &["--signaling-delay", "0"]].concat())).unwrap();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -81,15 +81,7 @@ impl ShortestPathSystem {
             }
             Err(e) => {
                 tracer.note_weights(&[1.0]);
-                tracer.note_probe(
-                    self.nearest_member,
-                    1.0,
-                    ProbeResult::Skipped(SkipReason::LinkBlocked {
-                        link: e.failed_link,
-                        hop_index: e.hop_index,
-                        available_bps: e.available.bps(),
-                    }),
-                );
+                tracer.note_probe(self.nearest_member, 1.0, ProbeResult::Skipped(e.into()));
                 tracer.finish_rejected(1);
                 AdmissionOutcome {
                     admitted: None,

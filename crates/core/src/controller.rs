@@ -1,11 +1,20 @@
 //! The admission controller: the DAC procedure of §4.2.
+//!
+//! Figure 1's REPEAT loop is written once, as a [`DacRequest`] that stops
+//! at each reservation attempt. Three drivers feed it: the atomic
+//! [`AdmissionController::admit`], the multipath
+//! [`MultipathController`](crate::multipath::MultipathController), and the
+//! event-driven two-phase engine (`crate::signalling`), which parks the
+//! request between PATH/RESV messages.
 
 use crate::policy::{SelectionContext, WeightAssigner};
 use crate::{HistoryTable, RetrialPolicy};
 use anycast_net::{Bandwidth, LinkStateTable, Path};
-use anycast_rsvp::{ProbeError, ReservationEngine, ReservationOutcome, SessionId, SetupTable};
+use anycast_rsvp::{ProbeError, ReservationEngine, ReservationOutcome, SessionId};
 use anycast_sim::SimRng;
-use anycast_telemetry::{NullRecorder, ProbeResult, RequestTracer, SkipReason};
+use anycast_telemetry::{
+    DecisionTrace, NullRecorder, ProbeResult, Recorder, RequestTracer, SkipReason,
+};
 
 /// A flow that passed admission control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +41,32 @@ impl AdmissionOutcome {
     /// `true` when the flow was admitted.
     pub fn is_admitted(&self) -> bool {
         self.admitted.is_some()
+    }
+}
+
+/// The fixed routes one source selects among, indexed by member: one route
+/// each (§3), or a fan of alternates each in preference order (the
+/// multipath extension).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Routes<'r> {
+    Single(&'r [Path]),
+    Fans(&'r [Vec<Path>]),
+}
+
+impl<'r> Routes<'r> {
+    fn len(self) -> usize {
+        match self {
+            Routes::Single(routes) => routes.len(),
+            Routes::Fans(fans) => fans.len(),
+        }
+    }
+
+    /// Member `i`'s routes, in preference order.
+    pub(crate) fn member(self, i: usize) -> &'r [Path] {
+        match self {
+            Routes::Single(routes) => std::slice::from_ref(&routes[i]),
+            Routes::Fans(fans) => &fans[i],
+        }
     }
 }
 
@@ -112,73 +147,7 @@ impl AdmissionController {
     /// Computes the policy's current selection weights without performing
     /// an admission (used by examples and diagnostics).
     pub fn current_weights(&mut self, routes: &[Path], links: &LinkStateTable) -> Vec<f64> {
-        self.selection_weights(routes, links)
-    }
-
-    /// Step 1.1 of Figure 1: the policy's selection weights against the
-    /// current link state. Exposed so a latency-aware driver can run the
-    /// selection/retrial loop asynchronously (one weight computation per
-    /// attempt, exactly as [`admit_traced`](Self::admit_traced) does).
-    pub fn selection_weights(&mut self, routes: &[Path], links: &LinkStateTable) -> Vec<f64> {
-        self.refresh_route_bandwidth(routes, links);
-        let ctx = SelectionContext {
-            distances: &self.distances,
-            history: self.history.entries(),
-            route_bandwidth_bps: &self.bw_cache,
-        };
-        let weights = self.policy.assign(&ctx);
-        debug_assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        weights
-    }
-
-    /// Draws the next destination among the `untried` members, weighted by
-    /// `weights`; when every untried member carries zero weight the policy
-    /// considers them hopeless, so the draw falls back to uniform over the
-    /// untried to keep behaviour total. `None` when the group is
-    /// exhausted. RNG consumption is identical to the draw inside
-    /// [`admit_traced`](Self::admit_traced).
-    pub fn pick_destination(weights: &[f64], untried: &[bool], rng: &mut SimRng) -> Option<usize> {
-        match rng.choose_weighted_masked(weights, untried) {
-            Some(i) => Some(i),
-            None => {
-                let remaining: Vec<usize> = (0..untried.len()).filter(|&i| untried[i]).collect();
-                match remaining.len() {
-                    0 => None,
-                    n => Some(remaining[rng.below(n)]),
-                }
-            }
-        }
-    }
-
-    /// Records an admission at `member` in the local history (step 1.3).
-    pub fn note_success(&mut self, member: usize) {
-        self.history.record_success(member);
-    }
-
-    /// Records a failed probe at `member` in the local history.
-    pub fn note_failure(&mut self, member: usize) {
-        self.history.record_failure(member);
-    }
-
-    /// Step 1.4, the retrial decision: whether to keep trying after
-    /// `tries` probes, given the weight vector of the iteration that just
-    /// failed. Returns the remaining untried weight when another try is
-    /// allowed, `None` when the request must be rejected.
-    pub fn retrial_weight(&self, tries: u32, weights: &[f64], untried: &[bool]) -> Option<f64> {
-        if untried.iter().all(|&u| !u) {
-            return None; // no alternative destination left
-        }
-        let remaining_weight: f64 = weights
-            .iter()
-            .zip(untried)
-            .filter(|(_, &u)| u)
-            .map(|(&w, _)| w)
-            .sum();
-        if self.retrial.keep_going(tries, remaining_weight) {
-            Some(remaining_weight)
-        } else {
-            None
-        }
+        self.weights(Routes::Single(routes), links)
     }
 
     /// Runs the DAC procedure of Figure 1 for one flow request.
@@ -222,127 +191,36 @@ impl AdmissionController {
         rng: &mut SimRng,
         tracer: &mut RequestTracer<'_>,
     ) -> AdmissionOutcome {
-        self.admit_with(
-            routes,
-            links,
-            rsvp,
-            demand,
-            rng,
-            tracer,
-            |links, rsvp, route, bw| rsvp.probe_and_reserve(links, route, bw),
-        )
+        self.decide(Routes::Single(routes), links, rsvp, demand, rng, tracer)
+            .0
     }
 
-    /// [`admit_traced`](Self::admit_traced) with the reservation performed
-    /// as a synchronous two-phase exchange through `setups` (per-hop holds
-    /// placed and committed in one instant). This is the degenerate
-    /// zero-delay mode of the latency-aware engine: decisions, RNG
-    /// consumption and the message ledger are bit-identical to the atomic
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routes` does not match the construction-time group size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn admit_two_phase_express(
+    /// The synchronous driver of a [`DacRequest`]: each attempt reserves
+    /// atomically (§4.4), walking the member's routes in order until one
+    /// admits. Returns the outcome and the number of route probes.
+    pub(crate) fn decide(
         &mut self,
-        routes: &[Path],
-        links: &mut LinkStateTable,
-        rsvp: &mut ReservationEngine,
-        setups: &mut SetupTable,
-        demand: Bandwidth,
-        now: f64,
-        rng: &mut SimRng,
-        tracer: &mut RequestTracer<'_>,
-    ) -> AdmissionOutcome {
-        self.admit_with(
-            routes,
-            links,
-            rsvp,
-            demand,
-            rng,
-            tracer,
-            |links, rsvp, route, bw| setups.run_express(rsvp, links, route, bw, now),
-        )
-    }
-
-    /// The REPEAT loop of Figure 1 with the reservation step abstracted:
-    /// `reserve` either probes atomically or runs a synchronous two-phase
-    /// exchange. Monomorphized per caller, so the atomic path costs
-    /// nothing for the generality.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_with(
-        &mut self,
-        routes: &[Path],
+        routes: Routes<'_>,
         links: &mut LinkStateTable,
         rsvp: &mut ReservationEngine,
         demand: Bandwidth,
         rng: &mut SimRng,
         tracer: &mut RequestTracer<'_>,
-        mut reserve: impl FnMut(
-            &mut LinkStateTable,
-            &mut ReservationEngine,
-            &Path,
-            Bandwidth,
-        ) -> Result<ReservationOutcome, ProbeError>,
-    ) -> AdmissionOutcome {
-        assert_eq!(
-            routes.len(),
-            self.distances.len(),
-            "routes must cover every group member"
-        );
-        let k = routes.len();
-        let mut untried = vec![true; k];
-        let mut tries = 0u32;
+    ) -> (AdmissionOutcome, u32) {
+        let mut probes = 0u32;
+        let mut request = DacRequest::start(self, routes, links, rng, tracer);
         loop {
-            // Step 1.1: destination selection.
-            let weights = self.selection_weights(routes, links);
-            tracer.note_weights(&weights);
-            let pick = match Self::pick_destination(&weights, &untried, rng) {
-                Some(i) => i,
-                None => break, // group exhausted
-            };
-            // Steps 1.2–1.3: resource reservation.
-            tries += 1;
-            match reserve(links, rsvp, &routes[pick], demand) {
-                Ok(outcome) => {
-                    self.note_success(pick);
-                    tracer.note_probe(pick, weights[pick], ProbeResult::Admitted);
-                    tracer.finish_admitted(outcome.session, pick, routes[pick].hops(), tries);
-                    return AdmissionOutcome {
-                        admitted: Some(AdmittedFlow {
-                            session: outcome.session,
-                            member_index: pick,
-                            route_bandwidth: outcome.route_bandwidth,
-                        }),
-                        tries,
-                    };
+            let fan = routes.member(request.pick);
+            match reserve_first(fan, links, rsvp, demand, &mut probes) {
+                Ok((reserved, hops)) => {
+                    return (request.admitted(self, reserved, hops, tracer), probes);
                 }
                 Err(e) => {
-                    self.note_failure(pick);
-                    untried[pick] = false;
-                    tracer.note_probe(
-                        pick,
-                        weights[pick],
-                        ProbeResult::Skipped(SkipReason::LinkBlocked {
-                            link: e.failed_link,
-                            hop_index: e.hop_index,
-                            available_bps: e.available.bps(),
-                        }),
-                    );
+                    if !request.failed(self, routes, links, rng, e.into(), tracer) {
+                        return (request.rejected(), probes);
+                    }
                 }
             }
-            // Step 1.4: retrial control.
-            match self.retrial_weight(tries, &weights, &untried) {
-                Some(remaining_weight) => tracer.note_retrial(tries, remaining_weight),
-                None => break,
-            }
-        }
-        // Step 2: the flow is rejected.
-        tracer.finish_rejected(tries);
-        AdmissionOutcome {
-            admitted: None,
-            tries,
         }
     }
 
@@ -351,19 +229,34 @@ impl AdmissionController {
         self.history.reset();
     }
 
+    /// The input to step 1.1: the policy's selection weights against the
+    /// current link state.
+    fn weights(&mut self, routes: Routes<'_>, links: &LinkStateTable) -> Vec<f64> {
+        self.refresh_route_bandwidth(routes, links);
+        let ctx = SelectionContext {
+            distances: &self.distances,
+            history: self.history.entries(),
+            route_bandwidth_bps: &self.bw_cache,
+        };
+        let weights = self.policy.assign(&ctx);
+        debug_assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        weights
+    }
+
     /// Brings `bw_cache` up to date with the ledger, recomputing only the
     /// members whose routes were actually touched since their last
-    /// computation (per-link stamps from [`LinkStateTable::stamp`]).
+    /// computation (per-link stamps from [`LinkStateTable::stamp`]). A
+    /// member's bandwidth is the best bottleneck over its routes.
     ///
     /// The cache is exact, not approximate: a member's bottleneck can only
-    /// change when some link on its route changes, and any such change
+    /// change when some link on its routes changes, and any such change
     /// advances that link's stamp past the epoch recorded here. The one
     /// contract is that a controller observes a *single* ledger whose
     /// version counter is monotone over its lifetime — the §4.2 model of
     /// one AC-router against one link-state table, which is how every
     /// experiment drives it. Within a request's retrial loop the
     /// whole-vector version check makes repeat evaluations O(1).
-    fn refresh_route_bandwidth(&mut self, routes: &[Path], links: &LinkStateTable) {
+    fn refresh_route_bandwidth(&mut self, routes: Routes<'_>, links: &LinkStateTable) {
         if !self.policy.needs_route_bandwidth() {
             return; // bw_cache stays empty, as the policy contract expects
         }
@@ -371,30 +264,245 @@ impl AdmissionController {
         if self.bw_version == Some(version) {
             return;
         }
-        let recompute = |cache: &mut f64, epoch: &mut u64, r: &Path| {
-            let bw = links.min_available_on(r).bps();
+        let recompute = |cache: &mut f64, epoch: &mut u64, fan: &[Path]| {
             // Trivial routes report u64::MAX; clamp to keep weights
             // finite but overwhelmingly in favour of the local member.
-            *cache = if bw == u64::MAX { 1e18 } else { bw as f64 };
+            *cache = fan
+                .iter()
+                .map(|r| match links.min_available_on(r).bps() {
+                    u64::MAX => 1e18,
+                    bw => bw as f64,
+                })
+                .fold(0.0, f64::max);
             *epoch = version;
         };
         if self.bw_version.is_none() {
             self.bw_cache.resize(routes.len(), 0.0);
             self.bw_epoch.resize(routes.len(), 0);
-            for (i, r) in routes.iter().enumerate() {
-                recompute(&mut self.bw_cache[i], &mut self.bw_epoch[i], r);
+            for i in 0..routes.len() {
+                recompute(
+                    &mut self.bw_cache[i],
+                    &mut self.bw_epoch[i],
+                    routes.member(i),
+                );
             }
         } else {
-            for (i, r) in routes.iter().enumerate() {
+            for i in 0..routes.len() {
                 // Shard-aware staleness check: stripes whose shard stamp
                 // has not advanced past this member's epoch are skipped
                 // without reading any per-link stamp.
-                if links.any_stamp_on_after(r, self.bw_epoch[i]) {
-                    recompute(&mut self.bw_cache[i], &mut self.bw_epoch[i], r);
+                let fan = routes.member(i);
+                if fan
+                    .iter()
+                    .any(|r| links.any_stamp_on_after(r, self.bw_epoch[i]))
+                {
+                    recompute(&mut self.bw_cache[i], &mut self.bw_epoch[i], fan);
                 }
             }
         }
         self.bw_version = Some(version);
+    }
+}
+
+/// Reserves along the first of `fan`'s routes that admits `demand`,
+/// counting each probe. The error is the last route's bottleneck.
+fn reserve_first(
+    fan: &[Path],
+    links: &mut LinkStateTable,
+    rsvp: &mut ReservationEngine,
+    demand: Bandwidth,
+    probes: &mut u32,
+) -> Result<(ReservationOutcome, usize), ProbeError> {
+    let mut blocked = None;
+    for route in fan {
+        *probes += 1;
+        match rsvp.probe_and_reserve(links, route, demand) {
+            Ok(reserved) => return Ok((reserved, route.hops())),
+            Err(e) => blocked = Some(e),
+        }
+    }
+    Err(blocked.expect("every member has at least one route"))
+}
+
+/// One request's pass through the REPEAT loop of Figure 1, stopped at
+/// each reservation attempt so the attempt may take as long as its
+/// signalling does.
+///
+/// [`start`](Self::start) makes the step 1.1 draw. The driver then
+/// attempts a reservation toward [`pick`](Self::pick) and reports back:
+/// [`admitted`](Self::admitted) records the success in the history;
+/// [`failed`](Self::failed) records the failure, applies the §4.5 test and
+/// either draws again against fresh weights or rejects. RNG consumption
+/// is one weighted draw per try, whatever the driver.
+#[derive(Debug)]
+pub(crate) struct DacRequest {
+    /// Members not yet tried for this request (retrials draw without
+    /// replacement).
+    untried: Vec<bool>,
+    /// Destinations tried so far, the current one included.
+    tries: u32,
+    /// The weights the current pick was drawn from — the §4.5 test reads
+    /// the weights of the iteration that failed.
+    weights: Vec<f64>,
+    /// The destination of the current attempt.
+    pick: usize,
+    /// The decision trail between events, for a driver that resumes the
+    /// request later ([`resume`](Self::resume)); empty unless traced.
+    trail: DecisionTrace,
+}
+
+impl DacRequest {
+    /// A new request: step 1.1's first draw over the whole group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routes` does not match the controller's group size.
+    pub(crate) fn start(
+        controller: &mut AdmissionController,
+        routes: Routes<'_>,
+        links: &LinkStateTable,
+        rng: &mut SimRng,
+        tracer: &mut RequestTracer<'_>,
+    ) -> Self {
+        assert_eq!(
+            routes.len(),
+            controller.distances.len(),
+            "routes must cover every group member"
+        );
+        let mut request = DacRequest {
+            untried: vec![true; routes.len()],
+            tries: 0,
+            weights: Vec::new(),
+            pick: 0,
+            trail: DecisionTrace::default(),
+        };
+        let drawn = request.draw(controller, routes, links, rng, tracer);
+        debug_assert!(drawn, "anycast groups are non-empty");
+        request
+    }
+
+    /// The member the current attempt targets.
+    pub(crate) fn pick(&self) -> usize {
+        self.pick
+    }
+
+    /// The verdict of a request [`failed`](Self::failed) rejected.
+    pub(crate) fn rejected(&self) -> AdmissionOutcome {
+        AdmissionOutcome {
+            admitted: None,
+            tries: self.tries,
+        }
+    }
+
+    /// Step 1.3: the attempt installed `reserved` over `hops` links. The
+    /// success enters the history (eq. 7) and the trace closes.
+    pub(crate) fn admitted(
+        &self,
+        controller: &mut AdmissionController,
+        reserved: ReservationOutcome,
+        hops: usize,
+        tracer: &mut RequestTracer<'_>,
+    ) -> AdmissionOutcome {
+        controller.history.record_success(self.pick);
+        tracer.note_probe(self.pick, self.weights[self.pick], ProbeResult::Admitted);
+        tracer.finish_admitted(reserved.session, self.pick, hops, self.tries);
+        AdmissionOutcome {
+            admitted: Some(AdmittedFlow {
+                session: reserved.session,
+                member_index: self.pick,
+                route_bandwidth: reserved.route_bandwidth,
+            }),
+            tries: self.tries,
+        }
+    }
+
+    /// The attempt failed for `skip`. The failure enters the history, then
+    /// step 1.4 applies the §4.5 test: `true` when another member was
+    /// drawn against fresh weights, `false` when the request is rejected
+    /// (and its trace closed).
+    pub(crate) fn failed(
+        &mut self,
+        controller: &mut AdmissionController,
+        routes: Routes<'_>,
+        links: &LinkStateTable,
+        rng: &mut SimRng,
+        skip: SkipReason,
+        tracer: &mut RequestTracer<'_>,
+    ) -> bool {
+        controller.history.record_failure(self.pick);
+        self.untried[self.pick] = false;
+        tracer.note_probe(
+            self.pick,
+            self.weights[self.pick],
+            ProbeResult::Skipped(skip),
+        );
+        if self.untried.contains(&true) {
+            let remaining_weight: f64 = self
+                .weights
+                .iter()
+                .zip(&self.untried)
+                .filter(|(_, &u)| u)
+                .map(|(&w, _)| w)
+                .sum();
+            if controller.retrial.keep_going(self.tries, remaining_weight) {
+                tracer.note_retrial(self.tries, remaining_weight);
+                if self.draw(controller, routes, links, rng, tracer) {
+                    return true;
+                }
+            }
+        }
+        // Step 2: the flow is rejected.
+        tracer.finish_rejected(self.tries);
+        false
+    }
+
+    /// Step 1.1: fresh weights from the current link state, then a
+    /// weighted draw over the untried members. When every untried member
+    /// carries zero weight the policy considers them hopeless, so the draw
+    /// falls back to uniform over the untried to keep behaviour total.
+    /// `false` when no member is left.
+    fn draw(
+        &mut self,
+        controller: &mut AdmissionController,
+        routes: Routes<'_>,
+        links: &LinkStateTable,
+        rng: &mut SimRng,
+        tracer: &mut RequestTracer<'_>,
+    ) -> bool {
+        self.weights = controller.weights(routes, links);
+        tracer.note_weights(&self.weights);
+        let pick = match rng.choose_weighted_masked(&self.weights, &self.untried) {
+            Some(i) => i,
+            None => {
+                let remaining: Vec<usize> = (0..self.untried.len())
+                    .filter(|&i| self.untried[i])
+                    .collect();
+                match remaining.len() {
+                    0 => return false,
+                    n => remaining[rng.below(n)],
+                }
+            }
+        };
+        self.pick = pick;
+        self.tries += 1;
+        true
+    }
+
+    /// A tracer for `request` at `now_secs` that continues this request's
+    /// trail: for a driver that reaches the next transition at a later
+    /// event. Hand it back with [`suspend`](Self::suspend).
+    pub(crate) fn resume<'a>(
+        &mut self,
+        recorder: &'a mut dyn Recorder,
+        now_secs: f64,
+        request: u64,
+    ) -> RequestTracer<'a> {
+        RequestTracer::resume(recorder, now_secs, request, std::mem::take(&mut self.trail))
+    }
+
+    /// Keeps `tracer`'s trail until the request's next event.
+    pub(crate) fn suspend(&mut self, tracer: RequestTracer<'_>) {
+        self.trail = tracer.into_trail();
     }
 }
 
@@ -630,58 +738,6 @@ mod tests {
         assert_eq!(c.history().clean_count(), 2);
         assert_eq!(c.retrial(), RetrialPolicy::FixedLimit(2));
         assert_eq!(c.policy_name(), "WD/D+H");
-    }
-
-    #[test]
-    fn express_admission_matches_atomic_bit_for_bit() {
-        // Drive two identical universes through a churn of admissions and
-        // teardowns: one through the atomic probe, one through the
-        // synchronous two-phase exchange. Outcomes, message ledgers, link
-        // state and history must stay equal throughout.
-        let (topo, routes, dists) = fixture();
-        let mut links_a = LinkStateTable::from_topology(&topo);
-        let mut links_e = LinkStateTable::from_topology(&topo);
-        let mut rsvp_a = ReservationEngine::new();
-        let mut rsvp_e = ReservationEngine::new();
-        let mut setups = anycast_rsvp::SetupTable::default();
-        let mut ca = controller(Box::new(WdDb), 2, dists.clone());
-        let mut ce = controller(Box::new(WdDb), 2, dists);
-        let mut rng_a = SimRng::seed_from(42);
-        let mut rng_e = SimRng::seed_from(42);
-        let mut live_a = Vec::new();
-        let mut live_e = Vec::new();
-        for step in 0..60u64 {
-            let demand = Bandwidth::from_kbps(48);
-            let a = ca.admit(&routes, &mut links_a, &mut rsvp_a, demand, &mut rng_a);
-            let mut null = NullRecorder;
-            let mut tracer = RequestTracer::new(&mut null, 0.0, step);
-            let e = ce.admit_two_phase_express(
-                &routes,
-                &mut links_e,
-                &mut rsvp_e,
-                &mut setups,
-                demand,
-                step as f64,
-                &mut rng_e,
-                &mut tracer,
-            );
-            assert_eq!(a, e, "step {step}");
-            if let Some(f) = a.admitted {
-                live_a.push(f.session);
-                live_e.push(e.admitted.unwrap().session);
-            }
-            // Periodically tear down the oldest flow in both universes.
-            if step % 3 == 2 && !live_a.is_empty() {
-                rsvp_a.teardown(&mut links_a, live_a.remove(0)).unwrap();
-                rsvp_e.teardown(&mut links_e, live_e.remove(0)).unwrap();
-            }
-            assert_eq!(rsvp_a.ledger(), rsvp_e.ledger(), "step {step}");
-        }
-        assert!(links_a.iter().zip(links_e.iter()).all(|(x, y)| x == y));
-        // The hold column by full scan, which also vouches for the O(1) total.
-        assert_eq!(links_e.audit().unwrap().pending_bps, 0);
-        assert_eq!(links_e.total_pending(), Bandwidth::ZERO);
-        assert!(setups.in_flight() == 0, "express leaves no live setups");
     }
 
     #[test]

@@ -10,30 +10,29 @@
 
 use crate::backoff::BackoffPolicy;
 use crate::baselines::{GlobalDynamicSystem, ShortestPathSystem};
+use crate::controller::{DacRequest, Routes};
 use crate::multipath::{MultipathController, MultipathRouteTable};
 use crate::online::OnlineArrival;
 use crate::policy::PolicySpec;
+use crate::signalling::{PendingAdmission, Plane, Settled, Signal, TwoPhaseState};
 use crate::soft_state::OrphanTimers;
 use crate::{AdmissionController, AdmissionOutcome, RetrialPolicy};
 use anycast_chaos::{
     build_timeline, ControlFaultModel, FaultAction, FaultBook, FaultEntity, FaultPlan,
-    MessageFault, SignalingFaults,
 };
 use anycast_net::{
     topologies, AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, RouteSet, RouteTable,
     Topology,
 };
-use anycast_rsvp::{
-    MessageKind, MessageLedger, PathStep, ReservationEngine, SessionId, SetupId, SetupTable,
-};
+use anycast_rsvp::{MessageLedger, ReservationEngine, ReservationOutcome, SessionId};
 use anycast_sim::stats::{AdmissionStats, TimeWeighted};
 use anycast_sim::workload::{
     BurstyWorkload, FlowRequest, HoldingSampler, ModulatedWorkload, PoissonWorkload, RateEnvelope,
 };
-use anycast_sim::{Engine, SimRng, SimTime, TimerWheel};
+use anycast_sim::{Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{
-    DecisionStep, DecisionTrace, Event as TelemetryEvent, FaultKind, NullRecorder, ProbeResult,
-    Recorder, RequestTracer, SkipReason, TeardownReason,
+    Event as TelemetryEvent, FaultKind, NullRecorder, Recorder, RequestTracer, SkipReason,
+    TeardownReason,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -208,8 +207,8 @@ pub struct DemandClass {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TwoPhaseConfig {
     /// Propagation + processing delay per link crossing, in seconds.
-    /// Zero with an inert `[signaling]` fault section degenerates to the
-    /// atomic exchange bit-for-bit.
+    /// Zero with an inert `[signaling]` fault section is the atomic
+    /// exchange: the run is validated as two-phase, then admits atomically.
     pub per_hop_delay_secs: f64,
     /// How long the source waits for the RESV before abandoning the
     /// attempt and consulting the backoff policy. Unconfirmed per-hop
@@ -540,15 +539,19 @@ pub struct Metrics {
     pub leaked_hold_bps: u64,
 }
 
+/// One flow request as it reaches its source router.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    pub(crate) source_index: usize,
+    pub(crate) group_index: usize,
+    pub(crate) holding_secs: f64,
+    pub(crate) demand: Bandwidth,
+}
+
 /// Internal event alphabet of the closed-loop simulation.
 #[derive(Debug)]
 pub(crate) enum Event {
-    Arrival {
-        source_index: usize,
-        group_index: usize,
-        holding_secs: f64,
-        demand: Bandwidth,
-    },
+    Arrival(Arrival),
     Departure(SessionId),
     /// A delayed PATH_TEAR finally landing (control-plane delay model).
     Teardown(SessionId),
@@ -563,47 +566,8 @@ pub(crate) enum Event {
     /// state, so enabling the sampler cannot change the metrics.
     TelemetrySample,
     WarmupEnd,
-    /// Two-phase: a PATH message starts crossing link `hop` of its route.
-    PathHop {
-        req: u64,
-        setup: SetupId,
-        hop: usize,
-    },
-    /// Two-phase: a RESV message starts crossing link `hop` back toward
-    /// the source.
-    ResvHop {
-        req: u64,
-        setup: SetupId,
-        hop: usize,
-    },
-    /// Two-phase: a RESV_ERR message starts crossing link `hop` back
-    /// toward the source, releasing the hold there.
-    ResvErrHop {
-        req: u64,
-        setup: SetupId,
-        hop: usize,
-    },
-    /// Two-phase: the RESV arrived at the source; commit the holds.
-    SetupComplete {
-        req: u64,
-        setup: SetupId,
-    },
-    /// Two-phase: the RESV_ERR arrived at the source; the destination
-    /// refused the attempt.
-    SetupRefused {
-        req: u64,
-        setup: SetupId,
-    },
-    /// Two-phase: the source's setup timer fired before an answer came.
-    SetupTimeout {
-        req: u64,
-        setup: SetupId,
-    },
-    /// Two-phase: the backoff delay elapsed; retransmit toward the same
-    /// destination.
-    RetrySetup(u64),
-    /// Two-phase: wake-up for the hold-expiry timer wheel.
-    HoldTick,
+    /// A two-phase signalling message, timer or retransmission.
+    Signal(Signal),
     /// Wake-up for the orphan timers: reclaim the orphaned reservations
     /// whose soft-state lifetime ends at this instant. Never scheduled
     /// before the first teardown is lost.
@@ -806,12 +770,12 @@ fn next_feed_arrival(
                 flash_group_override(config, next.arrival, draw_group(group_shares, group_rng));
             Some((
                 next.arrival,
-                Event::Arrival {
+                Event::Arrival(Arrival {
                     source_index: next.source_index,
                     group_index,
                     holding_secs: next.holding.as_secs(),
                     demand,
-                },
+                }),
             ))
         }
         Feed::External(queue) => queue.pop_front(),
@@ -883,75 +847,21 @@ enum SystemState {
     Gdi(GlobalDynamicSystem),
 }
 
-/// One request whose admission is in flight under event-driven two-phase
-/// signalling: the controller's REPEAT-loop state, frozen between
-/// messages.
-struct PendingAdmission {
-    source_index: usize,
-    group_index: usize,
-    demand: Bandwidth,
-    holding_secs: f64,
-    /// Destinations probed so far (≥ 1 once the first attempt starts).
-    tries: u32,
-    untried: Vec<bool>,
-    /// Retransmissions already spent on the current destination.
-    attempts_this_dest: u32,
-    /// The destination currently being attempted.
-    pick: usize,
-    /// `pick`'s selection weight when it was drawn (for telemetry).
-    pick_weight: f64,
-    /// The weight vector of the current attempt — the §4.5 retrial
-    /// decision uses the weights of the iteration that failed, exactly as
-    /// the synchronous loop does.
-    current_weights: Vec<f64>,
-    /// The first draw's weight vector (a rejection's decision trace).
-    weights_first: Vec<f64>,
-    /// Every probed-and-failed destination, in order.
-    steps: Vec<DecisionStep>,
-    /// The live setup attempt; `None` between a timeout and its
-    /// retransmission (stale answers for abandoned setups are dropped).
-    setup: Option<SetupId>,
-}
-
-/// Runtime state of the event-driven two-phase signalling engine.
-struct TwoPhaseState {
-    cfg: TwoPhaseConfig,
-    /// Degenerate mode: zero per-hop delay and an inert `[signaling]`
-    /// fault section. The exchange runs synchronously at arrival and is
-    /// bit-identical to the atomic engine (no timers, no events, no
-    /// signalling telemetry).
-    express: bool,
-    sig: SignalingFaults,
-    table: SetupTable,
-    /// Request owning each setup, kept until the setup's state is reaped
-    /// (in-flight messages for dead setups still need attribution).
-    setup_req: HashMap<SetupId, u64>,
-    pending: HashMap<u64, PendingAdmission>,
-    holds: TimerWheel<(SetupId, usize)>,
-    backoff_rng: SimRng,
-    holds_placed: u64,
-    holds_expired: u64,
-    setups_completed: u64,
-    retransmits: u64,
-    msgs_lost: u64,
-    latency_sum: f64,
-    latency_count: u64,
-}
-
-/// One message crossing under the `[signaling]` fault model: `None` means
-/// the message was dropped; `Some(d)` the crossing takes `d` seconds.
-/// Draw order (loss first, then extra delay) is part of the determinism
-/// contract, and each draw is guarded so an inert fault model consumes no
-/// randomness at all.
-fn transit(fault: &MessageFault, per_hop_secs: f64, rng: &mut SimRng) -> Option<f64> {
-    if fault.loss_probability > 0.0 && rng.uniform() < fault.loss_probability {
-        return None;
+/// The DAC controller of `arrival`'s source in its group, and the fixed
+/// routes it selects among: two-phase signalling is DAC-only.
+fn dac_of<'s, 'r>(
+    systems: &'s mut [SystemState],
+    route_sets: &'r [Vec<RouteSet>],
+    arrival: Arrival,
+) -> (&'s mut AdmissionController, Routes<'r>) {
+    let (group, source) = (arrival.group_index, arrival.source_index);
+    match &mut systems[group] {
+        SystemState::Dac(controllers) => (
+            &mut controllers[source],
+            Routes::Single(&route_sets[group][source]),
+        ),
+        _ => unreachable!("two-phase signalling is DAC-only"),
     }
-    let mut d = per_hop_secs;
-    if fault.extra_delay_secs > 0.0 {
-        d += rng.exp_duration(fault.extra_delay_secs).as_secs();
-    }
-    Some(d)
 }
 
 /// Runs one closed-loop simulation and returns its metrics.
@@ -966,7 +876,9 @@ fn transit(fault: &MessageFault, per_hop_secs: f64, rng: &mut SimRng) -> Option<
 /// Panics if the configuration is inconsistent with the topology (unknown
 /// nodes, empty groups or sources, non-positive durations, an invalid
 /// policy parameter, a source that cannot reach some group member, or a
-/// fault plan whose scripted actions reference unknown links or nodes).
+/// fault plan whose scripted actions reference unknown links or nodes), or
+/// with itself: two-phase signalling needs the DAC system, and a
+/// `[signaling]` fault section needs two-phase signalling.
 pub fn run_experiment(topo: &Topology, config: &ExperimentConfig) -> Metrics {
     run_experiment_traced(topo, config, &mut NullRecorder)
 }
@@ -1026,6 +938,204 @@ impl LoadWindow {
     }
 }
 
+/// Checks a configuration against the topology and against itself.
+///
+/// # Panics
+///
+/// As [`run_experiment`].
+fn validate(topo: &Topology, config: &ExperimentConfig) {
+    assert!(
+        config.measure_secs > 0.0 && config.warmup_secs >= 0.0,
+        "durations must be positive"
+    );
+    assert!(!config.sources.is_empty(), "need at least one source");
+    for s in &config.sources {
+        assert!(topo.contains_node(*s), "source {s} not in topology");
+    }
+    let refresh = config.faults.refresh;
+    assert!(
+        refresh.refresh_interval_secs.is_finite() && refresh.refresh_interval_secs > 0.0,
+        "refresh interval must be positive"
+    );
+    assert!(
+        refresh.missed_refresh_limit > 0,
+        "missed-refresh limit must be at least 1"
+    );
+    let control = config.faults.control;
+    assert!(
+        (0.0..=1.0).contains(&control.teardown_loss_probability),
+        "teardown loss probability must lie in [0, 1]"
+    );
+    assert!(
+        control.teardown_delay_secs.is_finite() && control.teardown_delay_secs >= 0.0,
+        "teardown delay mean must be non-negative"
+    );
+    match config.signaling {
+        // An atomic exchange has no messages to lose or delay.
+        SignalingMode::Atomic => assert!(
+            config.faults.signaling.is_inert(),
+            "a [signaling] fault section needs two-phase signalling"
+        ),
+        SignalingMode::TwoPhase(cfg) => {
+            cfg.validate();
+            assert!(
+                matches!(config.system, SystemSpec::Dac { .. }),
+                "two-phase signalling requires the DAC system, got {}",
+                config.system.label()
+            );
+        }
+    }
+    if let ArrivalProcess::FlashCrowd { group_index, .. } = config.arrivals {
+        assert!(
+            group_index < config.effective_groups().len(),
+            "flash crowd targets unknown group index {group_index}"
+        );
+    }
+}
+
+/// The anycast groups of `group_specs` and their fixed §3 routes from the
+/// configured sources.
+///
+/// # Panics
+///
+/// Panics on an empty group, a member outside the topology, or a source
+/// that cannot reach a member.
+fn route_groups(
+    topo: &Topology,
+    config: &ExperimentConfig,
+    group_specs: &[GroupSpec],
+) -> (Vec<AnycastGroup>, Vec<RouteTable>) {
+    let mut groups = Vec::with_capacity(group_specs.len());
+    let mut route_tables = Vec::with_capacity(group_specs.len());
+    for (gi, spec) in group_specs.iter().enumerate() {
+        let group = AnycastGroup::new(format!("G{gi}"), spec.members.iter().copied())
+            .expect("group must be non-empty");
+        for m in group.members() {
+            assert!(topo.contains_node(*m), "member {m} not in topology");
+        }
+        // Only the configured sources originate traffic, so only they
+        // must reach every member.
+        route_tables.push(
+            RouteTable::for_sources(topo, &group, config.sources.iter().copied())
+                .unwrap_or_else(|e| panic!("cannot route group {gi}: {e}")),
+        );
+        groups.push(group);
+    }
+    (groups, route_tables)
+}
+
+/// One admission system per group, with one controller per source where
+/// the system keeps per-source state.
+fn build_systems(
+    topo: &Topology,
+    config: &ExperimentConfig,
+    groups: &[AnycastGroup],
+    route_tables: &[RouteTable],
+) -> Vec<SystemState> {
+    // One distance buffer reused across every (group, source) pair —
+    // the `distances_into` convention keeps controller construction
+    // allocation-light even on datacenter-sized source sets.
+    let mut dist_buf: Vec<u32> = Vec::new();
+    let mut systems: Vec<SystemState> = Vec::with_capacity(groups.len());
+    for (group, table) in groups.iter().zip(route_tables) {
+        systems.push(match &config.system {
+            SystemSpec::Dac { policy, retrial } => SystemState::Dac(
+                config
+                    .sources
+                    .iter()
+                    .map(|&s| {
+                        table
+                            .distances_into(s, &mut dist_buf)
+                            .expect("table was built for this source");
+                        AdmissionController::new(
+                            policy.build().expect("policy parameters validated"),
+                            *retrial,
+                            dist_buf.clone(),
+                        )
+                    })
+                    .collect(),
+            ),
+            SystemSpec::DacMultipath {
+                policy,
+                retrial,
+                paths_per_member,
+            } => {
+                let fans =
+                    MultipathRouteTable::build(topo, group, &config.sources, *paths_per_member);
+                let controllers = config
+                    .sources
+                    .iter()
+                    .map(|&s| {
+                        MultipathController::new(
+                            policy.build().expect("policy parameters validated"),
+                            *retrial,
+                            fans.distances(s),
+                        )
+                    })
+                    .collect();
+                SystemState::DacMulti(Box::new(fans), controllers)
+            }
+            SystemSpec::ShortestPath => SystemState::Sp(
+                config
+                    .sources
+                    .iter()
+                    .map(|&s| {
+                        ShortestPathSystem::new(
+                            table
+                                .nearest_member(s)
+                                .expect("table was built for this source"),
+                        )
+                    })
+                    .collect(),
+            ),
+            SystemSpec::GlobalDynamic => SystemState::Gdi(GlobalDynamicSystem::new()),
+        });
+    }
+    systems
+}
+
+/// Schedules the events every run starts with: warm-up end, the
+/// telemetry sampler when the recorder asks for one, the fault timeline
+/// and the first refresh sweep. The timeline is expanded up front
+/// (deterministically, from `fault_rng`) and scheduled as ordinary events;
+/// the refresh sweep runs even in fault-free experiments, so reservation
+/// lifecycle behaviour never depends on whether faults are possible.
+fn schedule_fixed_events(
+    engine: &mut Engine<Event>,
+    topo: &Topology,
+    config: &ExperimentConfig,
+    groups: &[AnycastGroup],
+    sample_interval: Option<f64>,
+    fault_rng: &mut SimRng,
+) {
+    engine.schedule_at(SimTime::from_secs(config.warmup_secs), Event::WarmupEnd);
+    if let Some(interval_secs) = sample_interval {
+        assert!(
+            interval_secs.is_finite() && interval_secs > 0.0,
+            "link sample interval must be positive"
+        );
+        engine.schedule_at(SimTime::from_secs(interval_secs), Event::TelemetrySample);
+    }
+    let fault_members: Vec<NodeId> = groups
+        .iter()
+        .flat_map(|g| g.members().iter().copied())
+        .collect();
+    let timeline = build_timeline(
+        &config.faults,
+        topo,
+        &fault_members,
+        config.warmup_secs + config.measure_secs,
+        fault_rng,
+    );
+    for ev in timeline.events() {
+        engine.schedule_at(SimTime::from_secs(ev.at_secs), Event::Fault(ev.action));
+    }
+    engine.schedule_at(
+        SimTime::from_secs(config.faults.refresh.refresh_interval_secs),
+        Event::RefreshSweep,
+    );
+}
+
 /// The full state of one closed-loop simulation between events: every
 /// table, RNG stream, statistic and timer the handler needs.
 ///
@@ -1048,6 +1158,8 @@ pub(crate) struct Sim<R: Recorder> {
     demand_rng: SimRng,
     group_rng: SimRng,
     fault_rng: SimRng,
+    /// The event-driven signalling engine; `None` when every exchange is
+    /// atomic (including a two-phase config with no delay and no loss).
     two_phase: Option<TwoPhaseState>,
     group_shares: Vec<f64>,
     demand_weights: Vec<f64>,
@@ -1071,11 +1183,14 @@ pub(crate) struct Sim<R: Recorder> {
     /// no-op, exactly as `killed` neutralises fault victims' departures.
     wire_torn: HashSet<SessionId>,
     book: FaultBook,
-    refresh_interval: anycast_sim::Duration,
+    refresh_interval: Duration,
     control: ControlFaultModel,
     rec_on: bool,
     sample_interval: Option<f64>,
     next_request_id: u64,
+    /// Verdicts given, warm-up included: with the two-phase requests still
+    /// in flight, always `next_request_id`.
+    verdicts: u64,
     feed: Feed,
     feed_head_scheduled: bool,
     capture_decisions: bool,
@@ -1098,67 +1213,9 @@ impl<R: Recorder> Sim<R> {
         recorder: R,
         external: bool,
     ) -> (Self, Engine<Event>) {
-        assert!(
-            config.measure_secs > 0.0 && config.warmup_secs >= 0.0,
-            "durations must be positive"
-        );
-        assert!(!config.sources.is_empty(), "need at least one source");
-        for s in &config.sources {
-            assert!(topo.contains_node(*s), "source {s} not in topology");
-        }
-        let refresh = config.faults.refresh;
-        assert!(
-            refresh.refresh_interval_secs.is_finite() && refresh.refresh_interval_secs > 0.0,
-            "refresh interval must be positive"
-        );
-        assert!(
-            refresh.missed_refresh_limit > 0,
-            "missed-refresh limit must be at least 1"
-        );
-        let control = config.faults.control;
-        assert!(
-            (0.0..=1.0).contains(&control.teardown_loss_probability),
-            "teardown loss probability must lie in [0, 1]"
-        );
-        assert!(
-            control.teardown_delay_secs.is_finite() && control.teardown_delay_secs >= 0.0,
-            "teardown delay mean must be non-negative"
-        );
-        let two_phase_cfg = match config.signaling {
-            SignalingMode::Atomic => None,
-            SignalingMode::TwoPhase(cfg) => {
-                cfg.validate();
-                assert!(
-                    matches!(config.system, SystemSpec::Dac { .. }),
-                    "two-phase signalling requires the DAC system, got {}",
-                    config.system.label()
-                );
-                Some(cfg)
-            }
-        };
-        if let ArrivalProcess::FlashCrowd { group_index, .. } = config.arrivals {
-            assert!(
-                group_index < config.effective_groups().len(),
-                "flash crowd targets unknown group index {group_index}"
-            );
-        }
+        validate(topo, config);
         let group_specs = config.effective_groups();
-        let mut groups = Vec::with_capacity(group_specs.len());
-        let mut route_tables = Vec::with_capacity(group_specs.len());
-        for (gi, spec) in group_specs.iter().enumerate() {
-            let group = AnycastGroup::new(format!("G{gi}"), spec.members.iter().copied())
-                .expect("group must be non-empty");
-            for m in group.members() {
-                assert!(topo.contains_node(*m), "member {m} not in topology");
-            }
-            // Only the configured sources originate traffic, so only they
-            // must reach every member.
-            route_tables.push(
-                RouteTable::for_sources(topo, &group, config.sources.iter().copied())
-                    .unwrap_or_else(|e| panic!("cannot route group {gi}: {e}")),
-            );
-            groups.push(group);
-        }
+        let (groups, route_tables) = route_groups(topo, config, &group_specs);
         let route_sets: Vec<Vec<RouteSet>> = route_tables
             .iter()
             .map(|table| {
@@ -1174,67 +1231,7 @@ impl<R: Recorder> Sim<R> {
             config.default_link_capacity,
             config.anycast_fraction,
         );
-        let rsvp = ReservationEngine::new();
-
-        // One distance buffer reused across every (group, source) pair —
-        // the `distances_into` convention keeps controller construction
-        // allocation-light even on datacenter-sized source sets.
-        let mut dist_buf: Vec<u32> = Vec::new();
-        let mut systems: Vec<SystemState> = Vec::with_capacity(groups.len());
-        for (group, table) in groups.iter().zip(&route_tables) {
-            systems.push(match &config.system {
-                SystemSpec::Dac { policy, retrial } => SystemState::Dac(
-                    config
-                        .sources
-                        .iter()
-                        .map(|&s| {
-                            table
-                                .distances_into(s, &mut dist_buf)
-                                .expect("table was built for this source");
-                            AdmissionController::new(
-                                policy.build().expect("policy parameters validated"),
-                                *retrial,
-                                dist_buf.clone(),
-                            )
-                        })
-                        .collect(),
-                ),
-                SystemSpec::DacMultipath {
-                    policy,
-                    retrial,
-                    paths_per_member,
-                } => {
-                    let fans =
-                        MultipathRouteTable::build(topo, group, &config.sources, *paths_per_member);
-                    let controllers = config
-                        .sources
-                        .iter()
-                        .map(|&s| {
-                            MultipathController::new(
-                                policy.build().expect("policy parameters validated"),
-                                *retrial,
-                                fans.distances(s),
-                            )
-                        })
-                        .collect();
-                    SystemState::DacMulti(Box::new(fans), controllers)
-                }
-                SystemSpec::ShortestPath => SystemState::Sp(
-                    config
-                        .sources
-                        .iter()
-                        .map(|&s| {
-                            ShortestPathSystem::new(
-                                table
-                                    .nearest_member(s)
-                                    .expect("table was built for this source"),
-                            )
-                        })
-                        .collect(),
-                ),
-                SystemSpec::GlobalDynamic => SystemState::Gdi(GlobalDynamicSystem::new()),
-            });
-        }
+        let systems = build_systems(topo, config, &groups, &route_tables);
 
         let mut master_rng = SimRng::seed_from(config.seed);
         let workload = build_workload(config, &mut master_rng);
@@ -1249,52 +1246,24 @@ impl<R: Recorder> Sim<R> {
         // jitter) so enabling two-phase signalling perturbs no earlier
         // stream.
         let backoff_rng = master_rng.fork();
-        let two_phase: Option<TwoPhaseState> = two_phase_cfg.map(|cfg| TwoPhaseState {
-            cfg,
-            express: cfg.per_hop_delay_secs == 0.0 && config.faults.signaling.is_inert(),
-            sig: config.faults.signaling,
-            table: SetupTable::new(),
-            setup_req: HashMap::new(),
-            pending: HashMap::new(),
-            holds: TimerWheel::new(),
-            backoff_rng,
-            holds_placed: 0,
-            holds_expired: 0,
-            setups_completed: 0,
-            retransmits: 0,
-            msgs_lost: 0,
-            latency_sum: 0.0,
-            latency_count: 0,
-        });
-        let group_shares: Vec<f64> = group_specs.iter().map(|g| g.share).collect();
-        let demand_weights: Vec<f64> = config.demand_mix.iter().map(|c| c.weight).collect();
-
         let warmup_end = SimTime::from_secs(config.warmup_secs);
         let horizon = SimTime::from_secs(config.warmup_secs + config.measure_secs);
-        let stats = AdmissionStats::new(warmup_end);
-        let group_stats: Vec<AdmissionStats> = group_specs
-            .iter()
-            .map(|_| AdmissionStats::new(warmup_end))
-            .collect();
+        let two_phase = match config.signaling {
+            SignalingMode::Atomic => None,
+            SignalingMode::TwoPhase(cfg) => {
+                TwoPhaseState::new(cfg, config.faults.signaling, backoff_rng, warmup_end)
+            }
+        };
+        let group_shares: Vec<f64> = group_specs.iter().map(|g| g.share).collect();
+        let demand_weights: Vec<f64> = config.demand_mix.iter().map(|c| c.weight).collect();
         let member_counts: Vec<Vec<u64>> = groups.iter().map(|g| vec![0u64; g.len()]).collect();
 
-        // --- Fault-injection state ---------------------------------------
-        // The timeline is expanded up front (deterministically, from its own
-        // forked stream) and scheduled as ordinary events; the refresh
-        // sweep runs even in fault-free experiments, so reservation
-        // lifecycle behaviour never depends on whether faults are possible.
         // Soft state costs nothing per live flow: a session whose source
         // refreshes it cannot expire, so only a reservation that loses its
         // PATH_TEAR gets a deadline, armed at the moment it is orphaned; a
         // SoftTick event reclaims it the moment that lifetime ends. A run
         // that orphans nothing arms nothing and schedules no SoftTick.
-        let orphans = OrphanTimers::new(refresh);
-        let live_flows: HashMap<SessionId, f64> = HashMap::new();
-        let killed: HashSet<SessionId> = HashSet::new();
-        let wire_torn: HashSet<SessionId> = HashSet::new();
-        let book = FaultBook::new();
-        let availability: Option<TimeWeighted> = None;
-        let refresh_interval = anycast_sim::Duration::from_secs(refresh.refresh_interval_secs);
+        let refresh = config.faults.refresh;
 
         // --- Telemetry state ---------------------------------------------
         // `rec_on` is hoisted so disabled runs pay one branch per hook and
@@ -1303,34 +1272,15 @@ impl<R: Recorder> Sim<R> {
         // randomness, so it cannot perturb the metrics.
         let rec_on = recorder.enabled();
         let sample_interval = recorder.link_sample_interval();
-        let next_request_id: u64 = 0;
 
         let mut engine: Engine<Event> = Engine::new();
-        engine.schedule_at(warmup_end, Event::WarmupEnd);
-        if let Some(interval_secs) = sample_interval {
-            assert!(
-                interval_secs.is_finite() && interval_secs > 0.0,
-                "link sample interval must be positive"
-            );
-            engine.schedule_at(SimTime::from_secs(interval_secs), Event::TelemetrySample);
-        }
-        let fault_members: Vec<NodeId> = groups
-            .iter()
-            .flat_map(|g| g.members().iter().copied())
-            .collect();
-        let timeline = build_timeline(
-            &config.faults,
+        schedule_fixed_events(
+            &mut engine,
             topo,
-            &fault_members,
-            config.warmup_secs + config.measure_secs,
+            config,
+            &groups,
+            sample_interval,
             &mut fault_rng,
-        );
-        for ev in timeline.events() {
-            engine.schedule_at(SimTime::from_secs(ev.at_secs), Event::Fault(ev.action));
-        }
-        engine.schedule_at(
-            SimTime::from_secs(refresh.refresh_interval_secs),
-            Event::RefreshSweep,
         );
         // The arrival feed. Offline runs draw the first arrival from the
         // workload now; externally-fed (online) runs start with an empty
@@ -1363,7 +1313,7 @@ impl<R: Recorder> Sim<R> {
             groups,
             route_sets,
             links,
-            rsvp,
+            rsvp: ReservationEngine::new(),
             systems,
             selection_rng,
             demand_rng,
@@ -1374,21 +1324,25 @@ impl<R: Recorder> Sim<R> {
             demand_weights,
             warmup_end,
             horizon,
-            stats,
-            group_stats,
+            stats: AdmissionStats::new(warmup_end),
+            group_stats: group_specs
+                .iter()
+                .map(|_| AdmissionStats::new(warmup_end))
+                .collect(),
             member_counts,
             load: None,
-            availability,
-            orphans,
-            live_flows,
-            killed,
-            wire_torn,
-            book,
-            refresh_interval,
-            control,
+            availability: None,
+            orphans: OrphanTimers::new(refresh),
+            live_flows: HashMap::new(),
+            killed: HashSet::new(),
+            wire_torn: HashSet::new(),
+            book: FaultBook::new(),
+            refresh_interval: Duration::from_secs(refresh.refresh_interval_secs),
+            control: config.faults.control,
             rec_on,
             sample_interval,
-            next_request_id,
+            next_request_id: 0,
+            verdicts: 0,
             feed,
             feed_head_scheduled,
             capture_decisions: false,
@@ -1401,1021 +1355,508 @@ impl<R: Recorder> Sim<R> {
     /// Processes one event — the single admission/bookkeeping code path
     /// shared by the offline and online engines.
     pub(crate) fn handle(&mut self, eng: &mut Engine<Event>, now: SimTime, event: Event) {
-        let rec_on = self.rec_on;
-        let warmup_end = self.warmup_end;
-        let control = self.control;
-        let refresh_interval = self.refresh_interval;
-        let sample_interval = self.sample_interval;
-        let capture_decisions = self.capture_decisions;
-        // Destructure so the macros below can borrow many fields at once,
-        // exactly as the original closure captured its locals.
-        let Sim {
-            config,
-            topo,
-            groups,
-            route_sets,
-            links,
-            rsvp,
-            systems,
-            selection_rng,
-            demand_rng,
-            group_rng,
-            fault_rng,
-            two_phase,
-            group_shares,
-            demand_weights,
-            stats,
-            group_stats,
-            member_counts,
-            load,
-            availability,
-            orphans,
-            live_flows,
-            killed,
-            wire_torn,
-            book,
-            next_request_id,
-            feed,
-            feed_head_scheduled,
-            decisions,
-            recorder,
-            ..
-        } = self;
-        let recorder: &mut dyn Recorder = recorder;
-        // Local macros instead of closures: the bookkeeping below needs
-        // simultaneous mutable access to many captured bindings (stats,
-        // telemetry, the two-phase tables, the engine itself), which no
-        // single helper closure could borrow at once.
-        macro_rules! tw_note {
-            () => {{
-                if let Some(window) = load.as_mut() {
-                    window.note(now, rsvp, links);
-                }
-            }};
-        }
-        // Finish an event-mode two-phase admission: credit the
-        // destination, record stats/telemetry, start the flow's lifecycle.
-        macro_rules! admit_complete {
-            ($req:expr, $session:expr, $hops:expr, $started_secs:expr) => {{
-                let req = $req;
-                let session = $session;
-                let p = two_phase
-                    .as_mut()
-                    .expect("two-phase arms only run in two-phase mode")
-                    .pending
-                    .remove(&req)
-                    .expect("completing setups belong to a pending admission");
-                match &mut systems[p.group_index] {
-                    SystemState::Dac(controllers) => {
-                        controllers[p.source_index].note_success(p.pick)
-                    }
-                    _ => unreachable!("two-phase signalling is DAC-only"),
-                }
-                let latency = now.as_secs() - $started_secs;
-                {
-                    let tp = two_phase.as_mut().expect("checked above");
-                    tp.setups_completed += 1;
-                    if now >= warmup_end {
-                        tp.latency_sum += latency;
-                        tp.latency_count += 1;
-                    }
-                }
-                if rec_on {
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::DestinationProbe {
-                            request: req,
-                            member_index: p.pick,
-                            weight: p.pick_weight,
-                            result: ProbeResult::Admitted,
-                        },
-                    );
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::ReservationSetup {
-                            request: req,
-                            session,
-                            member_index: p.pick,
-                            hops: $hops,
-                            tries: p.tries,
-                        },
-                    );
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::SetupCompleted {
-                            request: req,
-                            session,
-                            latency_secs: latency,
-                        },
-                    );
-                }
-                stats.record(now, true, p.tries);
-                group_stats[p.group_index].record(now, true, p.tries);
-                if capture_decisions {
-                    decisions.push(Decision {
-                        request: req,
-                        at_secs: now.as_secs(),
-                        admitted: true,
-                        member_index: Some(p.pick),
-                        session: Some(session),
-                        tries: p.tries,
-                    });
-                }
-                if now >= warmup_end {
-                    member_counts[p.group_index][p.pick] += 1;
-                }
-                live_flows.insert(session, now.as_secs());
-                eng.schedule_in(
-                    now,
-                    anycast_sim::Duration::from_secs(p.holding_secs),
-                    Event::Departure(session),
-                );
-                tw_note!();
-            }};
-        }
-        // Launch (or relaunch) the setup toward the pending admission's
-        // currently picked destination.
-        macro_rules! start_attempt {
-            ($req:expr) => {{
-                let req = $req;
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                let (gi, si, pick, demand) = {
-                    let p = tp
-                        .pending
-                        .get(&req)
-                        .expect("attempt needs a pending admission");
-                    (p.group_index, p.source_index, p.pick, p.demand)
-                };
-                let route = route_sets[gi][si][pick].clone();
-                if route.hops() == 0 {
-                    // The member is local: zero links to signal over, so the
-                    // setup completes on the spot — same as the atomic engine.
-                    let out = tp
-                        .table
-                        .run_express(&mut *rsvp, &mut *links, &route, demand, now.as_secs())
-                        .expect("zero-hop routes always admit");
-                    admit_complete!(req, out.session, 0, now.as_secs());
-                } else {
-                    let setup = tp.table.begin(route, demand, now.as_secs());
-                    tp.setup_req.insert(setup, req);
-                    tp.pending.get_mut(&req).expect("still pending").setup = Some(setup);
-                    if tp.cfg.setup_timeout_secs.is_finite() {
-                        eng.schedule_in(
-                            now,
-                            anycast_sim::Duration::from_secs(tp.cfg.setup_timeout_secs),
-                            Event::SetupTimeout { req, setup },
-                        );
-                    }
-                    eng.schedule_at(now, Event::PathHop { req, setup, hop: 0 });
-                }
-            }};
-        }
-        // A setup attempt failed (refusal or timeout): charge the
-        // destination, then either retry another member (§4.5) or reject.
-        macro_rules! resolve_failed_attempt {
-            ($req:expr, $skip:expr) => {{
-                let req = $req;
-                let skip = $skip;
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                let (gi, si, pick, pick_weight, tries) = {
-                    let p = tp
-                        .pending
-                        .get_mut(&req)
-                        .expect("failed attempts belong to a pending admission");
-                    p.setup = None;
-                    p.untried[p.pick] = false;
-                    p.steps.push(DecisionStep {
-                        member_index: p.pick,
-                        weight: p.pick_weight,
-                        skip,
-                    });
-                    (
-                        p.group_index,
-                        p.source_index,
-                        p.pick,
-                        p.pick_weight,
-                        p.tries,
-                    )
-                };
-                let controllers = match &mut systems[gi] {
-                    SystemState::Dac(controllers) => controllers,
-                    _ => unreachable!("two-phase signalling is DAC-only"),
-                };
-                controllers[si].note_failure(pick);
-                if rec_on {
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::DestinationProbe {
-                            request: req,
-                            member_index: pick,
-                            weight: pick_weight,
-                            result: ProbeResult::Skipped(skip),
-                        },
-                    );
-                }
-                // The §4.5 decision looks at the weights the failed pick was
-                // drawn from; a retrial then re-reads link state for fresh
-                // weights, exactly like the atomic controller.
-                let decision = {
-                    let p = tp.pending.get(&req).expect("still pending");
-                    controllers[si].retrial_weight(tries, &p.current_weights, &p.untried)
-                };
-                match decision {
-                    Some(remaining_weight) => {
-                        if rec_on {
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::Retrial {
-                                    request: req,
-                                    tries_so_far: tries,
-                                    remaining_weight,
-                                },
-                            );
-                        }
-                        let weights =
-                            controllers[si].selection_weights(&route_sets[gi][si], &*links);
-                        let p = tp.pending.get_mut(&req).expect("still pending");
-                        let next_pick = AdmissionController::pick_destination(
-                            &weights,
-                            &p.untried,
-                            &mut *selection_rng,
-                        )
-                        .expect("a granted retrial implies an untried member");
-                        p.tries += 1;
-                        p.attempts_this_dest = 0;
-                        p.pick = next_pick;
-                        p.pick_weight = weights[next_pick];
-                        p.current_weights = weights;
-                        start_attempt!(req);
-                    }
-                    None => {
-                        let p = tp.pending.remove(&req).expect("still pending");
-                        stats.record(now, false, p.tries);
-                        group_stats[p.group_index].record(now, false, p.tries);
-                        if capture_decisions {
-                            decisions.push(Decision {
-                                request: req,
-                                at_secs: now.as_secs(),
-                                admitted: false,
-                                member_index: None,
-                                session: None,
-                                tries: p.tries,
-                            });
-                        }
-                        if rec_on {
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::Rejection {
-                                    request: req,
-                                    tries: p.tries,
-                                    trace: DecisionTrace {
-                                        weights: p.weights_first,
-                                        steps: p.steps,
-                                    },
-                                },
-                            );
-                        }
-                    }
-                }
-            }};
-        }
         match event {
-            Event::Arrival {
-                source_index,
-                group_index,
-                holding_secs,
-                demand,
-            } => {
-                let source = config.sources[source_index];
-                let group = &groups[group_index];
-                // SP and the single-path DAC walk the fixed routes; GDI
-                // searches the live topology and multipath keeps its own
-                // fan table.
-                let routes: &[Path] = &route_sets[group_index][source_index];
-                let request_id = *next_request_id;
-                *next_request_id += 1;
-                if rec_on {
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::RequestArrival {
-                            request: request_id,
-                            source,
-                            group: group_index,
-                            demand_bps: demand.bps(),
-                        },
-                    );
-                }
-                let async_two_phase = matches!(
-                    (&systems[group_index], two_phase.as_ref()),
-                    (SystemState::Dac(_), Some(tp)) if !tp.express
-                );
-                if async_two_phase {
-                    // Event-driven two-phase signalling: pick a destination
-                    // now (same RNG draw order as the atomic controller) and
-                    // launch the PATH; admission resolves when the exchange
-                    // does.
-                    let controllers = match &mut systems[group_index] {
-                        SystemState::Dac(controllers) => controllers,
-                        _ => unreachable!("checked above"),
-                    };
-                    let weights = controllers[source_index].selection_weights(routes, &*links);
-                    let untried = vec![true; weights.len()];
-                    let pick = AdmissionController::pick_destination(
-                        &weights,
-                        &untried,
-                        &mut *selection_rng,
-                    )
-                    .expect("anycast groups are non-empty");
-                    let tp = two_phase.as_mut().expect("checked above");
-                    tp.pending.insert(
-                        request_id,
-                        PendingAdmission {
-                            source_index,
-                            group_index,
-                            demand,
-                            holding_secs,
-                            tries: 1,
-                            untried,
-                            attempts_this_dest: 0,
-                            pick,
-                            pick_weight: weights[pick],
-                            weights_first: weights.clone(),
-                            current_weights: weights,
-                            steps: Vec::new(),
-                            setup: None,
-                        },
-                    );
-                    start_attempt!(request_id);
-                } else {
-                    let mut tracer = RequestTracer::new(&mut *recorder, now.as_secs(), request_id);
-                    let outcome: AdmissionOutcome = match &mut systems[group_index] {
-                        SystemState::Dac(controllers) => match two_phase.as_mut() {
-                            // Degenerate two-phase (zero delay, inert faults):
-                            // synchronous per-hop walk, bit-identical to atomic.
-                            Some(tp) => controllers[source_index].admit_two_phase_express(
-                                routes,
-                                &mut *links,
-                                &mut *rsvp,
-                                &mut tp.table,
-                                demand,
-                                now.as_secs(),
-                                &mut *selection_rng,
-                                &mut tracer,
-                            ),
-                            None => controllers[source_index].admit_traced(
-                                routes,
-                                &mut *links,
-                                &mut *rsvp,
-                                demand,
-                                &mut *selection_rng,
-                                &mut tracer,
-                            ),
-                        },
-                        SystemState::DacMulti(table, controllers) => {
-                            let out = controllers[source_index]
-                                .admit(
-                                    table.routes_from(source),
-                                    &mut *links,
-                                    &mut *rsvp,
-                                    demand,
-                                    &mut *selection_rng,
-                                )
-                                .outcome;
-                            // The multipath controller is not internally traced;
-                            // emit lifecycle summaries (hops unknown → 0, empty
-                            // decision trace) so the stream still closes every
-                            // request.
-                            match &out.admitted {
-                                Some(flow) => tracer.finish_admitted(
-                                    flow.session,
-                                    flow.member_index,
-                                    0,
-                                    out.tries,
-                                ),
-                                None => tracer.finish_rejected(out.tries),
-                            }
-                            out
-                        }
-                        SystemState::Sp(per_source) => per_source[source_index].admit_traced(
-                            routes,
-                            &mut *links,
-                            &mut *rsvp,
-                            demand,
-                            &mut tracer,
-                        ),
-                        SystemState::Gdi(gdi) => gdi.admit_traced(
-                            topo,
-                            group,
-                            source,
-                            &mut *links,
-                            &mut *rsvp,
-                            demand,
-                            &mut tracer,
-                        ),
-                    };
-                    drop(tracer);
-                    if capture_decisions {
-                        decisions.push(Decision {
-                            request: request_id,
-                            at_secs: now.as_secs(),
-                            admitted: outcome.is_admitted(),
-                            member_index: outcome.admitted.as_ref().map(|f| f.member_index),
-                            session: outcome.admitted.as_ref().map(|f| f.session),
-                            tries: outcome.tries,
-                        });
-                    }
-                    stats.record(now, outcome.is_admitted(), outcome.tries);
-                    group_stats[group_index].record(now, outcome.is_admitted(), outcome.tries);
-                    if now >= warmup_end {
-                        if let Some(flow) = &outcome.admitted {
-                            member_counts[group_index][flow.member_index] += 1;
-                        }
-                    }
-                    if let Some(flow) = outcome.admitted {
-                        live_flows.insert(flow.session, now.as_secs());
-                        eng.schedule_in(
-                            now,
-                            anycast_sim::Duration::from_secs(holding_secs),
-                            Event::Departure(flow.session),
-                        );
-                    }
-                }
-                tw_note!();
-                match next_feed_arrival(
-                    feed,
-                    config,
-                    group_shares,
-                    demand_weights,
-                    demand_rng,
-                    group_rng,
-                ) {
-                    Some((at, arrival)) => eng.schedule_at(at, arrival),
-                    None => *feed_head_scheduled = false,
-                }
-            }
-            Event::Departure(session) => {
-                if wire_torn.remove(&session) {
-                    // The endpoint already tore this reservation down over
-                    // the wire (or its teardown is lost/in flight); the
-                    // holding-time departure has nothing left to do.
-                    return;
-                }
-                let admitted_at = live_flows
-                    .remove(&session)
-                    .expect("a flow is live until it departs");
-                if killed.remove(&session) {
-                    // The reservation already died with a fault; the flow's
-                    // endpoints have nothing left to tear down.
-                } else if control.teardown_loss_probability > 0.0
-                    && fault_rng.uniform() < control.teardown_loss_probability
-                {
-                    // PATH_TEAR lost: the reservation holds its bandwidth
-                    // until soft state expires it.
-                    if let Some(tick) = orphans.orphan(session, admitted_at) {
-                        eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
-                    }
-                    book.note_orphan_created();
-                } else if control.teardown_delay_secs > 0.0 {
-                    let delay = fault_rng.exp_duration(control.teardown_delay_secs);
-                    eng.schedule_in(now, delay, Event::Teardown(session));
-                } else {
-                    rsvp.teardown(&mut *links, session)
-                        .expect("departing flows hold live sessions");
-                    if rec_on {
-                        recorder.record(
-                            now.as_secs(),
-                            TelemetryEvent::ReservationTeardown {
-                                session,
-                                reason: TeardownReason::Departure,
-                            },
-                        );
-                    }
-                    tw_note!();
-                }
-            }
-            Event::Teardown(session) => {
-                if killed.remove(&session) {
-                    // A fault beat the delayed teardown to the reservation.
-                } else {
-                    rsvp.teardown(&mut *links, session)
-                        .expect("delayed teardowns target live sessions");
-                    if rec_on {
-                        recorder.record(
-                            now.as_secs(),
-                            TelemetryEvent::ReservationTeardown {
-                                session,
-                                reason: TeardownReason::Delayed,
-                            },
-                        );
-                    }
-                    tw_note!();
-                }
-            }
-            Event::Fault(action) => {
-                let t = now.as_secs();
-                let victims: Vec<SessionId> = match action {
-                    FaultAction::FailLink(link) => {
-                        links
-                            .fail_link(link)
-                            .expect("fault plan references known links");
-                        book.record_down(FaultEntity::Link(link), t);
-                        if rec_on {
-                            recorder.record(
-                                t,
-                                TelemetryEvent::FaultFired {
-                                    entity: FaultKind::Link(link),
-                                },
-                            );
-                        }
-                        rsvp.sessions_using_link(link)
-                    }
-                    FaultAction::RestoreLink(link) => {
-                        links
-                            .restore_link(link)
-                            .expect("fault plan references known links");
-                        book.record_up(FaultEntity::Link(link), t);
-                        if rec_on {
-                            recorder.record(
-                                t,
-                                TelemetryEvent::FaultHealed {
-                                    entity: FaultKind::Link(link),
-                                },
-                            );
-                        }
-                        Vec::new()
-                    }
-                    FaultAction::CrashNode(node) => {
-                        links
-                            .fail_node(node)
-                            .expect("fault plan references known nodes");
-                        book.record_down(FaultEntity::Node(node), t);
-                        if rec_on {
-                            recorder.record(
-                                t,
-                                TelemetryEvent::FaultFired {
-                                    entity: FaultKind::Node(node),
-                                },
-                            );
-                        }
-                        rsvp.sessions_through_node(node)
-                    }
-                    FaultAction::RestoreNode(node) => {
-                        links
-                            .restore_node(node)
-                            .expect("fault plan references known nodes");
-                        book.record_up(FaultEntity::Node(node), t);
-                        if rec_on {
-                            recorder.record(
-                                t,
-                                TelemetryEvent::FaultHealed {
-                                    entity: FaultKind::Node(node),
-                                },
-                            );
-                        }
-                        Vec::new()
-                    }
-                };
-                for session in victims {
-                    rsvp.teardown(&mut *links, session)
-                        .expect("fault victims hold live reservations");
-                    if rec_on {
-                        recorder.record(
-                            t,
-                            TelemetryEvent::ReservationTeardown {
-                                session,
-                                reason: TeardownReason::FaultKilled,
-                            },
-                        );
-                    }
-                    if orphans.cancel(session) {
-                        // The fault returned an orphan's bandwidth before soft
-                        // state got to it.
-                        book.note_orphan_reclaimed();
-                    } else {
-                        // A Departure or delayed Teardown event is still
-                        // pending for this session and must become a no-op.
-                        killed.insert(session);
-                        if live_flows.contains_key(&session) {
-                            book.note_flow_killed();
-                        }
-                    }
-                }
-                debug_assert_eq!(links.audit().err(), None, "after {action:?}");
-                if let Some(tw) = availability.as_mut() {
-                    tw.update(now, links.operational_fraction());
-                }
-                tw_note!();
-            }
+            Event::Arrival(arrival) => self.on_arrival(eng, now, arrival),
+            Event::Departure(session) => self.on_departure(eng, now, session),
+            Event::Teardown(session) => self.on_delayed_teardown(now, session),
+            Event::Fault(action) => self.on_fault(now, action),
             Event::RefreshSweep => {
                 // Every flow whose source (or, post-departure, pending
                 // delayed teardown) still exists refreshes its state now.
                 // None of them holds a deadline, so the sweep is its
                 // instant; orphans miss it and keep the deadline they were
                 // armed with.
-                orphans.note_sweep(now.as_secs());
-                eng.schedule_in(now, refresh_interval, Event::RefreshSweep);
+                self.orphans.note_sweep(now.as_secs());
+                eng.schedule_in(now, self.refresh_interval, Event::RefreshSweep);
             }
-            Event::SoftTick => {
-                // Exact-deadline soft-state expiry: reclaim precisely the
-                // orphans whose lifetime just ended. Only ever scheduled
-                // once a reservation has been orphaned, and consumes no
-                // randomness.
-                let t = now.as_secs();
-                let mut reclaimed_any = false;
-                for session in orphans.pop_expired(t) {
-                    rsvp.teardown(&mut *links, session)
-                        .expect("expired sessions hold reservations");
-                    book.note_orphan_reclaimed();
-                    reclaimed_any = true;
-                    if rec_on {
-                        recorder.record(
-                            t,
-                            TelemetryEvent::ReservationTeardown {
-                                session,
-                                reason: TeardownReason::SoftStateExpired,
-                            },
-                        );
-                    }
-                }
-                if reclaimed_any {
-                    tw_note!();
-                }
-                if let Some(tick) = orphans.tick_needed() {
-                    eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
-                }
-            }
-            Event::TelemetrySample => {
-                // Read-only periodic probe of the link-state table: consumes
-                // no randomness and mutates nothing, so scheduling it (or
-                // not) leaves the simulated system bit-identical. Walks the
-                // sharded view stripe by stripe — ascending shard order is
-                // ascending link order, so the stream is unchanged.
-                let sharded = links.sharded();
-                for shard in 0..sharded.shard_count() {
-                    for (link, snap) in sharded.iter_shard(shard) {
-                        recorder.record(
-                            now.as_secs(),
-                            TelemetryEvent::LinkSample {
-                                link,
-                                reserved_bps: snap.reserved.bps(),
-                                capacity_bps: snap.capacity.bps(),
-                                flows: snap.flows,
-                                failed: snap.failed,
-                            },
-                        );
-                    }
-                }
-                if let Some(interval_secs) = sample_interval {
-                    eng.schedule_in(
-                        now,
-                        anycast_sim::Duration::from_secs(interval_secs),
-                        Event::TelemetrySample,
-                    );
-                }
-            }
+            Event::SoftTick => self.on_soft_tick(eng, now),
+            Event::TelemetrySample => self.on_sample(eng, now),
             Event::WarmupEnd => {
-                rsvp.reset_ledger();
-                *load = Some(LoadWindow::open(now, rsvp, links));
-                *availability = Some(TimeWeighted::new(now, links.operational_fraction()));
+                self.rsvp.reset_ledger();
+                self.load = Some(LoadWindow::open(now, &self.rsvp, &self.links));
+                self.availability = Some(TimeWeighted::new(now, self.links.operational_fraction()));
             }
-            Event::PathHop { req, setup, hop } => {
-                let tp = two_phase
-                    .as_mut()
-                    .expect("signalling events only fire in two-phase mode");
-                if !tp.table.contains(setup) {
-                    // The setup was reaped while this message was in flight
-                    // (e.g. its last hold expired); the message dies with it.
-                    return;
-                }
-                let bw_bps = tp.table.bandwidth(setup).expect("tabled setup").bps();
-                match tp
-                    .table
-                    .path_step(&mut *rsvp, &mut *links, setup, hop)
-                    .expect("contains() checked above")
-                {
-                    PathStep::Held {
-                        link,
-                        reached_destination,
-                    } => {
-                        tp.holds_placed += 1;
-                        if rec_on {
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::MsgSent {
-                                    request: req,
-                                    message: MessageKind::Path,
-                                    link,
-                                },
-                            );
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::HoldPlaced {
-                                    request: req,
-                                    link,
-                                    bw_bps,
-                                },
-                            );
-                        }
-                        if tp.cfg.setup_timeout_secs.is_finite() {
-                            tp.holds
-                                .arm((setup, hop), now.as_secs() + tp.cfg.setup_timeout_secs);
-                            if let Some(tick) = tp.holds.tick_needed() {
-                                eng.schedule_at(SimTime::from_secs(tick), Event::HoldTick);
-                            }
-                        }
-                        match transit(&tp.sig.path, tp.cfg.per_hop_delay_secs, &mut *fault_rng) {
-                            Some(delay) => {
-                                let next = if reached_destination {
-                                    // The destination answers: its RESV first
-                                    // re-crosses this same link on the way back.
-                                    Event::ResvHop { req, setup, hop }
-                                } else {
-                                    Event::PathHop {
-                                        req,
-                                        setup,
-                                        hop: hop + 1,
-                                    }
-                                };
-                                eng.schedule_in(now, anycast_sim::Duration::from_secs(delay), next);
-                            }
-                            None => {
-                                tp.msgs_lost += 1;
-                                if rec_on {
-                                    recorder.record(
-                                        now.as_secs(),
-                                        TelemetryEvent::MsgLost {
-                                            request: req,
-                                            message: MessageKind::Path,
-                                            link,
-                                        },
-                                    );
-                                }
-                                // The hold just placed (and the ones upstream)
-                                // linger until their expiry timers fire.
-                            }
-                        }
-                    }
-                    PathStep::Blocked(err) => {
-                        if rec_on {
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::MsgSent {
-                                    request: req,
-                                    message: MessageKind::Path,
-                                    link: err.failed_link,
-                                },
-                            );
-                        }
-                        // The router at the bottleneck answers on the spot: the
-                        // RESV_ERR's first crossing (back over this same link)
-                        // starts now.
-                        eng.schedule_at(now, Event::ResvErrHop { req, setup, hop });
-                    }
-                }
+            Event::Signal(signal) => self.on_signal(eng, now, signal),
+        }
+    }
+
+    /// A request arrives: it is admitted or rejected on the spot, or, under
+    /// event-driven two-phase signalling, its first attempt is launched.
+    fn on_arrival(&mut self, eng: &mut Engine<Event>, now: SimTime, arrival: Arrival) {
+        let request = self.next_request_id;
+        self.next_request_id += 1;
+        if self.rec_on {
+            self.recorder.record(
+                now.as_secs(),
+                TelemetryEvent::RequestArrival {
+                    request,
+                    source: self.config.sources[arrival.source_index],
+                    group: arrival.group_index,
+                    demand_bps: arrival.demand.bps(),
+                },
+            );
+        }
+        if self.two_phase.is_some() {
+            self.begin_two_phase(eng, now, request, arrival);
+        } else {
+            let outcome = self.admit_now(now, request, arrival);
+            self.verdict(eng, now, request, arrival, outcome);
+        }
+        self.note_load(now);
+        self.check_accounting();
+        match next_feed_arrival(
+            &mut self.feed,
+            &self.config,
+            &self.group_shares,
+            &self.demand_weights,
+            &mut self.demand_rng,
+            &mut self.group_rng,
+        ) {
+            Some((at, next)) => eng.schedule_at(at, next),
+            None => self.feed_head_scheduled = false,
+        }
+    }
+
+    /// Decides a request in one instant: every system, and DAC whenever
+    /// its exchange is atomic.
+    fn admit_now(&mut self, now: SimTime, request: u64, arrival: Arrival) -> AdmissionOutcome {
+        let Arrival {
+            source_index,
+            group_index,
+            demand,
+            ..
+        } = arrival;
+        let source = self.config.sources[source_index];
+        // SP and the single-path DAC walk the fixed routes; GDI searches
+        // the live topology and multipath keeps its own fan table.
+        let routes: &[Path] = &self.route_sets[group_index][source_index];
+        let (links, rsvp, rng) = (&mut self.links, &mut self.rsvp, &mut self.selection_rng);
+        let mut tracer = RequestTracer::new(&mut self.recorder, now.as_secs(), request);
+        match &mut self.systems[group_index] {
+            SystemState::Dac(controllers) => controllers[source_index].admit_traced(
+                routes,
+                links,
+                rsvp,
+                demand,
+                rng,
+                &mut tracer,
+            ),
+            SystemState::DacMulti(table, controllers) => {
+                let fans = table.routes_from(source);
+                controllers[source_index]
+                    .admit_traced(fans, links, rsvp, demand, rng, &mut tracer)
+                    .outcome
             }
-            Event::ResvHop { req, setup, hop } => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                if !tp.table.resv_step(&mut *rsvp, setup) {
-                    return;
-                }
-                let link = tp.table.link_at(setup, hop).expect("route covers this hop");
-                if rec_on {
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::MsgSent {
-                            request: req,
-                            message: MessageKind::Resv,
-                            link,
-                        },
-                    );
-                }
-                match transit(&tp.sig.resv, tp.cfg.per_hop_delay_secs, &mut *fault_rng) {
-                    Some(delay) => {
-                        let next = if hop == 0 {
-                            Event::SetupComplete { req, setup }
-                        } else {
-                            Event::ResvHop {
-                                req,
-                                setup,
-                                hop: hop - 1,
-                            }
-                        };
-                        eng.schedule_in(now, anycast_sim::Duration::from_secs(delay), next);
-                    }
-                    None => {
-                        tp.msgs_lost += 1;
-                        if rec_on {
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::MsgLost {
-                                    request: req,
-                                    message: MessageKind::Resv,
-                                    link,
-                                },
-                            );
-                        }
-                        // Nothing is committed yet; the unconfirmed holds
-                        // expire on their own timers and the source times out.
-                    }
-                }
+            SystemState::Sp(per_source) => {
+                per_source[source_index].admit_traced(routes, links, rsvp, demand, &mut tracer)
             }
-            Event::ResvErrHop { req, setup, hop } => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                if !tp.table.contains(setup) {
-                    return;
-                }
-                let link = tp.table.link_at(setup, hop).expect("route covers this hop");
-                let released = tp
-                    .table
-                    .resv_err_step(&mut *rsvp, &mut *links, setup, hop)
-                    .expect("contains() checked above");
-                if released.is_some() {
-                    // The error released this hop's hold before its timer fired.
-                    tp.holds.cancel(&(setup, hop));
-                }
-                if rec_on {
-                    recorder.record(
-                        now.as_secs(),
-                        TelemetryEvent::MsgSent {
-                            request: req,
-                            message: MessageKind::ResvErr,
-                            link,
-                        },
-                    );
-                }
-                let lost =
-                    match transit(&tp.sig.resv_err, tp.cfg.per_hop_delay_secs, &mut *fault_rng) {
-                        Some(delay) => {
-                            let next = if hop == 0 {
-                                Event::SetupRefused { req, setup }
-                            } else {
-                                Event::ResvErrHop {
-                                    req,
-                                    setup,
-                                    hop: hop - 1,
-                                }
-                            };
-                            eng.schedule_in(now, anycast_sim::Duration::from_secs(delay), next);
-                            false
-                        }
-                        None => true,
-                    };
-                if lost {
-                    tp.msgs_lost += 1;
-                    if rec_on {
-                        recorder.record(
-                            now.as_secs(),
-                            TelemetryEvent::MsgLost {
-                                request: req,
-                                message: MessageKind::ResvErr,
-                                link,
-                            },
-                        );
-                    }
-                    // Upstream holds stay until expiry; the source times out.
-                }
-                if !tp.table.contains(setup) {
-                    tp.setup_req.remove(&setup);
-                }
+            SystemState::Gdi(gdi) => {
+                let group = &self.groups[group_index];
+                gdi.admit_traced(&self.topo, group, source, links, rsvp, demand, &mut tracer)
             }
-            Event::SetupComplete { req, setup } => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                if tp.pending.get(&req).is_none_or(|p| p.setup != Some(setup)) {
-                    // The source already moved on (timeout fired first); the
-                    // dead setup's holds expire on their own timers.
-                    return;
-                }
-                let hops = tp.table.hops(setup).expect("pending setups stay tabled");
-                let started = tp
-                    .table
-                    .started_at(setup)
-                    .expect("pending setups stay tabled");
-                match tp.table.complete(&mut *rsvp, &mut *links, setup) {
-                    Some(outcome) => {
-                        for h in 0..hops {
-                            tp.holds.cancel(&(setup, h));
-                        }
-                        tp.setup_req.remove(&setup);
-                        admit_complete!(req, outcome.session, hops, started);
-                    }
-                    None => {
-                        // A hold expired while the RESV was in flight (the
-                        // timeout is shorter than the round trip): survivors
-                        // were just released, and the source's setup timer
-                        // will resolve this attempt as failed.
-                        for h in 0..hops {
-                            tp.holds.cancel(&(setup, h));
-                        }
-                        if !tp.table.contains(setup) {
-                            tp.setup_req.remove(&setup);
-                        }
-                    }
-                }
+        }
+    }
+
+    /// Starts an event-driven two-phase admission: the first draw now (the
+    /// atomic controller's RNG order), then the first attempt. The verdict
+    /// comes when the exchanges resolve.
+    fn begin_two_phase(
+        &mut self,
+        eng: &mut Engine<Event>,
+        now: SimTime,
+        request: u64,
+        arrival: Arrival,
+    ) {
+        let (controller, routes) = dac_of(&mut self.systems, &self.route_sets, arrival);
+        let mut tracer = RequestTracer::new(&mut self.recorder, now.as_secs(), request);
+        let mut dac = DacRequest::start(
+            controller,
+            routes,
+            &self.links,
+            &mut self.selection_rng,
+            &mut tracer,
+        );
+        dac.suspend(tracer);
+        let tp = self.two_phase.as_mut().expect("two-phase mode");
+        tp.pending
+            .insert(request, PendingAdmission::new(arrival, dac));
+        self.start_attempt(eng, now, request);
+    }
+
+    /// Launches (or relaunches) the pending request `req`'s attempt toward
+    /// its current pick.
+    fn start_attempt(&mut self, eng: &mut Engine<Event>, now: SimTime, req: u64) {
+        let tp = self.two_phase.as_mut().expect("two-phase mode");
+        let p = tp
+            .pending
+            .get(&req)
+            .expect("attempt needs a pending admission");
+        let Arrival {
+            source_index,
+            group_index,
+            demand,
+            ..
+        } = p.arrival;
+        let route = &self.route_sets[group_index][source_index][p.request.pick()];
+        if route.hops() > 0 {
+            tp.launch(eng, now, req, route.clone());
+            return;
+        }
+        // The member is local: zero links to signal over, so the setup
+        // completes on the spot — as in the atomic engine.
+        let reserved = self
+            .rsvp
+            .probe_and_reserve(&mut self.links, route, demand)
+            .expect("zero-hop routes always admit");
+        let latency_secs = tp.completed(now, now.as_secs());
+        self.complete_admission(eng, now, req, reserved, 0, latency_secs);
+    }
+
+    /// One signalling event, and what it settles for its request.
+    fn on_signal(&mut self, eng: &mut Engine<Event>, now: SimTime, signal: Signal) {
+        let tp = self
+            .two_phase
+            .as_mut()
+            .expect("signalling events only fire in two-phase mode");
+        let mut plane = Plane {
+            links: &mut self.links,
+            rsvp: &mut self.rsvp,
+            fault_rng: &mut self.fault_rng,
+            recorder: &mut self.recorder,
+            rec_on: self.rec_on,
+        };
+        match tp.handle(&mut plane, eng, now, signal) {
+            Settled::InFlight => {}
+            Settled::Admitted {
+                req,
+                reserved,
+                hops,
+                latency_secs,
+            } => self.complete_admission(eng, now, req, reserved, hops, latency_secs),
+            Settled::Failed { req, skip } => self.fail_attempt(eng, now, req, skip),
+            Settled::Retransmit(req) => self.start_attempt(eng, now, req),
+        }
+    }
+
+    /// The pending request `req`'s attempt installed `reserved` over
+    /// `hops` links, `latency_secs` after it began.
+    fn complete_admission(
+        &mut self,
+        eng: &mut Engine<Event>,
+        now: SimTime,
+        req: u64,
+        reserved: ReservationOutcome,
+        hops: usize,
+        latency_secs: f64,
+    ) {
+        let tp = self.two_phase.as_mut().expect("two-phase mode");
+        let mut p = tp
+            .pending
+            .remove(&req)
+            .expect("completing setups belong to a pending admission");
+        let (controller, _) = dac_of(&mut self.systems, &self.route_sets, p.arrival);
+        let mut tracer = p.request.resume(&mut self.recorder, now.as_secs(), req);
+        let outcome = p.request.admitted(controller, reserved, hops, &mut tracer);
+        drop(tracer);
+        if self.rec_on {
+            self.recorder.record(
+                now.as_secs(),
+                TelemetryEvent::SetupCompleted {
+                    request: req,
+                    session: reserved.session,
+                    latency_secs,
+                },
+            );
+        }
+        self.verdict(eng, now, req, p.arrival, outcome);
+        self.note_load(now);
+    }
+
+    /// The pending request `req`'s attempt failed for `skip`: its DAC
+    /// request either draws another destination or rejects.
+    fn fail_attempt(&mut self, eng: &mut Engine<Event>, now: SimTime, req: u64, skip: SkipReason) {
+        let tp = self.two_phase.as_mut().expect("two-phase mode");
+        let p = tp
+            .pending
+            .get_mut(&req)
+            .expect("failed attempts belong to a pending admission");
+        let (controller, routes) = dac_of(&mut self.systems, &self.route_sets, p.arrival);
+        let mut tracer = p.request.resume(&mut self.recorder, now.as_secs(), req);
+        let retry = p.request.failed(
+            controller,
+            routes,
+            &self.links,
+            &mut self.selection_rng,
+            skip,
+            &mut tracer,
+        );
+        p.request.suspend(tracer);
+        if retry {
+            self.start_attempt(eng, now, req);
+        } else {
+            let p = tp.pending.remove(&req).expect("still pending");
+            self.verdict(eng, now, req, p.arrival, p.request.rejected());
+        }
+    }
+
+    /// Where every request's verdict lands, whichever path decided it: the
+    /// statistics, the captured decision and, for an admission, the flow's
+    /// departure. The load window is noted by the caller once its event's
+    /// changes are all in: at the end of an arrival, after a two-phase
+    /// completion.
+    fn verdict(
+        &mut self,
+        eng: &mut Engine<Event>,
+        now: SimTime,
+        request: u64,
+        arrival: Arrival,
+        outcome: AdmissionOutcome,
+    ) {
+        self.verdicts += 1;
+        let admitted = outcome.admitted;
+        self.stats.record(now, admitted.is_some(), outcome.tries);
+        self.group_stats[arrival.group_index].record(now, admitted.is_some(), outcome.tries);
+        if self.capture_decisions {
+            self.decisions.push(Decision {
+                request,
+                at_secs: now.as_secs(),
+                admitted: admitted.is_some(),
+                member_index: admitted.map(|f| f.member_index),
+                session: admitted.map(|f| f.session),
+                tries: outcome.tries,
+            });
+        }
+        if let Some(flow) = admitted {
+            if now >= self.warmup_end {
+                self.member_counts[arrival.group_index][flow.member_index] += 1;
             }
-            Event::SetupRefused { req, setup } => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                if tp.pending.get(&req).is_none_or(|p| p.setup != Some(setup)) {
-                    return;
-                }
-                let err = tp
-                    .table
-                    .blocked_error(setup)
-                    .expect("refused setups recorded their bottleneck");
-                tp.table.abandon(setup);
-                if !tp.table.contains(setup) {
-                    tp.setup_req.remove(&setup);
-                }
-                let skip = SkipReason::LinkBlocked {
-                    link: err.failed_link,
-                    hop_index: err.hop_index,
-                    available_bps: err.available.bps(),
-                };
-                resolve_failed_attempt!(req, skip);
-            }
-            Event::SetupTimeout { req, setup } => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                if tp.pending.get(&req).is_none_or(|p| p.setup != Some(setup)) {
-                    // Stale timer: the attempt already resolved (and possibly
-                    // a newer setup took its place).
-                    return;
-                }
-                // Give up on this exchange. Remote holds are NOT released here
-                // — the source cannot reach them; they expire on their timers.
-                let blocked = tp.table.blocked_error(setup);
-                tp.table.abandon(setup);
-                if !tp.table.contains(setup) {
-                    tp.setup_req.remove(&setup);
-                }
-                let attempts = tp
-                    .pending
-                    .get(&req)
-                    .expect("checked above")
-                    .attempts_this_dest;
-                if attempts < tp.cfg.backoff.max_retransmits {
-                    let delay = tp.cfg.backoff.delay_for(attempts, &mut tp.backoff_rng);
-                    tp.retransmits += 1;
-                    {
-                        let p = tp.pending.get_mut(&req).expect("checked above");
-                        p.attempts_this_dest += 1;
-                        p.setup = None;
-                    }
-                    eng.schedule_in(
-                        now,
-                        anycast_sim::Duration::from_secs(delay),
-                        Event::RetrySetup(req),
-                    );
-                } else {
-                    // Retransmissions exhausted: the destination counts as
-                    // failed and the §4.5 retrial policy takes over.
-                    let skip = match blocked {
-                        Some(err) => SkipReason::LinkBlocked {
-                            link: err.failed_link,
-                            hop_index: err.hop_index,
-                            available_bps: err.available.bps(),
-                        },
-                        None => SkipReason::NoFeasiblePath,
-                    };
-                    resolve_failed_attempt!(req, skip);
-                }
-            }
-            Event::RetrySetup(req) => {
-                if two_phase
+            self.live_flows.insert(flow.session, now.as_secs());
+            eng.schedule_in(
+                now,
+                Duration::from_secs(arrival.holding_secs),
+                Event::Departure(flow.session),
+            );
+        }
+        self.check_accounting();
+    }
+
+    /// The request-accounting identity: every request offered so far has
+    /// exactly one verdict, or is a two-phase request still in flight.
+    fn check_accounting(&self) {
+        debug_assert_eq!(
+            self.verdicts
+                + self
+                    .two_phase
                     .as_ref()
-                    .is_some_and(|tp| tp.pending.contains_key(&req))
-                {
-                    start_attempt!(req);
+                    .map_or(0, |tp| tp.pending.len() as u64),
+            self.next_request_id,
+            "every request gets exactly one verdict"
+        );
+    }
+
+    /// A flow's holding time ends.
+    fn on_departure(&mut self, eng: &mut Engine<Event>, now: SimTime, session: SessionId) {
+        if self.wire_torn.remove(&session) {
+            // The endpoint already tore this reservation down over the wire
+            // (or its teardown is lost/in flight); the holding-time
+            // departure has nothing left to do.
+            return;
+        }
+        let admitted_at = self
+            .live_flows
+            .remove(&session)
+            .expect("a flow is live until it departs");
+        if self.killed.remove(&session) {
+            // The reservation already died with a fault; the flow's
+            // endpoints have nothing left to tear down.
+            return;
+        }
+        self.release(eng, now, session, admitted_at);
+    }
+
+    /// The source's PATH_TEAR for a live flow's `session`, under the
+    /// control-plane fault model: lost, the reservation holds its bandwidth
+    /// until soft state expires it (§4.4); delayed, an
+    /// [`Event::Teardown`] lands later; otherwise it releases now.
+    fn release(
+        &mut self,
+        eng: &mut Engine<Event>,
+        now: SimTime,
+        session: SessionId,
+        admitted_at: f64,
+    ) {
+        let control = self.control;
+        if control.teardown_loss_probability > 0.0
+            && self.fault_rng.uniform() < control.teardown_loss_probability
+        {
+            if let Some(tick) = self.orphans.orphan(session, admitted_at) {
+                eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
+            }
+            self.book.note_orphan_created();
+        } else if control.teardown_delay_secs > 0.0 {
+            let delay = self.fault_rng.exp_duration(control.teardown_delay_secs);
+            eng.schedule_in(now, delay, Event::Teardown(session));
+        } else {
+            self.rsvp
+                .teardown(&mut self.links, session)
+                .expect("live flows hold live sessions");
+            self.note_teardown(now, session, TeardownReason::Departure);
+            self.note_load(now);
+        }
+    }
+
+    /// A delayed PATH_TEAR lands.
+    fn on_delayed_teardown(&mut self, now: SimTime, session: SessionId) {
+        if self.killed.remove(&session) {
+            // A fault beat the delayed teardown to the reservation.
+            return;
+        }
+        self.rsvp
+            .teardown(&mut self.links, session)
+            .expect("delayed teardowns target live sessions");
+        self.note_teardown(now, session, TeardownReason::Delayed);
+        self.note_load(now);
+    }
+
+    /// One fault-plan action: the ledger and the outage book follow it, and
+    /// a failure tears down every reservation crossing what failed.
+    fn on_fault(&mut self, now: SimTime, action: FaultAction) {
+        let t = now.as_secs();
+        let (entity, kind, victims) = match action {
+            FaultAction::FailLink(link) => {
+                self.links
+                    .fail_link(link)
+                    .expect("fault plan references known links");
+                let victims = self.rsvp.sessions_using_link(link);
+                (
+                    FaultEntity::Link(link),
+                    FaultKind::Link(link),
+                    Some(victims),
+                )
+            }
+            FaultAction::CrashNode(node) => {
+                self.links
+                    .fail_node(node)
+                    .expect("fault plan references known nodes");
+                let victims = self.rsvp.sessions_through_node(node);
+                (
+                    FaultEntity::Node(node),
+                    FaultKind::Node(node),
+                    Some(victims),
+                )
+            }
+            FaultAction::RestoreLink(link) => {
+                self.links
+                    .restore_link(link)
+                    .expect("fault plan references known links");
+                (FaultEntity::Link(link), FaultKind::Link(link), None)
+            }
+            FaultAction::RestoreNode(node) => {
+                self.links
+                    .restore_node(node)
+                    .expect("fault plan references known nodes");
+                (FaultEntity::Node(node), FaultKind::Node(node), None)
+            }
+        };
+        let event = if victims.is_some() {
+            self.book.record_down(entity, t);
+            TelemetryEvent::FaultFired { entity: kind }
+        } else {
+            self.book.record_up(entity, t);
+            TelemetryEvent::FaultHealed { entity: kind }
+        };
+        if self.rec_on {
+            self.recorder.record(t, event);
+        }
+        for session in victims.into_iter().flatten() {
+            self.rsvp
+                .teardown(&mut self.links, session)
+                .expect("fault victims hold live reservations");
+            self.note_teardown(now, session, TeardownReason::FaultKilled);
+            if self.orphans.cancel(session) {
+                // The fault returned an orphan's bandwidth before soft
+                // state got to it.
+                self.book.note_orphan_reclaimed();
+            } else {
+                // A Departure or delayed Teardown event is still pending
+                // for this session and must become a no-op.
+                self.killed.insert(session);
+                if self.live_flows.contains_key(&session) {
+                    self.book.note_flow_killed();
                 }
             }
-            Event::HoldTick => {
-                let tp = two_phase.as_mut().expect("two-phase mode");
-                for (setup, hop) in tp.holds.pop_due(now.as_secs()) {
-                    let bw_bps = tp.table.bandwidth(setup).map(|b| b.bps());
-                    if let Some(link) = tp.table.expire_hold(&mut *links, setup, hop) {
-                        tp.holds_expired += 1;
-                        if rec_on {
-                            let owner = tp
-                                .setup_req
-                                .get(&setup)
-                                .copied()
-                                .expect("tabled setups keep their owner mapping");
-                            recorder.record(
-                                now.as_secs(),
-                                TelemetryEvent::HoldExpired {
-                                    request: owner,
-                                    link,
-                                    bw_bps: bw_bps.expect("state existed at expiry"),
-                                },
-                            );
-                        }
-                        if !tp.table.contains(setup) {
-                            tp.setup_req.remove(&setup);
-                        }
-                    }
-                }
-                if let Some(tick) = tp.holds.tick_needed() {
-                    eng.schedule_at(SimTime::from_secs(tick), Event::HoldTick);
-                }
+        }
+        debug_assert_eq!(self.links.audit().err(), None, "after {action:?}");
+        if let Some(tw) = self.availability.as_mut() {
+            tw.update(now, self.links.operational_fraction());
+        }
+        self.note_load(now);
+    }
+
+    /// Exact-deadline soft-state expiry: reclaims precisely the orphans
+    /// whose lifetime just ended. Only ever scheduled once a reservation
+    /// has been orphaned, and consumes no randomness.
+    fn on_soft_tick(&mut self, eng: &mut Engine<Event>, now: SimTime) {
+        let mut reclaimed_any = false;
+        for session in self.orphans.pop_expired(now.as_secs()) {
+            self.rsvp
+                .teardown(&mut self.links, session)
+                .expect("expired sessions hold reservations");
+            self.book.note_orphan_reclaimed();
+            reclaimed_any = true;
+            self.note_teardown(now, session, TeardownReason::SoftStateExpired);
+        }
+        if reclaimed_any {
+            self.note_load(now);
+        }
+        if let Some(tick) = self.orphans.tick_needed() {
+            eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
+        }
+    }
+
+    /// Read-only periodic probe of the link-state table: consumes no
+    /// randomness and mutates nothing, so scheduling it (or not) leaves
+    /// the simulated system bit-identical. Walks the sharded view stripe
+    /// by stripe — ascending shard order is ascending link order.
+    fn on_sample(&mut self, eng: &mut Engine<Event>, now: SimTime) {
+        let sharded = self.links.sharded();
+        for shard in 0..sharded.shard_count() {
+            for (link, snap) in sharded.iter_shard(shard) {
+                self.recorder.record(
+                    now.as_secs(),
+                    TelemetryEvent::LinkSample {
+                        link,
+                        reserved_bps: snap.reserved.bps(),
+                        capacity_bps: snap.capacity.bps(),
+                        flows: snap.flows,
+                        failed: snap.failed,
+                    },
+                );
             }
+        }
+        if let Some(interval_secs) = self.sample_interval {
+            eng.schedule_in(
+                now,
+                Duration::from_secs(interval_secs),
+                Event::TelemetrySample,
+            );
+        }
+    }
+
+    /// Records that `session`'s reservation was torn down for `reason`.
+    fn note_teardown(&mut self, now: SimTime, session: SessionId, reason: TeardownReason) {
+        if self.rec_on {
+            self.recorder.record(
+                now.as_secs(),
+                TelemetryEvent::ReservationTeardown { session, reason },
+            );
+        }
+    }
+
+    /// Records the load window's signals as of `now` (after warm-up).
+    fn note_load(&mut self, now: SimTime) {
+        if let Some(window) = self.load.as_mut() {
+            window.note(now, &self.rsvp, &self.links);
         }
     }
 
@@ -2424,6 +1865,7 @@ impl<R: Recorder> Sim<R> {
     /// averages taken over `[warmup_end, end]`. The offline engine passes
     /// the horizon; the online engine passes wherever its clock stopped.
     pub(crate) fn finish(mut self, end: SimTime) -> (Metrics, R) {
+        self.check_accounting();
         // Orphans expire exactly at their soft-state deadline via SoftTick
         // events inside the run, so no closing sweep is needed: an orphan
         // still armed at the horizon is genuinely within lifetime.
@@ -2433,7 +1875,7 @@ impl<R: Recorder> Sim<R> {
         // go back. Every held bit must belong to a tabled setup — whatever
         // the hold column still shows afterwards leaked.
         if let Some(tp) = self.two_phase.as_mut() {
-            let _ = tp.table.drain(&mut self.links);
+            tp.drain(&mut self.links);
         }
         // The run's one full pass over the ledger (release builds too):
         // the leak figures below come from the scanned columns, not from
@@ -2456,6 +1898,7 @@ impl<R: Recorder> Sim<R> {
 
         let messages = self.rsvp.ledger().clone();
         let offered = self.stats.offered();
+        let tp = self.two_phase.as_ref();
         let metrics = Metrics {
             label: self.config.system.label(),
             lambda: self.config.lambda,
@@ -2517,18 +1960,12 @@ impl<R: Recorder> Sim<R> {
             orphaned_reservations: self.book.orphans_created(),
             orphans_reclaimed: self.book.orphans_reclaimed(),
             leaked_bandwidth_bps,
-            holds_placed: self.two_phase.as_ref().map_or(0, |tp| tp.holds_placed),
-            holds_expired: self.two_phase.as_ref().map_or(0, |tp| tp.holds_expired),
-            setups_completed: self.two_phase.as_ref().map_or(0, |tp| tp.setups_completed),
-            retransmits: self.two_phase.as_ref().map_or(0, |tp| tp.retransmits),
-            signaling_messages_lost: self.two_phase.as_ref().map_or(0, |tp| tp.msgs_lost),
-            mean_setup_latency_secs: self.two_phase.as_ref().map_or(0.0, |tp| {
-                if tp.latency_count == 0 {
-                    0.0
-                } else {
-                    tp.latency_sum / tp.latency_count as f64
-                }
-            }),
+            holds_placed: tp.map_or(0, |tp| tp.holds_placed),
+            holds_expired: tp.map_or(0, |tp| tp.holds_expired),
+            setups_completed: tp.map_or(0, |tp| tp.setups_completed),
+            retransmits: tp.map_or(0, |tp| tp.retransmits),
+            signaling_messages_lost: tp.map_or(0, |tp| tp.msgs_lost),
+            mean_setup_latency_secs: tp.map_or(0.0, TwoPhaseState::mean_setup_latency_secs),
             leaked_hold_bps,
         };
         (metrics, self.recorder)
@@ -2582,7 +2019,10 @@ impl<R: Recorder> Sim<R> {
             reserved_bps: summary.reserved_bps,
             pending_hold_bps: summary.pending_bps,
             capacity_bps: summary.capacity_bps,
-            setups_in_flight: self.two_phase.as_ref().map_or(0, |tp| tp.table.in_flight()),
+            setups_in_flight: self
+                .two_phase
+                .as_ref()
+                .map_or(0, TwoPhaseState::setups_in_flight),
             links: summary.links,
             failed_links: summary.failed_links,
             window_secs: 0.0,
@@ -2627,39 +2067,8 @@ impl<R: Recorder> Sim<R> {
             .live_flows
             .remove(&session)
             .expect("checked live above");
-        let now = eng.now();
         self.wire_torn.insert(session);
-        if self.control.teardown_loss_probability > 0.0
-            && self.fault_rng.uniform() < self.control.teardown_loss_probability
-        {
-            // PATH_TEAR lost: the reservation holds its bandwidth until
-            // soft state expires it — §4.4, end to end over the wire.
-            if let Some(tick) = self.orphans.orphan(session, admitted_at) {
-                eng.schedule_at(SimTime::from_secs(tick), Event::SoftTick);
-            }
-            self.book.note_orphan_created();
-        } else if self.control.teardown_delay_secs > 0.0 {
-            let delay = self
-                .fault_rng
-                .exp_duration(self.control.teardown_delay_secs);
-            eng.schedule_in(now, delay, Event::Teardown(session));
-        } else {
-            self.rsvp
-                .teardown(&mut self.links, session)
-                .expect("live flows hold live sessions");
-            if self.rec_on {
-                self.recorder.record(
-                    now.as_secs(),
-                    TelemetryEvent::ReservationTeardown {
-                        session,
-                        reason: TeardownReason::Departure,
-                    },
-                );
-            }
-            if let Some(window) = self.load.as_mut() {
-                window.note(now, &self.rsvp, &self.links);
-            }
-        }
+        self.release(eng, eng.now(), session, admitted_at);
         true
     }
 
@@ -2702,12 +2111,12 @@ impl<R: Recorder> Sim<R> {
                 "arrivals must be submitted in nondecreasing time order"
             );
         }
-        let event = Event::Arrival {
+        let event = Event::Arrival(Arrival {
             source_index: arrival.source_index,
             group_index: arrival.group_index,
             holding_secs: arrival.holding_secs,
             demand: arrival.demand,
-        };
+        });
         if self.feed_head_scheduled {
             queue.push_back((at, event));
         } else {
@@ -2720,6 +2129,7 @@ impl<R: Recorder> Sim<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anycast_chaos::{MessageFault, SignalingFaults};
 
     fn quick(lambda: f64, system: SystemSpec) -> ExperimentConfig {
         ExperimentConfig::paper_defaults(lambda, system)
@@ -3126,9 +2536,8 @@ mod tests {
     fn degenerate_two_phase_is_bit_identical_to_atomic() {
         // Zero per-hop delay + an inert `[signaling]` fault section must
         // reproduce the atomic engine exactly: same metrics, same message
-        // ledger, same member shares — the express path is the proof that
-        // the two-phase machinery only changes behaviour when latency or
-        // loss actually exists.
+        // ledger, same member shares — the two-phase machinery only
+        // changes behaviour when latency or loss actually exists.
         let topo = topologies::mci();
         for policy in [
             PolicySpec::Ed,
@@ -3224,6 +2633,45 @@ mod tests {
         let cfg = quick(5.0, SystemSpec::ShortestPath)
             .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig::default()));
         run_experiment(&topo, &cfg);
+    }
+
+    /// `[signaling]` faults act on messages only two-phase signalling
+    /// sends; under atomic signalling they would be silently ignored.
+    #[test]
+    #[should_panic(expected = "a [signaling] fault section needs two-phase signalling")]
+    fn signaling_faults_require_two_phase_signalling() {
+        let topo = topologies::mci();
+        let lossy = MessageFault {
+            loss_probability: 0.5,
+            extra_delay_secs: 0.2,
+        };
+        let sig = SignalingFaults {
+            path: lossy,
+            resv: lossy,
+            resv_err: MessageFault::default(),
+        };
+        let cfg = quick(5.0, SystemSpec::dac(PolicySpec::Ed, 2))
+            .with_faults(FaultPlan::none().with_signaling(sig));
+        run_experiment(&topo, &cfg);
+    }
+
+    /// A two-phase exchange with no delay and no loss is the atomic one:
+    /// validated as two-phase, run without the signalling engine.
+    #[test]
+    fn instantaneous_two_phase_builds_no_signalling_engine() {
+        let topo = topologies::mci();
+        let cfg = quick(5.0, SystemSpec::dac(PolicySpec::Ed, 2))
+            .with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig::default()));
+        let (sim, _) = Sim::new(&topo, &cfg, NullRecorder, false);
+        assert!(sim.two_phase.is_none());
+        let delayed = cfg.with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig {
+            per_hop_delay_secs: 0.01,
+            ..TwoPhaseConfig::default()
+        }));
+        assert!(Sim::new(&topo, &delayed, NullRecorder, false)
+            .0
+            .two_phase
+            .is_some());
     }
 
     /// Every floating-point metric a run reports, for the NaN sweep.

@@ -49,6 +49,7 @@ pub mod online;
 pub mod policy;
 pub mod qos;
 mod retrial;
+mod signalling;
 mod soft_state;
 mod weights;
 

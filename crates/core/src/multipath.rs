@@ -9,12 +9,14 @@
 //! against the single-path DAC isolates exactly what path diversity buys
 //! (`ablation_multipath`).
 
-use crate::policy::{SelectionContext, WeightAssigner};
-use crate::{AdmissionOutcome, AdmittedFlow, HistoryTable, RetrialPolicy};
+use crate::controller::Routes;
+use crate::policy::WeightAssigner;
+use crate::{AdmissionController, AdmissionOutcome, HistoryTable, RetrialPolicy};
 use anycast_net::routing::k_shortest_paths;
 use anycast_net::{AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, Topology};
 use anycast_rsvp::ReservationEngine;
 use anycast_sim::SimRng;
+use anycast_telemetry::{NullRecorder, RequestTracer};
 use std::collections::HashMap;
 
 /// Fixed multipath routes: for every listed source and every member, the
@@ -115,18 +117,19 @@ pub struct MultipathOutcome {
 
 /// The multipath admission controller: the §4.2 loop where each selected
 /// member may be probed over several fixed alternate routes.
+///
+/// It is the single-path [`AdmissionController`] driven over route fans:
+/// the reservation step walks the selected member's fan, and the weights
+/// read each member's best bottleneck over its fan.
 #[derive(Debug)]
 pub struct MultipathController {
-    policy: Box<dyn WeightAssigner>,
-    retrial: RetrialPolicy,
-    history: HistoryTable,
-    distances: Vec<u32>,
+    dac: AdmissionController,
 }
 
 impl MultipathController {
     /// Creates a controller for one source (see
-    /// [`AdmissionController::new`](crate::AdmissionController::new); the
-    /// distances are the primary-path distances).
+    /// [`AdmissionController::new`]; the distances are the primary-path
+    /// distances).
     ///
     /// # Panics
     ///
@@ -136,19 +139,14 @@ impl MultipathController {
         retrial: RetrialPolicy,
         distances: Vec<u32>,
     ) -> Self {
-        assert!(!distances.is_empty(), "group must have at least one member");
-        let history = HistoryTable::new(distances.len());
         MultipathController {
-            policy,
-            retrial,
-            history,
-            distances,
+            dac: AdmissionController::new(policy, retrial, distances),
         }
     }
 
     /// This router's local admission history.
     pub fn history(&self) -> &HistoryTable {
-        &self.history
+        self.dac.history()
     }
 
     /// Runs the multipath DAC procedure for one flow request.
@@ -170,111 +168,39 @@ impl MultipathController {
         demand: Bandwidth,
         rng: &mut SimRng,
     ) -> MultipathOutcome {
-        assert_eq!(
-            route_fans.len(),
-            self.distances.len(),
-            "route fans must cover every group member"
-        );
-        let k = route_fans.len();
-        let mut untried = vec![true; k];
-        let mut member_tries = 0u32;
-        let mut path_attempts = 0u32;
-        loop {
-            let bw_info = self.route_bandwidth_info(route_fans, links);
-            let ctx = SelectionContext {
-                distances: &self.distances,
-                history: self.history.entries(),
-                route_bandwidth_bps: &bw_info,
-            };
-            let weights = self.policy.assign(&ctx);
-            let pick = match rng.choose_weighted_masked(&weights, &untried) {
-                Some(i) => i,
-                None => {
-                    let remaining: Vec<usize> = (0..k).filter(|&i| untried[i]).collect();
-                    match remaining.len() {
-                        0 => break,
-                        n => remaining[rng.below(n)],
-                    }
-                }
-            };
-            member_tries += 1;
-            let fan = &route_fans[pick];
-            assert!(!fan.is_empty(), "member {pick} has no routes");
-            let mut admitted = None;
-            for path in fan {
-                path_attempts += 1;
-                if let Ok(out) = rsvp.probe_and_reserve(links, path, demand) {
-                    admitted = Some(AdmittedFlow {
-                        session: out.session,
-                        member_index: pick,
-                        route_bandwidth: out.route_bandwidth,
-                    });
-                    break;
-                }
-            }
-            match admitted {
-                Some(flow) => {
-                    self.history.record_success(pick);
-                    return MultipathOutcome {
-                        outcome: AdmissionOutcome {
-                            admitted: Some(flow),
-                            tries: member_tries,
-                        },
-                        path_attempts,
-                    };
-                }
-                None => {
-                    self.history.record_failure(pick);
-                    untried[pick] = false;
-                }
-            }
-            if untried.iter().all(|&u| !u) {
-                break;
-            }
-            let remaining_weight: f64 = weights
-                .iter()
-                .zip(&untried)
-                .filter(|(_, &u)| u)
-                .map(|(&w, _)| w)
-                .sum();
-            if !self.retrial.keep_going(member_tries, remaining_weight) {
-                break;
-            }
-        }
+        let mut null = NullRecorder;
+        let mut tracer = RequestTracer::new(&mut null, 0.0, 0);
+        self.admit_traced(route_fans, links, rsvp, demand, rng, &mut tracer)
+    }
+
+    /// [`admit`](Self::admit) with a telemetry tracer, traced exactly like
+    /// [`AdmissionController::admit_traced`]: a failed member's skip
+    /// reason is the bottleneck of the last route of its fan.
+    ///
+    /// # Panics
+    ///
+    /// As [`admit`](Self::admit).
+    pub fn admit_traced(
+        &mut self,
+        route_fans: &[Vec<Path>],
+        links: &mut LinkStateTable,
+        rsvp: &mut ReservationEngine,
+        demand: Bandwidth,
+        rng: &mut SimRng,
+        tracer: &mut RequestTracer<'_>,
+    ) -> MultipathOutcome {
+        let (outcome, path_attempts) =
+            self.dac
+                .decide(Routes::Fans(route_fans), links, rsvp, demand, rng, tracer);
         MultipathOutcome {
-            outcome: AdmissionOutcome {
-                admitted: None,
-                tries: member_tries,
-            },
+            outcome,
             path_attempts,
         }
     }
 
     /// Resets the admission history.
     pub fn reset_history(&mut self) {
-        self.history.reset();
-    }
-
-    fn route_bandwidth_info(&self, route_fans: &[Vec<Path>], links: &LinkStateTable) -> Vec<f64> {
-        if !self.policy.needs_route_bandwidth() {
-            return Vec::new();
-        }
-        // A member's usable bandwidth is the best bottleneck over its fan.
-        route_fans
-            .iter()
-            .map(|fan| {
-                fan.iter()
-                    .map(|p| {
-                        let bw = links.min_available_on(p).bps();
-                        if bw == u64::MAX {
-                            1e18
-                        } else {
-                            bw as f64
-                        }
-                    })
-                    .fold(0.0f64, f64::max)
-            })
-            .collect()
+        self.dac.reset_history();
     }
 }
 

@@ -193,19 +193,19 @@ pub fn write_trace(
 /// # Errors
 ///
 /// I/O errors, or `InvalidData` naming the offending line for malformed
-/// content.
+/// content (a line that is not UTF-8 included).
 pub fn read_trace(path: &Path) -> io::Result<(TraceHeader, Vec<OnlineArrival>)> {
     let reader = BufReader::new(File::open(path)?);
     let mut lines = reader.lines();
-    let bad = |line_no: usize, msg: String| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}:{}: {}", path.display(), line_no, msg),
-        )
+    let at_line = |line_no: usize, kind: io::ErrorKind, msg: String| {
+        io::Error::new(kind, format!("{}:{}: {}", path.display(), line_no, msg))
     };
+    let bad = |line_no: usize, msg: String| at_line(line_no, io::ErrorKind::InvalidData, msg);
+    let unreadable = |line_no: usize, e: io::Error| at_line(line_no, e.kind(), e.to_string());
     let header_line = lines
         .next()
-        .ok_or_else(|| bad(1, "empty trace file".into()))??;
+        .ok_or_else(|| bad(1, "empty trace file".into()))?
+        .map_err(|e| unreadable(1, e))?;
     let header = parse(&header_line)
         .and_then(|v| TraceHeader::from_json(&v))
         .map_err(|e| bad(1, e))?;
@@ -213,7 +213,7 @@ pub fn read_trace(path: &Path) -> io::Result<(TraceHeader, Vec<OnlineArrival>)> 
     let mut last_at = 0.0f64;
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
-        let line = line?;
+        let line = line.map_err(|e| unreadable(line_no, e))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -262,9 +262,13 @@ pub fn read_trace(path: &Path) -> io::Result<(TraceHeader, Vec<OnlineArrival>)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{replay_trace, ReplayPacing};
     use anycast_dac::experiment::{ExperimentConfig, SystemSpec};
     use anycast_dac::online::record_arrivals;
     use anycast_dac::policy::PolicySpec;
+    use anycast_net::{topologies, Topology};
+    use anycast_telemetry::NullRecorder;
+    use proptest::prelude::*;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -352,5 +356,138 @@ mod tests {
         assert!(err.contains("horizon_secs"), "{err}");
         std::fs::remove_file(&path).ok();
         Ok(())
+    }
+
+    /// One line of a trace as its members, each value kept as raw JSON
+    /// text so a case can write values no renderer would.
+    fn members(line: &str) -> Vec<(String, String)> {
+        match parse(line) {
+            Ok(JsonValue::Obj(pairs)) => pairs
+                .into_iter()
+                .map(|(key, value)| (key, value.render()))
+                .collect(),
+            other => panic!("recorded lines are objects, got {other:?}"),
+        }
+    }
+
+    fn line(members: &[(String, String)]) -> Vec<u8> {
+        let body: Vec<String> = members
+            .iter()
+            .map(|(key, raw)| format!("\"{key}\":{raw}"))
+            .collect();
+        format!("{{{}}}", body.join(",")).into_bytes()
+    }
+
+    /// Writes `lines` as a trace and holds the loader to its contract: an
+    /// error is `InvalidData` and names a line of the file; an accepted
+    /// trace replays to its end.
+    fn check(
+        path: &Path,
+        lines: &[Vec<u8>],
+        topo: &Topology,
+        config: &ExperimentConfig,
+    ) -> Result<(), TestCaseError> {
+        let mut bytes = lines.join(&b'\n');
+        bytes.push(b'\n');
+        std::fs::write(path, &bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let arrivals = match read_trace(path) {
+            Ok((_, arrivals)) => arrivals,
+            Err(e) => {
+                let message = e.to_string();
+                let line_no = message
+                    .strip_prefix(&format!("{}:", path.display()))
+                    .and_then(|rest| rest.split(':').next())
+                    .and_then(|n| n.parse::<usize>().ok());
+                prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", message);
+                prop_assert!(
+                    line_no.is_some_and(|n| (1..=lines.len()).contains(&n)),
+                    "the error must name a line: {}",
+                    message
+                );
+                return Ok(());
+            }
+        };
+        match replay_trace(topo, config, path, ReplayPacing::Virtual, NullRecorder) {
+            Ok((outcome, _)) => prop_assert_eq!(outcome.arrivals, arrivals.len() as u64),
+            Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// A recorded trace, damaged: bytes overwritten (then cut at every
+        /// prefix of the damaged line), a field dropped, duplicated or
+        /// given the wrong type, an index written as `1e999`, `-0` or
+        /// `1.5`, arrivals out of order or past the horizon. The loader
+        /// never panics, and what it accepts the engine can replay.
+        #[test]
+        fn damaged_traces_are_rejected_by_line_or_replay(
+            start in 0usize..400,
+            len in 1usize..5,
+            target in any::<usize>(),
+            damage in 0u8..6,
+            choice in any::<usize>(),
+            hits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let topo = topologies::mci();
+            let config = quick_config();
+            let recorded = record_arrivals(&config);
+            let header = TraceHeader::for_config(&config).to_json().render();
+            let mut lines: Vec<Vec<u8>> = vec![header.into_bytes()];
+            lines.extend(
+                recorded
+                    .iter()
+                    .skip(start % recorded.len())
+                    .take(len)
+                    .map(|a| arrival_json(a).render().into_bytes()),
+            );
+            let target = target % lines.len();
+            let mut fields = members(std::str::from_utf8(&lines[target]).unwrap());
+            let field = choice % fields.len();
+            let path = temp_path("fuzz.jsonl");
+            match damage {
+                0 => {
+                    let mut damaged = lines[target].clone();
+                    for (at, byte) in hits {
+                        let at = at % damaged.len();
+                        damaged[at] = byte;
+                    }
+                    for cut in 0..=damaged.len() {
+                        lines[target] = damaged[..cut].to_vec();
+                        check(&path, &lines, &topo, &config)?;
+                    }
+                    return Ok(());
+                }
+                1 => {
+                    fields.remove(field);
+                }
+                2 => {
+                    let twin = (fields[field].0.clone(), "7".to_string());
+                    fields.insert(choice % (fields.len() + 1), twin);
+                }
+                3 => {
+                    let wrong = ["\"7\"", "true", "null", "[1]", "{}"];
+                    fields[field].1 = wrong[choice % wrong.len()].to_string();
+                }
+                4 => {
+                    let index = ["1e999", "-0", "1.5"];
+                    fields[field].1 = index[choice % index.len()].to_string();
+                }
+                _ => {
+                    if lines.len() > 2 && choice.is_multiple_of(2) {
+                        let last = lines.len() - 1;
+                        lines.swap(1 + choice % last, last);
+                    } else if target > 0 {
+                        let at = ["91", "1e6", "1e999", "-1", "-0"];
+                        let slot = fields.iter().position(|(key, _)| key == "at").unwrap();
+                        fields[slot].1 = at[choice % at.len()].to_string();
+                    }
+                }
+            }
+            if damage != 5 || target > 0 {
+                lines[target] = line(&fields);
+            }
+            check(&path, &lines, &topo, &config)?;
+        }
     }
 }

@@ -14,9 +14,9 @@
 //! simulation decides *when* each crossing happens (scheduling per-hop
 //! message events, drawing losses and delays, arming hold-expiry timers)
 //! and calls one transition per crossing. That keeps every transition
-//! deterministic and unit-testable, and lets a zero-delay caller run the
-//! whole exchange inline ([`SetupTable::run_express`]) with bit-identical
-//! message counts and link-state effects to the atomic engine.
+//! deterministic and unit-testable. An exchange with no delay and no loss
+//! is the atomic one, so a zero-delay caller uses
+//! [`ReservationEngine::probe_and_reserve`] and never builds a table.
 //!
 //! Leak-freedom invariant: every hold placed by a transition is released
 //! by exactly one of [`resv_err_step`](SetupTable::resv_err_step),
@@ -329,50 +329,6 @@ impl SetupTable {
         }
         (released, bw_total)
     }
-
-    /// Runs the entire two-phase exchange synchronously — the zero-delay,
-    /// loss-free degenerate case. Bit-identical to
-    /// [`ReservationEngine::probe_and_reserve`] in message counts,
-    /// link-state effects and outcome, but every hop goes through the hold
-    /// machinery (place → commit / release) like the event-driven path.
-    ///
-    /// # Errors
-    ///
-    /// [`ProbeError`] naming the first bottleneck link.
-    pub fn run_express(
-        &mut self,
-        engine: &mut ReservationEngine,
-        links: &mut LinkStateTable,
-        route: &Path,
-        bw: Bandwidth,
-        now: f64,
-    ) -> Result<ReservationOutcome, ProbeError> {
-        let id = self.begin(route.clone(), bw, now);
-        let hops = route.hops();
-        for hop in 0..hops {
-            match self
-                .path_step(engine, links, id, hop)
-                .expect("fresh setup is live")
-            {
-                PathStep::Held { .. } => {}
-                PathStep::Blocked(err) => {
-                    // RESV_ERR retraces the probed prefix, releasing every
-                    // hold as it crosses.
-                    for back in (0..=hop).rev() {
-                        self.resv_err_step(engine, links, id, back);
-                    }
-                    self.abandon(id);
-                    return Err(err);
-                }
-            }
-        }
-        for _ in 0..hops {
-            self.resv_step(engine, id);
-        }
-        Ok(self
-            .complete(engine, links, id)
-            .expect("synchronous exchange keeps every hold intact"))
-    }
 }
 
 /// Releases every hold a state still carries; returns how many.
@@ -426,70 +382,6 @@ mod tests {
     /// As [`pending`], for the reservation column.
     fn reserved(links: &LinkStateTable) -> Bandwidth {
         Bandwidth::from_bps(links.audit().unwrap().reserved_bps)
-    }
-
-    #[test]
-    fn express_matches_atomic_engine_on_success() {
-        let (_t, mut links_a, path) = line4();
-        let mut links_b = links_a.clone();
-        let mut atomic = ReservationEngine::new();
-        let a = atomic
-            .probe_and_reserve(&mut links_a, &path, Bandwidth::from_kbps(64))
-            .unwrap();
-        let mut two = ReservationEngine::new();
-        let mut table = SetupTable::new();
-        let b = table
-            .run_express(&mut two, &mut links_b, &path, Bandwidth::from_kbps(64), 0.0)
-            .unwrap();
-        assert_eq!(atomic.ledger(), two.ledger());
-        assert_eq!(a.route_bandwidth, b.route_bandwidth);
-        assert_eq!(a.session, b.session, "session ids issued identically");
-        for (la, lb) in links_a.iter().zip(links_b.iter()) {
-            assert_eq!(la, lb, "link state must match the atomic engine");
-        }
-        assert_eq!(pending(&links_b), Bandwidth::ZERO);
-        assert_eq!(table.in_flight(), 0);
-        // Teardown works through the normal engine path.
-        two.teardown(&mut links_b, b.session).unwrap();
-    }
-
-    #[test]
-    fn express_matches_atomic_engine_on_bottleneck() {
-        let (_t, mut links_a, path) = line4();
-        links_a
-            .reserve(path.links()[1], Bandwidth::from_mbps(1))
-            .unwrap();
-        let mut links_b = links_a.clone();
-        let mut atomic = ReservationEngine::new();
-        let ea = atomic
-            .probe_and_reserve(&mut links_a, &path, Bandwidth::from_kbps(64))
-            .unwrap_err();
-        let mut two = ReservationEngine::new();
-        let mut table = SetupTable::new();
-        let eb = table
-            .run_express(&mut two, &mut links_b, &path, Bandwidth::from_kbps(64), 0.0)
-            .unwrap_err();
-        assert_eq!(ea, eb);
-        assert_eq!(atomic.ledger(), two.ledger());
-        for (la, lb) in links_a.iter().zip(links_b.iter()) {
-            assert_eq!(la, lb);
-        }
-        assert_eq!(pending(&links_b), Bandwidth::ZERO);
-        assert_eq!(table.in_flight(), 0);
-    }
-
-    #[test]
-    fn express_trivial_route_needs_no_signaling() {
-        let (_t, mut links, _) = line4();
-        let mut engine = ReservationEngine::new();
-        let mut table = SetupTable::new();
-        let p = Path::trivial(NodeId::new(1));
-        let out = table
-            .run_express(&mut engine, &mut links, &p, Bandwidth::from_mbps(999), 0.0)
-            .unwrap();
-        assert_eq!(engine.ledger().total(), 0);
-        assert_eq!(out.route_bandwidth, Bandwidth::from_bps(u64::MAX));
-        engine.teardown(&mut links, out.session).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exportable without holding the simulation alive.
 
 use anycast_net::{LinkId, NodeId};
-use anycast_rsvp::{MessageKind, SessionId};
+use anycast_rsvp::{MessageKind, ProbeError, SessionId};
 
 /// An [`Event`] stamped with the simulated time it occurred at.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,6 +229,17 @@ pub enum SkipReason {
     NoFeasiblePath,
     /// The candidate was feasible but another destination was chosen.
     NotSelected,
+}
+
+impl From<ProbeError> for SkipReason {
+    /// The bottleneck a refused reservation walk reported.
+    fn from(err: ProbeError) -> Self {
+        SkipReason::LinkBlocked {
+            link: err.failed_link,
+            hop_index: err.hop_index,
+            available_bps: err.available.bps(),
+        }
+    }
 }
 
 impl SkipReason {

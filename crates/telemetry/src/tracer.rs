@@ -8,6 +8,11 @@
 //! [`DecisionTrace`]. Every method early-returns when the underlying
 //! recorder is disabled, so the traced admission path costs a disabled
 //! run nothing beyond one boolean captured at construction.
+//!
+//! A decision that spans several events (two-phase signalling waits for
+//! messages between its reservation attempts) keeps its trail between
+//! them: [`into_trail`](RequestTracer::into_trail) hands it back and
+//! [`resume`](RequestTracer::resume) continues it at the next event.
 
 use crate::event::{DecisionStep, DecisionTrace, Event, ProbeResult, SkipReason};
 use crate::recorder::Recorder;
@@ -20,23 +25,42 @@ pub struct RequestTracer<'a> {
     now_secs: f64,
     request: u64,
     armed: bool,
-    weights: Vec<f64>,
-    steps: Vec<DecisionStep>,
+    /// The first weight vector and every skipped probe so far; empty
+    /// unless armed.
+    trail: DecisionTrace,
 }
 
 impl<'a> RequestTracer<'a> {
     /// A tracer for `request` at simulated time `now_secs`. The tracer is
     /// armed exactly when the recorder is enabled.
     pub fn new(recorder: &'a mut dyn Recorder, now_secs: f64, request: u64) -> Self {
+        Self::resume(recorder, now_secs, request, DecisionTrace::default())
+    }
+
+    /// A tracer for `request` at `now_secs` that continues `trail`, which
+    /// an earlier tracer for the same request handed back through
+    /// [`into_trail`](Self::into_trail).
+    pub fn resume(
+        recorder: &'a mut dyn Recorder,
+        now_secs: f64,
+        request: u64,
+        trail: DecisionTrace,
+    ) -> Self {
         let armed = recorder.enabled();
         RequestTracer {
             recorder,
             now_secs,
             request,
             armed,
-            weights: Vec::new(),
-            steps: Vec::new(),
+            trail,
         }
+    }
+
+    /// Ends this tracer and returns the trail accumulated so far (empty,
+    /// and never allocated, when disarmed) for a later
+    /// [`resume`](Self::resume).
+    pub fn into_trail(self) -> DecisionTrace {
+        self.trail
     }
 
     /// Whether this tracer records anything. Callers may gate optional
@@ -56,10 +80,10 @@ impl<'a> RequestTracer<'a> {
     /// updated the history.
     #[inline]
     pub fn note_weights(&mut self, weights: &[f64]) {
-        if !self.armed || !self.weights.is_empty() {
+        if !self.armed || !self.trail.weights.is_empty() {
             return;
         }
-        self.weights.extend_from_slice(weights);
+        self.trail.weights.extend_from_slice(weights);
     }
 
     /// Notes a probe of `member_index` with the given selection `weight`
@@ -70,7 +94,7 @@ impl<'a> RequestTracer<'a> {
             return;
         }
         if let ProbeResult::Skipped(skip) = result {
-            self.steps.push(DecisionStep {
+            self.trail.steps.push(DecisionStep {
                 member_index,
                 weight,
                 skip,
@@ -141,10 +165,7 @@ impl<'a> RequestTracer<'a> {
         if !self.armed {
             return;
         }
-        let trace = DecisionTrace {
-            weights: std::mem::take(&mut self.weights),
-            steps: std::mem::take(&mut self.steps),
-        };
+        let trace = std::mem::take(&mut self.trail);
         self.recorder.record(
             self.now_secs,
             Event::Rejection {
@@ -214,6 +235,27 @@ mod tests {
         assert_eq!(trace.steps[0].member_index, 0);
         assert_eq!(trace.steps[1].member_index, 1);
         assert_eq!(trace.steps[1].skip, blocked(8));
+    }
+
+    #[test]
+    fn a_resumed_trail_closes_with_every_step() {
+        let mut ring = RingRecorder::new(7);
+        let mut t = RequestTracer::new(&mut ring, 1.0, 3);
+        t.note_weights(&[0.6, 0.4]);
+        t.note_probe(0, 0.6, ProbeResult::Skipped(blocked(2)));
+        let trail = t.into_trail();
+        let mut t = RequestTracer::resume(&mut ring, 1.5, 3, trail);
+        t.note_weights(&[0.0, 1.0]);
+        t.note_probe(1, 1.0, ProbeResult::Skipped(blocked(5)));
+        t.finish_rejected(2);
+        let events = ring.events();
+        let Event::Rejection { trace, .. } = &events[2].event else {
+            panic!("last event must be the rejection, got {:?}", events[2]);
+        };
+        assert_eq!(events[2].time_secs, 1.5);
+        assert_eq!(trace.weights, vec![0.6, 0.4], "the first draw's weights");
+        assert_eq!(trace.steps.len(), 2);
+        assert_eq!(trace.steps[1].skip, blocked(5));
     }
 
     #[test]
