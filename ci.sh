@@ -56,8 +56,7 @@ echo "==> NaN gate (no bench artifact and no printed metric may be NaN or infini
 cargo run --release --offline -p anycast-cli --bin anycast -- \
     simulate --lambda 45 --system gdi --warmup 20 --measure 80 \
     > /tmp/gdi_metrics.txt
-! grep -qiE 'nan|inf' /tmp/BENCH_pr9_ci.json \
-    BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json /tmp/gdi_metrics.txt
+! grep -qiE 'nan|inf' /tmp/BENCH_pr9_ci.json BENCH_pr*.json /tmp/gdi_metrics.txt
 rm -f /tmp/gdi_metrics.txt
 
 echo "==> two-phase leak smoke (lossy signalling must leak zero held bandwidth)"

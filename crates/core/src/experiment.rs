@@ -24,7 +24,9 @@ use anycast_net::{
     topologies, AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, RouteSet, RouteTable,
     Topology,
 };
-use anycast_rsvp::{MessageLedger, ReservationEngine, ReservationOutcome, SessionId};
+use anycast_rsvp::{
+    MessageLedger, ReservationEngine, ReservationOutcome, SessionId, SessionMap, SessionSet,
+};
 use anycast_sim::stats::{AdmissionStats, TimeWeighted};
 use anycast_sim::workload::{
     BurstyWorkload, FlowRequest, HoldingSampler, ModulatedWorkload, PoissonWorkload, RateEnvelope,
@@ -35,7 +37,7 @@ use anycast_telemetry::{
     TeardownReason,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The horizon a rolling-window (run-forever) service advances toward:
 /// ~31 million simulated years, far past any deployment's lifetime, yet
@@ -1176,12 +1178,12 @@ pub(crate) struct Sim<R: Recorder> {
     /// Admitted flows whose source is still there, with the instant each
     /// reservation was installed — the last refresh of a session no sweep
     /// has seen yet.
-    live_flows: HashMap<SessionId, f64>,
-    killed: HashSet<SessionId>,
+    live_flows: SessionMap<f64>,
+    killed: SessionSet,
     /// Sessions torn down early over the wire (`teardown` op): their
     /// still-scheduled holding-time [`Event::Departure`] must become a
     /// no-op, exactly as `killed` neutralises fault victims' departures.
-    wire_torn: HashSet<SessionId>,
+    wire_torn: SessionSet,
     book: FaultBook,
     refresh_interval: Duration,
     control: ControlFaultModel,
@@ -1192,7 +1194,6 @@ pub(crate) struct Sim<R: Recorder> {
     /// in flight, always `next_request_id`.
     verdicts: u64,
     feed: Feed,
-    feed_head_scheduled: bool,
     capture_decisions: bool,
     decisions: Vec<Decision>,
     recorder: R,
@@ -1288,23 +1289,22 @@ impl<R: Recorder> Sim<R> {
         // was constructed — consuming its RNG forks — in both modes, so the
         // selection/demand/group/fault/backoff streams are seeded identically
         // either way; that is what makes virtual-time replay of a recorded
-        // trace bit-identical to the offline engine.
+        // trace bit-identical to the offline engine. The feed has at most
+        // one arrival pending, and it waits in the engine's next-event slot.
         let mut feed = if external {
             Feed::External(VecDeque::new())
         } else {
             Feed::Workload(workload)
         };
-        let first = next_feed_arrival(
+        if let Some((at, arrival)) = next_feed_arrival(
             &mut feed,
             config,
             &group_shares,
             &demand_weights,
             &mut demand_rng,
             &mut group_rng,
-        );
-        let feed_head_scheduled = first.is_some();
-        if let Some((at, arrival)) = first {
-            engine.schedule_at(at, arrival);
+        ) {
+            engine.schedule_next(at, arrival);
         }
 
         let sim = Sim {
@@ -1333,9 +1333,9 @@ impl<R: Recorder> Sim<R> {
             load: None,
             availability: None,
             orphans: OrphanTimers::new(refresh),
-            live_flows: HashMap::new(),
-            killed: HashSet::new(),
-            wire_torn: HashSet::new(),
+            live_flows: SessionMap::default(),
+            killed: SessionSet::default(),
+            wire_torn: SessionSet::default(),
             book: FaultBook::new(),
             refresh_interval: Duration::from_secs(refresh.refresh_interval_secs),
             control: config.faults.control,
@@ -1344,7 +1344,6 @@ impl<R: Recorder> Sim<R> {
             next_request_id: 0,
             verdicts: 0,
             feed,
-            feed_head_scheduled,
             capture_decisions: false,
             decisions: Vec::new(),
             recorder,
@@ -1404,7 +1403,7 @@ impl<R: Recorder> Sim<R> {
         }
         self.note_load(now);
         self.check_accounting();
-        match next_feed_arrival(
+        if let Some((at, next)) = next_feed_arrival(
             &mut self.feed,
             &self.config,
             &self.group_shares,
@@ -1412,8 +1411,7 @@ impl<R: Recorder> Sim<R> {
             &mut self.demand_rng,
             &mut self.group_rng,
         ) {
-            Some((at, next)) => eng.schedule_at(at, next),
-            None => self.feed_head_scheduled = false,
+            eng.schedule_next(at, next);
         }
     }
 
@@ -2074,8 +2072,9 @@ impl<R: Recorder> Sim<R> {
 
     /// Enqueues one externally-submitted arrival.
     ///
-    /// When no arrival is scheduled (the queue had run dry) this one is
-    /// scheduled directly; otherwise it waits in the queue for the
+    /// When no arrival is scheduled (the engine's next-event slot is
+    /// empty: the queue had run dry) this one is scheduled directly;
+    /// otherwise it waits in the queue for the
     /// arrival before it to pop it — exactly where the offline engine
     /// would have drawn it from the workload.
     ///
@@ -2117,11 +2116,10 @@ impl<R: Recorder> Sim<R> {
             holding_secs: arrival.holding_secs,
             demand: arrival.demand,
         });
-        if self.feed_head_scheduled {
+        if engine.next_scheduled() {
             queue.push_back((at, event));
         } else {
-            engine.schedule_at(at, event);
-            self.feed_head_scheduled = true;
+            engine.schedule_next(at, event);
         }
     }
 }

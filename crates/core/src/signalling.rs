@@ -21,7 +21,7 @@ use anycast_net::{LinkId, LinkStateTable, Path};
 use anycast_rsvp::{
     MessageKind, PathStep, ReservationEngine, ReservationOutcome, SetupId, SetupTable,
 };
-use anycast_sim::{Duration, Engine, SimRng, SimTime, TimerWheel};
+use anycast_sim::{DeadlineHeap, Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{Event as TelemetryEvent, Recorder, SkipReason};
 use std::collections::HashMap;
 
@@ -135,7 +135,7 @@ pub(crate) struct TwoPhaseState {
     /// (in-flight messages for dead setups still need attribution).
     setup_req: HashMap<SetupId, u64>,
     pub(crate) pending: HashMap<u64, PendingAdmission>,
-    holds: TimerWheel<(SetupId, usize)>,
+    holds: DeadlineHeap<(SetupId, usize)>,
     backoff_rng: SimRng,
     pub(crate) holds_placed: u64,
     pub(crate) holds_expired: u64,
@@ -166,7 +166,7 @@ impl TwoPhaseState {
             table: SetupTable::new(),
             setup_req: HashMap::new(),
             pending: HashMap::new(),
-            holds: TimerWheel::new(),
+            holds: DeadlineHeap::new(),
             backoff_rng,
             holds_placed: 0,
             holds_expired: 0,

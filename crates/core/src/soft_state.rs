@@ -14,7 +14,7 @@
 //! the reference the property test below checks this one against.
 
 use anycast_rsvp::{RefreshConfig, SessionId};
-use anycast_sim::TimerWheel;
+use anycast_sim::DeadlineHeap;
 
 /// Soft-state expiry for orphans: the last sweep's instant plus one
 /// armed timer per orphaned reservation.
@@ -23,7 +23,7 @@ pub(crate) struct OrphanTimers {
     refresh: RefreshConfig,
     /// When the latest refresh sweep ran; −∞ until the first one.
     last_sweep: f64,
-    wheel: TimerWheel<SessionId>,
+    deadlines: DeadlineHeap<SessionId>,
 }
 
 impl OrphanTimers {
@@ -31,7 +31,7 @@ impl OrphanTimers {
         OrphanTimers {
             refresh,
             last_sweep: f64::NEG_INFINITY,
-            wheel: TimerWheel::new(),
+            deadlines: DeadlineHeap::new(),
         }
     }
 
@@ -48,40 +48,40 @@ impl OrphanTimers {
     /// Returns the wake-up to schedule, if the pending one is too late.
     pub(crate) fn orphan(&mut self, session: SessionId, admitted_at: f64) -> Option<f64> {
         let deadline = admitted_at.max(self.last_sweep) + self.refresh.lifetime_secs();
-        self.wheel.arm(session, deadline);
-        self.wheel.tick_needed()
+        self.deadlines.arm(session, deadline);
+        self.deadlines.tick_needed()
     }
 
     /// Something else (a fault) released `session`'s reservation. Returns
     /// whether it was an orphan awaiting expiry.
     pub(crate) fn cancel(&mut self, session: SessionId) -> bool {
-        self.wheel.cancel(&session).is_some()
+        self.deadlines.cancel(&session).is_some()
     }
 
     /// The deadline `session` is orphaned until, if it is an orphan.
     #[cfg(test)]
     pub(crate) fn deadline(&self, session: SessionId) -> Option<f64> {
-        self.wheel.deadline(&session)
+        self.deadlines.deadline(&session)
     }
 
     /// Orphans whose lifetime ended by `now`, ascending by id. A wake-up
     /// fires at every armed deadline, so one call returns the orphans of
     /// one deadline; id order is the order a sweep refreshed them in.
     pub(crate) fn pop_expired(&mut self, now: f64) -> Vec<SessionId> {
-        let mut due = self.wheel.pop_due(now);
+        let mut due = self.deadlines.pop_due(now);
         due.sort_unstable();
         due
     }
 
     /// The next wake-up to schedule, if none pending covers it.
     pub(crate) fn tick_needed(&mut self) -> Option<f64> {
-        self.wheel.tick_needed()
+        self.deadlines.tick_needed()
     }
 
     /// Timers armed over the whole run — orphans created, that is.
     #[cfg(test)]
     pub(crate) fn armed_total(&self) -> u64 {
-        self.wheel.armed_total()
+        self.deadlines.armed_total()
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::{LinkId, NetError, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A loop-free route through the network: an alternating, consistent
 /// sequence of nodes and links.
@@ -14,8 +15,19 @@ use std::fmt;
 ///
 /// A path may be *trivial* (source equals destination, zero links); a flow
 /// on a trivial path consumes no network bandwidth and is always admissible.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// A path is immutable and shares its sequences: cloning one (for a
+/// reservation, or a two-phase setup) bumps a reference count instead of
+/// copying the route.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Path {
+    hops: Arc<Hops>,
+}
+
+/// The node and link sequences of a [`Path`], moved in once at
+/// construction.
+#[derive(PartialEq, Eq, Hash)]
+struct Hops {
     nodes: Vec<NodeId>,
     links: Vec<LinkId>,
 }
@@ -60,66 +72,80 @@ impl Path {
                 ));
             }
         }
-        Ok(Path { nodes, links })
+        Ok(Path::from_parts(nodes, links))
+    }
+
+    fn from_parts(nodes: Vec<NodeId>, links: Vec<LinkId>) -> Self {
+        Path {
+            hops: Arc::new(Hops { nodes, links }),
+        }
     }
 
     /// Creates a trivial path at `node` (source equals destination).
     pub fn trivial(node: NodeId) -> Self {
-        Path {
-            nodes: vec![node],
-            links: Vec::new(),
-        }
+        Path::from_parts(vec![node], Vec::new())
     }
 
     /// The source node.
     pub fn source(&self) -> NodeId {
-        self.nodes[0]
+        self.hops.nodes[0]
     }
 
     /// The destination node.
     pub fn destination(&self) -> NodeId {
-        *self.nodes.last().expect("path has at least one node")
+        *self.hops.nodes.last().expect("path has at least one node")
     }
 
     /// Hop count: the number of links traversed.
     ///
     /// This is the distance metric `D_i` of the paper's weight formulas.
     pub fn hops(&self) -> usize {
-        self.links.len()
+        self.hops.links.len()
     }
 
     /// `true` when the source is the destination and no links are crossed.
     pub fn is_trivial(&self) -> bool {
-        self.links.is_empty()
+        self.hops.links.is_empty()
     }
 
     /// The node sequence, source first.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+        &self.hops.nodes
     }
 
     /// The link sequence in traversal order.
     pub fn links(&self) -> &[LinkId] {
-        &self.links
+        &self.hops.links
     }
 
     /// Iterates `(from, link, to)` triples in traversal order.
     pub fn segments(&self) -> impl Iterator<Item = (NodeId, LinkId, NodeId)> + '_ {
-        self.links
+        let Hops { nodes, links } = &*self.hops;
+        links
             .iter()
             .enumerate()
-            .map(move |(i, l)| (self.nodes[i], *l, self.nodes[i + 1]))
+            .map(move |(i, l)| (nodes[i], *l, nodes[i + 1]))
     }
 
     /// Returns `true` if `link` is traversed by this path.
     pub fn uses_link(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
+        self.hops.links.contains(&link)
+    }
+}
+
+/// Prints what a derive over the two sequences would.
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Path")
+            .field("nodes", &self.hops.nodes)
+            .field("links", &self.hops.links)
+            .finish()
     }
 }
 
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, n) in self.hops.nodes.iter().enumerate() {
             if i > 0 {
                 write!(f, "-")?;
             }
@@ -165,6 +191,36 @@ mod tests {
                 (NodeId::new(1), LinkId::new(1), NodeId::new(2)),
             ]
         );
+    }
+
+    #[test]
+    fn shared_hops_print_and_hash_as_the_two_sequences() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        /// A plain derive over the two sequences: what `Path` must print
+        /// and hash as.
+        #[derive(Debug, Hash)]
+        struct Path {
+            nodes: Vec<NodeId>,
+            links: Vec<LinkId>,
+        }
+        fn hash(h: &impl Hash) -> u64 {
+            let mut s = DefaultHasher::new();
+            h.hash(&mut s);
+            s.finish()
+        }
+        let nodes = vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)];
+        let links = vec![LinkId::new(0), LinkId::new(1)];
+        let p = super::Path::new(&square(), nodes.clone(), links.clone()).unwrap();
+        let flat = Path { nodes, links };
+        assert_eq!(format!("{p:?}"), format!("{flat:?}"));
+        assert_eq!(format!("{p:#?}"), format!("{flat:#?}"));
+        assert_eq!(hash(&p), hash(&flat));
+        let q = p.clone();
+        assert_eq!(q, p);
+        assert_eq!(q.links().as_ptr(), p.links().as_ptr());
+        assert_eq!(q.nodes().as_ptr(), p.nodes().as_ptr());
     }
 
     #[test]

@@ -34,9 +34,11 @@ impl BfsTree {
         if dest.index() >= self.dist.len() {
             return None;
         }
-        self.dist[dest.index()]?;
-        let mut nodes = vec![dest];
-        let mut links = Vec::new();
+        // Sized exactly: the path moves these vectors in as they are.
+        let hops = self.dist[dest.index()]? as usize;
+        let mut nodes = Vec::with_capacity(hops + 1);
+        nodes.push(dest);
+        let mut links = Vec::with_capacity(hops);
         let mut cur = dest;
         while cur != self.root {
             let (prev, link) = self.parent[cur.index()].expect("reachable non-root has parent");

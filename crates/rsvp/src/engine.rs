@@ -1,8 +1,7 @@
 //! The reservation engine: PATH/RESV walks over the link ledger.
 
-use crate::{MessageKind, MessageLedger, Reservation, SessionId};
+use crate::{MessageKind, MessageLedger, Reservation, SessionId, SessionMap};
 use anycast_net::{Bandwidth, LinkId, LinkStateTable, Path};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -77,7 +76,7 @@ impl Error for TeardownError {}
 #[derive(Debug, Default)]
 pub struct ReservationEngine {
     next_id: u64,
-    active: HashMap<SessionId, Reservation>,
+    active: SessionMap<Reservation>,
     ledger: MessageLedger,
 }
 

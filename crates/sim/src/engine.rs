@@ -57,6 +57,30 @@ impl<E> Engine<E> {
         self.queue.push(at, event);
     }
 
+    /// Schedules `event` at absolute time `at` as the single pending event
+    /// of a one-at-a-time stream, such as a workload whose each arrival
+    /// schedules the next. It waits in a slot beside the heap and pops in
+    /// exactly the order [`schedule_at`](Self::schedule_at) would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current clock, or if the
+    /// stream's previous event has not popped yet.
+    pub fn schedule_next(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: {at} < now {}",
+            self.now
+        );
+        self.queue.push_next(at, event);
+    }
+
+    /// `true` while an event scheduled with
+    /// [`schedule_next`](Self::schedule_next) has not popped.
+    pub fn next_scheduled(&self) -> bool {
+        self.queue.next_pending()
+    }
+
     /// Schedules `event` at `base + delay`.
     ///
     /// Passing the handler's `now` argument as `base` is the common case.
@@ -195,6 +219,34 @@ mod tests {
         engine.run(|eng, _, _| {
             eng.schedule_at(SimTime::from_secs(1.0), Ev::Stop);
         });
+    }
+
+    #[test]
+    fn next_event_interleaves_with_the_heap() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_secs(1.0), Ev::Tick(1));
+        engine.schedule_next(SimTime::from_secs(1.0), Ev::Tick(2));
+        assert!(engine.next_scheduled());
+        assert_eq!(engine.pending(), 2);
+        let mut seen = Vec::new();
+        engine.run(|eng, now, ev| {
+            if let Ev::Tick(n) = ev {
+                seen.push(n);
+                if n == 2 {
+                    assert!(!eng.next_scheduled());
+                    eng.schedule_next(now, Ev::Tick(3));
+                }
+            }
+        });
+        assert_eq!(seen, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already occupied")]
+    fn second_pending_next_event_panics() {
+        let mut engine = Engine::new();
+        engine.schedule_next(SimTime::from_secs(1.0), Ev::Stop);
+        engine.schedule_next(SimTime::from_secs(2.0), Ev::Stop);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! the evaluation needs.
 //!
 //! * [`SimTime`] / [`Duration`] — simulated seconds with a total order;
-//! * [`EventQueue`] / [`Engine`] — a time-ordered heap with FIFO tie-break
-//!   and a driver loop;
+//! * [`EventQueue`] / [`Engine`] — a time-ordered heap with FIFO tie-break,
+//!   a one-entry slot beside it for the next arrival, and a driver loop;
 //! * [`SimRng`] — a seeded PRNG with exponential, uniform and weighted
 //!   categorical sampling (including without-replacement);
-//! * [`TimerWheel`] — keyed, cancellable deadlines (setup timeouts,
+//! * [`DeadlineHeap`] — keyed, cancellable deadlines (setup timeouts,
 //!   soft-state expiry) popped deterministically off the event queue;
 //! * [`stats`] — counters, Welford mean/variance, confidence intervals,
 //!   time-weighted averages and an admission-probability estimator with
@@ -46,18 +46,18 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+mod deadline;
 mod engine;
 mod event;
 pub mod pool;
 mod random;
 pub mod stats;
 mod time;
-mod timer;
 pub mod workload;
 
 pub use clock::{TimeSource, VirtualClock, WallClock};
+pub use deadline::DeadlineHeap;
 pub use engine::Engine;
 pub use event::EventQueue;
 pub use random::SimRng;
 pub use time::{Duration, SimTime};
-pub use timer::TimerWheel;
