@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> allocation budget (release; an allocation back on the DAC request path fails here)"
+# Exact allocation counts of full MCI runs per system, plus a K = 16
+# fat-tree run held to 0.01 allocations per request.
+cargo test --release --offline -q -p anycast-dac --test alloc_budget
+
 echo "==> daemon overload smoke (bench_pr9: shedding must bound p99 under overload)"
 # The binary hard-asserts the accounting identity (every request is
 # admitted, shed, a duplicate, or a shutdown rejection) and the p99

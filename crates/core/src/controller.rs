@@ -99,6 +99,10 @@ pub struct AdmissionController {
     /// `links.version()` at which the whole cache was last validated;
     /// `None` before the first computation.
     bw_version: Option<u64>,
+    /// A finished request's `weights` and `untried` buffers, handed to the
+    /// next [`DacRequest`]; empty while a parked request holds them.
+    spare_weights: Vec<f64>,
+    spare_untried: Vec<bool>,
 }
 
 impl AdmissionController {
@@ -126,6 +130,8 @@ impl AdmissionController {
             bw_cache: Vec::new(),
             bw_epoch: Vec::new(),
             bw_version: None,
+            spare_weights: Vec::new(),
+            spare_untried: Vec::new(),
         }
     }
 
@@ -147,7 +153,9 @@ impl AdmissionController {
     /// Computes the policy's current selection weights without performing
     /// an admission (used by examples and diagnostics).
     pub fn current_weights(&mut self, routes: &[Path], links: &LinkStateTable) -> Vec<f64> {
-        self.weights(Routes::Single(routes), links)
+        let mut weights = Vec::new();
+        self.weights(Routes::Single(routes), links, &mut weights);
+        weights
     }
 
     /// Runs the DAC procedure of Figure 1 for one flow request.
@@ -209,19 +217,20 @@ impl AdmissionController {
     ) -> (AdmissionOutcome, u32) {
         let mut probes = 0u32;
         let mut request = DacRequest::start(self, routes, links, rng, tracer);
-        loop {
+        let outcome = loop {
             let fan = routes.member(request.pick);
             match reserve_first(fan, links, rsvp, demand, &mut probes) {
-                Ok((reserved, hops)) => {
-                    return (request.admitted(self, reserved, hops, tracer), probes);
-                }
+                Ok((reserved, hops)) => break request.admitted(self, reserved, hops, tracer),
                 Err(e) => {
                     if !request.failed(self, routes, links, rng, e.into(), tracer) {
-                        return (request.rejected(), probes);
+                        break request.rejected();
                     }
                 }
             }
-        }
+        };
+        self.spare_weights = request.weights;
+        self.spare_untried = request.untried;
+        (outcome, probes)
     }
 
     /// Clears the admission history (e.g. between measurement epochs).
@@ -230,17 +239,16 @@ impl AdmissionController {
     }
 
     /// The input to step 1.1: the policy's selection weights against the
-    /// current link state.
-    fn weights(&mut self, routes: Routes<'_>, links: &LinkStateTable) -> Vec<f64> {
+    /// current link state, written into `weights`.
+    fn weights(&mut self, routes: Routes<'_>, links: &LinkStateTable, weights: &mut Vec<f64>) {
         self.refresh_route_bandwidth(routes, links);
         let ctx = SelectionContext {
             distances: &self.distances,
             history: self.history.entries(),
             route_bandwidth_bps: &self.bw_cache,
         };
-        let weights = self.policy.assign(&ctx);
+        self.policy.assign_into(&ctx, weights);
         debug_assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        weights
     }
 
     /// Brings `bw_cache` up to date with the ledger, recomputing only the
@@ -369,10 +377,14 @@ impl DacRequest {
             controller.distances.len(),
             "routes must cover every group member"
         );
+        // The controller's spare buffers, if no parked request holds them.
+        let mut untried = std::mem::take(&mut controller.spare_untried);
+        untried.clear();
+        untried.resize(routes.len(), true);
         let mut request = DacRequest {
-            untried: vec![true; routes.len()],
+            untried,
             tries: 0,
-            weights: Vec::new(),
+            weights: std::mem::take(&mut controller.spare_weights),
             pick: 0,
             trail: DecisionTrace::default(),
         };
@@ -469,17 +481,15 @@ impl DacRequest {
         rng: &mut SimRng,
         tracer: &mut RequestTracer<'_>,
     ) -> bool {
-        self.weights = controller.weights(routes, links);
+        controller.weights(routes, links, &mut self.weights);
         tracer.note_weights(&self.weights);
         let pick = match rng.choose_weighted_masked(&self.weights, &self.untried) {
             Some(i) => i,
             None => {
-                let remaining: Vec<usize> = (0..self.untried.len())
-                    .filter(|&i| self.untried[i])
-                    .collect();
-                match remaining.len() {
+                let mut remaining = (0..self.untried.len()).filter(|&i| self.untried[i]);
+                match remaining.clone().count() {
                     0 => return false,
-                    n => remaining[rng.below(n)],
+                    n => remaining.nth(rng.below(n)).expect("n untried members"),
                 }
             }
         };

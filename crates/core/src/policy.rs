@@ -1,8 +1,8 @@
 //! Destination-selection policies: ED, WD/D+H and WD/D+B (§4.3).
 
 use crate::weights::{
-    bandwidth_distance_weights, distance_weights, distance_weights_into, history_adjusted_weights,
-    history_adjusted_weights_into, uniform_weights,
+    bandwidth_distance_weights_into, distance_weights_into, history_adjusted_weights_into,
+    history_damping, uniform_weights_into,
 };
 use crate::DacError;
 use serde::{Deserialize, Serialize};
@@ -55,17 +55,31 @@ impl SelectionContext<'_> {
 /// A destination-selection weight policy (sealed).
 ///
 /// Implementations return a probability distribution over the `K` group
-/// members: non-negative weights summing to one (eq. 1). `assign` takes
-/// `&mut self` because WD/D+H in [`HistoryMode::Iterative`] carries
-/// persistent weight state between selections.
+/// members: non-negative weights summing to one (eq. 1). Assignment takes
+/// `&mut self` because WD/D+H caches its eq. (4) base vector and, in
+/// [`HistoryMode::Iterative`], carries persistent weight state between
+/// selections.
 pub trait WeightAssigner: fmt::Debug + Send + private::Sealed {
-    /// Computes the member weights for the next selection.
+    /// Writes the member weights for the next selection into `out`,
+    /// replacing its contents; a reused buffer keeps the request path
+    /// allocation-free.
     ///
     /// # Panics
     ///
     /// Implementations panic on malformed contexts (mismatched lengths);
     /// validate with [`SelectionContext::validate`] at the boundary.
-    fn assign(&mut self, ctx: &SelectionContext<'_>) -> Vec<f64>;
+    fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>);
+
+    /// [`assign_into`](Self::assign_into) into a fresh vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`assign_into`](Self::assign_into).
+    fn assign(&mut self, ctx: &SelectionContext<'_>) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.assign_into(ctx, &mut out);
+        out
+    }
 
     /// The paper's name for the algorithm (`"ED"`, `"WD/D+H"`, `"WD/D+B"`).
     fn name(&self) -> &'static str;
@@ -94,8 +108,8 @@ mod private {
 pub struct Ed;
 
 impl WeightAssigner for Ed {
-    fn assign(&mut self, ctx: &SelectionContext<'_>) -> Vec<f64> {
-        uniform_weights(ctx.distances.len())
+    fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>) {
+        uniform_weights_into(ctx.distances.len(), out);
     }
 
     fn name(&self) -> &'static str {
@@ -129,13 +143,23 @@ pub struct WdDh {
     alpha: f64,
     mode: HistoryMode,
     history_cap: Option<u32>,
-    persistent: Option<Vec<f64>>,
-    /// Flat scratch for the eq. (4) base weights, reused across selections
-    /// so the per-request hot path stays allocation-light.
-    base_scratch: Vec<f64>,
-    /// Flat scratch for the (possibly capped) effective history.
-    hist_scratch: Vec<u32>,
+    /// `damp[h] = α^h` for `h < DAMP_TABLE_LEN`, each entry from
+    /// [`history_damping`] itself, so a lookup is bit-identical to the
+    /// call it replaces. Longer histories fall back to the call.
+    damp: [f64; DAMP_TABLE_LEN],
+    /// The distances `base` was computed from.
+    base_distances: Vec<u32>,
+    /// The eq. (4) base weights, recomputed only when the distances change
+    /// (one controller's distances never do).
+    base: Vec<f64>,
+    /// [`HistoryMode::Iterative`]'s weight vector: the previous output,
+    /// empty before the first selection.
+    persistent: Vec<f64>,
 }
+
+/// Histories shorter than this damp by table lookup. A full-horizon MCI
+/// run at λ = 35 reaches `h = 31`.
+const DAMP_TABLE_LEN: usize = 32;
 
 impl WdDh {
     /// Creates the policy with the given damping parameter and update mode.
@@ -155,9 +179,10 @@ impl WdDh {
             alpha,
             mode,
             history_cap: None,
-            persistent: None,
-            base_scratch: Vec::new(),
-            hist_scratch: Vec::new(),
+            damp: std::array::from_fn(|h| history_damping(alpha, h as u32)),
+            base_distances: Vec::new(),
+            base: Vec::new(),
+            persistent: Vec::new(),
         })
     }
 
@@ -195,14 +220,13 @@ impl WdDh {
         self.history_cap
     }
 
-    /// Copies the (possibly capped) history into `hist_scratch`.
-    fn load_effective_history(&mut self, history: &[u32]) {
-        self.hist_scratch.clear();
-        match self.history_cap {
-            None => self.hist_scratch.extend_from_slice(history),
-            Some(cap) => self
-                .hist_scratch
-                .extend(history.iter().map(|&h| h.min(cap))),
+    /// `α^min(h, cap)`. A cap is at least 1, so it never turns a tainted
+    /// record into a clean one.
+    fn damp(&self, h: u32) -> f64 {
+        let h = self.history_cap.map_or(h, |cap| h.min(cap));
+        match self.damp.get(h as usize) {
+            Some(&d) => d,
+            None => history_damping(self.alpha, h),
         }
     }
 
@@ -213,32 +237,21 @@ impl WdDh {
 }
 
 impl WeightAssigner for WdDh {
-    fn assign(&mut self, ctx: &SelectionContext<'_>) -> Vec<f64> {
-        self.load_effective_history(ctx.history);
-        match self.mode {
-            HistoryMode::FromBase => {
-                // Flat scratch buffers: same arithmetic as the allocating
-                // path (the `_into` twins are bit-identical by contract),
-                // but the eq. (4) base vector is computed in place.
-                distance_weights_into(ctx.distances, &mut self.base_scratch);
-                let mut out = Vec::new();
-                history_adjusted_weights_into(
-                    &self.base_scratch,
-                    &self.hist_scratch,
-                    self.alpha,
-                    &mut out,
-                );
-                out
-            }
-            HistoryMode::Iterative => {
-                let base = self
-                    .persistent
-                    .take()
-                    .unwrap_or_else(|| distance_weights(ctx.distances));
-                let adjusted = history_adjusted_weights(&base, &self.hist_scratch, self.alpha);
-                self.persistent = Some(adjusted.clone());
-                adjusted
-            }
+    fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>) {
+        if self.base_distances != ctx.distances {
+            distance_weights_into(ctx.distances, &mut self.base);
+            self.base_distances.clear();
+            self.base_distances.extend_from_slice(ctx.distances);
+        }
+        let iterative = self.mode == HistoryMode::Iterative;
+        let input = if iterative && !self.persistent.is_empty() {
+            &self.persistent
+        } else {
+            &self.base
+        };
+        history_adjusted_weights_into(input, ctx.history, |h| self.damp(h), out);
+        if iterative {
+            self.persistent.clone_from(out);
         }
     }
 
@@ -258,12 +271,12 @@ impl WeightAssigner for WdDh {
 pub struct WdDb;
 
 impl WeightAssigner for WdDb {
-    fn assign(&mut self, ctx: &SelectionContext<'_>) -> Vec<f64> {
+    fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>) {
         assert!(
             !ctx.route_bandwidth_bps.is_empty(),
             "WD/D+B requires route bandwidth information in the selection context"
         );
-        bandwidth_distance_weights(ctx.route_bandwidth_bps, ctx.distances)
+        bandwidth_distance_weights_into(ctx.route_bandwidth_bps, ctx.distances, out);
     }
 
     fn name(&self) -> &'static str {
@@ -334,6 +347,7 @@ impl fmt::Display for PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ctx<'a>(distances: &'a [u32], history: &'a [u32], bw: &'a [f64]) -> SelectionContext<'a> {
         SelectionContext {
@@ -474,5 +488,83 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Every policy shape: ED, WD/D+H in both modes with and without a
+    /// history cap, and WD/D+B.
+    fn every_policy(alpha: f64, cap: u32) -> Vec<Box<dyn WeightAssigner>> {
+        let mut policies: Vec<Box<dyn WeightAssigner>> = vec![Box::new(Ed), Box::new(WdDb)];
+        for mode in [HistoryMode::FromBase, HistoryMode::Iterative] {
+            policies.push(Box::new(WdDh::new(alpha, mode).unwrap()));
+            policies.push(Box::new(WdDh::with_history_cap(alpha, mode, cap).unwrap()));
+        }
+        policies
+    }
+
+    /// One member's `(distance, history, route bandwidth)`: a third of the
+    /// histories clean, the rest reaching past the damp table, and a
+    /// quarter of the bandwidths zero.
+    fn member() -> impl Strategy<Value = (u32, u32, f64)> {
+        (0u32..12, any::<u8>(), 0u32..80, any::<u8>(), 0.0f64..1e8).prop_map(|(d, hk, h, bk, b)| {
+            let h = if hk % 3 == 0 { 0 } else { h };
+            let b = if bk % 4 == 0 { 0.0 } else { b };
+            (d, h, b)
+        })
+    }
+
+    fn bits(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    proptest! {
+        /// `assign_into` through one dirty buffer reused across a run of
+        /// selections equals `assign` on a twin policy, bit for bit.
+        #[test]
+        fn assign_into_a_reused_buffer_matches_assign(
+            k in 1usize..=16,
+            steps in proptest::collection::vec(proptest::collection::vec(member(), 16), 1..6),
+            alpha in 0.0f64..=1.0,
+            cap in 1u32..40,
+            garbage in proptest::collection::vec(-1e9f64..1e9, 0..24),
+        ) {
+            let twins = every_policy(alpha, cap).into_iter().zip(every_policy(alpha, cap));
+            for (mut into, mut fresh) in twins {
+                let mut buf = garbage.clone();
+                for step in &steps {
+                    let (distances, rest): (Vec<u32>, Vec<(u32, f64)>) =
+                        step[..k].iter().map(|&(d, h, b)| (d, (h, b))).unzip();
+                    let (history, bw): (Vec<u32>, Vec<f64>) = rest.into_iter().unzip();
+                    let c = ctx(&distances, &history, &bw);
+                    into.assign_into(&c, &mut buf);
+                    prop_assert_eq!(bits(&buf), bits(&fresh.assign(&c)), "{}", into.name());
+                }
+            }
+        }
+
+        /// WD/D+H's damp table and cached base vector change no bit: each
+        /// selection equals the free functions of eqs. (4) and (8)–(10),
+        /// which call `powi` for every tainted member.
+        #[test]
+        fn wddh_equals_the_powi_formulas(
+            k in 1usize..=16,
+            steps in proptest::collection::vec(proptest::collection::vec(member(), 16), 1..6),
+            alpha in 0.0f64..=1.0,
+            cap in 1u32..40,
+        ) {
+            let mut plain = WdDh::new(alpha, HistoryMode::FromBase).unwrap();
+            let mut capped = WdDh::with_history_cap(alpha, HistoryMode::FromBase, cap).unwrap();
+            for step in &steps {
+                let distances: Vec<u32> = step[..k].iter().map(|m| m.0).collect();
+                let history: Vec<u32> = step[..k].iter().map(|m| m.1).collect();
+                let c = ctx(&distances, &history, &[]);
+                let base = crate::weights::distance_weights(&distances);
+                let expected = crate::weights::history_adjusted_weights(&base, &history, alpha);
+                prop_assert_eq!(bits(&plain.assign(&c)), bits(&expected));
+                let capped_history: Vec<u32> = history.iter().map(|&h| h.min(cap)).collect();
+                let expected =
+                    crate::weights::history_adjusted_weights(&base, &capped_history, alpha);
+                prop_assert_eq!(bits(&capped.assign(&c)), bits(&expected));
+            }
+        }
     }
 }

@@ -23,10 +23,10 @@ pub fn uniform_weights(k: usize) -> Vec<f64> {
 /// [`uniform_weights`] writing into a caller-owned buffer.
 ///
 /// The `_into` variants exist for policies that recompute weights on every
-/// arrival (`policy.rs`'s WD/D+H keeps its eq. (4) base vector in one): a
-/// reused flat buffer keeps that computation allocation-free. Each produces
-/// bit-identical results to its allocating twin — same formula, same
-/// operation order.
+/// arrival (the admission controller hands every policy its request's
+/// weight buffer): a reused flat buffer keeps that computation
+/// allocation-free. Each produces bit-identical results to its allocating
+/// twin — same formula, same operation order.
 ///
 /// # Panics
 ///
@@ -96,6 +96,16 @@ pub fn distance_weights_into(distances: &[u32], out: &mut Vec<f64>) {
     normalize_weights(out);
 }
 
+/// The damping factor `α^h` of eqs. (8)–(9): 1 for a clean record
+/// (`0⁰ = 1` included), `alpha.powi(h)` otherwise.
+pub fn history_damping(alpha: f64, h: u32) -> f64 {
+    if h == 0 {
+        1.0
+    } else {
+        alpha.powi(h.min(i32::MAX as u32) as i32)
+    }
+}
+
 /// History-adjusted weights of WD/D+H (eqs. 8–10).
 ///
 /// Starting from `base` weights (eq. 4 in the paper's initialisation),
@@ -121,21 +131,28 @@ pub fn distance_weights_into(distances: &[u32], out: &mut Vec<f64>) {
 /// Panics if the slices differ in length or are empty, if any base weight
 /// is negative/non-finite, or if `alpha` is outside `[0, 1]`.
 pub fn history_adjusted_weights(base: &[f64], history: &[u32], alpha: f64) -> Vec<f64> {
+    assert!(
+        (0.0..=1.0).contains(&alpha),
+        "alpha must lie in [0, 1], got {alpha}"
+    );
     let mut out = Vec::new();
-    history_adjusted_weights_into(base, history, alpha, &mut out);
+    history_adjusted_weights_into(base, history, |h| history_damping(alpha, h), &mut out);
     out
 }
 
 /// [`history_adjusted_weights`] writing into a caller-owned buffer (see
-/// [`uniform_weights_into`] for why the `_into` family exists).
+/// [`uniform_weights_into`] for why the `_into` family exists), with the
+/// damping `α^h` supplied by `damp`. `damp(0)` must be 1; the policy
+/// passes a table lookup whose entries are [`history_damping`]'s.
 ///
 /// # Panics
 ///
-/// Same contract as [`history_adjusted_weights`].
+/// Panics if the slices differ in length or are empty, or if any base
+/// weight is negative/non-finite.
 pub fn history_adjusted_weights_into(
     base: &[f64],
     history: &[u32],
-    alpha: f64,
+    damp: impl Fn(u32) -> f64,
     out: &mut Vec<f64>,
 ) {
     assert_eq!(
@@ -144,18 +161,7 @@ pub fn history_adjusted_weights_into(
         "base weights and history must have equal length"
     );
     assert!(!base.is_empty(), "need at least one member");
-    assert!(
-        (0.0..=1.0).contains(&alpha),
-        "alpha must lie in [0, 1], got {alpha}"
-    );
     // Eq. (8): adjustable mass. alpha^0 = 1 so clean members contribute 0.
-    let damp = |h: u32| -> f64 {
-        if h == 0 {
-            1.0
-        } else {
-            alpha.powi(h.min(i32::MAX as u32) as i32)
-        }
-    };
     let aw: f64 = base
         .iter()
         .zip(history)
@@ -372,7 +378,8 @@ mod tests {
 
         let base = distance_weights(&distances);
         for alpha in [0.0, 0.5, 1.0] {
-            history_adjusted_weights_into(&base, &history, alpha, &mut buf);
+            let damp = |h| history_damping(alpha, h);
+            history_adjusted_weights_into(&base, &history, damp, &mut buf);
             assert_eq!(buf, history_adjusted_weights(&base, &history, alpha));
         }
 

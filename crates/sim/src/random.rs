@@ -151,12 +151,39 @@ impl SimRng {
             eligible.len(),
             "weights and eligibility mask must have equal length"
         );
-        let masked: Vec<f64> = weights
+        // One pass over the pairs instead of a masked copy: skipping an
+        // ineligible entry is exactly adding (and subtracting) 0.0, and
+        // the walk's target never goes negative, so the pick and the RNG
+        // draws are those of `choose_weighted` on the masked weights.
+        let total: f64 = weights
             .iter()
             .zip(eligible)
-            .map(|(&w, &e)| if e { w } else { 0.0 })
-            .collect();
-        self.choose_weighted(&masked)
+            .filter(|&(_, &e)| e)
+            .map(|(&w, _)| {
+                assert!(
+                    w.is_finite() && w >= 0.0,
+                    "weights must be finite and non-negative, got {w}"
+                );
+                w
+            })
+            .sum();
+        if total <= 0.0 {
+            return None;
+        }
+        let mut target = self.uniform() * total;
+        for (i, (&w, &e)) in weights.iter().zip(eligible).enumerate() {
+            if e {
+                if target < w {
+                    return Some(i);
+                }
+                target -= w;
+            }
+        }
+        // Floating-point slack: fall back to the last eligible positive weight.
+        weights
+            .iter()
+            .zip(eligible)
+            .rposition(|(&w, &e)| e && w > 0.0)
     }
 
     /// A raw 64-bit sample (used for deriving sub-seeds).
@@ -168,6 +195,63 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The masked draw as it was first written: choose from a masked copy.
+    /// The reference the in-place walk must match pick for pick.
+    fn choose_weighted_masked_by_copy(
+        rng: &mut SimRng,
+        weights: &[f64],
+        eligible: &[bool],
+    ) -> Option<usize> {
+        let masked: Vec<f64> = weights
+            .iter()
+            .zip(eligible)
+            .map(|(&w, &e)| if e { w } else { 0.0 })
+            .collect();
+        rng.choose_weighted(&masked)
+    }
+
+    /// Weights with zeros and subnormal-scale values mixed in, each with
+    /// a mask bit; about one case in four has an all-false mask.
+    fn weight_and_mask() -> impl Strategy<Value = Vec<(f64, bool)>> {
+        let weight = (any::<u8>(), 0.0f64..10.0).prop_map(|(kind, w)| match kind % 4 {
+            0 => 0.0,
+            1 => w * 1e-300,
+            _ => w,
+        });
+        (
+            any::<u8>(),
+            proptest::collection::vec((weight, any::<bool>()), 0..20),
+        )
+            .prop_map(|(kind, pairs)| match kind % 4 {
+                0 => pairs.into_iter().map(|(w, _)| (w, false)).collect(),
+                _ => pairs,
+            })
+    }
+
+    proptest! {
+        /// The in-place masked draw returns the masked copy's index and
+        /// leaves the generator where the copy leaves it.
+        #[test]
+        fn masked_draw_matches_the_masked_copy(
+            seed in any::<u64>(),
+            pairs in weight_and_mask(),
+            draws in 1usize..4,
+        ) {
+            let weights: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+            let mask: Vec<bool> = pairs.iter().map(|p| p.1).collect();
+            let mut in_place = SimRng::seed_from(seed);
+            let mut by_copy = SimRng::seed_from(seed);
+            for _ in 0..draws {
+                prop_assert_eq!(
+                    in_place.choose_weighted_masked(&weights, &mask),
+                    choose_weighted_masked_by_copy(&mut by_copy, &weights, &mask)
+                );
+            }
+            prop_assert_eq!(in_place.next_u64(), by_copy.next_u64());
+        }
+    }
 
     #[test]
     fn determinism_and_forking() {
