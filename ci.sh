@@ -20,6 +20,16 @@ echo "==> allocation budget (release; an allocation back on the DAC request path
 # fat-tree run held to 0.01 allocations per request.
 cargo test --release --offline -q -p anycast-dac --test alloc_budget
 
+echo "==> paper figures (full profile, byte for byte against results/)"
+# Tables 1–2, Figs. 3–7 and every ablation at the paper's horizons
+# (≈65 s on 2 cores): an engine change that moves one printed digit
+# fails here.
+cargo build --release --offline -q -p anycast-bench --bin figures
+figures_dir=$(mktemp -d)
+./target/release/figures --out "$figures_dir" > /dev/null
+diff -r "$figures_dir" results/
+rm -rf "$figures_dir"
+
 echo "==> daemon overload smoke (bench_pr9: shedding must bound p99 under overload)"
 # The binary hard-asserts the accounting identity (every request is
 # admitted, shed, a duplicate, or a shutdown rejection) and the p99

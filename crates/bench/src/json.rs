@@ -1,7 +1,7 @@
 //! JSON emission for machine-readable figure output.
 //!
 //! The implementation moved to [`anycast_telemetry::json`] so the
-//! telemetry exporters and the figure binaries share one emitter; this
+//! telemetry exporters and the `figures` driver share one emitter; this
 //! module re-exports it under the historical `anycast_bench::json` path.
 
-pub use anycast_telemetry::json::{emit_results, parse, write_results, JsonValue};
+pub use anycast_telemetry::json::{parse, JsonValue};

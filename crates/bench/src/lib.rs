@@ -1,12 +1,12 @@
 //! Experiment harness: parallel parameter sweeps, replication statistics
-//! and table formatting for the per-figure/table binaries.
+//! and table formatting behind the `figures` driver.
 //!
-//! Every table and figure of the paper has a binary in `src/bin` that
-//! drives [`run_replicated`] and prints the same rows/series the paper
-//! reports:
+//! Every table and figure of the paper, and every design ablation, is one
+//! entry of [`figures::FIGURES`]; `figures [NAME...]` runs them and writes
+//! `results/<NAME>.txt`, the same rows/series the paper reports:
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
+//! | Name | Paper artifact |
+//! |------|----------------|
 //! | `fig3_ed_sensitivity` | Figure 3 — AP of `<ED,R>` vs λ |
 //! | `fig4_wddh_sensitivity` | Figure 4 — AP of `<WD/D+H,R>` vs λ |
 //! | `fig5_wddb_sensitivity` | Figure 5 — AP of `<WD/D+B,R>` vs λ |
@@ -14,17 +14,18 @@
 //! | `fig7_avg_retrials` | Figure 7 — average tries per request |
 //! | `table1_ed1_analysis_vs_sim` | Table 1 — analysis vs simulation, `<ED,1>` |
 //! | `table2_sp_analysis_vs_sim` | Table 2 — analysis vs simulation, `SP` |
-//! | `ablation_*` | design-choice ablations (α, history mode, topology, group size) |
+//! | `ablation_*` | design-choice ablations (α, history mode, topology, group size, …) |
 //! | `ablation_faults` | AP and availability under rising link-failure rates |
 //!
-//! All binaries accept `--quick` (or `ANYCAST_QUICK=1`) for a shortened
-//! smoke-test configuration, and `--jobs N` to select the sweep worker
-//! count; output is deterministic for fixed seeds **and for every `--jobs`
-//! value** — sweeps fan `(config, seed)` jobs across a scoped-thread
-//! [`parallel_map`] pool whose reassembled results are bit-for-bit
-//! identical to a serial run. Figure binaries additionally drop a
-//! machine-readable copy of their series into `results/<binary>.json`
-//! (see [`json`]).
+//! `cargo run --release -p anycast-bench --bin figures [-- NAME...]`
+//! takes `--quick` for a shortened smoke-test configuration, `--jobs N`
+//! for the sweep worker count and `--out DIR` for another directory than
+//! `results/`. Output is deterministic for fixed seeds **and for every
+//! `--jobs` value** — sweeps fan `(config, seed)` jobs across a
+//! scoped-thread [`parallel_map`] pool whose reassembled results are
+//! bit-for-bit identical to a serial run. Figures 6–7 and the fault
+//! ablation also write a machine-readable copy of their series to
+//! `<NAME>.json` (see [`json`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,7 @@ mod sweep;
 mod table;
 
 pub use anycast_sim::pool::{default_jobs, parallel_map};
-pub use settings::{parse_args, RunSettings};
+pub use settings::RunSettings;
 pub use sweep::{
     mean_and_stderr, run_grid, run_grid_traced, run_replicated, ReplicatedMetrics, TracedCell,
 };

@@ -1,4 +1,4 @@
-//! Run-length settings shared by every experiment binary.
+//! Run-length settings of the `figures` driver.
 
 use anycast_sim::pool::default_jobs;
 
@@ -52,64 +52,6 @@ impl RunSettings {
     }
 }
 
-/// Parses the common CLI contract of the experiment binaries:
-/// `--quick` (or env `ANYCAST_QUICK=1`) selects [`RunSettings::quick`],
-/// and `--jobs N` sets the sweep worker count (default: available
-/// parallelism; results are identical for every value).
-///
-/// Unknown arguments abort with a usage message so typos never silently
-/// run a multi-minute sweep with default settings.
-pub fn parse_args(binary: &str) -> RunSettings {
-    let mut quick = std::env::var("ANYCAST_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let mut jobs = default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--full" => quick = false,
-            "--jobs" | "-j" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("{binary}: --jobs needs a value (try --help)");
-                    std::process::exit(2);
-                });
-                jobs = parse_jobs(binary, &value);
-            }
-            "--help" | "-h" => {
-                println!("usage: {binary} [--quick|--full] [--jobs N]");
-                println!("  --quick   shortened runs (also via ANYCAST_QUICK=1)");
-                println!("  --full    paper-faithful run lengths (default)");
-                println!("  --jobs N  sweep worker threads (default: available cores;");
-                println!("            results are bit-identical for every N)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("{binary}: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut settings = if quick {
-        RunSettings::quick()
-    } else {
-        RunSettings::full()
-    };
-    settings.jobs = jobs;
-    settings
-}
-
-/// Parses a `--jobs` value, aborting with a usage error on garbage or zero.
-pub(crate) fn parse_jobs(binary: &str, value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            eprintln!("{binary}: --jobs wants a positive integer, got `{value}`");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,11 +71,5 @@ mod tests {
     fn default_jobs_is_wired_in() {
         assert!(RunSettings::full().jobs >= 1);
         assert!(RunSettings::quick().jobs >= 1);
-    }
-
-    #[test]
-    fn jobs_values_parse() {
-        assert_eq!(parse_jobs("test", "4"), 4);
-        assert_eq!(parse_jobs("test", "1"), 1);
     }
 }

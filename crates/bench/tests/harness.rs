@@ -2,7 +2,7 @@
 //! drivers must produce well-formed, deterministic output at smoke-test
 //! scale.
 
-use anycast_bench::figures::{comparison_systems, run_comparison};
+use anycast_bench::figures::{comparison_systems, run_columns, system_columns};
 use anycast_bench::{
     run_grid, run_replicated, RunSettings, LAMBDA_GRID, RETRIAL_GRID, TABLE_LAMBDAS,
 };
@@ -41,23 +41,48 @@ fn comparison_systems_are_the_figure6_lineup() {
 }
 
 #[test]
-fn run_comparison_shape_and_determinism() {
+fn comparison_grid_shape_and_determinism() {
     let topo = topologies::mci();
     let settings = tiny();
-    let rows = run_comparison(&topo, &settings);
+    let columns = system_columns(&comparison_systems(), ExperimentConfig::paper_defaults);
+    let rows = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
     assert_eq!(rows.len(), LAMBDA_GRID.len());
     for (row, &lambda) in rows.iter().zip(&LAMBDA_GRID) {
         assert_eq!(row.len(), comparison_systems().len());
-        for rep in row {
+        for (rep, system) in row.iter().zip(comparison_systems()) {
             assert_eq!(rep.lambda, lambda);
+            assert_eq!(rep.label, system.label());
             assert_eq!(rep.runs.len(), settings.replications);
+            assert_eq!(rep.runs[0].seed, settings.seeds[0]);
             assert!((0.0..=1.0).contains(&rep.admission_probability));
         }
     }
     // Determinism: re-running reproduces the exact metrics.
-    let again = run_comparison(&topo, &settings);
+    let again = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
     for (a, b) in rows.iter().flatten().zip(again.iter().flatten()) {
         assert_eq!(a.runs, b.runs);
+    }
+}
+
+#[test]
+fn figures_rejects_unknown_names_and_flags_before_running_anything() {
+    for bad in ["fig8_does_not_exist", "--bogus"] {
+        let out = std::env::temp_dir().join(format!(
+            "anycast-figures-cli-{}-{}",
+            std::process::id(),
+            bad.trim_start_matches('-')
+        ));
+        // A valid, minutes-long figure first: nothing may start before
+        // the whole command line has been checked.
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["fig6_ap_comparison", bad, "--out"])
+            .arg(&out)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{bad}");
+        assert!(!out.exists(), "{bad}: the output directory was created");
     }
 }
 

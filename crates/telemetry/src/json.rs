@@ -7,7 +7,6 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -443,31 +442,6 @@ fn walk_object<'a>(
     }
 }
 
-/// Writes `value` to `results/<name>.json` (relative to the working
-/// directory, creating `results/` if needed) and returns the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_results(name: &str, value: &JsonValue) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, value.render() + "\n")?;
-    Ok(path)
-}
-
-/// Emits to `results/` and notes where on stderr — stderr so that
-/// redirecting a binary's stdout into `results/<name>.txt` captures the
-/// tables alone — warning instead of failing when the directory is not
-/// writable (figure output must still appear).
-pub fn emit_results(name: &str, value: &JsonValue) {
-    match write_results(name, value) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write results/{name}.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,14 +592,5 @@ mod tests {
         let mut out = String::new();
         write_num(&mut out, -(((1u64 << 53) - 1) as f64));
         assert_eq!(out, "-9007199254740991");
-    }
-
-    #[test]
-    fn write_results_round_trips() {
-        let v = JsonValue::nums([1.0, 2.0]);
-        let path = write_results("json_unit_test", &v).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(text, "[1,2]\n");
     }
 }
