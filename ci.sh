@@ -12,6 +12,26 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors: a link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+    -p anycast -p anycast-analysis -p anycast-bench -p anycast-chaos -p anycast-cli \
+    -p anycast-dac -p anycast-daemon -p anycast-estimator -p anycast-net \
+    -p anycast-rsvp -p anycast-sim -p anycast-telemetry
+
+echo "==> product line count"
+# One fixed method, so size changes compare across commits: non-blank
+# lines not starting with `//` in crates/*/src/**/*.rs, each file cut at
+# its `#[cfg(test)] mod tests`.
+find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { cut = 0; prev = "" }
+    cut { next }
+    /^[[:space:]]*mod tests[[:space:]]*\{/ && prev ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { cut = 1; n--; next }
+    { prev = $0 }
+    /^[[:space:]]*$/ { next }
+    /^[[:space:]]*\/\// { next }
+    { n++ }
+    END { print n " product lines" }'
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -21,7 +21,7 @@ const LOG_SPACE_SERVERS: u32 = 4_096;
 /// an isolated link; the UAA of Appendix A is its asymptotic
 /// approximation. Computed with the standard numerically stable recursion
 /// `E_k = a·E_{k−1} / (k + a·E_{k−1})`, which never overflows; above
-/// [`LOG_SPACE_SERVERS`] circuits it switches to `exp` of
+/// `LOG_SPACE_SERVERS` circuits it switches to `exp` of
 /// [`erlang_b_ln`], whose log-space inverse recursion cannot underflow to
 /// zero prematurely, so 10k-server links still return the correctly
 /// rounded (possibly subnormal) probability instead of a sticky `0.0`.

@@ -17,7 +17,7 @@ pub enum BlockingModel {
 impl BlockingModel {
     /// Evaluates the model's blocking probability for one link offered
     /// `load` erlangs with `servers` flow slots.
-    pub fn blocking(self, load: f64, servers: u32) -> f64 {
+    pub(crate) fn blocking(self, load: f64, servers: u32) -> f64 {
         match self {
             BlockingModel::ErlangB => erlang_b(load, servers),
             BlockingModel::Uaa => {

@@ -9,7 +9,7 @@
 //! approximation* (UAA, eqs. 23–29).
 //!
 //! * [`erlang_b`] — numerically stable Erlang-B recursion;
-//! * [`uaa_blocking`] — the UAA formula, including our own [`erfc`];
+//! * [`uaa_blocking`] — the UAA formula, including our own `erfc`;
 //! * [`predict_ap`] — the reduced-load fixed point (eqs. 19–22) and the
 //!   admission probability of eq. (15);
 //! * [`scenario`] — builders that turn a topology + §5.1 traffic spec into
@@ -45,5 +45,4 @@ pub use fixed_point::{
     predict_ap, predict_ap_batch, predict_ap_fn, predict_ap_fn_from, predict_ap_with, ApPrediction,
     BlockingModel, FixedPointOptions,
 };
-pub use special::{erf, erfc, erfcx};
 pub use uaa::uaa_blocking;

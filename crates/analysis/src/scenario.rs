@@ -76,7 +76,7 @@ impl ScenarioSpec {
     }
 
     /// Offered intensity per source, `ρ_s = (λ/|S|)·(1/μ)` erlangs.
-    pub fn per_source_erlangs(&self) -> f64 {
+    pub(crate) fn per_source_erlangs(&self) -> f64 {
         self.lambda * self.mean_holding_secs / self.sources.len() as f64
     }
 }
@@ -157,64 +157,6 @@ pub fn build_paper_scenario(
     system: AnalyzedSystem,
 ) -> TrafficScenario {
     build_scenario(topo, &ScenarioSpec::paper_defaults(lambda), system)
-}
-
-/// One service of a multi-group analytical scenario (extension — Appendix
-/// A models a single group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GroupTraffic {
-    /// The group's member routers.
-    pub members: Vec<NodeId>,
-    /// Relative share of the total request stream (must be positive).
-    pub share: f64,
-}
-
-/// Builds the fixed-point input for several anycast services sharing the
-/// network (extension beyond the paper's single group).
-///
-/// Each group's share of the total load is split per `system` over its
-/// own fixed routes; all routes compete for the same link capacities.
-/// Routes are ordered group-major, then source-major, member-minor.
-///
-/// # Panics
-///
-/// Panics if `groups` is empty, a share is non-positive, or any group is
-/// invalid for the topology.
-pub fn build_multigroup_scenario(
-    topo: &Topology,
-    spec: &ScenarioSpec,
-    groups: &[GroupTraffic],
-    system: AnalyzedSystem,
-) -> TrafficScenario {
-    assert!(!groups.is_empty(), "need at least one group");
-    let total_share: f64 = groups
-        .iter()
-        .map(|g| {
-            assert!(
-                g.share.is_finite() && g.share > 0.0,
-                "group shares must be positive and finite"
-            );
-            g.share
-        })
-        .sum();
-    let mut combined: Option<TrafficScenario> = None;
-    for g in groups {
-        let sub_spec = ScenarioSpec {
-            lambda: spec.lambda * g.share / total_share,
-            group_members: g.members.clone(),
-            ..spec.clone()
-        };
-        let scenario = build_scenario(topo, &sub_spec, system);
-        combined = Some(match combined {
-            None => scenario,
-            Some(mut acc) => {
-                debug_assert_eq!(acc.capacities, scenario.capacities);
-                acc.routes.extend(scenario.routes);
-                acc
-            }
-        });
-    }
-    combined.expect("at least one group")
 }
 
 /// Extension beyond the paper: an approximate admission probability for
@@ -452,102 +394,6 @@ mod tests {
         assert!((ap9 - ap5).abs() < 1e-12);
         // Diminishing returns: the 1→2 jump dwarfs the 2→5 jump's per-step gain.
         assert!(ap2 - ap1 > (ap5 - ap2) / 3.0);
-    }
-
-    #[test]
-    fn multigroup_reduces_to_single_group() {
-        let topo = topologies::mci();
-        let spec = ScenarioSpec::paper_defaults(30.0);
-        let single = build_scenario(&topo, &spec, AnalyzedSystem::Ed1);
-        let multi = build_multigroup_scenario(
-            &topo,
-            &spec,
-            &[GroupTraffic {
-                members: spec.group_members.clone(),
-                share: 7.0, // arbitrary: shares normalise
-            }],
-            AnalyzedSystem::Ed1,
-        );
-        assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn multigroup_total_load_is_preserved() {
-        let topo = topologies::mci();
-        let spec = ScenarioSpec::paper_defaults(30.0);
-        let groups = [
-            GroupTraffic {
-                members: vec![NodeId::new(0), NodeId::new(8), NodeId::new(16)],
-                share: 3.0,
-            },
-            GroupTraffic {
-                members: vec![NodeId::new(4)],
-                share: 1.0,
-            },
-        ];
-        let s = build_multigroup_scenario(&topo, &spec, &groups, AnalyzedSystem::Ed1);
-        let total: f64 = s.routes.iter().map(|r| r.offered_erlangs).sum();
-        assert!((total - 30.0 * 180.0).abs() < 1e-6, "total {total}");
-        // Route count: 9 sources × (3 + 1) members.
-        assert_eq!(s.routes.len(), 9 * 4);
-        let p = predict_ap(&s, BlockingModel::ErlangB);
-        assert!(p.converged);
-        assert!(p.admission_probability > 0.0 && p.admission_probability < 1.0);
-    }
-
-    #[test]
-    fn multigroup_sparser_service_drags_ap_down() {
-        // Analytical version of the multigroup ablation: replacing the
-        // well-replicated group's traffic with single-site traffic lowers
-        // the predicted AP at the same total load.
-        let topo = topologies::mci();
-        let spec = ScenarioSpec::paper_defaults(35.0);
-        let replicated = build_multigroup_scenario(
-            &topo,
-            &spec,
-            &[GroupTraffic {
-                members: spec.group_members.clone(),
-                share: 1.0,
-            }],
-            AnalyzedSystem::Ed1,
-        );
-        let half_unicast = build_multigroup_scenario(
-            &topo,
-            &spec,
-            &[
-                GroupTraffic {
-                    members: spec.group_members.clone(),
-                    share: 1.0,
-                },
-                GroupTraffic {
-                    members: vec![NodeId::new(10)],
-                    share: 1.0,
-                },
-            ],
-            AnalyzedSystem::Ed1,
-        );
-        let a = predict_ap(&replicated, BlockingModel::ErlangB).admission_probability;
-        let b = predict_ap(&half_unicast, BlockingModel::ErlangB).admission_probability;
-        assert!(
-            b < a,
-            "unicast-heavy mix {b} must underperform replicated {a}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shares must be positive")]
-    fn multigroup_rejects_zero_share() {
-        let topo = topologies::mci();
-        let spec = ScenarioSpec::paper_defaults(5.0);
-        let _ = build_multigroup_scenario(
-            &topo,
-            &spec,
-            &[GroupTraffic {
-                members: vec![NodeId::new(0)],
-                share: 0.0,
-            }],
-            AnalyzedSystem::Ed1,
-        );
     }
 
     #[test]

@@ -10,14 +10,7 @@
 /// (eq. 29 of the paper).
 ///
 /// Accurate to a fractional error below `1.2 × 10⁻⁷` for all finite `x`.
-///
-/// ```rust
-/// use anycast_analysis::erfc;
-/// assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-/// assert!(erfc(10.0) < 1e-40);
-/// assert!((erfc(-10.0) - 2.0).abs() < 1e-7);
-/// ```
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -38,16 +31,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// The error function `erf(x) = 1 − erfc(x)`.
-///
-/// ```rust
-/// use anycast_analysis::erf;
-/// assert!((erf(1.0) - 0.8427007929497149).abs() < 1e-6);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// The scaled complementary error function `erfcx(x) = e^{x²}·erfc(x)` for
 /// `x ≥ 0`.
 ///
@@ -60,7 +43,7 @@ pub fn erf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `x` is negative (use [`erfc`] there — no scaling is needed).
-pub fn erfcx(x: f64) -> f64 {
+pub(crate) fn erfcx(x: f64) -> f64 {
     assert!(x >= 0.0, "erfcx is implemented for non-negative x, got {x}");
     let t = 1.0 / (1.0 + 0.5 * x);
     t * (-1.265_512_23
@@ -116,20 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn erf_is_complement() {
-        for x in [-3.0, -1.0, 0.0, 0.5, 2.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn erf_is_odd() {
-        for x in [0.2, 0.9, 1.7, 3.3] {
-            assert!((erf(x) + erf(-x)).abs() < 3e-7);
-        }
-    }
-
-    #[test]
     fn monotone_decreasing() {
         let mut prev = erfc(-6.0);
         let mut x = -6.0;
@@ -179,6 +148,18 @@ mod tests {
             let x = i as f64 / 10.0;
             let v = erfc(x);
             assert!((0.0..=2.0).contains(&v), "erfc({x}) = {v} out of [0,2]");
+        }
+    }
+
+    proptest::proptest! {
+        /// erfc stays within [0, 2], is monotone decreasing, and satisfies
+        /// the reflection identity erfc(−x) = 2 − erfc(x).
+        #[test]
+        fn erfc_shape(x in -8.0f64..8.0) {
+            let v = erfc(x);
+            proptest::prop_assert!((0.0..=2.0).contains(&v));
+            proptest::prop_assert!(erfc(x + 0.01) <= v + 1e-12);
+            proptest::prop_assert!((erfc(-x) - (2.0 - v)).abs() < 3e-7);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the analytical model.
 
 use anycast_analysis::scenario::{RouteLoad, TrafficScenario};
-use anycast_analysis::{erfc, erlang_b, predict_ap, uaa_blocking, BlockingModel};
+use anycast_analysis::{erlang_b, predict_ap, uaa_blocking, BlockingModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,16 +36,6 @@ proptest! {
             (approx - exact).abs() < 0.02 + 0.03 * exact,
             "C={servers} v={load}: UAA {approx} vs {exact}"
         );
-    }
-
-    /// erfc stays within [0, 2], is monotone decreasing, and satisfies
-    /// the reflection identity erfc(−x) = 2 − erfc(x).
-    #[test]
-    fn erfc_shape(x in -8.0f64..8.0) {
-        let v = erfc(x);
-        prop_assert!((0.0..=2.0).contains(&v));
-        prop_assert!(erfc(x + 0.01) <= v + 1e-12);
-        prop_assert!((erfc(-x) - (2.0 - v)).abs() < 3e-7);
     }
 
     /// The fixed point always converges on random single-group scenarios,

@@ -1,10 +1,10 @@
 //! The paper's tables and figures and the design ablations, as one
-//! registry ([`FIGURES`]) that the `figures` binary runs and writes into
+//! registry (`FIGURES`) that the `figures` binary runs and writes into
 //! `results/` (or any `--out` directory).
 //!
 //! Most entries have one shape: a row per arrival rate, a column per
-//! labelled configuration variant ([`Column`]), run as one [`run_grid`]
-//! and printed as a 4-decimal admission-probability table ([`ap_grid`]).
+//! labelled configuration variant (`Column`), run as one [`run_grid`]
+//! and printed as a 4-decimal admission-probability table (`ap_grid`).
 //! The rest reuse the same grid and print other cells.
 
 use crate::json::JsonValue;
@@ -26,11 +26,11 @@ use std::path::{Path, PathBuf};
 /// What one entry produces: its text table and, for some, a
 /// machine-readable copy of its series.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Output {
+pub(crate) struct Output {
     /// The table(s), as written to `<name>.txt`.
-    pub text: String,
+    pub(crate) text: String,
     /// The series, as written to `<name>.json`.
-    pub json: Option<JsonValue>,
+    pub(crate) json: Option<JsonValue>,
 }
 
 impl Output {
@@ -45,7 +45,7 @@ pub struct Figure {
     /// The file stem under `results/`, and the name the driver takes.
     pub name: &'static str,
     /// Runs the experiment at the given settings.
-    pub run: fn(&RunSettings) -> Output,
+    pub(crate) run: fn(&RunSettings) -> Output,
 }
 
 impl Figure {
@@ -73,7 +73,7 @@ const fn figure(name: &'static str, run: fn(&RunSettings) -> Output) -> Figure {
 }
 
 /// Every table, figure and ablation, in the order the driver runs them.
-pub const FIGURES: [Figure; 17] = [
+pub(crate) const FIGURES: [Figure; 17] = [
     figure("fig3_ed_sensitivity", |s| sensitivity(3, PolicySpec::Ed, s)),
     figure("fig4_wddh_sensitivity", |s| {
         sensitivity(4, PolicySpec::wd_dh_default(), s)
@@ -104,7 +104,7 @@ pub const FIGURES: [Figure; 17] = [
 /// One labelled variant of a grid: its header and its configuration at
 /// each row value (the arrival rate, or the link MTBF for the fault
 /// ablation). The run horizon comes from the [`RunSettings`].
-pub struct Column<'a> {
+pub(crate) struct Column<'a> {
     label: String,
     config: Box<dyn Fn(f64) -> ExperimentConfig + 'a>,
 }
@@ -122,7 +122,7 @@ fn column<'a>(
 
 /// One column per system, labelled by [`SystemSpec::label`]; `config`
 /// builds each cell from the row value and the system.
-pub fn system_columns<'a>(
+pub(crate) fn system_columns<'a>(
     systems: &[SystemSpec],
     config: impl Fn(f64, SystemSpec) -> ExperimentConfig + Copy + 'a,
 ) -> Vec<Column<'a>> {
@@ -149,7 +149,7 @@ pub fn comparison_systems() -> Vec<SystemSpec> {
 
 /// Runs every column at every row value as one grid; `rows[i][j]` is row
 /// value `i` under column `j`.
-pub fn run_columns(
+pub(crate) fn run_columns(
     topo: &Topology,
     xs: &[f64],
     columns: &[Column],
@@ -208,7 +208,7 @@ fn ap_cells(row: &[ReplicatedMetrics]) -> Vec<String> {
 
 /// The common shape: `title`, a blank line, and the admission probability
 /// of every column at every λ. Returns the text and the grid.
-pub fn ap_grid(
+pub(crate) fn ap_grid(
     title: &str,
     topo: &Topology,
     lambdas: &[f64],
@@ -667,10 +667,10 @@ fn burstiness_ablation(settings: &RunSettings) -> Output {
 
 /// The link-MTBF grid of the fault ablation (seconds; `INFINITY` = no
 /// faults). MTTR is fixed at [`ABLATION_MTTR_SECS`].
-pub const ABLATION_MTBF_GRID: [f64; 5] = [f64::INFINITY, 2_000.0, 1_000.0, 500.0, 250.0];
+pub(crate) const ABLATION_MTBF_GRID: [f64; 5] = [f64::INFINITY, 2_000.0, 1_000.0, 500.0, 250.0];
 
 /// Mean time to repair used throughout the fault ablation (seconds).
-pub const ABLATION_MTTR_SECS: f64 = 60.0;
+pub(crate) const ABLATION_MTTR_SECS: f64 = 60.0;
 
 fn mean_availability(rep: &ReplicatedMetrics) -> f64 {
     rep.runs.iter().map(|m| m.availability).sum::<f64>() / rep.runs.len() as f64
@@ -897,5 +897,50 @@ mod tests {
             .collect();
         assert_eq!(written[0], written[1]);
         assert!(written[0].starts_with("Table 2: analysis vs simulation, system SP\n"));
+    }
+
+    fn tiny() -> RunSettings {
+        RunSettings {
+            warmup_secs: 30.0,
+            measure_secs: 60.0,
+            seeds: [1, 2, 3],
+            replications: 2,
+            jobs: 2,
+        }
+    }
+
+    #[test]
+    fn grids_cover_the_paper_ranges() {
+        assert_eq!(LAMBDA_GRID.len(), 10);
+        assert_eq!(LAMBDA_GRID[0], 5.0);
+        assert_eq!(LAMBDA_GRID[9], 50.0);
+        assert_eq!(RETRIAL_GRID, [1, 2, 3, 4, 5]);
+        assert_eq!(TABLE_LAMBDAS, [5.0, 20.0, 35.0, 50.0]);
+        // Nondecreasing sweep order.
+        assert!(LAMBDA_GRID.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn comparison_grid_shape_and_determinism() {
+        let topo = topologies::mci();
+        let settings = tiny();
+        let columns = system_columns(&comparison_systems(), ExperimentConfig::paper_defaults);
+        let rows = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
+        assert_eq!(rows.len(), LAMBDA_GRID.len());
+        for (row, &lambda) in rows.iter().zip(&LAMBDA_GRID) {
+            assert_eq!(row.len(), comparison_systems().len());
+            for (rep, system) in row.iter().zip(comparison_systems()) {
+                assert_eq!(rep.lambda, lambda);
+                assert_eq!(rep.label, system.label());
+                assert_eq!(rep.runs.len(), settings.replications);
+                assert_eq!(rep.runs[0].seed, settings.seeds[0]);
+                assert!((0.0..=1.0).contains(&rep.admission_probability));
+            }
+        }
+        // Determinism: re-running reproduces the exact metrics.
+        let again = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
+        for (a, b) in rows.iter().flatten().zip(again.iter().flatten()) {
+            assert_eq!(a.runs, b.runs);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! and table formatting behind the `figures` driver.
 //!
 //! Every table and figure of the paper, and every design ablation, is one
-//! entry of [`figures::FIGURES`]; `figures [NAME...]` runs them and writes
+//! entry of `FIGURES`; `figures [NAME...]` runs them and writes
 //! `results/<NAME>.txt`, the same rows/series the paper reports:
 //!
 //! | Name | Paper artifact |
@@ -42,13 +42,14 @@ pub use settings::RunSettings;
 pub use sweep::{
     mean_and_stderr, run_grid, run_grid_traced, run_replicated, ReplicatedMetrics, TracedCell,
 };
-pub use table::Table;
+pub(crate) use table::Table;
 
 /// The arrival-rate grid of the paper's figures (flows/second).
-pub const LAMBDA_GRID: [f64; 10] = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0];
+pub(crate) const LAMBDA_GRID: [f64; 10] =
+    [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0];
 
 /// The arrival rates of Tables 1 and 2.
-pub const TABLE_LAMBDAS: [f64; 4] = [5.0, 20.0, 35.0, 50.0];
+pub(crate) const TABLE_LAMBDAS: [f64; 4] = [5.0, 20.0, 35.0, 50.0];
 
 /// The retrial limits of Figures 3–5.
-pub const RETRIAL_GRID: [u32; 5] = [1, 2, 3, 4, 5];
+pub(crate) const RETRIAL_GRID: [u32; 5] = [1, 2, 3, 4, 5];

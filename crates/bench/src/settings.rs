@@ -12,20 +12,20 @@ use anycast_sim::pool::default_jobs;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSettings {
     /// Warm-up seconds discarded from statistics.
-    pub warmup_secs: f64,
+    pub(crate) warmup_secs: f64,
     /// Measured seconds.
-    pub measure_secs: f64,
+    pub(crate) measure_secs: f64,
     /// Replication seeds (one run per seed; results averaged).
-    pub seeds: [u64; 3],
+    pub(crate) seeds: [u64; 3],
     /// Number of seeds actually used (quick mode uses 1).
-    pub replications: usize,
+    pub(crate) replications: usize,
     /// Worker threads for sweeps (default: available parallelism).
-    pub jobs: usize,
+    pub(crate) jobs: usize,
 }
 
 impl RunSettings {
     /// The paper-faithful profile.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         RunSettings {
             warmup_secs: 1_800.0,
             measure_secs: 3_600.0,
@@ -36,7 +36,7 @@ impl RunSettings {
     }
 
     /// The shortened smoke-test profile.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         RunSettings {
             warmup_secs: 300.0,
             measure_secs: 600.0,
@@ -47,7 +47,7 @@ impl RunSettings {
     }
 
     /// The seeds in use.
-    pub fn active_seeds(&self) -> &[u64] {
+    pub(crate) fn active_seeds(&self) -> &[u64] {
         &self.seeds[..self.replications]
     }
 }

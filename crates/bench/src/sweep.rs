@@ -24,8 +24,6 @@ pub struct ReplicatedMetrics {
     pub ap_stderr: f64,
     /// Mean of the per-run mean tries (Figure 7 metric).
     pub mean_tries: f64,
-    /// Mean of the per-run mean retrials.
-    pub mean_retrials: f64,
     /// Mean signaling messages per request.
     pub messages_per_request: f64,
     /// Mean time-average network utilization across replications.
@@ -68,7 +66,6 @@ fn summarize(runs: Vec<Metrics>) -> ReplicatedMetrics {
     let aps: Vec<f64> = runs.iter().map(|m| m.admission_probability).collect();
     let (ap, ap_stderr) = mean_and_stderr(&aps);
     let tries: Vec<f64> = runs.iter().map(|m| m.mean_tries).collect();
-    let retrials: Vec<f64> = runs.iter().map(|m| m.mean_retrials).collect();
     let msgs: Vec<f64> = runs.iter().map(|m| m.messages_per_request).collect();
     let utils: Vec<f64> = runs.iter().map(|m| m.mean_network_utilization).collect();
     ReplicatedMetrics {
@@ -77,7 +74,6 @@ fn summarize(runs: Vec<Metrics>) -> ReplicatedMetrics {
         admission_probability: ap,
         ap_stderr,
         mean_tries: mean_and_stderr(&tries).0,
-        mean_retrials: mean_and_stderr(&retrials).0,
         messages_per_request: mean_and_stderr(&msgs).0,
         mean_network_utilization: mean_and_stderr(&utils).0,
         runs,

@@ -4,17 +4,8 @@ use std::fmt::Write as _;
 
 /// A simple aligned text table, enough to print the paper's tables and
 /// figure series without pulling in a formatting dependency.
-///
-/// ```rust
-/// use anycast_bench::Table;
-/// let mut t = Table::new(vec!["λ".into(), "AP".into()]);
-/// t.row(vec!["5.0".into(), "1.000000".into()]);
-/// let s = t.render();
-/// assert!(s.contains("λ"));
-/// assert!(s.contains("1.000000"));
-/// ```
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
@@ -25,7 +16,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if `headers` is empty.
-    pub fn new(headers: Vec<String>) -> Self {
+    pub(crate) fn new(headers: Vec<String>) -> Self {
         assert!(!headers.is_empty(), "a table needs at least one column");
         Table {
             headers,
@@ -38,7 +29,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the header width.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -48,17 +39,19 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// `true` when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns and a separator rule.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {

@@ -2,34 +2,11 @@
 //! drivers must produce well-formed, deterministic output at smoke-test
 //! scale.
 
-use anycast_bench::figures::{comparison_systems, run_columns, system_columns};
-use anycast_bench::{
-    run_grid, run_replicated, RunSettings, LAMBDA_GRID, RETRIAL_GRID, TABLE_LAMBDAS,
-};
+use anycast_bench::figures::comparison_systems;
+use anycast_bench::{run_grid, run_replicated};
 use anycast_dac::experiment::{ExperimentConfig, SystemSpec};
 use anycast_dac::policy::PolicySpec;
 use anycast_net::topologies;
-
-fn tiny() -> RunSettings {
-    RunSettings {
-        warmup_secs: 30.0,
-        measure_secs: 60.0,
-        seeds: [1, 2, 3],
-        replications: 2,
-        jobs: 2,
-    }
-}
-
-#[test]
-fn grids_cover_the_paper_ranges() {
-    assert_eq!(LAMBDA_GRID.len(), 10);
-    assert_eq!(LAMBDA_GRID[0], 5.0);
-    assert_eq!(LAMBDA_GRID[9], 50.0);
-    assert_eq!(RETRIAL_GRID, [1, 2, 3, 4, 5]);
-    assert_eq!(TABLE_LAMBDAS, [5.0, 20.0, 35.0, 50.0]);
-    // Nondecreasing sweep order.
-    assert!(LAMBDA_GRID.windows(2).all(|w| w[0] < w[1]));
-}
 
 #[test]
 fn comparison_systems_are_the_figure6_lineup() {
@@ -38,30 +15,6 @@ fn comparison_systems_are_the_figure6_lineup() {
         labels,
         vec!["<ED,2>", "<WD/D+H,2>", "<WD/D+B,2>", "SP", "GDI"]
     );
-}
-
-#[test]
-fn comparison_grid_shape_and_determinism() {
-    let topo = topologies::mci();
-    let settings = tiny();
-    let columns = system_columns(&comparison_systems(), ExperimentConfig::paper_defaults);
-    let rows = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
-    assert_eq!(rows.len(), LAMBDA_GRID.len());
-    for (row, &lambda) in rows.iter().zip(&LAMBDA_GRID) {
-        assert_eq!(row.len(), comparison_systems().len());
-        for (rep, system) in row.iter().zip(comparison_systems()) {
-            assert_eq!(rep.lambda, lambda);
-            assert_eq!(rep.label, system.label());
-            assert_eq!(rep.runs.len(), settings.replications);
-            assert_eq!(rep.runs[0].seed, settings.seeds[0]);
-            assert!((0.0..=1.0).contains(&rep.admission_probability));
-        }
-    }
-    // Determinism: re-running reproduces the exact metrics.
-    let again = run_columns(&topo, &LAMBDA_GRID, &columns, &settings);
-    for (a, b) in rows.iter().flatten().zip(again.iter().flatten()) {
-        assert_eq!(a.runs, b.runs);
-    }
 }
 
 #[test]

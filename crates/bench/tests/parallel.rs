@@ -14,10 +14,10 @@ use proptest::prelude::*;
 /// A fault plan that exercises every chaos channel the engine feeds into
 /// the runs: link outages, lossy teardowns, and delayed teardowns.
 fn chaotic_plan() -> FaultPlan {
-    FaultPlan::none()
-        .with_link_model(300.0, 60.0)
-        .with_teardown_loss(0.1)
-        .with_teardown_delay(2.0)
+    let mut plan = FaultPlan::none().with_link_model(300.0, 60.0);
+    plan.control.teardown_loss_probability = 0.1;
+    plan.control.teardown_delay_secs = 2.0;
+    plan
 }
 
 fn short(lambda: f64, system: SystemSpec, plan: FaultPlan) -> ExperimentConfig {
@@ -59,9 +59,9 @@ fn five_systems_are_jobs_invariant_with_and_without_faults() {
 fn sampled_sweeps_are_jobs_invariant() {
     let topo = topologies::mci();
     let mut sampler = SimRng::seed_from(0xB2E7);
-    for _case in 0..4 {
+    for case in 0..4 {
         let lambda = 5.0 + sampler.uniform() * 45.0;
-        let master = sampler.next_u64();
+        let master = SimRng::substream_seed(0xB2E7, case);
         let configs: Vec<ExperimentConfig> = comparison_systems()
             .into_iter()
             .map(|system| short(lambda, system, chaotic_plan()))

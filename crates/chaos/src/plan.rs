@@ -22,7 +22,8 @@ pub enum FaultAction {
 impl FaultAction {
     /// Whether this action takes capacity away (as opposed to restoring
     /// it).
-    pub fn is_failure(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_failure(&self) -> bool {
         matches!(self, FaultAction::FailLink(_) | FaultAction::CrashNode(_))
     }
 }
@@ -32,9 +33,9 @@ impl FaultAction {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StochasticFaultModel {
     /// Mean time between failures (exponential), seconds of up time.
-    pub mtbf_secs: f64,
+    pub(crate) mtbf_secs: f64,
     /// Mean time to repair (exponential), seconds of down time.
-    pub mttr_secs: f64,
+    pub(crate) mttr_secs: f64,
 }
 
 impl StochasticFaultModel {
@@ -44,7 +45,7 @@ impl StochasticFaultModel {
     /// # Panics
     ///
     /// Panics on non-positive or non-finite means.
-    pub fn new(mtbf_secs: f64, mttr_secs: f64) -> Self {
+    pub(crate) fn new(mtbf_secs: f64, mttr_secs: f64) -> Self {
         assert!(
             mtbf_secs.is_finite() && mtbf_secs > 0.0,
             "MTBF must be positive and finite, got {mtbf_secs}"
@@ -57,11 +58,6 @@ impl StochasticFaultModel {
             mtbf_secs,
             mttr_secs,
         }
-    }
-
-    /// Long-run fraction of time an entity under this model is up.
-    pub fn steady_state_availability(&self) -> f64 {
-        self.mtbf_secs / (self.mtbf_secs + self.mttr_secs)
     }
 }
 
@@ -80,7 +76,7 @@ pub struct ControlFaultModel {
 
 impl ControlFaultModel {
     /// No control-plane faults at all.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         ControlFaultModel {
             teardown_loss_probability: 0.0,
             teardown_delay_secs: 0.0,
@@ -88,7 +84,8 @@ impl ControlFaultModel {
     }
 
     /// Whether this model never perturbs anything.
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.teardown_loss_probability == 0.0 && self.teardown_delay_secs == 0.0
     }
 }
@@ -111,7 +108,7 @@ pub struct MessageFault {
 
 impl MessageFault {
     /// No perturbation at all.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         MessageFault {
             loss_probability: 0.0,
             extra_delay_secs: 0.0,
@@ -119,7 +116,7 @@ impl MessageFault {
     }
 
     /// Whether this fault never perturbs anything.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.loss_probability == 0.0 && self.extra_delay_secs == 0.0
     }
 
@@ -129,7 +126,7 @@ impl MessageFault {
     ///
     /// Panics on a loss probability outside `[0, 1]` or a negative /
     /// non-finite delay mean.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.loss_probability),
             "loss probability {} not in [0,1]",
@@ -166,7 +163,7 @@ pub struct SignalingFaults {
 
 impl SignalingFaults {
     /// No signaling faults at all.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 
@@ -194,10 +191,10 @@ pub struct ScriptedFault {
 pub struct FaultPlan {
     /// Stochastic up/down process applied independently to every link
     /// (`None` = links never fail on their own).
-    pub link_model: Option<StochasticFaultModel>,
+    pub(crate) link_model: Option<StochasticFaultModel>,
     /// Stochastic crash/repair process applied independently to every
     /// anycast member router (`None` = members never crash).
-    pub member_model: Option<StochasticFaultModel>,
+    pub(crate) member_model: Option<StochasticFaultModel>,
     /// RSVP control-plane loss and delay.
     pub control: ControlFaultModel,
     /// Two-phase setup signaling faults (per message kind).
@@ -206,7 +203,7 @@ pub struct FaultPlan {
     /// reservations are reclaimed.
     pub refresh: RefreshConfig,
     /// Explicit scripted faults, merged with the stochastic timelines.
-    pub script: Vec<ScriptedFault>,
+    pub(crate) script: Vec<ScriptedFault>,
 }
 
 impl FaultPlan {
@@ -225,7 +222,8 @@ impl FaultPlan {
     }
 
     /// Whether this plan can never inject any fault.
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.link_model.is_none()
             && self.member_model.is_none()
             && self.control.is_inert()
@@ -245,64 +243,17 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the probability that a flow's teardown message is lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` is a probability in `[0, 1]`.
-    pub fn with_teardown_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} not in [0,1]"
-        );
-        self.control.teardown_loss_probability = p;
-        self
-    }
-
-    /// Sets the mean exponential teardown delivery delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite means.
-    pub fn with_teardown_delay(mut self, mean_secs: f64) -> Self {
-        assert!(
-            mean_secs.is_finite() && mean_secs >= 0.0,
-            "teardown delay mean {mean_secs} must be non-negative"
-        );
-        self.control.teardown_delay_secs = mean_secs;
-        self
-    }
-
     /// Replaces the two-phase signaling fault knobs.
     ///
     /// # Panics
     ///
     /// Panics when any per-kind knob is out of range (see
-    /// [`MessageFault::validate`]).
+    /// `validate`).
     pub fn with_signaling(mut self, signaling: SignalingFaults) -> Self {
         signaling.path.validate();
         signaling.resv.validate();
         signaling.resv_err.validate();
         self.signaling = signaling;
-        self
-    }
-
-    /// Replaces the soft-state refresh lifecycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive refresh interval or a zero missed-refresh
-    /// limit.
-    pub fn with_refresh(mut self, refresh: RefreshConfig) -> Self {
-        assert!(
-            refresh.refresh_interval_secs.is_finite() && refresh.refresh_interval_secs > 0.0,
-            "refresh interval must be positive"
-        );
-        assert!(
-            refresh.missed_refresh_limit > 0,
-            "missed-refresh limit must be at least 1"
-        );
-        self.refresh = refresh;
         self
     }
 
@@ -343,8 +294,9 @@ mod tests {
     fn any_knob_breaks_inertness() {
         assert!(!FaultPlan::none().with_link_model(100.0, 10.0).is_inert());
         assert!(!FaultPlan::none().with_member_model(100.0, 10.0).is_inert());
-        assert!(!FaultPlan::none().with_teardown_loss(0.1).is_inert());
-        assert!(!FaultPlan::none().with_teardown_delay(5.0).is_inert());
+        let mut lossy = FaultPlan::none();
+        lossy.control.teardown_loss_probability = 0.1;
+        assert!(!lossy.is_inert());
         assert!(!FaultPlan::none()
             .with_signaling(SignalingFaults {
                 resv: MessageFault {
@@ -360,12 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_availability() {
-        let m = StochasticFaultModel::new(90.0, 10.0);
-        assert!((m.steady_state_availability() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
     fn failure_actions_classified() {
         assert!(FaultAction::FailLink(LinkId::new(1)).is_failure());
         assert!(FaultAction::CrashNode(NodeId::new(1)).is_failure());
@@ -377,12 +323,6 @@ mod tests {
     #[should_panic(expected = "MTBF must be positive")]
     fn zero_mtbf_rejected() {
         let _ = StochasticFaultModel::new(0.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in [0,1]")]
-    fn bad_loss_probability_rejected() {
-        let _ = FaultPlan::none().with_teardown_loss(1.5);
     }
 
     #[test]

@@ -19,17 +19,20 @@ impl FaultTimeline {
     }
 
     /// Number of scheduled actions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// Whether no action will ever fire.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Number of capacity-removing actions (failures, not repairs).
-    pub fn failure_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn failure_count(&self) -> usize {
         self.events.iter().filter(|e| e.action.is_failure()).count()
     }
 }
@@ -146,7 +149,7 @@ mod tests {
         let tl = build_timeline(&FaultPlan::none(), &topo, &members(), 1_000.0, &mut rng);
         assert!(tl.is_empty());
         // The rng was untouched: it still matches its pre-call snapshot.
-        assert_eq!(snapshot.next_u64(), rng.next_u64());
+        assert_eq!(snapshot.uniform(), rng.uniform());
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl BackoffPolicy {
     /// # Panics
     ///
     /// Panics if any field is non-finite or out of range.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.base_secs.is_finite() && self.base_secs >= 0.0,
             "backoff base must be finite and non-negative, got {}",
@@ -82,7 +82,7 @@ impl BackoffPolicy {
     /// Deterministic given the rng substream: the jitter factor is a
     /// single uniform draw, and no draw at all when `jitter_frac` is
     /// zero — so jitter-free policies consume no randomness.
-    pub fn delay_for(&self, attempt: u32, rng: &mut SimRng) -> f64 {
+    pub(crate) fn delay_for(&self, attempt: u32, rng: &mut SimRng) -> f64 {
         let exp = self.multiplier.powi(attempt.min(i32::MAX as u32) as i32);
         let raw = (self.base_secs * exp).min(self.max_backoff_secs);
         if self.jitter_frac > 0.0 {

@@ -27,7 +27,8 @@ impl ShortestPathSystem {
     }
 
     /// The member every flow from this source is sent to.
-    pub fn nearest_member(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nearest_member(&self) -> usize {
         self.nearest_member
     }
 
@@ -56,7 +57,7 @@ impl ShortestPathSystem {
     /// # Panics
     ///
     /// Panics if `routes` does not contain the nearest member's route.
-    pub fn admit_traced(
+    pub(crate) fn admit_traced(
         &self,
         routes: &[Path],
         links: &mut LinkStateTable,
@@ -150,7 +151,7 @@ impl GlobalDynamicSystem {
     /// search to exhaustion so every member's verdict is known; a disarmed
     /// one stops at the nearest member's level. Both pick the same member.
     #[allow(clippy::too_many_arguments)]
-    pub fn admit_traced(
+    pub(crate) fn admit_traced(
         &mut self,
         topo: &Topology,
         group: &AnycastGroup,
@@ -245,7 +246,7 @@ mod tests {
         assert_eq!(nearest, 0, "member 3 is 2 hops, member 4 is 3 hops");
         let sp = ShortestPathSystem::new(nearest);
         assert_eq!(sp.nearest_member(), 0);
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let mut rsvp = ReservationEngine::new();
         let routes = table.routes_from(source).unwrap();
         let out = sp.admit(routes, &mut links, &mut rsvp, Bandwidth::from_kbps(64));
@@ -259,9 +260,9 @@ mod tests {
         let (topo, _group, table) = fixture();
         let source = NodeId::new(0);
         let sp = ShortestPathSystem::new(table.nearest_member(source).unwrap());
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Saturate the fixed route 0-1-3 at link 0-1.
-        let fixed = table.route(source, NodeId::new(3)).unwrap();
+        let fixed = &table.routes_from(source).unwrap()[0]; // member 3
         links
             .reserve(fixed.links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -279,9 +280,9 @@ mod tests {
     fn gdi_routes_around_congestion() {
         let (topo, group, table) = fixture();
         let source = NodeId::new(0);
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Same congestion that defeats SP: link 0-1 saturated.
-        let fixed = table.route(source, NodeId::new(3)).unwrap();
+        let fixed = &table.routes_from(source).unwrap()[0]; // member 3
         links
             .reserve(fixed.links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -306,7 +307,7 @@ mod tests {
     fn gdi_rejects_only_when_no_member_reachable() {
         let (topo, group, _table) = fixture();
         let source = NodeId::new(0);
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Cut both exits of node 0.
         links
             .reserve(LinkId::new(0), Bandwidth::from_kbps(128))
@@ -331,7 +332,7 @@ mod tests {
     fn gdi_prefers_shortest_feasible_member() {
         let (topo, group, _table) = fixture();
         let source = NodeId::new(4);
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let mut rsvp = ReservationEngine::new();
         let out = GlobalDynamicSystem::new().admit(
             &topo,
@@ -354,8 +355,8 @@ mod tests {
         // Drive both systems with the same saturation pattern; GDI must
         // admit at least whenever SP does.
         for saturate in 0u32..5 {
-            let mut links_sp = LinkStateTable::from_topology(&topo);
-            let mut links_gdi = LinkStateTable::from_topology(&topo);
+            let mut links_sp = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
+            let mut links_gdi = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
             for t in [&mut links_sp, &mut links_gdi] {
                 let avail = t.available(LinkId::new(saturate));
                 t.reserve(LinkId::new(saturate), avail).unwrap();

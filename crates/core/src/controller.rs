@@ -24,7 +24,7 @@ pub struct AdmittedFlow {
     /// Index of the selected group member.
     pub member_index: usize,
     /// Bottleneck bandwidth of the route before this flow reserved on it.
-    pub route_bandwidth: Bandwidth,
+    pub(crate) route_bandwidth: Bandwidth,
 }
 
 /// The outcome of running the DAC procedure for one request.
@@ -39,7 +39,8 @@ pub struct AdmissionOutcome {
 
 impl AdmissionOutcome {
     /// `true` when the flow was admitted.
-    pub fn is_admitted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_admitted(&self) -> bool {
         self.admitted.is_some()
     }
 }
@@ -135,19 +136,9 @@ impl AdmissionController {
         }
     }
 
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// This router's local admission history.
     pub fn history(&self) -> &HistoryTable {
         &self.history
-    }
-
-    /// The configured retrial policy.
-    pub fn retrial(&self) -> RetrialPolicy {
-        self.retrial
     }
 
     /// Computes the policy's current selection weights without performing
@@ -190,7 +181,7 @@ impl AdmissionController {
     /// # Panics
     ///
     /// Panics if `routes` does not match the construction-time group size.
-    pub fn admit_traced(
+    pub(crate) fn admit_traced(
         &mut self,
         routes: &[Path],
         links: &mut LinkStateTable,
@@ -231,11 +222,6 @@ impl AdmissionController {
         self.spare_weights = request.weights;
         self.spare_untried = request.untried;
         (outcome, probes)
-    }
-
-    /// Clears the admission history (e.g. between measurement epochs).
-    pub fn reset_history(&mut self) {
-        self.history.reset();
     }
 
     /// The input to step 1.1: the policy's selection weights against the
@@ -519,7 +505,7 @@ impl DacRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Ed, PolicySpec, WdDb, WdDh};
+    use crate::policy::{Ed, WdDb, WdDh};
     use anycast_net::routing::RouteTable;
     use anycast_net::{AnycastGroup, NodeId, Topology, TopologyBuilder};
 
@@ -543,7 +529,7 @@ mod tests {
     #[test]
     fn admits_on_idle_network() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let mut rsvp = ReservationEngine::new();
         let mut rng = SimRng::seed_from(1);
         let mut c = controller(Box::new(Ed), 1, dists);
@@ -562,7 +548,7 @@ mod tests {
     #[test]
     fn retries_distinct_destination_and_succeeds() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Saturate the route toward member 0 (link 0-1).
         links
             .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
@@ -595,7 +581,7 @@ mod tests {
     #[test]
     fn r1_rejects_when_first_pick_blocked() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         links
             .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -629,7 +615,7 @@ mod tests {
     #[test]
     fn rejects_when_all_members_blocked() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         links
             .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -655,7 +641,7 @@ mod tests {
     #[test]
     fn history_steers_wddh_away_from_failures() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         links
             .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -690,7 +676,7 @@ mod tests {
     #[test]
     fn wddb_avoids_saturated_route_without_history() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         links
             .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
             .unwrap();
@@ -719,7 +705,7 @@ mod tests {
         // All routes saturated: WD/D+B weights degrade to distance weights,
         // reservation fails, request rejected after R tries or exhaustion.
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         for l in 0..4u32 {
             let id = anycast_net::LinkId::new(l);
             let avail = links.available(id);
@@ -740,23 +726,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_history_clears_state() {
-        let (_, _, dists) = fixture();
-        let mut c = controller(PolicySpec::wd_dh_default().build().unwrap(), 2, dists);
-        c.history.record_failure(0);
-        c.reset_history();
-        assert_eq!(c.history().clean_count(), 2);
-        assert_eq!(c.retrial(), RetrialPolicy::FixedLimit(2));
-        assert_eq!(c.policy_name(), "WD/D+H");
-    }
-
-    #[test]
     fn route_bandwidth_cache_matches_fresh_recompute() {
         // Churn the ledger with reservations, holds and faults; after every
         // mutation the cached controller must see exactly the weights a
         // cache-less (fresh) controller computes from scratch.
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let mut cached = controller(Box::new(WdDb), 2, dists.clone());
         let check = |cached: &mut AdmissionController, links: &LinkStateTable| {
             let mut fresh = controller(Box::new(WdDb), 2, dists.clone());
@@ -790,7 +765,7 @@ mod tests {
     #[should_panic(expected = "routes must cover every group member")]
     fn mismatched_routes_panic() {
         let (topo, routes, dists) = fixture();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let mut rsvp = ReservationEngine::new();
         let mut rng = SimRng::seed_from(0);
         let mut c = controller(Box::new(Ed), 1, dists);

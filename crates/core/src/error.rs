@@ -16,15 +16,6 @@ pub enum DacError {
         /// The offending value.
         value: f64,
     },
-    /// A selection context was built with mismatched slice lengths.
-    ContextShapeMismatch {
-        /// Expected number of group members.
-        expected: usize,
-        /// Actual length supplied.
-        actual: usize,
-        /// Which field was malformed.
-        field: &'static str,
-    },
     /// A delay requirement cannot be met on the given route at any rate.
     InfeasibleDelay {
         /// The requested end-to-end delay bound in seconds.
@@ -42,14 +33,6 @@ impl fmt::Display for DacError {
                 constraint,
                 value,
             } => write!(f, "invalid parameter {name}: {constraint} (got {value})"),
-            DacError::ContextShapeMismatch {
-                expected,
-                actual,
-                field,
-            } => write!(
-                f,
-                "selection context field {field} has length {actual}, expected {expected}"
-            ),
             DacError::InfeasibleDelay {
                 requested_secs,
                 floor_secs,
@@ -74,11 +57,6 @@ mod tests {
                 name: "alpha",
                 constraint: "must lie in [0, 1]",
                 value: 2.0,
-            },
-            DacError::ContextShapeMismatch {
-                expected: 5,
-                actual: 3,
-                field: "history",
             },
             DacError::InfeasibleDelay {
                 requested_secs: 0.001,

@@ -29,7 +29,7 @@ use anycast_rsvp::{
 };
 use anycast_sim::stats::{AdmissionStats, TimeWeighted};
 use anycast_sim::workload::{
-    BurstyWorkload, FlowRequest, HoldingSampler, ModulatedWorkload, PoissonWorkload, RateEnvelope,
+    BurstyWorkload, FlowRequest, ModulatedWorkload, PoissonWorkload, RateEnvelope,
 };
 use anycast_sim::{Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{
@@ -59,7 +59,7 @@ pub enum SystemSpec {
     },
     /// The multipath extension: DAC where each member may be probed over
     /// its `paths_per_member` shortest alternate routes (§6 future work;
-    /// see [`crate::multipath::MultipathController`] — the paper's §6
+    /// see `MultipathController` — the paper's §6
     /// future work).
     DacMultipath {
         /// Destination-selection algorithm `A`.
@@ -158,32 +158,6 @@ pub enum ArrivalProcess {
     },
 }
 
-/// How the workload draws flow holding times (extension — the paper's
-/// lifetimes are exponential).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum HoldingModel {
-    /// Exponential lifetimes with the configured mean (§5.1). The default,
-    /// bit-identical to the pre-knob workload.
-    #[default]
-    Exponential,
-    /// Heavy-tailed Pareto-I lifetimes with the configured mean: most
-    /// flows are short but a fat tail of long-lived flows pins bandwidth.
-    Pareto {
-        /// Tail exponent, `> 1` so the mean exists; smaller is heavier.
-        shape: f64,
-    },
-}
-
-impl HoldingModel {
-    /// The concrete sampler drawing from this model at the given mean.
-    fn sampler(&self, mean_secs: f64) -> HoldingSampler {
-        match *self {
-            HoldingModel::Exponential => HoldingSampler::exponential(mean_secs),
-            HoldingModel::Pareto { shape } => HoldingSampler::pareto(mean_secs, shape),
-        }
-    }
-}
-
 /// One anycast group of a multi-service workload (extension — the paper
 /// evaluates a single group).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -240,7 +214,7 @@ impl TwoPhaseConfig {
     ///
     /// Panics if the per-hop delay is negative or non-finite, or the
     /// setup timeout is not positive (infinity is allowed).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.per_hop_delay_secs.is_finite() && self.per_hop_delay_secs >= 0.0,
             "per-hop signalling delay must be finite and non-negative, got {}",
@@ -304,18 +278,14 @@ pub struct ExperimentConfig {
     /// The admission system under test.
     pub system: SystemSpec,
     /// Shape of the request arrival process (extension; paper: Poisson).
-    pub arrivals: ArrivalProcess,
-    /// Holding-time distribution (extension; paper: exponential, which
-    /// the default reproduces bit-for-bit).
-    #[serde(default)]
-    pub holding: HoldingModel,
+    pub(crate) arrivals: ArrivalProcess,
     /// Fault-injection plan (extension; the paper's analysis is
     /// fault-free, which [`FaultPlan::none`] reproduces exactly).
     pub faults: FaultPlan,
     /// How the reservation exchange is signalled (extension; the paper's
     /// exchange is atomic, which [`SignalingMode::Atomic`] reproduces
     /// exactly).
-    pub signaling: SignalingMode,
+    pub(crate) signaling: SignalingMode,
 }
 
 impl ExperimentConfig {
@@ -339,7 +309,6 @@ impl ExperimentConfig {
             sources: topologies::mci_source_nodes(),
             system,
             arrivals: ArrivalProcess::Poisson,
-            holding: HoldingModel::Exponential,
             faults: FaultPlan::none(),
             signaling: SignalingMode::Atomic,
         }
@@ -375,12 +344,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Replaces the per-flow bandwidth demand.
-    pub fn with_flow_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.flow_bandwidth = bw;
-        self
-    }
-
     /// Replaces the admission system under test.
     pub fn with_system(mut self, system: SystemSpec) -> Self {
         self.system = system;
@@ -390,12 +353,6 @@ impl ExperimentConfig {
     /// Replaces the arrival-process shape (extension beyond the paper).
     pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
         self.arrivals = arrivals;
-        self
-    }
-
-    /// Replaces the holding-time model (extension beyond the paper).
-    pub fn with_holding_model(mut self, holding: HoldingModel) -> Self {
-        self.holding = holding;
         self
     }
 
@@ -690,66 +647,53 @@ fn flash_group_override(config: &ExperimentConfig, at: SimTime, drawn: usize) ->
 /// forks. Shared by [`Sim::new`] and [`draw_arrival_trace`] so the two
 /// consume identical fork sequences — the replay-equivalence contract.
 fn build_workload(config: &ExperimentConfig, master_rng: &mut SimRng) -> WorkloadKind {
-    let holding = config.holding.sampler(config.mean_holding_secs);
     match config.arrivals {
-        ArrivalProcess::Poisson => WorkloadKind::Poisson(
-            PoissonWorkload::new(
-                config.lambda,
-                config.mean_holding_secs,
-                config.sources.len(),
-                master_rng,
-            )
-            .with_holding(holding),
-        ),
+        ArrivalProcess::Poisson => WorkloadKind::Poisson(PoissonWorkload::new(
+            config.lambda,
+            config.mean_holding_secs,
+            config.sources.len(),
+            master_rng,
+        )),
         ArrivalProcess::Bursty {
             burstiness,
             mean_sojourn_secs,
-        } => WorkloadKind::Bursty(
-            BurstyWorkload::with_mean_rate(
-                config.lambda,
-                burstiness,
-                mean_sojourn_secs,
-                config.mean_holding_secs,
-                config.sources.len(),
-                master_rng,
-            )
-            .with_holding(holding),
-        ),
+        } => WorkloadKind::Bursty(BurstyWorkload::with_mean_rate(
+            config.lambda,
+            burstiness,
+            mean_sojourn_secs,
+            config.mean_holding_secs,
+            config.sources.len(),
+            master_rng,
+        )),
         ArrivalProcess::Diurnal {
             amplitude,
             period_secs,
-        } => WorkloadKind::Modulated(
-            ModulatedWorkload::new(
-                config.lambda,
-                RateEnvelope::Diurnal {
-                    amplitude,
-                    period_secs,
-                },
-                config.mean_holding_secs,
-                config.sources.len(),
-                master_rng,
-            )
-            .with_holding(holding),
-        ),
+        } => WorkloadKind::Modulated(ModulatedWorkload::new(
+            config.lambda,
+            RateEnvelope::Diurnal {
+                amplitude,
+                period_secs,
+            },
+            config.mean_holding_secs,
+            config.sources.len(),
+            master_rng,
+        )),
         ArrivalProcess::FlashCrowd {
             start_secs,
             duration_secs,
             multiplier,
             ..
-        } => WorkloadKind::Modulated(
-            ModulatedWorkload::new(
-                config.lambda,
-                RateEnvelope::Window {
-                    start_secs,
-                    duration_secs,
-                    multiplier,
-                },
-                config.mean_holding_secs,
-                config.sources.len(),
-                master_rng,
-            )
-            .with_holding(holding),
-        ),
+        } => WorkloadKind::Modulated(ModulatedWorkload::new(
+            config.lambda,
+            RateEnvelope::Window {
+                start_secs,
+                duration_secs,
+                multiplier,
+            },
+            config.mean_holding_secs,
+            config.sources.len(),
+            master_rng,
+        )),
     }
 }
 
@@ -1969,11 +1913,6 @@ impl<R: Recorder> Sim<R> {
         (metrics, self.recorder)
     }
 
-    /// End of the warm-up period.
-    pub(crate) fn warmup_end(&self) -> SimTime {
-        self.warmup_end
-    }
-
     /// The run horizon (`warmup_secs + measure_secs`).
     pub(crate) fn horizon(&self) -> SimTime {
         self.horizon
@@ -2418,11 +2357,11 @@ mod tests {
     #[test]
     fn faulty_runs_replay_bit_identically() {
         let topo = topologies::mci();
-        let plan = FaultPlan::none()
+        let mut plan = FaultPlan::none()
             .with_link_model(400.0, 60.0)
-            .with_member_model(600.0, 120.0)
-            .with_teardown_loss(0.1)
-            .with_teardown_delay(2.0);
+            .with_member_model(600.0, 120.0);
+        plan.control.teardown_loss_probability = 0.1;
+        plan.control.teardown_delay_secs = 2.0;
         let cfg = quick(25.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2)).with_faults(plan);
         let a = run_experiment(&topo, &cfg);
         let b = run_experiment(&topo, &cfg);
@@ -2473,14 +2412,15 @@ mod tests {
             let armed = sim.orphans.armed_total();
             (armed, soft_ticks, sim.finish(horizon).0)
         };
-        let lossless = FaultPlan::none()
-            .with_link_model(400.0, 60.0)
-            .with_teardown_delay(2.0);
+        let mut lossless = FaultPlan::none().with_link_model(400.0, 60.0);
+        lossless.control.teardown_delay_secs = 2.0;
         let (armed, soft_ticks, m) = run(lossless.clone());
         assert!(m.flows_killed_by_failure > 0 && m.admitted > 10_000);
         assert_eq!((armed, soft_ticks), (0, 0));
 
-        let (armed, soft_ticks, m) = run(lossless.with_teardown_loss(0.1));
+        let mut lossy = lossless;
+        lossy.control.teardown_loss_probability = 0.1;
+        let (armed, soft_ticks, m) = run(lossy);
         assert!(m.orphaned_reservations > 100 && m.orphans_reclaimed > 0);
         assert_eq!(armed, m.orphaned_reservations);
         assert!(soft_ticks > 0);
@@ -2489,7 +2429,8 @@ mod tests {
     #[test]
     fn lost_teardowns_orphan_and_soft_state_reclaims() {
         let topo = topologies::mci();
-        let plan = FaultPlan::none().with_teardown_loss(0.25);
+        let mut plan = FaultPlan::none();
+        plan.control.teardown_loss_probability = 0.25;
         let cfg = quick(15.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_faults(plan);
         let m = run_experiment(&topo, &cfg);
         assert!(
@@ -2876,39 +2817,18 @@ mod tests {
         );
     }
 
-    /// Heavy-tailed Pareto holding times are deterministic under a seed
-    /// and produce a different sample path than exponential holding at
-    /// the same mean.
-    #[test]
-    fn pareto_holding_is_deterministic_and_distinct() {
-        let topo = topologies::mci();
-        let pareto = quick(30.0, SystemSpec::dac(PolicySpec::Ed, 2))
-            .with_holding_model(HoldingModel::Pareto { shape: 2.5 });
-        let a = run_experiment(&topo, &pareto);
-        let b = run_experiment(&topo, &pareto);
-        assert_eq!(a, b, "Pareto holding must replay bit-identically");
-        assert_all_finite(&a, "pareto");
-        let exp = run_experiment(&topo, &quick(30.0, SystemSpec::dac(PolicySpec::Ed, 2)));
-        assert_ne!(
-            a.admitted, exp.admitted,
-            "a different holding law must explore a different sample path"
-        );
-    }
-
     #[test]
     fn config_builders_compose() {
         let cfg = ExperimentConfig::paper_defaults(5.0, SystemSpec::GlobalDynamic)
             .with_seed(1)
             .with_warmup_secs(10.0)
             .with_measure_secs(20.0)
-            .with_flow_bandwidth(Bandwidth::from_kbps(128))
             .with_group(vec![NodeId::new(0)])
             .with_sources(vec![NodeId::new(1)])
             .with_system(SystemSpec::ShortestPath);
         assert_eq!(cfg.seed, 1);
         assert_eq!(cfg.warmup_secs, 10.0);
         assert_eq!(cfg.measure_secs, 20.0);
-        assert_eq!(cfg.flow_bandwidth, Bandwidth::from_kbps(128));
         assert_eq!(cfg.group_members.len(), 1);
         assert_eq!(cfg.sources.len(), 1);
         assert_eq!(cfg.system, SystemSpec::ShortestPath);

@@ -9,16 +9,6 @@ use serde::{Deserialize, Serialize};
 /// (eq. 7). This log is "readily available at the AC-router. Its collection
 /// does not cost much at all" (§4.3.2) — it is the cheap dynamic signal
 /// behind the WD/D+H algorithm.
-///
-/// ```rust
-/// use anycast_dac::HistoryTable;
-/// let mut h = HistoryTable::new(3);
-/// h.record_failure(1);
-/// h.record_failure(1);
-/// assert_eq!(h.entries(), &[0, 2, 0]);
-/// h.record_success(1);
-/// assert_eq!(h.entries(), &[0, 0, 0]);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistoryTable {
     entries: Vec<u32>,
@@ -30,7 +20,7 @@ impl HistoryTable {
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0, "history needs at least one member");
         HistoryTable {
             entries: vec![0; k],
@@ -38,12 +28,14 @@ impl HistoryTable {
     }
 
     /// Group size `K`.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Always `false`: constructed non-empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -57,7 +49,8 @@ impl HistoryTable {
     /// # Panics
     ///
     /// Panics if `member` is out of range.
-    pub fn failures(&self, member: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn failures(&self, member: usize) -> u32 {
         self.entries[member]
     }
 
@@ -66,7 +59,7 @@ impl HistoryTable {
     /// # Panics
     ///
     /// Panics if `member` is out of range.
-    pub fn record_success(&mut self, member: usize) {
+    pub(crate) fn record_success(&mut self, member: usize) {
         self.entries[member] = 0;
     }
 
@@ -75,19 +68,15 @@ impl HistoryTable {
     /// # Panics
     ///
     /// Panics if `member` is out of range.
-    pub fn record_failure(&mut self, member: usize) {
+    pub(crate) fn record_failure(&mut self, member: usize) {
         self.entries[member] = self.entries[member].saturating_add(1);
     }
 
     /// Number of members with a clean record (`h_i = 0`) — the `M` of
     /// eq. (9).
-    pub fn clean_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn clean_count(&self) -> usize {
         self.entries.iter().filter(|&&h| h == 0).count()
-    }
-
-    /// Clears all records back to the initial state.
-    pub fn reset(&mut self) {
-        self.entries.fill(0);
     }
 }
 
@@ -120,15 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_all() {
-        let mut h = HistoryTable::new(2);
-        h.record_failure(0);
-        h.record_failure(1);
-        h.reset();
-        assert_eq!(h.entries(), &[0, 0]);
-    }
-
-    #[test]
     fn saturates_instead_of_overflowing() {
         let mut h = HistoryTable::new(1);
         h.entries[0] = u32::MAX;
@@ -140,5 +120,33 @@ mod tests {
     #[should_panic(expected = "at least one member")]
     fn zero_members_rejected() {
         let _ = HistoryTable::new(0);
+    }
+
+    proptest::proptest! {
+        /// The history table is a fold of its event stream: success zeroes,
+        /// failure increments.
+        #[test]
+        fn history_is_fold_of_events(
+            k in 1usize..8,
+            events in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..8), 0..100),
+        ) {
+            let mut table = HistoryTable::new(k);
+            let mut model = vec![0u32; k];
+            for (success, who) in events {
+                let m = who % k;
+                if success {
+                    table.record_success(m);
+                    model[m] = 0;
+                } else {
+                    table.record_failure(m);
+                    model[m] += 1;
+                }
+                proptest::prop_assert_eq!(table.entries(), model.as_slice());
+                proptest::prop_assert_eq!(
+                    table.clean_count(),
+                    model.iter().filter(|&&h| h == 0).count()
+                );
+            }
+        }
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! | System | Status information used |
 //! |--------|-------------------------|
-//! | [`Ed`](policy::Ed) | none (uniform weights, eq. 2) |
-//! | [`WdDh`](policy::WdDh) | route distances + local admission history (eqs. 4–10) |
-//! | [`WdDb`](policy::WdDb) | route distances + route available bandwidth (eq. 12) |
+//! | `Ed` | none (uniform weights, eq. 2) |
+//! | `WdDh` | route distances + local admission history (eqs. 4–10) |
+//! | `WdDb` | route distances + route available bandwidth (eq. 12) |
 //! | [`ShortestPathSystem`](baselines::ShortestPathSystem) | distances only; always the nearest member |
 //! | [`GlobalDynamicSystem`](baselines::GlobalDynamicSystem) | perfect global dynamic information |
 //!
@@ -37,14 +37,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backoff;
+pub(crate) mod backoff;
 pub mod baselines;
 pub mod calibrate;
 mod controller;
 mod error;
 pub mod experiment;
 mod history;
-pub mod multipath;
+pub(crate) mod multipath;
 pub mod online;
 pub mod policy;
 pub mod qos;
@@ -58,7 +58,3 @@ pub use controller::{AdmissionController, AdmissionOutcome, AdmittedFlow};
 pub use error::DacError;
 pub use history::HistoryTable;
 pub use retrial::RetrialPolicy;
-pub use weights::{
-    bandwidth_distance_weights, distance_weights, history_adjusted_weights, normalize_weights,
-    uniform_weights,
-};

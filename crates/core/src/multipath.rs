@@ -11,20 +11,18 @@
 
 use crate::controller::Routes;
 use crate::policy::WeightAssigner;
-use crate::{AdmissionController, AdmissionOutcome, HistoryTable, RetrialPolicy};
+use crate::{AdmissionController, AdmissionOutcome, RetrialPolicy};
 use anycast_net::routing::k_shortest_paths;
 use anycast_net::{AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, Topology};
 use anycast_rsvp::ReservationEngine;
 use anycast_sim::SimRng;
-use anycast_telemetry::{NullRecorder, RequestTracer};
+use anycast_telemetry::RequestTracer;
 use std::collections::HashMap;
 
 /// Fixed multipath routes: for every listed source and every member, the
 /// `k` shortest loop-free paths in preference order.
 #[derive(Debug, Clone)]
-pub struct MultipathRouteTable {
-    group: AnycastGroup,
-    paths_per_member: usize,
+pub(crate) struct MultipathRouteTable {
     /// `routes[source][member_index][rank]`
     routes: HashMap<NodeId, Vec<Vec<Path>>>,
 }
@@ -37,7 +35,7 @@ impl MultipathRouteTable {
     ///
     /// Panics if `paths_per_member` is zero or some member is unreachable
     /// from some source (the paper's connectivity assumption).
-    pub fn build(
+    pub(crate) fn build(
         topo: &Topology,
         group: &AnycastGroup,
         sources: &[NodeId],
@@ -60,22 +58,7 @@ impl MultipathRouteTable {
                 .collect();
             routes.insert(src, per_member);
         }
-        MultipathRouteTable {
-            group: group.clone(),
-            paths_per_member,
-            routes,
-        }
-    }
-
-    /// The anycast group this table routes toward.
-    pub fn group(&self) -> &AnycastGroup {
-        &self.group
-    }
-
-    /// The requested number of paths per member (individual members may
-    /// have fewer if the topology lacks diversity).
-    pub fn paths_per_member(&self) -> usize {
-        self.paths_per_member
+        MultipathRouteTable { routes }
     }
 
     /// All route fans from `source`, indexed `[member_index][rank]`.
@@ -83,7 +66,7 @@ impl MultipathRouteTable {
     /// # Panics
     ///
     /// Panics if the table was not built for `source`.
-    pub fn routes_from(&self, source: NodeId) -> &[Vec<Path>] {
+    pub(crate) fn routes_from(&self, source: NodeId) -> &[Vec<Path>] {
         self.routes
             .get(&source)
             .map(Vec::as_slice)
@@ -96,7 +79,7 @@ impl MultipathRouteTable {
     /// # Panics
     ///
     /// Panics if the table was not built for `source`.
-    pub fn distances(&self, source: NodeId) -> Vec<u32> {
+    pub(crate) fn distances(&self, source: NodeId) -> Vec<u32> {
         self.routes_from(source)
             .iter()
             .map(|fan| fan[0].hops() as u32)
@@ -107,12 +90,12 @@ impl MultipathRouteTable {
 /// Outcome of a multipath admission: the member-level outcome plus how
 /// many individual path reservations were attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultipathOutcome {
+pub(crate) struct MultipathOutcome {
     /// Member-level view, comparable to the single-path
     /// [`AdmissionOutcome`] (tries counts *members*, as in the paper).
-    pub outcome: AdmissionOutcome,
+    pub(crate) outcome: AdmissionOutcome,
     /// Total path reservation attempts across all members tried.
-    pub path_attempts: u32,
+    pub(crate) path_attempts: u32,
 }
 
 /// The multipath admission controller: the §4.2 loop where each selected
@@ -122,7 +105,7 @@ pub struct MultipathOutcome {
 /// the reservation step walks the selected member's fan, and the weights
 /// read each member's best bottleneck over its fan.
 #[derive(Debug)]
-pub struct MultipathController {
+pub(crate) struct MultipathController {
     dac: AdmissionController,
 }
 
@@ -134,7 +117,7 @@ impl MultipathController {
     /// # Panics
     ///
     /// Panics if `distances` is empty.
-    pub fn new(
+    pub(crate) fn new(
         policy: Box<dyn WeightAssigner>,
         retrial: RetrialPolicy,
         distances: Vec<u32>,
@@ -144,43 +127,14 @@ impl MultipathController {
         }
     }
 
-    /// This router's local admission history.
-    pub fn history(&self) -> &HistoryTable {
-        self.dac.history()
-    }
-
-    /// Runs the multipath DAC procedure for one flow request.
-    ///
-    /// `route_fans[i]` holds member `i`'s alternate routes in preference
-    /// order. A member "fails" only when every alternate is blocked; the
-    /// history then records one failure, exactly as a single-path failure
-    /// would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `route_fans` does not match the construction-time group
-    /// size or contains an empty fan.
-    pub fn admit(
-        &mut self,
-        route_fans: &[Vec<Path>],
-        links: &mut LinkStateTable,
-        rsvp: &mut ReservationEngine,
-        demand: Bandwidth,
-        rng: &mut SimRng,
-    ) -> MultipathOutcome {
-        let mut null = NullRecorder;
-        let mut tracer = RequestTracer::new(&mut null, 0.0, 0);
-        self.admit_traced(route_fans, links, rsvp, demand, rng, &mut tracer)
-    }
-
-    /// [`admit`](Self::admit) with a telemetry tracer, traced exactly like
-    /// [`AdmissionController::admit_traced`]: a failed member's skip
+    /// Runs the DAC loop for one request over `route_fans`, traced exactly
+    /// like [`AdmissionController::admit_traced`]: a failed member's skip
     /// reason is the bottleneck of the last route of its fan.
     ///
     /// # Panics
     ///
-    /// As [`admit`](Self::admit).
-    pub fn admit_traced(
+    /// As [`AdmissionController::admit`].
+    pub(crate) fn admit_traced(
         &mut self,
         route_fans: &[Vec<Path>],
         links: &mut LinkStateTable,
@@ -197,11 +151,6 @@ impl MultipathController {
             path_attempts,
         }
     }
-
-    /// Resets the admission history.
-    pub fn reset_history(&mut self) {
-        self.dac.reset_history();
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +158,7 @@ mod tests {
     use super::*;
     use crate::policy::{Ed, PolicySpec};
     use anycast_net::{topologies, LinkId, TopologyBuilder};
+    use anycast_telemetry::NullRecorder;
 
     /// Diamond to a single member: two disjoint 2-hop routes.
     fn diamond() -> (Topology, AnycastGroup, MultipathRouteTable) {
@@ -223,9 +173,7 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let (_, group, table) = diamond();
-        assert_eq!(table.group(), &group);
-        assert_eq!(table.paths_per_member(), 2);
+        let (_, _, table) = diamond();
         let fans = table.routes_from(NodeId::new(0));
         assert_eq!(fans.len(), 1);
         assert_eq!(fans[0].len(), 2);
@@ -235,7 +183,7 @@ mod tests {
     #[test]
     fn falls_through_to_alternate_route() {
         let (topo, _, table) = diamond();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Kill the primary route (via node 1).
         let primary = &table.routes_from(NodeId::new(0))[0][0];
         links
@@ -248,12 +196,13 @@ mod tests {
             RetrialPolicy::FixedLimit(1),
             table.distances(NodeId::new(0)),
         );
-        let out = c.admit(
+        let out = c.admit_traced(
             table.routes_from(NodeId::new(0)),
             &mut links,
             &mut rsvp,
             Bandwidth::from_kbps(64),
             &mut rng,
+            &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
         );
         assert!(
             out.outcome.is_admitted(),
@@ -261,13 +210,13 @@ mod tests {
         );
         assert_eq!(out.outcome.tries, 1, "one member tried");
         assert_eq!(out.path_attempts, 2, "two paths probed");
-        assert_eq!(c.history().failures(0), 0, "member succeeded overall");
+        assert_eq!(c.dac.history().failures(0), 0, "member succeeded overall");
     }
 
     #[test]
     fn member_fails_only_when_all_paths_fail() {
         let (topo, _, table) = diamond();
-        let mut links = LinkStateTable::from_topology(&topo);
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         for l in 0..4u32 {
             let id = LinkId::new(l);
             let avail = links.available(id);
@@ -280,17 +229,18 @@ mod tests {
             RetrialPolicy::FixedLimit(3),
             table.distances(NodeId::new(0)),
         );
-        let out = c.admit(
+        let out = c.admit_traced(
             table.routes_from(NodeId::new(0)),
             &mut links,
             &mut rsvp,
             Bandwidth::from_kbps(64),
             &mut rng,
+            &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
         );
         assert!(!out.outcome.is_admitted());
         assert_eq!(out.outcome.tries, 1, "single member exhausted");
         assert_eq!(out.path_attempts, 2);
-        assert_eq!(c.history().failures(0), 1, "one member-level failure");
+        assert_eq!(c.dac.history().failures(0), 1, "one member-level failure");
     }
 
     #[test]
@@ -320,12 +270,13 @@ mod tests {
             single.distances(source).unwrap(),
         );
         for _ in 0..200 {
-            let a = mc.admit(
+            let a = mc.admit_traced(
                 multi.routes_from(source),
                 &mut links_a,
                 &mut rsvp_a,
                 Bandwidth::from_kbps(64),
                 &mut rng_a,
+                &mut RequestTracer::new(&mut NullRecorder, 0.0, 0),
             );
             let b = sc.admit(
                 single.routes_from(source).unwrap(),

@@ -17,7 +17,7 @@
 //! substreams, even when it is never drawn from), a virtual-time replay
 //! of a config's recorded arrival trace is **bit-identical** to the
 //! offline run: same decisions, same [`Metrics`], same telemetry stream.
-//! [`record_arrivals`] + [`OnlineEngine::replay`] round-trip is the
+//! [`record_arrivals`] + [`OnlineEngine::submit`] round-trip is the
 //! contract; `core/tests/online_replay.rs` enforces it.
 
 use crate::experiment::{
@@ -175,12 +175,6 @@ impl<R: Recorder> OnlineEngine<R> {
         self.engine.now()
     }
 
-    /// End of the warm-up period: decisions before it are made but not
-    /// measured, exactly as offline.
-    pub fn warmup_end(&self) -> SimTime {
-        self.sim.warmup_end()
-    }
-
     /// The run horizon (`warmup_secs + measure_secs`); the engine never
     /// advances past it and arrivals beyond it are rejected at submit.
     pub fn horizon(&self) -> SimTime {
@@ -316,33 +310,13 @@ impl<R: Recorder> OnlineEngine<R> {
         let (metrics, recorder) = self.sim.finish(end);
         (metrics, decisions, recorder)
     }
-
-    /// Replays a recorded arrival trace in virtual time: submits every
-    /// arrival, runs to the horizon and closes the run. Returns the
-    /// metrics, every decision in request order, and the recorder.
-    ///
-    /// # Panics
-    ///
-    /// As [`submit`](Self::submit) for malformed traces.
-    pub fn replay(
-        topo: &Topology,
-        config: &ExperimentConfig,
-        arrivals: &[OnlineArrival],
-        recorder: R,
-    ) -> (Metrics, Vec<Decision>, R) {
-        let mut eng = OnlineEngine::new(topo, config, recorder);
-        for a in arrivals {
-            eng.submit(*a);
-        }
-        eng.finish()
-    }
 }
 
 /// Draws a config's complete arrival process — every arrival in
 /// `[0, warmup + measure]`, with its source, group, demand and holding
 /// time — without running any admission. This is what `anycast record`
-/// writes to a trace file; replaying the result through
-/// [`OnlineEngine::replay`] reproduces the offline run bit-identically.
+/// writes to a trace file; submitting the result to an [`OnlineEngine`]
+/// reproduces the offline run bit-identically.
 pub fn record_arrivals(config: &ExperimentConfig) -> Vec<OnlineArrival> {
     draw_arrival_trace(config)
 }

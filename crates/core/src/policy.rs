@@ -25,33 +25,6 @@ pub struct SelectionContext<'a> {
     pub route_bandwidth_bps: &'a [f64],
 }
 
-impl SelectionContext<'_> {
-    /// Validates internal consistency: all populated slices share the
-    /// group size `K`.
-    ///
-    /// # Errors
-    ///
-    /// [`DacError::ContextShapeMismatch`] naming the offending field.
-    pub fn validate(&self) -> Result<(), DacError> {
-        let k = self.distances.len();
-        if self.history.len() != k {
-            return Err(DacError::ContextShapeMismatch {
-                expected: k,
-                actual: self.history.len(),
-                field: "history",
-            });
-        }
-        if !self.route_bandwidth_bps.is_empty() && self.route_bandwidth_bps.len() != k {
-            return Err(DacError::ContextShapeMismatch {
-                expected: k,
-                actual: self.route_bandwidth_bps.len(),
-                field: "route_bandwidth_bps",
-            });
-        }
-        Ok(())
-    }
-}
-
 /// A destination-selection weight policy (sealed).
 ///
 /// Implementations return a probability distribution over the `K` group
@@ -66,8 +39,7 @@ pub trait WeightAssigner: fmt::Debug + Send + private::Sealed {
     ///
     /// # Panics
     ///
-    /// Implementations panic on malformed contexts (mismatched lengths);
-    /// validate with [`SelectionContext::validate`] at the boundary.
+    /// Implementations panic on malformed contexts (mismatched lengths).
     fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>);
 
     /// [`assign_into`](Self::assign_into) into a fresh vector.
@@ -105,7 +77,7 @@ mod private {
 /// Uses no status information beyond the group size — the cheapest and
 /// least informed of the three algorithms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ed;
+pub(crate) struct Ed;
 
 impl WeightAssigner for Ed {
     fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>) {
@@ -139,10 +111,9 @@ pub enum HistoryMode {
 /// The damping strength is `alpha ∈ [0, 1]`: 0 gives history maximal
 /// impact, 1 disables it (pure distance weighting).
 #[derive(Debug, Clone)]
-pub struct WdDh {
+pub(crate) struct WdDh {
     alpha: f64,
     mode: HistoryMode,
-    history_cap: Option<u32>,
     /// `damp[h] = α^h` for `h < DAMP_TABLE_LEN`, each entry from
     /// [`history_damping`] itself, so a lookup is bit-identical to the
     /// call it replaces. Longer histories fall back to the call.
@@ -167,7 +138,7 @@ impl WdDh {
     /// # Errors
     ///
     /// [`DacError::InvalidParameter`] if `alpha` is outside `[0, 1]`.
-    pub fn new(alpha: f64, mode: HistoryMode) -> Result<Self, DacError> {
+    pub(crate) fn new(alpha: f64, mode: HistoryMode) -> Result<Self, DacError> {
         if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
             return Err(DacError::InvalidParameter {
                 name: "alpha",
@@ -178,7 +149,6 @@ impl WdDh {
         Ok(WdDh {
             alpha,
             mode,
-            history_cap: None,
             damp: std::array::from_fn(|h| history_damping(alpha, h as u32)),
             base_distances: Vec::new(),
             base: Vec::new(),
@@ -186,44 +156,14 @@ impl WdDh {
         })
     }
 
-    /// Creates the policy with a *history cap* (extension): the damping
-    /// exponent is `min(h_i, cap)`, so a member's selection probability
-    /// has a floor of roughly `α^cap` and a long outage cannot exile it
-    /// forever (see `DESIGN.md` §5 — with the paper's unbounded history,
-    /// `α^{h_i}` underflows and the member never gets the success that
-    /// would reset `h_i`).
-    ///
-    /// # Errors
-    ///
-    /// [`DacError::InvalidParameter`] if `alpha` is outside `[0, 1]` or
-    /// `cap` is zero.
-    pub fn with_history_cap(alpha: f64, mode: HistoryMode, cap: u32) -> Result<Self, DacError> {
-        if cap == 0 {
-            return Err(DacError::InvalidParameter {
-                name: "history_cap",
-                constraint: "must be at least 1",
-                value: 0.0,
-            });
-        }
-        let mut policy = Self::new(alpha, mode)?;
-        policy.history_cap = Some(cap);
-        Ok(policy)
-    }
-
     /// The damping parameter α.
-    pub fn alpha(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn alpha(&self) -> f64 {
         self.alpha
     }
 
-    /// The history cap, if configured.
-    pub fn history_cap(&self) -> Option<u32> {
-        self.history_cap
-    }
-
-    /// `α^min(h, cap)`. A cap is at least 1, so it never turns a tainted
-    /// record into a clean one.
+    /// `α^h`, by table lookup for short histories.
     fn damp(&self, h: u32) -> f64 {
-        let h = self.history_cap.map_or(h, |cap| h.min(cap));
         match self.damp.get(h as usize) {
             Some(&d) => d,
             None => history_damping(self.alpha, h),
@@ -231,7 +171,8 @@ impl WdDh {
     }
 
     /// The configured update mode.
-    pub fn mode(&self) -> HistoryMode {
+    #[cfg(test)]
+    pub(crate) fn mode(&self) -> HistoryMode {
         self.mode
     }
 }
@@ -268,7 +209,7 @@ impl WeightAssigner for WdDh {
 /// reads them from the link ledger, matching the paper's assumption that
 /// the information is simply available.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WdDb;
+pub(crate) struct WdDb;
 
 impl WeightAssigner for WdDb {
     fn assign_into(&mut self, ctx: &SelectionContext<'_>, out: &mut Vec<f64>) {
@@ -400,34 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn wddh_history_cap_floors_the_damping() {
-        let mut uncapped = WdDh::new(0.5, HistoryMode::FromBase).unwrap();
-        let mut capped = WdDh::with_history_cap(0.5, HistoryMode::FromBase, 3).unwrap();
-        assert_eq!(capped.history_cap(), Some(3));
-        assert_eq!(uncapped.history_cap(), None);
-        let c = ctx(&[1, 1], &[40, 0], &[]);
-        let wu = uncapped.assign(&c);
-        let wc = capped.assign(&c);
-        // Uncapped: α^40 ≈ 0 — member 0 is gone. Capped: floor of α³ = 1/8.
-        assert!(wu[0] < 1e-9, "{wu:?}");
-        assert!(wc[0] > 0.05, "{wc:?}");
-        // At or below the cap the two agree exactly.
-        let c2 = ctx(&[1, 1], &[2, 0], &[]);
-        assert_eq!(uncapped.assign(&c2), capped.assign(&c2));
-    }
-
-    #[test]
-    fn wddh_zero_cap_rejected() {
-        assert!(matches!(
-            WdDh::with_history_cap(0.5, HistoryMode::FromBase, 0),
-            Err(DacError::InvalidParameter {
-                name: "history_cap",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn wddh_accessors() {
         let p = WdDh::new(0.25, HistoryMode::Iterative).unwrap();
         assert_eq!(p.alpha(), 0.25);
@@ -470,33 +383,11 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn context_validation() {
-        assert!(ctx(&[1, 2], &[0, 0], &[]).validate().is_ok());
-        assert!(ctx(&[1, 2], &[0, 0], &[1.0, 2.0]).validate().is_ok());
-        assert!(matches!(
-            ctx(&[1, 2], &[0], &[]).validate(),
-            Err(DacError::ContextShapeMismatch {
-                field: "history",
-                ..
-            })
-        ));
-        assert!(matches!(
-            ctx(&[1, 2], &[0, 0], &[1.0]).validate(),
-            Err(DacError::ContextShapeMismatch {
-                field: "route_bandwidth_bps",
-                ..
-            })
-        ));
-    }
-
-    /// Every policy shape: ED, WD/D+H in both modes with and without a
-    /// history cap, and WD/D+B.
-    fn every_policy(alpha: f64, cap: u32) -> Vec<Box<dyn WeightAssigner>> {
+    /// Every policy shape: ED, WD/D+H in both modes, and WD/D+B.
+    fn every_policy(alpha: f64) -> Vec<Box<dyn WeightAssigner>> {
         let mut policies: Vec<Box<dyn WeightAssigner>> = vec![Box::new(Ed), Box::new(WdDb)];
         for mode in [HistoryMode::FromBase, HistoryMode::Iterative] {
             policies.push(Box::new(WdDh::new(alpha, mode).unwrap()));
-            policies.push(Box::new(WdDh::with_history_cap(alpha, mode, cap).unwrap()));
         }
         policies
     }
@@ -524,10 +415,9 @@ mod tests {
             k in 1usize..=16,
             steps in proptest::collection::vec(proptest::collection::vec(member(), 16), 1..6),
             alpha in 0.0f64..=1.0,
-            cap in 1u32..40,
             garbage in proptest::collection::vec(-1e9f64..1e9, 0..24),
         ) {
-            let twins = every_policy(alpha, cap).into_iter().zip(every_policy(alpha, cap));
+            let twins = every_policy(alpha).into_iter().zip(every_policy(alpha));
             for (mut into, mut fresh) in twins {
                 let mut buf = garbage.clone();
                 for step in &steps {
@@ -549,21 +439,21 @@ mod tests {
             k in 1usize..=16,
             steps in proptest::collection::vec(proptest::collection::vec(member(), 16), 1..6),
             alpha in 0.0f64..=1.0,
-            cap in 1u32..40,
         ) {
             let mut plain = WdDh::new(alpha, HistoryMode::FromBase).unwrap();
-            let mut capped = WdDh::with_history_cap(alpha, HistoryMode::FromBase, cap).unwrap();
+            let (mut base, mut expected) = (Vec::new(), Vec::new());
             for step in &steps {
                 let distances: Vec<u32> = step[..k].iter().map(|m| m.0).collect();
                 let history: Vec<u32> = step[..k].iter().map(|m| m.1).collect();
                 let c = ctx(&distances, &history, &[]);
-                let base = crate::weights::distance_weights(&distances);
-                let expected = crate::weights::history_adjusted_weights(&base, &history, alpha);
+                crate::weights::distance_weights_into(&distances, &mut base);
+                crate::weights::history_adjusted_weights_into(
+                    &base,
+                    &history,
+                    |h| crate::weights::history_damping(alpha, h),
+                    &mut expected,
+                );
                 prop_assert_eq!(bits(&plain.assign(&c)), bits(&expected));
-                let capped_history: Vec<u32> = history.iter().map(|&h| h.min(cap)).collect();
-                let expected =
-                    crate::weights::history_adjusted_weights(&base, &capped_history, alpha);
-                prop_assert_eq!(bits(&capped.assign(&c)), bits(&expected));
             }
         }
     }

@@ -30,18 +30,6 @@ pub struct FlowSpec {
     pub sustained_rate: Bandwidth,
 }
 
-impl FlowSpec {
-    /// A 64 kb/s voice-like flow: 1500-byte packets, 3 kB burst — the kind
-    /// of flow the paper's experiments admit.
-    pub fn voice_like() -> Self {
-        FlowSpec {
-            burst_bytes: 3_000,
-            max_packet_bytes: 1_500,
-            sustained_rate: Bandwidth::from_kbps(64),
-        }
-    }
-}
-
 /// Computes the bandwidth that must be reserved for `spec` so its
 /// end-to-end delay over `hops` WFQ/Virtual-Clock schedulers stays below
 /// `delay_bound_secs`, on links of capacity `link_capacity` carrying
@@ -68,7 +56,11 @@ impl FlowSpec {
 /// use anycast_net::Bandwidth;
 ///
 /// # fn main() -> Result<(), anycast_dac::DacError> {
-/// let spec = FlowSpec::voice_like();
+/// let spec = FlowSpec {
+///     burst_bytes: 3_000,
+///     max_packet_bytes: 1_500,
+///     sustained_rate: Bandwidth::from_kbps(64),
+/// };
 /// // 100 ms across 4 hops of 100 Mb/s links.
 /// let bw = required_bandwidth(&spec, 0.100, 4, Bandwidth::from_mbps(100), 1_500)?;
 /// assert!(bw >= spec.sustained_rate);
@@ -140,6 +132,16 @@ pub fn guaranteed_delay(
 mod tests {
     use super::*;
 
+    /// A 64 kb/s voice-like flow: 1500-byte packets, 3 kB burst — the kind
+    /// of flow the paper's experiments admit.
+    fn voice() -> FlowSpec {
+        FlowSpec {
+            burst_bytes: 3_000,
+            max_packet_bytes: 1_500,
+            sustained_rate: Bandwidth::from_kbps(64),
+        }
+    }
+
     const C: Bandwidth = Bandwidth::from_mbps(100);
 
     #[test]
@@ -160,7 +162,7 @@ mod tests {
 
     #[test]
     fn tighter_delay_needs_more_bandwidth() {
-        let spec = FlowSpec::voice_like();
+        let spec = voice();
         let loose = required_bandwidth(&spec, 0.5, 4, C, 1_500).unwrap();
         let tight = required_bandwidth(&spec, 0.05, 4, C, 1_500).unwrap();
         assert!(tight > loose);
@@ -168,7 +170,7 @@ mod tests {
 
     #[test]
     fn longer_routes_need_more_bandwidth() {
-        let spec = FlowSpec::voice_like();
+        let spec = voice();
         let short = required_bandwidth(&spec, 0.1, 2, C, 1_500).unwrap();
         let long = required_bandwidth(&spec, 0.1, 6, C, 1_500).unwrap();
         assert!(long > short, "distance discrimination of §4.3.2 in action");
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn infeasible_delay_detected() {
-        let spec = FlowSpec::voice_like();
+        let spec = voice();
         // 4 hops of 1500 B at 100 Mb/s = 0.48 ms fixed; ask for 0.1 ms.
         let err = required_bandwidth(&spec, 0.0001, 4, C, 1_500).unwrap_err();
         assert!(matches!(err, DacError::InfeasibleDelay { .. }));
@@ -196,7 +198,7 @@ mod tests {
 
     #[test]
     fn zero_hops_needs_only_sustained_rate() {
-        let spec = FlowSpec::voice_like();
+        let spec = voice();
         let bw = required_bandwidth(&spec, 0.001, 0, C, 1_500).unwrap();
         assert_eq!(bw, spec.sustained_rate);
         assert_eq!(guaranteed_delay(&spec, bw, 0, C, 1_500), 0.0);
@@ -204,7 +206,7 @@ mod tests {
 
     #[test]
     fn mapping_round_trips() {
-        let spec = FlowSpec::voice_like();
+        let spec = voice();
         let bound = 0.080;
         let bw = required_bandwidth(&spec, bound, 5, C, 1_500).unwrap();
         let achieved = guaranteed_delay(&spec, bw, 5, C, 1_500);
@@ -220,6 +222,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn zero_delay_bound_panics() {
-        let _ = required_bandwidth(&FlowSpec::voice_like(), 0.0, 1, C, 1_500);
+        let _ = required_bandwidth(&voice(), 0.0, 1, C, 1_500);
     }
 }

@@ -42,7 +42,7 @@ impl RetrialPolicy {
     /// fires on evidence the remainder is worthless, so NaN falls back to
     /// the plain counter. (NaN fails every `>=` comparison, so the naive
     /// check would silently forfeit the remaining retrials.)
-    pub fn keep_going(&self, tries: u32, remaining_weight: f64) -> bool {
+    pub(crate) fn keep_going(&self, tries: u32, remaining_weight: f64) -> bool {
         match self {
             RetrialPolicy::FixedLimit(r) => tries < *r,
             RetrialPolicy::Adaptive { max, min_weight } => {

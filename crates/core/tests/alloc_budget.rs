@@ -62,11 +62,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn a_full_mci_run_allocates_a_pinned_count_per_request() {
     let topo = topologies::mci();
     let pinned = [
-        (SystemSpec::dac(PolicySpec::Ed, 2), 380), // 0.0020
-        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 411), // 0.0022
-        (SystemSpec::dac(PolicySpec::WdDb, 2), 402), // 0.0021
-        (SystemSpec::ShortestPath, 343),           // 0.0018
-        (SystemSpec::GlobalDynamic, 729_899),      // 3.86
+        (SystemSpec::dac(PolicySpec::Ed, 2), 378), // 0.0020
+        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 409), // 0.0022
+        (SystemSpec::dac(PolicySpec::WdDb, 2), 400), // 0.0021
+        (SystemSpec::ShortestPath, 341),           // 0.0018
+        (SystemSpec::GlobalDynamic, 729_895),      // 3.86
     ];
     for (system, expected) in pinned {
         let config = ExperimentConfig::paper_defaults(35.0, system).with_seed(11);

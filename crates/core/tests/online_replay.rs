@@ -6,20 +6,37 @@
 
 use anycast_chaos::FaultPlan;
 use anycast_dac::experiment::{
-    run_experiment_traced, ArrivalProcess, DemandClass, ExperimentConfig, GroupSpec, SignalingMode,
-    SystemSpec, TwoPhaseConfig,
+    run_experiment_traced, ArrivalProcess, Decision, DemandClass, ExperimentConfig, GroupSpec,
+    Metrics, SignalingMode, SystemSpec, TwoPhaseConfig,
 };
-use anycast_dac::online::{record_arrivals, OnlineEngine};
+use anycast_dac::online::{record_arrivals, OnlineArrival, OnlineEngine};
 use anycast_dac::policy::PolicySpec;
+use anycast_net::Topology;
 use anycast_net::{topologies, Bandwidth, NodeId};
 use anycast_sim::pool::parallel_map;
-use anycast_telemetry::{NullRecorder, RingRecorder};
+use anycast_telemetry::{NullRecorder, Recorder, RingRecorder};
 
 fn quick(lambda: f64, system: SystemSpec) -> ExperimentConfig {
     ExperimentConfig::paper_defaults(lambda, system)
         .with_warmup_secs(300.0)
         .with_measure_secs(600.0)
         .with_seed(17)
+}
+
+/// Replays a recorded arrival trace in virtual time: submits every
+/// arrival to a fresh [`OnlineEngine`], runs to the horizon and closes the
+/// run.
+fn replay<R: Recorder>(
+    topo: &Topology,
+    config: &ExperimentConfig,
+    trace: &[OnlineArrival],
+    recorder: R,
+) -> (Metrics, Vec<Decision>, R) {
+    let mut online = OnlineEngine::new(topo, config, recorder);
+    for &arrival in trace {
+        online.submit(arrival);
+    }
+    online.finish()
 }
 
 /// Runs `config` offline and as a virtual-time trace replay, with ring
@@ -32,7 +49,7 @@ fn assert_replay_identical(config: &ExperimentConfig) {
     let trace = record_arrivals(config);
     assert!(!trace.is_empty(), "trace must cover the run");
     let replay_rec = RingRecorder::with_capacity(config.seed, 1 << 20);
-    let (replayed, decisions, replay_rec) = OnlineEngine::replay(&topo, config, &trace, replay_rec);
+    let (replayed, decisions, replay_rec) = replay(&topo, config, &trace, replay_rec);
 
     assert_eq!(offline, replayed, "metrics diverged ({})", offline.label);
     let (_, offline_events, offline_dropped) = offline_rec.into_parts();
@@ -160,7 +177,7 @@ fn every_sync_arrival_gets_exactly_one_decision() {
     let topo = topologies::mci();
     let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2));
     let trace = record_arrivals(&config);
-    let (metrics, decisions, _) = OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
+    let (metrics, decisions, _) = replay(&topo, &config, &trace, NullRecorder);
     assert_eq!(
         decisions.len(),
         trace.len(),
@@ -199,8 +216,7 @@ fn incremental_pumping_equals_one_shot_replay() {
     ] {
         let trace = record_arrivals(&config);
 
-        let (one_shot, one_decisions, _) =
-            OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
+        let (one_shot, one_decisions, _) = replay(&topo, &config, &trace, NullRecorder);
 
         let mut eng = OnlineEngine::new(&topo, &config, NullRecorder);
         let mut incremental = Vec::new();
@@ -226,8 +242,7 @@ fn replay_is_identical_for_any_worker_count() {
         parallel_map(jobs, &seeds, |_, &seed| {
             let config = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_seed(seed);
             let trace = record_arrivals(&config);
-            let (metrics, decisions, _) =
-                OnlineEngine::replay(&topo, &config, &trace, NullRecorder);
+            let (metrics, decisions, _) = replay(&topo, &config, &trace, NullRecorder);
             (metrics, decisions)
         })
     };

@@ -85,7 +85,7 @@ impl DecisionJournal {
     }
 
     /// Looks a token up.
-    pub fn get(&self, token: &str) -> Option<&JournalEntry> {
+    pub(crate) fn get(&self, token: &str) -> Option<&JournalEntry> {
         self.entries.get(token)
     }
 
@@ -137,7 +137,7 @@ impl DecisionJournal {
     /// Rebinds a still-queued token to a new connection (duplicate submit
     /// or resume after reconnect). Returns `false` if the token is not in
     /// the queued state.
-    pub fn rebind_queued(&mut self, token: &str, conn: u64) -> bool {
+    pub(crate) fn rebind_queued(&mut self, token: &str, conn: u64) -> bool {
         match self.entries.get_mut(token) {
             Some(JournalEntry::Queued { conn: c }) => {
                 *c = conn;
@@ -173,7 +173,7 @@ impl DecisionJournal {
     /// Drops a token outright (shutdown rejection of a queued admit: the
     /// request was never decided, so a later resume must say `unknown`,
     /// not `pending`).
-    pub fn forget(&mut self, token: &str) {
+    pub(crate) fn forget(&mut self, token: &str) {
         if self.entries.remove(token).is_some() {
             self.order.retain(|t| &**t != token);
         }

@@ -5,17 +5,17 @@
 //! *right now*?" — the same engine, the same GDI/SP/two-phase machinery,
 //! run as a daemon that:
 //!
-//! * **replays traces** ([`replay`]): JSONL arrival traces recorded with
+//! * **replays traces** (`replay`): JSONL arrival traces recorded with
 //!   `anycast record`, either in virtual time (bit-identical to the
 //!   offline engine, in milliseconds) or paced against a rate-scaled wall
 //!   clock (`--speed`);
-//! * **serves a wire protocol** ([`server`], [`wire`]): line-delimited
+//! * **serves a wire protocol** (`server`, [`wire`]): line-delimited
 //!   JSON over TCP or a Unix socket — `admit` (with optional correlation
 //!   tokens), `teardown`, `resume`, `stats`, `shutdown` — with decisions
 //!   routed back per connection, out of order if the signalling is
 //!   asynchronous, and structured `error` responses (reason code plus
 //!   offending-line echo) for anything unparseable;
-//! * **survives hostile clients** ([`overload`], [`journal`]): a bounded,
+//! * **survives hostile clients** ([`overload`], `journal`): a bounded,
 //!   per-connection-fair admission queue behind a hysteresis shed
 //!   controller that answers `overloaded` past its watermarks, a bounded
 //!   decision journal for reconnect-safe verdict delivery and
@@ -24,7 +24,7 @@
 //!   the configured horizon and reports trailing-window admission stats;
 //! * **streams telemetry** live (the PR 4 `StreamRecorder` JSONL, with
 //!   drop-newest backpressure so a slow disk never stalls admission);
-//! * **shuts down gracefully** ([`shutdown`]): SIGINT/SIGTERM or a wire
+//! * **shuts down gracefully** (`shutdown`): SIGINT/SIGTERM or a wire
 //!   request drains everything in flight, rejects queued-but-unserved
 //!   admits with explicit `shutting_down` lines, releases every pending
 //!   two-phase hold (audited to zero leak), and flushes the stream.
@@ -33,12 +33,12 @@
 //! by [`anycast_dac::online::OnlineEngine`], which shares its event
 //! handler with the offline experiment down to the RNG fork order.
 
-pub mod journal;
+pub(crate) mod journal;
 pub mod overload;
-pub mod replay;
-pub mod server;
-pub mod shutdown;
-pub mod trace;
+pub(crate) mod replay;
+pub(crate) mod server;
+pub(crate) mod shutdown;
+pub(crate) mod trace;
 pub mod wire;
 
 pub use journal::{DecisionJournal, JournalEntry};

@@ -137,7 +137,7 @@ impl AdmissionQueue {
     }
 
     /// The global bound.
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         self.limit
     }
 

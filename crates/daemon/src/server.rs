@@ -442,6 +442,23 @@ impl ServiceState {
         }
     }
 
+    /// Debug builds check the accounting identity of [`DaemonCounters`]
+    /// after every event, counting the admits still queued: each
+    /// validated admit is dispatched, queued, shed, a duplicate, or
+    /// rejected at shutdown.
+    fn debug_assert_accounting(&self) {
+        debug_assert_eq!(
+            self.counters.admits_received,
+            self.submitted
+                + self.queue.len() as u64
+                + self.counters.shed
+                + self.counters.duplicates
+                + self.counters.rejected_shutdown,
+            "daemon request accounting out of balance: {:?}",
+            self.counters
+        );
+    }
+
     /// Fairly dispatches up to `budget` queued admits into the engine.
     fn dispatch(
         &mut self,
@@ -602,6 +619,7 @@ impl BoundServer {
             match rx.recv_timeout(options.tick) {
                 Ok(msg) => {
                     handle_inbound(&mut state, &mut engine, &mut clock, &shutdown, rolling, msg);
+                    state.debug_assert_accounting();
                     while let Ok(msg) = rx.try_recv() {
                         handle_inbound(
                             &mut state,
@@ -611,6 +629,7 @@ impl BoundServer {
                             rolling,
                             msg,
                         );
+                        state.debug_assert_accounting();
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -624,6 +643,7 @@ impl BoundServer {
             state.shed.update(state.queue.len());
             state.counters.shed_engaged = state.shed.times_engaged();
             state.dispatch(&mut engine, &mut clock, ov.dispatch_per_tick);
+            state.debug_assert_accounting();
             let now = clock.now();
             let decisions = engine.advance_to(now);
             state.route(decisions);
@@ -645,6 +665,7 @@ impl BoundServer {
             let line = shutdown_rejection(item.token.as_deref());
             state.respond(item.conn, &line);
         }
+        state.debug_assert_accounting();
         // (2) Decide everything already dispatched and due.
         let decisions = engine.advance_to(clock.now());
         state.route(decisions);

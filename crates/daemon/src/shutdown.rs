@@ -28,7 +28,7 @@ impl ShutdownFlag {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_requested(&self) -> bool {
+    pub(crate) fn is_requested(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }

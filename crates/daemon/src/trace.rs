@@ -35,17 +35,17 @@ pub const TRACE_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceHeader {
     /// Format version ([`TRACE_VERSION`]).
-    pub version: u64,
+    pub(crate) version: u64,
     /// Seed of the config the trace was recorded from.
     pub seed: u64,
     /// Arrival rate λ of the recorded config, flows/second.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Number of source routers (exclusive bound on `source`).
-    pub sources: usize,
+    pub(crate) sources: usize,
     /// Number of anycast groups (exclusive bound on `group`).
-    pub groups: usize,
+    pub(crate) groups: usize,
     /// Recorded horizon (`warmup + measure`), seconds.
-    pub horizon_secs: f64,
+    pub(crate) horizon_secs: f64,
 }
 
 fn field<'a>(obj: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
@@ -75,7 +75,7 @@ fn index_field(obj: &JsonValue, key: &str) -> Result<usize, String> {
 
 impl TraceHeader {
     /// Builds the header describing `config`'s arrival process.
-    pub fn for_config(config: &ExperimentConfig) -> Self {
+    pub(crate) fn for_config(config: &ExperimentConfig) -> Self {
         TraceHeader {
             version: TRACE_VERSION,
             seed: config.seed,

@@ -30,7 +30,7 @@
 //! Request ids are the engine's dense per-run arrival counter, assigned
 //! in dispatch order — under asynchronous two-phase signalling a decision
 //! line may arrive *after* later requests' lines. Clients that need to
-//! survive a TCP reset should send a `token` (≤ [`MAX_TOKEN_BYTES`]
+//! survive a TCP reset should send a `token` (≤ `MAX_TOKEN_BYTES`
 //! bytes, unique per request): the daemon journals the verdict under the
 //! token, duplicate submits are idempotent, and `resume` on a fresh
 //! connection re-delivers it. `state:"unknown"` says the journal holds no
@@ -59,7 +59,7 @@ use std::io::{self, BufRead};
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
 
 /// Hard cap on a correlation token.
-pub const MAX_TOKEN_BYTES: usize = 64;
+pub(crate) const MAX_TOKEN_BYTES: usize = 64;
 
 /// How much of an offending line an `error` response echoes back.
 const ECHO_BYTES: usize = 120;
@@ -70,14 +70,14 @@ const ECHO_BYTES: usize = 120;
 pub struct WireError {
     /// Machine-readable reason code (`parse`, `unknown_op`,
     /// `line_too_long`, `out_of_range`, `horizon_reached`).
-    pub reason: &'static str,
+    pub(crate) reason: &'static str,
     /// Human-readable detail.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl WireError {
     /// A `parse` error.
-    pub fn parse(message: impl Into<String>) -> Self {
+    pub(crate) fn parse(message: impl Into<String>) -> Self {
         WireError {
             reason: "parse",
             message: message.into(),
@@ -170,7 +170,7 @@ fn token_field(slot: Option<Scalar>) -> Result<Option<String>, WireError> {
 /// # Errors
 ///
 /// A [`WireError`] with reason `parse` (JSON syntax, missing/invalid
-/// fields) or `unknown_op`, suitable for [`error_response`].
+/// fields) or `unknown_op`, suitable for `error_response`.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
     let mut f = Fields::default();
     scan_object(line.trim(), |key, value| {
@@ -311,29 +311,33 @@ pub fn decision_response(d: &Decision, latency_us: u64, token: Option<&str>) -> 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Admits currently waiting in the admission queue.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// The queue's hard bound.
-    pub queue_limit: usize,
+    pub(crate) queue_limit: usize,
     /// Admits refused with an `overloaded` response so far.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Whether the hysteresis shed controller is currently engaged.
-    pub shedding: bool,
+    pub(crate) shedding: bool,
     /// Tokens currently held in the decision journal.
-    pub journal_size: usize,
+    pub(crate) journal_size: usize,
     /// Duplicate submits answered from the journal.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
     /// `resume` ops served.
-    pub resumed: u64,
+    pub(crate) resumed: u64,
     /// Wire `teardown` ops that reclaimed a live session.
-    pub torn_down: u64,
+    pub(crate) torn_down: u64,
     /// `error` responses sent.
-    pub wire_errors: u64,
+    pub(crate) wire_errors: u64,
 }
 
 /// Renders a `stats` response line (no trailing newline).
 /// `telemetry_dropped` is the stream recorder's drop counter (0 when
 /// telemetry is off or lossless).
-pub fn stats_response(s: &ServiceSnapshot, telemetry_dropped: u64, d: &ServiceStats) -> String {
+pub(crate) fn stats_response(
+    s: &ServiceSnapshot,
+    telemetry_dropped: u64,
+    d: &ServiceStats,
+) -> String {
     let mut line = Line::new("stats", 768);
     line.num("time_secs", s.time_secs);
     line.uint("offered", s.offered);
@@ -366,7 +370,7 @@ pub fn stats_response(s: &ServiceSnapshot, telemetry_dropped: u64, d: &ServiceSt
 /// Renders an `error` response line (no trailing newline): the reason
 /// code, the message, and the offending line echoed back (truncated to
 /// [`ECHO_BYTES`] on a character boundary).
-pub fn error_response(err: &WireError, line: &str) -> String {
+pub(crate) fn error_response(err: &WireError, line: &str) -> String {
     let mut echo = line.trim();
     if echo.len() > ECHO_BYTES {
         let mut cut = ECHO_BYTES;
@@ -386,7 +390,11 @@ pub fn error_response(err: &WireError, line: &str) -> String {
 /// was shed, never enqueued, and will get no decision. `shedding` tells
 /// the client whether the hysteresis controller (vs. the hard queue
 /// bound) refused it.
-pub fn overloaded_response(token: Option<&str>, queue_depth: usize, shedding: bool) -> String {
+pub(crate) fn overloaded_response(
+    token: Option<&str>,
+    queue_depth: usize,
+    shedding: bool,
+) -> String {
     let mut line = Line::new("overloaded", 96 + token.map_or(0, str::len));
     line.opt_str("token", token);
     line.uint("queue_depth", queue_depth as u64);
@@ -397,7 +405,7 @@ pub fn overloaded_response(token: Option<&str>, queue_depth: usize, shedding: bo
 /// Renders a `torn_down` response line (no trailing newline).
 /// `reclaimed` is `false` when the session was not live — already torn
 /// down, departed, or never issued; duplicate teardowns are harmless.
-pub fn torn_down_response(session: u64, reclaimed: bool) -> String {
+pub(crate) fn torn_down_response(session: u64, reclaimed: bool) -> String {
     let mut line = Line::new("torn_down", 72);
     line.uint("session", session);
     line.bool("reclaimed", reclaimed);
@@ -409,7 +417,7 @@ pub fn torn_down_response(session: u64, reclaimed: bool) -> String {
 /// `pending` (still queued or in flight — the decision will be delivered
 /// to *this* connection) or `unknown` (not seen — at least not yet — or
 /// evicted).
-pub fn resumed_response(token: &str, state: &str) -> String {
+pub(crate) fn resumed_response(token: &str, state: &str) -> String {
     let mut line = Line::new("resumed", 48 + token.len() + state.len());
     line.str("token", token);
     line.str("state", state);
@@ -417,7 +425,7 @@ pub fn resumed_response(token: &str, state: &str) -> String {
 }
 
 /// Renders the `shutting_down` acknowledgement line (no trailing newline).
-pub fn shutdown_response() -> String {
+pub(crate) fn shutdown_response() -> String {
     Line::new("shutting_down", 24).finish()
 }
 
@@ -425,7 +433,7 @@ pub fn shutdown_response() -> String {
 /// to each queued-but-unserved admit when the daemon drains its admission
 /// queue at shutdown: the request was *not* decided and must be retried
 /// elsewhere.
-pub fn shutdown_rejection(token: Option<&str>) -> String {
+pub(crate) fn shutdown_rejection(token: Option<&str>) -> String {
     let mut line = Line::new("shutting_down", 56 + token.map_or(0, str::len));
     line.opt_str("token", token);
     line.bool("rejected", true);
@@ -434,7 +442,7 @@ pub fn shutdown_rejection(token: Option<&str>) -> String {
 
 /// One line read by [`read_line_bounded`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum LineRead {
+pub(crate) enum LineRead {
     /// End of stream with no pending bytes.
     Eof,
     /// A complete line (without its newline; possibly the unterminated
@@ -458,7 +466,7 @@ pub enum LineRead {
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying reader.
-pub fn read_line_bounded<R: BufRead + ?Sized>(
+pub(crate) fn read_line_bounded<R: BufRead + ?Sized>(
     reader: &mut R,
     max_bytes: usize,
 ) -> io::Result<LineRead> {
@@ -532,7 +540,7 @@ mod tests {
         };
         use anycast_telemetry::json::{parse, JsonValue};
 
-        pub fn field<'a>(obj: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+        pub(crate) fn field<'a>(obj: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
             match obj {
                 JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
                 _ => None,
@@ -573,7 +581,7 @@ mod tests {
             }
         }
 
-        pub fn parse_request(line: &str) -> Result<Request, WireError> {
+        pub(crate) fn parse_request(line: &str) -> Result<Request, WireError> {
             let v = parse(line.trim()).map_err(WireError::parse)?;
             let op = match field(&v, "op") {
                 Some(JsonValue::Str(s)) => s.as_str(),
@@ -637,7 +645,11 @@ mod tests {
             token.map_or(JsonValue::Null, |t| JsonValue::Str(t.into()))
         }
 
-        pub fn decision_response(d: &Decision, latency_us: u64, token: Option<&str>) -> String {
+        pub(crate) fn decision_response(
+            d: &Decision,
+            latency_us: u64,
+            token: Option<&str>,
+        ) -> String {
             JsonValue::obj([
                 op("decision"),
                 ("request", uint(d.request)),
@@ -658,7 +670,7 @@ mod tests {
             .render()
         }
 
-        pub fn stats_response(
+        pub(crate) fn stats_response(
             s: &ServiceSnapshot,
             telemetry_dropped: u64,
             d: &ServiceStats,
@@ -694,7 +706,7 @@ mod tests {
             .render()
         }
 
-        pub fn error_response(err: &WireError, line: &str) -> String {
+        pub(crate) fn error_response(err: &WireError, line: &str) -> String {
             let mut echo = line.trim();
             if echo.len() > ECHO_BYTES {
                 let mut cut = ECHO_BYTES;
@@ -712,7 +724,7 @@ mod tests {
             .render()
         }
 
-        pub fn overloaded_response(
+        pub(crate) fn overloaded_response(
             token: Option<&str>,
             queue_depth: usize,
             shedding: bool,
@@ -726,7 +738,7 @@ mod tests {
             .render()
         }
 
-        pub fn torn_down_response(session: u64, reclaimed: bool) -> String {
+        pub(crate) fn torn_down_response(session: u64, reclaimed: bool) -> String {
             JsonValue::obj([
                 op("torn_down"),
                 ("session", uint(session)),
@@ -735,7 +747,7 @@ mod tests {
             .render()
         }
 
-        pub fn resumed_response(token: &str, state: &str) -> String {
+        pub(crate) fn resumed_response(token: &str, state: &str) -> String {
             JsonValue::obj([
                 op("resumed"),
                 ("token", JsonValue::Str(token.into())),
@@ -744,11 +756,11 @@ mod tests {
             .render()
         }
 
-        pub fn shutdown_response() -> String {
+        pub(crate) fn shutdown_response() -> String {
             JsonValue::obj([op("shutting_down")]).render()
         }
 
-        pub fn shutdown_rejection(token: Option<&str>) -> String {
+        pub(crate) fn shutdown_rejection(token: Option<&str>) -> String {
             JsonValue::obj([
                 op("shutting_down"),
                 ("token", opt_token(token)),

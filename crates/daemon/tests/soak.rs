@@ -42,12 +42,14 @@ fn soak_thousands_of_faulted_connections_leak_nothing() {
     // The engine loses 20% of its own teardown messages: wire-admitted
     // flows whose clients also vanish exercise the §4.4 soft-state path
     // end to end while the swarm hammers the socket.
+    let mut faults = FaultPlan::none();
+    faults.control.teardown_loss_probability = 0.2;
     let config =
         ExperimentConfig::paper_defaults(1.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
             .with_warmup_secs(0.0)
             .with_measure_secs(3_600.0)
             .with_seed(11)
-            .with_faults(FaultPlan::none().with_teardown_loss(0.2));
+            .with_faults(faults);
     let overload = OverloadOptions {
         journal_limit: 512,
         ..OverloadOptions::default()

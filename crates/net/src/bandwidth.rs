@@ -15,7 +15,6 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// use anycast_net::Bandwidth;
 /// let link = Bandwidth::from_mbps(100);
 /// let flow = Bandwidth::from_bps(64_000);
-/// assert_eq!(link.checked_sub(flow), Some(Bandwidth::from_bps(99_936_000)));
 /// assert_eq!(link.saturating_div(flow), 1562);
 /// ```
 #[derive(
@@ -47,23 +46,13 @@ impl Bandwidth {
         self.0
     }
 
-    /// Returns the value in megabits per second as a float.
-    pub fn mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns `true` if this bandwidth is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
-    /// Checked subtraction; `None` if `other > self`.
-    pub fn checked_sub(self, other: Bandwidth) -> Option<Bandwidth> {
-        self.0.checked_sub(other.0).map(Bandwidth)
-    }
-
     /// Saturating subtraction (floors at zero).
-    pub fn saturating_sub(self, other: Bandwidth) -> Bandwidth {
+    pub(crate) fn saturating_sub(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.saturating_sub(other.0))
     }
 
@@ -168,8 +157,6 @@ mod tests {
         let b = Bandwidth::from_kbps(60);
         assert_eq!(a + b, Bandwidth::from_kbps(160));
         assert_eq!(a - b, Bandwidth::from_kbps(40));
-        assert_eq!(a.checked_sub(b), Some(Bandwidth::from_kbps(40)));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(b.saturating_sub(a), Bandwidth::ZERO);
         assert_eq!(a * 3, Bandwidth::from_kbps(300));
         let total: Bandwidth = [a, b, b].into_iter().sum();

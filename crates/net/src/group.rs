@@ -18,7 +18,6 @@ use std::fmt;
 /// let g = AnycastGroup::new("mirrors", [NodeId::new(8), NodeId::new(0), NodeId::new(8)])?;
 /// assert_eq!(g.len(), 2);
 /// assert_eq!(g.members(), &[NodeId::new(0), NodeId::new(8)]);
-/// assert_eq!(g.member_index(NodeId::new(8)), Some(1));
 /// # Ok(())
 /// # }
 /// ```
@@ -52,11 +51,6 @@ impl AnycastGroup {
         })
     }
 
-    /// The anycast address label.
-    pub fn address(&self) -> &str {
-        &self.address
-    }
-
     /// The members in ascending node-id order.
     pub fn members(&self) -> &[NodeId] {
         &self.members
@@ -71,21 +65,6 @@ impl AnycastGroup {
     /// clippy-idiomatic pairing with [`len`](Self::len).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// The member at a given index.
-    pub fn member(&self, index: usize) -> Option<NodeId> {
-        self.members.get(index).copied()
-    }
-
-    /// The index of a node within the group, if it is a member.
-    pub fn member_index(&self, node: NodeId) -> Option<usize> {
-        self.members.binary_search(&node).ok()
-    }
-
-    /// Returns `true` if `node` is a member.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.member_index(node).is_some()
     }
 }
 
@@ -110,12 +89,7 @@ mod tests {
     fn paper_group() {
         let g = AnycastGroup::new("A", [0u32, 4, 8, 12, 16].map(NodeId::new)).unwrap();
         assert_eq!(g.len(), 5);
-        assert!(!g.is_empty());
-        assert_eq!(g.address(), "A");
-        assert!(g.contains(NodeId::new(12)));
-        assert!(!g.contains(NodeId::new(1)));
-        assert_eq!(g.member(4), Some(NodeId::new(16)));
-        assert_eq!(g.member(5), None);
+        assert_eq!(g.members()[4], NodeId::new(16));
     }
 
     #[test]
@@ -125,7 +99,6 @@ mod tests {
             g.members(),
             &[NodeId::new(1), NodeId::new(3), NodeId::new(5)]
         );
-        assert_eq!(g.member_index(NodeId::new(3)), Some(1));
     }
 
     #[test]
@@ -141,7 +114,7 @@ mod tests {
         // "Traditional unicast flow is a special case of anycast flow" (§1).
         let g = AnycastGroup::new("u", [NodeId::new(7)]).unwrap();
         assert_eq!(g.len(), 1);
-        assert_eq!(g.member_index(NodeId::new(7)), Some(0));
+        assert_eq!(g.members(), &[NodeId::new(7)]);
     }
 
     #[test]

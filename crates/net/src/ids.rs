@@ -73,7 +73,8 @@ impl LinkId {
     }
 
     /// Returns the raw `u32` value.
-    pub const fn raw(self) -> u32 {
+    #[cfg(test)]
+    pub(crate) const fn raw(self) -> u32 {
         self.0
     }
 }

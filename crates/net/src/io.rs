@@ -7,21 +7,18 @@
 //! serialization dependency.
 //!
 //! ```rust
-//! use anycast_net::io::{parse_edge_list, to_edge_list};
+//! use anycast_net::io::parse_edge_list;
 //!
 //! # fn main() -> Result<(), anycast_net::NetError> {
 //! let text = "# tiny triangle\n0 1 100000000\n1 2 100000000\n0 2 100000000\n";
 //! let topo = parse_edge_list(text)?;
 //! assert_eq!(topo.node_count(), 3);
 //! assert_eq!(topo.link_count(), 3);
-//! let round_trip = parse_edge_list(&to_edge_list(&topo))?;
-//! assert_eq!(round_trip.link_count(), topo.link_count());
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::{Bandwidth, NetError, NodeId, Topology, TopologyBuilder};
-use std::fmt::Write as _;
 
 /// Parses an edge-list document into a topology.
 ///
@@ -89,44 +86,9 @@ pub fn parse_edge_list(text: &str) -> Result<Topology, NetError> {
     Ok(builder.build())
 }
 
-/// Renders a topology as an edge-list document (one link per line,
-/// lower endpoint first, in link-id order).
-pub fn to_edge_list(topo: &Topology) -> String {
-    let mut out = String::with_capacity(topo.link_count() * 24);
-    let _ = writeln!(
-        out,
-        "# {} nodes, {} links",
-        topo.node_count(),
-        topo.link_count()
-    );
-    for link in topo.links() {
-        let _ = writeln!(
-            out,
-            "{} {} {}",
-            link.a().raw(),
-            link.b().raw(),
-            link.capacity().bps()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topologies;
-
-    #[test]
-    fn round_trips_the_mci_backbone() {
-        let original = topologies::mci();
-        let text = to_edge_list(&original);
-        let parsed = parse_edge_list(&text).unwrap();
-        assert_eq!(parsed.node_count(), original.node_count());
-        assert_eq!(parsed.link_count(), original.link_count());
-        for (a, b) in original.links().zip(parsed.links()) {
-            assert_eq!((a.a(), a.b(), a.capacity()), (b.a(), b.b(), b.capacity()));
-        }
-    }
 
     #[test]
     fn ignores_comments_and_blanks() {

@@ -10,8 +10,8 @@
 //! * [`AnycastGroup`]s — the sets of designated recipients that share an
 //!   anycast address;
 //! * fixed per-(source, member) routes computed by deterministic
-//!   shortest-path [`routing`], plus the dynamic searches (filtered BFS,
-//!   widest path) needed by the GDI baseline.
+//!   shortest-path [`routing`], plus the residual-network BFS the GDI
+//!   baseline needs.
 //!
 //! # Example
 //!
@@ -24,7 +24,7 @@
 //! let routes = RouteTable::shortest_paths(&topo, &group);
 //! let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::from_mbps(100), 0.2);
 //!
-//! let path = routes.route(NodeId::new(1), NodeId::new(8)).expect("route exists");
+//! let path = &routes.routes_from(NodeId::new(1)).expect("a source")[2]; // member 8
 //! links.reserve_path(path, Bandwidth::from_bps(64_000))?;
 //! assert!(links.min_available_on(path) < Bandwidth::from_mbps(20));
 //! # Ok(())

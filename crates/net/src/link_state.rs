@@ -33,7 +33,7 @@ pub struct LinkSnapshot {
     /// bandwidth.
     pub held: Bandwidth,
     /// Number of pending holds on this link.
-    pub holds: u32,
+    pub(crate) holds: u32,
     /// `true` while the link is administratively or physically down
     /// (fault-injection extension; the paper assumes a fault-free network).
     pub failed: bool,
@@ -44,22 +44,13 @@ impl LinkSnapshot {
     /// A failed link has no available bandwidth. Pending holds count as
     /// taken: a concurrent setup must not double-book bandwidth another
     /// setup has already claimed mid-signalling.
-    pub fn available(&self) -> Bandwidth {
+    pub(crate) fn available(&self) -> Bandwidth {
         if self.failed {
             Bandwidth::ZERO
         } else {
             self.capacity
                 .saturating_sub(self.reserved)
                 .saturating_sub(self.held)
-        }
-    }
-
-    /// Fraction of the anycast partition in use, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity.is_zero() {
-            0.0
-        } else {
-            self.reserved.bps() as f64 / self.capacity.bps() as f64
         }
     }
 }
@@ -191,13 +182,9 @@ impl LinkStateTable {
         }
     }
 
-    /// Builds a ledger using each link's full topology capacity.
-    pub fn from_topology(topo: &Topology) -> Self {
-        Self::with_uniform_fraction(topo, Bandwidth::ZERO, 1.0)
-    }
-
     /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn link_count(&self) -> usize {
         self.states.len()
     }
 
@@ -227,7 +214,8 @@ impl LinkStateTable {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn capacity(&self, link: LinkId) -> Bandwidth {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self, link: LinkId) -> Bandwidth {
         self.states[link.index()].capacity
     }
 
@@ -244,7 +232,8 @@ impl LinkStateTable {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn stamp(&self, link: LinkId) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn stamp(&self, link: LinkId) -> u64 {
         self.stamps[link.index()]
     }
 
@@ -253,7 +242,8 @@ impl LinkStateTable {
     /// exact iff `max_stamp_on(path)` has not advanced past the version at
     /// which it was computed. A trivial path reports 0: nothing it depends
     /// on can ever change.
-    pub fn max_stamp_on(&self, path: &Path) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max_stamp_on(&self, path: &Path) -> u64 {
         path.links()
             .iter()
             .map(|l| self.stamps[l.index()])
@@ -273,12 +263,14 @@ impl LinkStateTable {
     }
 
     /// Number of shards in the striped view (`⌈links / LINKS_PER_SHARD⌉`).
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.shard_stamps.len()
     }
 
     /// The shard a link belongs to.
-    pub fn shard_of(link: LinkId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_of(link: LinkId) -> usize {
         link.index() / LINKS_PER_SHARD
     }
 
@@ -288,7 +280,8 @@ impl LinkStateTable {
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
-    pub fn shard_stamp(&self, shard: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shard_stamp(&self, shard: usize) -> u64 {
         self.shard_stamps[shard]
     }
 
@@ -298,7 +291,7 @@ impl LinkStateTable {
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
-    pub fn shard_range(&self, shard: usize) -> Range<usize> {
+    pub(crate) fn shard_range(&self, shard: usize) -> Range<usize> {
         assert!(
             shard < self.shard_stamps.len(),
             "shard {shard} out of range"
@@ -473,7 +466,7 @@ impl LinkStateTable {
 
     /// Checks whether `bw` is available on every link of `path` without
     /// reserving anything. Returns the first bottleneck link on failure.
-    pub fn check_path(&self, path: &Path, bw: Bandwidth) -> Result<(), LinkId> {
+    pub(crate) fn check_path(&self, path: &Path, bw: Bandwidth) -> Result<(), LinkId> {
         for link in path.links() {
             if self.available(*link) < bw {
                 return Err(*link);
@@ -608,11 +601,6 @@ impl LinkStateTable {
         Ok(scanned)
     }
 
-    /// Number of links with zero available bandwidth for a demand of `bw`.
-    pub fn saturated_links(&self, bw: Bandwidth) -> usize {
-        self.sharded().saturated_links(bw)
-    }
-
     /// Marks a link as failed (fault-injection extension, beyond the
     /// paper's fault-free assumption in §3).
     ///
@@ -688,22 +676,14 @@ impl LinkStateTable {
         Ok(())
     }
 
-    /// Whether a node is currently failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn is_node_failed(&self, node: NodeId) -> bool {
-        self.node_failed[node.index()]
-    }
-
     /// Whether a link is currently (effectively) failed — down itself or
     /// attached to a down node.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn is_failed(&self, link: LinkId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_failed(&self, link: LinkId) -> bool {
         self.states[link.index()].failed
     }
 
@@ -778,11 +758,10 @@ impl LinkStateTable {
 /// holds a shared borrow, so no mutation can interleave while any copy is
 /// alive, and every copy observes the identical availability picture.
 ///
-/// Whole-table scans ([`saturated_links`](Self::saturated_links), shard
-/// iteration) walk the ledger stripe by stripe in ascending shard order,
-/// which is exactly ascending link order — so shard-aware readers observe
-/// the same sequence as a flat scan, and the stripes exist purely to let
-/// stamp-based readers skip unchanged ranges.
+/// Shard iteration walks the ledger stripe by stripe in ascending shard
+/// order, which is exactly ascending link order — so shard-aware readers
+/// observe the same sequence as a flat scan, and the stripes exist purely
+/// to let stamp-based readers skip unchanged ranges.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedSnapshot<'a> {
     table: &'a LinkStateTable,
@@ -790,27 +769,20 @@ pub struct ShardedSnapshot<'a> {
 
 impl<'a> ShardedSnapshot<'a> {
     /// The ledger version this view pins.
-    pub fn version(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn version(&self) -> u64 {
         self.table.version
     }
 
     /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn link_count(&self) -> usize {
         self.table.states.len()
     }
 
     /// Number of shards (`⌈links / LINKS_PER_SHARD⌉`).
     pub fn shard_count(&self) -> usize {
         self.table.shard_stamps.len()
-    }
-
-    /// The version at which any link in `shard` last changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub fn shard_stamp(&self, shard: usize) -> u64 {
-        self.table.shard_stamps[shard]
     }
 
     /// Iterates one stripe's `(LinkId, LinkSnapshot)` pairs in link order.
@@ -827,46 +799,10 @@ impl<'a> ShardedSnapshot<'a> {
             .map(move |(i, s)| (LinkId::new((range.start + i) as u32), *s))
     }
 
-    /// Available bandwidth `AB_l` of a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn available(&self, link: LinkId) -> Bandwidth {
-        self.table.available(link)
-    }
-
-    /// Minimum available bandwidth along a path, as
-    /// [`LinkStateTable::min_available_on`].
-    pub fn min_available_on(&self, path: &Path) -> Bandwidth {
-        self.table.min_available_on(path)
-    }
-
     /// The ledger's [`LinkSummary`] at the pinned version, as
     /// [`LinkStateTable::summary`]: O(1) from the running totals.
     pub fn summary(&self) -> LinkSummary {
         self.table.summary()
-    }
-
-    /// Number of links with less than `bw` available, folded shard by
-    /// shard.
-    pub fn saturated_links(&self, bw: Bandwidth) -> usize {
-        (0..self.shard_count())
-            .map(|shard| {
-                self.table.states[self.table.shard_range(shard)]
-                    .iter()
-                    .filter(|s| s.available() < bw)
-                    .count()
-            })
-            .sum()
-    }
-
-    /// The underlying table, for readers that need its full read-only API
-    /// (e.g. the residual-capacity route search). The returned borrow has
-    /// the view's lifetime, so the no-interleaved-mutation guarantee
-    /// carries over.
-    pub fn table(&self) -> &'a LinkStateTable {
-        self.table
     }
 }
 
@@ -900,7 +836,7 @@ mod tests {
     #[test]
     fn reserve_and_release_roundtrip() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let before = table.snapshot(LinkId::new(1)).unwrap();
         table.reserve_path(&path, Bandwidth::from_kbps(64)).unwrap();
         assert_eq!(table.snapshot(LinkId::new(1)).unwrap().flows, 1);
@@ -911,7 +847,7 @@ mod tests {
     #[test]
     fn reserve_path_is_atomic_on_failure() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Saturate the middle link.
         table
             .reserve(LinkId::new(1), Bandwidth::from_mbps(100))
@@ -934,7 +870,7 @@ mod tests {
     #[test]
     fn release_underflow_detected() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let err = table
             .release(LinkId::new(0), Bandwidth::from_bps(1))
             .unwrap_err();
@@ -944,7 +880,7 @@ mod tests {
     #[test]
     fn min_available_is_bottleneck() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(1), Bandwidth::from_mbps(60))
             .unwrap();
@@ -954,7 +890,7 @@ mod tests {
     #[test]
     fn trivial_path_always_reservable() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let p = Path::trivial(NodeId::new(2));
         table
             .reserve_path(&p, Bandwidth::from_mbps(10_000))
@@ -966,7 +902,7 @@ mod tests {
     #[test]
     fn check_path_names_first_bottleneck() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(2), Bandwidth::from_mbps(100))
             .unwrap();
@@ -977,22 +913,20 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_saturation() {
+    fn snapshot_reads_the_reservation() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(0), Bandwidth::from_mbps(50))
             .unwrap();
         let snap = table.snapshot(LinkId::new(0)).unwrap();
-        assert!((snap.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(table.saturated_links(Bandwidth::from_mbps(60)), 1);
-        assert_eq!(table.saturated_links(Bandwidth::from_mbps(10)), 0);
+        assert_eq!(snap.reserved, Bandwidth::from_mbps(50));
     }
 
     #[test]
     fn reset_restores_initial_state() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.reserve_path(&path, Bandwidth::from_mbps(3)).unwrap();
         table.reset();
         assert_eq!(table.total_reserved(), Bandwidth::ZERO);
@@ -1004,7 +938,7 @@ mod tests {
     #[test]
     fn unknown_link_errors() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(matches!(
             table.reserve(LinkId::new(50), Bandwidth::ZERO),
             Err(NetError::UnknownLink(_))
@@ -1025,13 +959,13 @@ mod tests {
             holds: 0,
             failed: false,
         };
-        assert_eq!(snap.utilization(), 0.0);
+        assert_eq!(snap.reserved, Bandwidth::ZERO);
     }
 
     #[test]
     fn holds_reduce_availability_and_release_restores_it() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let l = LinkId::new(0);
         table.place_hold(l, Bandwidth::from_mbps(30)).unwrap();
         assert_eq!(table.available(l), Bandwidth::from_mbps(70));
@@ -1047,7 +981,7 @@ mod tests {
     #[test]
     fn concurrent_holds_race_for_the_same_capacity() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let l = LinkId::new(1);
         table.place_hold(l, Bandwidth::from_mbps(60)).unwrap();
         // A second in-flight setup sees the held bandwidth as taken.
@@ -1064,7 +998,7 @@ mod tests {
     #[test]
     fn commit_hold_converts_to_reservation_without_changing_availability() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let l = LinkId::new(2);
         table.place_hold(l, Bandwidth::from_mbps(25)).unwrap();
         let before = table.available(l);
@@ -1084,7 +1018,7 @@ mod tests {
     #[test]
     fn hold_underflow_and_unknown_link_detected() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(matches!(
             table.release_hold(LinkId::new(0), Bandwidth::from_bps(1)),
             Err(NetError::ReleaseUnderflow { .. })
@@ -1102,7 +1036,7 @@ mod tests {
     #[test]
     fn failed_link_rejects_holds_and_reset_clears_them() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_link(LinkId::new(0)).unwrap();
         assert!(table
             .place_hold(LinkId::new(0), Bandwidth::from_bps(1))
@@ -1119,7 +1053,7 @@ mod tests {
     #[test]
     fn failed_link_blocks_new_reservations() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_link(LinkId::new(1)).unwrap();
         assert!(table.is_failed(LinkId::new(1)));
         assert_eq!(table.available(LinkId::new(1)), Bandwidth::ZERO);
@@ -1135,7 +1069,7 @@ mod tests {
     #[test]
     fn release_across_failed_link_works() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.reserve_path(&path, Bandwidth::from_kbps(64)).unwrap();
         table.fail_link(LinkId::new(0)).unwrap();
         table.release_path(&path, Bandwidth::from_kbps(64)).unwrap();
@@ -1152,9 +1086,8 @@ mod tests {
     #[test]
     fn failed_node_downs_incident_links_only() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_node(NodeId::new(1)).unwrap();
-        assert!(table.is_node_failed(NodeId::new(1)));
         // Links 0 (0-1) and 1 (1-2) touch node 1; link 2 (2-3) does not.
         assert!(table.is_failed(LinkId::new(0)));
         assert!(table.is_failed(LinkId::new(1)));
@@ -1170,7 +1103,7 @@ mod tests {
     #[test]
     fn node_restore_preserves_explicit_link_faults() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_link(LinkId::new(0)).unwrap();
         table.fail_node(NodeId::new(0)).unwrap();
         // Restoring the node must not resurrect the separately failed link.
@@ -1187,7 +1120,7 @@ mod tests {
     #[test]
     fn fail_unknown_node_errors() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(matches!(
             table.fail_node(NodeId::new(99)),
             Err(NetError::UnknownNode(_))
@@ -1201,17 +1134,16 @@ mod tests {
     #[test]
     fn reset_clears_node_faults() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_node(NodeId::new(2)).unwrap();
         table.reset();
-        assert!(!table.is_node_failed(NodeId::new(2)));
         assert_eq!(table.failed_link_count(), 0);
     }
 
     #[test]
     fn stamps_track_exactly_the_touched_links() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert_eq!(table.version(), 0);
         for i in 0..3 {
             assert_eq!(table.stamp(LinkId::new(i)), 0);
@@ -1256,7 +1188,7 @@ mod tests {
     #[test]
     fn fault_transitions_stamp_only_effective_changes() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table.fail_node(NodeId::new(1)).unwrap();
         let after_node = table.version();
         // Links 0 and 1 flipped to failed; link 2 untouched.
@@ -1289,7 +1221,7 @@ mod tests {
         let topo = crate::topologies::fat_tree(8, Bandwidth::from_mbps(100));
         // Node ids span hosts, edge, aggregation and core switches.
         for node in topo.nodes().step_by(37) {
-            let mut table = LinkStateTable::from_topology(&topo);
+            let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
             let mut incident: Vec<LinkId> = topo.neighbors(node).iter().map(|&(_, l)| l).collect();
             incident.sort_unstable();
             for fault in [true, false] {
@@ -1320,7 +1252,7 @@ mod tests {
     #[test]
     fn summary_aggregates_all_columns() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(0), Bandwidth::from_mbps(10))
             .unwrap();
@@ -1340,7 +1272,7 @@ mod tests {
     #[test]
     fn audit_catches_a_drifted_total_and_a_broken_link() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(0), Bandwidth::from_mbps(10))
             .unwrap();
@@ -1376,7 +1308,7 @@ mod tests {
     #[test]
     fn shard_stamps_upper_bound_link_stamps() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // 3 links fit in one shard at LINKS_PER_SHARD = 64.
         assert_eq!(table.shard_count(), 1);
         assert_eq!(LinkStateTable::shard_of(LinkId::new(2)), 0);
@@ -1404,7 +1336,7 @@ mod tests {
     #[test]
     fn any_stamp_on_after_matches_max_stamp() {
         let (topo, path) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(0), Bandwidth::from_kbps(64))
             .unwrap();
@@ -1423,7 +1355,7 @@ mod tests {
     #[test]
     fn sharded_view_matches_flat_scan() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         table
             .reserve(LinkId::new(0), Bandwidth::from_mbps(10))
             .unwrap();
@@ -1436,10 +1368,6 @@ mod tests {
         assert_eq!(snap.version(), table.version());
         assert_eq!(snap.link_count(), table.link_count());
         assert_eq!(Ok(snap.summary()), table.audit());
-        assert_eq!(
-            snap.saturated_links(Bandwidth::from_mbps(96)),
-            table.saturated_links(Bandwidth::from_mbps(96))
-        );
         // Shard iteration visits every link exactly once, in link order.
         let mut seen = Vec::new();
         for shard in 0..snap.shard_count() {
@@ -1459,7 +1387,7 @@ mod tests {
         let spokes: Vec<(u32, u32)> = (1..71u32).map(|i| (0, i)).collect();
         b.links_uniform(spokes, Bandwidth::from_mbps(100)).unwrap();
         let topo = b.build();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert_eq!(table.shard_count(), 2);
         assert_eq!(table.shard_range(0), 0..64);
         assert_eq!(table.shard_range(1), 64..70);
@@ -1484,7 +1412,7 @@ mod tests {
     #[test]
     fn fail_unknown_link_errors() {
         let (topo, _) = line4();
-        let mut table = LinkStateTable::from_topology(&topo);
+        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(matches!(
             table.fail_link(LinkId::new(99)),
             Err(NetError::UnknownLink(_))

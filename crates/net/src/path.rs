@@ -86,26 +86,11 @@ impl Path {
         Path::from_parts(vec![node], Vec::new())
     }
 
-    /// The source node.
-    pub fn source(&self) -> NodeId {
-        self.hops.nodes[0]
-    }
-
-    /// The destination node.
-    pub fn destination(&self) -> NodeId {
-        *self.hops.nodes.last().expect("path has at least one node")
-    }
-
     /// Hop count: the number of links traversed.
     ///
     /// This is the distance metric `D_i` of the paper's weight formulas.
     pub fn hops(&self) -> usize {
         self.hops.links.len()
-    }
-
-    /// `true` when the source is the destination and no links are crossed.
-    pub fn is_trivial(&self) -> bool {
-        self.hops.links.is_empty()
     }
 
     /// The node sequence, source first.
@@ -116,15 +101,6 @@ impl Path {
     /// The link sequence in traversal order.
     pub fn links(&self) -> &[LinkId] {
         &self.hops.links
-    }
-
-    /// Iterates `(from, link, to)` triples in traversal order.
-    pub fn segments(&self) -> impl Iterator<Item = (NodeId, LinkId, NodeId)> + '_ {
-        let Hops { nodes, links } = &*self.hops;
-        links
-            .iter()
-            .enumerate()
-            .map(move |(i, l)| (nodes[i], *l, nodes[i + 1]))
     }
 
     /// Returns `true` if `link` is traversed by this path.
@@ -176,21 +152,12 @@ mod tests {
             vec![LinkId::new(0), LinkId::new(1)],
         )
         .unwrap();
-        assert_eq!(p.source(), NodeId::new(0));
-        assert_eq!(p.destination(), NodeId::new(2));
+        assert_eq!(p.nodes()[0], NodeId::new(0));
+        assert_eq!(*p.nodes().last().unwrap(), NodeId::new(2));
         assert_eq!(p.hops(), 2);
-        assert!(!p.is_trivial());
         assert!(p.uses_link(LinkId::new(0)));
         assert!(!p.uses_link(LinkId::new(2)));
         assert_eq!(p.to_string(), "n0-n1-n2");
-        let segs: Vec<_> = p.segments().collect();
-        assert_eq!(
-            segs,
-            vec![
-                (NodeId::new(0), LinkId::new(0), NodeId::new(1)),
-                (NodeId::new(1), LinkId::new(1), NodeId::new(2)),
-            ]
-        );
     }
 
     #[test]
@@ -226,9 +193,9 @@ mod tests {
     #[test]
     fn trivial_path() {
         let p = Path::trivial(NodeId::new(3));
-        assert!(p.is_trivial());
         assert_eq!(p.hops(), 0);
-        assert_eq!(p.source(), p.destination());
+        assert_eq!(p.hops(), 0);
+        assert_eq!(p.nodes(), &[NodeId::new(3)]);
     }
 
     #[test]

@@ -152,7 +152,7 @@ mod tests {
     ) -> Option<(usize, Path)> {
         let members: Vec<NodeId> = members.iter().map(|&m| NodeId::new(m)).collect();
         nearest_feasible_member(
-            &mut RoutingScratch::new(),
+            &mut RoutingScratch::default(),
             topo,
             state,
             NodeId::new(src),
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn routes_around_saturated_link() {
         let topo = diamond();
-        let mut state = LinkStateTable::from_topology(&topo);
+        let mut state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Kill the preferred upper route at link 0-1.
         state
             .reserve(LinkId::new(0), Bandwidth::from_mbps(100))
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn no_feasible_path_is_none() {
         let topo = diamond();
-        let mut state = LinkStateTable::from_topology(&topo);
+        let mut state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Node 3 cut off on both sides.
         state
             .reserve(LinkId::new(2), Bandwidth::from_mbps(100))
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn exact_fit_is_feasible() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let p = filtered_shortest_path(
             &topo,
             &state,
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn over_demand_is_infeasible() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(filtered_shortest_path(
             &topo,
             &state,
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn same_node_is_trivial() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let p = filtered_shortest_path(
             &topo,
             &state,
@@ -245,18 +245,18 @@ mod tests {
             Bandwidth::from_mbps(1_000),
         )
         .unwrap();
-        assert!(p.is_trivial());
+        assert_eq!(p.hops(), 0);
         // A member at the source wins with 0 hops, whatever its index and
         // whatever the demand.
         let (idx, q) = nearest(&topo, &state, 2, &[0, 2], Bandwidth::from_mbps(1_000)).unwrap();
         assert_eq!(idx, 1);
-        assert!(q.is_trivial());
+        assert_eq!(q.hops(), 0);
     }
 
     #[test]
     fn unknown_destination_is_none() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         assert!(filtered_shortest_path(
             &topo,
             &state,
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn prefers_shortest_feasible() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let p = filtered_shortest_path(
             &topo,
             &state,
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn ties_go_to_the_lowest_member_index() {
         let topo = diamond();
-        let state = LinkStateTable::from_topology(&topo);
+        let state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         // Node 2 is discovered after node 1 but listed first.
         let (idx, q) = nearest(&topo, &state, 0, &[3, 2, 1], Bandwidth::ZERO).unwrap();
         assert_eq!(idx, 1);
@@ -299,12 +299,12 @@ mod tests {
     #[test]
     fn exhaustive_search_reaches_every_feasible_member() {
         let topo = diamond();
-        let mut state = LinkStateTable::from_topology(&topo);
+        let mut state = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         state
             .reserve(LinkId::new(3), Bandwidth::from_mbps(100))
             .unwrap();
         let members = [NodeId::new(1), NodeId::new(3), NodeId::new(9)];
-        let mut scratch = RoutingScratch::new();
+        let mut scratch = RoutingScratch::default();
         let demand = Bandwidth::from_kbps(64);
         let (idx, _) = nearest_feasible_member(
             &mut scratch,

@@ -10,27 +10,20 @@
 //! residual network: [`nearest_feasible_member`] runs one BFS from the
 //! source over links with enough available bandwidth and stops at the
 //! nearest group member it reaches. [`filtered_shortest_path`] is the same
-//! search for one destination, kept as its naive per-pair reference, and
-//! [`widest_path`] finds the maximum-bottleneck path (an extension used by
-//! examples and ablations).
+//! search for one destination, kept as its naive per-pair reference.
 //!
 //! GDI searches once per admission request, so it holds a
-//! [`RoutingScratch`] that [`nearest_feasible_member`] (like
-//! [`dijkstra_path_with`]) reuses across calls instead of reallocating its
-//! buffers.
+//! [`RoutingScratch`] that [`nearest_feasible_member`] reuses across calls
+//! instead of reallocating its buffers.
 
 mod bfs;
-mod dijkstra;
 mod filtered;
 mod scratch;
 mod table;
-mod widest;
 mod yen;
 
 pub use bfs::{bfs_tree, shortest_path, BfsTree};
-pub use dijkstra::{dijkstra_path, dijkstra_path_with};
 pub use filtered::{filtered_shortest_path, nearest_feasible_member};
 pub use scratch::RoutingScratch;
 pub use table::{RouteSet, RouteTable};
-pub use widest::widest_path;
 pub use yen::k_shortest_paths;

@@ -38,7 +38,6 @@ pub type RouteSet = Arc<[Path]>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    group: AnycastGroup,
     /// `routes[source][member_index]`.
     routes: HashMap<NodeId, RouteSet>,
 }
@@ -68,10 +67,7 @@ impl RouteTable {
                 .collect::<Result<Vec<Path>, NetError>>()?;
             routes.insert(src, RouteSet::from(paths));
         }
-        Ok(RouteTable {
-            group: group.clone(),
-            routes,
-        })
+        Ok(RouteTable { routes })
     }
 
     /// Builds shortest-path routes from *every* node of `topo` to every
@@ -81,7 +77,7 @@ impl RouteTable {
     ///
     /// Panics if some member is unreachable from some node — the paper
     /// assumes a connected, fault-free network; partial tables for faulty
-    /// networks are built with [`RouteTable::try_shortest_paths`].
+    /// networks are built with `try_shortest_paths`.
     pub fn shortest_paths(topo: &Topology, group: &AnycastGroup) -> Self {
         Self::try_shortest_paths(topo, group).expect(
             "topology must be connected so every source reaches every group member; \
@@ -91,19 +87,13 @@ impl RouteTable {
 
     /// Builds shortest-path routes from every node, returning `None` if any
     /// `(source, member)` pair is disconnected.
-    pub fn try_shortest_paths(topo: &Topology, group: &AnycastGroup) -> Option<Self> {
+    pub(crate) fn try_shortest_paths(topo: &Topology, group: &AnycastGroup) -> Option<Self> {
         Self::for_sources(topo, group, topo.nodes()).ok()
-    }
-
-    /// The anycast group this table routes toward.
-    pub fn group(&self) -> &AnycastGroup {
-        &self.group
     }
 
     /// All routes from `source`, indexed by member index.
     ///
-    /// Returns `None` when the table was not built for `source` (mirroring
-    /// [`RouteTable::route`]).
+    /// Returns `None` when the table was not built for `source`.
     pub fn routes_from(&self, source: NodeId) -> Option<&[Path]> {
         self.routes.get(&source).map(|set| &set[..])
     }
@@ -111,14 +101,6 @@ impl RouteTable {
     /// The shared route set from `source`, or `None` for unknown sources.
     pub fn route_set(&self, source: NodeId) -> Option<RouteSet> {
         self.routes.get(&source).cloned()
-    }
-
-    /// The fixed route from `source` to a specific member node.
-    ///
-    /// Returns `None` when `member` is not in the group or `source` unknown.
-    pub fn route(&self, source: NodeId, member: NodeId) -> Option<&Path> {
-        let idx = self.group.member_index(member)?;
-        self.routes.get(&source).map(|paths| &paths[idx])
     }
 
     /// Hop distances `D_i` from `source` to every member, written into
@@ -196,30 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn route_lookup_by_member_node() {
-        let (topo, g) = line5_group();
-        let table = RouteTable::shortest_paths(&topo, &g);
-        let p = table.route(NodeId::new(2), NodeId::new(4)).unwrap();
-        assert_eq!(p.destination(), NodeId::new(4));
-        assert_eq!(p.hops(), 2);
-        assert!(table.route(NodeId::new(2), NodeId::new(3)).is_none());
-    }
-
-    #[test]
-    fn group_accessor() {
-        let (topo, g) = line5_group();
-        let table = RouteTable::shortest_paths(&topo, &g);
-        assert_eq!(table.group(), &g);
-    }
-
-    #[test]
     fn member_as_source_has_trivial_route() {
         let (topo, g) = line5_group();
         let table = RouteTable::shortest_paths(&topo, &g);
-        assert!(table
-            .route(NodeId::new(0), NodeId::new(0))
-            .unwrap()
-            .is_trivial());
+        assert_eq!(table.routes_from(NodeId::new(0)).unwrap()[0].hops(), 0);
     }
 
     #[test]
@@ -229,7 +191,6 @@ mod tests {
         let foreign = NodeId::new(99);
         assert!(table.routes_from(foreign).is_none());
         assert!(table.route_set(foreign).is_none());
-        assert!(table.route(foreign, NodeId::new(0)).is_none());
         assert!(table.distances(foreign).is_none());
         assert!(table.nearest_member(foreign).is_none());
         let mut buf = vec![7u32];

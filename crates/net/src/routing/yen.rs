@@ -209,7 +209,7 @@ mod tests {
         let topo = diamond();
         let paths = k_shortest_paths(&topo, NodeId::new(2), NodeId::new(2), 3);
         assert_eq!(paths.len(), 1);
-        assert!(paths[0].is_trivial());
+        assert_eq!(paths[0].hops(), 0);
     }
 
     #[test]

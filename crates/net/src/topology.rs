@@ -39,24 +39,6 @@ impl Link {
     pub fn capacity(&self) -> Bandwidth {
         self.capacity
     }
-
-    /// Given one endpoint, returns the other.
-    ///
-    /// Returns `None` if `from` is not an endpoint of this link.
-    pub fn other_end(&self, from: NodeId) -> Option<NodeId> {
-        if from == self.a {
-            Some(self.b)
-        } else if from == self.b {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if `n` is one of the endpoints.
-    pub fn touches(&self, n: NodeId) -> bool {
-        self.a == n || self.b == n
-    }
 }
 
 /// Incrementally builds a [`Topology`].
@@ -218,19 +200,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `n` is not a node of this topology.
-    pub fn degree(&self, n: NodeId) -> usize {
+    pub(crate) fn degree(&self, n: NodeId) -> usize {
         self.adjacency[n.index()].len()
-    }
-
-    /// The link joining `a` and `b`, if any.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        if !self.contains_node(a) {
-            return None;
-        }
-        self.adjacency[a.index()]
-            .iter()
-            .find(|(nbr, _)| *nbr == b)
-            .map(|(_, l)| *l)
     }
 
     /// Returns `true` if every node can reach every other node.
@@ -327,32 +298,6 @@ mod tests {
         assert_eq!(nbrs, vec![0, 2, 3]);
         assert_eq!(topo.degree(NodeId::new(1)), 3);
         assert_eq!(topo.degree(NodeId::new(0)), 1);
-    }
-
-    #[test]
-    fn link_between_finds_edges_both_ways() {
-        let topo = line3();
-        assert_eq!(
-            topo.link_between(NodeId::new(0), NodeId::new(1)),
-            Some(LinkId::new(0))
-        );
-        assert_eq!(
-            topo.link_between(NodeId::new(1), NodeId::new(0)),
-            Some(LinkId::new(0))
-        );
-        assert_eq!(topo.link_between(NodeId::new(0), NodeId::new(2)), None);
-        assert_eq!(topo.link_between(NodeId::new(9), NodeId::new(0)), None);
-    }
-
-    #[test]
-    fn other_end_and_touches() {
-        let topo = line3();
-        let l = topo.link(LinkId::new(0)).unwrap();
-        assert_eq!(l.other_end(NodeId::new(0)), Some(NodeId::new(1)));
-        assert_eq!(l.other_end(NodeId::new(1)), Some(NodeId::new(0)));
-        assert_eq!(l.other_end(NodeId::new(2)), None);
-        assert!(l.touches(NodeId::new(0)));
-        assert!(!l.touches(NodeId::new(2)));
     }
 
     #[test]

@@ -157,14 +157,6 @@ impl ReservationEngine {
         Ok(reservation)
     }
 
-    /// Minimum available bandwidth along `route` — the measurement an
-    /// extended RESV message would report for WD/D+B. In the experiments
-    /// this read is treated as free (the paper assumes the information is
-    /// simply "available" at the AC-router once the protocol is extended).
-    pub fn measure_route_bandwidth(&self, links: &LinkStateTable, route: &Path) -> Bandwidth {
-        links.min_available_on(route)
-    }
-
     /// Number of currently active sessions.
     pub fn active_sessions(&self) -> usize {
         self.active.len()
@@ -177,18 +169,9 @@ impl ReservationEngine {
 
     /// Iterates over all active sessions in unspecified order. Callers
     /// that need determinism (e.g. the fault injector tearing down the
-    /// victims of a link failure) should sort the collected ids —
-    /// [`session_ids_sorted`](Self::session_ids_sorted) does exactly that.
+    /// victims of a link failure) should sort the collected ids.
     pub fn sessions(&self) -> impl Iterator<Item = (SessionId, &Reservation)> {
         self.active.iter().map(|(&s, r)| (s, r))
-    }
-
-    /// All active session ids, ascending — a deterministic iteration
-    /// order independent of the hash map's internal state.
-    pub fn session_ids_sorted(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self.active.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Active sessions whose route crosses `link`, ascending by id.
@@ -256,7 +239,7 @@ mod tests {
         b.links_uniform([(0, 1), (1, 2), (2, 3)], Bandwidth::from_mbps(1))
             .unwrap();
         let topo = b.build();
-        let links = LinkStateTable::from_topology(&topo);
+        let links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let path = shortest_path(&topo, NodeId::new(0), NodeId::new(3)).unwrap();
         (topo, links, path)
     }
@@ -355,7 +338,7 @@ mod tests {
         engine
             .probe_and_reserve(&mut links, &path, Bandwidth::from_kbps(300))
             .unwrap();
-        let measured = engine.measure_route_bandwidth(&links, &path);
+        let measured = links.min_available_on(&path);
         assert_eq!(measured, Bandwidth::from_bps(700_000));
         let out = engine
             .probe_and_reserve(&mut links, &path, Bandwidth::from_kbps(64))
@@ -389,10 +372,6 @@ mod tests {
         let c = engine
             .probe_and_reserve(&mut links, &Path::trivial(NodeId::new(1)), Bandwidth::ZERO)
             .unwrap();
-        assert_eq!(
-            engine.session_ids_sorted(),
-            vec![a.session, b.session, c.session]
-        );
         assert_eq!(
             engine.sessions_using_link(path.links()[1]),
             vec![a.session, b.session]

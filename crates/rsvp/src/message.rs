@@ -20,16 +20,6 @@ pub enum MessageKind {
     PathTear,
 }
 
-impl MessageKind {
-    /// All message kinds, for iteration in reports.
-    pub const ALL: [MessageKind; 4] = [
-        MessageKind::Path,
-        MessageKind::Resv,
-        MessageKind::ResvErr,
-        MessageKind::PathTear,
-    ];
-}
-
 impl fmt::Display for MessageKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -56,13 +46,8 @@ pub struct MessageLedger {
 }
 
 impl MessageLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records `hops` messages of the given kind (one per link crossed).
-    pub fn record(&mut self, kind: MessageKind, hops: u64) {
+    pub(crate) fn record(&mut self, kind: MessageKind, hops: u64) {
         match kind {
             MessageKind::Path => self.path += hops,
             MessageKind::Resv => self.resv += hops,
@@ -86,22 +71,8 @@ impl MessageLedger {
         self.path + self.resv + self.resv_err + self.path_tear
     }
 
-    /// Messages attributable to admission attempts (everything except
-    /// teardown) — the overhead the retrial limit `R` trades against.
-    pub fn admission_total(&self) -> u64 {
-        self.path + self.resv + self.resv_err
-    }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &MessageLedger) {
-        self.path += other.path;
-        self.resv += other.resv;
-        self.resv_err += other.resv_err;
-        self.path_tear += other.path_tear;
-    }
-
     /// Resets all counters to zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = MessageLedger::default();
     }
 }
@@ -122,7 +93,7 @@ mod tests {
 
     #[test]
     fn record_and_count() {
-        let mut l = MessageLedger::new();
+        let mut l = MessageLedger::default();
         l.record(MessageKind::Path, 4);
         l.record(MessageKind::Resv, 4);
         l.record(MessageKind::ResvErr, 2);
@@ -132,24 +103,11 @@ mod tests {
         assert_eq!(l.count(MessageKind::ResvErr), 2);
         assert_eq!(l.count(MessageKind::PathTear), 4);
         assert_eq!(l.total(), 14);
-        assert_eq!(l.admission_total(), 10);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = MessageLedger::new();
-        a.record(MessageKind::Path, 3);
-        let mut b = MessageLedger::new();
-        b.record(MessageKind::Path, 2);
-        b.record(MessageKind::Resv, 1);
-        a.merge(&b);
-        assert_eq!(a.count(MessageKind::Path), 5);
-        assert_eq!(a.count(MessageKind::Resv), 1);
     }
 
     #[test]
     fn reset_zeroes() {
-        let mut l = MessageLedger::new();
+        let mut l = MessageLedger::default();
         l.record(MessageKind::PathTear, 9);
         l.reset();
         assert_eq!(l.total(), 0);
@@ -158,10 +116,7 @@ mod tests {
 
     #[test]
     fn display_nonempty() {
-        let l = MessageLedger::new();
+        let l = MessageLedger::default();
         assert!(l.to_string().contains("PATH=0"));
-        for k in MessageKind::ALL {
-            assert!(!k.to_string().is_empty());
-        }
     }
 }

@@ -88,11 +88,6 @@ impl RefreshTracker {
         }
     }
 
-    /// The lifecycle configuration.
-    pub fn config(&self) -> RefreshConfig {
-        self.config
-    }
-
     /// Number of sessions currently tracked.
     pub fn tracked(&self) -> usize {
         self.deadlines.len()
@@ -151,7 +146,8 @@ impl RefreshTracker {
     }
 
     /// The next deadline across all sessions, for scheduling a sweep.
-    pub fn next_deadline(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn next_deadline(&self) -> Option<f64> {
         self.deadlines
             .values()
             .copied()

@@ -38,12 +38,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SetupId(u64);
 
-impl SetupId {
-    /// The raw attempt number (monotone per table).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
+impl SetupId {}
 
 impl fmt::Display for SetupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -120,7 +115,8 @@ impl SetupTable {
     }
 
     /// Whether `id` is known and its source is still waiting on it.
-    pub fn is_live(&self, id: SetupId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_live(&self, id: SetupId) -> bool {
         self.active.get(&id).is_some_and(|s| !s.dead)
     }
 
@@ -368,7 +364,7 @@ mod tests {
         b.links_uniform([(0, 1), (1, 2), (2, 3)], Bandwidth::from_mbps(1))
             .unwrap();
         let topo = b.build();
-        let links = LinkStateTable::from_topology(&topo);
+        let links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
         let path = shortest_path(&topo, NodeId::new(0), NodeId::new(3)).unwrap();
         (topo, links, path)
     }

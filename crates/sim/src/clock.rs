@@ -31,7 +31,7 @@ pub trait TimeSource {
 /// A virtual clock: advancing is free and instantaneous.
 ///
 /// `now` only moves forward via [`sleep_until`](TimeSource::sleep_until)
-/// (or [`advance_to`](VirtualClock::advance_to)), so a replay driver that
+/// (or `advance_to`), so a replay driver that
 /// sleeps to each arrival timestamp visits exactly the same instants a
 /// wall-clock driver would, with zero real-time cost.
 #[derive(Debug, Clone, Copy)]
@@ -47,12 +47,12 @@ impl Default for VirtualClock {
 
 impl VirtualClock {
     /// A virtual clock starting at simulated time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualClock { now: SimTime::ZERO }
     }
 
     /// Moves the clock to `t` if that is later than the current time.
-    pub fn advance_to(&mut self, t: SimTime) {
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
         if t > self.now {
             self.now = t;
         }
@@ -107,11 +107,6 @@ impl WallClock {
             speed,
         }
     }
-
-    /// The rate-scaling factor (simulated seconds per real second).
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
 }
 
 impl TimeSource for WallClock {
@@ -156,7 +151,6 @@ mod tests {
         let reached = c.sleep_until(SimTime::from_secs(20.0));
         assert!(reached >= SimTime::from_secs(20.0));
         assert!(c.now() >= reached);
-        assert_eq!(c.speed(), 1_000.0);
     }
 
     #[test]

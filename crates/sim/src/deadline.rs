@@ -70,9 +70,8 @@ impl<K> Ord for HeapEntry<K> {
 /// heap.arm(7, 10.0);
 /// heap.arm(8, 5.0);
 /// heap.cancel(&7);
-/// assert_eq!(heap.next_deadline(), Some(5.0));
 /// assert_eq!(heap.pop_due(6.0), vec![8]);
-/// assert!(heap.is_empty());
+/// assert_eq!(heap.pop_due(100.0), Vec::<u32>::new());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeadlineHeap<K> {
@@ -134,7 +133,8 @@ impl<K: Clone + Eq + Hash> DeadlineHeap<K> {
     }
 
     /// Number of armed timers.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.live.len()
     }
 
@@ -145,13 +145,14 @@ impl<K: Clone + Eq + Hash> DeadlineHeap<K> {
     }
 
     /// Whether no timer is armed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.live.is_empty()
     }
 
     /// Earliest armed deadline, if any. Drops stale heap entries as a side
     /// effect, so repeated calls stay cheap.
-    pub fn next_deadline(&mut self) -> Option<f64> {
+    pub(crate) fn next_deadline(&mut self) -> Option<f64> {
         while let Some(top) = self.heap.peek() {
             match self.live.get(&top.key) {
                 Some(&(generation, _)) if generation == top.generation => {

@@ -39,7 +39,8 @@ impl<E> Engine<E> {
     }
 
     /// Number of pending events.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.queue.len()
     }
 
@@ -93,7 +94,8 @@ impl<E> Engine<E> {
     }
 
     /// Runs until the event queue drains, calling `handler` for each event.
-    pub fn run<F>(&mut self, mut handler: F)
+    #[cfg(test)]
+    pub(crate) fn run<F>(&mut self, mut handler: F)
     where
         F: FnMut(&mut Engine<E>, SimTime, E),
     {
@@ -117,7 +119,7 @@ impl<E> Engine<E> {
     }
 
     /// Processes one event; returns `false` when the queue was empty.
-    pub fn step<F>(&mut self, handler: &mut F) -> bool
+    pub(crate) fn step<F>(&mut self, handler: &mut F) -> bool
     where
         F: FnMut(&mut Engine<E>, SimTime, E),
     {
@@ -131,11 +133,6 @@ impl<E> Engine<E> {
             }
             None => false,
         }
-    }
-
-    /// Discards all pending events (the clock is left where it is).
-    pub fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -247,16 +244,5 @@ mod tests {
         let mut engine = Engine::new();
         engine.schedule_next(SimTime::from_secs(1.0), Ev::Stop);
         engine.schedule_next(SimTime::from_secs(2.0), Ev::Stop);
-    }
-
-    #[test]
-    fn clear_discards_pending() {
-        let mut engine: Engine<Ev> = Engine::default();
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Stop);
-        engine.clear();
-        assert_eq!(engine.pending(), 0);
-        let mut fired = false;
-        engine.run(|_, _, _| fired = true);
-        assert!(!fired);
     }
 }

@@ -13,21 +13,8 @@ use std::collections::BinaryHeap;
 /// out. The slot event takes the sequence number a heap push would have
 /// taken, and [`pop`](Self::pop) compares it with the heap head by
 /// `(time, seq)`, so the pop order is exactly that of an all-heap queue.
-///
-/// ```rust
-/// use anycast_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(2.0), "late");
-/// q.push(SimTime::from_secs(1.0), "early");
-/// q.push_next(SimTime::from_secs(1.0), "early-second");
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early-second")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(2.0), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// The pending event of the one-at-a-time stream, if any.
     next: Option<Entry<E>>,
@@ -65,7 +52,7 @@ impl<E> Ord for Entry<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next: None,
@@ -80,7 +67,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at the given instant.
-    pub fn push(&mut self, time: SimTime, event: E) {
+    pub(crate) fn push(&mut self, time: SimTime, event: E) {
         let entry = self.entry(time, event);
         self.heap.push(Reverse(entry));
     }
@@ -92,7 +79,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if the slot already holds an event.
-    pub fn push_next(&mut self, time: SimTime, event: E) {
+    pub(crate) fn push_next(&mut self, time: SimTime, event: E) {
         assert!(
             self.next.is_none(),
             "the next-event slot is already occupied"
@@ -101,7 +88,7 @@ impl<E> EventQueue<E> {
     }
 
     /// `true` while the slot holds an event.
-    pub fn next_pending(&self) -> bool {
+    pub(crate) fn next_pending(&self) -> bool {
         self.next.is_some()
     }
 
@@ -114,7 +101,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = if self.slot_first() {
             self.next.take()
         } else {
@@ -124,7 +111,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         let head = self.heap.peek().map(|Reverse(e)| e.time);
         match (&self.next, head) {
             (Some(next), Some(head)) => Some(next.time.min(head)),
@@ -134,19 +121,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len() + usize::from(self.next.is_some())
     }
 
     /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.next.is_none()
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next = None;
     }
 }
 
@@ -160,6 +143,18 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn slot_event_pops_in_push_order_among_ties() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(2.0), "late");
+        q.push(SimTime::from_secs(1.0), "early");
+        q.push_next(SimTime::from_secs(1.0), "early-second");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early-second")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2.0), "late")));
+        assert_eq!(q.pop(), None);
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -182,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_len_clear() {
+    fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -191,9 +186,6 @@ mod tests {
         q.push_next(SimTime::from_secs(0.5), ());
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(0.5)));
-        q.clear();
-        assert!(q.is_empty());
-        assert!(!q.next_pending());
     }
 
     #[test]
@@ -218,7 +210,6 @@ mod tests {
         /// Schedule in the slot (skipped while it is occupied).
         Next(u8),
         Pop,
-        Clear,
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -226,8 +217,7 @@ mod tests {
         (0u8..12, 0u8..4).prop_map(|(kind, d)| match kind {
             0..=3 => Op::Push(d),
             4..=6 => Op::Next(d),
-            7..=10 => Op::Pop,
-            _ => Op::Clear,
+            _ => Op::Pop,
         })
     }
 
@@ -261,11 +251,6 @@ mod tests {
                         if let Some((t, _)) = got {
                             now = t.as_secs() as u32;
                         }
-                    }
-                    Op::Clear => {
-                        q.clear();
-                        reference.clear();
-                        prop_assert!(!q.next_pending());
                     }
                 }
                 prop_assert_eq!(q.len(), reference.len());

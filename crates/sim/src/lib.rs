@@ -7,7 +7,7 @@
 //! the evaluation needs.
 //!
 //! * [`SimTime`] / [`Duration`] — simulated seconds with a total order;
-//! * [`EventQueue`] / [`Engine`] — a time-ordered heap with FIFO tie-break,
+//! * `EventQueue` / [`Engine`] — a time-ordered heap with FIFO tie-break,
 //!   a one-entry slot beside it for the next arrival, and a driver loop;
 //! * [`SimRng`] — a seeded PRNG with exponential, uniform and weighted
 //!   categorical sampling (including without-replacement);
@@ -32,7 +32,7 @@
 //! let mut engine = Engine::new();
 //! engine.schedule_at(SimTime::ZERO, Ev::Ping(0));
 //! let mut count = 0;
-//! engine.run(|eng, now, Ev::Ping(n)| {
+//! engine.run_until(SimTime::from_secs(100.0), |eng, now, Ev::Ping(n)| {
 //!     count += 1;
 //!     if n < 9 {
 //!         eng.schedule_in(now, Duration::from_secs(1.0), Ev::Ping(n + 1));
@@ -45,7 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
+pub(crate) mod clock;
 mod deadline;
 mod engine;
 mod event;
@@ -58,6 +58,6 @@ pub mod workload;
 pub use clock::{TimeSource, VirtualClock, WallClock};
 pub use deadline::DeadlineHeap;
 pub use engine::Engine;
-pub use event::EventQueue;
+pub(crate) use event::EventQueue;
 pub use random::SimRng;
 pub use time::{Duration, SimTime};

@@ -55,8 +55,8 @@ impl SimRng {
     }
 
     /// A generator positioned on the `index`-th replication substream of
-    /// `master`; shorthand for seeding from [`substream_seed`]
-    /// (SimRng::substream_seed).
+    /// `master`; shorthand for seeding from
+    /// [`substream_seed`](SimRng::substream_seed).
     pub fn substream(master: u64, index: u64) -> SimRng {
         SimRng::seed_from(SimRng::substream_seed(master, index))
     }
@@ -186,8 +186,9 @@ impl SimRng {
             .rposition(|(&w, &e)| e && w > 0.0)
     }
 
-    /// A raw 64-bit sample (used for deriving sub-seeds).
-    pub fn next_u64(&mut self) -> u64 {
+    /// A raw 64-bit sample.
+    #[cfg(test)]
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.rng.gen()
     }
 }

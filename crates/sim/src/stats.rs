@@ -1,77 +1,32 @@
-//! Output statistics: counters, running moments, time averages and the
+//! Output statistics: counters, a running mean, time averages and the
 //! admission-probability estimator used by every experiment.
 
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Running mean and variance via Welford's online algorithm.
-///
-/// ```rust
-/// use anycast_sim::stats::MeanVar;
-/// let mut m = MeanVar::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     m.record(x);
-/// }
-/// assert!((m.mean() - 5.0).abs() < 1e-12);
-/// assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
-/// ```
+/// Running mean via Welford's update (`mean += (x − mean) / n`), which
+/// keeps the mean exact to the last bit the engine's pinned numbers rely on.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MeanVar {
+pub(crate) struct RunningMean {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl RunningMean {
     /// Records one observation.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
     /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Normal-approximation 95% confidence half-width (`1.96 · SE`).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_err()
     }
 }
 
@@ -135,11 +90,6 @@ impl TimeWeighted {
         let tail = (t.as_secs() - self.last_time.as_secs()).max(0.0);
         (self.integral + self.last_value * tail) / span
     }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
 }
 
 /// Outcome counters for one admission-control run: the estimator behind
@@ -151,12 +101,9 @@ impl TimeWeighted {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdmissionStats {
     warmup_end: SimTime,
-    warmup_requests: u64,
     offered: u64,
     admitted: u64,
-    tries: MeanVar,
-    tries_admitted: MeanVar,
-    tries_rejected: MeanVar,
+    tries: RunningMean,
     tries_hist: Histogram,
 }
 
@@ -165,12 +112,9 @@ impl AdmissionStats {
     pub fn new(warmup_end: SimTime) -> Self {
         AdmissionStats {
             warmup_end,
-            warmup_requests: 0,
             offered: 0,
             admitted: 0,
-            tries: MeanVar::new(),
-            tries_admitted: MeanVar::new(),
-            tries_rejected: MeanVar::new(),
+            tries: RunningMean::default(),
             tries_hist: Histogram::new(),
         }
     }
@@ -179,15 +123,11 @@ impl AdmissionStats {
     /// how many destinations were tried (≥ 1 whenever a selection happened).
     pub fn record(&mut self, at: SimTime, admitted: bool, tries: u32) {
         if at < self.warmup_end {
-            self.warmup_requests += 1;
             return;
         }
         self.offered += 1;
         if admitted {
             self.admitted += 1;
-            self.tries_admitted.record(tries as f64);
-        } else {
-            self.tries_rejected.record(tries as f64);
         }
         self.tries.record(tries as f64);
         self.tries_hist.record(tries);
@@ -206,11 +146,6 @@ impl AdmissionStats {
     /// Requests rejected after warm-up.
     pub fn rejected(&self) -> u64 {
         self.offered - self.admitted
-    }
-
-    /// Requests discarded as warm-up transient.
-    pub fn warmup_requests(&self) -> u64 {
-        self.warmup_requests
     }
 
     /// The admission probability estimate `admitted / offered`
@@ -287,16 +222,6 @@ impl AdmissionStats {
         excess as f64 / total as f64
     }
 
-    /// Mean tries among admitted requests only.
-    pub fn mean_tries_admitted(&self) -> f64 {
-        self.tries_admitted.mean()
-    }
-
-    /// Mean tries among rejected requests only.
-    pub fn mean_tries_rejected(&self) -> f64 {
-        self.tries_rejected.mean()
-    }
-
     /// Distribution of tries per request (index = number of tries).
     pub fn tries_histogram(&self) -> &Histogram {
         &self.tries_hist
@@ -308,14 +233,12 @@ impl AdmissionStats {
 ///
 /// ```rust
 /// use anycast_sim::stats::Histogram;
-/// let mut h = Histogram::new();
+/// let mut h = Histogram::default();
 /// for v in [1, 1, 2, 1, 3] {
 ///     h.record(v);
 /// }
-/// assert_eq!(h.count(1), 3);
+/// assert_eq!(h.buckets(), &[0, 3, 1, 1]);
 /// assert_eq!(h.total(), 5);
-/// assert_eq!(h.quantile(0.5), Some(1));
-/// assert_eq!(h.quantile(1.0), Some(3));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -325,7 +248,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -340,7 +263,7 @@ impl Histogram {
     }
 
     /// Number of observations equal to `value`.
-    pub fn count(&self, value: u32) -> u64 {
+    pub(crate) fn count(&self, value: u32) -> u64 {
         self.counts.get(value as usize).copied().unwrap_or(0)
     }
 
@@ -352,27 +275,6 @@ impl Histogram {
     /// The raw bucket counts, index = value.
     pub fn buckets(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// The smallest value `v` with `P(X ≤ v) ≥ q`; `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q ≤ 1`.
-    pub fn quantile(&self, q: f64) -> Option<u32> {
-        assert!(q > 0.0 && q <= 1.0, "quantile must lie in (0, 1], got {q}");
-        if self.total == 0 {
-            return None;
-        }
-        let threshold = (q * self.total as f64).ceil() as u64;
-        let mut cumulative = 0;
-        for (v, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= threshold {
-                return Some(v as u32);
-            }
-        }
-        Some(self.counts.len() as u32 - 1)
     }
 
     /// Mean of the recorded values.
@@ -401,89 +303,9 @@ impl Histogram {
     }
 }
 
-/// Batch-means estimator: groups a stream of observations into fixed-size
-/// batches so that batch averages are approximately independent, giving an
-/// honest confidence interval for autocorrelated simulation output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batches: MeanVar,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batches: MeanVar::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batches
-                .record(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batch_count(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean over completed batches.
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// 95% half-width over completed batch means.
-    pub fn ci95_half_width(&self) -> f64 {
-        self.batches.ci95_half_width()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meanvar_single_and_empty() {
-        let mut m = MeanVar::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.std_err(), 0.0);
-        m.record(3.5);
-        assert_eq!(m.mean(), 3.5);
-        assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.count(), 1);
-    }
-
-    #[test]
-    fn meanvar_matches_closed_form() {
-        let mut m = MeanVar::new();
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        for x in data {
-            m.record(x);
-        }
-        assert!((m.mean() - 3.0).abs() < 1e-12);
-        assert!((m.variance() - 2.5).abs() < 1e-12);
-        assert!((m.std_dev() - 2.5f64.sqrt()).abs() < 1e-12);
-        assert!((m.std_err() - (2.5f64 / 5.0).sqrt()).abs() < 1e-12);
-        assert!((m.ci95_half_width() - 1.96 * (0.5f64).sqrt()).abs() < 1e-12);
-    }
 
     #[test]
     fn time_weighted_average() {
@@ -492,7 +314,6 @@ mod tests {
         tw.update(SimTime::from_secs(20.0), 4.0); // 2 for 10s
         let avg = tw.average_until(SimTime::from_secs(30.0)); // 4 for 10s
         assert!((avg - 2.0).abs() < 1e-12); // (0+20+40)/30
-        assert_eq!(tw.current(), 4.0);
     }
 
     #[test]
@@ -542,15 +363,12 @@ mod tests {
         s.record(SimTime::from_secs(150.0), true, 1);
         s.record(SimTime::from_secs(160.0), true, 2);
         s.record(SimTime::from_secs(170.0), false, 2);
-        assert_eq!(s.warmup_requests(), 1);
         assert_eq!(s.offered(), 3);
         assert_eq!(s.admitted(), 2);
         assert_eq!(s.rejected(), 1);
         assert!((s.admission_probability() - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_tries() - 5.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_retrials() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.mean_tries_admitted() - 1.5).abs() < 1e-12);
-        assert!((s.mean_tries_rejected() - 2.0).abs() < 1e-12);
         assert!(s.ap_ci95_half_width() > 0.0);
     }
 
@@ -573,8 +391,6 @@ mod tests {
             s.ap_ci95_half_width(),
             s.mean_tries(),
             s.mean_retrials(),
-            s.mean_tries_admitted(),
-            s.mean_tries_rejected(),
         ] {
             assert!(v.is_finite(), "empty AdmissionStats accessor returned {v}");
         }
@@ -588,23 +404,10 @@ mod tests {
         assert_eq!(warm.admission_probability(), 1.0);
         assert!(warm.mean_tries().is_finite());
 
-        let m = MeanVar::new();
-        for v in [
-            m.mean(),
-            m.variance(),
-            m.std_dev(),
-            m.std_err(),
-            m.ci95_half_width(),
-        ] {
-            assert!(v.is_finite(), "empty MeanVar accessor returned {v}");
-        }
+        assert_eq!(RunningMean::default().mean(), 0.0);
 
         let h = Histogram::new();
         assert!(h.mean().is_finite());
-
-        let b = BatchMeans::new(8);
-        assert!(b.mean().is_finite());
-        assert!(b.ci95_half_width().is_finite());
     }
 
     #[test]
@@ -655,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_quantiles() {
+    fn histogram_counts() {
         let mut h = Histogram::new();
         for v in [1u32, 2, 1, 1, 5, 2] {
             h.record(v);
@@ -665,9 +468,6 @@ mod tests {
         assert_eq!(h.count(2), 2);
         assert_eq!(h.count(5), 1);
         assert_eq!(h.count(9), 0);
-        assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(0.83), Some(2));
-        assert_eq!(h.quantile(1.0), Some(5));
         assert!((h.mean() - 12.0 / 6.0).abs() < 1e-12);
         assert_eq!(h.buckets(), &[0, 3, 2, 0, 0, 1]);
     }
@@ -675,7 +475,6 @@ mod tests {
     #[test]
     fn histogram_empty_and_merge() {
         let mut a = Histogram::new();
-        assert_eq!(a.quantile(0.5), None);
         assert_eq!(a.mean(), 0.0);
         a.record(0);
         let mut b = Histogram::new();
@@ -685,30 +484,5 @@ mod tests {
         assert_eq!(a.total(), 3);
         assert_eq!(a.count(0), 2);
         assert_eq!(a.count(3), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must lie in (0, 1]")]
-    fn histogram_bad_quantile_panics() {
-        let h = Histogram::new();
-        let _ = h.quantile(0.0);
-    }
-
-    #[test]
-    fn batch_means_groups_correctly() {
-        let mut b = BatchMeans::new(10);
-        for i in 0..95 {
-            b.record(i as f64);
-        }
-        assert_eq!(b.batch_count(), 9); // last 5 observations pending
-                                        // Batch means are 4.5, 14.5, ..., 84.5, averaging 44.5.
-        assert!((b.mean() - 44.5).abs() < 1e-12);
-        assert!(b.ci95_half_width() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_panics() {
-        let _ = BatchMeans::new(0);
     }
 }

@@ -32,15 +32,6 @@ impl SimTime {
     pub fn as_secs(self) -> f64 {
         self.0
     }
-
-    /// The interval from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is after `self`.
-    pub fn since(self, earlier: SimTime) -> Duration {
-        Duration::from_secs(self.0 - earlier.0)
-    }
 }
 
 impl Eq for SimTime {}
@@ -83,9 +74,6 @@ impl Sub for SimTime {
 pub struct Duration(f64);
 
 impl Duration {
-    /// The empty duration.
-    pub const ZERO: Duration = Duration(0.0);
-
     /// Creates a duration of `secs` seconds.
     ///
     /// # Panics
@@ -102,11 +90,6 @@ impl Duration {
     /// Length in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// `true` if this duration is zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -147,15 +130,12 @@ mod tests {
         let t = SimTime::from_secs(10.0) + Duration::from_secs(5.0);
         assert_eq!(t, SimTime::from_secs(15.0));
         assert_eq!(t - SimTime::from_secs(10.0), Duration::from_secs(5.0));
-        assert_eq!(t.since(SimTime::ZERO).as_secs(), 15.0);
         let mut u = SimTime::ZERO;
         u += Duration::from_secs(2.5);
         assert_eq!(u.as_secs(), 2.5);
         let mut d = Duration::from_secs(1.0);
         d += Duration::from_secs(0.5);
         assert_eq!(d, Duration::from_secs(1.5));
-        assert!(Duration::ZERO.is_zero());
-        assert!(!d.is_zero());
     }
 
     #[test]
@@ -185,8 +165,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn backwards_since_rejected() {
-        let _ = SimTime::ZERO.since(SimTime::from_secs(1.0));
+    fn backwards_difference_rejected() {
+        let _ = SimTime::ZERO - SimTime::from_secs(1.0);
     }
 
     #[test]

@@ -1,34 +1,14 @@
 //! The stochastic workload of §5.1: Poisson flow-request arrivals with
 //! exponentially distributed lifetimes — plus the datacenter-facing
-//! extensions (heavy-tailed Pareto lifetimes via [`HoldingSampler`],
-//! diurnal rate curves and flash-crowd windows via [`ModulatedWorkload`]).
+//! extensions (a Markov-modulated bursty process, diurnal rate curves and
+//! flash-crowd windows via [`ModulatedWorkload`]).
 
 use crate::{Duration, SimRng, SimTime};
 
-/// How flow lifetimes are drawn.
-///
-/// The default [`HoldingSampler::Exponential`] consumes exactly the same
-/// RNG draws as the historical `exp_duration` call, so existing seeded
-/// scenarios stay byte-identical. [`HoldingSampler::Pareto`] models the
-/// heavy-tailed ("elephant and mice") lifetimes of datacenter traffic: a
-/// Pareto-I variable with the given tail `shape > 1`, scaled so the mean
-/// matches `mean_secs`.
+/// Exponential flow lifetimes of a fixed mean (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HoldingSampler {
-    /// `Exp(mean_secs)` — the paper's §5.1 model.
-    Exponential {
-        /// Mean lifetime in seconds.
-        mean_secs: f64,
-    },
-    /// Pareto-I with tail index `shape` and mean `mean_secs`
-    /// (`x_min = mean · (shape − 1) / shape`); finite variance needs
-    /// `shape > 2`, finite mean needs `shape > 1` (enforced).
-    Pareto {
-        /// Mean lifetime in seconds.
-        mean_secs: f64,
-        /// Tail index; smaller is heavier-tailed. Must exceed 1.
-        shape: f64,
-    },
+struct HoldingSampler {
+    mean_secs: f64,
 }
 
 impl HoldingSampler {
@@ -37,52 +17,17 @@ impl HoldingSampler {
     /// # Panics
     ///
     /// Panics if `mean_secs` is not positive and finite.
-    pub fn exponential(mean_secs: f64) -> Self {
+    fn exponential(mean_secs: f64) -> Self {
         assert!(
             mean_secs.is_finite() && mean_secs > 0.0,
             "mean holding time must be positive and finite, got {mean_secs}"
         );
-        HoldingSampler::Exponential { mean_secs }
-    }
-
-    /// A Pareto sampler with the given mean and tail index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_secs` is not positive and finite or `shape <= 1`
-    /// (the mean would be infinite).
-    pub fn pareto(mean_secs: f64, shape: f64) -> Self {
-        assert!(
-            mean_secs.is_finite() && mean_secs > 0.0,
-            "mean holding time must be positive and finite, got {mean_secs}"
-        );
-        assert!(
-            shape.is_finite() && shape > 1.0,
-            "pareto shape must exceed 1 for a finite mean, got {shape}"
-        );
-        HoldingSampler::Pareto { mean_secs, shape }
-    }
-
-    /// The configured mean lifetime in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        match *self {
-            HoldingSampler::Exponential { mean_secs }
-            | HoldingSampler::Pareto { mean_secs, .. } => mean_secs,
-        }
+        HoldingSampler { mean_secs }
     }
 
     /// Draws one lifetime from `rng`.
-    pub fn draw(&self, rng: &mut SimRng) -> Duration {
-        match *self {
-            HoldingSampler::Exponential { mean_secs } => rng.exp_duration(mean_secs),
-            HoldingSampler::Pareto { mean_secs, shape } => {
-                let x_min = mean_secs * (shape - 1.0) / shape;
-                // Inversion: X = x_min · U^(−1/shape); use 1 − U ∈ (0, 1]
-                // so the tail draw never divides by zero.
-                let u = 1.0 - rng.uniform();
-                Duration::from_secs(x_min * u.powf(-1.0 / shape))
-            }
-        }
+    fn draw(&self, rng: &mut SimRng) -> Duration {
+        rng.exp_duration(self.mean_secs)
     }
 }
 
@@ -152,30 +97,6 @@ impl PoissonWorkload {
         }
     }
 
-    /// Replaces the lifetime model (e.g. with a heavy-tailed
-    /// [`HoldingSampler::Pareto`]); arrival and source draws are
-    /// unaffected because lifetimes consume an independent sub-stream.
-    pub fn with_holding(mut self, holding: HoldingSampler) -> Self {
-        self.holding = holding;
-        self
-    }
-
-    /// The configured total arrival rate.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The offered traffic intensity per source in erlangs:
-    /// `(λ / sources) · mean_holding`.
-    pub fn per_source_erlangs(&self) -> f64 {
-        self.lambda * self.holding.mean_secs() / self.source_count as f64
-    }
-
-    /// Arrival time of the next request without consuming it.
-    pub fn peek_next_arrival(&self) -> SimTime {
-        self.next_arrival
-    }
-
     /// Draws the next request and advances the arrival process.
     pub fn next_request(&mut self) -> FlowRequest {
         let arrival = self.next_arrival;
@@ -224,7 +145,7 @@ impl BurstyWorkload {
     /// Panics if any rate or sojourn/holding time is non-positive or
     /// non-finite, or `source_count` is zero.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         calm_rate: f64,
         burst_rate: f64,
         mean_calm_secs: f64,
@@ -302,24 +223,6 @@ impl BurstyWorkload {
             source_count,
             rng,
         )
-    }
-
-    /// Replaces the lifetime model (see
-    /// [`PoissonWorkload::with_holding`]).
-    pub fn with_holding(mut self, holding: HoldingSampler) -> Self {
-        self.holding = holding;
-        self
-    }
-
-    /// The long-run mean arrival rate.
-    pub fn mean_rate(&self) -> f64 {
-        (self.calm_rate * self.mean_calm_secs + self.burst_rate * self.mean_burst_secs)
-            / (self.mean_calm_secs + self.mean_burst_secs)
-    }
-
-    /// Whether the modulating chain is currently in the burst state.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
     }
 
     fn current_rate(&self) -> f64 {
@@ -422,7 +325,7 @@ impl RateEnvelope {
     }
 
     /// The multiplier applied to the base rate at time `t_secs`.
-    pub fn factor_at(&self, t_secs: f64) -> f64 {
+    pub(crate) fn factor_at(&self, t_secs: f64) -> f64 {
         match *self {
             RateEnvelope::Diurnal {
                 amplitude,
@@ -444,23 +347,10 @@ impl RateEnvelope {
 
     /// The largest multiplier the envelope ever produces (the thinning
     /// bound).
-    pub fn peak_factor(&self) -> f64 {
+    pub(crate) fn peak_factor(&self) -> f64 {
         match *self {
             RateEnvelope::Diurnal { amplitude, .. } => 1.0 + amplitude,
             RateEnvelope::Window { multiplier, .. } => multiplier,
-        }
-    }
-
-    /// Whether `t_secs` falls inside a [`RateEnvelope::Window`]; always
-    /// `false` for diurnal envelopes.
-    pub fn in_window(&self, t_secs: f64) -> bool {
-        match *self {
-            RateEnvelope::Diurnal { .. } => false,
-            RateEnvelope::Window {
-                start_secs,
-                duration_secs,
-                ..
-            } => t_secs >= start_secs && t_secs < start_secs + duration_secs,
         }
     }
 }
@@ -490,8 +380,7 @@ pub struct ModulatedWorkload {
 
 impl ModulatedWorkload {
     /// Creates a modulated workload with base rate `mean_rate` and
-    /// exponential lifetimes of mean `mean_holding_secs` (swap with
-    /// [`ModulatedWorkload::with_holding`]).
+    /// exponential lifetimes of mean `mean_holding_secs`.
     ///
     /// # Panics
     ///
@@ -528,23 +417,6 @@ impl ModulatedWorkload {
             holding_rng,
             source_rng,
         }
-    }
-
-    /// Replaces the lifetime model (see
-    /// [`PoissonWorkload::with_holding`]).
-    pub fn with_holding(mut self, holding: HoldingSampler) -> Self {
-        self.holding = holding;
-        self
-    }
-
-    /// The base (off-peak mean) arrival rate.
-    pub fn mean_rate(&self) -> f64 {
-        self.mean_rate
-    }
-
-    /// The envelope modulating this workload.
-    pub fn envelope(&self) -> &RateEnvelope {
-        &self.envelope
     }
 
     /// Draws the next request by thinning the peak-rate candidate stream.
@@ -623,21 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_next() {
-        let mut w = workload(10.0, 4);
-        let peeked = w.peek_next_arrival();
-        assert_eq!(w.next_request().arrival, peeked);
-    }
-
-    #[test]
-    fn erlang_math() {
-        let w = workload(50.0, 5);
-        // 50 flows/s * 180 s / 9 sources = 1000 erlangs per source.
-        assert!((w.per_source_erlangs() - 1000.0).abs() < 1e-9);
-        assert_eq!(w.lambda(), 50.0);
-    }
-
-    #[test]
     #[should_panic(expected = "positive and finite")]
     fn zero_lambda_rejected() {
         let mut rng = SimRng::seed_from(0);
@@ -649,17 +506,6 @@ mod tests {
     fn zero_sources_rejected() {
         let mut rng = SimRng::seed_from(0);
         let _ = PoissonWorkload::new(1.0, 180.0, 0, &mut rng);
-    }
-
-    #[test]
-    fn bursty_mean_rate_matches_construction() {
-        let mut rng = SimRng::seed_from(11);
-        let w = BurstyWorkload::with_mean_rate(20.0, 1.8, 60.0, 180.0, 9, &mut rng);
-        assert!((w.mean_rate() - 20.0).abs() < 1e-9);
-        // Explicit constructor arithmetic: (2·30 + 10·60)/90.
-        let mut rng2 = SimRng::seed_from(12);
-        let w2 = BurstyWorkload::new(2.0, 10.0, 30.0, 60.0, 180.0, 9, &mut rng2);
-        assert!((w2.mean_rate() - (2.0 * 30.0 + 10.0 * 60.0) / 90.0).abs() < 1e-9);
     }
 
     #[test]
@@ -725,23 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn bursty_state_toggles() {
-        let mut rng = SimRng::seed_from(15);
-        let mut w = BurstyWorkload::new(1.0, 50.0, 5.0, 5.0, 180.0, 3, &mut rng);
-        let mut saw_burst = false;
-        let mut saw_calm = false;
-        for _ in 0..2_000 {
-            let _ = w.next_request();
-            if w.in_burst() {
-                saw_burst = true;
-            } else {
-                saw_calm = true;
-            }
-        }
-        assert!(saw_burst && saw_calm, "chain must visit both states");
-    }
-
-    #[test]
     fn bursty_deterministic_per_seed() {
         let mut a = SimRng::seed_from(16);
         let mut b = SimRng::seed_from(16);
@@ -776,42 +605,6 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(sampler.draw(&mut a), b.exp_duration(180.0));
         }
-    }
-
-    #[test]
-    fn pareto_sampler_matches_mean_and_is_heavy_tailed() {
-        let sampler = HoldingSampler::pareto(180.0, 2.5);
-        assert_eq!(sampler.mean_secs(), 180.0);
-        let mut rng = SimRng::seed_from(22);
-        let n = 200_000;
-        let draws: Vec<f64> = (0..n).map(|_| sampler.draw(&mut rng).as_secs()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        assert!((mean - 180.0).abs() < 8.0, "pareto mean {mean}");
-        // Minimum is the scale parameter, never below it.
-        let x_min = 180.0 * 1.5 / 2.5;
-        assert!(draws.iter().all(|&d| d >= x_min - 1e-9));
-        // Heavy tail: the max draw dwarfs anything exponential sampling
-        // of the same mean plausibly produces over n draws.
-        let max = draws.iter().cloned().fold(0.0, f64::max);
-        assert!(max > 20.0 * 180.0, "pareto max {max} not heavy-tailed");
-    }
-
-    #[test]
-    fn pareto_holding_leaves_arrivals_untouched() {
-        let mut a = workload(10.0, 23);
-        let mut b = workload(10.0, 23).with_holding(HoldingSampler::pareto(180.0, 2.0));
-        for _ in 0..500 {
-            let ra = a.next_request();
-            let rb = b.next_request();
-            assert_eq!(ra.arrival, rb.arrival);
-            assert_eq!(ra.source_index, rb.source_index);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shape must exceed 1")]
-    fn pareto_rejects_infinite_mean_shape() {
-        let _ = HoldingSampler::pareto(180.0, 1.0);
     }
 
     #[test]
@@ -857,9 +650,6 @@ mod tests {
             duration_secs: 500.0,
             multiplier: 5.0,
         };
-        assert!(env.in_window(600.0));
-        assert!(!env.in_window(499.0));
-        assert!(!env.in_window(1_000.0));
         let mut rng = SimRng::seed_from(25);
         let mut w = ModulatedWorkload::new(10.0, env, 180.0, 9, &mut rng);
         let mut inside = 0usize;
@@ -896,8 +686,6 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(wa.next_request(), wb.next_request());
         }
-        assert_eq!(wa.mean_rate(), 10.0);
-        assert_eq!(wa.envelope(), &env);
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub enum TeardownReason {
 
 impl TeardownReason {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TeardownReason::Departure => "departure",
             TeardownReason::Delayed => "delayed",
@@ -244,7 +244,7 @@ impl From<ProbeError> for SkipReason {
 
 impl SkipReason {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SkipReason::LinkBlocked { .. } => "link_blocked",
             SkipReason::NoFeasiblePath => "no_feasible_path",

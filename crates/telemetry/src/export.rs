@@ -61,7 +61,7 @@ fn fault_json(entity: &FaultKind) -> JsonValue {
 /// substream seed) and `kind` (the [`Event::kind`] discriminant); the
 /// remaining fields are variant-specific — see the crate-level schema
 /// docs.
-pub fn event_json(seed: u64, timed: &TimedEvent) -> JsonValue {
+pub(crate) fn event_json(seed: u64, timed: &TimedEvent) -> JsonValue {
     let mut fields: Vec<(String, JsonValue)> = vec![
         ("t".into(), JsonValue::Num(timed.time_secs)),
         ("seed".into(), JsonValue::Num(seed as f64)),
@@ -226,7 +226,7 @@ pub fn to_jsonl(seed: u64, events: &[TimedEvent]) -> String {
 
 /// RFC 4180 field escaping: fields containing commas, quotes or newlines
 /// are wrapped in double quotes with inner quotes doubled.
-pub fn csv_escape(field: &str) -> String {
+pub(crate) fn csv_escape(field: &str) -> String {
     if field.contains(['"', ',', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -235,7 +235,7 @@ pub fn csv_escape(field: &str) -> String {
 }
 
 /// The CSV header the exporter writes.
-pub const CSV_HEADER: &str = "t,seed,kind,request,session,member,link,value,detail";
+pub(crate) const CSV_HEADER: &str = "t,seed,kind,request,session,member,link,value,detail";
 
 fn fault_detail(entity: &FaultKind) -> String {
     match entity {
@@ -244,7 +244,7 @@ fn fault_detail(entity: &FaultKind) -> String {
     }
 }
 
-/// Renders an event stream as CSV with the fixed [`CSV_HEADER`] columns.
+/// Renders an event stream as CSV with the fixed `CSV_HEADER` columns.
 ///
 /// Columns that do not apply to a variant are left empty; `value` holds
 /// the variant's headline number (demand, weight, tries, utilization) and

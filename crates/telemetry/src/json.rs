@@ -42,20 +42,6 @@ impl JsonValue {
         JsonValue::Arr(values.into_iter().map(JsonValue::Num).collect())
     }
 
-    /// Convenience: an array of strings.
-    pub fn strs<I, S>(values: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        JsonValue::Arr(
-            values
-                .into_iter()
-                .map(|s| JsonValue::Str(s.into()))
-                .collect(),
-        )
-    }
-
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -164,7 +150,7 @@ pub fn write_str(out: &mut String, s: &str) {
 /// escapes, numbers, booleans, `null`) — used by the trace CLI's
 /// `--check` pass, the trace loader and round-trip tests. Trailing input
 /// after the document is an error, and so is nesting deeper than
-/// [`MAX_DEPTH`]: the parser recurses once per level and some of its
+/// `MAX_DEPTH`: the parser recurses once per level and some of its
 /// input comes off a socket.
 ///
 /// # Errors
@@ -179,7 +165,7 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. Everything
 /// this workspace writes nests three or four levels.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// One member's value as [`scan_object`] hands it out.
 #[derive(Debug, Clone, PartialEq)]

@@ -68,14 +68,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
+pub(crate) mod event;
 pub mod export;
 pub mod json;
-pub mod occupancy;
-pub mod recorder;
-pub mod registry;
-pub mod stream;
-pub mod tracer;
+pub(crate) mod occupancy;
+pub(crate) mod recorder;
+pub(crate) mod registry;
+pub(crate) mod stream;
+pub(crate) mod tracer;
 
 pub use event::{
     DecisionStep, DecisionTrace, Event, FaultKind, ProbeResult, SkipReason, TeardownReason,

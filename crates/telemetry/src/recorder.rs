@@ -97,7 +97,7 @@ impl EventFilter {
     }
 
     /// Whether events of this kind are retained.
-    pub fn retains(&self, kind: &str) -> bool {
+    pub(crate) fn retains(&self, kind: &str) -> bool {
         self.keep.contains(&kind)
     }
 }
@@ -172,7 +172,8 @@ impl RingRecorder {
     }
 
     /// The substream seed of the run this recorder captured.
-    pub fn seed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 

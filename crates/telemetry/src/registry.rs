@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Metric name (snake_case by convention).
-    pub name: String,
+    pub(crate) name: String,
     /// Ordered `(label, value)` pairs; order is part of the key identity,
     /// so always build labels in one canonical order per metric.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
 }
 
 impl MetricKey {
@@ -30,7 +30,8 @@ impl MetricKey {
     }
 
     /// A key with labels.
-    pub fn labelled<I, K, V>(name: impl Into<String>, labels: I) -> Self
+    #[cfg(test)]
+    pub(crate) fn labelled<I, K, V>(name: impl Into<String>, labels: I) -> Self
     where
         I: IntoIterator<Item = (K, V)>,
         K: Into<String>,
@@ -46,7 +47,7 @@ impl MetricKey {
     }
 
     /// Renders the key in the conventional `name{k=v,...}` form.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         if self.labels.is_empty() {
             return self.name.clone();
         }
@@ -84,12 +85,13 @@ impl MetricsRegistry {
     }
 
     /// Sets the gauge at `key` to `value`.
-    pub fn set_gauge(&mut self, key: MetricKey, value: f64) {
+    pub(crate) fn set_gauge(&mut self, key: MetricKey, value: f64) {
         self.gauges.insert(key, value);
     }
 
     /// Reads a gauge; `None` when never set.
-    pub fn gauge(&self, key: &MetricKey) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, key: &MetricKey) -> Option<f64> {
         self.gauges.get(key).copied()
     }
 
@@ -104,18 +106,14 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into the histogram at `key` (creating it empty).
-    pub fn observe(&mut self, key: MetricKey, value: u32) {
+    pub(crate) fn observe(&mut self, key: MetricKey, value: u32) {
         self.histograms.entry(key).or_default().record(value);
     }
 
     /// Reads a histogram; `None` when nothing was observed.
-    pub fn histogram(&self, key: &MetricKey) -> Option<&Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, key: &MetricKey) -> Option<&Histogram> {
         self.histograms.get(key)
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Merges `other` into `self`: counters add, gauges take `other`'s
@@ -380,7 +378,7 @@ mod tests {
         assert_eq!(
             reg.histogram(&key("link_utilization_decile", &[("policy", "wddh")]))
                 .unwrap()
-                .count(5),
+                .buckets()[5],
             1
         );
     }

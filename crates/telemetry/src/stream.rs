@@ -59,7 +59,6 @@ pub enum StreamPolicy {
 /// A [`Recorder`] that streams events to a JSONL file as they happen.
 #[derive(Debug)]
 pub struct StreamRecorder {
-    seed: u64,
     tx: Option<SyncSender<TimedEvent>>,
     writer: Option<JoinHandle<io::Result<u64>>>,
     sample_every_secs: Option<f64>,
@@ -95,7 +94,6 @@ impl StreamRecorder {
             Ok(written)
         });
         Ok(StreamRecorder {
-            seed,
             tx: Some(tx),
             writer: Some(writer),
             sample_every_secs: None,
@@ -135,13 +133,9 @@ impl StreamRecorder {
         self
     }
 
-    /// The substream seed stamped on every exported line.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Events handed to [`Recorder::record`] so far (written + dropped).
-    pub fn recorded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> u64 {
         self.recorded
     }
 
@@ -156,7 +150,7 @@ impl StreamRecorder {
     }
 
     /// Closes the channel, joins the writer and returns the number of
-    /// lines written (equal to [`recorded`](Self::recorded) unless the
+    /// lines written (equal to `recorded` unless the
     /// writer hit an I/O error mid-run).
     ///
     /// # Errors
@@ -302,7 +296,6 @@ mod tests {
             .unwrap()
             .with_sample_interval(30.0);
         assert_eq!(rec.link_sample_interval(), Some(30.0));
-        assert_eq!(rec.seed(), 1);
         drop(rec);
         std::fs::remove_file(&path).ok();
     }

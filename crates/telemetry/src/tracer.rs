@@ -70,11 +70,6 @@ impl<'a> RequestTracer<'a> {
         self.armed
     }
 
-    /// The request id this tracer is attached to.
-    pub fn request(&self) -> u64 {
-        self.request
-    }
-
     /// Notes the policy's weight vector. Only the first call is kept — the
     /// trace records the weights the request *arrived* to, before retrials
     /// updated the history.

@@ -52,32 +52,22 @@ pub use anycast_rsvp as rsvp;
 pub use anycast_sim as sim;
 pub use anycast_telemetry as telemetry;
 
-/// The most commonly used items, re-exported flat for examples and tests.
+/// The items the examples use, re-exported flat.
 pub mod prelude {
-    pub use anycast_analysis::scenario::{
-        build_paper_scenario, build_scenario, AnalyzedSystem, ScenarioSpec,
-    };
-    pub use anycast_analysis::{erlang_b, predict_ap, uaa_blocking, BlockingModel};
-    pub use anycast_chaos::{FaultAction, FaultPlan};
-    pub use anycast_dac::baselines::{GlobalDynamicSystem, ShortestPathSystem};
+    pub use anycast_analysis::scenario::{build_paper_scenario, AnalyzedSystem, ScenarioSpec};
+    pub use anycast_analysis::{predict_ap, BlockingModel};
+    pub use anycast_dac::baselines::ShortestPathSystem;
     pub use anycast_dac::experiment::{
-        run_experiment, run_experiment_traced, ArrivalProcess, DemandClass, ExperimentConfig,
-        GroupSpec, Metrics, SystemSpec,
+        run_experiment, ArrivalProcess, ExperimentConfig, GroupSpec, SystemSpec,
     };
-    pub use anycast_dac::multipath::{MultipathController, MultipathRouteTable};
-    pub use anycast_dac::policy::{HistoryMode, PolicySpec};
+    pub use anycast_dac::policy::PolicySpec;
     pub use anycast_dac::{AdmissionController, RetrialPolicy};
-    pub use anycast_estimator::{CalibrationOptions, CalibrationTable, Estimate, Estimator};
     pub use anycast_net::routing::RouteTable;
     pub use anycast_net::{
-        topologies, AnycastGroup, Bandwidth, LinkId, LinkStateTable, NodeId, Path, Topology,
-        TopologyBuilder,
+        topologies, AnycastGroup, Bandwidth, LinkId, LinkStateTable, NodeId, Topology,
     };
-    pub use anycast_rsvp::{MessageKind, ReservationEngine};
-    pub use anycast_sim::{SimRng, SimTime};
-    pub use anycast_telemetry::{
-        registry_from_events, Event, NullRecorder, Recorder, RingRecorder, TelemetryMode,
-    };
+    pub use anycast_rsvp::ReservationEngine;
+    pub use anycast_sim::SimRng;
 }
 
 #[cfg(test)]

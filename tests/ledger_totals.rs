@@ -10,7 +10,7 @@
 //! any single `+=`/`-=` on a running total in `link_state.rs` fails it.
 
 use anycast::net::routing::shortest_path;
-use anycast::net::{LinkSnapshot, LinkSummary, NetError};
+use anycast::net::{LinkSnapshot, LinkSummary, NetError, Path, TopologyBuilder};
 use anycast::prelude::*;
 
 /// The anycast partition of every link (§5.1).

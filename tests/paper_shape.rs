@@ -3,6 +3,7 @@
 //! hold in this reproduction, at shortened-but-stable run lengths.
 
 use anycast::prelude::*;
+use anycast::rsvp::MessageKind;
 
 fn config(lambda: f64, system: SystemSpec, seed: u64) -> ExperimentConfig {
     ExperimentConfig::paper_defaults(lambda, system)

@@ -13,8 +13,8 @@
 //! two event-driven signalling runs, and `mci_multipath_wddb` the metrics
 //! of the multipath extension, which no other pin covers.
 
-use anycast::chaos::{MessageFault, SignalingFaults};
-use anycast::dac::experiment::{SignalingMode, TwoPhaseConfig};
+use anycast::chaos::{FaultAction, FaultPlan, MessageFault, SignalingFaults};
+use anycast::dac::experiment::{run_experiment_traced, Metrics, SignalingMode, TwoPhaseConfig};
 use anycast::prelude::*;
 use anycast::telemetry::{DecisionTrace, Event, Recorder, TeardownReason};
 
@@ -31,14 +31,14 @@ fn short_run(lambda: f64, system: SystemSpec) -> ExperimentConfig {
 fn mci_wddb_fault_config(topo: &Topology) -> ExperimentConfig {
     let member = NodeId::new(4);
     let (_, member_link) = topo.neighbors(member)[0];
-    let plan = FaultPlan::none()
-        .with_teardown_loss(0.05)
+    let mut plan = FaultPlan::none()
         .with_scripted(250.0, FaultAction::FailLink(LinkId::new(7)))
         .with_scripted(300.0, FaultAction::CrashNode(member))
         .with_scripted(320.0, FaultAction::FailLink(member_link))
         .with_scripted(450.0, FaultAction::RestoreLink(LinkId::new(7)))
         .with_scripted(500.0, FaultAction::RestoreNode(member))
         .with_scripted(600.0, FaultAction::RestoreLink(member_link));
+    plan.control.teardown_loss_probability = 0.05;
     short_run(45.0, SystemSpec::dac(PolicySpec::WdDb, 2)).with_faults(plan)
 }
 
@@ -218,8 +218,10 @@ fn soft_state_expiry_sequences() {
     assert!(log.count <= m.orphans_reclaimed && m.orphans_reclaimed <= m.orphaned_reservations);
     assert_eq!(m.leaked_bandwidth_bps, 0);
 
-    let mut brief = short_run(100.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
-        .with_faults(FaultPlan::none().with_teardown_loss(0.3));
+    let mut lossy = FaultPlan::none();
+    lossy.control.teardown_loss_probability = 0.3;
+    let mut brief =
+        short_run(100.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2)).with_faults(lossy);
     brief.mean_holding_secs = 5.0;
     let (m, log) = StreamDigest::of(&topo, &brief, soft_state_expiries);
     assert_eq!((log.count, log.digest), (18_316, 0x7903_5619_dba4_76a5));

@@ -4,6 +4,7 @@
 //! intermediate step the link ledger must agree with the set of live
 //! sessions.
 
+use anycast::chaos::FaultPlan;
 use anycast::prelude::*;
 use anycast::rsvp::{RefreshConfig, RefreshTracker};
 use proptest::prelude::*;
@@ -86,7 +87,8 @@ proptest! {
         loss_percent in 0u32..=50,
     ) {
         let topo = topologies::mci();
-        let plan = FaultPlan::none().with_teardown_loss(f64::from(loss_percent) / 100.0);
+        let mut plan = FaultPlan::none();
+        plan.control.teardown_loss_probability = f64::from(loss_percent) / 100.0;
         let cfg = ExperimentConfig::paper_defaults(
             5.0,
             SystemSpec::dac(PolicySpec::Ed, 2),
