@@ -174,10 +174,7 @@ pub fn print_help(command: &str) {
              \x20 --window SECS                  rolling-horizon mode: serve forever,\n\
              \x20                                stats report a trailing SECS window\n\
              \x20 --queue-limit N                admission queue bound; shed\n\
-             \x20                                watermarks scale with it (default 1024)\n\
-             \x20 --no-shed                      disable the hysteresis shed controller\n\
-             \x20                                (the hard queue bound still refuses\n\
-             \x20                                admits when full)"
+             \x20                                watermarks scale with it (default 1024)"
         ),
         "predict" => println!(
             "usage: anycast predict --lambda RATE | --lambdas START:END:STEP [options]\n\
@@ -258,10 +255,20 @@ fn common_config(
     let topo_spec = args.get_str("topology").unwrap_or_else(|| "mci".into());
     let topo = parse_topology(&topo_spec)?;
 
+    let warmup: f64 = args.get_or("warmup", 1_800.0)?;
+    if !(warmup.is_finite() && warmup >= 0.0) {
+        return Err(format!(
+            "--warmup must be non-negative seconds, got {warmup}"
+        ));
+    }
+    let measure: f64 = args.get_or("measure", 3_600.0)?;
+    if !(measure.is_finite() && measure > 0.0) {
+        return Err(format!("--measure must be positive seconds, got {measure}"));
+    }
     let mut config = ExperimentConfig::paper_defaults(lambda, system)
         .with_seed(args.get_or("seed", 1)?)
-        .with_warmup_secs(args.get_or("warmup", 1_800.0)?)
-        .with_measure_secs(args.get_or("measure", 3_600.0)?);
+        .with_warmup_secs(warmup)
+        .with_measure_secs(measure);
     if let Some(group) = args.get_str("group") {
         config = config.with_group(
             parse_id_list(&group)?
@@ -863,7 +870,7 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
 /// `anycast serve`: run the admission controller as a long-lived daemon
 /// behind a TCP or Unix socket.
 pub fn serve(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["no-shed"])?;
+    let mut args = Args::parse(raw, &[])?;
     let lambda: f64 = args.get_or("lambda", 1.0)?;
     let (topo, config) = common_config(&mut args, lambda, "wddh")?;
     let listen = args.get_str("listen");
@@ -873,7 +880,6 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
     let stream = args.get_str("stream");
     let window = args.get_str("window");
     let queue_limit: usize = args.get_or("queue-limit", 1024)?;
-    let no_shed = args.switch("no-shed");
     args.finish()?;
     if !(speed.is_finite() && speed > 0.0) {
         return Err(format!("--speed must be positive, got {speed}"));
@@ -899,15 +905,12 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("--listen and --unix are mutually exclusive".into()),
         (None, None) => return Err("missing --listen or --unix".into()),
     };
-    let mut overload = anycast_daemon::OverloadOptions::default().with_queue_limit(queue_limit);
-    overload.shed = !no_shed;
     let options = ServeOptions {
         speed,
         tick: std::time::Duration::from_millis(tick_ms),
         telemetry: stream.map(std::path::PathBuf::from),
         window_secs,
-        overload,
-        ..ServeOptions::default()
+        overload: anycast_daemon::OverloadOptions::default().with_queue_limit(queue_limit),
     };
     let shutdown = ShutdownFlag::new();
     if !install_signal_handler() {
@@ -920,11 +923,14 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
         (Endpoint::Unix(path), None) => println!("listening on unix {}", path.display()),
         _ => {}
     }
+    let lifetime = match window_secs {
+        Some(window) => format!("rolling window {window}s"),
+        None => format!("horizon {}s", config.warmup_secs + config.measure_secs),
+    };
     println!(
-        "system {} seed {} speed {speed}x horizon {}s",
+        "system {} seed {} speed {speed}x {lifetime}",
         config.system.label(),
-        config.seed,
-        config.warmup_secs + config.measure_secs
+        config.seed
     );
     let report = server
         .run(&topo, &config, &options, shutdown)
@@ -1343,6 +1349,12 @@ mod tests {
             (vec!["--burstiness", "2.5"], "burstiness"),
             (vec!["--group", "0,99"], "not a node"),
             (vec!["--r", "0"], "--r"),
+            (vec!["--measure", "0"], "--measure"),
+            (vec!["--measure", "inf"], "--measure"),
+            (vec!["--measure", "-5"], "--measure"),
+            (vec!["--warmup", "nan"], "--warmup"),
+            (vec!["--warmup", "-5"], "--warmup"),
+            (vec!["--warmup", "inf"], "--warmup"),
         ] {
             let mut args = Args::parse(strs(&flags), &[]).unwrap();
             let err = common_config(&mut args, 10.0, "wddh").unwrap_err();
@@ -1763,12 +1775,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_an_unknown_flag() {
-        // Admission has one path; `--batch` fails like any other typo.
-        let err = simulate(strs(&["--lambda", "5", "--batch"])).unwrap_err();
-        assert_eq!(err, "flag --batch expects a value");
-        let err = simulate(strs(&["--lambda", "5", "--batch", "1"])).unwrap_err();
-        assert_eq!(err, "unknown flag --batch for this command");
+    fn retired_flags_are_unknown() {
+        // Admission has one path and the shed controller is always on:
+        // `simulate --batch` and `serve --no-shed` fail like any other
+        // typo, before anything runs or is bound.
+        type Command = fn(Vec<String>) -> Result<(), String>;
+        for (command, base, flag) in [
+            (simulate as Command, ["--lambda", "5"], "--batch"),
+            (serve as Command, ["--listen", "127.0.0.1:0"], "--no-shed"),
+        ] {
+            let err = command(strs(&[base[0], base[1], flag])).unwrap_err();
+            assert_eq!(err, format!("flag {flag} expects a value"));
+            let err = command(strs(&[base[0], base[1], flag, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for this command"));
+        }
     }
 
     #[test]

@@ -28,9 +28,7 @@ use anycast_rsvp::{
     MessageLedger, ReservationEngine, ReservationOutcome, SessionId, SessionMap, SessionSet,
 };
 use anycast_sim::stats::{AdmissionStats, TimeWeighted};
-use anycast_sim::workload::{
-    BurstyWorkload, FlowRequest, ModulatedWorkload, PoissonWorkload, RateEnvelope,
-};
+use anycast_sim::workload::{BurstyWorkload, FlowRequest, PoissonWorkload};
 use anycast_sim::{Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{
     Event as TelemetryEvent, FaultKind, NullRecorder, Recorder, RequestTracer, SkipReason,
@@ -130,31 +128,6 @@ pub enum ArrivalProcess {
         burstiness: f64,
         /// Mean sojourn in each modulating state, seconds.
         mean_sojourn_secs: f64,
-    },
-    /// Sinusoidal diurnal modulation of the Poisson rate: the instantaneous
-    /// rate is `λ · (1 + amplitude · sin(2πt / period))`, so the long-run
-    /// mean stays λ while load peaks and troughs once per period.
-    Diurnal {
-        /// Peak-to-mean excursion in `[0, 1)`.
-        amplitude: f64,
-        /// Length of one full cycle, seconds.
-        period_secs: f64,
-    },
-    /// A flash crowd: Poisson at rate λ outside the window; inside
-    /// `[start, start + duration)` the rate jumps to `λ · multiplier` and
-    /// every arrival targets anycast group `group_index` — a burst of
-    /// demand aimed at one service, the §4.1 stress case for
-    /// destination-selection spreading.
-    FlashCrowd {
-        /// Window start, seconds.
-        start_secs: f64,
-        /// Window length, seconds.
-        duration_secs: f64,
-        /// Rate multiplier inside the window (≥ 1).
-        multiplier: f64,
-        /// The group (index into [`ExperimentConfig::effective_groups`])
-        /// the crowd piles onto.
-        group_index: usize,
     },
 }
 
@@ -622,27 +595,6 @@ fn draw_demand(config: &ExperimentConfig, demand_weights: &[f64], rng: &mut SimR
     }
 }
 
-/// A flash crowd aims every in-window arrival at its configured group.
-///
-/// The group stream is still *drawn* (and its result discarded) for every
-/// arrival, so the RNG streams stay aligned and arrivals outside the
-/// window are bit-identical to a run without the override.
-fn flash_group_override(config: &ExperimentConfig, at: SimTime, drawn: usize) -> usize {
-    if let ArrivalProcess::FlashCrowd {
-        start_secs,
-        duration_secs,
-        group_index,
-        ..
-    } = config.arrivals
-    {
-        let t = at.as_secs();
-        if t >= start_secs && t < start_secs + duration_secs {
-            return group_index;
-        }
-    }
-    drawn
-}
-
 /// Builds the configured workload, consuming the master stream's workload
 /// forks. Shared by [`Sim::new`] and [`draw_arrival_trace`] so the two
 /// consume identical fork sequences — the replay-equivalence contract.
@@ -665,35 +617,6 @@ fn build_workload(config: &ExperimentConfig, master_rng: &mut SimRng) -> Workloa
             config.sources.len(),
             master_rng,
         )),
-        ArrivalProcess::Diurnal {
-            amplitude,
-            period_secs,
-        } => WorkloadKind::Modulated(ModulatedWorkload::new(
-            config.lambda,
-            RateEnvelope::Diurnal {
-                amplitude,
-                period_secs,
-            },
-            config.mean_holding_secs,
-            config.sources.len(),
-            master_rng,
-        )),
-        ArrivalProcess::FlashCrowd {
-            start_secs,
-            duration_secs,
-            multiplier,
-            ..
-        } => WorkloadKind::Modulated(ModulatedWorkload::new(
-            config.lambda,
-            RateEnvelope::Window {
-                start_secs,
-                duration_secs,
-                multiplier,
-            },
-            config.mean_holding_secs,
-            config.sources.len(),
-            master_rng,
-        )),
     }
 }
 
@@ -712,8 +635,7 @@ fn next_feed_arrival(
         Feed::Workload(workload) => {
             let next = workload.next_request();
             let demand = draw_demand(config, demand_weights, demand_rng);
-            let group_index =
-                flash_group_override(config, next.arrival, draw_group(group_shares, group_rng));
+            let group_index = draw_group(group_shares, group_rng);
             Some((
                 next.arrival,
                 Event::Arrival(Arrival {
@@ -749,11 +671,7 @@ pub(crate) fn draw_arrival_trace(config: &ExperimentConfig) -> Vec<OnlineArrival
     loop {
         let next = workload.next_request();
         let demand = draw_demand(config, &demand_weights, &mut demand_rng);
-        let group_index = flash_group_override(
-            config,
-            next.arrival,
-            draw_group(&group_shares, &mut group_rng),
-        );
+        let group_index = draw_group(&group_shares, &mut group_rng);
         if next.arrival > horizon {
             return out;
         }
@@ -772,7 +690,6 @@ pub(crate) fn draw_arrival_trace(config: &ExperimentConfig) -> Vec<OnlineArrival
 pub(crate) enum WorkloadKind {
     Poisson(PoissonWorkload),
     Bursty(BurstyWorkload),
-    Modulated(ModulatedWorkload),
 }
 
 impl WorkloadKind {
@@ -780,7 +697,6 @@ impl WorkloadKind {
         match self {
             WorkloadKind::Poisson(w) => w.next_request(),
             WorkloadKind::Bursty(w) => w.next_request(),
-            WorkloadKind::Modulated(w) => w.next_request(),
         }
     }
 }
@@ -930,12 +846,6 @@ fn validate(topo: &Topology, config: &ExperimentConfig) {
                 config.system.label()
             );
         }
-    }
-    if let ArrivalProcess::FlashCrowd { group_index, .. } = config.arrivals {
-        assert!(
-            group_index < config.effective_groups().len(),
-            "flash crowd targets unknown group index {group_index}"
-        );
     }
 }
 
@@ -2742,79 +2652,6 @@ mod tests {
         let cfg = quick(5.0, SystemSpec::GlobalDynamic).with_sources(sources);
         let mut recorder = NullRecorder;
         let _ = Sim::new(&topo, &cfg, &mut recorder, false);
-    }
-
-    /// Diurnal and flash-crowd arrival processes are deterministic under a
-    /// seed and actually modulate load.
-    #[test]
-    fn modulated_arrivals_are_deterministic_and_modulate() {
-        let topo = topologies::mci();
-        let diurnal = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_arrivals(
-            ArrivalProcess::Diurnal {
-                amplitude: 0.8,
-                period_secs: 300.0,
-            },
-        );
-        let a = run_experiment(&topo, &diurnal);
-        let b = run_experiment(&topo, &diurnal);
-        assert_eq!(a, b, "diurnal arrivals must replay bit-identically");
-        assert_all_finite(&a, "diurnal");
-
-        let flat = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2));
-        let base = run_experiment(&topo, &flat);
-        let crowd = quick(20.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_arrivals(
-            ArrivalProcess::FlashCrowd {
-                start_secs: 400.0,
-                duration_secs: 300.0,
-                multiplier: 4.0,
-                group_index: 0,
-            },
-        );
-        let c1 = run_experiment(&topo, &crowd);
-        let c2 = run_experiment(&topo, &crowd);
-        assert_eq!(c1, c2, "flash crowds must replay bit-identically");
-        assert!(
-            c1.offered > base.offered,
-            "a 4x burst must raise offered load: {} vs {}",
-            c1.offered,
-            base.offered
-        );
-    }
-
-    /// A flash crowd aimed at one group of a two-group deployment
-    /// congests that group: its admission probability drops relative to
-    /// the same run without the burst, while the untargeted group is
-    /// barely affected.
-    #[test]
-    fn flash_crowd_concentrates_on_target_group() {
-        let topo = topologies::mci();
-        let groups = vec![
-            GroupSpec {
-                members: vec![NodeId::new(0), NodeId::new(8), NodeId::new(16)],
-                share: 1.0,
-            },
-            GroupSpec {
-                members: vec![NodeId::new(4), NodeId::new(12)],
-                share: 1.0,
-            },
-        ];
-        let base = quick(25.0, SystemSpec::dac(PolicySpec::Ed, 1)).with_groups(groups.clone());
-        let calm = run_experiment(&topo, &base);
-        let crowd = run_experiment(
-            &topo,
-            &base.clone().with_arrivals(ArrivalProcess::FlashCrowd {
-                start_secs: 300.0,
-                duration_secs: 600.0,
-                multiplier: 6.0,
-                group_index: 1,
-            }),
-        );
-        assert!(
-            crowd.per_group_ap[1] < calm.per_group_ap[1] - 0.05,
-            "the targeted group must congest: {} vs calm {}",
-            crowd.per_group_ap[1],
-            calm.per_group_ap[1]
-        );
     }
 
     #[test]

@@ -16,30 +16,30 @@
 //!   queue depth reaches 3/4 of the bound, new admits are shed until it
 //!   falls back to 1/4. The hysteresis gap keeps the daemon from
 //!   oscillating admit/shed at the boundary, and shedding early is what
-//!   keeps p99 decision latency bounded under sustained overload (the
-//!   `bench_pr9` claim). Backlog is the only signal: an empty queue is
-//!   below the release mark by construction, so the controller cannot
-//!   stay engaged once the work is gone, and signalling round trips —
-//!   which a decision's latency includes — cannot engage it at all.
+//!   keeps decision latency bounded under sustained overload
+//!   (`tests/shed_release.rs` bounds the wait in virtual time). Backlog
+//!   is the only signal: an empty queue is below the release mark by
+//!   construction, so the controller cannot stay engaged once the work
+//!   is gone, and signalling round trips — which a decision's latency
+//!   includes — cannot engage it at all.
 
 use anycast_net::Bandwidth;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
+
+/// Per-connection admission-queue bound: one connection's fair share.
+pub const PER_CONN_LIMIT: usize = 128;
+
+/// How many queued admits one engine tick may dispatch.
+pub const DISPATCH_PER_TICK: usize = 256;
 
 /// Overload-protection knobs for the service loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadOptions {
     /// Global admission-queue bound.
     pub queue_limit: usize,
-    /// Per-connection admission-queue bound (fair-share cap).
-    pub per_conn_limit: usize,
-    /// How many queued admits one engine tick may dispatch.
-    pub dispatch_per_tick: usize,
     /// Decision-journal bound (correlation tokens retained).
     pub journal_limit: usize,
-    /// Whether the hysteresis shed controller is active. Off, only the
-    /// hard queue bound sheds — the configuration `bench_pr9` contrasts.
-    pub shed: bool,
     /// Busy-work burned per dispatched admit. Zero in production; the
     /// overload benchmarks raise it to give the engine a known capacity
     /// so 1×/2×/4× driving rates mean something.
@@ -50,10 +50,7 @@ impl Default for OverloadOptions {
     fn default() -> Self {
         OverloadOptions {
             queue_limit: 1024,
-            per_conn_limit: 128,
-            dispatch_per_tick: 256,
             journal_limit: 4096,
-            shed: true,
             admit_spin: Duration::ZERO,
         }
     }

@@ -26,7 +26,9 @@
 //! final [`Metrics`] plus the service [`DaemonCounters`].
 
 use crate::journal::{DecisionJournal, JournalEntry};
-use crate::overload::{AdmissionQueue, OverloadOptions, QueuedAdmit, ShedController};
+use crate::overload::{
+    AdmissionQueue, OverloadOptions, QueuedAdmit, ShedController, DISPATCH_PER_TICK, PER_CONN_LIMIT,
+};
 use crate::shutdown::{drain_unserved, signalled, ShutdownFlag};
 use crate::wire::{
     decision_response, error_response, overloaded_response, parse_request, read_line_bounded,
@@ -67,21 +69,19 @@ pub struct ServeOptions {
     /// Engine tick: how long the loop waits for traffic before advancing
     /// the clock anyway (drives departures, timers, telemetry sampling).
     pub tick: Duration,
-    /// Live telemetry: stream every event as JSONL to this path.
-    pub telemetry: Option<PathBuf>,
-    /// Full-channel policy for the telemetry stream. The default for a
-    /// live service is [`StreamPolicy::DropNewest`]: a slow disk must not
+    /// Live telemetry: stream every event as JSONL to this path, with
+    /// [`StreamPolicy::DropNewest`] backpressure: a slow disk must not
     /// stall admission decisions; drops are counted, never silent.
-    pub telemetry_policy: StreamPolicy,
+    pub telemetry: Option<PathBuf>,
     /// Rolling-window service mode: `Some(window_secs)` makes the run
     /// horizon effectively unbounded (the daemon serves until told to
     /// stop) and `stats` reports trailing-window admission counters over
     /// the last `window_secs` of simulated time. `None` keeps the
     /// configured finite horizon.
     pub window_secs: Option<f64>,
-    /// Overload protection: queue, per-connection and journal bounds, the
-    /// dispatch budget, and whether the shed controller runs (its
-    /// watermarks follow the queue bound).
+    /// Overload protection: the queue and journal bounds and the
+    /// synthetic per-admit cost (the shed watermarks follow the queue
+    /// bound).
     pub overload: OverloadOptions,
 }
 
@@ -91,7 +91,6 @@ impl Default for ServeOptions {
             speed: 1.0,
             tick: Duration::from_millis(5),
             telemetry: None,
-            telemetry_policy: StreamPolicy::DropNewest,
             window_secs: None,
             overload: OverloadOptions::default(),
         }
@@ -324,7 +323,6 @@ struct ServiceState {
     pending: HashMap<u64, PendingDecision>,
     queue: AdmissionQueue,
     shed: ShedController,
-    shed_enabled: bool,
     journal: DecisionJournal,
     counters: DaemonCounters,
     admit_spin: Duration,
@@ -406,7 +404,7 @@ impl ServiceState {
             }
         }
 
-        if self.shed_enabled && self.shed.is_shedding() {
+        if self.shed.is_shedding() {
             self.counters.shed += 1;
             let line = overloaded_response(token.as_deref(), self.queue.len(), true);
             self.respond(conn, &line);
@@ -585,7 +583,7 @@ impl BoundServer {
             None => ServiceRecorder::Null(NullRecorder),
             Some(path) => ServiceRecorder::Stream(
                 StreamRecorder::create(path, config.seed, DEFAULT_STREAM_CAPACITY)?
-                    .with_policy(options.telemetry_policy),
+                    .with_policy(StreamPolicy::DropNewest),
             ),
         };
         let mut engine = OnlineEngine::new(topo, config, recorder);
@@ -603,9 +601,8 @@ impl BoundServer {
         let mut state = ServiceState {
             writers: HashMap::new(),
             pending: HashMap::new(),
-            queue: AdmissionQueue::new(ov.queue_limit, ov.per_conn_limit),
+            queue: AdmissionQueue::new(ov.queue_limit, PER_CONN_LIMIT),
             shed: ShedController::new(ov.queue_limit),
-            shed_enabled: ov.shed,
             journal: DecisionJournal::new(ov.journal_limit),
             counters: DaemonCounters::default(),
             admit_spin: ov.admit_spin,
@@ -642,7 +639,7 @@ impl BoundServer {
             // depth-based shedding would never see overload.
             state.shed.update(state.queue.len());
             state.counters.shed_engaged = state.shed.times_engaged();
-            state.dispatch(&mut engine, &mut clock, ov.dispatch_per_tick);
+            state.dispatch(&mut engine, &mut clock, DISPATCH_PER_TICK);
             state.debug_assert_accounting();
             let now = clock.now();
             let decisions = engine.advance_to(now);

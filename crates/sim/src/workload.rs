@@ -1,7 +1,6 @@
 //! The stochastic workload of §5.1: Poisson flow-request arrivals with
-//! exponentially distributed lifetimes — plus the datacenter-facing
-//! extensions (a Markov-modulated bursty process, diurnal rate curves and
-//! flash-crowd windows via [`ModulatedWorkload`]).
+//! exponentially distributed lifetimes — plus a Markov-modulated bursty
+//! process as an extension.
 
 use crate::{Duration, SimRng, SimTime};
 
@@ -263,179 +262,6 @@ impl BurstyWorkload {
     }
 }
 
-/// A deterministic time-varying multiplier on a base arrival rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RateEnvelope {
-    /// Sinusoidal diurnal curve: the instantaneous rate is
-    /// `mean · (1 + amplitude · sin(2π · t / period_secs))`, averaging to
-    /// the mean over each period.
-    Diurnal {
-        /// Relative swing in `[0, 1)`; `0.5` means ±50 % around the mean.
-        amplitude: f64,
-        /// Cycle length in seconds (86 400 for a literal day).
-        period_secs: f64,
-    },
-    /// Flash crowd: the rate is `mean · multiplier` inside
-    /// `[start_secs, start_secs + duration_secs)` and `mean` outside.
-    Window {
-        /// Window start in seconds.
-        start_secs: f64,
-        /// Window length in seconds.
-        duration_secs: f64,
-        /// Rate multiplier `≥ 1` inside the window.
-        multiplier: f64,
-    },
-}
-
-impl RateEnvelope {
-    fn validate(&self) {
-        match *self {
-            RateEnvelope::Diurnal {
-                amplitude,
-                period_secs,
-            } => {
-                assert!(
-                    (0.0..1.0).contains(&amplitude),
-                    "diurnal amplitude must lie in [0, 1), got {amplitude}"
-                );
-                assert!(
-                    period_secs.is_finite() && period_secs > 0.0,
-                    "diurnal period must be positive and finite, got {period_secs}"
-                );
-            }
-            RateEnvelope::Window {
-                start_secs,
-                duration_secs,
-                multiplier,
-            } => {
-                assert!(
-                    start_secs.is_finite() && start_secs >= 0.0,
-                    "window start must be non-negative and finite, got {start_secs}"
-                );
-                assert!(
-                    duration_secs.is_finite() && duration_secs > 0.0,
-                    "window duration must be positive and finite, got {duration_secs}"
-                );
-                assert!(
-                    multiplier.is_finite() && multiplier >= 1.0,
-                    "window multiplier must be >= 1 and finite, got {multiplier}"
-                );
-            }
-        }
-    }
-
-    /// The multiplier applied to the base rate at time `t_secs`.
-    pub(crate) fn factor_at(&self, t_secs: f64) -> f64 {
-        match *self {
-            RateEnvelope::Diurnal {
-                amplitude,
-                period_secs,
-            } => 1.0 + amplitude * (std::f64::consts::TAU * t_secs / period_secs).sin(),
-            RateEnvelope::Window {
-                start_secs,
-                duration_secs,
-                multiplier,
-            } => {
-                if t_secs >= start_secs && t_secs < start_secs + duration_secs {
-                    multiplier
-                } else {
-                    1.0
-                }
-            }
-        }
-    }
-
-    /// The largest multiplier the envelope ever produces (the thinning
-    /// bound).
-    pub(crate) fn peak_factor(&self) -> f64 {
-        match *self {
-            RateEnvelope::Diurnal { amplitude, .. } => 1.0 + amplitude,
-            RateEnvelope::Window { multiplier, .. } => multiplier,
-        }
-    }
-}
-
-/// A non-homogeneous Poisson workload whose rate follows a deterministic
-/// [`RateEnvelope`] — diurnal load curves and flash-crowd bursts.
-///
-/// Arrivals are generated by thinning a homogeneous Poisson process at
-/// the envelope's peak rate: candidates are drawn at
-/// `mean_rate · peak_factor` and accepted with probability
-/// `rate(t) / peak`. The candidate stream and the accept/reject stream
-/// are independent forks, so the same seed yields the same accepted
-/// arrivals regardless of the lifetime model.
-#[derive(Debug, Clone)]
-pub struct ModulatedWorkload {
-    mean_rate: f64,
-    peak_rate: f64,
-    envelope: RateEnvelope,
-    holding: HoldingSampler,
-    source_count: usize,
-    clock: SimTime,
-    arrivals_rng: SimRng,
-    thin_rng: SimRng,
-    holding_rng: SimRng,
-    source_rng: SimRng,
-}
-
-impl ModulatedWorkload {
-    /// Creates a modulated workload with base rate `mean_rate` and
-    /// exponential lifetimes of mean `mean_holding_secs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_rate` or `mean_holding_secs` is not positive and
-    /// finite, the envelope parameters are out of range, or
-    /// `source_count` is zero.
-    pub fn new(
-        mean_rate: f64,
-        envelope: RateEnvelope,
-        mean_holding_secs: f64,
-        source_count: usize,
-        rng: &mut SimRng,
-    ) -> Self {
-        assert!(
-            mean_rate.is_finite() && mean_rate > 0.0,
-            "arrival rate must be positive and finite, got {mean_rate}"
-        );
-        envelope.validate();
-        let holding = HoldingSampler::exponential(mean_holding_secs);
-        assert!(source_count > 0, "need at least one source");
-        let arrivals_rng = rng.fork();
-        let thin_rng = rng.fork();
-        let holding_rng = rng.fork();
-        let source_rng = rng.fork();
-        ModulatedWorkload {
-            mean_rate,
-            peak_rate: mean_rate * envelope.peak_factor(),
-            envelope,
-            holding,
-            source_count,
-            clock: SimTime::ZERO,
-            arrivals_rng,
-            thin_rng,
-            holding_rng,
-            source_rng,
-        }
-    }
-
-    /// Draws the next request by thinning the peak-rate candidate stream.
-    pub fn next_request(&mut self) -> FlowRequest {
-        loop {
-            let gap = self.arrivals_rng.exp(1.0 / self.peak_rate);
-            self.clock += Duration::from_secs(gap);
-            let rate = self.mean_rate * self.envelope.factor_at(self.clock.as_secs());
-            if self.thin_rng.uniform() * self.peak_rate < rate {
-                return FlowRequest {
-                    source_index: self.source_rng.below(self.source_count),
-                    arrival: self.clock,
-                    holding: self.holding.draw(&mut self.holding_rng),
-                };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,119 +431,5 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(sampler.draw(&mut a), b.exp_duration(180.0));
         }
-    }
-
-    #[test]
-    fn diurnal_rate_follows_the_envelope() {
-        let env = RateEnvelope::Diurnal {
-            amplitude: 0.8,
-            period_secs: 1_000.0,
-        };
-        let mut rng = SimRng::seed_from(24);
-        let mut w = ModulatedWorkload::new(20.0, env, 180.0, 9, &mut rng);
-        // Count arrivals in the rising half (factor > 1) vs falling half
-        // of each period over many cycles.
-        let mut rising = 0usize;
-        let mut falling = 0usize;
-        let mut last = SimTime::ZERO;
-        for _ in 0..100_000 {
-            let req = w.next_request();
-            assert!(req.arrival >= last, "arrivals must be nondecreasing");
-            last = req.arrival;
-            let phase = req.arrival.as_secs() % 1_000.0;
-            if phase < 500.0 {
-                rising += 1;
-            } else {
-                falling += 1;
-            }
-        }
-        let ratio = rising as f64 / falling as f64;
-        // With amplitude 0.8 the half-period mean rates are
-        // 1 + 1.6/π vs 1 − 1.6/π, a ratio of ~3.1.
-        assert!(
-            ratio > 2.5,
-            "diurnal peak/trough arrival ratio {ratio} too flat"
-        );
-        // The long-run rate still averages to the mean.
-        let measured = 100_000.0 / last.as_secs();
-        assert!((measured - 20.0).abs() < 1.0, "long-run rate {measured}");
-    }
-
-    #[test]
-    fn flash_crowd_window_multiplies_arrivals() {
-        let env = RateEnvelope::Window {
-            start_secs: 500.0,
-            duration_secs: 500.0,
-            multiplier: 5.0,
-        };
-        let mut rng = SimRng::seed_from(25);
-        let mut w = ModulatedWorkload::new(10.0, env, 180.0, 9, &mut rng);
-        let mut inside = 0usize;
-        let mut before = 0usize;
-        loop {
-            let req = w.next_request();
-            let t = req.arrival.as_secs();
-            if t >= 1_000.0 {
-                break;
-            }
-            if t < 500.0 {
-                before += 1;
-            } else {
-                inside += 1;
-            }
-        }
-        let ratio = inside as f64 / before as f64;
-        assert!(
-            (ratio - 5.0).abs() < 1.5,
-            "window arrival ratio {ratio} should be ~5"
-        );
-    }
-
-    #[test]
-    fn modulated_deterministic_per_seed() {
-        let env = RateEnvelope::Diurnal {
-            amplitude: 0.5,
-            period_secs: 600.0,
-        };
-        let mut a = SimRng::seed_from(26);
-        let mut b = SimRng::seed_from(26);
-        let mut wa = ModulatedWorkload::new(10.0, env, 180.0, 9, &mut a);
-        let mut wb = ModulatedWorkload::new(10.0, env, 180.0, 9, &mut b);
-        for _ in 0..500 {
-            assert_eq!(wa.next_request(), wb.next_request());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude must lie in [0, 1)")]
-    fn diurnal_rejects_full_amplitude() {
-        let mut rng = SimRng::seed_from(27);
-        let _ = ModulatedWorkload::new(
-            10.0,
-            RateEnvelope::Diurnal {
-                amplitude: 1.0,
-                period_secs: 600.0,
-            },
-            180.0,
-            9,
-            &mut rng,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "multiplier must be >= 1")]
-    fn window_rejects_damping_multiplier() {
-        let mut rng = SimRng::seed_from(28);
-        let _ = ModulatedWorkload::new(
-            10.0,
-            RateEnvelope::Window {
-                start_secs: 0.0,
-                duration_secs: 10.0,
-                multiplier: 0.5,
-            },
-            180.0,
-            9,
-            &mut rng,
-        );
     }
 }

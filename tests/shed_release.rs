@@ -1,16 +1,15 @@
 //! The shed controller against a model of the service loop, in virtual
 //! time: under a sustained overload the daemon must keep serving at
-//! capacity, shedding only the excess, and must stop shedding as soon as
-//! the backlog is gone.
+//! capacity, shedding only the excess, must bound how long an admit it
+//! accepts waits for its decision, and must stop shedding as soon as the
+//! backlog is gone.
 
 use anycast::net::Bandwidth;
-use anycast_daemon::overload::QueuedAdmit;
+use anycast_daemon::overload::{QueuedAdmit, DISPATCH_PER_TICK, PER_CONN_LIMIT};
 use anycast_daemon::{AdmissionQueue, ShedController};
 use std::time::Instant;
 
 const QUEUE_LIMIT: usize = 256;
-const PER_CONN_LIMIT: usize = 128;
-const DISPATCH_PER_TICK: usize = 256;
 const CONNECTIONS: u64 = 4;
 /// Engine cost of one admit, virtual microseconds: capacity 1 000 /s.
 const SPIN_US: u64 = 1_000;
@@ -21,6 +20,9 @@ struct Outcome {
     /// Admits decided before the arrival window closed.
     served_in_window: u64,
     shed: u64,
+    /// Longest virtual wait from an admit's due instant to its decision,
+    /// its own engine cost included.
+    max_wait_us: u64,
     /// Times `update` returned `true` after returning `false`.
     excursions: u64,
     times_engaged: u64,
@@ -29,7 +31,9 @@ struct Outcome {
 /// `server.rs`'s loop with the sockets and the engine taken out: handle
 /// everything that has arrived (shed or queue it), `update` on the
 /// pre-dispatch depth, dispatch at most a tick's budget at `SPIN_US`
-/// each, repeat. Arrivals are evenly spaced at `load` × capacity.
+/// each, repeat. Arrivals are evenly spaced at `load` × capacity; each
+/// carries its arrival index in `source_index`, so a dispatch knows when
+/// its admit fell due.
 fn drive(load: f64) -> Outcome {
     let mut queue = AdmissionQueue::new(QUEUE_LIMIT, PER_CONN_LIMIT);
     let mut shed = ShedController::new(QUEUE_LIMIT);
@@ -40,6 +44,7 @@ fn drive(load: f64) -> Outcome {
         offered,
         served_in_window: 0,
         shed: 0,
+        max_wait_us: 0,
         excursions: 0,
         times_engaged: 0,
     };
@@ -52,7 +57,7 @@ fn drive(load: f64) -> Outcome {
             let item = QueuedAdmit {
                 conn: next % CONNECTIONS,
                 token: None,
-                source_index: 0,
+                source_index: next as usize,
                 group_index: 0,
                 demand: Bandwidth::from_bps(64_000),
                 holding_secs: 1.0,
@@ -72,10 +77,11 @@ fn drive(load: f64) -> Outcome {
         out.excursions += u64::from(shedding && !was_shedding);
         was_shedding = shedding;
         for _ in 0..DISPATCH_PER_TICK {
-            if queue.pop().is_none() {
-                break;
-            }
+            let Some(item) = queue.pop() else { break };
             now_us += SPIN_US;
+            out.max_wait_us = out
+                .max_wait_us
+                .max(now_us - due_us(item.source_index as u64));
             out.served_in_window += u64::from(now_us <= WINDOW_US);
         }
     }
@@ -91,6 +97,12 @@ fn no_shedding_at_or_below_capacity() {
         assert_eq!(out.shed, 0, "load {load}");
         assert_eq!(out.times_engaged, 0, "load {load}");
         assert!(out.served_in_window + 1 >= out.offered, "load {load}");
+        // Nothing queues: every admit waits only for its own decision.
+        assert!(
+            out.max_wait_us <= SPIN_US,
+            "load {load}: waited {} µs",
+            out.max_wait_us
+        );
     }
 }
 
@@ -106,6 +118,14 @@ fn overload_is_served_at_capacity_and_shedding_releases() {
         );
         assert!(out.shed > 0, "load {load}: the excess must be refused");
         assert!(out.shed <= out.offered - out.served_in_window);
+        // What is accepted is decided within a full queue plus one
+        // dispatch batch: overload surfaces as refusals, not as delay.
+        let bound_us = (QUEUE_LIMIT + DISPATCH_PER_TICK) as u64 * SPIN_US;
+        assert!(
+            out.max_wait_us <= bound_us,
+            "load {load}: waited {} µs, bound {bound_us} µs",
+            out.max_wait_us
+        );
         // One engagement per excursion over the high mark, and a long
         // overload is many excursions, not one that never ends.
         assert_eq!(out.times_engaged, out.excursions, "load {load}");
