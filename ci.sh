@@ -35,9 +35,12 @@ find crates/*/src -name '*.rs' | sort | xargs awk '
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> allocation budget (release; an allocation back on the DAC request path fails here)"
+echo "==> allocation budget (release; an allocation back on the DAC request path or in set-up fails here)"
 # Exact allocation counts of full MCI runs per system, plus a K = 16
-# fat-tree run held to 0.01 allocations per request.
+# fat-tree run held to 0.01 allocations per request. Set-up is pinned on
+# its own: `fat_tree(34)`'s build and `OnlineEngine::new` on the
+# `offline_fattree` placement, so an allocation per node or per source
+# cannot come back unnoticed.
 cargo test --release --offline -q -p anycast-dac --test alloc_budget
 
 echo "==> paper figures (full profile, byte for byte against results/)"

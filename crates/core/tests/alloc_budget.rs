@@ -4,31 +4,34 @@
 //! allocation to the request path shows here on the first run.
 
 use anycast_dac::experiment::{run_experiment, ExperimentConfig, SystemSpec};
-use anycast_dac::online::record_arrivals;
+use anycast_dac::online::{record_arrivals, OnlineEngine};
 use anycast_dac::policy::PolicySpec;
 use anycast_net::routing::shortest_path;
 use anycast_net::{topologies, Bandwidth, LinkStateTable, NodeId};
 use anycast_rsvp::ReservationEngine;
+use anycast_telemetry::NullRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     // Per thread, so tests running beside this one do not count here.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn bump() {
+fn bump(bytes: usize) {
     // A thread being torn down has no counter left, and nothing to count.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every call is handed to `System` unchanged; the counter is a
 // plain thread-local cell that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
@@ -37,7 +40,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,9 +50,16 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations plus reallocations this thread made while `f` ran.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.get();
+    let (out, allocs, _) = counted_bytes(f);
+    (out, allocs)
+}
+
+/// [`counted`], plus the bytes those calls asked for (a reallocation
+/// counts its new size).
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocs, bytes) = (ALLOCS.get(), BYTES.get());
     let out = f();
-    (out, ALLOCS.get() - before)
+    (out, ALLOCS.get() - allocs, BYTES.get() - bytes)
 }
 
 /// One full-horizon MCI run per Fig. 6 system at λ = 35, seed 11: its
@@ -62,11 +72,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn a_full_mci_run_allocates_a_pinned_count_per_request() {
     let topo = topologies::mci();
     let pinned = [
-        (SystemSpec::dac(PolicySpec::Ed, 2), 378), // 0.0020
-        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 409), // 0.0022
-        (SystemSpec::dac(PolicySpec::WdDb, 2), 400), // 0.0021
-        (SystemSpec::ShortestPath, 341),           // 0.0018
-        (SystemSpec::GlobalDynamic, 729_895),      // 3.86
+        (SystemSpec::dac(PolicySpec::Ed, 2), 317), // 0.0017
+        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 348), // 0.0018
+        (SystemSpec::dac(PolicySpec::WdDb, 2), 339), // 0.0018
+        (SystemSpec::ShortestPath, 280),           // 0.0015
+        (SystemSpec::GlobalDynamic, 570_334),      // 3.02
     ];
     for (system, expected) in pinned {
         let config = ExperimentConfig::paper_defaults(35.0, system).with_seed(11);
@@ -141,4 +151,46 @@ fn a_sixteen_member_fat_tree_run_allocates_almost_nothing_per_request() {
         "{per_request:.4} allocations per request ({short_allocs} allocations \
          for {short_requests} requests, {long_allocs} for {long_requests})"
     );
+}
+
+/// `fat_tree(34)`, the `offline_fattree` fabric of 11 271 nodes and
+/// 29 478 links: the link list and the duplicate check's table as they
+/// grow, then one offsets and one neighbour array.
+#[test]
+fn a_fat_tree_34_builds_in_a_pinned_count() {
+    let (topo, allocs) = counted(|| topologies::fat_tree(34, Bandwidth::from_mbps(100)));
+    assert_eq!((topo.node_count(), topo.link_count()), (11_271, 29_478));
+    assert_eq!(allocs, 31);
+}
+
+/// `OnlineEngine::new` (the `Sim::new` every run starts with) for
+/// ⟨WD/D+H,2⟩ on `fat_tree(34)` with the `offline_fattree` placement: 16
+/// members and 64 sources spread evenly over the hosts. The 1 024 routes
+/// come from one search per source through one reused scratch that stops
+/// at the group, each path allocated at its length.
+#[test]
+fn fat_tree_set_up_allocates_a_pinned_count() {
+    let topo = topologies::fat_tree(34, Bandwidth::from_mbps(100));
+    let hosts = topologies::fat_tree_hosts(34);
+    let spread = |pool: &[NodeId], count: usize| -> Vec<NodeId> {
+        (0..count).map(|i| pool[i * pool.len() / count]).collect()
+    };
+    let members = spread(&hosts, 16);
+    let pool: Vec<NodeId> = hosts
+        .iter()
+        .copied()
+        .filter(|h| !members.contains(h))
+        .collect();
+    let sources = spread(&pool, 64);
+    let config =
+        ExperimentConfig::paper_defaults(40.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
+            .with_group(members)
+            .with_sources(sources)
+            .with_warmup_secs(300.0)
+            .with_measure_secs(2_400.0)
+            .with_seed(11);
+    let (engine, allocs, bytes) = counted_bytes(|| OnlineEngine::new(&topo, &config, NullRecorder));
+    drop(engine);
+    assert!(bytes <= 4_000_000, "{bytes} bytes allocated");
+    assert_eq!(allocs, 4_466, "{bytes} bytes allocated");
 }

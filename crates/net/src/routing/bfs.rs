@@ -5,9 +5,10 @@ use std::collections::VecDeque;
 
 /// A breadth-first shortest-path tree rooted at one source node.
 ///
-/// Distances are hop counts; the predecessor of each node is the
-/// lowest-id node among all shortest predecessors, making extracted paths
-/// deterministic — the "fixed path" assumption of §3.
+/// Distances are hop counts; the predecessor of each node is the shortest
+/// predecessor the FIFO search reaches first (not necessarily the lowest
+/// id), making extracted paths deterministic — the "fixed path"
+/// assumption of §3.
 #[derive(Debug, Clone)]
 pub struct BfsTree {
     root: NodeId,
@@ -112,11 +113,27 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_toward_lowest_id() {
+    fn diamond_tie_goes_to_the_first_reached_predecessor() {
         let topo = diamond();
         let p = shortest_path(&topo, NodeId::new(0), NodeId::new(3)).unwrap();
-        // Via node 1, not node 2.
+        // Via node 1, reached before node 2 (and here also the lower id).
         assert_eq!(p.nodes(), &[NodeId::new(0), NodeId::new(1), NodeId::new(3)]);
+    }
+
+    #[test]
+    fn ties_break_toward_the_first_reached_not_the_lowest_id() {
+        // 0-5-20-30 and 0-9-10-30: 20 and 10 are both shortest
+        // predecessors of 30. 20 is reached first (through 5 < 9), so it
+        // wins although 10 has the lower id.
+        let mut b = TopologyBuilder::new(31);
+        b.links_uniform(
+            [(0, 5), (0, 9), (5, 20), (9, 10), (20, 30), (10, 30)],
+            Bandwidth::from_mbps(1),
+        )
+        .unwrap();
+        let topo = b.build();
+        let p = shortest_path(&topo, NodeId::new(0), NodeId::new(30)).unwrap();
+        assert_eq!(p.nodes(), &[0u32, 5, 20, 30].map(NodeId::new));
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub fn nearest_feasible_member(
 }
 
 /// Finds the shortest path from `src` to `dst` using only links whose
-/// available bandwidth is at least `demand` (fewest hops, deterministic
-/// lowest-id tie-break).
+/// available bandwidth is at least `demand` (fewest hops, ties broken
+/// toward the first-reached predecessor).
 ///
 /// A self-contained per-pair BFS that allocates its own state: the naive
 /// reference [`nearest_feasible_member`] is checked against (its choice

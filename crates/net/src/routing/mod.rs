@@ -2,9 +2,9 @@
 //!
 //! The paper assumes "to one source, there is a fixed path to each member in
 //! an anycast group" obtained via existing routing protocols (§3). We
-//! reproduce that with deterministic breadth-first shortest-path trees
-//! (minimum hop count, ties broken toward the lowest-id predecessor), one
-//! tree per traffic source, held in a [`RouteTable`].
+//! reproduce that with deterministic breadth-first shortest-path searches
+//! (minimum hop count, ties broken toward the predecessor the search
+//! reaches first), one per traffic source, held in a [`RouteTable`].
 //!
 //! The GDI baseline (§5.1) additionally needs a *dynamic* search over the
 //! residual network: [`nearest_feasible_member`] runs one BFS from the

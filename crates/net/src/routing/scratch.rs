@@ -62,20 +62,26 @@ impl RoutingScratch {
     }
 
     /// Walks predecessors from `dst` back to `src`, returning the
-    /// forward `(nodes, links)` of the tree path. `dst` must have been
-    /// reached in the current search.
+    /// forward `(nodes, links)` of the tree path, each sized exactly.
+    /// `dst` must have been reached in the current search.
     pub(crate) fn extract(&self, src: NodeId, dst: NodeId) -> (Vec<NodeId>, Vec<LinkId>) {
-        let mut nodes = vec![dst];
-        let mut links = Vec::new();
+        let step = |node: NodeId| self.parent[node.index()].expect("reached nodes have parents");
+        let mut hops = 0;
         let mut cur = dst;
         while cur != src {
-            let (prev, link) = self.parent[cur.index()].expect("reached nodes have parents");
-            nodes.push(prev);
-            links.push(link);
+            cur = step(cur).0;
+            hops += 1;
+        }
+        // Filled from the back: each vector is allocated once, at its length.
+        let mut nodes = vec![dst; hops + 1];
+        let mut links = vec![LinkId::new(0); hops];
+        let mut cur = dst;
+        for i in (0..hops).rev() {
+            let (prev, link) = step(cur);
+            nodes[i] = prev;
+            links[i] = link;
             cur = prev;
         }
-        nodes.reverse();
-        links.reverse();
         (nodes, links)
     }
 }

@@ -84,8 +84,8 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
     accepted
 }
 
-/// BFS shortest path avoiding the given nodes and links; deterministic
-/// lowest-id tie-break.
+/// BFS shortest path avoiding the given nodes and links; ties break
+/// toward the first-reached predecessor.
 fn restricted_shortest(
     topo: &Topology,
     src: NodeId,

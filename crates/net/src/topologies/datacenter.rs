@@ -4,7 +4,7 @@
 //! fat tree has 11 271 nodes while a typical scenario only ever asks for
 //! routes from its configured source hosts, so
 //! [`RouteTable::for_sources`](crate::RouteTable::for_sources) runs one
-//! BFS per source instead of one per node.
+//! BFS per source, stopping at the group, instead of one per node.
 //!
 //! Node-id layout is documented per builder and exposed through the
 //! `*_hosts` helpers so experiment configs can pick sources and anycast

@@ -2,7 +2,7 @@
 
 use crate::{Bandwidth, LinkId, NetError, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// An undirected link between two nodes with a bandwidth capacity.
 ///
@@ -60,7 +60,9 @@ impl Link {
 pub struct TopologyBuilder {
     node_count: usize,
     links: Vec<Link>,
-    seen: BTreeSet<(NodeId, NodeId)>,
+    /// Every linked `(lo, hi)` pair. Hashed with the default hasher:
+    /// pairs can come from a user's topology file.
+    seen: HashSet<(NodeId, NodeId)>,
 }
 
 impl TopologyBuilder {
@@ -70,7 +72,7 @@ impl TopologyBuilder {
         TopologyBuilder {
             node_count,
             links: Vec::new(),
-            seen: BTreeSet::new(),
+            seen: HashSet::new(),
         }
     }
 
@@ -125,16 +127,32 @@ impl TopologyBuilder {
     /// Finalises the topology. Adjacency lists are sorted by neighbour id so
     /// that all traversals are deterministic.
     pub fn build(self) -> Topology {
-        let mut adjacency: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); self.node_count];
+        let n = self.node_count;
+        // Degrees, summed into the end of each node's slice; placing every
+        // half-edge below its node's end then leaves `offsets[i]` at the
+        // start of node `i`'s slice.
+        let mut offsets = vec![0u32; n + 1];
         for link in &self.links {
-            adjacency[link.a.index()].push((link.b, link.id));
-            adjacency[link.b.index()].push((link.a, link.id));
+            offsets[link.a.index()] += 1;
+            offsets[link.b.index()] += 1;
         }
-        for nbrs in &mut adjacency {
-            nbrs.sort_unstable();
+        for i in 1..n {
+            offsets[i] += offsets[i - 1];
+        }
+        offsets[n] = 2 * self.links.len() as u32;
+        let mut adjacency = vec![(NodeId::new(0), LinkId::new(0)); 2 * self.links.len()];
+        for link in &self.links {
+            for (from, to) in [(link.a, link.b), (link.b, link.a)] {
+                offsets[from.index()] -= 1;
+                adjacency[offsets[from.index()] as usize] = (to, link.id);
+            }
+        }
+        for w in offsets.windows(2) {
+            adjacency[w[0] as usize..w[1] as usize].sort_unstable();
         }
         Topology {
             links: self.links,
+            offsets,
             adjacency,
         }
     }
@@ -148,13 +166,16 @@ impl TopologyBuilder {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
     links: Vec<Link>,
-    adjacency: Vec<Vec<(NodeId, LinkId)>>,
+    /// Node `i`'s neighbours are `adjacency[offsets[i]..offsets[i + 1]]`
+    /// (compressed sparse rows).
+    offsets: Vec<u32>,
+    adjacency: Vec<(NodeId, LinkId)>,
 }
 
 impl Topology {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected links.
@@ -164,7 +185,7 @@ impl Topology {
 
     /// Iterates over all node ids in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.adjacency.len() as u32).map(NodeId::new)
+        (0..self.node_count() as u32).map(NodeId::new)
     }
 
     /// Iterates over all links in id order.
@@ -183,7 +204,7 @@ impl Topology {
 
     /// Returns `true` if `n` is a valid node of this topology.
     pub fn contains_node(&self, n: NodeId) -> bool {
-        n.index() < self.adjacency.len()
+        n.index() < self.node_count()
     }
 
     /// Neighbours of `n` with the connecting link, sorted by neighbour id.
@@ -192,7 +213,8 @@ impl Topology {
     ///
     /// Panics if `n` is not a node of this topology.
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adjacency[n.index()]
+        let i = n.index();
+        &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Degree (number of incident links) of `n`.
@@ -201,7 +223,7 @@ impl Topology {
     ///
     /// Panics if `n` is not a node of this topology.
     pub(crate) fn degree(&self, n: NodeId) -> usize {
-        self.adjacency[n.index()].len()
+        self.neighbors(n).len()
     }
 
     /// Returns `true` if every node can reach every other node.

@@ -3,8 +3,12 @@
 use anycast_net::routing::{
     bfs_tree, filtered_shortest_path, k_shortest_paths, nearest_feasible_member, RoutingScratch,
 };
-use anycast_net::{topologies, Bandwidth, LinkId, LinkStateTable, NodeId, Path, Topology};
+use anycast_net::{
+    topologies, AnycastGroup, Bandwidth, LinkId, LinkStateTable, NetError, NodeId, Path,
+    RouteTable, Topology, TopologyBuilder,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a connected random topology (Waxman) with 5–30 nodes.
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -31,7 +35,150 @@ fn arb_connected_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Strategy: a random simple graph on 2–24 nodes, from up to 40 random
+/// pairs (self-loops and repeats skipped), so often disconnected.
+fn arb_sparse_topology() -> impl Strategy<Value = Topology> {
+    (2u32..25, prop::collection::vec(any::<(u32, u32)>(), 0..40)).prop_map(|(n, pairs)| {
+        let mut b = TopologyBuilder::new(n as usize);
+        for (x, y) in pairs {
+            let _ = b.link(
+                NodeId::new(x % n),
+                NodeId::new(y % n),
+                Bandwidth::from_mbps(100),
+            );
+        }
+        b.build()
+    })
+}
+
+/// The naive route table: a full `bfs_tree` per source, in source order,
+/// failing on the first unknown source or disconnected pair.
+fn reference_routes(
+    topo: &Topology,
+    group: &AnycastGroup,
+    sources: &[NodeId],
+) -> Result<Vec<(NodeId, Vec<Path>)>, NetError> {
+    let mut out = Vec::new();
+    for &src in sources {
+        if !topo.contains_node(src) {
+            return Err(NetError::UnknownNode(src));
+        }
+        let tree = bfs_tree(topo, src);
+        let paths = group
+            .members()
+            .iter()
+            .map(|&m| tree.path_to(topo, m).ok_or(NetError::NoRoute(src, m)))
+            .collect::<Result<Vec<Path>, NetError>>()?;
+        out.push((src, paths));
+    }
+    Ok(out)
+}
+
 proptest! {
+    /// The route table's early-stopping search returns, for every
+    /// (source, member) pair, exactly the nodes and links of the full
+    /// tree's path, or the reference's error: the first unknown source or
+    /// the first disconnected pair. Graphs are connected or sparse random
+    /// ones with unreachable members; members and sources may coincide,
+    /// repeat, or (rarely) lie outside the topology.
+    #[test]
+    fn route_table_matches_the_per_source_trees(
+        graphs in (any::<bool>(), arb_connected_topology(), arb_sparse_topology()),
+        member_seeds in prop::collection::vec(any::<u32>(), 1..8),
+        source_seeds in prop::collection::vec(any::<u32>(), 0..12),
+        outsiders in (0u32..40, 0u32..40),
+    ) {
+        let (sparse, connected, random) = graphs;
+        let topo = if sparse { random } else { connected };
+        let n = topo.node_count() as u32;
+        // A seed below the threshold names a node just past the topology.
+        let pick = |seed: u32, threshold: u32| {
+            if seed % 40 < threshold {
+                NodeId::new(n + seed % 3)
+            } else {
+                NodeId::new(seed / 40 % n)
+            }
+        };
+        let (member_out, source_out) = (u32::from(outsiders.0 == 0), u32::from(outsiders.1 == 0));
+        let group =
+            AnycastGroup::new("A", member_seeds.iter().map(|&s| pick(s, member_out))).unwrap();
+        let sources: Vec<NodeId> = source_seeds.iter().map(|&s| pick(s, source_out)).collect();
+        let got = RouteTable::for_sources(&topo, &group, sources.iter().copied());
+        match (got, reference_routes(&topo, &group, &sources)) {
+            (Ok(table), Ok(want)) => {
+                for (src, paths) in &want {
+                    let routes = table.routes_from(*src).unwrap();
+                    prop_assert_eq!(routes.len(), paths.len());
+                    for (route, path) in routes.iter().zip(paths) {
+                        prop_assert_eq!(route.nodes(), path.nodes(), "from {}", src);
+                        prop_assert_eq!(route.links(), path.links(), "from {}", src);
+                    }
+                }
+                for node in topo.nodes().filter(|s| !sources.contains(s)) {
+                    prop_assert!(table.routes_from(node).is_none());
+                }
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "table {:?} but reference {:?}",
+                got.map(|_| ()),
+                want.map(|_| ())
+            ),
+        }
+    }
+
+    /// The builder keeps the old contract: ids in insertion order, the
+    /// lower endpoint first, `DuplicateLink` for a repeated pair in
+    /// either orientation, `SelfLoop` and `UnknownNode` as a `BTreeSet`
+    /// model says; and every node's neighbours are exactly the sorted
+    /// adjacency its links imply.
+    #[test]
+    fn builder_matches_a_set_model(
+        n in 1u32..20,
+        pairs in prop::collection::vec((0u32..22, 0u32..22), 0..60),
+    ) {
+        let mut b = TopologyBuilder::new(n as usize);
+        let mut linked = BTreeSet::new();
+        let cap = Bandwidth::from_mbps(1);
+        for (x, y) in pairs {
+            let (a, z) = (NodeId::new(x), NodeId::new(y));
+            let (lo, hi) = (a.min(z), a.max(z));
+            let want = if x >= n {
+                Err(NetError::UnknownNode(a))
+            } else if y >= n {
+                Err(NetError::UnknownNode(z))
+            } else if x == y {
+                Err(NetError::SelfLoop(a))
+            } else if linked.contains(&(lo, hi)) {
+                Err(NetError::DuplicateLink(lo, hi))
+            } else {
+                Ok(LinkId::new(linked.len() as u32))
+            };
+            prop_assert_eq!(b.link(a, z, cap), want);
+            if want.is_ok() {
+                linked.insert((lo, hi));
+                for (p, q) in [(a, z), (z, a)] {
+                    prop_assert_eq!(b.link(p, q, cap), Err(NetError::DuplicateLink(lo, hi)));
+                }
+            }
+        }
+        let topo = b.build();
+        prop_assert_eq!(topo.node_count(), n as usize);
+        prop_assert_eq!(topo.link_count(), linked.len());
+        let mut adjacency = vec![Vec::new(); n as usize];
+        for l in topo.links() {
+            prop_assert!(l.a() < l.b());
+            prop_assert!(linked.contains(&(l.a(), l.b())));
+            adjacency[l.a().index()].push((l.b(), l.id()));
+            adjacency[l.b().index()].push((l.a(), l.id()));
+        }
+        for (node, mut want) in topo.nodes().zip(adjacency) {
+            want.sort_unstable();
+            prop_assert_eq!(topo.neighbors(node), &want[..], "node {}", node);
+        }
+    }
+
     /// BFS tree paths have length equal to the reported distance, and the
     /// distance function satisfies the triangle property along links.
     #[test]
