@@ -239,8 +239,9 @@ impl AdmissionController {
 
     /// Brings `bw_cache` up to date with the ledger, recomputing only the
     /// members whose routes were actually touched since their last
-    /// computation (per-link stamps from [`LinkStateTable::stamp`]). A
-    /// member's bandwidth is the best bottleneck over its routes.
+    /// computation ([`LinkStateTable::any_stamp_on_after`] against the
+    /// member's epoch). A member's bandwidth is the best bottleneck over
+    /// its routes.
     ///
     /// The cache is exact, not approximate: a member's bottleneck can only
     /// change when some link on its routes changes, and any such change

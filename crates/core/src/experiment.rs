@@ -36,6 +36,7 @@ use anycast_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The horizon a rolling-window (run-forever) service advances toward:
 /// ~31 million simulated years, far past any deployment's lifetime, yet
@@ -706,7 +707,9 @@ enum SystemState {
     Dac(Vec<AdmissionController>),
     DacMulti(Box<MultipathRouteTable>, Vec<MultipathController>),
     Sp(Vec<ShortestPathSystem>),
-    Gdi(GlobalDynamicSystem),
+    /// GDI searches the live topology on every request, so it holds the
+    /// run's one copy of it, shared by every group.
+    Gdi(GlobalDynamicSystem, Arc<Topology>),
 }
 
 /// The DAC controller of `arrival`'s source in its group, and the fixed
@@ -892,6 +895,7 @@ fn build_systems(
     // the `distances_into` convention keeps controller construction
     // allocation-light even on datacenter-sized source sets.
     let mut dist_buf: Vec<u32> = Vec::new();
+    let mut gdi_topo: Option<Arc<Topology>> = None;
     let mut systems: Vec<SystemState> = Vec::with_capacity(groups.len());
     for (group, table) in groups.iter().zip(route_tables) {
         systems.push(match &config.system {
@@ -944,7 +948,10 @@ fn build_systems(
                     })
                     .collect(),
             ),
-            SystemSpec::GlobalDynamic => SystemState::Gdi(GlobalDynamicSystem::new()),
+            SystemSpec::GlobalDynamic => SystemState::Gdi(
+                GlobalDynamicSystem::new(),
+                Arc::clone(gdi_topo.get_or_insert_with(|| Arc::new(topo.clone()))),
+            ),
         });
     }
     systems
@@ -1003,7 +1010,6 @@ fn schedule_fixed_events(
 /// construction.
 pub(crate) struct Sim<R: Recorder> {
     config: ExperimentConfig,
-    topo: Topology,
     groups: Vec<AnycastGroup>,
     /// The fixed §3 routes, `route_sets[group_index][source_index]`.
     route_sets: Vec<Vec<RouteSet>>,
@@ -1163,7 +1169,6 @@ impl<R: Recorder> Sim<R> {
 
         let sim = Sim {
             config: config.clone(),
-            topo: topo.clone(),
             groups,
             route_sets,
             links,
@@ -1302,9 +1307,9 @@ impl<R: Recorder> Sim<R> {
             SystemState::Sp(per_source) => {
                 per_source[source_index].admit_traced(routes, links, rsvp, demand, &mut tracer)
             }
-            SystemState::Gdi(gdi) => {
+            SystemState::Gdi(gdi, topo) => {
                 let group = &self.groups[group_index];
-                gdi.admit_traced(&self.topo, group, source, links, rsvp, demand, &mut tracer)
+                gdi.admit_traced(topo, group, source, links, rsvp, demand, &mut tracer)
             }
         }
     }

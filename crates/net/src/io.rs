@@ -79,7 +79,7 @@ pub fn parse_edge_list(text: &str) -> Result<Topology, NetError> {
             reason: "document contains no links",
         });
     }
-    let mut builder = TopologyBuilder::new(max_node as usize + 1);
+    let mut builder = TopologyBuilder::with_capacity(max_node as usize + 1, edges.len());
     for (a, b, cap) in edges {
         builder.link(NodeId::new(a), NodeId::new(b), Bandwidth::from_bps(cap))?;
     }

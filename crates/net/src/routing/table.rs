@@ -1,7 +1,7 @@
 //! Fixed routes from a set of sources to every group member.
 
 use crate::routing::RoutingScratch;
-use crate::{AnycastGroup, NetError, NodeId, Path, Topology};
+use crate::{AnycastGroup, LinkId, NetError, NodeId, Path, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,11 +46,16 @@ impl RouteTable {
     /// Builds shortest-path routes from each of `sources` to every member
     /// of `group`: one breadth-first search per listed source, all through
     /// one reused [`RoutingScratch`], each stopping once it has reached
-    /// every member. A BFS fixes a node's parent the first time it reaches
-    /// the node, so each route is the path
+    /// every member. A search goes level by level; at a level boundary
+    /// where the frontier's adjacency is at least the members' two-hop
+    /// neighbourhood, it tries to finish from the members' side instead,
+    /// giving each member within two hops of the frontier the parents the
+    /// full search would give it. A BFS fixes a node's parent the first
+    /// time it reaches the node, so each route is the path
     /// [`bfs_tree`](crate::routing::bfs_tree)`(src).path_to(m)` returns.
-    /// On a fat tree the stop skips the last level of the search, the
-    /// hosts, which is about a third of its time.
+    /// On a fat tree with hosts as members the finish replaces expanding
+    /// the last two levels, the aggregation switches four hops out and
+    /// the edge switches five hops out.
     ///
     /// Errors with [`NetError::UnknownNode`] when a source is not a node of
     /// `topo` and [`NetError::NoRoute`] naming the first `(source, member)`
@@ -60,16 +65,40 @@ impl RouteTable {
         group: &AnycastGroup,
         sources: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, NetError> {
+        Self::search(topo, group, sources).map(|(table, _)| table)
+    }
+
+    /// [`for_sources`](Self::for_sources), also counting how its searches
+    /// ended.
+    fn search(
+        topo: &Topology,
+        group: &AnycastGroup,
+        sources: impl IntoIterator<Item = NodeId>,
+    ) -> Result<(Self, Finishes), NetError> {
         let members = group.members();
         // A search is done once it has reached every member inside the
-        // topology.
+        // topology. Finishing from the members' side reads their two-hop
+        // neighbourhood, so it is tried only where the frontier would cost
+        // at least that much to expand, which no frontier can where the
+        // whole graph's adjacency is less.
         let mut is_member = vec![false; topo.node_count()];
+        let mut two_hop = 0;
         for &m in members.iter().filter(|&&m| topo.contains_node(m)) {
             is_member[m.index()] = true;
+            two_hop += topo.degree(m);
+            two_hop += topo
+                .neighbors(m)
+                .iter()
+                .map(|&(x, _)| topo.degree(x))
+                .sum::<usize>();
         }
+        let may_finish = two_hop <= 2 * topo.link_count();
         let reachable = is_member.iter().filter(|&&b| b).count();
         let mut scratch = RoutingScratch::default();
-        let mut routes = HashMap::new();
+        let mut finish = MembersSide::default();
+        let mut finishes = Finishes::default();
+        let sources = sources.into_iter();
+        let mut routes = HashMap::with_capacity(sources.size_hint().0);
         for src in sources {
             if !topo.contains_node(src) {
                 return Err(NetError::UnknownNode(src));
@@ -78,10 +107,25 @@ impl RouteTable {
             scratch.mark_seen(src, None);
             scratch.queue.push_back(src);
             let mut left = reachable - usize::from(is_member[src.index()]);
+            // Nodes of the level being expanded still queued: at 0 the
+            // queue holds exactly the next level, the frontier. Read only
+            // where a finish may be tried; elsewhere it just wraps.
+            let mut level_left = 0usize;
             while left > 0 {
+                if may_finish && level_left == 0 {
+                    level_left = scratch.queue.len();
+                    if scratch.queue.iter().map(|&u| topo.degree(u)).sum::<usize>() >= two_hop {
+                        finishes.tried += 1;
+                        if finish.resolve(topo, &mut scratch, members) {
+                            finishes.done += 1;
+                            break;
+                        }
+                    }
+                }
                 let Some(u) = scratch.queue.pop_front() else {
                     break;
                 };
+                level_left = level_left.wrapping_sub(1);
                 for &(v, link) in topo.neighbors(u) {
                     if !scratch.reached(v) {
                         scratch.mark_seen(v, Some((u, link)));
@@ -100,7 +144,7 @@ impl RouteTable {
             }
             routes.insert(src, RouteSet::from(paths));
         }
-        Ok(RouteTable { routes })
+        Ok((RouteTable { routes }, finishes))
     }
 
     /// Builds shortest-path routes from *every* node of `topo` to every
@@ -169,6 +213,93 @@ impl RouteTable {
             }
         }
         Some(best)
+    }
+}
+
+/// How the searches behind one table ended: how many tried to finish
+/// from the members' side, and how many did.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Finishes {
+    tried: usize,
+    done: usize,
+}
+
+/// Buffers for ending a search from the members' side, kept across the
+/// searches of one table.
+#[derive(Debug, Default)]
+struct MembersSide {
+    /// Each frontier node's position in the queue, i.e. the order in which
+    /// the FIFO search would expand it; written for the whole frontier at
+    /// every attempt.
+    order: Vec<u32>,
+    /// The `(node, parent, link)` marks an attempt makes if it succeeds,
+    /// held back until every member has resolved: a node marked earlier
+    /// would look like part of the frontier to the next member.
+    marks: Vec<(NodeId, NodeId, LinkId)>,
+}
+
+impl MembersSide {
+    /// Resolves every member `scratch` has not reached from the member's
+    /// side, with the queue holding exactly the frontier, and marks them
+    /// reached; or, if some member is more than two hops beyond the
+    /// frontier (or cut off), marks nothing and returns `false`.
+    ///
+    /// A node the search has not reached has every reached neighbour in
+    /// the frontier, since every earlier level has been expanded. The FIFO
+    /// search would expand the frontier in queue order and each node's
+    /// neighbours in id order, so an unreached node next to the frontier
+    /// gets the frontier neighbour with the smallest queue position as its
+    /// parent, and the next level is discovered in order of the key
+    /// (that position, the node's position in that neighbour's adjacency).
+    /// Adjacency is sorted by id, so the node's id stands for the second
+    /// part. A member two hops out takes the next-level neighbour with the
+    /// smallest key, the one the search would expand first.
+    fn resolve(
+        &mut self,
+        topo: &Topology,
+        scratch: &mut RoutingScratch,
+        members: &[NodeId],
+    ) -> bool {
+        let MembersSide { order, marks } = self;
+        if order.len() < topo.node_count() {
+            order.resize(topo.node_count(), 0);
+        }
+        for (i, &u) in scratch.queue.iter().enumerate() {
+            order[u.index()] = i as u32;
+        }
+        marks.clear();
+        let first_parent = |x: NodeId| {
+            topo.neighbors(x)
+                .iter()
+                .filter(|&&(u, _)| scratch.reached(u))
+                .map(|&(u, link)| (order[u.index()], u, link))
+                .min()
+        };
+        for &m in members {
+            if !topo.contains_node(m) || scratch.reached(m) {
+                continue;
+            }
+            if let Some((_, u, link)) = first_parent(m) {
+                marks.push((m, u, link));
+                continue;
+            }
+            let next = topo
+                .neighbors(m)
+                .iter()
+                .filter_map(|&(x, down)| {
+                    first_parent(x).map(|(position, u, up)| ((position, x), u, up, down))
+                })
+                .min_by_key(|&(key, ..)| key);
+            let Some(((_, x), u, up, down)) = next else {
+                return false;
+            };
+            marks.push((x, u, up));
+            marks.push((m, x, down));
+        }
+        for &(v, u, link) in marks.iter() {
+            scratch.mark_seen(v, Some((u, link)));
+        }
+        true
     }
 }
 
@@ -315,7 +446,16 @@ mod tests {
             .filter(|h| !members.contains(h))
             .collect();
         let group = AnycastGroup::new("A", members).unwrap();
-        let table = RouteTable::for_sources(&topo, &group, sources.iter().copied()).unwrap();
+        let (table, finishes) = RouteTable::search(&topo, &group, sources.iter().copied()).unwrap();
+        // Each search tries at the core level, where the members in other
+        // pods are still three hops out, and finishes at the next boundary.
+        assert_eq!(
+            finishes,
+            Finishes {
+                tried: 224,
+                done: 112
+            }
+        );
         let mut per_link = vec![0u32; topo.link_count()];
         let mut per_core = BTreeMap::new();
         for &s in &sources {
@@ -341,6 +481,129 @@ mod tests {
             histogram,
             BTreeMap::from([(16, 112), (64, 16), (112, 16), (154, 16), (392, 8)])
         );
+    }
+
+    /// On MCI the members' two-hop neighbourhood outweighs the whole
+    /// graph's adjacency, so no search tries to finish from their side.
+    #[test]
+    fn no_mci_search_tries_the_finish() {
+        let (topo, group) = mci_group();
+        let (table, finishes) = RouteTable::search(&topo, &group, topo.nodes()).unwrap();
+        assert_eq!(finishes, Finishes::default());
+        assert_eq!(table.routes.len(), topo.node_count());
+    }
+
+    /// The `offline_fattree` placement: `fat_tree(34)`, 16 members and 64
+    /// sources spread evenly over the hosts. Every search tries two and
+    /// three hops out, where some member is still beyond reach, and
+    /// finishes at the boundary before the aggregation switches four hops
+    /// out.
+    #[test]
+    fn every_offline_fattree_search_finishes_from_the_members_side() {
+        let topo = topologies::fat_tree(34, Bandwidth::from_mbps(100));
+        let hosts = topologies::fat_tree_hosts(34);
+        let spread = |pool: &[NodeId], count: usize| -> Vec<NodeId> {
+            (0..count).map(|i| pool[i * pool.len() / count]).collect()
+        };
+        let members = spread(&hosts, 16);
+        let pool: Vec<NodeId> = hosts
+            .iter()
+            .copied()
+            .filter(|h| !members.contains(h))
+            .collect();
+        let sources = spread(&pool, 64);
+        let group = AnycastGroup::new("A", members).unwrap();
+        let (table, finishes) = RouteTable::search(&topo, &group, sources.iter().copied()).unwrap();
+        assert_eq!(
+            finishes,
+            Finishes {
+                tried: 192,
+                done: 64
+            }
+        );
+        for &s in sources.iter().step_by(9) {
+            let tree = bfs_tree(&topo, s);
+            for (route, &m) in table.routes_from(s).unwrap().iter().zip(group.members()) {
+                assert_eq!(Some(route), tree.path_to(&topo, m).as_ref(), "{s} to {m}");
+            }
+        }
+    }
+
+    /// Node 1 is the frontier after one level and discovers both 5 and 6
+    /// (in that order), the two neighbours of member 7: the member takes
+    /// 5, as the full search does, not 6. Leaves 2–4 widen the frontier
+    /// enough for the finish to be tried there.
+    #[test]
+    fn a_member_two_hops_out_takes_the_neighbour_discovered_first() {
+        let mut b = TopologyBuilder::new(8);
+        b.links_uniform(
+            [
+                (0, 1),
+                (1, 2),
+                (1, 3),
+                (1, 4),
+                (1, 6),
+                (1, 5),
+                (6, 7),
+                (5, 7),
+            ],
+            Bandwidth::from_mbps(1),
+        )
+        .unwrap();
+        let topo = b.build();
+        let group = AnycastGroup::new("A", [NodeId::new(7)]).unwrap();
+        let (table, finishes) = RouteTable::search(&topo, &group, [NodeId::new(0)]).unwrap();
+        assert_eq!(finishes, Finishes { tried: 1, done: 1 });
+        let route = &table.routes_from(NodeId::new(0)).unwrap()[0];
+        assert_eq!(route.nodes(), [0u32, 1, 5, 7].map(NodeId::new));
+        assert_eq!(
+            Some(route),
+            shortest_path(&topo, NodeId::new(0), NodeId::new(7)).as_ref()
+        );
+    }
+
+    /// Member 5 sits next to 3 and 4. From 6 the search expands 3 first,
+    /// from 0 it expands 4 first (reached through 1, before 2 reaches 3),
+    /// so the member's parent is the frontier neighbour with the smaller
+    /// queue position, not id, and the second search must not reuse the
+    /// first one's positions. Leaves hung off 8 and 1 widen the frontiers
+    /// enough for the finish to be tried.
+    #[test]
+    fn a_member_next_to_the_frontier_takes_the_neighbour_expanded_first() {
+        let mut b = TopologyBuilder::new(13);
+        b.links_uniform(
+            [
+                (0, 1),
+                (0, 2),
+                (1, 4),
+                (1, 12),
+                (2, 3),
+                (3, 5),
+                (4, 5),
+                (6, 8),
+                (6, 9),
+                (8, 3),
+                (8, 10),
+                (9, 4),
+                (10, 11),
+                (12, 7),
+            ],
+            Bandwidth::from_mbps(1),
+        )
+        .unwrap();
+        let topo = b.build();
+        let group = AnycastGroup::new("A", [NodeId::new(5)]).unwrap();
+        let sources = [6u32, 0].map(NodeId::new);
+        let (table, finishes) = RouteTable::search(&topo, &group, sources).unwrap();
+        assert_eq!(finishes, Finishes { tried: 2, done: 2 });
+        for (src, via) in [(6, [6u32, 8, 3, 5]), (0, [0, 1, 4, 5])] {
+            let route = &table.routes_from(NodeId::new(src)).unwrap()[0];
+            assert_eq!(route.nodes(), via.map(NodeId::new));
+            assert_eq!(
+                Some(route),
+                shortest_path(&topo, NodeId::new(src), NodeId::new(5)).as_ref()
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! fat tree has 11 271 nodes while a typical scenario only ever asks for
 //! routes from its configured source hosts, so
 //! [`RouteTable::for_sources`](crate::RouteTable::for_sources) runs one
-//! BFS per source, stopping at the group, instead of one per node.
+//! search per source instead of one per node, and each search ends by
+//! resolving the members' last two hops from their side.
 //!
 //! Node-id layout is documented per builder and exposed through the
 //! `*_hosts` helpers so experiment configs can pick sources and anycast
@@ -53,7 +54,8 @@ pub fn fat_tree(k: usize, capacity: Bandwidth) -> Topology {
     let agg_base = |pod: usize| cores + pod * k;
     let edge_base = |pod: usize| cores + pod * k + half;
     let host_base = cores + k * k;
-    let mut b = TopologyBuilder::new(fat_tree_node_count(k));
+    // Per pod: `(k/2)²` uplinks, aggregation–edge links and host links.
+    let mut b = TopologyBuilder::with_capacity(fat_tree_node_count(k), 3 * k * half * half);
     let id = |i: usize| NodeId::new(i as u32);
     for pod in 0..k {
         for j in 0..half {
@@ -109,7 +111,8 @@ pub fn clos(spine: usize, leaf: usize, hosts: usize, capacity: Bandwidth) -> Top
         spine > 0 && leaf > 0 && hosts > 0,
         "clos tiers must be non-empty"
     );
-    let mut b = TopologyBuilder::new(clos_node_count(spine, leaf, hosts));
+    let mut b =
+        TopologyBuilder::with_capacity(clos_node_count(spine, leaf, hosts), leaf * (spine + hosts));
     let id = |i: usize| NodeId::new(i as u32);
     for l in 0..leaf {
         let leaf_id = spine + l;

@@ -76,7 +76,7 @@ pub fn mci() -> Topology {
 
 /// Builds the MCI backbone with a custom uniform link capacity.
 pub fn mci_with_capacity(capacity: Bandwidth) -> Topology {
-    let mut b = TopologyBuilder::new(MCI_NODES);
+    let mut b = TopologyBuilder::with_capacity(MCI_NODES, MCI_LINKS.len());
     b.links_uniform(MCI_LINKS, capacity)
         .expect("static MCI link list is valid");
     b.build()

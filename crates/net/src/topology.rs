@@ -69,10 +69,17 @@ impl TopologyBuilder {
     /// Starts a topology with `node_count` nodes (ids `0..node_count`) and
     /// no links.
     pub fn new(node_count: usize) -> Self {
+        Self::with_capacity(node_count, 0)
+    }
+
+    /// [`new`](Self::new), with room for `links` links before the link
+    /// list or the duplicate check grows. The hint only sizes buffers: any
+    /// value builds the same topology.
+    pub fn with_capacity(node_count: usize, links: usize) -> Self {
         TopologyBuilder {
             node_count,
-            links: Vec::new(),
-            seen: HashSet::new(),
+            links: Vec::with_capacity(links),
+            seen: HashSet::with_capacity(links),
         }
     }
 

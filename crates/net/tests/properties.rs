@@ -51,6 +51,43 @@ fn arb_sparse_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Strategy: `fat_tree(k)` for k ∈ {4, 6, 8} or a leaf–spine `clos` of
+/// 1–4 spines, 2–6 leaves and 1–4 hosts per leaf, at 100 Mb/s, with its
+/// hosts. Half the fabrics lose 1–10 % of their links (so some are cut).
+fn arb_fabric() -> impl Strategy<Value = (Topology, Vec<NodeId>)> {
+    (
+        any::<bool>(),
+        0usize..3,
+        (1usize..5, 2usize..7, 1usize..5),
+        (any::<bool>(), 1u64..=10),
+        any::<u64>(),
+    )
+        .prop_map(|(fat, k, (spine, leaf, hosts), (cut, percent), seed)| {
+            let percent = if cut { percent } else { 0 };
+            let cap = Bandwidth::from_mbps(100);
+            let (full, hosts) = if fat {
+                let k = 4 + 2 * k;
+                (topologies::fat_tree(k, cap), topologies::fat_tree_hosts(k))
+            } else {
+                (
+                    topologies::clos(spine, leaf, hosts, cap),
+                    topologies::clos_hosts(spine, leaf, hosts),
+                )
+            };
+            let mut b = TopologyBuilder::with_capacity(full.node_count(), full.link_count());
+            for l in full.links() {
+                // splitmix64 of (seed, link id): a fixed, even coin per link.
+                let mut z = seed ^ (l.id().index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                if (z ^ (z >> 31)) % 100 >= percent {
+                    b.link(l.a(), l.b(), l.capacity()).unwrap();
+                }
+            }
+            (b.build(), hosts)
+        })
+}
+
 /// The naive route table: a full `bfs_tree` per source, in source order,
 /// failing on the first unknown source or disconnected pair.
 fn reference_routes(
@@ -128,17 +165,90 @@ proptest! {
         }
     }
 
+    /// On datacenter fabrics, where the search finishes from the members'
+    /// side, every route is still the full tree's path, node for node and
+    /// link for link, and every error the reference's. Members are hosts
+    /// or switches, include both ends of some links and some of the
+    /// sources, and now and then one node outside the topology.
+    #[test]
+    fn route_table_matches_the_per_source_trees_on_fabrics(
+        (topo, hosts) in arb_fabric(),
+        member_seeds in prop::collection::vec((any::<bool>(), any::<u32>()), 1..8),
+        linked_seeds in prop::collection::vec(any::<u32>(), 0..3),
+        source_seeds in prop::collection::vec(any::<u32>(), 0..12),
+        shared_seeds in prop::collection::vec(any::<u32>(), 0..3),
+        outsider in 0u32..10,
+    ) {
+        let n = topo.node_count() as u32;
+        let links: Vec<_> = topo.links().collect();
+        // Mostly hosts, as a fabric's endpoints are, but any node now and then.
+        let pick = |switch: bool, s: u32| {
+            if switch && s.is_multiple_of(4) {
+                NodeId::new(s / 4 % n)
+            } else {
+                hosts[s as usize % hosts.len()]
+            }
+        };
+        let sources: Vec<NodeId> = source_seeds.iter().map(|&s| pick(true, s)).collect();
+        let mut members: Vec<NodeId> = member_seeds.iter().map(|&(switch, s)| pick(switch, s)).collect();
+        if !links.is_empty() {
+            for &s in &linked_seeds {
+                let l = links[s as usize % links.len()];
+                members.extend([l.a(), l.b()]);
+            }
+        }
+        if !sources.is_empty() {
+            members.extend(shared_seeds.iter().map(|&s| sources[s as usize % sources.len()]));
+        }
+        if outsider == 0 {
+            members.push(NodeId::new(n));
+        }
+        let group = AnycastGroup::new("A", members).unwrap();
+        let got = RouteTable::for_sources(&topo, &group, sources.iter().copied());
+        match (got, reference_routes(&topo, &group, &sources)) {
+            (Ok(table), Ok(want)) => {
+                for (src, paths) in &want {
+                    let routes = table.routes_from(*src).unwrap();
+                    prop_assert_eq!(routes.len(), paths.len());
+                    for (route, path) in routes.iter().zip(paths) {
+                        prop_assert_eq!(route.nodes(), path.nodes(), "from {}", src);
+                        prop_assert_eq!(route.links(), path.links(), "from {}", src);
+                    }
+                }
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "table {:?} but reference {:?}",
+                got.map(|_| ()),
+                want.map(|_| ())
+            ),
+        }
+    }
+
     /// The builder keeps the old contract: ids in insertion order, the
     /// lower endpoint first, `DuplicateLink` for a repeated pair in
     /// either orientation, `SelfLoop` and `UnknownNode` as a `BTreeSet`
     /// model says; and every node's neighbours are exactly the sorted
-    /// adjacency its links imply.
+    /// adjacency its links imply. The capacity hint changes none of it.
     #[test]
     fn builder_matches_a_set_model(
         n in 1u32..20,
         pairs in prop::collection::vec((0u32..22, 0u32..22), 0..60),
+        hint in 0usize..4,
     ) {
-        let mut b = TopologyBuilder::new(n as usize);
+        // No hint, one too small, the exact link count, one too large.
+        let links = {
+            let mut model = BTreeSet::new();
+            for &(x, y) in &pairs {
+                if x < n && y < n && x != y {
+                    model.insert((x.min(y), x.max(y)));
+                }
+            }
+            model.len()
+        };
+        let capacity = [0, links / 2, links, 2 * links + 7][hint];
+        let mut b = TopologyBuilder::with_capacity(n as usize, capacity);
         let mut linked = BTreeSet::new();
         let cap = Bandwidth::from_mbps(1);
         for (x, y) in pairs {
