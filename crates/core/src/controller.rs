@@ -91,15 +91,10 @@ pub struct AdmissionController {
     retrial: RetrialPolicy,
     history: HistoryTable,
     distances: Vec<u32>,
-    /// Flat member-indexed cache of route bottleneck bandwidths `B_i` in
-    /// bits/s — the `route_bandwidth_bps` slice handed to the policy.
-    /// Empty unless the policy needs bandwidth information.
+    /// Member-indexed route bottleneck bandwidths `B_i` in bits/s, as of
+    /// the last draw — the `route_bandwidth_bps` slice handed to the
+    /// policy. Empty unless the policy needs bandwidth information.
     bw_cache: Vec<f64>,
-    /// `links.version()` at which `bw_cache[i]` was last recomputed.
-    bw_epoch: Vec<u64>,
-    /// `links.version()` at which the whole cache was last validated;
-    /// `None` before the first computation.
-    bw_version: Option<u64>,
     /// A finished request's `weights` and `untried` buffers, handed to the
     /// next [`DacRequest`]; empty while a parked request holds them.
     spare_weights: Vec<f64>,
@@ -129,8 +124,6 @@ impl AdmissionController {
             history,
             distances,
             bw_cache: Vec::new(),
-            bw_epoch: Vec::new(),
-            bw_version: None,
             spare_weights: Vec::new(),
             spare_untried: Vec::new(),
         }
@@ -145,7 +138,7 @@ impl AdmissionController {
     /// an admission (used by examples and diagnostics).
     pub fn current_weights(&mut self, routes: &[Path], links: &LinkStateTable) -> Vec<f64> {
         let mut weights = Vec::new();
-        self.weights(Routes::Single(routes), links, &mut weights);
+        self.weights(Routes::Single(routes), Some(links), &mut weights);
         weights
     }
 
@@ -197,6 +190,9 @@ impl AdmissionController {
     /// The synchronous driver of a [`DacRequest`]: each attempt reserves
     /// atomically (§4.4), walking the member's routes in order until one
     /// admits. Returns the outcome and the number of route probes.
+    ///
+    /// A refused probe leaves the ledger exactly as it was, so a redraw
+    /// reuses the route bandwidths of the request's previous draw.
     pub(crate) fn decide(
         &mut self,
         routes: Routes<'_>,
@@ -213,7 +209,11 @@ impl AdmissionController {
             match reserve_first(fan, links, rsvp, demand, &mut probes) {
                 Ok((reserved, hops)) => break request.admitted(self, reserved, hops, tracer),
                 Err(e) => {
-                    if !request.failed(self, routes, links, rng, e.into(), tracer) {
+                    debug_assert!(
+                        self.route_bandwidth_is_current(routes, links),
+                        "a refused probe moved the ledger"
+                    );
+                    if !request.failed(self, routes, None, rng, e.into(), tracer) {
                         break request.rejected();
                     }
                 }
@@ -224,10 +224,18 @@ impl AdmissionController {
         (outcome, probes)
     }
 
-    /// The input to step 1.1: the policy's selection weights against the
-    /// current link state, written into `weights`.
-    fn weights(&mut self, routes: Routes<'_>, links: &LinkStateTable, weights: &mut Vec<f64>) {
-        self.refresh_route_bandwidth(routes, links);
+    /// The input to step 1.1: the policy's selection weights, written into
+    /// `weights`. Route bandwidths are read from `links`, or with `None`
+    /// kept from the previous draw (the ledger has not moved since).
+    fn weights(
+        &mut self,
+        routes: Routes<'_>,
+        links: Option<&LinkStateTable>,
+        weights: &mut Vec<f64>,
+    ) {
+        if let Some(links) = links {
+            self.refresh_route_bandwidth(routes, links);
+        }
         let ctx = SelectionContext {
             distances: &self.distances,
             history: self.history.entries(),
@@ -237,66 +245,36 @@ impl AdmissionController {
         debug_assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }
 
-    /// Brings `bw_cache` up to date with the ledger, recomputing only the
-    /// members whose routes were actually touched since their last
-    /// computation ([`LinkStateTable::any_stamp_on_after`] against the
-    /// member's epoch). A member's bandwidth is the best bottleneck over
-    /// its routes.
-    ///
-    /// The cache is exact, not approximate: a member's bottleneck can only
-    /// change when some link on its routes changes, and any such change
-    /// advances that link's stamp past the epoch recorded here. The one
-    /// contract is that a controller observes a *single* ledger whose
-    /// version counter is monotone over its lifetime — the §4.2 model of
-    /// one AC-router against one link-state table, which is how every
-    /// experiment drives it. Within a request's retrial loop the
-    /// whole-vector version check makes repeat evaluations O(1).
+    /// Rewrites `bw_cache` with every member's route bandwidth against
+    /// `links`, if the policy reads it.
     fn refresh_route_bandwidth(&mut self, routes: Routes<'_>, links: &LinkStateTable) {
         if !self.policy.needs_route_bandwidth() {
             return; // bw_cache stays empty, as the policy contract expects
         }
-        let version = links.version();
-        if self.bw_version == Some(version) {
-            return;
-        }
-        let recompute = |cache: &mut f64, epoch: &mut u64, fan: &[Path]| {
-            // Trivial routes report u64::MAX; clamp to keep weights
-            // finite but overwhelmingly in favour of the local member.
-            *cache = fan
-                .iter()
-                .map(|r| match links.min_available_on(r).bps() {
-                    u64::MAX => 1e18,
-                    bw => bw as f64,
-                })
-                .fold(0.0, f64::max);
-            *epoch = version;
-        };
-        if self.bw_version.is_none() {
-            self.bw_cache.resize(routes.len(), 0.0);
-            self.bw_epoch.resize(routes.len(), 0);
-            for i in 0..routes.len() {
-                recompute(
-                    &mut self.bw_cache[i],
-                    &mut self.bw_epoch[i],
-                    routes.member(i),
-                );
-            }
-        } else {
-            for i in 0..routes.len() {
-                // Shard-aware staleness check: stripes whose shard stamp
-                // has not advanced past this member's epoch are skipped
-                // without reading any per-link stamp.
-                let fan = routes.member(i);
-                if fan
-                    .iter()
-                    .any(|r| links.any_stamp_on_after(r, self.bw_epoch[i]))
-                {
-                    recompute(&mut self.bw_cache[i], &mut self.bw_epoch[i], fan);
-                }
-            }
-        }
-        self.bw_version = Some(version);
+        self.bw_cache.clear();
+        self.bw_cache
+            .extend((0..routes.len()).map(|i| member_bandwidth(routes.member(i), links)));
     }
+
+    /// Whether `bw_cache` still equals a recompute against `links`.
+    fn route_bandwidth_is_current(&self, routes: Routes<'_>, links: &LinkStateTable) -> bool {
+        self.bw_cache
+            .iter()
+            .enumerate()
+            .all(|(i, &bw)| bw == member_bandwidth(routes.member(i), links))
+    }
+}
+
+/// A member's `B_i` in bits/s: the best bottleneck over its routes.
+/// Trivial routes report `u64::MAX`; clamp to keep weights finite but
+/// overwhelmingly in favour of the local member.
+fn member_bandwidth(fan: &[Path], links: &LinkStateTable) -> f64 {
+    fan.iter()
+        .map(|r| match links.min_available_on(r).bps() {
+            u64::MAX => 1e18,
+            bw => bw as f64,
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Reserves along the first of `fan`'s routes that admits `demand`,
@@ -327,8 +305,8 @@ fn reserve_first(
 /// attempts a reservation toward [`pick`](Self::pick) and reports back:
 /// [`admitted`](Self::admitted) records the success in the history;
 /// [`failed`](Self::failed) records the failure, applies the §4.5 test and
-/// either draws again against fresh weights or rejects. RNG consumption
-/// is one weighted draw per try, whatever the driver.
+/// either draws again or rejects. RNG consumption is one weighted draw per
+/// try, whatever the driver.
 #[derive(Debug)]
 pub(crate) struct DacRequest {
     /// Members not yet tried for this request (retrials draw without
@@ -375,7 +353,7 @@ impl DacRequest {
             pick: 0,
             trail: DecisionTrace::default(),
         };
-        let drawn = request.draw(controller, routes, links, rng, tracer);
+        let drawn = request.draw(controller, routes, Some(links), rng, tracer);
         debug_assert!(drawn, "anycast groups are non-empty");
         request
     }
@@ -418,12 +396,14 @@ impl DacRequest {
     /// The attempt failed for `skip`. The failure enters the history, then
     /// step 1.4 applies the §4.5 test: `true` when another member was
     /// drawn against fresh weights, `false` when the request is rejected
-    /// (and its trace closed).
+    /// (and its trace closed). The redraw reads route bandwidths from
+    /// `links`; a driver whose failed attempt left the ledger untouched
+    /// passes `None` to reuse the previous draw's.
     pub(crate) fn failed(
         &mut self,
         controller: &mut AdmissionController,
         routes: Routes<'_>,
-        links: &LinkStateTable,
+        links: Option<&LinkStateTable>,
         rng: &mut SimRng,
         skip: SkipReason,
         tracer: &mut RequestTracer<'_>,
@@ -455,8 +435,9 @@ impl DacRequest {
         false
     }
 
-    /// Step 1.1: fresh weights from the current link state, then a
-    /// weighted draw over the untried members. When every untried member
+    /// Step 1.1: fresh weights (route bandwidths from `links`, see
+    /// [`AdmissionController::weights`]), then a weighted draw over the
+    /// untried members. When every untried member
     /// carries zero weight the policy considers them hopeless, so the draw
     /// falls back to uniform over the untried to keep behaviour total.
     /// `false` when no member is left.
@@ -464,7 +445,7 @@ impl DacRequest {
         &mut self,
         controller: &mut AdmissionController,
         routes: Routes<'_>,
-        links: &LinkStateTable,
+        links: Option<&LinkStateTable>,
         rng: &mut SimRng,
         tracer: &mut RequestTracer<'_>,
     ) -> bool {
@@ -727,39 +708,42 @@ mod tests {
     }
 
     #[test]
-    fn route_bandwidth_cache_matches_fresh_recompute() {
-        // Churn the ledger with reservations, holds and faults; after every
-        // mutation the cached controller must see exactly the weights a
-        // cache-less (fresh) controller computes from scratch.
+    fn reused_wddb_controller_reads_a_second_ledger_afresh() {
+        // Two ledgers one mutation in each, on different routes: a
+        // controller that has read the first must weigh the second exactly
+        // as a fresh controller does.
+        let (topo, routes, dists) = fixture();
+        let saturated = |link| {
+            let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
+            links.reserve(link, Bandwidth::from_kbps(128)).unwrap();
+            links
+        };
+        let first = saturated(routes[0].links()[0]);
+        let second = saturated(routes[1].links()[0]);
+        let mut reused = controller(Box::new(WdDb), 2, dists.clone());
+        assert_eq!(reused.current_weights(&routes, &first), [0.0, 1.0]);
+        let mut fresh = controller(Box::new(WdDb), 2, dists);
+        let expected = fresh.current_weights(&routes, &second);
+        assert_eq!(expected, [1.0, 0.0]);
+        assert_eq!(reused.current_weights(&routes, &second), expected);
+    }
+
+    #[test]
+    fn reused_wddb_controller_reads_a_reordered_route_slice_afresh() {
+        // One unchanged ledger, the route slice handed over in the other
+        // order: the reused controller must follow the slice it is given.
         let (topo, routes, dists) = fixture();
         let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        let mut cached = controller(Box::new(WdDb), 2, dists.clone());
-        let check = |cached: &mut AdmissionController, links: &LinkStateTable| {
-            let mut fresh = controller(Box::new(WdDb), 2, dists.clone());
-            assert_eq!(
-                cached.current_weights(&routes, links),
-                fresh.current_weights(&routes, links)
-            );
-        };
-        check(&mut cached, &links);
-        // Repeat without any mutation: the O(1) whole-vector hit.
-        check(&mut cached, &links);
-        let l0 = routes[0].links()[0];
-        let l1 = routes[1].links()[1];
-        links.reserve(l0, Bandwidth::from_kbps(32)).unwrap();
-        check(&mut cached, &links);
-        links.place_hold(l1, Bandwidth::from_kbps(16)).unwrap();
-        check(&mut cached, &links);
-        links.commit_hold(l1, Bandwidth::from_kbps(16)).unwrap();
-        check(&mut cached, &links);
-        links.fail_link(l0).unwrap();
-        check(&mut cached, &links);
-        links.restore_link(l0).unwrap();
-        check(&mut cached, &links);
-        links.release(l1, Bandwidth::from_kbps(16)).unwrap();
-        check(&mut cached, &links);
-        links.reset();
-        check(&mut cached, &links);
+        links
+            .reserve(routes[0].links()[0], Bandwidth::from_kbps(128))
+            .unwrap();
+        let reordered = [routes[1].clone(), routes[0].clone()];
+        let mut reused = controller(Box::new(WdDb), 2, dists.clone());
+        assert_eq!(reused.current_weights(&routes, &links), [0.0, 1.0]);
+        let mut fresh = controller(Box::new(WdDb), 2, dists);
+        let expected = fresh.current_weights(&reordered, &links);
+        assert_eq!(expected, [1.0, 0.0]);
+        assert_eq!(reused.current_weights(&reordered, &links), expected);
     }
 
     #[test]

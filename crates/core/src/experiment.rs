@@ -1442,7 +1442,7 @@ impl<R: Recorder> Sim<R> {
         let retry = p.request.failed(
             controller,
             routes,
-            &self.links,
+            Some(&self.links),
             &mut self.selection_rng,
             skip,
             &mut tracer,
@@ -1673,23 +1673,20 @@ impl<R: Recorder> Sim<R> {
 
     /// Read-only periodic probe of the link-state table: consumes no
     /// randomness and mutates nothing, so scheduling it (or not) leaves
-    /// the simulated system bit-identical. Walks the sharded view stripe
-    /// by stripe — ascending shard order is ascending link order.
+    /// the simulated system bit-identical. Emits one sample per link, in
+    /// ascending link order.
     fn on_sample(&mut self, eng: &mut Engine<Event>, now: SimTime) {
-        let sharded = self.links.sharded();
-        for shard in 0..sharded.shard_count() {
-            for (link, snap) in sharded.iter_shard(shard) {
-                self.recorder.record(
-                    now.as_secs(),
-                    TelemetryEvent::LinkSample {
-                        link,
-                        reserved_bps: snap.reserved.bps(),
-                        capacity_bps: snap.capacity.bps(),
-                        flows: snap.flows,
-                        failed: snap.failed,
-                    },
-                );
-            }
+        for (link, snap) in self.links.iter() {
+            self.recorder.record(
+                now.as_secs(),
+                TelemetryEvent::LinkSample {
+                    link,
+                    reserved_bps: snap.reserved.bps(),
+                    capacity_bps: snap.capacity.bps(),
+                    flows: snap.flows,
+                    failed: snap.failed,
+                },
+            );
         }
         if let Some(interval_secs) = self.sample_interval {
             eng.schedule_in(

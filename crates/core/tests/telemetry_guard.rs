@@ -12,8 +12,8 @@ use anycast_dac::experiment::{
     run_experiment, run_experiment_traced, ExperimentConfig, SystemSpec,
 };
 use anycast_dac::policy::PolicySpec;
-use anycast_net::topologies;
-use anycast_telemetry::{Event, NullRecorder, RingRecorder, SkipReason};
+use anycast_net::{topologies, Bandwidth, LinkId, NodeId};
+use anycast_telemetry::{Event, EventFilter, NullRecorder, RingRecorder, SkipReason};
 
 fn saturated(system: SystemSpec) -> ExperimentConfig {
     ExperimentConfig::paper_defaults(50.0, system)
@@ -138,4 +138,42 @@ fn event_counts_match_metrics() {
         arrivals,
         "every arrival ends in exactly one setup or rejection"
     );
+}
+
+/// Every sampler tick emits exactly one `LinkSample` per link, in ascending
+/// link id, on a fabric of 162 links.
+#[test]
+fn every_sampler_tick_samples_every_link_in_order() {
+    let topo = topologies::fat_tree(6, Bandwidth::from_mbps(100));
+    assert_eq!(topo.link_count(), 162);
+    let hosts = topologies::fat_tree_hosts(6);
+    let members: Vec<NodeId> = hosts.iter().copied().step_by(9).collect();
+    let sources: Vec<NodeId> = hosts
+        .iter()
+        .copied()
+        .filter(|h| !members.contains(h))
+        .collect();
+    let config = saturated(SystemSpec::dac(PolicySpec::WdDb, 2))
+        .with_group(members)
+        .with_sources(sources);
+    let mut ring = RingRecorder::new(config.seed)
+        .with_filter(EventFilter::keep(&["link_sample"]))
+        .with_sample_interval(25.0);
+    run_experiment_traced(&topo, &config, &mut ring);
+    assert_eq!(ring.dropped(), 0);
+    let mut ticks: Vec<(f64, Vec<LinkId>)> = Vec::new();
+    for timed in ring.events() {
+        let Event::LinkSample { link, .. } = timed.event else {
+            panic!("the filter keeps link samples only");
+        };
+        match ticks.last_mut() {
+            Some((at, links)) if *at == timed.time_secs => links.push(link),
+            _ => ticks.push((timed.time_secs, vec![link])),
+        }
+    }
+    assert!(ticks.len() >= 5, "{} sampler ticks", ticks.len());
+    let every_link: Vec<LinkId> = (0..162).map(LinkId::new).collect();
+    for (at, links) in &ticks {
+        assert_eq!(links, &every_link, "tick at {at} s");
+    }
 }

@@ -50,7 +50,7 @@ pub use bandwidth::Bandwidth;
 pub use error::NetError;
 pub use group::AnycastGroup;
 pub use ids::{LinkId, NodeId};
-pub use link_state::{LinkSnapshot, LinkStateTable, LinkSummary, ShardedSnapshot, LINKS_PER_SHARD};
+pub use link_state::{LinkSnapshot, LinkStateTable, LinkSummary};
 pub use path::Path;
 pub use routing::{RouteSet, RouteTable};
 pub use topology::{Link, Topology, TopologyBuilder};

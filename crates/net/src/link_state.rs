@@ -3,19 +3,6 @@
 
 use crate::{Bandwidth, LinkId, NetError, NodeId, Path, Topology};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-
-/// Links per shard of the striped ledger view. Each shard carries its own
-/// last-touched stamp, so a reader scanning many links (telemetry
-/// sampling, route-bandwidth refresh) can skip whole stripes whose stamp
-/// has not advanced past the version it last saw. 64 keeps a shard's
-/// snapshots within a cache line or two while still collapsing the paper
-/// topologies (tens of links) into one or two stripes.
-pub const LINKS_PER_SHARD: usize = 64;
-
-fn shard_count_for(links: usize) -> usize {
-    links.div_ceil(LINKS_PER_SHARD)
-}
 
 /// Read-only snapshot of one link's capacity accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,21 +92,6 @@ pub struct LinkStateTable {
     node_failed: Vec<bool>,
     /// Link endpoints, captured from the topology at construction.
     endpoints: Vec<(NodeId, NodeId)>,
-    /// Monotone mutation counter: bumped by every operation that can change
-    /// some link's available bandwidth. Lets callers cache derived
-    /// quantities (route bottlenecks, feasibility verdicts) and invalidate
-    /// them exactly when a relevant link moved.
-    #[serde(default)]
-    version: u64,
-    /// Per-link last-touched version (parallel to `states`): `stamps[i]` is
-    /// the `version` at which link `i`'s availability last changed.
-    #[serde(default)]
-    stamps: Vec<u64>,
-    /// Per-shard last-touched version: `shard_stamps[s]` upper-bounds the
-    /// stamp of every link in shard `s` (links `s*LINKS_PER_SHARD ..`), so
-    /// an unchanged shard stamp proves the whole stripe is unchanged.
-    #[serde(default)]
-    shard_stamps: Vec<u64>,
     /// Running `Σ reserved` over `states`.
     total_reserved: Bandwidth,
     /// Running `Σ held` over `states`.
@@ -176,16 +148,7 @@ impl LinkStateTable {
             link_failed: vec![false; topo.link_count()],
             node_failed: vec![false; topo.node_count()],
             endpoints,
-            version: 0,
-            stamps: vec![0; topo.link_count()],
-            shard_stamps: vec![0; shard_count_for(topo.link_count())],
         }
-    }
-
-    /// Number of links tracked.
-    #[cfg(test)]
-    pub(crate) fn link_count(&self) -> usize {
-        self.states.len()
     }
 
     /// Snapshot of one link.
@@ -219,101 +182,6 @@ impl LinkStateTable {
         self.states[link.index()].capacity
     }
 
-    /// The current mutation version: strictly increases whenever any
-    /// link's availability (or fault state) changes. Equal versions imply
-    /// an identical availability picture.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The version at which `link`'s availability last changed (0 if it
-    /// was never touched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    #[cfg(test)]
-    pub(crate) fn stamp(&self, link: LinkId) -> u64 {
-        self.stamps[link.index()]
-    }
-
-    /// The newest per-link stamp along `path` — a cached quantity derived
-    /// from this path's links (e.g. its bottleneck bandwidth) is still
-    /// exact iff `max_stamp_on(path)` has not advanced past the version at
-    /// which it was computed. A trivial path reports 0: nothing it depends
-    /// on can ever change.
-    #[cfg(test)]
-    pub(crate) fn max_stamp_on(&self, path: &Path) -> u64 {
-        path.links()
-            .iter()
-            .map(|l| self.stamps[l.index()])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Whether any link along `path` was touched after `epoch`. Screens at
-    /// shard granularity first: a shard stamp upper-bounds every member
-    /// link's stamp, so stripes that have not moved past `epoch` are
-    /// skipped without reading a single per-link stamp. Equivalent to
-    /// `max_stamp_on(path) > epoch`.
-    pub fn any_stamp_on_after(&self, path: &Path, epoch: u64) -> bool {
-        path.links().iter().any(|l| {
-            self.shard_stamps[l.index() / LINKS_PER_SHARD] > epoch && self.stamps[l.index()] > epoch
-        })
-    }
-
-    /// Number of shards in the striped view (`⌈links / LINKS_PER_SHARD⌉`).
-    #[cfg(test)]
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shard_stamps.len()
-    }
-
-    /// The shard a link belongs to.
-    #[cfg(test)]
-    pub(crate) fn shard_of(link: LinkId) -> usize {
-        link.index() / LINKS_PER_SHARD
-    }
-
-    /// The version at which any link in `shard` last changed (0 if the
-    /// whole stripe was never touched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    #[cfg(test)]
-    pub(crate) fn shard_stamp(&self, shard: usize) -> u64 {
-        self.shard_stamps[shard]
-    }
-
-    /// The link-index range covered by `shard`. The final shard may be
-    /// shorter than [`LINKS_PER_SHARD`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub(crate) fn shard_range(&self, shard: usize) -> Range<usize> {
-        assert!(
-            shard < self.shard_stamps.len(),
-            "shard {shard} out of range"
-        );
-        let start = shard * LINKS_PER_SHARD;
-        start..(start + LINKS_PER_SHARD).min(self.states.len())
-    }
-
-    /// A read-only, shard-aware view of the ledger. The view is `Copy`:
-    /// every reader sees the same frozen version, and the borrow checker
-    /// guarantees no mutation can interleave while any view is alive.
-    pub fn sharded(&self) -> ShardedSnapshot<'_> {
-        ShardedSnapshot { table: self }
-    }
-
-    /// Records that `link_index`'s availability changed.
-    fn touch(&mut self, link_index: usize) {
-        self.version += 1;
-        self.stamps[link_index] = self.version;
-        self.shard_stamps[link_index / LINKS_PER_SHARD] = self.version;
-    }
-
     /// Reserves `bw` on a single link.
     ///
     /// # Errors
@@ -336,7 +204,6 @@ impl LinkStateTable {
         state.reserved += bw;
         state.flows += 1;
         self.total_reserved += bw;
-        self.touch(link.index());
         Ok(())
     }
 
@@ -361,7 +228,6 @@ impl LinkStateTable {
         state.reserved -= bw;
         state.flows -= 1;
         self.total_reserved -= bw;
-        self.touch(link.index());
         Ok(())
     }
 
@@ -393,7 +259,6 @@ impl LinkStateTable {
         state.held += bw;
         state.holds += 1;
         self.total_held += bw;
-        self.touch(link.index());
         Ok(())
     }
 
@@ -419,7 +284,6 @@ impl LinkStateTable {
         state.held -= bw;
         state.holds -= 1;
         self.total_held -= bw;
-        self.touch(link.index());
         Ok(())
     }
 
@@ -450,10 +314,6 @@ impl LinkStateTable {
         state.flows += 1;
         self.total_held -= bw;
         self.total_reserved += bw;
-        // Availability is unchanged by the commit itself, but the hold and
-        // reservation columns both moved; stamp conservatively so any
-        // cached per-column view invalidates too.
-        self.touch(link.index());
         Ok(())
     }
 
@@ -715,7 +575,6 @@ impl LinkStateTable {
             } else {
                 self.failed_links -= 1;
             }
-            self.touch(link_index);
         }
     }
 
@@ -743,66 +602,6 @@ impl LinkStateTable {
         self.total_reserved = Bandwidth::ZERO;
         self.total_held = Bandwidth::ZERO;
         self.failed_links = 0;
-        // The version stays monotone across a reset: every link's
-        // availability (potentially) changed, so stamp them all.
-        self.version += 1;
-        self.stamps.fill(self.version);
-        self.shard_stamps.fill(self.version);
-    }
-}
-
-/// Read-only, shard-aware view of a [`LinkStateTable`], obtained from
-/// [`LinkStateTable::sharded`].
-///
-/// The view pins one version of the ledger for its whole lifetime: it
-/// holds a shared borrow, so no mutation can interleave while any copy is
-/// alive, and every copy observes the identical availability picture.
-///
-/// Shard iteration walks the ledger stripe by stripe in ascending shard
-/// order, which is exactly ascending link order — so shard-aware readers
-/// observe the same sequence as a flat scan, and the stripes exist purely
-/// to let stamp-based readers skip unchanged ranges.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedSnapshot<'a> {
-    table: &'a LinkStateTable,
-}
-
-impl<'a> ShardedSnapshot<'a> {
-    /// The ledger version this view pins.
-    #[cfg(test)]
-    pub(crate) fn version(&self) -> u64 {
-        self.table.version
-    }
-
-    /// Number of links tracked.
-    #[cfg(test)]
-    pub(crate) fn link_count(&self) -> usize {
-        self.table.states.len()
-    }
-
-    /// Number of shards (`⌈links / LINKS_PER_SHARD⌉`).
-    pub fn shard_count(&self) -> usize {
-        self.table.shard_stamps.len()
-    }
-
-    /// Iterates one stripe's `(LinkId, LinkSnapshot)` pairs in link order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub fn iter_shard(&self, shard: usize) -> impl Iterator<Item = (LinkId, LinkSnapshot)> + 'a {
-        let range = self.table.shard_range(shard);
-        let states = &self.table.states[range.clone()];
-        states
-            .iter()
-            .enumerate()
-            .map(move |(i, s)| (LinkId::new((range.start + i) as u32), *s))
-    }
-
-    /// The ledger's [`LinkSummary`] at the pinned version, as
-    /// [`LinkStateTable::summary`]: O(1) from the running totals.
-    pub fn summary(&self) -> LinkSummary {
-        self.table.summary()
     }
 }
 
@@ -1141,83 +940,35 @@ mod tests {
     }
 
     #[test]
-    fn stamps_track_exactly_the_touched_links() {
-        let (topo, path) = line4();
-        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        assert_eq!(table.version(), 0);
-        for i in 0..3 {
-            assert_eq!(table.stamp(LinkId::new(i)), 0);
-        }
-
-        table
-            .reserve(LinkId::new(1), Bandwidth::from_kbps(64))
-            .unwrap();
-        let v1 = table.version();
-        assert!(v1 > 0);
-        assert_eq!(table.stamp(LinkId::new(1)), v1);
-        assert_eq!(table.stamp(LinkId::new(0)), 0);
-        assert_eq!(table.stamp(LinkId::new(2)), 0);
-        assert_eq!(table.max_stamp_on(&path), v1);
-
-        // A failed reservation must not advance anything.
-        assert!(table
-            .reserve(LinkId::new(1), Bandwidth::from_mbps(1000))
-            .is_err());
-        assert_eq!(table.version(), v1);
-
-        // Hold / release / commit all stamp their link.
-        table
-            .place_hold(LinkId::new(2), Bandwidth::from_mbps(1))
-            .unwrap();
-        assert!(table.stamp(LinkId::new(2)) > v1);
-        table
-            .commit_hold(LinkId::new(2), Bandwidth::from_mbps(1))
-            .unwrap();
-        table
-            .release(LinkId::new(2), Bandwidth::from_mbps(1))
-            .unwrap();
-        let v2 = table.version();
-        assert_eq!(table.stamp(LinkId::new(2)), v2);
-        assert_eq!(table.max_stamp_on(&path), v2);
-
-        // A trivial path depends on no links at all.
-        let trivial = Path::trivial(NodeId::new(0));
-        assert_eq!(table.max_stamp_on(&trivial), 0);
-    }
-
-    #[test]
-    fn fault_transitions_stamp_only_effective_changes() {
+    fn fault_transitions_change_only_effective_state() {
         let (topo, _) = line4();
         let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
+        let failed = |table: &LinkStateTable| -> Vec<bool> {
+            (0..3).map(|i| table.is_failed(LinkId::new(i))).collect()
+        };
         table.fail_node(NodeId::new(1)).unwrap();
-        let after_node = table.version();
         // Links 0 and 1 flipped to failed; link 2 untouched.
-        assert!(table.stamp(LinkId::new(0)) > 0);
-        assert!(table.stamp(LinkId::new(1)) > 0);
-        assert_eq!(table.stamp(LinkId::new(2)), 0);
+        assert_eq!(failed(&table), [true, true, false]);
+        assert_eq!(table.failed_link_count(), 2);
 
         // Failing a link that is already effectively down changes nothing.
         table.fail_link(LinkId::new(0)).unwrap();
-        assert_eq!(table.version(), after_node);
+        assert_eq!(failed(&table), [true, true, false]);
+        assert_eq!(table.failed_link_count(), 2);
 
         // Restoring the node flips link 1 back up, but link 0 keeps its
-        // explicit fault — only link 1 is stamped.
-        let before_restore = (table.stamp(LinkId::new(0)), table.stamp(LinkId::new(1)));
+        // explicit fault.
         table.restore_node(NodeId::new(1)).unwrap();
-        assert_eq!(table.stamp(LinkId::new(0)), before_restore.0);
-        assert!(table.stamp(LinkId::new(1)) > before_restore.1);
+        assert_eq!(failed(&table), [true, false, false]);
+        assert_eq!(table.failed_link_count(), 1);
 
-        // Reset stamps every link and keeps the version monotone.
-        let v = table.version();
         table.reset();
-        assert!(table.version() > v);
-        for i in 0..3 {
-            assert_eq!(table.stamp(LinkId::new(i)), table.version());
-        }
+        assert_eq!(failed(&table), [false, false, false]);
+        assert_eq!(table.failed_link_count(), 0);
     }
 
     #[test]
-    fn node_faults_stamp_exactly_the_incident_links_in_link_order() {
+    fn node_faults_fail_exactly_the_incident_links() {
         let topo = crate::topologies::fat_tree(8, Bandwidth::from_mbps(100));
         // Node ids span hosts, edge, aggregation and core switches.
         for node in topo.nodes().step_by(37) {
@@ -1225,26 +976,19 @@ mod tests {
             let mut incident: Vec<LinkId> = topo.neighbors(node).iter().map(|&(_, l)| l).collect();
             incident.sort_unstable();
             for fault in [true, false] {
-                let before = table.version();
                 if fault {
                     table.fail_node(node).unwrap();
                 } else {
                     table.restore_node(node).unwrap();
                 }
-                assert_eq!(table.version() - before, topo.degree(node) as u64);
-                let stamped: Vec<LinkId> = table
+                let down: Vec<LinkId> = table
                     .iter()
+                    .filter(|(_, s)| s.failed)
                     .map(|(l, _)| l)
-                    .filter(|&l| table.stamp(l) > before)
                     .collect();
-                assert_eq!(stamped, incident, "node {node}");
-                // Stamped one by one in ascending link id, as a full scan would.
-                let stamps: Vec<u64> = stamped.iter().map(|&l| table.stamp(l)).collect();
-                assert_eq!(stamps, (before + 1..=table.version()).collect::<Vec<_>>());
-                assert_eq!(
-                    table.failed_link_count(),
-                    if fault { incident.len() } else { 0 }
-                );
+                let expected = if fault { &incident[..] } else { &[] };
+                assert_eq!(down, expected, "node {node}, fault {fault}");
+                assert_eq!(table.failed_link_count(), down.len());
             }
         }
     }
@@ -1303,110 +1047,6 @@ mod tests {
             table.audit(),
             Err(NetError::InconsistentLedger { link: Some(l), .. }) if l == LinkId::new(0)
         ));
-    }
-
-    #[test]
-    fn shard_stamps_upper_bound_link_stamps() {
-        let (topo, path) = line4();
-        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        // 3 links fit in one shard at LINKS_PER_SHARD = 64.
-        assert_eq!(table.shard_count(), 1);
-        assert_eq!(LinkStateTable::shard_of(LinkId::new(2)), 0);
-        assert_eq!(table.shard_range(0), 0..3);
-        assert_eq!(table.shard_stamp(0), 0);
-
-        table
-            .reserve(LinkId::new(1), Bandwidth::from_kbps(64))
-            .unwrap();
-        let v1 = table.version();
-        assert_eq!(table.shard_stamp(0), v1);
-        // The shard stamp upper-bounds every member stamp.
-        for i in 0..3 {
-            assert!(table.stamp(LinkId::new(i)) <= table.shard_stamp(0));
-        }
-        assert!(table.any_stamp_on_after(&path, 0));
-        assert!(!table.any_stamp_on_after(&path, v1));
-        // A trivial path depends on nothing.
-        assert!(!table.any_stamp_on_after(&Path::trivial(NodeId::new(0)), 0));
-
-        table.reset();
-        assert_eq!(table.shard_stamp(0), table.version());
-    }
-
-    #[test]
-    fn any_stamp_on_after_matches_max_stamp() {
-        let (topo, path) = line4();
-        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        table
-            .reserve(LinkId::new(0), Bandwidth::from_kbps(64))
-            .unwrap();
-        table
-            .place_hold(LinkId::new(2), Bandwidth::from_kbps(64))
-            .unwrap();
-        for epoch in 0..=table.version() + 1 {
-            assert_eq!(
-                table.any_stamp_on_after(&path, epoch),
-                table.max_stamp_on(&path) > epoch,
-                "epoch {epoch}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_view_matches_flat_scan() {
-        let (topo, _) = line4();
-        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        table
-            .reserve(LinkId::new(0), Bandwidth::from_mbps(10))
-            .unwrap();
-        table
-            .place_hold(LinkId::new(1), Bandwidth::from_mbps(5))
-            .unwrap();
-        table.fail_link(LinkId::new(2)).unwrap();
-
-        let snap = table.sharded();
-        assert_eq!(snap.version(), table.version());
-        assert_eq!(snap.link_count(), table.link_count());
-        assert_eq!(Ok(snap.summary()), table.audit());
-        // Shard iteration visits every link exactly once, in link order.
-        let mut seen = Vec::new();
-        for shard in 0..snap.shard_count() {
-            for (link, state) in snap.iter_shard(shard) {
-                assert_eq!(state, table.snapshot(link).unwrap());
-                seen.push(link);
-            }
-        }
-        let flat: Vec<LinkId> = table.iter().map(|(l, _)| l).collect();
-        assert_eq!(seen, flat);
-    }
-
-    #[test]
-    fn shard_boundaries_partition_wide_tables() {
-        // A topology wider than one shard: a star with 70 spokes.
-        let mut b = TopologyBuilder::new(71);
-        let spokes: Vec<(u32, u32)> = (1..71u32).map(|i| (0, i)).collect();
-        b.links_uniform(spokes, Bandwidth::from_mbps(100)).unwrap();
-        let topo = b.build();
-        let mut table = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
-        assert_eq!(table.shard_count(), 2);
-        assert_eq!(table.shard_range(0), 0..64);
-        assert_eq!(table.shard_range(1), 64..70);
-        assert_eq!(LinkStateTable::shard_of(LinkId::new(63)), 0);
-        assert_eq!(LinkStateTable::shard_of(LinkId::new(64)), 1);
-
-        // Touching a link in the second stripe leaves the first stripe's
-        // stamp behind — that is the skip a shard-aware reader exploits.
-        table
-            .reserve(LinkId::new(65), Bandwidth::from_kbps(64))
-            .unwrap();
-        assert_eq!(table.shard_stamp(0), 0);
-        assert_eq!(table.shard_stamp(1), table.version());
-        let snap = table.sharded();
-        assert_eq!(Ok(snap.summary()), table.audit());
-        assert_eq!(
-            snap.iter_shard(0).count() + snap.iter_shard(1).count(),
-            table.link_count()
-        );
     }
 
     #[test]

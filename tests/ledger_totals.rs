@@ -3,7 +3,7 @@
 //! per-link columns, `audit()` must pass, and the columns must equal what
 //! an independent model of the outstanding reservations, holds and faults
 //! says they hold. A refused call (insufficient bandwidth, release
-//! underflow, unknown link or node) must leave the ledger, its version and
+//! underflow, unknown link or node) must leave the ledger's columns and
 //! its totals untouched, and `reserve_path` must be all-or-nothing.
 //!
 //! This is the first slice of the continuous invariant checker: deleting
@@ -68,9 +68,9 @@ impl Model {
     }
 }
 
-/// The whole observable state of the ledger: every column plus the version.
-fn state(table: &LinkStateTable) -> (Vec<(LinkId, LinkSnapshot)>, u64) {
-    (table.iter().collect(), table.version())
+/// The whole observable state of the ledger: every column.
+fn state(table: &LinkStateTable) -> Vec<(LinkId, LinkSnapshot)> {
+    table.iter().collect()
 }
 
 /// Every O(1) reader against a naive fold over `iter()`, the audit, and
@@ -92,7 +92,6 @@ fn check(table: &LinkStateTable, topo: &Topology, model: &Model, ctx: &str) {
     }
     assert_eq!(table.audit(), Ok(naive), "audit, {ctx}");
     assert_eq!(table.summary(), naive, "summary, {ctx}");
-    assert_eq!(table.sharded().summary(), naive, "sharded summary, {ctx}");
     assert_eq!(
         table.total_reserved().bps(),
         naive.reserved_bps,
