@@ -1,7 +1,7 @@
 //! The two baseline systems of §5.1: SP and GDI.
 
 use crate::{AdmissionOutcome, AdmittedFlow};
-use anycast_net::routing::{nearest_feasible_member, RoutingScratch};
+use anycast_net::routing::{nearest_feasible_member, PathMemo, RoutingScratch};
 use anycast_net::{AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, Topology};
 use anycast_rsvp::ReservationEngine;
 use anycast_telemetry::{NullRecorder, ProbeResult, RequestTracer, SkipReason};
@@ -110,10 +110,13 @@ impl ShortestPathSystem {
 /// Each admission runs one residual-network BFS from the source that stops
 /// at the nearest feasible member ([`nearest_feasible_member`]). The system
 /// owns the [`RoutingScratch`] that search reuses instead of reallocating
-/// its buffers; `admit` therefore takes `&mut self`.
+/// its buffers, and the [`PathMemo`] of the paths it has admitted on: a
+/// flow on a route an earlier flow took shares that flow's path instead of
+/// building its own. `admit` therefore takes `&mut self`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalDynamicSystem {
     scratch: RoutingScratch,
+    memo: PathMemo,
 }
 
 impl GlobalDynamicSystem {
@@ -165,6 +168,7 @@ impl GlobalDynamicSystem {
         let members = group.members();
         let best = nearest_feasible_member(
             &mut self.scratch,
+            &mut self.memo,
             topo,
             links,
             source,
@@ -216,8 +220,10 @@ impl GlobalDynamicSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_net::routing::RouteTable;
-    use anycast_net::{LinkId, TopologyBuilder};
+    use anycast_net::routing::{filtered_shortest_path, RouteTable};
+    use anycast_net::{topologies, LinkId, TopologyBuilder};
+    use anycast_rsvp::SessionId;
+    use proptest::prelude::*;
 
     /// Diamond with a tail: members at 3 (via two routes) and 4.
     ///
@@ -382,6 +388,121 @@ mod tests {
                 !sp_out.is_admitted() || gdi_out.is_admitted(),
                 "link {saturate}: GDI must dominate SP"
             );
+        }
+    }
+
+    #[test]
+    fn gdi_shares_the_path_of_a_repeated_request() {
+        let (topo, group, _table) = fixture();
+        let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
+        let mut rsvp = ReservationEngine::new();
+        let mut gdi = GlobalDynamicSystem::new();
+        let mut admit = || {
+            let out = gdi.admit(
+                &topo,
+                &group,
+                NodeId::new(0),
+                &mut links,
+                &mut rsvp,
+                Bandwidth::from_kbps(64),
+            );
+            out.admitted.expect("0-1-3 has room for two flows").session
+        };
+        let (first, second) = (admit(), admit());
+        let (a, b) = (
+            rsvp.reservation(first).unwrap().path(),
+            rsvp.reservation(second).unwrap().path(),
+        );
+        assert_eq!(a.nodes(), [0, 1, 3].map(NodeId::new));
+        assert_eq!(a.nodes().as_ptr(), b.nodes().as_ptr());
+        assert_eq!(a.links().as_ptr(), b.links().as_ptr());
+    }
+
+    /// A small fabric whose links each carry three 64 kb/s flows, so a
+    /// few requests fill a link.
+    fn small_fabric(kind: u8, a: usize, b: usize, seed: u64) -> Topology {
+        let cap = Bandwidth::from_kbps(192);
+        match kind {
+            0 => topologies::fat_tree(4, cap),
+            1 => topologies::grid(a, b, cap),
+            2 => topologies::ring(a + b, cap),
+            _ => topologies::waxman(a + b + 2, 0.6, 0.6, seed, cap)
+                .expect("waxman retry finds a connected graph at these densities"),
+        }
+    }
+
+    proptest! {
+        /// One GDI system serves a run of requests while flows come and go
+        /// and links fill and drain between them, so its memo hands back
+        /// paths built under other residual capacities. Every verdict,
+        /// member and path, node for node, is the one a per-pair search
+        /// of the residual network at that moment picks.
+        #[test]
+        fn gdi_admits_on_the_reference_path_as_capacities_change(
+            fabric in (0u8..4, 2usize..5, 2usize..5, any::<u64>()),
+            member_seeds in proptest::collection::vec(any::<u32>(), 1..5),
+            steps in proptest::collection::vec((0u8..8, any::<u32>()), 1..80),
+        ) {
+            let topo = small_fabric(fabric.0, fabric.1, fabric.2, fabric.3);
+            let n = topo.node_count() as u32;
+            let group = AnycastGroup::new("A", member_seeds.iter().map(|&m| NodeId::new(m % n)))
+                .unwrap();
+            let demand = Bandwidth::from_kbps(64);
+            let mut links = LinkStateTable::with_uniform_fraction(&topo, Bandwidth::ZERO, 1.0);
+            let mut rsvp = ReservationEngine::new();
+            let mut gdi = GlobalDynamicSystem::new();
+            let mut flows: Vec<SessionId> = Vec::new();
+            let mut filled: Vec<(LinkId, Bandwidth)> = Vec::new();
+            for (op, x) in steps {
+                match op {
+                    0 => {
+                        let l = LinkId::new(x % topo.link_count() as u32);
+                        let room = links.available(l);
+                        if !room.is_zero() {
+                            links.reserve(l, room).unwrap();
+                            filled.push((l, room));
+                        }
+                    }
+                    1 if !filled.is_empty() => {
+                        let (l, bw) = filled.swap_remove(x as usize % filled.len());
+                        links.release(l, bw).unwrap();
+                    }
+                    2 if !flows.is_empty() => {
+                        let session = flows.swap_remove(x as usize % flows.len());
+                        rsvp.teardown(&mut links, session).unwrap();
+                    }
+                    _ => {
+                        let src = NodeId::new(x % n);
+                        let want = group
+                            .members()
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, &m)| {
+                                filtered_shortest_path(&topo, &links, src, m, demand)
+                                    .map(|p| (i, p))
+                            })
+                            .min_by_key(|(i, p)| (p.hops(), *i));
+                        let out = gdi.admit(&topo, &group, src, &mut links, &mut rsvp, demand);
+                        match (want, out.admitted) {
+                            (None, None) => {}
+                            (Some((idx, path)), Some(flow)) => {
+                                prop_assert_eq!(flow.member_index, idx);
+                                let got = rsvp.reservation(flow.session).unwrap().path();
+                                prop_assert_eq!(got.nodes(), path.nodes());
+                                prop_assert_eq!(got.links(), path.links());
+                                flows.push(flow.session);
+                            }
+                            (want, got) => prop_assert!(
+                                false,
+                                "source {}: reference {:?}, GDI {:?}",
+                                src,
+                                want,
+                                got
+                            ),
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -67,16 +67,19 @@ fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// requests it decides. The per-request figure is in each comment. Before
 /// routes were shared and session ids hashed without SipHash it was 5.40,
 /// 5.33, 5.21, 0.92 and 4.62; before the DAC draw reused its weight and
-/// mask buffers, the three DAC systems stood at 4.11, 3.93 and 3.84.
+/// mask buffers, the three DAC systems stood at 4.11, 3.93 and 3.84; before
+/// GDI interned its paths it stood at 3.02 (570 331). The event queue's
+/// keys and payloads grow as two vectors, which costs each run 11 or 12
+/// reallocations more than one heap vector did.
 #[test]
 fn a_full_mci_run_allocates_a_pinned_count_per_request() {
     let topo = topologies::mci();
     let pinned = [
-        (SystemSpec::dac(PolicySpec::Ed, 2), 310), // 0.0016
-        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 341), // 0.0018
-        (SystemSpec::dac(PolicySpec::WdDb, 2), 323), // 0.0017
-        (SystemSpec::ShortestPath, 273),           // 0.0014
-        (SystemSpec::GlobalDynamic, 570_331),      // 3.02
+        (SystemSpec::dac(PolicySpec::Ed, 2), 321), // 0.0017
+        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 353), // 0.0019
+        (SystemSpec::dac(PolicySpec::WdDb, 2), 335), // 0.0018
+        (SystemSpec::ShortestPath, 284),           // 0.0015
+        (SystemSpec::GlobalDynamic, 1_191),        // 0.0063
     ];
     for (system, expected) in pinned {
         let config = ExperimentConfig::paper_defaults(35.0, system).with_seed(11);
@@ -193,5 +196,5 @@ fn fat_tree_set_up_allocates_a_pinned_count() {
     let (engine, allocs, bytes) = counted_bytes(|| OnlineEngine::new(&topo, &config, NullRecorder));
     drop(engine);
     assert!(bytes <= 2_250_000, "{bytes} bytes allocated");
-    assert_eq!(allocs, 4_457, "{bytes} bytes allocated");
+    assert_eq!(allocs, 4_458, "{bytes} bytes allocated");
 }

@@ -1,7 +1,9 @@
-//! Strongly-typed identifiers for nodes and links.
+//! Strongly-typed identifiers for nodes and links, and the hasher for
+//! keys made of engine-issued ids.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::Hasher;
 
 /// Identifier of a node (router or host) in a [`Topology`](crate::Topology).
 ///
@@ -73,7 +75,6 @@ impl LinkId {
     }
 
     /// Returns the raw `u32` value.
-    #[cfg(test)]
     pub(crate) const fn raw(self) -> u32 {
         self.0
     }
@@ -88,6 +89,43 @@ impl fmt::Display for LinkId {
 impl From<u32> for LinkId {
     fn from(v: u32) -> Self {
         LinkId(v)
+    }
+}
+
+/// A deterministic hasher for keys made of ids the engine issues itself
+/// (reservation sessions, the node and link indices of a search's path):
+/// one rotate-xor-multiply per `u64` instead of SipHash.
+///
+/// Such ids are dense numbers, not values a client picks, so no client can
+/// choose keys that collide. Maps keyed by client-chosen values keep the
+/// standard hasher.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Eight bytes at a time, the last word zero-padded.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 

@@ -49,7 +49,7 @@ mod topology;
 pub use bandwidth::Bandwidth;
 pub use error::NetError;
 pub use group::AnycastGroup;
-pub use ids::{LinkId, NodeId};
+pub use ids::{IdHasher, LinkId, NodeId};
 pub use link_state::{LinkSnapshot, LinkStateTable, LinkSummary};
 pub use path::Path;
 pub use routing::{RouteSet, RouteTable};

@@ -1,6 +1,6 @@
 //! Shortest paths over the residual network — the GDI search primitive.
 
-use super::RoutingScratch;
+use super::{PathMemo, RoutingScratch};
 use crate::{Bandwidth, LinkId, LinkStateTable, NodeId, Path, Topology};
 use std::collections::VecDeque;
 
@@ -22,14 +22,19 @@ use std::collections::VecDeque;
 /// so that [`RoutingScratch::reached`] afterwards answers for every member
 /// (GDI's per-member trace reasons). The choice is the same either way.
 ///
+/// The path comes from `memo`: a path it has built before is shared, not
+/// rebuilt.
+///
 /// A member equal to `src` wins with the trivial path; a member outside
 /// the topology is never reached. Returns `None` when no member is.
 ///
 /// # Panics
 ///
 /// Panics if `src` is not a node of `topo`.
+#[allow(clippy::too_many_arguments)]
 pub fn nearest_feasible_member(
     scratch: &mut RoutingScratch,
+    memo: &mut PathMemo,
     topo: &Topology,
     links: &LinkStateTable,
     src: NodeId,
@@ -64,11 +69,7 @@ pub fn nearest_feasible_member(
             }
         }
     }
-    nearest.map(|idx| {
-        let (nodes, plinks) = scratch.extract(src, members[idx]);
-        let path = Path::new(topo, nodes, plinks).expect("BFS produces consistent paths");
-        (idx, path)
-    })
+    nearest.map(|idx| (idx, memo.path(scratch, topo, src, members[idx])))
 }
 
 /// Finds the shortest path from `src` to `dst` using only links whose
@@ -153,6 +154,7 @@ mod tests {
         let members: Vec<NodeId> = members.iter().map(|&m| NodeId::new(m)).collect();
         nearest_feasible_member(
             &mut RoutingScratch::default(),
+            &mut PathMemo::default(),
             topo,
             state,
             NodeId::new(src),
@@ -305,9 +307,11 @@ mod tests {
             .unwrap();
         let members = [NodeId::new(1), NodeId::new(3), NodeId::new(9)];
         let mut scratch = RoutingScratch::default();
+        let mut memo = PathMemo::default();
         let demand = Bandwidth::from_kbps(64);
         let (idx, _) = nearest_feasible_member(
             &mut scratch,
+            &mut memo,
             &topo,
             &state,
             NodeId::new(0),
@@ -322,6 +326,7 @@ mod tests {
         // Early stop leaves node 3 (two levels down) unexplored.
         nearest_feasible_member(
             &mut scratch,
+            &mut memo,
             &topo,
             &state,
             NodeId::new(0),

@@ -14,16 +14,19 @@
 //!
 //! GDI searches once per admission request, so it holds a
 //! [`RoutingScratch`] that [`nearest_feasible_member`] reuses across calls
-//! instead of reallocating its buffers.
+//! instead of reallocating its buffers, and a [`PathMemo`] that hands back
+//! the paths it has already built instead of building them again.
 
 mod bfs;
 mod filtered;
+mod memo;
 mod scratch;
 mod table;
 mod yen;
 
 pub use bfs::{bfs_tree, shortest_path, BfsTree};
 pub use filtered::{filtered_shortest_path, nearest_feasible_member};
+pub use memo::PathMemo;
 pub use scratch::RoutingScratch;
 pub use table::{RouteSet, RouteTable};
 pub use yen::k_shortest_paths;

@@ -61,6 +61,21 @@ impl RoutingScratch {
         self.parent[node.index()] = parent;
     }
 
+    /// Writes the tree path from `src` to `dst` into `out` as raw ids,
+    /// walked backwards: `dst`, then each link and the node before it,
+    /// ending with `src`. `dst` must have been reached in the current
+    /// search.
+    pub(crate) fn walk_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<u32>) {
+        out.clear();
+        out.push(dst.raw());
+        let mut cur = dst;
+        while cur != src {
+            let (prev, link) = self.parent[cur.index()].expect("reached nodes have parents");
+            out.extend([link.raw(), prev.raw()]);
+            cur = prev;
+        }
+    }
+
     /// Walks predecessors from `dst` back to `src`, returning the
     /// forward `(nodes, links)` of the tree path, each sized exactly.
     /// `dst` must have been reached in the current search.

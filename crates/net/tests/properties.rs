@@ -1,7 +1,8 @@
 //! Property-based tests for the network substrate invariants.
 
 use anycast_net::routing::{
-    bfs_tree, filtered_shortest_path, k_shortest_paths, nearest_feasible_member, RoutingScratch,
+    bfs_tree, filtered_shortest_path, k_shortest_paths, nearest_feasible_member, PathMemo,
+    RoutingScratch,
 };
 use anycast_net::{
     topologies, AnycastGroup, Bandwidth, LinkId, LinkStateTable, NetError, NodeId, Path,
@@ -403,8 +404,9 @@ proptest! {
     /// hops, over the same path, and — run to exhaustion — the same
     /// feasibility verdict for every member. Every node takes a turn as the
     /// source. Members may repeat, sit at the source, or lie outside the
-    /// topology (on a scratch with stale marks from a larger graph);
-    /// demands run from 0 past link capacity.
+    /// topology (on a scratch with stale marks from a larger graph, and a
+    /// path memo holding that graph's paths); demands run from 0 past
+    /// link capacity.
     #[test]
     fn nearest_member_is_the_per_pair_argmin(
         topo in arb_connected_topology(),
@@ -431,10 +433,19 @@ proptest! {
             _ => demand_bps.1,
         });
         let mut scratch = RoutingScratch::default();
+        let mut memo = PathMemo::default();
         let wide = topologies::grid(8, 8, Bandwidth::from_mbps(100));
         let everyone: Vec<NodeId> = wide.nodes().collect();
         let idle = LinkStateTable::with_uniform_fraction(&wide, Bandwidth::ZERO, 1.0);
-        nearest_feasible_member(&mut scratch, &wide, &idle, NodeId::new(0), &everyone, demand, true);
+        for far in [0, 9, 63] {
+            let far = [NodeId::new(far)];
+            nearest_feasible_member(
+                &mut scratch, &mut memo, &wide, &idle, NodeId::new(0), &far, demand, false,
+            );
+        }
+        nearest_feasible_member(
+            &mut scratch, &mut memo, &wide, &idle, NodeId::new(0), &everyone, demand, true,
+        );
 
         for src in topo.nodes() {
             let mut members: Vec<NodeId> =
@@ -457,7 +468,7 @@ proptest! {
                 .min_by_key(|&(i, p)| (p.hops(), i));
             for exhaustive in [false, true] {
                 let got = nearest_feasible_member(
-                    &mut scratch, &topo, &table, src, &members, demand, exhaustive,
+                    &mut scratch, &mut memo, &topo, &table, src, &members, demand, exhaustive,
                 );
                 prop_assert_eq!(
                     got.as_ref().map(|(i, _)| *i),

@@ -1,10 +1,10 @@
 //! Reservation sessions.
 
-use anycast_net::{Bandwidth, Path};
+use anycast_net::{Bandwidth, IdHasher, Path};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Opaque identifier of an active reservation session.
 ///
@@ -49,35 +49,12 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// A deterministic hasher for [`SessionId`] keys: one rotate-xor-multiply
-/// per `u64` instead of SipHash.
-///
-/// Session ids are dense numbers the engine issues itself, and only
-/// issued ids are ever inserted (a wire `teardown` only looks one up), so
-/// no client can choose keys that collide. Maps keyed by client-chosen
-/// values keep the standard hasher.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SessionHasher(u64);
-
-impl Hasher for SessionHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-/// A map keyed by engine-issued sessions.
-pub type SessionMap<V> = HashMap<SessionId, V, BuildHasherDefault<SessionHasher>>;
+/// A map keyed by engine-issued sessions, hashed with [`IdHasher`]: only
+/// issued ids are ever inserted (a wire `teardown` only looks one up).
+pub type SessionMap<V> = HashMap<SessionId, V, BuildHasherDefault<IdHasher>>;
 
 /// A set of engine-issued sessions.
-pub type SessionSet = HashSet<SessionId, BuildHasherDefault<SessionHasher>>;
+pub type SessionSet = HashSet<SessionId, BuildHasherDefault<IdHasher>>;
 
 /// The state held for one admitted flow: its route and reserved bandwidth.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +94,7 @@ mod tests {
     #[test]
     fn session_hasher_separates_dense_ids() {
         use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<SessionHasher>::default();
+        let build = BuildHasherDefault::<IdHasher>::default();
         let hashes: HashSet<u64> = (0..10_000)
             .map(|i| build.hash_one(SessionId::new(i)))
             .collect();

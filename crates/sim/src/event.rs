@@ -1,75 +1,63 @@
 //! The time-ordered event queue.
 
 use crate::SimTime;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 
 /// A future-event list: events pop in nondecreasing time order, with FIFO
 /// order among events scheduled for the same instant.
+///
+/// Each event is keyed by one `u128`: its time's bits above a push
+/// sequence number. A `SimTime` is finite, non-negative and never `-0.0`,
+/// so its bits order as the instants do, and the packed keys order exactly
+/// as `(time, seq)`. The keys form a 4-ary min-heap in a vector of their
+/// own, which keeps a node's four children on one cache line; the payloads
+/// sit at the same indices in a parallel vector and move with their keys.
 ///
 /// Beside the heap sits a one-entry *slot* for the single pending event of
 /// a one-at-a-time stream (a workload's next arrival): an event that is
 /// nearly always the earliest need not be sifted into the heap and back
 /// out. The slot event takes the sequence number a heap push would have
-/// taken, and [`pop`](Self::pop) compares it with the heap head by
-/// `(time, seq)`, so the pop order is exactly that of an all-heap queue.
+/// taken, and [`pop`](Self::pop) compares it with the heap head by key,
+/// so the pop order is exactly that of an all-heap queue.
 #[derive(Debug)]
 pub(crate) struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Packed keys in heap order: `keys[i]`'s children are
+    /// `keys[4i + 1 ..= 4i + 4]`, and none is smaller.
+    keys: Vec<u128>,
+    /// `events[i]` is the payload keyed by `keys[i]`.
+    events: Vec<E>,
     /// The pending event of the one-at-a-time stream, if any.
-    next: Option<Entry<E>>,
+    next: Option<(u128, E)>,
     seq: u64,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
+/// The time half of a packed key.
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_bits((key >> 64) as u64)
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub(crate) fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            keys: Vec::new(),
+            events: Vec::new(),
             next: None,
             seq: 0,
         }
     }
 
-    fn entry(&mut self, time: SimTime, event: E) -> Entry<E> {
+    fn key(&mut self, time: SimTime) -> u128 {
         let seq = self.seq;
         self.seq += 1;
-        Entry { time, seq, event }
+        (u128::from(time.to_bits()) << 64) | u128::from(seq)
     }
 
     /// Schedules `event` at the given instant.
     pub(crate) fn push(&mut self, time: SimTime, event: E) {
-        let entry = self.entry(time, event);
-        self.heap.push(Reverse(entry));
+        let key = self.key(time);
+        self.keys.push(key);
+        self.events.push(event);
+        self.sift_up(self.keys.len() - 1, key);
     }
 
     /// Schedules `event` in the slot beside the heap: the single pending
@@ -84,7 +72,8 @@ impl<E> EventQueue<E> {
             self.next.is_none(),
             "the next-event slot is already occupied"
         );
-        self.next = Some(self.entry(time, event));
+        let key = self.key(time);
+        self.next = Some((key, event));
     }
 
     /// `true` while the slot holds an event.
@@ -92,44 +81,104 @@ impl<E> EventQueue<E> {
         self.next.is_some()
     }
 
-    /// Whether the slot event precedes every heap event.
-    fn slot_first(&self) -> bool {
-        match (&self.next, self.heap.peek()) {
-            (Some(next), Some(Reverse(head))) => next < head,
+    /// Removes and returns the earliest event.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        let slot_first = match (&self.next, self.keys.first()) {
+            (Some((next, _)), Some(head)) => next < head,
             (next, _) => next.is_some(),
+        };
+        let (key, event) = if slot_first {
+            self.next.take()?
+        } else {
+            self.pop_heap()?
+        };
+        Some((time_of(key), event))
+    }
+
+    /// Removes the heap's least entry. The last entry takes the root's
+    /// place; the hole it leaves there moves down to a leaf, each level
+    /// promoting the least child, and the last entry then sifts back up
+    /// from that leaf. It belongs near the bottom, so this compares less
+    /// than sifting it down from the root would.
+    fn pop_heap(&mut self) -> Option<(u128, E)> {
+        let last_key = self.keys.pop()?;
+        let last = self.events.pop().expect("keys and events have one length");
+        if self.keys.is_empty() {
+            return Some((last_key, last));
+        }
+        let top_key = std::mem::replace(&mut self.keys[0], last_key);
+        let top = std::mem::replace(&mut self.events[0], last);
+        let leaf = self.hole_to_bottom();
+        self.sift_up(leaf, last_key);
+        Some((top_key, top))
+    }
+
+    /// Moves the root's payload down to a leaf, promoting the least child
+    /// of each node on the way, and returns the leaf's index. The keys
+    /// along the path shift up a level; the key at the leaf is left stale
+    /// for [`sift_up`](Self::sift_up) to overwrite.
+    fn hole_to_bottom(&mut self) -> usize {
+        let len = self.keys.len();
+        let mut pos = 0;
+        loop {
+            let first = 4 * pos + 1;
+            let child = if first + 4 <= len {
+                // All four children exist: pick the least without a branch
+                // on the keys, the winner of each pair by index arithmetic.
+                let k = &self.keys[first..first + 4];
+                let lo = usize::from(k[1] < k[0]);
+                let hi = 2 + usize::from(k[3] < k[2]);
+                let least = if k[hi] < k[lo] { hi } else { lo };
+                first + least
+            } else if first < len {
+                let k = &self.keys[first..];
+                let least = (1..k.len()).fold(0, |m, i| if k[i] < k[m] { i } else { m });
+                first + least
+            } else {
+                return pos;
+            };
+            self.keys[pos] = self.keys[child];
+            self.events.swap(pos, child);
+            pos = child;
         }
     }
 
-    /// Removes and returns the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = if self.slot_first() {
-            self.next.take()
-        } else {
-            self.heap.pop().map(|Reverse(e)| e)
-        };
-        e.map(|e| (e.time, e.event))
+    /// Settles `key`, whose payload sits at `pos`, by moving it up past
+    /// every larger ancestor, and writes it into its final place.
+    fn sift_up(&mut self, mut pos: usize, key: u128) {
+        while pos > 0 {
+            let parent = (pos - 1) / 4;
+            if self.keys[parent] <= key {
+                break;
+            }
+            self.keys[pos] = self.keys[parent];
+            self.events.swap(pos, parent);
+            pos = parent;
+        }
+        self.keys[pos] = key;
     }
 
     /// The timestamp of the earliest pending event.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let head = self.heap.peek().map(|Reverse(e)| e.time);
-        match (&self.next, head) {
-            (Some(next), Some(head)) => Some(next.time.min(head)),
-            (Some(next), None) => Some(next.time),
-            (None, head) => head,
-        }
+        let next = self.next.as_ref().map(|(key, _)| *key);
+        let head = self.keys.first().copied();
+        let least = match (next, head) {
+            (Some(next), Some(head)) => next.min(head),
+            (next, head) => next.or(head)?,
+        };
+        Some(time_of(least))
     }
 
     /// Number of pending events.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.next.is_some())
+        self.keys.len() + usize::from(self.next.is_some())
     }
 
     /// `true` when no events are pending.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.next.is_none()
+        self.keys.is_empty() && self.next.is_none()
     }
 }
 
@@ -205,62 +254,80 @@ mod tests {
     /// One step of a queue program.
     #[derive(Debug, Clone)]
     enum Op {
-        /// Schedule on the heap, `.0` quanta after the last popped time.
+        /// Schedule on the heap at instant `.0` of [`instant`].
         Push(u8),
         /// Schedule in the slot (skipped while it is occupied).
         Next(u8),
         Pop,
     }
 
+    /// Eight instants, ties frequent: both zeros, the least subnormal and
+    /// whole seconds.
+    fn instant(i: u8) -> SimTime {
+        SimTime::from_secs(match i {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from_bits(1),
+            _ => f64::from(i - 2),
+        })
+    }
+
     fn op() -> impl Strategy<Value = Op> {
-        // Delays of 0..4 quanta make same-instant ties frequent.
-        (0u8..12, 0u8..4).prop_map(|(kind, d)| match kind {
-            0..=3 => Op::Push(d),
-            4..=6 => Op::Next(d),
+        (0u8..12, 0u8..8).prop_map(|(kind, t)| match kind {
+            0..=4 => Op::Push(t),
+            5..=6 => Op::Next(t),
             _ => Op::Pop,
         })
     }
 
+    /// The reference: every pending event in one vector, and a pop scans
+    /// it for the least `(time, seq)` by `SimTime::cmp`.
+    #[derive(Default)]
+    struct Model(Vec<(SimTime, usize)>);
+
+    impl Model {
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            let least = (0..self.0.len()).min_by(|&a, &b| {
+                let ((ta, sa), (tb, sb)) = (self.0[a], self.0[b]);
+                ta.cmp(&tb).then(sa.cmp(&sb))
+            })?;
+            Some(self.0.remove(least))
+        }
+    }
+
     proptest! {
-        /// The slot changes where an event waits, never when it pops: any
-        /// program of heap pushes and slot schedules pops in exactly the
-        /// order of an all-heap reference queue, and the two agree on
-        /// `len`, `peek_time` and `is_empty` after every step.
+        /// Any program of heap pushes, slot schedules and pops pops in
+        /// exactly the order of a scan for the least `(time, seq)`, where
+        /// the sequence number is the push order (slot schedules included),
+        /// and agrees with it on `len`, `peek_time` and `is_empty` after
+        /// every step.
         #[test]
-        fn slot_pops_exactly_as_an_all_heap_queue(
-            ops in proptest::collection::vec(op(), 1..200)
+        fn pops_exactly_as_a_linear_scan_reference(
+            ops in proptest::collection::vec(op(), 1..300)
         ) {
             let mut q = EventQueue::new();
-            let mut reference = EventQueue::new();
-            let mut now = 0u32;
-            for (id, op) in ops.into_iter().enumerate() {
-                let at = |d: u8| SimTime::from_secs(f64::from(now + u32::from(d)));
+            let mut model = Model::default();
+            for (seq, op) in ops.into_iter().enumerate() {
                 match op {
-                    Op::Push(d) => {
-                        q.push(at(d), id);
-                        reference.push(at(d), id);
+                    Op::Push(t) => {
+                        q.push(instant(t), seq);
+                        model.0.push((instant(t), seq));
                     }
-                    Op::Next(d) if !q.next_pending() => {
-                        q.push_next(at(d), id);
-                        reference.push(at(d), id);
+                    Op::Next(t) if !q.next_pending() => {
+                        q.push_next(instant(t), seq);
+                        model.0.push((instant(t), seq));
                     }
                     Op::Next(_) => {}
-                    Op::Pop => {
-                        let got = q.pop();
-                        prop_assert_eq!(got, reference.pop());
-                        if let Some((t, _)) = got {
-                            now = t.as_secs() as u32;
-                        }
-                    }
+                    Op::Pop => prop_assert_eq!(q.pop(), model.pop()),
                 }
-                prop_assert_eq!(q.len(), reference.len());
-                prop_assert_eq!(q.peek_time(), reference.peek_time());
-                prop_assert_eq!(q.is_empty(), reference.is_empty());
+                prop_assert_eq!(q.len(), model.0.len());
+                prop_assert_eq!(q.peek_time(), model.0.iter().map(|&(t, _)| t).min());
+                prop_assert_eq!(q.is_empty(), model.0.is_empty());
             }
             while let Some(got) = q.pop() {
-                prop_assert_eq!(Some(got), reference.pop());
+                prop_assert_eq!(Some(got), model.pop());
             }
-            prop_assert!(reference.is_empty());
+            prop_assert!(model.0.is_empty());
         }
     }
 }

@@ -6,9 +6,11 @@
 //! discrete-event engine plus the stochastic processes and output statistics
 //! the evaluation needs.
 //!
-//! * [`SimTime`] / [`Duration`] — simulated seconds with a total order;
-//! * `EventQueue` / [`Engine`] — a time-ordered heap with FIFO tie-break,
-//!   a one-entry slot beside it for the next arrival, and a driver loop;
+//! * [`SimTime`] / [`Duration`] — simulated seconds with a total order
+//!   (zero is always `+0.0`, so an instant's bits order as it does);
+//! * `EventQueue` / [`Engine`] — a 4-ary heap over packed `(time, seq)`
+//!   keys with FIFO tie-break, a one-entry slot beside it for the next
+//!   arrival, and the loop that runs them;
 //! * [`SimRng`] — a seeded PRNG with exponential, uniform and weighted
 //!   categorical sampling (including without-replacement);
 //! * [`DeadlineHeap`] — keyed, cancellable deadlines (setup timeouts,

@@ -1,44 +1,70 @@
 //! Simulated time: instants and durations in seconds.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant on the simulated clock, in seconds since simulation start.
 ///
 /// `SimTime` is totally ordered and always finite and non-negative; the
-/// constructors enforce this so the event queue never sees NaN.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+/// constructors enforce this so the event queue never sees NaN, and store
+/// zero as `+0.0`, so `==`, `<` and `cmp` agree on every value and the
+/// order of instants is the order of their bit patterns.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
     /// The simulation epoch, t = 0.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Creates an instant at `secs` seconds.
+    /// Creates an instant at `secs` seconds; `-0.0` becomes `+0.0`.
     ///
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN or infinite.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimTime must be finite and non-negative, got {secs}"
-        );
-        SimTime(secs)
+        SimTime(canonical(secs, "SimTime"))
     }
 
     /// Seconds since the simulation epoch.
     pub fn as_secs(self) -> f64 {
         self.0
     }
+
+    /// The raw bits of the seconds value. For the finite, non-negative,
+    /// `+0.0`-canonical values a `SimTime` holds, they order as the
+    /// instants do.
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// The instant whose [`to_bits`](Self::to_bits) are `bits`.
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
+    }
+}
+
+/// Checks a constructor's argument and maps `-0.0` to `+0.0`.
+fn canonical(secs: f64, what: &str) -> f64 {
+    assert!(
+        secs.is_finite() && secs >= 0.0,
+        "{what} must be finite and non-negative, got {secs}"
+    );
+    // `-0.0 + 0.0` is `+0.0`; every other value passes unchanged.
+    secs + 0.0
 }
 
 impl Eq for SimTime {}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
+impl PartialOrd for SimTime {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Ord for SimTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
@@ -69,22 +95,19 @@ impl Sub for SimTime {
     }
 }
 
-/// A span of simulated time in seconds; always finite and non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+/// A span of simulated time in seconds; always finite and non-negative,
+/// with zero stored as `+0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Duration(f64);
 
 impl Duration {
-    /// Creates a duration of `secs` seconds.
+    /// Creates a duration of `secs` seconds; `-0.0` becomes `+0.0`.
     ///
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN or infinite.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "Duration must be finite and non-negative, got {secs}"
-        );
-        Duration(secs)
+        Duration(canonical(secs, "Duration"))
     }
 
     /// Length in seconds.
@@ -95,9 +118,14 @@ impl Duration {
 
 impl Eq for Duration {}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
+impl PartialOrd for Duration {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Ord for Duration {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
@@ -124,6 +152,7 @@ impl fmt::Display for Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn arithmetic() {
@@ -167,6 +196,47 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn backwards_difference_rejected() {
         let _ = SimTime::ZERO - SimTime::from_secs(1.0);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        assert_eq!(SimTime::from_secs(-0.0).to_bits(), SimTime::ZERO.to_bits());
+        assert_eq!(
+            Duration::from_secs(-0.0).as_secs().to_bits(),
+            Duration::from_secs(0.0).as_secs().to_bits()
+        );
+        assert_eq!(
+            SimTime::from_secs(-0.0).cmp(&SimTime::ZERO),
+            Ordering::Equal
+        );
+    }
+
+    /// Seconds values around the edges of the bit order: both zeros, the
+    /// subnormals, the smallest normal and ordinary values.
+    fn edge_secs() -> impl Strategy<Value = f64> {
+        (0u8..6, any::<u64>(), 0.0f64..1.0e6).prop_map(|(kind, bits, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(bits % (1 << 52)), // subnormal (or +0.0)
+            3 => f64::MIN_POSITIVE,
+            4 => f64::from_bits(bits % 4),
+            _ => x,
+        })
+    }
+
+    proptest! {
+        /// `==`, `<` and `cmp` agree on every pair, zeros included, and
+        /// the order of instants is the order of their bits.
+        #[test]
+        fn partial_order_agrees_with_the_total_order(a in edge_secs(), b in edge_secs()) {
+            let (s, t) = (SimTime::from_secs(a), SimTime::from_secs(b));
+            prop_assert_eq!(s.partial_cmp(&t), Some(s.cmp(&t)));
+            prop_assert_eq!(s == t, s.cmp(&t) == Ordering::Equal);
+            prop_assert_eq!(s.to_bits().cmp(&t.to_bits()), s.cmp(&t));
+            let (d, e) = (Duration::from_secs(a), Duration::from_secs(b));
+            prop_assert_eq!(d.partial_cmp(&e), Some(d.cmp(&e)));
+            prop_assert_eq!(d == e, d.cmp(&e) == Ordering::Equal);
+        }
     }
 
     #[test]
