@@ -43,14 +43,19 @@ echo "==> allocation budget (release; an allocation back on the DAC request path
 # cannot come back unnoticed.
 cargo test --release --offline -q -p anycast-dac --test alloc_budget
 
-echo "==> queue and GDI-memo references, deep (release, 20 000 cases each)"
+echo "==> queue, GDI-memo and journal references, deep (release, 20 000 cases each)"
 # What bit-identity rests on: the event queue pops as a linear scan for
 # the least (time, seq) does, an instant's bits order as `SimTime::cmp`
 # does (-0.0 and subnormals included), and GDI's interned paths equal a
-# per-pair residual search while capacities change. ≈1–2 s of tests.
-PROPTEST_CASES=20000 cargo test --release --offline -q -p anycast-sim -p anycast-dac --lib -- \
+# per-pair residual search while capacities change. The daemon's journal
+# ring keeps, evicts and forgets as the map-and-FIFO journal it replaced,
+# and a verdict read back from its `decision` line renders the same
+# bytes. ≈2–3 s of tests.
+PROPTEST_CASES=20000 cargo test --release --offline -q -p anycast-sim -p anycast-dac \
+    -p anycast-daemon --lib -- \
     pops_exactly_as_a_linear_scan_reference partial_order_agrees_with_the_total_order \
-    gdi_admits_on_the_reference_path_as_capacities_change
+    gdi_admits_on_the_reference_path_as_capacities_change \
+    the_ring_agrees_with_the_map_and_fifo_model a_verdict_read_from_its_line_renders_the_same_bytes
 
 echo "==> paper figures (full profile, byte for byte against results/)"
 # Tables 1–2, Figs. 3–7 and every ablation at the paper's horizons

@@ -1851,6 +1851,12 @@ impl<R: Recorder> Sim<R> {
         std::mem::take(&mut self.decisions)
     }
 
+    /// Moves the decisions captured since the last call to the end of
+    /// `out`, keeping this buffer's capacity for the next ones.
+    pub(crate) fn drain_decisions_into(&mut self, out: &mut Vec<Decision>) {
+        out.append(&mut self.decisions);
+    }
+
     /// Shared access to the recorder.
     pub(crate) fn recorder(&self) -> &R {
         &self.recorder

@@ -261,26 +261,29 @@ impl<R: Recorder> OnlineEngine<R> {
     /// Advances the clock to the latest submitted arrival, deciding
     /// everything due by then, and drains the finalised decisions.
     pub fn pump(&mut self) -> Vec<Decision> {
-        self.advance_to(self.last_submit)
+        let mut decisions = Vec::new();
+        self.advance_to(self.last_submit, &mut decisions);
+        decisions
     }
 
     /// Advances the clock to `t` (clamped to the horizon), processing
     /// every event due by then — admissions, departures, signalling
-    /// exchanges, faults — and drains the finalised decisions.
+    /// exchanges, faults — and appends the finalised decisions to `out`.
+    /// A caller that reuses `out` allocates nothing for them.
     ///
     /// Advancing to a time earlier than [`now`](Self::now) is a no-op
     /// apart from draining.
-    pub fn advance_to(&mut self, t: SimTime) -> Vec<Decision> {
+    pub fn advance_to(&mut self, t: SimTime, out: &mut Vec<Decision>) {
         let target = t.min(self.sim.horizon());
         let Self { sim, engine, .. } = self;
         engine.run_until(target, |eng, now, event| sim.handle(eng, now, event));
-        let decisions = sim.take_decisions();
+        let from = out.len();
+        sim.drain_decisions_into(out);
         if let Some(window) = self.rolling.as_mut() {
-            for d in &decisions {
+            for d in &out[from..] {
                 window.note(d.at_secs, d.admitted);
             }
         }
-        decisions
     }
 
     /// Runs the engine out to the full horizon and closes the run. This
@@ -294,7 +297,8 @@ impl<R: Recorder> OnlineEngine<R> {
             return self.finish_now();
         }
         let horizon = self.sim.horizon();
-        let decisions = self.advance_to(horizon);
+        let mut decisions = Vec::new();
+        self.advance_to(horizon, &mut decisions);
         let (metrics, recorder) = self.sim.finish(horizon);
         (metrics, decisions, recorder)
     }

@@ -4,11 +4,12 @@
 //! allocation to the request path shows here on the first run.
 
 use anycast_dac::experiment::{run_experiment, ExperimentConfig, SystemSpec};
-use anycast_dac::online::{record_arrivals, OnlineEngine};
+use anycast_dac::online::{record_arrivals, OnlineArrival, OnlineEngine};
 use anycast_dac::policy::PolicySpec;
 use anycast_net::routing::shortest_path;
 use anycast_net::{topologies, Bandwidth, LinkStateTable, NodeId};
 use anycast_rsvp::ReservationEngine;
+use anycast_sim::SimTime;
 use anycast_telemetry::NullRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,6 +95,35 @@ fn a_full_mci_run_allocates_a_pinned_count_per_request() {
             allocs as f64 / requests as f64
         );
     }
+}
+
+/// The daemon's engine tick on MCI at λ = 35: one submit, then one
+/// `advance_to` into a buffer the caller reuses. After 20 000 ticks of
+/// warm-up, 2 000 ticks and 20 000 ticks allocate the same: nothing. No
+/// tick allocates for the decision it hands out; each did when
+/// `advance_to` returned a fresh `Vec`. (Over 100 000 ticks a new high
+/// of live flows can still grow a vector: 2 allocations.)
+#[test]
+fn online_ticks_allocate_a_count_independent_of_their_number() {
+    let topo = topologies::mci();
+    let config =
+        ExperimentConfig::paper_defaults(35.0, SystemSpec::dac(PolicySpec::Ed, 2)).with_seed(11);
+    let arrivals = record_arrivals(&config);
+    let warm = 20_000;
+    let ticks = |n: usize| {
+        let mut engine = OnlineEngine::new(&topo, &config, NullRecorder);
+        let mut decided = Vec::new();
+        let mut tick = |a: &OnlineArrival| {
+            engine.submit(*a);
+            engine.advance_to(SimTime::from_secs(a.at_secs), &mut decided);
+            assert_eq!(decided.len(), 1, "one arrival, one atomic decision");
+            decided.clear();
+        };
+        arrivals[..warm].iter().for_each(&mut tick);
+        let ((), allocs) = counted(|| arrivals[warm..warm + n].iter().for_each(&mut tick));
+        allocs
+    };
+    assert_eq!([ticks(2_000), ticks(20_000)], [0, 0]);
 }
 
 /// A reservation shares its route's hops: admitting a flow copies no

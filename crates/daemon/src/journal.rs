@@ -5,8 +5,13 @@
 //! nothing. Clients that send a correlation `token` with their admit get
 //! journaled: the daemon records the request's lifecycle under the token
 //! (queued → dispatched → decided) and a reconnecting client retrieves
-//! the rendered decision line with a `resume` op, or rebinds a pending
-//! one to its new connection so the decision is delivered there.
+//! the decision with a `resume` op, or rebinds a pending one to its new
+//! connection so the decision is delivered there.
+//!
+//! A decided token keeps its [`Verdict`], the fields of the `decision`
+//! line, not the line: a resume or duplicate submit renders it again with
+//! the asking request's token, which is the token it was journaled under,
+//! so the reply is byte for byte the line first sent.
 //!
 //! The journal is **bounded**: beyond `limit` tokens the oldest
 //! evictable entry goes (still-queued entries are spared while anything
@@ -14,12 +19,102 @@
 //! minting fresh tokens forever cannot grow daemon memory. Eviction is
 //! counted, never silent; a resume for an evicted token answers
 //! `unknown` and the client must treat the request as undecided.
+//!
+//! Memory is one 64-byte record per token in a ring of at most `limit`,
+//! plus an index from a 64-bit key to the record's position: about
+//! 100 bytes a token at the default bound, and once ring and index have
+//! grown to it nothing is allocated per token. Tokens are not stored. Two
+//! keyed digests stand for one, under keys drawn per journal that no
+//! client sees: the index key, and a check a record must also match.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use crate::wire::{decision_response, parse_decision};
+use anycast_dac::experiment::Decision;
+use anycast_net::IdHasher;
+use anycast_rsvp::SessionId;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, RandomState};
+
+/// What a `decision` line says, its token aside: all the journal keeps of
+/// a decided request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    request: u64,
+    at_secs: f64,
+    /// The raw session id; meaningless for a rejection.
+    session: u64,
+    latency_us: u64,
+    /// The group member, or [`REJECTED`].
+    member: u32,
+    tries: u32,
+}
+
+/// `Verdict::member` of a rejection.
+const REJECTED: u32 = u32::MAX;
+
+impl Verdict {
+    /// The verdict the `decision` line for `d` with this `latency_us`
+    /// carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an admitted decision's member index does not fit below
+    /// `u32::MAX`.
+    pub fn new(d: &Decision, latency_us: u64) -> Self {
+        debug_assert!(
+            d.admitted == d.member_index.is_some() && d.admitted == d.session.is_some(),
+            "an admitted decision has a member and a session, a rejection neither: {d:?}"
+        );
+        let member = d.member_index.map_or(REJECTED, |m| {
+            u32::try_from(m)
+                .ok()
+                .filter(|&m| m != REJECTED)
+                .expect("member index below u32::MAX")
+        });
+        Verdict {
+            request: d.request,
+            at_secs: d.at_secs,
+            session: d.session.map_or(0, SessionId::raw),
+            latency_us,
+            member,
+            tries: d.tries,
+        }
+    }
+
+    /// The decision this verdict was taken from.
+    fn decision(&self) -> Decision {
+        let admitted = self.member != REJECTED;
+        Decision {
+            request: self.request,
+            at_secs: self.at_secs,
+            admitted,
+            member_index: admitted.then_some(self.member as usize),
+            session: admitted.then(|| SessionId::from_raw(self.session)),
+            tries: self.tries,
+        }
+    }
+
+    /// The `decision` line for this verdict under `token`.
+    pub(crate) fn line(&self, token: &str) -> String {
+        decision_response(&self.decision(), self.latency_us, Some(token))
+    }
+}
+
+/// Reads a line [`decision_response`] rendered back into its verdict,
+/// without allocating; the line's token is skipped.
+///
+/// # Panics
+///
+/// Panics on any other line.
+impl From<String> for Verdict {
+    fn from(line: String) -> Self {
+        let (decision, latency_us) =
+            parse_decision(&line).unwrap_or_else(|| panic!("not a decision line: {line}"));
+        Verdict::new(&decision, latency_us)
+    }
+}
 
 /// Where a journaled request stands.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalEntry {
     /// Still in the admission queue; `conn` is where the decision should
     /// go (rebindable by a duplicate submit or resume from a new
@@ -34,23 +129,38 @@ pub enum JournalEntry {
         /// The engine's dense request id.
         request: u64,
     },
-    /// Decided: the rendered `decision` response line, replayed verbatim
-    /// to duplicates and resumes.
-    Decided {
-        /// The rendered wire line (no trailing newline).
-        line: String,
-    },
+    /// Decided: the verdict, rendered again for duplicates and resumes.
+    Decided(Verdict),
 }
+
+/// One journaled token: its two digests and where it stands. `None` once
+/// [`DecisionJournal::forget`] or a colliding index key emptied it; the
+/// ring then reuses the position.
+#[derive(Debug)]
+struct Record {
+    key: u64,
+    check: u64,
+    entry: Option<JournalEntry>,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 64);
 
 /// A bounded token → [`JournalEntry`] map with FIFO eviction.
 #[derive(Debug)]
 pub struct DecisionJournal {
     limit: usize,
-    entries: HashMap<Arc<str>, JournalEntry>,
-    /// Insertion order; each live token appears exactly once, sharing
-    /// the allocation of its `entries` key.
-    order: VecDeque<Arc<str>>,
+    /// At most `limit` records. Oldest first from `head` on, wrapping
+    /// round; `head` is 0 until the ring is full.
+    records: Vec<Record>,
+    head: usize,
+    /// Index key → position in `records`, for every live record.
+    index: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+    index_keys: RandomState,
+    check_keys: RandomState,
     evicted: u64,
+    /// Every token gets index key 0, so the collision path can be tested.
+    #[cfg(test)]
+    collide: bool,
 }
 
 impl DecisionJournal {
@@ -58,25 +168,31 @@ impl DecisionJournal {
     ///
     /// # Panics
     ///
-    /// Panics if `limit` is zero.
+    /// Panics if `limit` is zero or above `u32::MAX`.
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "journal limit must be positive");
+        assert!(u32::try_from(limit).is_ok(), "journal limit above u32::MAX");
         DecisionJournal {
             limit,
-            entries: HashMap::new(),
-            order: VecDeque::new(),
+            records: Vec::new(),
+            head: 0,
+            index: HashMap::default(),
+            index_keys: RandomState::new(),
+            check_keys: RandomState::new(),
             evicted: 0,
+            #[cfg(test)]
+            collide: false,
         }
     }
 
     /// Tokens currently journaled.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the journal is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Entries evicted to stay within the bound.
@@ -84,9 +200,31 @@ impl DecisionJournal {
         self.evicted
     }
 
+    /// The token's index key and check.
+    fn keys(&self, token: &str) -> (u64, u64) {
+        let check = self.check_keys.hash_one(token);
+        #[cfg(test)]
+        if self.collide {
+            return (0, check);
+        }
+        (self.index_keys.hash_one(token), check)
+    }
+
+    /// The position of the token's record, if it is journaled.
+    fn find(&self, token: &str) -> Option<usize> {
+        let (key, check) = self.keys(token);
+        let at = *self.index.get(&key)? as usize;
+        (self.records[at].check == check).then_some(at)
+    }
+
+    fn entry_mut(&mut self, token: &str) -> Option<&mut JournalEntry> {
+        let at = self.find(token)?;
+        self.records[at].entry.as_mut()
+    }
+
     /// Looks a token up.
-    pub(crate) fn get(&self, token: &str) -> Option<&JournalEntry> {
-        self.entries.get(token)
+    pub(crate) fn get(&self, token: &str) -> Option<JournalEntry> {
+        self.find(token).and_then(|at| self.records[at].entry)
     }
 
     /// Journals a fresh token as queued for `conn`, evicting the oldest
@@ -98,47 +236,91 @@ impl DecisionJournal {
     /// request they describe sits in the bounded admission queue, so
     /// their count cannot exceed the queue bound, and evicting one would
     /// silently unbind a resumed client from a decision that is still
-    /// coming. Only when *every* journaled token is still queued (the
-    /// journal was sized below the queue) does the bound win and the
-    /// oldest entry go regardless.
+    /// coming. Passing one makes it the newest entry. Only when *every*
+    /// journaled token is still queued (the journal was sized below the
+    /// queue) does the bound win and the oldest entry go regardless.
+    ///
+    /// A live token whose index key equals this one's (a 2⁻⁶⁴ chance per
+    /// pair) can no longer be reached and counts as evicted.
     pub fn enqueue(&mut self, token: &str, conn: u64) {
-        debug_assert!(!self.entries.contains_key(token));
-        while self.entries.len() >= self.limit {
-            let mut evicted_one = false;
-            for _ in 0..self.order.len() {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                if matches!(
-                    self.entries.get(&*oldest),
+        debug_assert!(self.find(token).is_none(), "token already journaled");
+        let (key, check) = self.keys(token);
+        if let Some(at) = self.index.remove(&key) {
+            self.records[at as usize].entry = None;
+            self.evicted += 1;
+        }
+        let record = Record {
+            key,
+            check,
+            entry: Some(JournalEntry::Queued { conn }),
+        };
+        let at = self.tail();
+        if at == self.records.len() {
+            if at == self.records.capacity() {
+                // Doubling, but never past the bound.
+                let more = at.max(4).min(self.limit - at);
+                self.records.reserve_exact(more);
+            }
+            self.records.push(record);
+        } else {
+            self.records[at] = record;
+        }
+        self.index.insert(key, at as u32);
+    }
+
+    /// The position the next token goes to, making it the newest entry:
+    /// the end of a ring not yet full, else the head, moved on past it.
+    /// Evicts only when `limit` tokens are live.
+    fn tail(&mut self) -> usize {
+        let n = self.records.len();
+        if n < self.limit {
+            return n;
+        }
+        if self.len() == self.limit {
+            // Every record is live. Walk from the oldest, passing queued
+            // records; after a whole lap the oldest goes regardless.
+            for _ in 0..n {
+                if !matches!(
+                    self.records[self.head].entry,
                     Some(JournalEntry::Queued { .. })
                 ) {
-                    self.order.push_back(oldest);
-                } else {
-                    self.entries.remove(&*oldest);
-                    self.evicted += 1;
-                    evicted_one = true;
                     break;
                 }
+                self.head = (self.head + 1) % n;
             }
-            if !evicted_one {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&*oldest);
-                    self.evicted += 1;
-                }
-            }
+            self.index.remove(&self.records[self.head].key);
+            self.evicted += 1;
+        } else if self.records[self.head].entry.is_some() {
+            // A record emptied mid-ring cannot take the newest token
+            // without reordering the rest; close the gaps instead (only
+            // after `forget` or a key collision).
+            self.compact();
+            return self.records.len();
         }
-        let token: Arc<str> = token.into();
-        self.entries
-            .insert(Arc::clone(&token), JournalEntry::Queued { conn });
-        self.order.push_back(token);
+        let at = self.head;
+        self.head = (at + 1) % n;
+        at
+    }
+
+    /// Moves the live records to the front, oldest first, and re-points
+    /// the index at them. O(limit), allocation-free.
+    fn compact(&mut self) {
+        self.records.rotate_left(self.head);
+        self.head = 0;
+        self.records.retain(|r| r.entry.is_some());
+        for (at, r) in self.records.iter().enumerate() {
+            *self
+                .index
+                .get_mut(&r.key)
+                .expect("a live record is indexed") = at as u32;
+        }
     }
 
     /// Rebinds a still-queued token to a new connection (duplicate submit
     /// or resume after reconnect). Returns `false` if the token is not in
     /// the queued state.
     pub(crate) fn rebind_queued(&mut self, token: &str, conn: u64) -> bool {
-        match self.entries.get_mut(token) {
+        match self.entry_mut(token) {
             Some(JournalEntry::Queued { conn: c }) => {
                 *c = conn;
                 true
@@ -151,31 +333,30 @@ impl DecisionJournal {
     /// connection it was last bound to. `None` if the token was evicted
     /// meanwhile.
     pub fn dispatch(&mut self, token: &str, request: u64) -> Option<u64> {
-        match self.entries.get_mut(token) {
-            Some(entry @ JournalEntry::Queued { .. }) => {
-                let JournalEntry::Queued { conn } = *entry else {
-                    unreachable!()
-                };
-                *entry = JournalEntry::Dispatched { request };
-                Some(conn)
-            }
-            _ => None,
-        }
+        let entry = self.entry_mut(token)?;
+        let JournalEntry::Queued { conn } = *entry else {
+            return None;
+        };
+        *entry = JournalEntry::Dispatched { request };
+        Some(conn)
     }
 
-    /// Records the decided line for a token (no-op if evicted meanwhile).
-    pub fn decide(&mut self, token: &str, line: String) {
-        if let Some(entry) = self.entries.get_mut(token) {
-            *entry = JournalEntry::Decided { line };
+    /// Records the verdict for a token (no-op if evicted meanwhile). A
+    /// rendered `decision` line converts into its verdict.
+    pub fn decide(&mut self, token: &str, verdict: impl Into<Verdict>) {
+        let verdict = verdict.into();
+        if let Some(entry) = self.entry_mut(token) {
+            *entry = JournalEntry::Decided(verdict);
         }
     }
 
     /// Drops a token outright (shutdown rejection of a queued admit: the
     /// request was never decided, so a later resume must say `unknown`,
-    /// not `pending`).
+    /// not `pending`). O(1): the record stays in the ring, emptied.
     pub(crate) fn forget(&mut self, token: &str) {
-        if self.entries.remove(token).is_some() {
-            self.order.retain(|t| &**t != token);
+        if let Some(at) = self.find(token) {
+            self.index.remove(&self.records[at].key);
+            self.records[at].entry = None;
         }
     }
 }
@@ -183,22 +364,47 @@ impl DecisionJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    fn verdict(request: u64) -> Verdict {
+        Verdict::new(
+            &Decision {
+                request,
+                at_secs: 1.5,
+                admitted: true,
+                member_index: Some(3),
+                session: Some(SessionId::from_raw(request + 7)),
+                tries: 2,
+            },
+            250,
+        )
+    }
+
+    #[test]
+    fn a_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Verdict>(), 40);
+        assert_eq!(std::mem::size_of::<Record>(), 64);
+    }
 
     #[test]
     fn lifecycle_queued_dispatched_decided() {
         let mut j = DecisionJournal::new(8);
         j.enqueue("t1", 3);
-        assert_eq!(j.get("t1"), Some(&JournalEntry::Queued { conn: 3 }));
+        assert_eq!(j.get("t1"), Some(JournalEntry::Queued { conn: 3 }));
         assert!(j.rebind_queued("t1", 9));
         assert_eq!(j.dispatch("t1", 42), Some(9));
         assert!(!j.rebind_queued("t1", 1), "dispatched tokens do not rebind");
-        j.decide("t1", "{\"op\":\"decision\"}".into());
-        assert_eq!(
-            j.get("t1"),
-            Some(&JournalEntry::Decided {
-                line: "{\"op\":\"decision\"}".into()
-            })
-        );
+        assert_eq!(j.dispatch("t1", 43), None, "dispatched once");
+        j.decide("t1", verdict(42));
+        assert_eq!(j.get("t1"), Some(JournalEntry::Decided(verdict(42))));
+    }
+
+    #[test]
+    fn a_verdict_renders_the_line_it_was_read_from() {
+        let line = verdict(42).line("t1");
+        assert_eq!(Verdict::from(line.clone()), verdict(42));
+        assert_eq!(Verdict::from(line.clone()).line("t1"), line);
     }
 
     #[test]
@@ -206,7 +412,7 @@ mod tests {
         let mut j = DecisionJournal::new(2);
         j.enqueue("a", 0);
         j.enqueue("b", 0);
-        j.decide("a", "da".into());
+        j.decide("a", verdict(0));
         j.enqueue("c", 0);
         // `a` (oldest) went, even though decided; bound holds.
         assert_eq!(j.len(), 2);
@@ -214,7 +420,7 @@ mod tests {
         assert!(j.get("a").is_none());
         assert!(j.get("b").is_some() && j.get("c").is_some());
         // Deciding an evicted token is a no-op.
-        j.decide("a", "again".into());
+        j.decide("a", verdict(1));
         assert!(j.get("a").is_none());
     }
 
@@ -224,13 +430,13 @@ mod tests {
         j.enqueue("q", 0); // stays Queued: its request is still in the
                            // bounded admission queue
         j.enqueue("d", 0);
-        j.decide("d", "dd".into());
+        j.decide("d", verdict(0));
         j.enqueue("n", 0);
         // The decided entry went first even though the queued one is
         // older: evicting `q` would strand a resumed client.
         assert_eq!(j.evicted(), 1);
         assert!(j.get("d").is_none());
-        assert_eq!(j.get("q"), Some(&JournalEntry::Queued { conn: 0 }));
+        assert_eq!(j.get("q"), Some(JournalEntry::Queued { conn: 0 }));
         assert!(j.get("n").is_some());
         // But the bound always wins: with only queued entries left, the
         // oldest goes regardless.
@@ -245,12 +451,238 @@ mod tests {
         j.enqueue("a", 0);
         j.forget("a");
         assert!(j.is_empty());
-        // The order queue is clean too: filling to the bound twice over
+        // The emptied record is reused: filling to the bound twice over
         // never over-evicts.
         j.enqueue("b", 0);
         j.enqueue("c", 0);
         j.enqueue("d", 0);
         assert_eq!(j.len(), 2);
         assert_eq!(j.evicted(), 1);
+    }
+
+    #[test]
+    fn a_record_emptied_mid_ring_is_reused_without_eviction() {
+        let mut j = DecisionJournal::new(3);
+        for t in ["a", "b", "c"] {
+            j.enqueue(t, 0);
+            j.decide(t, verdict(0));
+        }
+        j.forget("b");
+        j.enqueue("d", 0);
+        assert_eq!(j.evicted(), 0);
+        // `d` is the newest: `a`, then `c`, go before it.
+        j.enqueue("e", 0);
+        assert!(j.get("a").is_none() && j.get("c").is_some());
+        j.enqueue("f", 0);
+        assert!(j.get("c").is_none() && j.get("d").is_some());
+        assert_eq!((j.len(), j.evicted()), (3, 2));
+    }
+
+    #[test]
+    fn a_shared_index_key_needs_the_check_too() {
+        let mut j = DecisionJournal::new(4);
+        j.collide = true;
+        j.enqueue("a", 1);
+        assert_eq!(j.get("a"), Some(JournalEntry::Queued { conn: 1 }));
+        // `b` shares `a`'s index key but not its check: it is not `a`.
+        assert_eq!(j.get("b"), None);
+        assert!(!j.rebind_queued("b", 2));
+        assert_eq!(j.dispatch("b", 7), None);
+        j.decide("b", verdict(7));
+        j.forget("b");
+        assert_eq!(j.get("a"), Some(JournalEntry::Queued { conn: 1 }));
+        // Journaling `b` makes `a` unreachable, counted as an eviction.
+        j.enqueue("b", 2);
+        assert_eq!(j.get("a"), None);
+        assert_eq!(j.get("b"), Some(JournalEntry::Queued { conn: 2 }));
+        assert_eq!((j.len(), j.evicted()), (1, 1));
+        // Emptied records are reused once the ring is full: it never
+        // grows past the bound.
+        for t in ["c", "d", "e", "f", "g"] {
+            j.enqueue(t, 0);
+        }
+        assert_eq!(j.get("g"), Some(JournalEntry::Queued { conn: 0 }));
+        assert_eq!((j.len(), j.evicted()), (1, 6));
+        assert_eq!(j.records.len(), 4);
+    }
+
+    /// Token characters: plain, JSON-escaped (`"`, `\`, control) and
+    /// multi-byte.
+    const TOKEN_CHARS: [char; 8] = ['a', 'Z', '7', '"', '\\', '\n', '\u{1}', 'é'];
+
+    /// Instants from the whole `f64` domain: any bit pattern (NaN and the
+    /// infinities render as `null`), powers of ten from subnormal to near
+    /// `f64::MAX`, integers past 2⁵³, and everyday times.
+    fn instant(scale: u8, bits: u64, exp: i32) -> f64 {
+        match scale {
+            0 => f64::from_bits(bits),
+            1 => 10f64.powi(exp) * (bits as f64 / u64::MAX as f64),
+            2 => bits as f64,
+            _ => (bits % 1_000_000_000) as f64 / 1_000.0,
+        }
+    }
+
+    proptest! {
+        /// A resume or duplicate submit replays a verdict by rendering it
+        /// again: that must give the bytes first sent.
+        #[test]
+        fn a_verdict_read_from_its_line_renders_the_same_bytes(
+            (request, session, latency_us) in any::<(u64, u64, u64)>(),
+            (admitted, member, tries) in any::<(bool, u32, u32)>(),
+            (scale, bits, exp) in (0u8..4, any::<u64>(), -330i32..310),
+            chars in proptest::collection::vec(0usize..TOKEN_CHARS.len(), 1..20),
+        ) {
+            let d = Decision {
+                request,
+                at_secs: instant(scale, bits, exp),
+                admitted,
+                member_index: admitted.then_some(member.min(REJECTED - 1) as usize),
+                session: admitted.then(|| SessionId::from_raw(session)),
+                tries,
+            };
+            let token: String = chars.iter().map(|&c| TOKEN_CHARS[c]).collect();
+            let line = decision_response(&d, latency_us, Some(&token));
+            prop_assert_eq!(Verdict::from(line.clone()).line(&token), line);
+        }
+    }
+
+    /// The journal as it was before it kept fixed-size records: a map
+    /// from token to entry plus a FIFO of tokens, queued entries spared.
+    #[derive(Default)]
+    struct Model {
+        limit: usize,
+        entries: std::collections::HashMap<u8, JournalEntry>,
+        order: VecDeque<u8>,
+        evicted: u64,
+    }
+
+    impl Model {
+        fn enqueue(&mut self, token: u8, conn: u64) {
+            while self.entries.len() >= self.limit {
+                let mut evicted_one = false;
+                for _ in 0..self.order.len() {
+                    let oldest = self.order.pop_front().expect("order holds every entry");
+                    if matches!(self.entries[&oldest], JournalEntry::Queued { .. }) {
+                        self.order.push_back(oldest);
+                    } else {
+                        self.entries.remove(&oldest);
+                        evicted_one = true;
+                        break;
+                    }
+                }
+                if !evicted_one {
+                    let oldest = self.order.pop_front().expect("the journal is full");
+                    self.entries.remove(&oldest);
+                }
+                self.evicted += 1;
+            }
+            self.entries.insert(token, JournalEntry::Queued { conn });
+            self.order.push_back(token);
+        }
+
+        fn rebind_queued(&mut self, token: u8, conn: u64) -> bool {
+            match self.entries.get_mut(&token) {
+                Some(JournalEntry::Queued { conn: c }) => {
+                    *c = conn;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn dispatch(&mut self, token: u8, request: u64) -> Option<u64> {
+            let entry = self.entries.get_mut(&token)?;
+            let JournalEntry::Queued { conn } = *entry else {
+                return None;
+            };
+            *entry = JournalEntry::Dispatched { request };
+            Some(conn)
+        }
+
+        fn decide(&mut self, token: u8, verdict: Verdict) {
+            if let Some(entry) = self.entries.get_mut(&token) {
+                *entry = JournalEntry::Decided(verdict);
+            }
+        }
+
+        fn forget(&mut self, token: u8) {
+            if self.entries.remove(&token).is_some() {
+                self.order.retain(|&t| t != token);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Enqueue(u8, u64),
+        Rebind(u8, u64),
+        Dispatch(u8, u64),
+        Decide(u8, u64),
+        Forget(u8),
+        Get(u8),
+    }
+
+    /// Enqueues weighted 4, dispatches and decides 2 each, the rest 1.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..11, 0u8..12, 0u64..100).prop_map(|(kind, t, n)| match kind {
+            0..=3 => Op::Enqueue(t, n % 4),
+            4 => Op::Rebind(t, n % 4),
+            5 | 6 => Op::Dispatch(t, n),
+            7 | 8 => Op::Decide(t, n),
+            9 => Op::Forget(t),
+            _ => Op::Get(t),
+        })
+    }
+
+    proptest! {
+        /// Any program of journal calls leaves the ring exactly where the
+        /// map-and-FIFO journal it replaced would be: every token's entry,
+        /// the size and the eviction count agree after every step.
+        #[test]
+        fn the_ring_agrees_with_the_map_and_fifo_model(
+            limit in 1usize..=8,
+            ops in proptest::collection::vec(op(), 1..80),
+        ) {
+            let mut journal = DecisionJournal::new(limit);
+            let mut model = Model { limit, ..Model::default() };
+            let name = |t: u8| format!("tok-{t}");
+            for op in ops {
+                match op {
+                    Op::Enqueue(t, conn) => {
+                        // A journaled token is answered, never re-enqueued.
+                        if !model.entries.contains_key(&t) {
+                            journal.enqueue(&name(t), conn);
+                            model.enqueue(t, conn);
+                        }
+                    }
+                    Op::Rebind(t, conn) => prop_assert_eq!(
+                        journal.rebind_queued(&name(t), conn),
+                        model.rebind_queued(t, conn)
+                    ),
+                    Op::Dispatch(t, request) => prop_assert_eq!(
+                        journal.dispatch(&name(t), request),
+                        model.dispatch(t, request)
+                    ),
+                    Op::Decide(t, request) => {
+                        journal.decide(&name(t), verdict(request));
+                        model.decide(t, verdict(request));
+                    }
+                    Op::Forget(t) => {
+                        journal.forget(&name(t));
+                        model.forget(t);
+                    }
+                    Op::Get(t) => prop_assert_eq!(
+                        journal.get(&name(t)),
+                        model.entries.get(&t).copied()
+                    ),
+                }
+                for t in 0..12 {
+                    prop_assert_eq!(journal.get(&name(t)), model.entries.get(&t).copied());
+                }
+                prop_assert_eq!(journal.len(), model.entries.len());
+                prop_assert_eq!(journal.evicted(), model.evicted);
+                prop_assert!(journal.records.len() <= limit);
+            }
+        }
     }
 }

@@ -41,7 +41,7 @@ pub(crate) mod shutdown;
 pub(crate) mod trace;
 pub mod wire;
 
-pub use journal::{DecisionJournal, JournalEntry};
+pub use journal::{DecisionJournal, JournalEntry, Verdict};
 pub use overload::{AdmissionQueue, OverloadOptions, PushRefusal, ShedController};
 pub use replay::{replay_trace, ReplayOutcome, ReplayPacing};
 pub use server::{BoundServer, DaemonCounters, Endpoint, ServeOptions, ServeReport};

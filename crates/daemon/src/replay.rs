@@ -103,7 +103,7 @@ pub fn replay_trace<R: Recorder>(
         // Advance to the arrival's own timestamp (not the wall clock's,
         // which may have overshot): the processing order is then exactly
         // the virtual-time order, whatever the pacing.
-        decisions.extend(engine.advance_to(SimTime::from_secs(a.at_secs)));
+        engine.advance_to(SimTime::from_secs(a.at_secs), &mut decisions);
     }
     let (metrics, tail, recorder) = engine.finish();
     decisions.extend(tail);

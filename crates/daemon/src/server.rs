@@ -25,7 +25,7 @@
 //! audits this to zero), flush the telemetry stream, and return the
 //! final [`Metrics`] plus the service [`DaemonCounters`].
 
-use crate::journal::{DecisionJournal, JournalEntry};
+use crate::journal::{DecisionJournal, JournalEntry, Verdict};
 use crate::overload::{
     AdmissionQueue, OverloadOptions, QueuedAdmit, ShedController, DISPATCH_PER_TICK, PER_CONN_LIMIT,
 };
@@ -377,8 +377,8 @@ impl ServiceState {
         // shedding, so a retrying client cannot double-spend capacity.
         if let Some(t) = token.as_deref() {
             match self.journal.get(t) {
-                Some(JournalEntry::Decided { line }) => {
-                    let line = line.clone();
+                Some(JournalEntry::Decided(verdict)) => {
+                    let line = verdict.line(t);
                     self.counters.duplicates += 1;
                     self.respond(conn, &line);
                     return;
@@ -391,7 +391,6 @@ impl ServiceState {
                     return;
                 }
                 Some(JournalEntry::Dispatched { request }) => {
-                    let request = *request;
                     if let Some(p) = self.pending.get_mut(&request) {
                         p.conn = conn;
                     }
@@ -503,8 +502,8 @@ impl ServiceState {
     }
 
     /// Routes finalised decisions back to their connections, journaling
-    /// tokened ones.
-    fn route(&mut self, decisions: Vec<Decision>) {
+    /// the verdicts of tokened ones.
+    fn route(&mut self, decisions: impl IntoIterator<Item = Decision>) {
         for d in decisions {
             self.decided += 1;
             if let Some(p) = self.pending.remove(&d.request) {
@@ -512,7 +511,7 @@ impl ServiceState {
                 let line = decision_response(&d, latency_us, p.token.as_deref());
                 self.respond(p.conn, &line);
                 if let Some(t) = p.token.as_deref() {
-                    self.journal.decide(t, line);
+                    self.journal.decide(t, Verdict::new(&d, latency_us));
                 }
             }
         }
@@ -610,6 +609,9 @@ impl BoundServer {
             decided: 0,
         };
 
+        // One buffer takes every tick's decisions, so a tick allocates
+        // none for them.
+        let mut decided = Vec::new();
         loop {
             // Wait up to one tick for traffic, then drain whatever else
             // already arrived so a burst is seen whole before dispatch.
@@ -641,9 +643,8 @@ impl BoundServer {
             state.counters.shed_engaged = state.shed.times_engaged();
             state.dispatch(&mut engine, &mut clock, DISPATCH_PER_TICK);
             state.debug_assert_accounting();
-            let now = clock.now();
-            let decisions = engine.advance_to(now);
-            state.route(decisions);
+            engine.advance_to(clock.now(), &mut decided);
+            state.route(decided.drain(..));
 
             if shutdown.is_requested() || signalled() || (!rolling && engine.now() >= horizon) {
                 break;
@@ -664,8 +665,8 @@ impl BoundServer {
         }
         state.debug_assert_accounting();
         // (2) Decide everything already dispatched and due.
-        let decisions = engine.advance_to(clock.now());
-        state.route(decisions);
+        engine.advance_to(clock.now(), &mut decided);
+        state.route(decided.drain(..));
         // (3) Close the run where it stands — finish_now() releases
         // every pending two-phase hold and audits the ledger.
         let (metrics, tail, recorder) = engine.finish_now();
@@ -767,13 +768,12 @@ fn handle_inbound(
             Request::Resume { token } => {
                 state.counters.resumed += 1;
                 let line = match state.journal.get(&token) {
-                    Some(JournalEntry::Decided { line }) => line.clone(),
+                    Some(JournalEntry::Decided(verdict)) => verdict.line(&token),
                     Some(JournalEntry::Queued { .. }) => {
                         state.journal.rebind_queued(&token, conn);
                         resumed_response(&token, "pending")
                     }
                     Some(JournalEntry::Dispatched { request }) => {
-                        let request = *request;
                         if let Some(p) = state.pending.get_mut(&request) {
                             p.conn = conn;
                         }

@@ -50,6 +50,7 @@
 
 use anycast_dac::experiment::{Decision, ServiceSnapshot};
 use anycast_net::Bandwidth;
+use anycast_rsvp::SessionId;
 use anycast_telemetry::json::{scan_object, write_num, write_str, write_uint, Scalar};
 use std::io::{self, BufRead};
 
@@ -306,6 +307,55 @@ pub fn decision_response(d: &Decision, latency_us: u64, token: Option<&str>) -> 
     line.finish()
 }
 
+/// Reads back a line [`decision_response`] rendered: the decision and its
+/// `latency_us`, the token skipped. `None` for any other line, or one
+/// whose `admitted`, `member` and `session` disagree. Allocates nothing.
+pub(crate) fn parse_decision(line: &str) -> Option<(Decision, u64)> {
+    let rest = line
+        .strip_prefix("{\"op\":\"decision\",\"request\":")?
+        .strip_suffix('}')?;
+    let (request, rest) = rest.split_once(',')?;
+    // The token may hold any character; the six members after it hold no
+    // comma, so they are read from the end.
+    let mut members = rest.rsplitn(7, ',');
+    let mut value = |name: &str| {
+        let member = members.next()?.strip_prefix('"')?.strip_prefix(name)?;
+        member.strip_prefix("\":")
+    };
+    let uint = |text: &str| -> Option<Option<u64>> {
+        match text {
+            "null" => Some(None),
+            n => n.parse().ok().map(Some),
+        }
+    };
+    let latency_us = value("latency_us")?.parse().ok()?;
+    let tries = value("tries")?.parse().ok()?;
+    let session = uint(value("session")?)?;
+    let member_index = uint(value("member")?)?;
+    let admitted = match value("admitted")? {
+        "true" => true,
+        "false" => false,
+        _ => return None,
+    };
+    let at_secs = match value("at")? {
+        "null" => f64::NAN,
+        x => x.parse().ok()?,
+    };
+    value("token")?;
+    if member_index.is_some() != admitted || session.is_some() != admitted {
+        return None;
+    }
+    let decision = Decision {
+        request: request.parse().ok()?,
+        at_secs,
+        admitted,
+        member_index: member_index.map(usize::try_from).transpose().ok()?,
+        session: session.map(SessionId::from_raw),
+        tries,
+    };
+    Some((decision, latency_us))
+}
+
 /// Daemon-side service counters folded into the `stats` response, next to
 /// the engine's [`ServiceSnapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -524,7 +574,6 @@ pub(crate) fn read_line_bounded<R: BufRead + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_rsvp::SessionId;
     use anycast_telemetry::json::{parse, JsonValue};
     use proptest::prelude::*;
     use proptest::TestRng;

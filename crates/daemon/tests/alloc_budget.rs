@@ -5,7 +5,7 @@
 
 use anycast_dac::experiment::Decision;
 use anycast_daemon::wire::{decision_response, parse_request};
-use anycast_daemon::{DecisionJournal, Request};
+use anycast_daemon::{DecisionJournal, Request, Verdict};
 use anycast_rsvp::SessionId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +14,8 @@ thread_local! {
     // Per thread, so tests running beside this one do not count here.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated and not yet freed by this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -23,20 +25,28 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     let _ = counter.try_with(|c| c.set(c.get() + 1));
 }
 
+fn live(bytes: usize, sign: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + sign * bytes as i64));
+}
+
 // SAFETY: every call is handed to `System` unchanged; the counters are
 // plain thread-local cells that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS);
+        live(layout.size(), 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(layout.size(), -1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(&REALLOCS);
+        live(new_size, 1);
+        live(layout.size(), -1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -83,28 +93,70 @@ fn rendering_a_decision_allocates_the_line_once() {
     assert_eq!(counts, (1, 0));
 }
 
+/// The journal's default bound.
+const BOUND: usize = 4096;
+
+/// A decided verdict for request `i`, admitted or not.
+fn verdict(i: usize) -> Verdict {
+    let admitted = !i.is_multiple_of(5);
+    let d = Decision {
+        request: i as u64,
+        at_secs: i as f64 * 0.013,
+        admitted,
+        member_index: admitted.then_some(i % 4),
+        session: admitted.then(|| SessionId::from_raw(i as u64)),
+        tries: 1 + (i % 2) as u32,
+    };
+    Verdict::new(&d, 180 + i as u64 % 97)
+}
+
+/// Tokens as a client mints them, made before anything is counted.
+fn tokens(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("client-7-req-{i}")).collect()
+}
+
 #[test]
-fn a_full_journal_allocates_only_the_token() {
-    const BOUND: usize = 4096;
+fn a_full_journal_allocates_nothing_per_token() {
+    let tokens = tokens(4 * BOUND);
     let mut journal = DecisionJournal::new(BOUND);
     let mut cycle = |i: usize| {
-        let token = format!("a{i}");
-        let line = format!("{{\"op\":\"decision\",\"request\":{i}}}");
+        let token = &tokens[i];
         let ((), counts) = counted(|| {
-            journal.enqueue(&token, 0);
-            journal.dispatch(&token, i as u64);
-            journal.decide(&token, line);
+            journal.enqueue(token, 0);
+            journal.dispatch(token, i as u64);
+            journal.decide(token, verdict(i));
         });
         counts
     };
-    // Fill to the bound and go round once more: map and queue are at
+    // Fill to the bound and go round once more: ring and index are at
     // their final size and every enqueue evicts.
     for i in 0..2 * BOUND {
         cycle(i);
     }
     for i in 2 * BOUND..4 * BOUND {
-        assert_eq!(cycle(i), (1, 0), "cycle {i}");
+        assert_eq!(cycle(i), (0, 0), "cycle {i}");
     }
     assert_eq!(journal.len(), BOUND);
     assert_eq!(journal.evicted(), 3 * BOUND as u64);
+}
+
+/// A full journal at the default bound: 64 bytes of ring per token plus
+/// the index's table, 401 424 bytes in all. Kept as rendered lines, with
+/// an `Arc<str>` token, a map slot and a queue slot each, the same
+/// verdicts took 1 552 400.
+#[test]
+fn a_full_journal_holds_at_most_410_kib() {
+    let tokens = tokens(2 * BOUND);
+    let before = LIVE.get();
+    let mut journal = DecisionJournal::new(BOUND);
+    for (i, token) in tokens.iter().enumerate() {
+        journal.enqueue(token, 0);
+        journal.dispatch(token, i as u64);
+        journal.decide(token, verdict(i));
+    }
+    let bytes = LIVE.get() - before;
+    assert_eq!(journal.len(), BOUND);
+    assert!(bytes <= 410 * 1024, "a full journal holds {bytes} bytes");
+    drop(journal);
+    assert_eq!(LIVE.get(), before, "the journal frees what it held");
 }

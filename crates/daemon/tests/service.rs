@@ -50,10 +50,15 @@ impl<W: Write, R: BufRead> Client<W, R> {
     }
 
     fn recv(&mut self) -> JsonValue {
+        parse(&self.recv_line()).unwrap()
+    }
+
+    /// The next response line as sent, newline aside.
+    fn recv_line(&mut self) -> String {
         let mut line = String::new();
         self.reader.read_line(&mut line).unwrap();
         assert!(!line.is_empty(), "server closed the connection early");
-        parse(line.trim()).unwrap()
+        line.trim_end_matches('\n').to_owned()
     }
 }
 
@@ -503,13 +508,18 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
             client.send(&format!("{{\"op\":\"resume\",\"token\":\"boot-{t}\"}}"));
         }
         // Read until every token has a verdict: `decision` lines count,
-        // `resumed`/`pending` status lines do not.
+        // `resumed`/`pending` status lines do not. Each token's first
+        // verdict line is kept as sent.
         let mut verdicts: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
+        let mut first: std::collections::HashMap<String, String> = std::collections::HashMap::new();
         while verdicts.len() < 4 || verdicts.values().sum::<u64>() < 4 {
-            let v = client.recv();
+            let line = client.recv_line();
+            let v = parse(&line).unwrap();
             match op_of(&v).as_str() {
                 "decision" => {
-                    *verdicts.entry(str_field(&v, "token")).or_insert(0) += 1;
+                    let token = str_field(&v, "token");
+                    *verdicts.entry(token.clone()).or_insert(0) += 1;
+                    first.entry(token).or_insert(line);
                 }
                 "resumed" => {
                     let state = str_field(&v, "state");
@@ -530,11 +540,9 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
         }
 
         // Resuming a settled token replays the journaled verdict
-        // verbatim instead of minting a second one.
+        // verbatim instead of minting a second one: the bytes first sent.
         client.send("{\"op\":\"resume\",\"token\":\"boot-0\"}");
-        let v = client.recv();
-        assert_eq!(op_of(&v), "decision");
-        assert_eq!(str_field(&v, "token"), "boot-0");
+        assert_eq!(client.recv_line(), first["boot-0"]);
 
         // And a duplicate *submit* of a settled token is answered from
         // the journal too — the engine never sees a fifth request.
@@ -542,9 +550,7 @@ fn reconnect_with_tokens_resumes_exactly_one_verdict_per_request() {
             "{\"op\":\"admit\",\"source\":0,\"group\":0,\"demand_bps\":64000,\
              \"holding_secs\":600,\"token\":\"boot-1\"}",
         );
-        let v = client.recv();
-        assert_eq!(op_of(&v), "decision");
-        assert_eq!(str_field(&v, "token"), "boot-1");
+        assert_eq!(client.recv_line(), first["boot-1"]);
 
         client.send("{\"op\":\"shutdown\"}");
         assert_eq!(op_of(&client.recv()), "shutting_down");
