@@ -32,6 +32,20 @@ find crates/*/src -name '*.rs' | sort | xargs awk '
     { n++ }
     END { print n " product lines" }'
 
+echo "==> deleted code stays deleted (no serde derive, an empty anycast-estimator)"
+# The vendored serde derives expand to nothing, so a derive only claims a
+# serialisation that does not exist. The estimator's code is gone; its
+# empty crate and the `serde` manifest lines stay until ROADMAP 8(e)
+# removes them with one perfbench lock regeneration.
+if grep -rnE 'Serialize|Deserialize' crates/*/src src tests; then
+    echo "serde derives are no-ops: delete them" >&2
+    exit 1
+fi
+if [ "$(find crates/estimator/src -type f)" != crates/estimator/src/lib.rs ]; then
+    echo "crates/estimator/src must hold only lib.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

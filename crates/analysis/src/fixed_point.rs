@@ -3,10 +3,9 @@
 
 use crate::scenario::TrafficScenario;
 use crate::{erlang_b, uaa_blocking};
-use serde::{Deserialize, Serialize};
 
 /// Which link-blocking function `L(v_l)` (eq. 19) the fixed point uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockingModel {
     /// Exact Erlang-B — available because all flows demand equal bandwidth.
     ErlangB,
@@ -32,16 +31,16 @@ impl BlockingModel {
 }
 
 /// Convergence controls for the fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FixedPointOptions {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FixedPointOptions {
     /// Stop when the largest change in any link's blocking drops below this.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Hard iteration cap.
-    pub max_iterations: u32,
+    pub(crate) max_iterations: u32,
     /// Under-relaxation factor in `(0, 1]`: `B ← (1−θ)·B + θ·B_new`.
     /// Damping guarantees convergence on scenarios where the plain
     /// iteration (θ = 1) oscillates.
-    pub damping: f64,
+    pub(crate) damping: f64,
 }
 
 impl Default for FixedPointOptions {
@@ -55,7 +54,7 @@ impl Default for FixedPointOptions {
 }
 
 /// Output of the analytical model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApPrediction {
     /// The admission probability of eq. (15).
     pub admission_probability: f64,
@@ -70,9 +69,18 @@ pub struct ApPrediction {
     pub converged: bool,
 }
 
-/// Runs the reduced-load fixed point with default options.
+/// Runs the reduced-load fixed point (eqs. 19–22) on a traffic scenario
+/// and evaluates eq. (15).
 ///
-/// See [`predict_ap_with`].
+/// Each route offers its load to every link it crosses, *thinned* by the
+/// blocking of the route's other links (eq. 18, link independence); each
+/// link's blocking is `L(v_l)` under the chosen model; iterate to a fixed
+/// point, then combine per eq. (17) and eq. (15).
+///
+/// # Panics
+///
+/// Panics if the scenario references a link outside its capacity vector
+/// or if total offered load is zero.
 pub fn predict_ap(scenario: &TrafficScenario, model: BlockingModel) -> ApPrediction {
     predict_ap_with(scenario, model, FixedPointOptions::default())
 }
@@ -88,7 +96,7 @@ pub fn predict_ap(scenario: &TrafficScenario, model: BlockingModel) -> ApPredict
 /// # Panics
 ///
 /// Panics if `jobs == 0`, or on any invalid scenario (see
-/// [`predict_ap_with`]).
+/// [`predict_ap`]).
 pub fn predict_ap_batch(
     jobs: usize,
     cases: &[(TrafficScenario, BlockingModel)],
@@ -98,76 +106,16 @@ pub fn predict_ap_batch(
     })
 }
 
-/// Runs the reduced-load fixed point (eqs. 19–22) on a traffic scenario
-/// and evaluates eq. (15).
-///
-/// Each route offers its load to every link it crosses, *thinned* by the
-/// blocking of the route's other links (eq. 18, link independence); each
-/// link's blocking is `L(v_l)` under the chosen model; iterate to a fixed
-/// point, then combine per eq. (17) and eq. (15).
+/// [`predict_ap`] under explicit convergence options.
 ///
 /// # Panics
 ///
-/// Panics if the scenario references a link outside its capacity vector,
-/// if options are out of range, or if total offered load is zero.
-pub fn predict_ap_with(
+/// As [`predict_ap`], plus if `options` are out of range.
+pub(crate) fn predict_ap_with(
     scenario: &TrafficScenario,
     model: BlockingModel,
     options: FixedPointOptions,
 ) -> ApPrediction {
-    predict_ap_fn(
-        scenario,
-        |_, load, servers| model.blocking(load, servers),
-        options,
-    )
-}
-
-/// [`predict_ap_with`] with an arbitrary per-link blocking function.
-///
-/// `blocking_fn(link, load, servers)` maps one link's reduced offered
-/// load to its blocking probability; [`BlockingModel`] supplies the two
-/// closed-form instances, while `anycast-estimator` substitutes
-/// calibrated occupancy-distribution estimators per link. The function
-/// must return values in `[0, 1]` for the iteration to remain a map on
-/// probabilities; everything else about the reduced-load fixed point
-/// (thinning, adaptive under-relaxation, eq. 17/15 readout) is shared.
-///
-/// # Panics
-///
-/// As [`predict_ap_with`].
-pub fn predict_ap_fn<F>(
-    scenario: &TrafficScenario,
-    blocking_fn: F,
-    options: FixedPointOptions,
-) -> ApPrediction
-where
-    F: Fn(usize, f64, u32) -> f64,
-{
-    let zeros = vec![0.0f64; scenario.capacities.len()];
-    predict_ap_fn_from(scenario, blocking_fn, options, &zeros)
-}
-
-/// [`predict_ap_fn`] warm-started from `initial_blocking`.
-///
-/// The iteration is a contraction towards the same fixed point from any
-/// starting vector in `[0, 1]^L`; starting near the solution (e.g. the
-/// converged blocking of a slightly different load, as the estimator's
-/// retrial outer loop does) cuts the iteration count from hundreds to a
-/// handful. `predict_ap_fn` is exactly this function started from zero.
-///
-/// # Panics
-///
-/// As [`predict_ap_fn`], plus if `initial_blocking` has the wrong length
-/// or holds values outside `[0, 1]`.
-pub fn predict_ap_fn_from<F>(
-    scenario: &TrafficScenario,
-    blocking_fn: F,
-    options: FixedPointOptions,
-    initial_blocking: &[f64],
-) -> ApPrediction
-where
-    F: Fn(usize, f64, u32) -> f64,
-{
     assert!(
         options.damping > 0.0 && options.damping <= 1.0,
         "damping must lie in (0, 1], got {}",
@@ -195,17 +143,8 @@ where
     }
     let total_offered: f64 = scenario.routes.iter().map(|r| r.offered_erlangs).sum();
     assert!(total_offered > 0.0, "scenario offers no traffic");
-    assert_eq!(
-        initial_blocking.len(),
-        link_count,
-        "initial blocking vector must cover every link"
-    );
-    assert!(
-        initial_blocking.iter().all(|b| (0.0..=1.0).contains(b)),
-        "initial blocking values must be probabilities"
-    );
 
-    let mut blocking = initial_blocking.to_vec();
+    let mut blocking = vec![0.0f64; link_count];
     let mut iterations = 0;
     let mut converged = false;
     // Adaptive under-relaxation. Under heavy overload the Picard map has
@@ -245,7 +184,7 @@ where
         // judged on the *undamped* residual |L(v) − B| so shrinking θ can
         // never fake convergence.
         let fresh: Vec<f64> = (0..link_count)
-            .map(|l| blocking_fn(l, reduced[l], scenario.capacities[l]))
+            .map(|l| model.blocking(reduced[l], scenario.capacities[l]))
             .collect();
         let residual = fresh
             .iter()
@@ -525,89 +464,6 @@ mod tests {
         );
         assert!((fast.admission_probability - slow.admission_probability).abs() < 1e-8);
         assert!(fast.iterations <= slow.iterations);
-    }
-
-    #[test]
-    fn warm_start_from_solution_converges_immediately() {
-        let scenario = TrafficScenario {
-            routes: vec![
-                RouteLoad {
-                    links: vec![0, 1],
-                    offered_erlangs: 300.0,
-                },
-                RouteLoad {
-                    links: vec![1],
-                    offered_erlangs: 150.0,
-                },
-            ],
-            capacities: vec![312, 312],
-        };
-        let opts = FixedPointOptions::default();
-        let blocking_fn =
-            |_: usize, load: f64, servers: u32| BlockingModel::ErlangB.blocking(load, servers);
-        let cold = predict_ap_fn(&scenario, blocking_fn, opts);
-        assert!(cold.converged);
-        let warm = predict_ap_fn_from(&scenario, blocking_fn, opts, &cold.link_blocking);
-        assert!(warm.converged);
-        // Restarting at the fixed point must terminate at once and agree.
-        assert!(warm.iterations <= 2, "took {} iterations", warm.iterations);
-        assert!(
-            (warm.admission_probability - cold.admission_probability).abs() < 1e-8,
-            "warm {} vs cold {}",
-            warm.admission_probability,
-            cold.admission_probability
-        );
-    }
-
-    #[test]
-    fn warm_start_near_solution_beats_cold_start() {
-        let scenario = TrafficScenario {
-            routes: vec![RouteLoad {
-                links: vec![0, 1],
-                offered_erlangs: 350.0,
-            }],
-            capacities: vec![312, 312],
-        };
-        let opts = FixedPointOptions::default();
-        let blocking_fn =
-            |_: usize, load: f64, servers: u32| BlockingModel::ErlangB.blocking(load, servers);
-        let cold = predict_ap_fn(&scenario, blocking_fn, opts);
-        // A nearby load's solution is a realistic warm start.
-        let nearby = TrafficScenario {
-            routes: vec![RouteLoad {
-                links: vec![0, 1],
-                offered_erlangs: 345.0,
-            }],
-            capacities: vec![312, 312],
-        };
-        let seed = predict_ap_fn(&nearby, blocking_fn, opts);
-        let warm = predict_ap_fn_from(&scenario, blocking_fn, opts, &seed.link_blocking);
-        assert!(warm.converged);
-        assert!(
-            warm.iterations < cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!((warm.admission_probability - cold.admission_probability).abs() < 1e-8);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every link")]
-    fn warm_start_length_mismatch_panics() {
-        let scenario = TrafficScenario {
-            routes: vec![RouteLoad {
-                links: vec![0],
-                offered_erlangs: 10.0,
-            }],
-            capacities: vec![100],
-        };
-        let _ = predict_ap_fn_from(
-            &scenario,
-            |_, load, servers| BlockingModel::ErlangB.blocking(load, servers),
-            FixedPointOptions::default(),
-            &[0.0, 0.0],
-        );
     }
 
     #[test]

@@ -41,8 +41,5 @@ mod special;
 mod uaa;
 
 pub use erlang::{erlang_b, erlang_b_ln};
-pub use fixed_point::{
-    predict_ap, predict_ap_batch, predict_ap_fn, predict_ap_fn_from, predict_ap_with, ApPrediction,
-    BlockingModel, FixedPointOptions,
-};
+pub use fixed_point::{predict_ap, predict_ap_batch, ApPrediction, BlockingModel};
 pub use uaa::uaa_blocking;

@@ -10,10 +10,9 @@
 
 use crate::{predict_ap, ApPrediction, BlockingModel};
 use anycast_net::{topologies, AnycastGroup, Bandwidth, NodeId, RouteTable, Topology};
-use serde::{Deserialize, Serialize};
 
 /// One fixed route with its offered traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteLoad {
     /// Indices of the links the route crosses (dense link ids).
     pub links: Vec<usize>,
@@ -22,7 +21,7 @@ pub struct RouteLoad {
 }
 
 /// The abstract input of the fixed-point model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficScenario {
     /// All routes carrying traffic. For the builders in this module the
     /// order is source-major, member-minor (`routes[s·K + i]` is source `s`
@@ -33,7 +32,7 @@ pub struct TrafficScenario {
 }
 
 /// The systems Appendix A derives admission probabilities for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyzedSystem {
     /// `<ED,1>`: load split uniformly over the `K` fixed routes.
     Ed1,
@@ -43,7 +42,7 @@ pub enum AnalyzedSystem {
 
 /// Traffic parameters for scenario construction (§5.1 defaults available
 /// via [`ScenarioSpec::paper_defaults`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Total request rate λ in flows/second.
     pub lambda: f64,

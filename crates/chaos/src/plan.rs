@@ -3,10 +3,9 @@
 
 use anycast_net::{LinkId, NodeId};
 use anycast_rsvp::RefreshConfig;
-use serde::{Deserialize, Serialize};
 
 /// One atomic state change injected into the running experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Take a link down; flows whose path crosses it are killed.
     FailLink(LinkId),
@@ -30,7 +29,7 @@ impl FaultAction {
 
 /// An alternating up/down renewal process: exponential time-to-failure
 /// with mean `mtbf_secs`, exponential repair with mean `mttr_secs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StochasticFaultModel {
     /// Mean time between failures (exponential), seconds of up time.
     pub(crate) mtbf_secs: f64,
@@ -64,7 +63,7 @@ impl StochasticFaultModel {
 /// RSVP control-plane faults: teardown (PATH_TEAR) messages can be lost
 /// — orphaning the reservation until soft state expires it — or delayed,
 /// holding bandwidth past the flow's departure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlFaultModel {
     /// Probability that a flow's teardown message is lost entirely.
     pub teardown_loss_probability: f64,
@@ -97,7 +96,7 @@ impl Default for ControlFaultModel {
 }
 
 /// Loss and delay knobs for one signaling message kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageFault {
     /// Probability that one *hop crossing* of the message is lost.
     pub loss_probability: f64,
@@ -149,7 +148,7 @@ impl Default for MessageFault {
 /// Per-kind faults for the two-phase setup signaling (PATH / RESV /
 /// RESV_ERR). Only meaningful when the experiment runs the two-phase
 /// engine — the atomic engine exchanges no individual messages to lose.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SignalingFaults {
     /// Faults on PATH hop crossings (forward, hold-placing direction).
     pub path: MessageFault,
@@ -174,7 +173,7 @@ impl SignalingFaults {
 }
 
 /// One hand-scripted fault at an absolute simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScriptedFault {
     /// When the action fires, in seconds of simulated time.
     pub at_secs: f64,
@@ -187,7 +186,7 @@ pub struct ScriptedFault {
 /// [`FaultPlan::none`] is the fault-free plan and is the default of
 /// `ExperimentConfig`; an experiment run under it must be bit-identical
 /// to one that predates fault injection entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Stochastic up/down process applied independently to every link
     /// (`None` = links never fail on their own).

@@ -5,7 +5,6 @@ use crate::spec::{parse_system, parse_topology};
 use anycast_analysis::scenario::{build_scenario, AnalyzedSystem, ScenarioSpec};
 use anycast_analysis::{predict_ap, predict_ap_batch, BlockingModel};
 use anycast_bench::{default_jobs, run_grid, run_grid_traced, TracedCell};
-use anycast_dac::calibrate::CalibrationBurst;
 use anycast_dac::experiment::{
     run_experiment, run_experiment_traced, ArrivalProcess, ExperimentConfig, SignalingMode,
     SystemSpec, TwoPhaseConfig,
@@ -16,7 +15,6 @@ use anycast_daemon::{
     install_signal_handler, replay_trace, write_trace, BoundServer, Endpoint, ReplayPacing,
     ServeOptions, ShutdownFlag,
 };
-use anycast_estimator::{CalibrationOptions, Estimator};
 use anycast_net::{metrics, LinkId, NodeId, Topology};
 use anycast_sim::SimRng;
 use anycast_telemetry::export::{to_csv, to_jsonl};
@@ -179,35 +177,20 @@ pub fn print_help(command: &str) {
         "predict" => println!(
             "usage: anycast predict --lambda RATE | --lambdas START:END:STEP [options]\n\
              \n\
-             Predicts admission probability without a full simulation: either\n\
-             the Appendix-A analytical model (--system ed1|sp) or the\n\
-             burst-calibrated link-decomposition estimator\n\
-             (--system ed|wddh|wddb|gdi), batched over the whole λ grid.\n\
+             Predicts admission probability without a simulation, from the\n\
+             Appendix-A analytical model, batched over the whole λ grid. The\n\
+             other systems have no analytic model: `anycast sweep --system\n\
+             ed|wddh|wddb|gdi` simulates them.\n\
              \n\
              options:\n\
-             \x20 --system NAME                  ed1|sp (analytic, default ed1) or\n\
-             \x20                                ed|wddh|wddb|gdi (calibrated estimator)\n\
-             \x20 --model erlang|uaa             link-blocking model (analytic only,\n\
-             \x20                                default erlang)\n\
-             \x20 --jobs N                       worker threads for calibration bursts\n\
-             \x20                                and the λ-grid fan-out (default:\n\
-             \x20                                available cores; results are\n\
-             \x20                                bit-identical for every N)\n\
+             \x20 --system ed1|sp                analyzed system (default ed1)\n\
+             \x20 --model erlang|uaa             link-blocking model (default erlang)\n\
+             \x20 --jobs N                       worker threads for the λ-grid fan-out\n\
+             \x20                                (default: available cores; results\n\
+             \x20                                are bit-identical for every N)\n\
              \x20 --topology SPEC                as in `simulate`\n\
              \x20 --group IDS / --sources IDS    as in `simulate`\n\
-             \x20 --hot N                        list the N hottest links (default 5)\n\
-             \n\
-             estimator options (--system ed|wddh|wddb|gdi):\n\
-             \x20 --r N                          retrial limit (default 2)\n\
-             \x20 --alpha X                      WD/D+H damping in [0,1] (default 0.5)\n\
-             \x20 --anchors RANGE                calibration anchor λs (default 5:50:15)\n\
-             \x20 --seed N                       calibration burst seed\n\
-             \x20 --calib-warmup SECS            burst warm-up, compressed simulated\n\
-             \x20                                seconds (default 90)\n\
-             \x20 --calib-measure SECS           burst measured period (default 60)\n\
-             \x20 --compression C                time-compression factor >= 1: bursts\n\
-             \x20                                run at λ·C with holding time T/C, same\n\
-             \x20                                offered load (default 6)"
+             \x20 --hot N                        list the N hottest links (default 5)"
         ),
         "topo" => println!(
             "usage: anycast topo [--topology SPEC]\n\
@@ -969,13 +952,8 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `anycast predict`.
-///
-/// Two back ends share the flag surface: the Appendix-A analytic model
-/// (`--system ed1|sp` — closed-form weights, milliseconds, no simulation
-/// at all) and the calibrated link-decomposition estimator
-/// (`--system ed|wddh|wddb|gdi` — runs short DES calibration bursts
-/// once, then predicts any λ grid in milliseconds).
+/// `anycast predict`: the Appendix-A analytic model for `--system ed1|sp`
+/// (closed-form weights, milliseconds, no simulation at all).
 pub fn predict(raw: Vec<String>) -> Result<(), String> {
     let mut args = Args::parse(raw, &[])?;
     let lambdas = match (args.get_str("lambda"), args.get_str("lambdas")) {
@@ -1014,42 +992,79 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
         ),
         None => None,
     };
-    let system_name = args.get_str("system").unwrap_or_else(|| "ed1".into());
-    match system_name.as_str() {
-        "ed1" => predict_analytic(
-            &mut args,
-            &topo,
-            group,
-            sources,
-            &lambdas,
-            jobs,
-            hot,
-            AnalyzedSystem::Ed1,
-        ),
-        "sp" => predict_analytic(
-            &mut args,
-            &topo,
-            group,
-            sources,
-            &lambdas,
-            jobs,
-            hot,
-            AnalyzedSystem::Sp,
-        ),
-        "ed" | "wddh" | "wddb" | "gdi" => predict_calibrated(
-            &mut args,
-            &topo,
-            group,
-            sources,
-            &lambdas,
-            jobs,
-            hot,
-            &system_name,
-        ),
-        other => Err(format!(
-            "unknown system `{other}` (analytic: ed1, sp; calibrated estimator: ed, wddh, wddb, gdi)"
-        )),
+    let system = match args.get_str("system").as_deref().unwrap_or("ed1") {
+        "ed1" => AnalyzedSystem::Ed1,
+        "sp" => AnalyzedSystem::Sp,
+        other @ ("ed" | "wddh" | "wddb" | "gdi") => {
+            return Err(format!(
+                "--system {other} has no analytic model (ed1, sp); simulate it with \
+                 `anycast sweep --system {other}`"
+            ))
+        }
+        other => return Err(format!("unknown system `{other}` (expected ed1 or sp)")),
+    };
+    let model = match args
+        .get_str("model")
+        .unwrap_or_else(|| "erlang".into())
+        .as_str()
+    {
+        "erlang" => BlockingModel::ErlangB,
+        "uaa" => BlockingModel::Uaa,
+        other => {
+            return Err(format!(
+                "unknown blocking model `{other}` (expected erlang or uaa)"
+            ))
+        }
+    };
+    args.finish()?;
+    let spec_at = |lambda: f64| {
+        let mut spec = ScenarioSpec::paper_defaults(lambda);
+        if let Some(g) = &group {
+            spec.group_members = g.clone();
+        }
+        if let Some(s) = &sources {
+            spec.sources = s.clone();
+        }
+        spec
+    };
+    let probe = spec_at(lambdas[0]);
+    check_placement(&topo, probe.group_members.iter().chain(&probe.sources))?;
+
+    if let [lambda] = lambdas[..] {
+        let scenario = build_scenario(&topo, &spec_at(lambda), system);
+        let p = predict_ap(&scenario, model);
+        println!("system                {system:?}");
+        println!("model                 {model:?}");
+        println!("lambda                {lambda:.3} flows/s");
+        println!("admission probability {:.6}", p.admission_probability);
+        println!(
+            "fixed point           {} iterations, converged = {}",
+            p.iterations, p.converged
+        );
+        println!("hottest links:");
+        print_hot_links(&topo, &p.link_blocking, hot);
+    } else {
+        let cases: Vec<_> = lambdas
+            .iter()
+            .map(|&lambda| (build_scenario(&topo, &spec_at(lambda), system), model))
+            .collect();
+        let predictions = predict_ap_batch(jobs, &cases);
+        println!("system {system:?}  model {model:?}  jobs {jobs}");
+        println!(
+            "{:>8}  {:>10}  {:>10}  {:>9}",
+            "lambda", "admission", "iterations", "converged"
+        );
+        for (p, &lambda) in predictions.iter().zip(&lambdas) {
+            println!(
+                "{lambda:8.2}  {:10.6}  {:10}  {:9}",
+                p.admission_probability, p.iterations, p.converged
+            );
+        }
+        let top = predictions.last().expect("at least one lambda");
+        println!("hottest links at lambda {:.2}:", lambdas[lambdas.len() - 1]);
+        print_hot_links(&topo, &top.link_blocking, hot);
     }
+    Ok(())
 }
 
 /// Rejects any group/source node that the topology does not contain.
@@ -1084,212 +1099,6 @@ fn print_hot_links(topo: &Topology, blocking: &[f64], hot: usize) {
             b
         );
     }
-}
-
-/// The Appendix-A back end of [`predict`]: `--system ed1|sp` under
-/// `--model erlang|uaa`, batched over the λ grid.
-#[allow(clippy::too_many_arguments)]
-fn predict_analytic(
-    args: &mut Args,
-    topo: &Topology,
-    group: Option<Vec<NodeId>>,
-    sources: Option<Vec<NodeId>>,
-    lambdas: &[f64],
-    jobs: usize,
-    hot: usize,
-    system: AnalyzedSystem,
-) -> Result<(), String> {
-    let model = match args
-        .get_str("model")
-        .unwrap_or_else(|| "erlang".into())
-        .as_str()
-    {
-        "erlang" => BlockingModel::ErlangB,
-        "uaa" => BlockingModel::Uaa,
-        other => {
-            return Err(format!(
-                "unknown blocking model `{other}` (expected erlang or uaa)"
-            ))
-        }
-    };
-    args.finish()?;
-    let spec_at = |lambda: f64| {
-        let mut spec = ScenarioSpec::paper_defaults(lambda);
-        if let Some(g) = &group {
-            spec.group_members = g.clone();
-        }
-        if let Some(s) = &sources {
-            spec.sources = s.clone();
-        }
-        spec
-    };
-    let probe = spec_at(lambdas[0]);
-    check_placement(topo, probe.group_members.iter().chain(&probe.sources))?;
-
-    if let [lambda] = lambdas {
-        let scenario = build_scenario(topo, &spec_at(*lambda), system);
-        let p = predict_ap(&scenario, model);
-        println!("system                {system:?}");
-        println!("model                 {model:?}");
-        println!("lambda                {lambda:.3} flows/s");
-        println!("admission probability {:.6}", p.admission_probability);
-        println!(
-            "fixed point           {} iterations, converged = {}",
-            p.iterations, p.converged
-        );
-        println!("hottest links:");
-        print_hot_links(topo, &p.link_blocking, hot);
-    } else {
-        let cases: Vec<_> = lambdas
-            .iter()
-            .map(|&lambda| (build_scenario(topo, &spec_at(lambda), system), model))
-            .collect();
-        let predictions = predict_ap_batch(jobs, &cases);
-        println!("system {system:?}  model {model:?}  jobs {jobs}");
-        println!(
-            "{:>8}  {:>10}  {:>10}  {:>9}",
-            "lambda", "admission", "iterations", "converged"
-        );
-        for (p, &lambda) in predictions.iter().zip(lambdas) {
-            println!(
-                "{lambda:8.2}  {:10.6}  {:10}  {:9}",
-                p.admission_probability, p.iterations, p.converged
-            );
-        }
-        let top = predictions.last().expect("at least one lambda");
-        println!("hottest links at lambda {:.2}:", lambdas[lambdas.len() - 1]);
-        print_hot_links(topo, &top.link_blocking, hot);
-    }
-    Ok(())
-}
-
-/// The link-decomposition back end of [`predict`]: calibrates the
-/// estimator for `--system ed|wddh|wddb|gdi` with short DES bursts, then
-/// predicts the λ grid through the worker pool.
-#[allow(clippy::too_many_arguments)]
-fn predict_calibrated(
-    args: &mut Args,
-    topo: &Topology,
-    group: Option<Vec<NodeId>>,
-    sources: Option<Vec<NodeId>>,
-    lambdas: &[f64],
-    jobs: usize,
-    hot: usize,
-    system_name: &str,
-) -> Result<(), String> {
-    if args.get_str("model").is_some() {
-        return Err(
-            "--model applies only to the analytic systems (ed1, sp); the calibrated \
-             estimator derives per-link blocking from its bursts"
-                .to_string(),
-        );
-    }
-    let r: u32 = args.get_or("r", 2)?;
-    let alpha: f64 = args.get_or("alpha", 0.5)?;
-    let system = parse_system(system_name, r, alpha, 1)?;
-    let anchors = match args.get_str("anchors") {
-        Some(spec) => parse_range(&spec)?,
-        None => CalibrationOptions::default().anchors,
-    };
-    for &a in &anchors {
-        if !(a.is_finite() && a > 0.0) {
-            return Err(format!("--anchors must be positive rates, got {a}"));
-        }
-    }
-    let calib_warmup: f64 = args.get_or("calib-warmup", 90.0)?;
-    let calib_measure: f64 = args.get_or("calib-measure", 60.0)?;
-    if !(calib_warmup.is_finite()
-        && calib_warmup >= 0.0
-        && calib_measure.is_finite()
-        && calib_measure > 0.0)
-    {
-        return Err(format!(
-            "calibration horizons must be positive, got --calib-warmup {calib_warmup} \
-             --calib-measure {calib_measure}"
-        ));
-    }
-    let compression: f64 = args.get_or("compression", 6.0)?;
-    if !(compression.is_finite() && compression >= 1.0) {
-        return Err(format!(
-            "--compression must be at least 1, got {compression}"
-        ));
-    }
-    let seed: u64 = args.get_or("seed", CalibrationOptions::default().seed)?;
-    args.finish()?;
-
-    let mut base = ExperimentConfig::paper_defaults(lambdas[0], system);
-    if let Some(g) = group {
-        base = base.with_group(g);
-    }
-    if let Some(s) = sources {
-        base = base.with_sources(s);
-    }
-    check_placement(topo, base.group_members.iter().chain(&base.sources))?;
-
-    let options = CalibrationOptions {
-        anchors,
-        seed,
-        burst: CalibrationBurst {
-            warmup_secs: calib_warmup,
-            measure_secs: calib_measure,
-            ..CalibrationBurst::default()
-        },
-        time_compression: compression,
-        jobs,
-    };
-    let start = std::time::Instant::now();
-    let estimator = Estimator::calibrated(topo, &base, &options);
-    let calibrate_secs = start.elapsed().as_secs_f64();
-    let table = estimator
-        .calibration()
-        .expect("calibrated estimator has a table");
-    println!("system                {}", estimator.label());
-    println!(
-        "calibration           {} bursts ({} requests, compression {compression}) in {calibrate_secs:.2} s",
-        options.anchors.len(),
-        table.total_requests(),
-    );
-
-    if let [lambda] = lambdas {
-        let est = estimator.predict(*lambda);
-        println!("lambda                {lambda:.3} flows/s");
-        println!("admission probability {:.6}", est.admission_probability);
-        println!(
-            "  raw composition     {:.6}  residual {:+.6}",
-            est.raw_admission_probability, est.residual_correction
-        );
-        println!(
-            "mean tries            {:.4} ({:.4} retrials)",
-            est.mean_tries, est.mean_retrials
-        );
-        println!(
-            "fixed point           {} iterations, converged = {}",
-            est.iterations, est.converged
-        );
-        println!("hottest links:");
-        print_hot_links(topo, &est.link_saturation, hot);
-    } else {
-        let estimates = estimator.predict_batch(jobs, lambdas);
-        println!(
-            "{:>8}  {:>10}  {:>10}  {:>9}  {:>6}  {:>9}",
-            "lambda", "admission", "raw", "residual", "tries", "converged"
-        );
-        for est in &estimates {
-            println!(
-                "{:8.2}  {:10.6}  {:10.6}  {:+9.6}  {:6.3}  {:9}",
-                est.lambda,
-                est.admission_probability,
-                est.raw_admission_probability,
-                est.residual_correction,
-                est.mean_tries,
-                est.converged
-            );
-        }
-        let top = estimates.last().expect("at least one lambda");
-        println!("hottest links at lambda {:.2}:", top.lambda);
-        print_hot_links(topo, &top.link_saturation, hot);
-    }
-    Ok(())
 }
 
 /// `anycast topo`.
@@ -1496,6 +1305,9 @@ mod tests {
         ]))
         .unwrap();
         assert!(predict(strs(&["--lambda", "20", "--system", "x"])).is_err());
+        // The simulated systems have no analytic model: the error names `sweep`.
+        let err = predict(strs(&["--lambda", "20", "--system", "wddh"])).unwrap_err();
+        assert!(err.contains("anycast sweep --system wddh"), "{err}");
         assert!(predict(strs(&["--lambda", "20", "--model", "x"])).is_err());
         assert!(predict(strs(&["--lambda", "-3"])).is_err());
         assert!(predict(strs(&["--lambda", "20", "--group", "77"])).is_err());
@@ -1519,60 +1331,6 @@ mod tests {
             "3",
         ]))
         .unwrap();
-    }
-
-    #[test]
-    fn predict_calibrated_estimator_end_to_end() {
-        // One short anchor burst keeps the calibration cheap; the grid
-        // then exercises predict_batch through the pool.
-        predict(strs(&[
-            "--lambdas",
-            "10:30:20",
-            "--system",
-            "wddh",
-            "--anchors",
-            "20",
-            "--calib-warmup",
-            "30",
-            "--calib-measure",
-            "30",
-            "--jobs",
-            "2",
-        ]))
-        .unwrap();
-        predict(strs(&[
-            "--lambda",
-            "15",
-            "--system",
-            "gdi",
-            "--anchors",
-            "15",
-            "--calib-warmup",
-            "30",
-            "--calib-measure",
-            "30",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn predict_estimator_flags_validate() {
-        for (flags, needle) in [
-            (vec!["--system", "ed", "--model", "uaa"], "--model"),
-            (
-                vec!["--system", "ed", "--compression", "0.5"],
-                "--compression",
-            ),
-            (vec!["--system", "ed", "--anchors", "-4"], "--anchors"),
-            (vec!["--system", "ed", "--calib-measure", "0"], "horizons"),
-            (vec!["--system", "ed", "--r", "0"], "--r"),
-            (vec!["--system", "ed", "--group", "77"], "not a node"),
-        ] {
-            let mut raw = vec!["--lambda", "10"];
-            raw.extend(&flags);
-            let err = predict(strs(&raw)).unwrap_err();
-            assert!(err.contains(needle), "{flags:?}: {err}");
-        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! anycast replay --trace trace.jsonl --lambda 20          # replay it online
 //! anycast serve --listen 127.0.0.1:4730 --warmup 0        # live admission daemon
 //! anycast predict --lambda 35 --system ed1                # Appendix-A analysis
-//! anycast predict --lambdas 5:50:2.5 --system wddh        # calibrated estimator sweep
 //! anycast topo --topology grid:5x4                        # structure report
 //! ```
 //!

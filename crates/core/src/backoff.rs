@@ -11,7 +11,6 @@
 //! resynchronize into the same collision.
 
 use anycast_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Retransmission schedule for timed-out two-phase setups.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// 2 s, 3 retransmits) a persistently lost setup waits 0.1 s, 0.2 s and
 /// 0.4 s (± jitter) before the destination is declared failed and the
 /// §4.5 retrial policy takes over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retransmission, in seconds.
     pub base_secs: f64,

@@ -34,7 +34,6 @@ use anycast_telemetry::{
     Event as TelemetryEvent, FaultKind, NullRecorder, Recorder, RequestTracer, SkipReason,
     TeardownReason,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ pub(crate) const UNBOUNDED_HORIZON_SECS: f64 = 1e15;
 
 /// Which admission system the experiment evaluates — the paper's
 /// `<A, R>` tuples plus the two baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SystemSpec {
     /// The DAC procedure with a destination-selection policy and retrial
     /// control: the `<A, R>` notation of §5.1.
@@ -117,7 +116,7 @@ impl SystemSpec {
 }
 
 /// The arrival process shape (extension — the paper assumes Poisson).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Plain Poisson arrivals at rate λ (§5.1).
     Poisson,
@@ -134,7 +133,7 @@ pub enum ArrivalProcess {
 
 /// One anycast group of a multi-service workload (extension — the paper
 /// evaluates a single group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
     /// The group's member routers.
     pub members: Vec<NodeId>,
@@ -145,7 +144,7 @@ pub struct GroupSpec {
 
 /// One bandwidth class of a heterogeneous workload (extension beyond the
 /// paper, whose flows all demand 64 kb/s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandClass {
     /// Per-flow bandwidth demand of this class.
     pub bandwidth: Bandwidth,
@@ -154,7 +153,7 @@ pub struct DemandClass {
 }
 
 /// Parameters of the latency-aware two-phase signalling engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoPhaseConfig {
     /// Propagation + processing delay per link crossing, in seconds.
     /// Zero with an inert `[signaling]` fault section is the atomic
@@ -204,7 +203,7 @@ impl TwoPhaseConfig {
 }
 
 /// How the §4.4 reservation exchange is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SignalingMode {
     /// The paper's model: the PATH/RESV exchange completes in one
     /// instant, so admission state is never stale.
@@ -220,7 +219,7 @@ pub enum SignalingMode {
 ///
 /// [`ExperimentConfig::paper_defaults`] reproduces §5.1; the `with_*`
 /// builders tweak individual knobs for sweeps, ablations and tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// PRNG seed; identical seeds give identical runs.
     pub seed: u64,
@@ -390,7 +389,7 @@ impl ExperimentConfig {
 
 /// Measured output of one run: the paper's two performance metrics plus
 /// the supporting evidence (message counts, load levels, CIs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// The system's paper label (`<ED,2>`, `SP`, `GDI`, …).
     pub label: String,

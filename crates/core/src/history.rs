@@ -1,7 +1,5 @@
 //! The local admission history of eqs. (5)–(7).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-AC-router admission history `H = <h₁, …, h_K>` (eq. 5).
 ///
 /// `h_i` counts the *consecutive* failures in the most recent selections of
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// (eq. 7). This log is "readily available at the AC-router. Its collection
 /// does not cost much at all" (§4.3.2) — it is the cheap dynamic signal
 /// behind the WD/D+H algorithm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryTable {
     entries: Vec<u32>,
 }

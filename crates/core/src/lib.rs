@@ -39,7 +39,6 @@
 
 pub(crate) mod backoff;
 pub mod baselines;
-pub mod calibrate;
 mod controller;
 mod error;
 pub mod experiment;

@@ -5,7 +5,6 @@ use crate::weights::{
     history_damping, uniform_weights_into,
 };
 use crate::DacError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Everything a weight policy may look at when selecting a destination.
@@ -94,7 +93,7 @@ impl WeightAssigner for Ed {
 /// The paper initialises weights from eq. (4) and says they are "updated"
 /// before every selection, which admits two readings; both are provided
 /// and compared in the `ablation_history_mode` bench (see `DESIGN.md` §2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HistoryMode {
     /// Recompute effective weights from the *base* distance weights and the
     /// current history at every selection (stable; the default).
@@ -231,7 +230,7 @@ impl WeightAssigner for WdDb {
 
 /// Serialisable specification of a weight policy — what experiment configs
 /// store and sweep over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Even Distribution.
     Ed,

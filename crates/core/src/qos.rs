@@ -17,10 +17,9 @@
 
 use crate::DacError;
 use anycast_net::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Leaky-bucket traffic description of a flow requesting delay QoS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Token-bucket burst size σ in bytes.
     pub burst_bytes: u64,

@@ -1,14 +1,12 @@
 //! Retrial control (§4.5): how many destinations one request may try.
 
-use serde::{Deserialize, Serialize};
-
 /// The counter-based retrial scheme of §4.5, plus an adaptive extension.
 ///
 /// The paper's scheme is a plain counter: each destination tried increments
 /// `c`, and the procedure keeps going while `c < R`. Since retrials sample
 /// *distinct* destinations, `R` is also capped by the group size in
 /// practice (§5.2.1 calls `R = 5 = K` "the upper limit").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetrialPolicy {
     /// Allow up to `R` tries in total (the paper's `<A, R>` notation).
     FixedLimit(u32),

@@ -1,6 +1,5 @@
 //! Bandwidth quantities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
@@ -17,9 +16,7 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// let flow = Bandwidth::from_bps(64_000);
 /// assert_eq!(link.saturating_div(flow), 1562);
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {

@@ -1,7 +1,6 @@
 //! Anycast groups: the designated recipient sets that share an address.
 
 use crate::{NetError, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An anycast group `G(A)`: the set of designated recipients reachable
@@ -21,7 +20,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnycastGroup {
     address: String,
     members: Vec<NodeId>,

@@ -1,7 +1,6 @@
 //! Strongly-typed identifiers for nodes and links, and the hasher for
 //! keys made of engine-issued ids.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
 
@@ -17,7 +16,7 @@ use std::hash::Hasher;
 /// assert_eq!(n.index(), 4);
 /// assert_eq!(n.to_string(), "n4");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -60,7 +59,7 @@ impl From<u32> for NodeId {
 /// assert_eq!(l.index(), 3);
 /// assert_eq!(l.to_string(), "l3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(u32);
 
 impl LinkId {

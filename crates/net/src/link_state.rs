@@ -2,10 +2,9 @@
 //! node up/down state for the fault-injection extension.
 
 use crate::{Bandwidth, LinkId, NetError, NodeId, Path, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Read-only snapshot of one link's capacity accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSnapshot {
     /// Capacity usable by anycast flows (the anycast partition of §5.1).
     pub capacity: Bandwidth,
@@ -46,7 +45,7 @@ impl LinkSnapshot {
 /// admission daemon's `stats` endpoint). [`LinkStateTable::summary`] reads
 /// it from the ledger's running totals in O(1);
 /// [`LinkStateTable::audit`] recomputes it with a pass over every link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSummary {
     /// Links tracked by the ledger.
     pub links: usize,
@@ -83,7 +82,7 @@ pub struct LinkSummary {
 /// down if it failed itself **or** either endpoint node is down), while
 /// the table remembers the explicit link faults so that restoring a node
 /// does not silently resurrect a link that is still broken on its own.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkStateTable {
     states: Vec<LinkSnapshot>,
     /// Explicit per-link faults (`fail_link`), independent of node state.

@@ -1,7 +1,6 @@
 //! Fixed routes between a source and a destination.
 
 use crate::{LinkId, NetError, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// A path is immutable and shares its sequences: cloning one (for a
 /// reservation, or a two-phase setup) bumps a reference count instead of
 /// copying the route.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     hops: Arc<Hops>,
 }

@@ -1,7 +1,6 @@
 //! Network topology: nodes connected by undirected capacity-bearing links.
 
 use crate::{Bandwidth, LinkId, NetError, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// An undirected link between two nodes with a bandwidth capacity.
@@ -11,7 +10,7 @@ use std::collections::HashSet;
 /// capacity stored here is the raw physical capacity; the share reserved for
 /// anycast traffic is carved out by
 /// [`LinkStateTable::with_uniform_fraction`](crate::LinkStateTable::with_uniform_fraction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     id: LinkId,
     a: NodeId,
@@ -170,7 +169,7 @@ impl TopologyBuilder {
 /// The topology is pure structure; mutable bandwidth bookkeeping lives in
 /// [`LinkStateTable`](crate::LinkStateTable) so that one topology can be
 /// shared by many concurrent simulation runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     links: Vec<Link>,
     /// Node `i`'s neighbours are `adjacency[offsets[i]..offsets[i + 1]]`

@@ -1,13 +1,12 @@
 //! Signaling message kinds and the per-run message ledger.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The RSVP message kinds exchanged during admission and teardown.
 ///
 /// One message of a given kind is counted per link it crosses, matching how
 /// signaling load scales with route length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Downstream probe from the source toward the candidate destination
     /// (availability check of §4.4 Task 1).
@@ -37,7 +36,7 @@ impl fmt::Display for MessageKind {
 /// The paper's overhead argument (§5.2.2, Figure 7) is that each retrial
 /// costs a reservation round-trip; this ledger makes that cost measurable
 /// rather than assumed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageLedger {
     path: u64,
     resv: u64,

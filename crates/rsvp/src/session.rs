@@ -1,7 +1,6 @@
 //! Reservation sessions.
 
 use anycast_net::{Bandwidth, IdHasher, Path};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::BuildHasherDefault;
@@ -12,7 +11,7 @@ use std::hash::BuildHasherDefault;
 /// [`probe_and_reserve`](crate::ReservationEngine::probe_and_reserve) and
 /// redeemed at [`teardown`](crate::ReservationEngine::teardown) when the
 /// flow's lifetime expires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(u64);
 
 impl SessionId {
@@ -57,7 +56,7 @@ pub type SessionMap<V> = HashMap<SessionId, V, BuildHasherDefault<IdHasher>>;
 pub type SessionSet = HashSet<SessionId, BuildHasherDefault<IdHasher>>;
 
 /// The state held for one admitted flow: its route and reserved bandwidth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reservation {
     path: Path,
     bandwidth: Bandwidth,

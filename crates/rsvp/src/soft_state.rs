@@ -20,11 +20,10 @@
 //! tracker is the naive reference that module is tested against.
 
 use crate::SessionId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the refresh lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshConfig {
     /// Nominal interval between refreshes (RSVP's `R`, default 30 s).
     pub refresh_interval_secs: f64,

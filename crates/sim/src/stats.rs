@@ -2,11 +2,10 @@
 //! admission-probability estimator used by every experiment.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Running mean via Welford's update (`mean += (x − mean) / n`), which
 /// keeps the mean exact to the last bit the engine's pinned numbers rely on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RunningMean {
     n: u64,
     mean: f64,
@@ -32,7 +31,7 @@ impl RunningMean {
 
 /// Time-weighted average of a piecewise-constant signal, e.g. the number of
 /// active flows or the reserved bandwidth of a link over simulated time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
@@ -98,7 +97,7 @@ impl TimeWeighted {
 ///
 /// Requests arriving before the warm-up cutoff are counted separately and
 /// excluded from the reported statistics, removing initial-transient bias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdmissionStats {
     warmup_end: SimTime,
     offered: u64,
@@ -240,7 +239,7 @@ impl AdmissionStats {
 /// assert_eq!(h.buckets(), &[0, 3, 1, 1]);
 /// assert_eq!(h.total(), 5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

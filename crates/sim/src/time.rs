@@ -1,6 +1,5 @@
 //! Simulated time: instants and durations in seconds.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// constructors enforce this so the event queue never sees NaN, and store
 /// zero as `+0.0`, so `==`, `<` and `cmp` agree on every value and the
 /// order of instants is the order of their bit patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -97,7 +96,7 @@ impl Sub for SimTime {
 
 /// A span of simulated time in seconds; always finite and non-negative,
 /// with zero stored as `+0.0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Duration(f64);
 
 impl Duration {

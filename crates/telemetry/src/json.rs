@@ -1,8 +1,7 @@
 //! Minimal JSON emission for machine-readable figure output.
 //!
-//! The vendored `serde` is an API stub without real serialization, so the
-//! experiment binaries build their JSON explicitly through [`JsonValue`]
-//! — which also keeps the emitted schema an intentional, reviewed
+//! The experiment binaries build their JSON explicitly through
+//! [`JsonValue`], which keeps the emitted schema an intentional, reviewed
 //! artifact rather than a mirror of internal struct layout.
 
 use std::borrow::Cow;

@@ -71,7 +71,6 @@
 pub(crate) mod event;
 pub mod export;
 pub mod json;
-pub(crate) mod occupancy;
 pub(crate) mod recorder;
 pub(crate) mod registry;
 pub(crate) mod stream;
@@ -81,10 +80,7 @@ pub use event::{
     DecisionStep, DecisionTrace, Event, FaultKind, ProbeResult, SkipReason, TeardownReason,
     TimedEvent,
 };
-pub use occupancy::{link_occupancy, source_attempt_profiles, LinkOccupancy, SourceAttempts};
-pub use recorder::{
-    EventFilter, NullRecorder, Recorder, RingRecorder, TelemetryMode, DEFAULT_RING_CAPACITY,
-};
+pub use recorder::{NullRecorder, Recorder, RingRecorder, TelemetryMode, DEFAULT_RING_CAPACITY};
 pub use registry::{registry_from_events, MetricKey, MetricsRegistry};
 pub use stream::{StreamPolicy, StreamRecorder, DEFAULT_STREAM_CAPACITY};
 pub use tracer::RequestTracer;

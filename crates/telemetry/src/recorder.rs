@@ -68,40 +68,6 @@ impl Recorder for NullRecorder {
     fn record(&mut self, _time_secs: f64, _event: Event) {}
 }
 
-/// An allow-list over [`Event::kind`] labels: a recorder carrying a
-/// filter retains only the listed kinds and discards the rest at
-/// `record` time (without touching the ring or the drop counter).
-///
-/// Consumers that read back a narrow slice of the stream — the
-/// calibration extractors read only `arrival`, `probe` and `link_sample`
-/// — use this to keep ring pressure and copy volume proportional to what
-/// they actually consume instead of to everything the run emits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventFilter {
-    keep: Vec<&'static str>,
-}
-
-impl EventFilter {
-    /// A filter retaining exactly the listed [`Event::kind`] labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty — a recorder that keeps nothing is a
-    /// misconfiguration, not a use case ([`NullRecorder`] covers "record
-    /// nothing" without the ring).
-    pub fn keep(kinds: &[&'static str]) -> Self {
-        assert!(!kinds.is_empty(), "an event filter must keep something");
-        EventFilter {
-            keep: kinds.to_vec(),
-        }
-    }
-
-    /// Whether events of this kind are retained.
-    pub(crate) fn retains(&self, kind: &str) -> bool {
-        self.keep.contains(&kind)
-    }
-}
-
 /// A bounded in-memory event buffer with ring semantics: once `capacity`
 /// events are held, each new event overwrites the oldest and the
 /// [`dropped`](RingRecorder::dropped) counter grows, so a runaway run can
@@ -117,7 +83,6 @@ pub struct RingRecorder {
     head: usize,
     dropped: u64,
     sample_every_secs: Option<f64>,
-    filter: Option<EventFilter>,
 }
 
 /// Default ring capacity: 2²⁰ events (≈ tens of MB), enough for every
@@ -145,16 +110,7 @@ impl RingRecorder {
             head: 0,
             dropped: 0,
             sample_every_secs: None,
-            filter: None,
         }
-    }
-
-    /// Restricts the ring to the kinds `filter` retains; everything else
-    /// is discarded on arrival without consuming capacity or counting as
-    /// dropped.
-    pub fn with_filter(mut self, filter: EventFilter) -> Self {
-        self.filter = Some(filter);
-        self
     }
 
     /// Enables the periodic link-state sampler at `secs` intervals.
@@ -214,11 +170,6 @@ impl Recorder for RingRecorder {
     }
 
     fn record(&mut self, time_secs: f64, event: Event) {
-        if let Some(filter) = &self.filter {
-            if !filter.retains(event.kind()) {
-                return;
-            }
-        }
         let timed = TimedEvent { time_secs, event };
         if self.events.len() < self.capacity {
             self.events.push(timed);
@@ -320,42 +271,5 @@ mod tests {
     #[should_panic(expected = "positive capacity")]
     fn zero_capacity_rejected() {
         let _ = RingRecorder::with_capacity(0, 0);
-    }
-
-    #[test]
-    fn filter_discards_without_counting_drops() {
-        let mut r =
-            RingRecorder::with_capacity(3, 4).with_filter(EventFilter::keep(&["link_sample"]));
-        r.record(0.5, sample(0));
-        r.record(
-            1.0,
-            Event::RequestArrival {
-                request: 0,
-                source: anycast_net::NodeId::new(1),
-                group: 0,
-                demand_bps: 64_000,
-            },
-        );
-        r.record(1.5, sample(1));
-        let events = r.events();
-        assert_eq!(events.len(), 2, "arrival must be filtered out");
-        assert_eq!(r.dropped(), 0, "filtered events are not ring drops");
-        assert!(events
-            .iter()
-            .all(|e| matches!(e.event, Event::LinkSample { .. })));
-    }
-
-    #[test]
-    fn filter_retains_listed_kinds() {
-        let f = EventFilter::keep(&["arrival", "probe"]);
-        assert!(f.retains("arrival"));
-        assert!(f.retains("probe"));
-        assert!(!f.retains("rejection"));
-    }
-
-    #[test]
-    #[should_panic(expected = "must keep something")]
-    fn empty_filter_rejected() {
-        let _ = EventFilter::keep(&[]);
     }
 }

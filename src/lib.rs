@@ -21,7 +21,6 @@
 //! | [`telemetry`] | `anycast-telemetry` | structured events, recorders, exporters, metrics registry |
 //! | [`chaos`] | `anycast-chaos` | fault plans, deterministic fault timelines, outage ledger |
 //! | [`analysis`] | `anycast-analysis` | Erlang-B, UAA, fixed point, AP prediction |
-//! | [`estimator`] | `anycast-estimator` | calibrated link-decomposition fast path (Parsimon-style) |
 //!
 //! # Quickstart
 //!
@@ -46,7 +45,6 @@
 pub use anycast_analysis as analysis;
 pub use anycast_chaos as chaos;
 pub use anycast_dac as dac;
-pub use anycast_estimator as estimator;
 pub use anycast_net as net;
 pub use anycast_rsvp as rsvp;
 pub use anycast_sim as sim;
