@@ -116,7 +116,10 @@ echo "==> NaN gate (no bench artifact and no printed metric may be NaN or infini
 cargo run --release --offline -p anycast-cli --bin anycast -- \
     simulate --lambda 45 --system gdi --warmup 20 --measure 80 \
     > /tmp/gdi_metrics.txt
-! grep -qiE 'nan|inf' BENCH_pr*.json /tmp/gdi_metrics.txt
+if grep -niE 'nan|inf' BENCH_pr*.json /tmp/gdi_metrics.txt; then
+    echo "a bench artifact or a printed metric is NaN or infinite" >&2
+    exit 1
+fi
 rm -f /tmp/gdi_metrics.txt
 
 echo "==> two-phase leak smoke (lossy signalling must leak zero held bandwidth)"

@@ -12,8 +12,8 @@ use anycast_dac::experiment::{
 use anycast_dac::online::record_arrivals;
 use anycast_dac::BackoffPolicy;
 use anycast_daemon::{
-    install_signal_handler, replay_trace, write_trace, BoundServer, Endpoint, ReplayPacing,
-    ServeOptions, ShutdownFlag,
+    install_signal_handler, replay_trace, write_trace, BoundServer, Endpoint, ServeOptions,
+    ShutdownFlag,
 };
 use anycast_net::{metrics, LinkId, NodeId, Topology};
 use anycast_sim::SimRng;
@@ -130,10 +130,6 @@ pub fn print_help(command: &str) {
              \n\
              options (plus all `simulate` options):\n\
              \x20 --trace PATH                   trace file from `anycast record`\n\
-             \x20 --speed X                      pace against a wall clock at X\n\
-             \x20                                simulated seconds per real second\n\
-             \x20                                (default: virtual time, no waiting;\n\
-             \x20                                results are identical either way)\n\
              \x20 --stream PATH                  stream telemetry events to PATH as\n\
              \x20                                JSONL while the replay executes"
         ),
@@ -802,25 +798,12 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
     let trace_path = args
         .get_str("trace")
         .ok_or_else(|| "missing required flag --trace".to_string())?;
-    let speed = args.get_str("speed");
     let stream = args.get_str("stream");
     args.finish()?;
-    let pacing = match speed {
-        None => ReplayPacing::Virtual,
-        Some(raw) => {
-            let speed: f64 = raw
-                .parse()
-                .map_err(|e| format!("--speed: cannot parse `{raw}`: {e}"))?;
-            if !(speed.is_finite() && speed > 0.0) {
-                return Err(format!("--speed must be positive, got {raw}"));
-            }
-            ReplayPacing::Paced { speed }
-        }
-    };
     let path = std::path::Path::new(&trace_path);
     let outcome = match stream {
         None => {
-            let (outcome, _) = replay_trace(&topo, &config, path, pacing, NullRecorder)
+            let (outcome, _) = replay_trace(&topo, &config, path, NullRecorder)
                 .map_err(|e| format!("replay `{trace_path}`: {e}"))?;
             outcome
         }
@@ -828,7 +811,7 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
             let rec =
                 StreamRecorder::create_default(std::path::Path::new(&stream_path), config.seed)
                     .map_err(|e| format!("cannot create stream file `{stream_path}`: {e}"))?;
-            let (outcome, rec) = replay_trace(&topo, &config, path, pacing, rec)
+            let (outcome, rec) = replay_trace(&topo, &config, path, rec)
                 .map_err(|e| format!("replay `{trace_path}`: {e}"))?;
             let lines = rec
                 .finish()
@@ -1607,14 +1590,11 @@ mod tests {
         record_args.extend(["--out", path.to_str().unwrap()]);
         record(strs(&record_args)).unwrap();
         assert!(path.exists());
-        // Replaying with the same config (paced or virtual) works; the
-        // bit-identity itself is asserted in the daemon/core tests.
+        // Replaying with the same config works; the bit-identity itself
+        // is asserted in the daemon/core tests.
         let mut replay_args: Vec<&str> = flags.to_vec();
         replay_args.extend(["--trace", path.to_str().unwrap()]);
         replay(strs(&replay_args)).unwrap();
-        let mut paced_args: Vec<&str> = flags.to_vec();
-        paced_args.extend(["--trace", path.to_str().unwrap(), "--speed", "10000"]);
-        replay(strs(&paced_args)).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1647,10 +1627,10 @@ mod tests {
             "--trace",
             path.to_str().unwrap(),
             "--speed",
-            "0",
+            "10",
         ]))
         .unwrap_err();
-        assert!(err.contains("--speed"), "{err}");
+        assert!(err.contains("unknown flag --speed"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

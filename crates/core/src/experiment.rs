@@ -8,27 +8,18 @@
 //! exponential lifetimes, one five-member anycast group, 64 kb/s demands
 //! against the 20% anycast partition of 100 Mb/s links.
 
-use crate::backoff::BackoffPolicy;
+use crate::arrivals::{Arrival, ArrivalStream, RunStreams};
 use crate::baselines::{GlobalDynamicSystem, ShortestPathSystem};
 use crate::controller::{DacRequest, Routes};
 use crate::multipath::{MultipathController, MultipathRouteTable};
 use crate::online::OnlineArrival;
-use crate::policy::PolicySpec;
+use crate::run_stats::RunStats;
 use crate::signalling::{PendingAdmission, Plane, Settled, Signal, TwoPhaseState};
 use crate::soft_state::OrphanTimers;
-use crate::{AdmissionController, AdmissionOutcome, RetrialPolicy};
-use anycast_chaos::{
-    build_timeline, ControlFaultModel, FaultAction, FaultBook, FaultEntity, FaultPlan,
-};
-use anycast_net::{
-    topologies, AnycastGroup, Bandwidth, LinkStateTable, NodeId, Path, RouteSet, RouteTable,
-    Topology,
-};
-use anycast_rsvp::{
-    MessageLedger, ReservationEngine, ReservationOutcome, SessionId, SessionMap, SessionSet,
-};
-use anycast_sim::stats::{AdmissionStats, TimeWeighted};
-use anycast_sim::workload::{BurstyWorkload, FlowRequest, PoissonWorkload};
+use crate::{AdmissionController, AdmissionOutcome};
+use anycast_chaos::{build_timeline, ControlFaultModel, FaultAction, FaultBook, FaultEntity};
+use anycast_net::{AnycastGroup, LinkStateTable, NodeId, Path, RouteSet, RouteTable, Topology};
+use anycast_rsvp::{ReservationEngine, ReservationOutcome, SessionId, SessionMap, SessionSet};
 use anycast_sim::{Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{
     Event as TelemetryEvent, FaultKind, NullRecorder, Recorder, RequestTracer, SkipReason,
@@ -37,448 +28,17 @@ use anycast_telemetry::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+pub use crate::config::{
+    ArrivalProcess, DemandClass, ExperimentConfig, GroupSpec, SignalingMode, SystemSpec,
+    TwoPhaseConfig,
+};
+pub use crate::metrics::{Decision, Metrics, ServiceSnapshot};
+
 /// The horizon a rolling-window (run-forever) service advances toward:
 /// ~31 million simulated years, far past any deployment's lifetime, yet
 /// finite so [`SimTime`] arithmetic (adding holding times, signalling
 /// delays) can never overflow to infinity.
 pub(crate) const UNBOUNDED_HORIZON_SECS: f64 = 1e15;
-
-/// Which admission system the experiment evaluates — the paper's
-/// `<A, R>` tuples plus the two baselines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SystemSpec {
-    /// The DAC procedure with a destination-selection policy and retrial
-    /// control: the `<A, R>` notation of §5.1.
-    Dac {
-        /// Destination-selection algorithm `A`.
-        policy: PolicySpec,
-        /// Retrial control (the paper's `R` is `FixedLimit(R)`).
-        retrial: RetrialPolicy,
-    },
-    /// The multipath extension: DAC where each member may be probed over
-    /// its `paths_per_member` shortest alternate routes (§6 future work;
-    /// see `MultipathController` — the paper's §6
-    /// future work).
-    DacMultipath {
-        /// Destination-selection algorithm `A`.
-        policy: PolicySpec,
-        /// Retrial control over members.
-        retrial: RetrialPolicy,
-        /// Alternate fixed routes per member (k of Yen's algorithm).
-        paths_per_member: usize,
-    },
-    /// The SP baseline: always the nearest member, no retrials.
-    ShortestPath,
-    /// The GDI baseline: perfect global dynamic information, any path.
-    GlobalDynamic,
-}
-
-impl SystemSpec {
-    /// `<policy, R>` with the standard fixed retrial limit.
-    pub fn dac(policy: PolicySpec, r: u32) -> Self {
-        SystemSpec::Dac {
-            policy,
-            retrial: RetrialPolicy::FixedLimit(r),
-        }
-    }
-
-    /// Multipath DAC with a fixed member-retrial limit and `k` routes per
-    /// member.
-    pub fn dac_multipath(policy: PolicySpec, r: u32, paths_per_member: usize) -> Self {
-        SystemSpec::DacMultipath {
-            policy,
-            retrial: RetrialPolicy::FixedLimit(r),
-            paths_per_member,
-        }
-    }
-
-    /// The paper's label for this system, e.g. `<ED,2>`, `SP`, `GDI`;
-    /// the multipath extension is labelled `<A,R,k>`.
-    pub fn label(&self) -> String {
-        match self {
-            SystemSpec::Dac { policy, retrial } => {
-                format!("<{},{}>", policy.name(), retrial.max_tries())
-            }
-            SystemSpec::DacMultipath {
-                policy,
-                retrial,
-                paths_per_member,
-            } => format!(
-                "<{},{},k={}>",
-                policy.name(),
-                retrial.max_tries(),
-                paths_per_member
-            ),
-            SystemSpec::ShortestPath => "SP".to_string(),
-            SystemSpec::GlobalDynamic => "GDI".to_string(),
-        }
-    }
-}
-
-/// The arrival process shape (extension — the paper assumes Poisson).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Plain Poisson arrivals at rate λ (§5.1).
-    Poisson,
-    /// MMPP-2 bursty arrivals with long-run mean λ: the rate alternates
-    /// between `λ·burstiness` and `λ·(2−burstiness)` with exponential
-    /// sojourns of the given mean.
-    Bursty {
-        /// Burst intensity in `[1, 2)`; 1 ≈ Poisson.
-        burstiness: f64,
-        /// Mean sojourn in each modulating state, seconds.
-        mean_sojourn_secs: f64,
-    },
-}
-
-/// One anycast group of a multi-service workload (extension — the paper
-/// evaluates a single group).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSpec {
-    /// The group's member routers.
-    pub members: Vec<NodeId>,
-    /// Relative share of the request stream targeting this group
-    /// (need not be normalised; must be positive).
-    pub share: f64,
-}
-
-/// One bandwidth class of a heterogeneous workload (extension beyond the
-/// paper, whose flows all demand 64 kb/s).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DemandClass {
-    /// Per-flow bandwidth demand of this class.
-    pub bandwidth: Bandwidth,
-    /// Relative frequency (need not be normalised; must be positive).
-    pub weight: f64,
-}
-
-/// Parameters of the latency-aware two-phase signalling engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoPhaseConfig {
-    /// Propagation + processing delay per link crossing, in seconds.
-    /// Zero with an inert `[signaling]` fault section is the atomic
-    /// exchange: the run is validated as two-phase, then admits atomically.
-    pub per_hop_delay_secs: f64,
-    /// How long the source waits for the RESV before abandoning the
-    /// attempt and consulting the backoff policy. Unconfirmed per-hop
-    /// holds expire on the same clock. `f64::INFINITY` disables both
-    /// timers (setups then only fail via an explicit RESV_ERR).
-    pub setup_timeout_secs: f64,
-    /// Retransmission schedule for timed-out setups toward the same
-    /// destination, applied before a §4.5 retrial is spent.
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for TwoPhaseConfig {
-    /// 0 delay, 1 s setup timeout, default backoff.
-    fn default() -> Self {
-        TwoPhaseConfig {
-            per_hop_delay_secs: 0.0,
-            setup_timeout_secs: 1.0,
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
-impl TwoPhaseConfig {
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-hop delay is negative or non-finite, or the
-    /// setup timeout is not positive (infinity is allowed).
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.per_hop_delay_secs.is_finite() && self.per_hop_delay_secs >= 0.0,
-            "per-hop signalling delay must be finite and non-negative, got {}",
-            self.per_hop_delay_secs
-        );
-        assert!(
-            self.setup_timeout_secs > 0.0 && !self.setup_timeout_secs.is_nan(),
-            "setup timeout must be positive (infinity allowed), got {}",
-            self.setup_timeout_secs
-        );
-        self.backoff.validate();
-    }
-}
-
-/// How the §4.4 reservation exchange is performed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SignalingMode {
-    /// The paper's model: the PATH/RESV exchange completes in one
-    /// instant, so admission state is never stale.
-    Atomic,
-    /// Latency-aware two-phase signalling: PATH messages propagate hop by
-    /// hop placing pending holds, a RESV confirms them, unconfirmed holds
-    /// expire at the setup timeout, and timed-out setups are retransmitted
-    /// under bounded backoff. Only valid for [`SystemSpec::Dac`].
-    TwoPhase(TwoPhaseConfig),
-}
-
-/// Full description of one simulation run.
-///
-/// [`ExperimentConfig::paper_defaults`] reproduces §5.1; the `with_*`
-/// builders tweak individual knobs for sweeps, ablations and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentConfig {
-    /// PRNG seed; identical seeds give identical runs.
-    pub seed: u64,
-    /// Total anycast request rate λ in flows/second.
-    pub lambda: f64,
-    /// Mean exponential flow lifetime in seconds (paper: 180).
-    pub mean_holding_secs: f64,
-    /// Per-flow bandwidth demand (paper: 64 kb/s). Ignored when
-    /// `demand_mix` is non-empty.
-    pub flow_bandwidth: Bandwidth,
-    /// Heterogeneous demand classes (extension). Empty means every flow
-    /// demands `flow_bandwidth`, as in the paper.
-    pub demand_mix: Vec<DemandClass>,
-    /// Fraction of each link reserved for anycast flows (paper: 0.2).
-    pub anycast_fraction: f64,
-    /// Capacity assumed for links whose topology capacity is zero.
-    pub default_link_capacity: Bandwidth,
-    /// Transient period discarded from statistics, in seconds.
-    pub warmup_secs: f64,
-    /// Measured period after warm-up, in seconds.
-    pub measure_secs: f64,
-    /// The anycast group members (ignored when `groups` is non-empty).
-    pub group_members: Vec<NodeId>,
-    /// Multiple anycast groups sharing the network (extension). Empty
-    /// means the single group of `group_members`, as in the paper.
-    pub groups: Vec<GroupSpec>,
-    /// The source routers whose hosts originate requests.
-    pub sources: Vec<NodeId>,
-    /// The admission system under test.
-    pub system: SystemSpec,
-    /// Shape of the request arrival process (extension; paper: Poisson).
-    pub(crate) arrivals: ArrivalProcess,
-    /// Fault-injection plan (extension; the paper's analysis is
-    /// fault-free, which [`FaultPlan::none`] reproduces exactly).
-    pub faults: FaultPlan,
-    /// How the reservation exchange is signalled (extension; the paper's
-    /// exchange is atomic, which [`SignalingMode::Atomic`] reproduces
-    /// exactly).
-    pub(crate) signaling: SignalingMode,
-}
-
-impl ExperimentConfig {
-    /// The §5.1 setup on the MCI backbone: group at routers {0,4,8,12,16},
-    /// sources at the odd routers, 64 kb/s flows living 180 s on average
-    /// against a 20% anycast partition of 100 Mb/s links; 1800 s warm-up
-    /// and 3600 s of measurement.
-    pub fn paper_defaults(lambda: f64, system: SystemSpec) -> Self {
-        ExperimentConfig {
-            seed: 0x5EED,
-            lambda,
-            mean_holding_secs: 180.0,
-            flow_bandwidth: Bandwidth::from_kbps(64),
-            demand_mix: Vec::new(),
-            anycast_fraction: 0.2,
-            default_link_capacity: Bandwidth::from_mbps(100),
-            warmup_secs: 1_800.0,
-            measure_secs: 3_600.0,
-            group_members: topologies::MCI_GROUP_MEMBERS.map(NodeId::new).to_vec(),
-            groups: Vec::new(),
-            sources: topologies::mci_source_nodes(),
-            system,
-            arrivals: ArrivalProcess::Poisson,
-            faults: FaultPlan::none(),
-            signaling: SignalingMode::Atomic,
-        }
-    }
-
-    /// Replaces the PRNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the measured duration.
-    pub fn with_measure_secs(mut self, secs: f64) -> Self {
-        self.measure_secs = secs;
-        self
-    }
-
-    /// Replaces the warm-up duration.
-    pub fn with_warmup_secs(mut self, secs: f64) -> Self {
-        self.warmup_secs = secs;
-        self
-    }
-
-    /// Replaces the anycast group members.
-    pub fn with_group(mut self, members: Vec<NodeId>) -> Self {
-        self.group_members = members;
-        self
-    }
-
-    /// Replaces the source routers.
-    pub fn with_sources(mut self, sources: Vec<NodeId>) -> Self {
-        self.sources = sources;
-        self
-    }
-
-    /// Replaces the admission system under test.
-    pub fn with_system(mut self, system: SystemSpec) -> Self {
-        self.system = system;
-        self
-    }
-
-    /// Replaces the arrival-process shape (extension beyond the paper).
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Installs a fault-injection plan (extension beyond the paper).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the signalling mode (extension beyond the paper).
-    pub fn with_signaling(mut self, signaling: SignalingMode) -> Self {
-        self.signaling = signaling;
-        self
-    }
-
-    /// Installs multiple anycast groups (extension beyond the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any share is non-positive or non-finite.
-    pub fn with_groups(mut self, groups: Vec<GroupSpec>) -> Self {
-        for g in &groups {
-            assert!(
-                g.share.is_finite() && g.share > 0.0,
-                "group shares must be positive and finite"
-            );
-        }
-        self.groups = groups;
-        self
-    }
-
-    /// The effective group list: `groups` if set, else the single
-    /// paper-style group.
-    pub fn effective_groups(&self) -> Vec<GroupSpec> {
-        if self.groups.is_empty() {
-            vec![GroupSpec {
-                members: self.group_members.clone(),
-                share: 1.0,
-            }]
-        } else {
-            self.groups.clone()
-        }
-    }
-
-    /// Installs a heterogeneous demand mix (extension beyond the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any class weight is non-positive or non-finite.
-    pub fn with_demand_mix(mut self, mix: Vec<DemandClass>) -> Self {
-        for class in &mix {
-            assert!(
-                class.weight.is_finite() && class.weight > 0.0,
-                "demand class weights must be positive and finite"
-            );
-        }
-        self.demand_mix = mix;
-        self
-    }
-}
-
-/// Measured output of one run: the paper's two performance metrics plus
-/// the supporting evidence (message counts, load levels, CIs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metrics {
-    /// The system's paper label (`<ED,2>`, `SP`, `GDI`, …).
-    pub label: String,
-    /// Arrival rate the run was driven at.
-    pub lambda: f64,
-    /// Seed the run used.
-    pub seed: u64,
-    /// Admission probability over the measured period.
-    pub admission_probability: f64,
-    /// 95% half-width of the admission probability estimate.
-    pub ap_ci95: f64,
-    /// Requests offered after warm-up.
-    pub offered: u64,
-    /// Requests admitted after warm-up.
-    pub admitted: u64,
-    /// Mean destinations tried per request (Figure 7's y-axis).
-    pub mean_tries: f64,
-    /// Mean retrials per request (tries beyond the first).
-    pub mean_retrials: f64,
-    /// Signaling messages during the measured period.
-    pub messages: MessageLedger,
-    /// Signaling messages per offered request.
-    pub messages_per_request: f64,
-    /// Time-average number of concurrently active flows.
-    pub mean_active_flows: f64,
-    /// Distribution of destinations tried per request: index `t` holds the
-    /// number of requests that made exactly `t` tries.
-    pub tries_histogram: Vec<u64>,
-    /// Per-group admission probabilities, in `effective_groups` order
-    /// (length 1 for paper-style single-group runs).
-    pub per_group_ap: Vec<f64>,
-    /// Time-average fraction of the network's total anycast partition
-    /// held by reservations — the paper's "effectiveness" objective
-    /// (§4.1: "maximize the bandwidth utilization to the possible
-    /// extent").
-    pub mean_network_utilization: f64,
-    /// Fraction of admitted flows sent to each member, per group
-    /// (`member_share[g][i]` for member `i` of group `g`) — how well the
-    /// §4.1 goal of "randomly distribut\[ing\] anycast flows" is met.
-    pub member_share: Vec<Vec<f64>>,
-    /// Time-average fraction of links operational over the measured
-    /// period (1.0 in fault-free runs).
-    pub availability: f64,
-    /// Flows torn down mid-service because a fault removed their path
-    /// (counted over the whole run, warm-up included).
-    pub flows_killed_by_failure: u64,
-    /// Completed outages (failure followed by repair) over the run.
-    pub outages: u64,
-    /// Mean repair time over completed outages, seconds (0 when none).
-    pub mean_recovery_secs: f64,
-    /// Reservations orphaned by a lost teardown message over the run.
-    pub orphaned_reservations: u64,
-    /// Orphaned reservations whose bandwidth was recovered — by
-    /// soft-state expiry, or early when a fault tore their path down.
-    pub orphans_reclaimed: u64,
-    /// Reserved bandwidth at the horizon not attributable to any
-    /// surviving session, in bit/s per link-hop. Always 0 unless the
-    /// bookkeeping leaks.
-    pub leaked_bandwidth_bps: u64,
-    /// Pending holds placed by two-phase PATH crossings, whole run.
-    /// Zero under atomic signalling and in the degenerate zero-delay
-    /// two-phase mode (whose exchange is instantaneous).
-    pub holds_placed: u64,
-    /// Unconfirmed holds returned by their expiry timers, whole run.
-    pub holds_expired: u64,
-    /// Two-phase setups whose RESV reached the source, whole run.
-    pub setups_completed: u64,
-    /// Timed-out setups retransmitted under the backoff policy, whole run.
-    pub retransmits: u64,
-    /// Signalling messages dropped by the `[signaling]` fault model,
-    /// whole run.
-    pub signaling_messages_lost: u64,
-    /// Mean setup latency (first PATH send of the successful attempt to
-    /// the RESV arriving at the source) over completions after warm-up.
-    pub mean_setup_latency_secs: f64,
-    /// Held (uncommitted) bandwidth still pending after the horizon
-    /// drain, in bit/s per link-hop. Always 0 unless hold accounting
-    /// leaks — the leak-freedom invariant.
-    pub leaked_hold_bps: u64,
-}
-
-/// One flow request as it reaches its source router.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Arrival {
-    pub(crate) source_index: usize,
-    pub(crate) group_index: usize,
-    pub(crate) holding_secs: f64,
-    pub(crate) demand: Bandwidth,
-}
 
 /// Internal event alphabet of the closed-loop simulation.
 #[derive(Debug)]
@@ -509,194 +69,23 @@ pub(crate) enum Event {
 /// Where the simulation's arrivals come from: the closed-loop workload of
 /// the offline experiment, or an externally fed queue (trace replay, the
 /// wire protocol) drained by the online engine.
-enum Feed {
-    /// Self-driving: each arrival draws its successor from the workload,
-    /// exactly as the offline experiment always has.
-    Workload(WorkloadKind),
-    /// Externally fed: successors — an instant and the [`Event::Arrival`]
-    /// due then — are popped from this queue instead of drawn. When it
-    /// runs dry no arrival is scheduled until the next submission re-arms
-    /// the feed.
-    External(VecDeque<(SimTime, Event)>),
+struct Feed {
+    /// The run's own arrivals: each arrival draws its successor from here
+    /// unless the feed is external.
+    stream: ArrivalStream,
+    /// `Some` when externally fed: successors are popped from this queue
+    /// instead of drawn. When it runs dry no arrival is scheduled until
+    /// the next submission re-arms the feed.
+    external: Option<VecDeque<(SimTime, Arrival)>>,
 }
 
-/// One finalised admission decision, captured by the online engine for
-/// its callers (wire-protocol responses, replay diffing, benchmarks).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Decision {
-    /// Dense per-run request counter, assigned in arrival order.
-    pub request: u64,
-    /// Simulated time the decision was made at.
-    pub at_secs: f64,
-    /// Whether the flow was admitted.
-    pub admitted: bool,
-    /// Group member the flow went to (admitted only).
-    pub member_index: Option<usize>,
-    /// Installed reservation session (admitted only).
-    pub session: Option<SessionId>,
-    /// Destinations probed before the decision.
-    pub tries: u32,
-}
-
-/// A point-in-time operational snapshot of a running (online) simulation:
-/// the metrics endpoint of the admission daemon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceSnapshot {
-    /// Simulated time of the snapshot.
-    pub time_secs: f64,
-    /// Requests offered so far (measured period).
-    pub offered: u64,
-    /// Requests admitted so far (measured period).
-    pub admitted: u64,
-    /// Requests rejected so far (measured period).
-    pub rejected: u64,
-    /// Currently active reservations.
-    pub active_sessions: usize,
-    /// Reserved bandwidth across all links, bit/s.
-    pub reserved_bps: u64,
-    /// Pending (uncommitted two-phase hold) bandwidth, bit/s.
-    pub pending_hold_bps: u64,
-    /// Total anycast-partition capacity across all links, bit/s.
-    pub capacity_bps: u64,
-    /// Two-phase setups currently in flight.
-    pub setups_in_flight: usize,
-    /// Links in the topology.
-    pub links: usize,
-    /// Links currently failed.
-    pub failed_links: usize,
-    /// Width of the rolling measurement window, seconds (0 when the run
-    /// measures over its whole finite horizon instead).
-    pub window_secs: f64,
-    /// Requests offered inside the trailing window (rolling mode only).
-    pub window_offered: u64,
-    /// Requests admitted inside the trailing window (rolling mode only).
-    pub window_admitted: u64,
-    /// Requests rejected inside the trailing window (rolling mode only).
-    pub window_rejected: u64,
-}
-
-fn draw_group(group_shares: &[f64], rng: &mut SimRng) -> usize {
-    if group_shares.len() == 1 {
-        0
-    } else {
-        rng.choose_weighted(group_shares)
-            .expect("group shares validated positive")
-    }
-}
-
-fn draw_demand(config: &ExperimentConfig, demand_weights: &[f64], rng: &mut SimRng) -> Bandwidth {
-    if config.demand_mix.is_empty() {
-        config.flow_bandwidth
-    } else {
-        let idx = rng
-            .choose_weighted(demand_weights)
-            .expect("demand weights validated positive");
-        config.demand_mix[idx].bandwidth
-    }
-}
-
-/// Builds the configured workload, consuming the master stream's workload
-/// forks. Shared by [`Sim::new`] and [`draw_arrival_trace`] so the two
-/// consume identical fork sequences — the replay-equivalence contract.
-fn build_workload(config: &ExperimentConfig, master_rng: &mut SimRng) -> WorkloadKind {
-    match config.arrivals {
-        ArrivalProcess::Poisson => WorkloadKind::Poisson(PoissonWorkload::new(
-            config.lambda,
-            config.mean_holding_secs,
-            config.sources.len(),
-            master_rng,
-        )),
-        ArrivalProcess::Bursty {
-            burstiness,
-            mean_sojourn_secs,
-        } => WorkloadKind::Bursty(BurstyWorkload::with_mean_rate(
-            config.lambda,
-            burstiness,
-            mean_sojourn_secs,
-            config.mean_holding_secs,
-            config.sources.len(),
-            master_rng,
-        )),
-    }
-}
-
-/// The next arrival of the stream, in the exact draw order of the
-/// pre-refactor sequential code (request, then demand, then group), or
-/// `None` when an external feed has run dry.
-fn next_feed_arrival(
-    feed: &mut Feed,
-    config: &ExperimentConfig,
-    group_shares: &[f64],
-    demand_weights: &[f64],
-    demand_rng: &mut SimRng,
-    group_rng: &mut SimRng,
-) -> Option<(SimTime, Event)> {
-    match feed {
-        Feed::Workload(workload) => {
-            let next = workload.next_request();
-            let demand = draw_demand(config, demand_weights, demand_rng);
-            let group_index = draw_group(group_shares, group_rng);
-            Some((
-                next.arrival,
-                Event::Arrival(Arrival {
-                    source_index: next.source_index,
-                    group_index,
-                    holding_secs: next.holding.as_secs(),
-                    demand,
-                }),
-            ))
-        }
-        Feed::External(queue) => queue.pop_front(),
-    }
-}
-
-/// Draws a config's complete arrival process — every arrival inside
-/// `[0, warmup + measure]` — without running any admission, in the exact
-/// order the experiment itself draws it. This is the `record` fixture
-/// generator: replaying the returned arrivals through an externally-fed
-/// engine is bit-identical to the workload-driven run.
-pub(crate) fn draw_arrival_trace(config: &ExperimentConfig) -> Vec<OnlineArrival> {
-    let mut master_rng = SimRng::seed_from(config.seed);
-    let mut workload = build_workload(config, &mut master_rng);
-    // Mirror Sim::new's fork order exactly: selection is forked (and
-    // discarded here) before the demand and group streams.
-    let _selection_rng = master_rng.fork();
-    let mut demand_rng = master_rng.fork();
-    let mut group_rng = master_rng.fork();
-    let group_specs = config.effective_groups();
-    let group_shares: Vec<f64> = group_specs.iter().map(|g| g.share).collect();
-    let demand_weights: Vec<f64> = config.demand_mix.iter().map(|c| c.weight).collect();
-    let horizon = SimTime::from_secs(config.warmup_secs + config.measure_secs);
-    let mut out = Vec::new();
-    loop {
-        let next = workload.next_request();
-        let demand = draw_demand(config, &demand_weights, &mut demand_rng);
-        let group_index = draw_group(&group_shares, &mut group_rng);
-        if next.arrival > horizon {
-            return out;
-        }
-        out.push(OnlineArrival {
-            at_secs: next.arrival.as_secs(),
-            source_index: next.source_index,
-            group_index,
-            holding_secs: next.holding.as_secs(),
-            demand,
-        });
-    }
-}
-
-/// Arrival-stream dispatch without a trait object (all variants are
-/// concrete and cheap).
-pub(crate) enum WorkloadKind {
-    Poisson(PoissonWorkload),
-    Bursty(BurstyWorkload),
-}
-
-impl WorkloadKind {
-    fn next_request(&mut self) -> FlowRequest {
-        match self {
-            WorkloadKind::Poisson(w) => w.next_request(),
-            WorkloadKind::Bursty(w) => w.next_request(),
+impl Feed {
+    /// The next arrival and its instant, or `None` when an external feed
+    /// has run dry.
+    fn next(&mut self) -> Option<(SimTime, Arrival)> {
+        match &mut self.external {
+            None => Some(self.stream.next()),
+            Some(queue) => queue.pop_front(),
         }
     }
 }
@@ -772,34 +161,6 @@ pub fn run_experiment_traced(
     let horizon = sim.horizon;
     engine.run_until(horizon, |eng, now, event| sim.handle(eng, now, event));
     sim.finish(horizon).0
-}
-
-/// The measurement window's time-weighted load signals: concurrently
-/// active sessions and total reserved bandwidth. Both reads are field
-/// loads (the ledger keeps its own totals), so every event that moves
-/// either notes them here, whatever the fabric size.
-struct LoadWindow {
-    active: TimeWeighted,
-    reserved_bw: TimeWeighted,
-}
-
-impl LoadWindow {
-    /// Opens the window at `at` on the current load.
-    fn open(at: SimTime, rsvp: &ReservationEngine, links: &LinkStateTable) -> Self {
-        let mut window = LoadWindow {
-            active: TimeWeighted::new(at, 0.0),
-            reserved_bw: TimeWeighted::new(at, 0.0),
-        };
-        window.note(at, rsvp, links);
-        window
-    }
-
-    /// Records the load as of `at`.
-    fn note(&mut self, at: SimTime, rsvp: &ReservationEngine, links: &LinkStateTable) {
-        self.active.update(at, rsvp.active_sessions() as f64);
-        self.reserved_bw
-            .update(at, links.total_reserved().bps() as f64);
-    }
 }
 
 /// Checks a configuration against the topology and against itself.
@@ -1016,22 +377,12 @@ pub(crate) struct Sim<R: Recorder> {
     rsvp: ReservationEngine,
     systems: Vec<SystemState>,
     selection_rng: SimRng,
-    demand_rng: SimRng,
-    group_rng: SimRng,
     fault_rng: SimRng,
     /// The event-driven signalling engine; `None` when every exchange is
     /// atomic (including a two-phase config with no delay and no loss).
     two_phase: Option<TwoPhaseState>,
-    group_shares: Vec<f64>,
-    demand_weights: Vec<f64>,
-    warmup_end: SimTime,
     horizon: SimTime,
-    stats: AdmissionStats,
-    group_stats: Vec<AdmissionStats>,
-    member_counts: Vec<Vec<u64>>,
-    /// `None` until warm-up ends.
-    load: Option<LoadWindow>,
-    availability: Option<TimeWeighted>,
+    stats: RunStats,
     /// Soft-state expiry timers for orphaned reservations.
     orphans: OrphanTimers,
     /// Admitted flows whose source is still there, with the instant each
@@ -1053,7 +404,8 @@ pub(crate) struct Sim<R: Recorder> {
     /// in flight, always `next_request_id`.
     verdicts: u64,
     feed: Feed,
-    capture_decisions: bool,
+    /// The verdicts of an externally fed run since the online engine last
+    /// drained them; offline runs capture none.
     decisions: Vec<Decision>,
     recorder: R,
 }
@@ -1092,31 +444,15 @@ impl<R: Recorder> Sim<R> {
             config.anycast_fraction,
         );
         let systems = build_systems(topo, config, &groups, &route_tables);
-
-        let mut master_rng = SimRng::seed_from(config.seed);
-        let workload = build_workload(config, &mut master_rng);
-        let selection_rng = master_rng.fork();
-        let mut demand_rng = master_rng.fork();
-        let mut group_rng = master_rng.fork();
-        // Forked last so the fault stream never perturbs the workload,
-        // selection, demand or group streams: a run under FaultPlan::none()
-        // is bit-identical to one that predates fault injection.
-        let mut fault_rng = master_rng.fork();
-        // Forked after the fault stream (and only ever drawn from by backoff
-        // jitter) so enabling two-phase signalling perturbs no earlier
-        // stream.
-        let backoff_rng = master_rng.fork();
+        let mut streams = RunStreams::fork(config, &group_specs);
         let warmup_end = SimTime::from_secs(config.warmup_secs);
         let horizon = SimTime::from_secs(config.warmup_secs + config.measure_secs);
         let two_phase = match config.signaling {
             SignalingMode::Atomic => None,
             SignalingMode::TwoPhase(cfg) => {
-                TwoPhaseState::new(cfg, config.faults.signaling, backoff_rng, warmup_end)
+                TwoPhaseState::new(cfg, config.faults.signaling, streams.backoff, warmup_end)
             }
         };
-        let group_shares: Vec<f64> = group_specs.iter().map(|g| g.share).collect();
-        let demand_weights: Vec<f64> = config.demand_mix.iter().map(|c| c.weight).collect();
-        let member_counts: Vec<Vec<u64>> = groups.iter().map(|g| vec![0u64; g.len()]).collect();
 
         // Soft state costs nothing per live flow: a session whose source
         // refreshes it cannot expire, so only a reservation that loses its
@@ -1140,56 +476,36 @@ impl<R: Recorder> Sim<R> {
             config,
             &groups,
             sample_interval,
-            &mut fault_rng,
+            &mut streams.fault,
         );
         // The arrival feed. Offline runs draw the first arrival from the
-        // workload now; externally-fed (online) runs start with an empty
-        // queue and schedule arrivals as they are submitted. The workload
-        // was constructed — consuming its RNG forks — in both modes, so the
-        // selection/demand/group/fault/backoff streams are seeded identically
-        // either way; that is what makes virtual-time replay of a recorded
-        // trace bit-identical to the offline engine. The feed has at most
-        // one arrival pending, and it waits in the engine's next-event slot.
-        let mut feed = if external {
-            Feed::External(VecDeque::new())
-        } else {
-            Feed::Workload(workload)
+        // stream now; externally-fed (online) runs start with an empty
+        // queue and schedule arrivals as they are submitted. The streams
+        // were forked in both modes, so the selection, fault and backoff
+        // streams are seeded identically either way; that is what makes
+        // virtual-time replay of a recorded trace bit-identical to the
+        // offline engine. The feed has at most one arrival pending, and it
+        // waits in the engine's next-event slot.
+        let mut feed = Feed {
+            stream: streams.arrivals,
+            external: external.then(VecDeque::new),
         };
-        if let Some((at, arrival)) = next_feed_arrival(
-            &mut feed,
-            config,
-            &group_shares,
-            &demand_weights,
-            &mut demand_rng,
-            &mut group_rng,
-        ) {
-            engine.schedule_next(at, arrival);
+        if let Some((at, arrival)) = feed.next() {
+            engine.schedule_next(at, Event::Arrival(arrival));
         }
 
         let sim = Sim {
             config: config.clone(),
+            stats: RunStats::new(warmup_end, &groups),
             groups,
             route_sets,
             links,
             rsvp: ReservationEngine::new(),
             systems,
-            selection_rng,
-            demand_rng,
-            group_rng,
-            fault_rng,
+            selection_rng: streams.selection,
+            fault_rng: streams.fault,
             two_phase,
-            group_shares,
-            demand_weights,
-            warmup_end,
             horizon,
-            stats: AdmissionStats::new(warmup_end),
-            group_stats: group_specs
-                .iter()
-                .map(|_| AdmissionStats::new(warmup_end))
-                .collect(),
-            member_counts,
-            load: None,
-            availability: None,
             orphans: OrphanTimers::new(refresh),
             live_flows: SessionMap::default(),
             killed: SessionSet::default(),
@@ -1202,7 +518,6 @@ impl<R: Recorder> Sim<R> {
             next_request_id: 0,
             verdicts: 0,
             feed,
-            capture_decisions: false,
             decisions: Vec::new(),
             recorder,
         };
@@ -1230,8 +545,7 @@ impl<R: Recorder> Sim<R> {
             Event::TelemetrySample => self.on_sample(eng, now),
             Event::WarmupEnd => {
                 self.rsvp.reset_ledger();
-                self.load = Some(LoadWindow::open(now, &self.rsvp, &self.links));
-                self.availability = Some(TimeWeighted::new(now, self.links.operational_fraction()));
+                self.stats.open_window(now, &self.rsvp, &self.links);
             }
             Event::Signal(signal) => self.on_signal(eng, now, signal),
         }
@@ -1261,15 +575,8 @@ impl<R: Recorder> Sim<R> {
         }
         self.note_load(now);
         self.check_accounting();
-        if let Some((at, next)) = next_feed_arrival(
-            &mut self.feed,
-            &self.config,
-            &self.group_shares,
-            &self.demand_weights,
-            &mut self.demand_rng,
-            &mut self.group_rng,
-        ) {
-            eng.schedule_next(at, next);
+        if let Some((at, next)) = self.feed.next() {
+            eng.schedule_next(at, Event::Arrival(next));
         }
     }
 
@@ -1469,10 +776,9 @@ impl<R: Recorder> Sim<R> {
         outcome: AdmissionOutcome,
     ) {
         self.verdicts += 1;
+        self.stats.verdict(now, arrival.group_index, outcome);
         let admitted = outcome.admitted;
-        self.stats.record(now, admitted.is_some(), outcome.tries);
-        self.group_stats[arrival.group_index].record(now, admitted.is_some(), outcome.tries);
-        if self.capture_decisions {
+        if self.feed.external.is_some() {
             self.decisions.push(Decision {
                 request,
                 at_secs: now.as_secs(),
@@ -1483,9 +789,6 @@ impl<R: Recorder> Sim<R> {
             });
         }
         if let Some(flow) = admitted {
-            if now >= self.warmup_end {
-                self.member_counts[arrival.group_index][flow.member_index] += 1;
-            }
             self.live_flows.insert(flow.session, now.as_secs());
             eng.schedule_in(
                 now,
@@ -1643,9 +946,7 @@ impl<R: Recorder> Sim<R> {
             }
         }
         debug_assert_eq!(self.links.audit().err(), None, "after {action:?}");
-        if let Some(tw) = self.availability.as_mut() {
-            tw.update(now, self.links.operational_fraction());
-        }
+        self.stats.note_availability(now, &self.links);
         self.note_load(now);
     }
 
@@ -1708,9 +1009,7 @@ impl<R: Recorder> Sim<R> {
 
     /// Records the load window's signals as of `now` (after warm-up).
     fn note_load(&mut self, now: SimTime) {
-        if let Some(window) = self.load.as_mut() {
-            window.note(now, &self.rsvp, &self.links);
-        }
+        self.stats.note_load(now, &self.rsvp, &self.links);
     }
 
     /// Finishes the run: drains in-flight two-phase setups, audits the
@@ -1738,7 +1037,6 @@ impl<R: Recorder> Sim<R> {
             .links
             .audit()
             .expect("the link ledger must pass its end-of-run audit");
-        let leaked_hold_bps = audited.pending_bps;
         // Audit the bandwidth ledger: every reserved bit must be
         // attributable to a surviving session (live flows, pending
         // teardowns, and orphans still inside their soft-state lifetime).
@@ -1747,79 +1045,27 @@ impl<R: Recorder> Sim<R> {
             .sessions()
             .map(|(_, r)| r.bandwidth().bps() * r.path().links().len() as u64)
             .sum();
-        let leaked_bandwidth_bps = audited.reserved_bps.saturating_sub(attributable);
-
-        let messages = self.rsvp.ledger().clone();
-        let offered = self.stats.offered();
         let tp = self.two_phase.as_ref();
         let metrics = Metrics {
             label: self.config.system.label(),
             lambda: self.config.lambda,
             seed: self.config.seed,
-            admission_probability: self.stats.admission_probability(),
-            ap_ci95: self.stats.ap_ci95_half_width(),
-            offered,
-            admitted: self.stats.admitted(),
-            mean_tries: self.stats.mean_tries(),
-            mean_retrials: self.stats.mean_retrials(),
-            messages_per_request: if offered == 0 {
-                0.0
-            } else {
-                messages.total() as f64 / offered as f64
-            },
-            messages,
-            tries_histogram: self.stats.tries_histogram().buckets().to_vec(),
-            per_group_ap: self
-                .group_stats
-                .iter()
-                .map(|s| s.admission_probability())
-                .collect(),
-            member_share: self
-                .member_counts
-                .iter()
-                .map(|counts| {
-                    let total: u64 = counts.iter().sum();
-                    counts
-                        .iter()
-                        .map(|&c| {
-                            if total == 0 {
-                                0.0
-                            } else {
-                                c as f64 / total as f64
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-            mean_active_flows: self
-                .load
-                .as_ref()
-                .map_or(0.0, |w| w.active.average_until(end)),
-            mean_network_utilization: self.load.as_ref().map_or(0.0, |w| {
-                if audited.capacity_bps == 0 {
-                    0.0
-                } else {
-                    w.reserved_bw.average_until(end) / audited.capacity_bps as f64
-                }
-            }),
-            availability: self
-                .availability
-                .as_ref()
-                .map(|tw| tw.average_until(end))
-                .unwrap_or(1.0),
             flows_killed_by_failure: self.book.flows_killed(),
             outages: self.book.completed_outages(),
             mean_recovery_secs: self.book.mean_recovery_secs(),
             orphaned_reservations: self.book.orphans_created(),
             orphans_reclaimed: self.book.orphans_reclaimed(),
-            leaked_bandwidth_bps,
+            leaked_bandwidth_bps: audited.reserved_bps.saturating_sub(attributable),
             holds_placed: tp.map_or(0, |tp| tp.holds_placed),
             holds_expired: tp.map_or(0, |tp| tp.holds_expired),
             setups_completed: tp.map_or(0, |tp| tp.setups_completed),
             retransmits: tp.map_or(0, |tp| tp.retransmits),
             signaling_messages_lost: tp.map_or(0, |tp| tp.msgs_lost),
             mean_setup_latency_secs: tp.map_or(0.0, TwoPhaseState::mean_setup_latency_secs),
-            leaked_hold_bps,
+            leaked_hold_bps: audited.pending_bps,
+            ..self
+                .stats
+                .metrics(end, self.rsvp.ledger().clone(), audited.capacity_bps)
         };
         (metrics, self.recorder)
     }
@@ -1836,13 +1082,7 @@ impl<R: Recorder> Sim<R> {
 
     /// Number of effective anycast groups.
     pub(crate) fn group_count(&self) -> usize {
-        self.group_shares.len()
-    }
-
-    /// Turns on per-request [`Decision`] capture (off for offline runs,
-    /// so their instruction stream is untouched).
-    pub(crate) fn enable_decision_capture(&mut self) {
-        self.capture_decisions = true;
+        self.groups.len()
     }
 
     /// Drains the decisions captured since the last call.
@@ -1866,9 +1106,9 @@ impl<R: Recorder> Sim<R> {
         let summary = self.links.summary();
         ServiceSnapshot {
             time_secs: now.as_secs(),
-            offered: self.stats.offered(),
-            admitted: self.stats.admitted(),
-            rejected: self.stats.rejected(),
+            offered: self.stats.admissions().offered(),
+            admitted: self.stats.admissions().admitted(),
+            rejected: self.stats.admissions().rejected(),
             active_sessions: self.rsvp.active_sessions(),
             reserved_bps: summary.reserved_bps,
             pending_hold_bps: summary.pending_bps,
@@ -1946,7 +1186,7 @@ impl<R: Recorder> Sim<R> {
             arrival.source_index
         );
         assert!(
-            arrival.group_index < self.group_shares.len(),
+            arrival.group_index < self.groups.len(),
             "arrival references unknown group index {}",
             arrival.group_index
         );
@@ -1956,7 +1196,7 @@ impl<R: Recorder> Sim<R> {
             arrival.holding_secs
         );
         assert!(arrival.demand.bps() > 0, "arrival demand must be positive");
-        let Feed::External(queue) = &mut self.feed else {
+        let Some(queue) = &mut self.feed.external else {
             panic!("submit_arrival requires an externally-fed simulation");
         };
         let at = SimTime::from_secs(arrival.at_secs);
@@ -1966,16 +1206,16 @@ impl<R: Recorder> Sim<R> {
                 "arrivals must be submitted in nondecreasing time order"
             );
         }
-        let event = Event::Arrival(Arrival {
+        let next = Arrival {
             source_index: arrival.source_index,
             group_index: arrival.group_index,
             holding_secs: arrival.holding_secs,
             demand: arrival.demand,
-        });
+        };
         if engine.next_scheduled() {
-            queue.push_back((at, event));
+            queue.push_back((at, next));
         } else {
-            engine.schedule_next(at, event);
+            engine.schedule_next(at, Event::Arrival(next));
         }
     }
 }
@@ -1983,7 +1223,9 @@ impl<R: Recorder> Sim<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_chaos::{MessageFault, SignalingFaults};
+    use crate::policy::PolicySpec;
+    use anycast_chaos::{FaultPlan, MessageFault, SignalingFaults};
+    use anycast_net::topologies;
 
     fn quick(lambda: f64, system: SystemSpec) -> ExperimentConfig {
         ExperimentConfig::paper_defaults(lambda, system)

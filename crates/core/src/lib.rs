@@ -37,17 +37,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arrivals;
 pub(crate) mod backoff;
 pub mod baselines;
+mod config;
 mod controller;
 mod error;
 pub mod experiment;
 mod history;
+mod metrics;
 pub(crate) mod multipath;
 pub mod online;
 pub mod policy;
 pub mod qos;
 mod retrial;
+mod run_stats;
 mod signalling;
 mod soft_state;
 mod weights;

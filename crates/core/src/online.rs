@@ -13,16 +13,16 @@
 //! clock advances only as far as the caller says.
 //!
 //! Because the offline and online engines share one code path (down to
-//! the RNG fork order — the workload is constructed, consuming its
-//! substreams, even when it is never drawn from), a virtual-time replay
-//! of a config's recorded arrival trace is **bit-identical** to the
-//! offline run: same decisions, same [`Metrics`], same telemetry stream.
+//! the RNG fork order: one function forks every stream of a run, and the
+//! arrival stream is forked even when it is never drawn from), a
+//! virtual-time replay of a config's recorded arrival trace is
+//! **bit-identical** to the offline run: same decisions, same
+//! [`Metrics`], same telemetry stream.
 //! [`record_arrivals`] + [`OnlineEngine::submit`] round-trip is the
 //! contract; `core/tests/online_replay.rs` enforces it.
 
-use crate::experiment::{
-    draw_arrival_trace, Decision, Event, ExperimentConfig, Metrics, ServiceSnapshot, Sim,
-};
+use crate::arrivals::RunStreams;
+use crate::experiment::{Decision, Event, ExperimentConfig, Metrics, ServiceSnapshot, Sim};
 use anycast_net::{Bandwidth, Topology};
 use anycast_rsvp::SessionId;
 use anycast_sim::{Engine, SimTime};
@@ -136,8 +136,7 @@ impl<R: Recorder> OnlineEngine<R> {
     /// As [`run_experiment`](crate::experiment::run_experiment) for
     /// invalid configs.
     pub fn new(topo: &Topology, config: &ExperimentConfig, recorder: R) -> Self {
-        let (mut sim, engine) = Sim::new(topo, config, recorder, true);
-        sim.enable_decision_capture();
+        let (sim, engine) = Sim::new(topo, config, recorder, true);
         OnlineEngine {
             sim,
             engine,
@@ -322,5 +321,20 @@ impl<R: Recorder> OnlineEngine<R> {
 /// writes to a trace file; submitting the result to an [`OnlineEngine`]
 /// reproduces the offline run bit-identically.
 pub fn record_arrivals(config: &ExperimentConfig) -> Vec<OnlineArrival> {
-    draw_arrival_trace(config)
+    let mut stream = RunStreams::fork(config, &config.effective_groups()).arrivals;
+    let horizon = SimTime::from_secs(config.warmup_secs + config.measure_secs);
+    let mut out = Vec::new();
+    loop {
+        let (at, arrival) = stream.next();
+        if at > horizon {
+            return out;
+        }
+        out.push(OnlineArrival {
+            at_secs: at.as_secs(),
+            source_index: arrival.source_index,
+            group_index: arrival.group_index,
+            holding_secs: arrival.holding_secs,
+            demand: arrival.demand,
+        });
+    }
 }

@@ -14,8 +14,9 @@
 //! A configuration with zero per-hop delay and an inert `[signaling]`
 //! section never builds this state: its exchange is the atomic one.
 
+use crate::arrivals::Arrival;
 use crate::controller::DacRequest;
-use crate::experiment::{Arrival, Event, TwoPhaseConfig};
+use crate::experiment::{Event, TwoPhaseConfig};
 use anycast_chaos::{MessageFault, SignalingFaults};
 use anycast_net::{LinkId, LinkStateTable, Path};
 use anycast_rsvp::{

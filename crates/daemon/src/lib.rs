@@ -6,9 +6,8 @@
 //! run as a daemon that:
 //!
 //! * **replays traces** (`replay`): JSONL arrival traces recorded with
-//!   `anycast record`, either in virtual time (bit-identical to the
-//!   offline engine, in milliseconds) or paced against a rate-scaled wall
-//!   clock (`--speed`);
+//!   `anycast record`, in virtual time (bit-identical to the offline
+//!   engine, in milliseconds);
 //! * **serves a wire protocol** (`server`, [`wire`]): line-delimited
 //!   JSON over TCP or a Unix socket — `admit` (with optional correlation
 //!   tokens), `teardown`, `resume`, `stats`, `shutdown` — with decisions
@@ -43,7 +42,7 @@ pub mod wire;
 
 pub use journal::{DecisionJournal, JournalEntry, Verdict};
 pub use overload::{AdmissionQueue, OverloadOptions, PushRefusal, ShedController};
-pub use replay::{replay_trace, ReplayOutcome, ReplayPacing};
+pub use replay::{replay_trace, ReplayOutcome};
 pub use server::{BoundServer, DaemonCounters, Endpoint, ServeOptions, ServeReport};
 pub use shutdown::{drain_unserved, install_signal_handler, signalled, ShutdownFlag};
 pub use trace::{read_trace, write_trace, TraceHeader, TRACE_VERSION};

@@ -262,7 +262,7 @@ pub fn read_trace(path: &Path) -> io::Result<(TraceHeader, Vec<OnlineArrival>)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay_trace, ReplayPacing};
+    use crate::replay::replay_trace;
     use anycast_dac::experiment::{ExperimentConfig, SystemSpec};
     use anycast_dac::online::record_arrivals;
     use anycast_dac::policy::PolicySpec;
@@ -410,7 +410,7 @@ mod tests {
                 return Ok(());
             }
         };
-        match replay_trace(topo, config, path, ReplayPacing::Virtual, NullRecorder) {
+        match replay_trace(topo, config, path, NullRecorder) {
             Ok((outcome, _)) => prop_assert_eq!(outcome.arrivals, arrivals.len() as u64),
             Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
         }

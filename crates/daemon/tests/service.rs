@@ -269,7 +269,7 @@ fn graceful_shutdown_drains_two_phase_holds_and_flushes_telemetry() {
 /// errors; the engine thread never panics and the service stays up.
 #[test]
 fn malformed_client_input_never_panics_the_engine() {
-    use anycast_daemon::{read_trace, replay_trace, ReplayPacing};
+    use anycast_daemon::{read_trace, replay_trace};
     use anycast_telemetry::NullRecorder;
 
     let topo = topologies::mci();
@@ -337,7 +337,7 @@ fn malformed_client_input_never_panics_the_engine() {
         std::fs::write(&path, format!("{header}\n{row}\n")).unwrap();
         let err = read_trace(&path).unwrap_err().to_string();
         assert!(err.contains(":2:") && err.contains(needle), "{row}: {err}");
-        let err = replay_trace(&topo, &config, &path, ReplayPacing::Virtual, NullRecorder)
+        let err = replay_trace(&topo, &config, &path, NullRecorder)
             .unwrap_err()
             .to_string();
         assert!(err.contains(needle), "replay {row}: {err}");
