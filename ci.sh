@@ -49,26 +49,31 @@ fi
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> allocation budget (release; an allocation back on the DAC request path or in set-up fails here)"
+echo "==> allocation budget (release; an allocation back on the DAC request path, in set-up or per journal token fails here)"
 # Exact allocation counts of full MCI runs per system, plus a K = 16
 # fat-tree run held to 0.01 allocations per request. Set-up is pinned on
 # its own: `fat_tree(34)`'s build and `OnlineEngine::new` on the
 # `offline_fattree` placement, so an allocation per node or per source
-# cannot come back unnoticed.
-cargo test --release --offline -q -p anycast-dac --test alloc_budget
+# cannot come back unnoticed. A session table churned 200 000 times keeps
+# its capacity. The daemon's half: parse and render counts, and a journal
+# at its bound over 120 000 tokens allocates nothing and holds ≤ 300 KiB.
+cargo test --release --offline -q -p anycast-dac -p anycast-daemon --test alloc_budget
 
-echo "==> queue, GDI-memo and journal references, deep (release, 20 000 cases each)"
+echo "==> queue, GDI-memo, session-table and journal references, deep (release, 20 000 cases each)"
 # What bit-identity rests on: the event queue pops as a linear scan for
 # the least (time, seq) does, an instant's bits order as `SimTime::cmp`
 # does (-0.0 and subnormals included), and GDI's interned paths equal a
-# per-pair residual search while capacities change. The daemon's journal
-# ring keeps, evicts and forgets as the map-and-FIFO journal it replaced,
-# and a verdict read back from its `decision` line renders the same
-# bytes. ≈2–3 s of tests.
+# per-pair residual search while capacities change. The session table
+# and the journal's index hold what a std `HashMap` holds, with keys that
+# share home slots and probe runs that wrap. The daemon's journal ring
+# keeps, evicts and forgets as the map-and-FIFO journal it replaced, and
+# a verdict read back from its `decision` line renders the same bytes.
+# ≈3–4 s of tests.
 PROPTEST_CASES=20000 cargo test --release --offline -q -p anycast-sim -p anycast-dac \
-    -p anycast-daemon --lib -- \
+    -p anycast-rsvp -p anycast-daemon --lib -- \
     pops_exactly_as_a_linear_scan_reference partial_order_agrees_with_the_total_order \
     gdi_admits_on_the_reference_path_as_capacities_change \
+    a_session_map_agrees_with_a_std_hash_map the_index_agrees_with_a_std_hash_map \
     the_ring_agrees_with_the_map_and_fifo_model a_verdict_read_from_its_line_renders_the_same_bytes
 
 echo "==> paper figures (full profile, byte for byte against results/)"

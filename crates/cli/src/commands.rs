@@ -346,6 +346,13 @@ fn common_config(
         if let Some(raw) = backoff {
             tp.backoff = parse_backoff(&raw)?;
         }
+        if tp.times_out_every_crossing() && !config.has_local_member() {
+            return Err(format!(
+                "--setup-timeout {} is shorter than a one-link round trip, \
+                 2 × --signaling-delay {}: no setup could complete",
+                tp.setup_timeout_secs, tp.per_hop_delay_secs
+            ));
+        }
         config = config.with_signaling(SignalingMode::TwoPhase(tp));
     }
     // Validate placement early with a clear message.
@@ -1480,6 +1487,32 @@ mod tests {
         // The same plan over two-phase signalling, even without delay, runs.
         simulate(strs(&[&run[..], &["--signaling-delay", "0"]].concat())).unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_setup_timeout_below_one_round_trip_is_refused() {
+        let run = [
+            "--lambda",
+            "3",
+            "--system",
+            "wddh",
+            "--warmup",
+            "10",
+            "--measure",
+            "20",
+            "--signaling-delay",
+            "1",
+        ];
+        // The default 1 s timeout against a 2 s round trip.
+        let err = simulate(strs(&run)).unwrap_err();
+        assert!(
+            err.contains("--setup-timeout") && err.contains("--signaling-delay"),
+            "{err}"
+        );
+        // One round trip exactly is accepted, and so is a short timeout
+        // when a source sits on a member (router 0).
+        simulate(strs(&[&run[..], &["--setup-timeout", "2"]].concat())).unwrap();
+        simulate(strs(&[&run[..], &["--sources", "0,1,3"]].concat())).unwrap();
     }
 
     #[test]

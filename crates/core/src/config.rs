@@ -146,13 +146,23 @@ impl Default for TwoPhaseConfig {
 }
 
 impl TwoPhaseConfig {
-    /// Validates the parameters.
+    /// Whether the setup timeout is shorter than the shortest round trip
+    /// over a link, two per-hop delays: every setup that crosses a link
+    /// then times out before its RESV is back.
+    pub fn times_out_every_crossing(&self) -> bool {
+        self.setup_timeout_secs < 2.0 * self.per_hop_delay_secs
+    }
+
+    /// Validates the parameters. `local_member` says whether some source
+    /// is itself a group member: its zero-hop setups complete on the spot,
+    /// with no timer, so any timeout still admits them.
     ///
     /// # Panics
     ///
-    /// Panics if the per-hop delay is negative or non-finite, or the
-    /// setup timeout is not positive (infinity is allowed).
-    pub(crate) fn validate(&self) {
+    /// Panics if the per-hop delay is negative or non-finite, the setup
+    /// timeout is not positive (infinity is allowed), or, with no local
+    /// member, the timeout [times out every crossing](Self::times_out_every_crossing).
+    pub(crate) fn validate(&self, local_member: bool) {
         assert!(
             self.per_hop_delay_secs.is_finite() && self.per_hop_delay_secs >= 0.0,
             "per-hop signalling delay must be finite and non-negative, got {}",
@@ -162,6 +172,13 @@ impl TwoPhaseConfig {
             self.setup_timeout_secs > 0.0 && !self.setup_timeout_secs.is_nan(),
             "setup timeout must be positive (infinity allowed), got {}",
             self.setup_timeout_secs
+        );
+        assert!(
+            local_member || !self.times_out_every_crossing(),
+            "setup timeout {} s is shorter than a one-link round trip (2 × {} s per hop): \
+             no setup could complete",
+            self.setup_timeout_secs,
+            self.per_hop_delay_secs
         );
         self.backoff.validate();
     }
@@ -333,6 +350,19 @@ impl ExperimentConfig {
         } else {
             self.groups.clone()
         }
+    }
+
+    /// Whether some source is a member of a group, so that its requests
+    /// can be admitted over a zero-hop route.
+    pub fn has_local_member(&self) -> bool {
+        let is_member = |n: &NodeId| {
+            if self.groups.is_empty() {
+                self.group_members.contains(n)
+            } else {
+                self.groups.iter().any(|g| g.members.contains(n))
+            }
+        };
+        self.sources.iter().any(is_member)
     }
 
     /// Installs a heterogeneous demand mix (extension beyond the paper).

@@ -202,7 +202,7 @@ fn validate(topo: &Topology, config: &ExperimentConfig) {
             "a [signaling] fault section needs two-phase signalling"
         ),
         SignalingMode::TwoPhase(cfg) => {
-            cfg.validate();
+            cfg.validate(config.has_local_member());
             assert!(
                 matches!(config.system, SystemSpec::Dac { .. }),
                 "two-phase signalling requires the DAC system, got {}",
@@ -823,7 +823,7 @@ impl<R: Recorder> Sim<R> {
         }
         let admitted_at = self
             .live_flows
-            .remove(&session)
+            .remove(session)
             .expect("a flow is live until it departs");
         if self.killed.remove(&session) {
             // The reservation already died with a fault; the flow's
@@ -940,7 +940,7 @@ impl<R: Recorder> Sim<R> {
                 // A Departure or delayed Teardown event is still pending
                 // for this session and must become a no-op.
                 self.killed.insert(session);
-                if self.live_flows.contains_key(&session) {
+                if self.live_flows.contains_key(session) {
                     self.book.note_flow_killed();
                 }
             }
@@ -1148,7 +1148,7 @@ impl<R: Recorder> Sim<R> {
     /// [`Event::Teardown`] lands later). Either way the still-scheduled
     /// holding-time departure is neutralised via `wire_torn`.
     pub(crate) fn teardown_session(&mut self, eng: &mut Engine<Event>, session: SessionId) -> bool {
-        if !self.live_flows.contains_key(&session) {
+        if !self.live_flows.contains_key(session) {
             return false;
         }
         if self.killed.contains(&session) {
@@ -1157,10 +1157,7 @@ impl<R: Recorder> Sim<R> {
             // still-scheduled holding-time departure to consume.
             return false;
         }
-        let admitted_at = self
-            .live_flows
-            .remove(&session)
-            .expect("checked live above");
+        let admitted_at = self.live_flows.remove(session).expect("checked live above");
         self.wire_torn.insert(session);
         self.release(eng, eng.now(), session, admitted_at);
         true
@@ -1678,6 +1675,28 @@ mod tests {
         );
         assert_eq!(a.leaked_hold_bps, 0);
         assert_eq!(a.leaked_bandwidth_bps, 0);
+    }
+
+    /// A setup timeout below one link's round trip fails every setup that
+    /// crosses a link, so it is refused, unless a source is a member: its
+    /// zero-hop setups bypass the timer and are admitted.
+    #[test]
+    fn a_timeout_below_one_round_trip_needs_a_local_member() {
+        let topo = topologies::mci();
+        let slow = SignalingMode::TwoPhase(TwoPhaseConfig {
+            per_hop_delay_secs: 1.0,
+            ..TwoPhaseConfig::default()
+        });
+        let cfg = quick(20.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2)).with_signaling(slow);
+        assert!(!cfg.has_local_member());
+        let refused = std::panic::catch_unwind(|| run_experiment(&topo, &cfg));
+        assert!(refused.is_err(), "no source can be admitted");
+        let local = cfg
+            .clone()
+            .with_sources(vec![NodeId::new(0), NodeId::new(1)]);
+        assert!(local.has_local_member());
+        let m = run_experiment(&topo, &local);
+        assert!(m.admitted > 0 && m.setups_completed > 0, "{m:?}");
     }
 
     #[test]

@@ -21,18 +21,18 @@
 //! `unknown` and the client must treat the request as undecided.
 //!
 //! Memory is one 64-byte record per token in a ring of at most `limit`,
-//! plus an index from a 64-bit key to the record's position: about
-//! 100 bytes a token at the default bound, and once ring and index have
-//! grown to it nothing is allocated per token. Tokens are not stored. Two
-//! keyed digests stand for one, under keys drawn per journal that no
-//! client sees: the index key, and a check a record must also match.
+//! plus an index of `(2·limit).next_power_of_two()` four-byte positions,
+//! made at its final size in [`DecisionJournal::new`]: 72 bytes a token
+//! at the default bound (294 912 bytes for 4 096), and once the ring has
+//! grown to the bound nothing is allocated per token, however long the
+//! tokens churn. Tokens are not stored. Two keyed digests stand for one,
+//! under keys drawn per journal that no client sees: the index key, and a
+//! check a record must also match.
 
 use crate::wire::{decision_response, parse_decision};
 use anycast_dac::experiment::Decision;
-use anycast_net::IdHasher;
 use anycast_rsvp::SessionId;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, RandomState};
+use std::hash::{BuildHasher, RandomState};
 
 /// What a `decision` line says, its token aside: all the journal keeps of
 /// a decided request.
@@ -145,6 +145,101 @@ struct Record {
 
 const _: () = assert!(std::mem::size_of::<Record>() == 64);
 
+/// An index slot that points at no record.
+const VACANT: u32 = u32::MAX;
+
+/// The journal's index: index key → position in the ring, an
+/// open-addressed table of positions with linear probing that reads each
+/// key from the record it points at. Its size is fixed at twice the bound,
+/// rounded up to a power of two, so it is never more than half full and
+/// never grows. A removal shifts the rest of its probe run back instead of
+/// leaving a tombstone, so churn cannot clog it.
+#[derive(Debug)]
+struct Index {
+    /// A position in the ring, or [`VACANT`]. A key's home slot is its
+    /// low bits: index keys are keyed digests, so they spread evenly.
+    slots: Box<[u32]>,
+    /// Positions indexed.
+    len: usize,
+}
+
+impl Index {
+    fn new(limit: usize) -> Self {
+        Index {
+            slots: vec![VACANT; (2 * limit).next_power_of_two()].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, key: u64) -> usize {
+        key as usize & self.mask()
+    }
+
+    /// The slot pointing at the record keyed `key`.
+    fn slot(&self, key: u64, records: &[Record]) -> Option<usize> {
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                VACANT => return None,
+                at if records[at as usize].key == key => return Some(i),
+                _ => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// The position of the record keyed `key`.
+    fn get(&self, key: u64, records: &[Record]) -> Option<usize> {
+        self.slot(key, records).map(|i| self.slots[i] as usize)
+    }
+
+    /// Indexes position `at`, whose record is keyed `key`. The key must
+    /// not be indexed yet.
+    fn insert(&mut self, key: u64, at: usize) {
+        let mut i = self.home(key);
+        while self.slots[i] != VACANT {
+            i = (i + 1) & self.mask();
+        }
+        self.slots[i] = at as u32;
+        self.len += 1;
+    }
+
+    /// Unindexes the record keyed `key`, returning its position. The keys
+    /// after it in its probe run move back over the hole, so no tombstone
+    /// is left; `records` must still hold every indexed key.
+    fn remove(&mut self, key: u64, records: &[Record]) -> Option<usize> {
+        let mut hole = self.slot(key, records)?;
+        let at = self.slots[hole] as usize;
+        self.slots[hole] = VACANT;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let next = self.slots[i];
+            if next == VACANT {
+                return Some(at);
+            }
+            // The entry at `i` may fill the hole unless its home lies
+            // after the hole: it must stay reachable from its home.
+            let home = self.home(records[next as usize].key);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = next;
+                self.slots[i] = VACANT;
+                hole = i;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(VACANT);
+        self.len = 0;
+    }
+}
+
 /// A bounded token → [`JournalEntry`] map with FIFO eviction.
 #[derive(Debug)]
 pub struct DecisionJournal {
@@ -154,7 +249,7 @@ pub struct DecisionJournal {
     records: Vec<Record>,
     head: usize,
     /// Index key → position in `records`, for every live record.
-    index: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+    index: Index,
     index_keys: RandomState,
     check_keys: RandomState,
     evicted: u64,
@@ -164,7 +259,10 @@ pub struct DecisionJournal {
 }
 
 impl DecisionJournal {
-    /// An empty journal holding at most `limit` tokens.
+    /// An empty journal holding at most `limit` tokens. Its index,
+    /// `(2·limit).next_power_of_two()` four-byte slots, is allocated here
+    /// at its final size; the ring of records grows to `limit` as tokens
+    /// come.
     ///
     /// # Panics
     ///
@@ -176,7 +274,7 @@ impl DecisionJournal {
             limit,
             records: Vec::new(),
             head: 0,
-            index: HashMap::default(),
+            index: Index::new(limit),
             index_keys: RandomState::new(),
             check_keys: RandomState::new(),
             evicted: 0,
@@ -187,12 +285,12 @@ impl DecisionJournal {
 
     /// Tokens currently journaled.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Whether the journal is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Entries evicted to stay within the bound.
@@ -213,7 +311,7 @@ impl DecisionJournal {
     /// The position of the token's record, if it is journaled.
     fn find(&self, token: &str) -> Option<usize> {
         let (key, check) = self.keys(token);
-        let at = *self.index.get(&key)? as usize;
+        let at = self.index.get(key, &self.records)?;
         (self.records[at].check == check).then_some(at)
     }
 
@@ -245,8 +343,8 @@ impl DecisionJournal {
     pub fn enqueue(&mut self, token: &str, conn: u64) {
         debug_assert!(self.find(token).is_none(), "token already journaled");
         let (key, check) = self.keys(token);
-        if let Some(at) = self.index.remove(&key) {
-            self.records[at as usize].entry = None;
+        if let Some(at) = self.index.remove(key, &self.records) {
+            self.records[at].entry = None;
             self.evicted += 1;
         }
         let record = Record {
@@ -265,7 +363,7 @@ impl DecisionJournal {
         } else {
             self.records[at] = record;
         }
-        self.index.insert(key, at as u32);
+        self.index.insert(key, at);
     }
 
     /// The position the next token goes to, making it the newest entry:
@@ -288,7 +386,8 @@ impl DecisionJournal {
                 }
                 self.head = (self.head + 1) % n;
             }
-            self.index.remove(&self.records[self.head].key);
+            self.index
+                .remove(self.records[self.head].key, &self.records);
             self.evicted += 1;
         } else if self.records[self.head].entry.is_some() {
             // A record emptied mid-ring cannot take the newest token
@@ -302,17 +401,15 @@ impl DecisionJournal {
         at
     }
 
-    /// Moves the live records to the front, oldest first, and re-points
-    /// the index at them. O(limit), allocation-free.
+    /// Moves the live records to the front, oldest first, and indexes
+    /// them afresh. O(limit), allocation-free.
     fn compact(&mut self) {
         self.records.rotate_left(self.head);
         self.head = 0;
         self.records.retain(|r| r.entry.is_some());
+        self.index.clear();
         for (at, r) in self.records.iter().enumerate() {
-            *self
-                .index
-                .get_mut(&r.key)
-                .expect("a live record is indexed") = at as u32;
+            self.index.insert(r.key, at);
         }
     }
 
@@ -355,7 +452,7 @@ impl DecisionJournal {
     /// not `pending`). O(1): the record stays in the ring, emptied.
     pub(crate) fn forget(&mut self, token: &str) {
         if let Some(at) = self.find(token) {
-            self.index.remove(&self.records[at].key);
+            self.index.remove(self.records[at].key, &self.records);
             self.records[at].entry = None;
         }
     }
@@ -365,7 +462,8 @@ impl DecisionJournal {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::hash_map::Entry;
+    use std::collections::{HashMap, VecDeque};
 
     fn verdict(request: u64) -> Verdict {
         Verdict::new(
@@ -551,7 +649,7 @@ mod tests {
     #[derive(Default)]
     struct Model {
         limit: usize,
-        entries: std::collections::HashMap<u8, JournalEntry>,
+        entries: HashMap<u8, JournalEntry>,
         order: VecDeque<u8>,
         evicted: u64,
     }
@@ -682,6 +780,82 @@ mod tests {
                 prop_assert_eq!(journal.len(), model.entries.len());
                 prop_assert_eq!(journal.evicted(), model.evicted);
                 prop_assert!(journal.records.len() <= limit);
+            }
+        }
+    }
+
+    /// Index keys whose home slots, for an index of 2 to 16 slots, sit at
+    /// the start and at the end of the table (so probe runs wrap), each
+    /// shared by several keys, some of them with high bits set.
+    fn index_key() -> impl Strategy<Value = u64> {
+        (0usize..7, 0u64..4).prop_map(|(home, lap)| {
+            let home = [0, 1, 5, 6, 7, 14, 15][home];
+            if lap == 3 {
+                home | 0xABCD << 48
+            } else {
+                home + 16 * lap
+            }
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        Insert(u64),
+        Remove(u64),
+        Get(u64),
+        Contains(u64),
+    }
+
+    fn index_op() -> impl Strategy<Value = IndexOp> {
+        (0u8..6, index_key()).prop_map(|(kind, k)| match kind {
+            0..=2 => IndexOp::Insert(k),
+            3 => IndexOp::Remove(k),
+            4 => IndexOp::Get(k),
+            _ => IndexOp::Contains(k),
+        })
+    }
+
+    proptest! {
+        /// Any program of inserts, removes and lookups, up to the bound,
+        /// leaves the index mapping each key to the position a std
+        /// `HashMap` maps it to, with every key reachable from its home.
+        #[test]
+        fn the_index_agrees_with_a_std_hash_map(
+            limit in 1usize..=8,
+            ops in proptest::collection::vec(index_op(), 1..120),
+        ) {
+            let mut index = Index::new(limit);
+            let mut records: Vec<Record> = (0..limit)
+                .map(|_| Record { key: 0, check: 0, entry: None })
+                .collect();
+            let mut free: Vec<usize> = (0..limit).rev().collect();
+            let mut model = HashMap::new();
+            for op in ops {
+                match op {
+                    IndexOp::Insert(k) => {
+                        if let Entry::Vacant(slot) = model.entry(k) {
+                            if let Some(at) = free.pop() {
+                                records[at].key = k;
+                                index.insert(k, at);
+                                slot.insert(at);
+                            }
+                        }
+                    }
+                    IndexOp::Remove(k) => {
+                        let at = model.remove(&k);
+                        prop_assert_eq!(index.remove(k, &records), at);
+                        free.extend(at);
+                    }
+                    IndexOp::Get(k) => prop_assert_eq!(index.get(k, &records), model.get(&k).copied()),
+                    IndexOp::Contains(k) => prop_assert_eq!(
+                        index.slot(k, &records).is_some(),
+                        model.contains_key(&k)
+                    ),
+                }
+                prop_assert_eq!(index.len, model.len());
+                for (k, at) in &model {
+                    prop_assert_eq!(index.get(*k, &records), Some(*at));
+                }
             }
         }
     }

@@ -147,7 +147,7 @@ impl ReservationEngine {
     ) -> Result<Reservation, TeardownError> {
         let reservation = self
             .active
-            .remove(&session)
+            .remove(session)
             .ok_or(TeardownError::UnknownSession(session))?;
         links
             .release_path(reservation.path(), reservation.bandwidth())
@@ -164,14 +164,14 @@ impl ReservationEngine {
 
     /// Looks up an active session's reservation.
     pub fn reservation(&self, session: SessionId) -> Option<&Reservation> {
-        self.active.get(&session)
+        self.active.get(session)
     }
 
     /// Iterates over all active sessions in unspecified order. Callers
     /// that need determinism (e.g. the fault injector tearing down the
     /// victims of a link failure) should sort the collected ids.
     pub fn sessions(&self) -> impl Iterator<Item = (SessionId, &Reservation)> {
-        self.active.iter().map(|(&s, r)| (s, r))
+        self.active.iter()
     }
 
     /// Active sessions whose route crosses `link`, ascending by id.
@@ -181,7 +181,7 @@ impl ReservationEngine {
             .active
             .iter()
             .filter(|(_, r)| r.path().uses_link(link))
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect();
         ids.sort_unstable();
         ids
@@ -195,7 +195,7 @@ impl ReservationEngine {
             .active
             .iter()
             .filter(|(_, r)| r.path().nodes().contains(&node))
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect();
         ids.sort_unstable();
         ids
