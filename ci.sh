@@ -152,9 +152,11 @@ grep -Eq '^signaling msgs lost +[1-9]' /tmp/two_phase_smoke.txt
 rm -f "$plan" /tmp/two_phase_smoke.txt
 
 echo "==> soft-state leak smoke (lost teardowns must be reclaimed, leaking nothing)"
-# One PATH_TEAR in five vanishes while links fail and heal under it:
-# orphans expire on their soft-state deadlines unless a link fault gets to
-# them first, and either way every reserved bit is accounted for.
+# One PATH_TEAR in five vanishes and the rest land after a delay while
+# links fail and heal under them: orphans expire on their soft-state
+# deadlines unless a link fault gets to them first, a fault can beat a
+# delayed PATH_TEAR to its reservation, and either way every reserved bit
+# is accounted for.
 plan=$(mktemp)
 cat > "$plan" <<'EOF'
 [links]
@@ -163,6 +165,7 @@ mttr_secs = 30.0
 
 [control]
 teardown_loss_probability = 0.2
+teardown_delay_secs = 2.0
 EOF
 cargo run --release --offline -p anycast-cli --bin anycast -- \
     simulate --lambda 40 --r 2 --warmup 10 --measure 600 --faults "$plan" \

@@ -2,7 +2,6 @@
 //! and soft-state metrics.
 
 use anycast_net::{LinkId, NodeId};
-use anycast_telemetry::{MetricKey, MetricsRegistry};
 use std::collections::HashMap;
 
 /// A thing that can be down: one link or one router.
@@ -20,25 +19,16 @@ pub enum FaultEntity {
 /// reports state transitions and the book turns them into durations and
 /// counts. Double-failing an already-down entity or restoring a healthy
 /// one is ignored, so idempotent scripted plans stay well-defined.
-///
-/// All counts live in a telemetry [`MetricsRegistry`] rather than bespoke
-/// fields, so the same numbers the end-of-run `Metrics` report are also
-/// exportable as labelled metrics (see `registry`).
 #[derive(Debug, Clone, Default)]
 pub struct FaultBook {
     down_since: HashMap<FaultEntity, f64>,
-    registry: MetricsRegistry,
+    outages_completed: u64,
+    /// Repair times of the completed outages, summed in completion order.
+    repair_secs: f64,
+    flows_killed: u64,
+    orphans_created: u64,
+    orphans_reclaimed: u64,
 }
-
-fn counter(name: &str) -> MetricKey {
-    MetricKey::plain(name)
-}
-
-const OUTAGES_COMPLETED: &str = "chaos_outages_completed_total";
-const REPAIR_SECS: &str = "chaos_repair_secs_total";
-const FLOWS_KILLED: &str = "chaos_flows_killed_total";
-const ORPHANS_CREATED: &str = "chaos_orphans_created_total";
-const ORPHANS_RECLAIMED: &str = "chaos_orphans_reclaimed_total";
 
 impl FaultBook {
     /// An empty ledger.
@@ -56,44 +46,44 @@ impl FaultBook {
     /// (ignored if it was not down).
     pub fn record_up(&mut self, entity: FaultEntity, now: f64) {
         if let Some(start) = self.down_since.remove(&entity) {
-            self.registry.inc(counter(OUTAGES_COMPLETED), 1.0);
-            self.registry.inc(counter(REPAIR_SECS), now - start);
+            self.outages_completed += 1;
+            self.repair_secs += now - start;
         }
     }
 
     /// Records a live flow torn down because a fault removed its path.
     pub fn note_flow_killed(&mut self) {
-        self.registry.inc(counter(FLOWS_KILLED), 1.0);
+        self.flows_killed += 1;
     }
 
     /// Records a reservation orphaned by a lost teardown message.
     pub fn note_orphan_created(&mut self) {
-        self.registry.inc(counter(ORPHANS_CREATED), 1.0);
+        self.orphans_created += 1;
     }
 
     /// Records an orphaned reservation reclaimed by soft-state expiry.
     pub fn note_orphan_reclaimed(&mut self) {
-        self.registry.inc(counter(ORPHANS_RECLAIMED), 1.0);
+        self.orphans_reclaimed += 1;
     }
 
     /// Live flows torn down because a fault removed their path.
     pub fn flows_killed(&self) -> u64 {
-        self.registry.counter(&counter(FLOWS_KILLED)) as u64
+        self.flows_killed
     }
 
     /// Reservations orphaned by a lost teardown message.
     pub fn orphans_created(&self) -> u64 {
-        self.registry.counter(&counter(ORPHANS_CREATED)) as u64
+        self.orphans_created
     }
 
     /// Orphaned reservations reclaimed by soft-state expiry.
     pub fn orphans_reclaimed(&self) -> u64 {
-        self.registry.counter(&counter(ORPHANS_RECLAIMED)) as u64
+        self.orphans_reclaimed
     }
 
     /// Outages that completed (failure followed by repair).
     pub fn completed_outages(&self) -> u64 {
-        self.registry.counter(&counter(OUTAGES_COMPLETED)) as u64
+        self.outages_completed
     }
 
     /// Entities still down.
@@ -104,19 +94,11 @@ impl FaultBook {
 
     /// Mean repair time over completed outages (0 when none completed).
     pub fn mean_recovery_secs(&self) -> f64 {
-        let completed = self.registry.counter(&counter(OUTAGES_COMPLETED));
-        if completed == 0.0 {
+        if self.outages_completed == 0 {
             0.0
         } else {
-            self.registry.counter(&counter(REPAIR_SECS)) / completed
+            self.repair_secs / self.outages_completed as f64
         }
-    }
-
-    /// The underlying metrics registry (counters named `chaos_*`), for
-    /// export alongside the run's other telemetry.
-    #[cfg(test)]
-    pub(crate) fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 }
 
@@ -165,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn soft_state_counts_flow_through_registry() {
+    fn soft_state_counts_accumulate() {
         let mut b = FaultBook::new();
         b.note_flow_killed();
         b.note_orphan_created();
@@ -174,10 +156,5 @@ mod tests {
         assert_eq!(b.flows_killed(), 1);
         assert_eq!(b.orphans_created(), 2);
         assert_eq!(b.orphans_reclaimed(), 1);
-        assert_eq!(
-            b.registry()
-                .counter(&MetricKey::plain("chaos_orphans_created_total")),
-            2.0
-        );
     }
 }

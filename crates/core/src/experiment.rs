@@ -17,9 +17,9 @@ use crate::run_stats::RunStats;
 use crate::signalling::{PendingAdmission, Plane, Settled, Signal, TwoPhaseState};
 use crate::soft_state::OrphanTimers;
 use crate::{AdmissionController, AdmissionOutcome};
-use anycast_chaos::{build_timeline, ControlFaultModel, FaultAction, FaultBook, FaultEntity};
+use anycast_chaos::{build_timeline, FaultAction, FaultBook, FaultEntity};
 use anycast_net::{AnycastGroup, LinkStateTable, NodeId, Path, RouteSet, RouteTable, Topology};
-use anycast_rsvp::{ReservationEngine, ReservationOutcome, SessionId, SessionMap, SessionSet};
+use anycast_rsvp::{ReservationEngine, ReservationOutcome, SessionId, SessionMap};
 use anycast_sim::{Duration, Engine, SimRng, SimTime};
 use anycast_telemetry::{
     Event as TelemetryEvent, FaultKind, NullRecorder, Recorder, RequestTracer, SkipReason,
@@ -387,16 +387,12 @@ pub(crate) struct Sim<R: Recorder> {
     orphans: OrphanTimers,
     /// Admitted flows whose source is still there, with the instant each
     /// reservation was installed — the last refresh of a session no sweep
-    /// has seen yet.
+    /// has seen yet. A flow leaves it when its holding time ends or its
+    /// endpoint tears it down over the wire, so a [`Event::Departure`] that
+    /// finds its session gone belongs to a wire-torn flow; one whose
+    /// session is here but holds no reservation lost it to a fault.
     live_flows: SessionMap<f64>,
-    killed: SessionSet,
-    /// Sessions torn down early over the wire (`teardown` op): their
-    /// still-scheduled holding-time [`Event::Departure`] must become a
-    /// no-op, exactly as `killed` neutralises fault victims' departures.
-    wire_torn: SessionSet,
     book: FaultBook,
-    refresh_interval: Duration,
-    control: ControlFaultModel,
     rec_on: bool,
     sample_interval: Option<f64>,
     next_request_id: u64,
@@ -508,11 +504,7 @@ impl<R: Recorder> Sim<R> {
             horizon,
             orphans: OrphanTimers::new(refresh),
             live_flows: SessionMap::default(),
-            killed: SessionSet::default(),
-            wire_torn: SessionSet::default(),
             book: FaultBook::new(),
-            refresh_interval: Duration::from_secs(refresh.refresh_interval_secs),
-            control: config.faults.control,
             rec_on,
             sample_interval,
             next_request_id: 0,
@@ -539,7 +531,8 @@ impl<R: Recorder> Sim<R> {
                 // instant; orphans miss it and keep the deadline they were
                 // armed with.
                 self.orphans.note_sweep(now.as_secs());
-                eng.schedule_in(now, self.refresh_interval, Event::RefreshSweep);
+                let interval = self.config.faults.refresh.refresh_interval_secs;
+                eng.schedule_in(now, Duration::from_secs(interval), Event::RefreshSweep);
             }
             Event::SoftTick => self.on_soft_tick(eng, now),
             Event::TelemetrySample => self.on_sample(eng, now),
@@ -815,17 +808,13 @@ impl<R: Recorder> Sim<R> {
 
     /// A flow's holding time ends.
     fn on_departure(&mut self, eng: &mut Engine<Event>, now: SimTime, session: SessionId) {
-        if self.wire_torn.remove(&session) {
-            // The endpoint already tore this reservation down over the wire
-            // (or its teardown is lost/in flight); the holding-time
+        let Some(admitted_at) = self.live_flows.remove(session) else {
+            // The endpoint already tore this flow down over the wire (its
+            // PATH_TEAR may still be lost or in flight); the holding-time
             // departure has nothing left to do.
             return;
-        }
-        let admitted_at = self
-            .live_flows
-            .remove(session)
-            .expect("a flow is live until it departs");
-        if self.killed.remove(&session) {
+        };
+        if self.rsvp.reservation(session).is_none() {
             // The reservation already died with a fault; the flow's
             // endpoints have nothing left to tear down.
             return;
@@ -844,7 +833,7 @@ impl<R: Recorder> Sim<R> {
         session: SessionId,
         admitted_at: f64,
     ) {
-        let control = self.control;
+        let control = self.config.faults.control;
         if control.teardown_loss_probability > 0.0
             && self.fault_rng.uniform() < control.teardown_loss_probability
         {
@@ -866,7 +855,7 @@ impl<R: Recorder> Sim<R> {
 
     /// A delayed PATH_TEAR lands.
     fn on_delayed_teardown(&mut self, now: SimTime, session: SessionId) {
-        if self.killed.remove(&session) {
+        if self.rsvp.reservation(session).is_none() {
             // A fault beat the delayed teardown to the reservation.
             return;
         }
@@ -936,13 +925,10 @@ impl<R: Recorder> Sim<R> {
                 // The fault returned an orphan's bandwidth before soft
                 // state got to it.
                 self.book.note_orphan_reclaimed();
-            } else {
-                // A Departure or delayed Teardown event is still pending
-                // for this session and must become a no-op.
-                self.killed.insert(session);
-                if self.live_flows.contains_key(session) {
-                    self.book.note_flow_killed();
-                }
+            } else if self.live_flows.contains_key(session) {
+                // Its pending Departure (or a delayed Teardown's) finds no
+                // reservation and does nothing.
+                self.book.note_flow_killed();
             }
         }
         debug_assert_eq!(self.links.audit().err(), None, "after {action:?}");
@@ -1085,11 +1071,6 @@ impl<R: Recorder> Sim<R> {
         self.groups.len()
     }
 
-    /// Drains the decisions captured since the last call.
-    pub(crate) fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
-    }
-
     /// Moves the decisions captured since the last call to the end of
     /// `out`, keeping this buffer's capacity for the next ones.
     pub(crate) fn drain_decisions_into(&mut self, out: &mut Vec<Decision>) {
@@ -1146,19 +1127,20 @@ impl<R: Recorder> Sim<R> {
     /// departure: the internal PATH_TEAR can be lost (the reservation
     /// orphans and soft state reclaims it) or delayed (a
     /// [`Event::Teardown`] lands later). Either way the still-scheduled
-    /// holding-time departure is neutralised via `wire_torn`.
+    /// holding-time departure finds the session gone from `live_flows`
+    /// and does nothing.
     pub(crate) fn teardown_session(&mut self, eng: &mut Engine<Event>, session: SessionId) -> bool {
-        if !self.live_flows.contains_key(session) {
+        if self.rsvp.reservation(session).is_none() {
+            // Never admitted, already released, or a fault reclaimed it: the
+            // teardown finds nothing. A fault victim stays in `live_flows`
+            // for its holding-time departure to remove.
             return false;
         }
-        if self.killed.contains(&session) {
-            // A fault already reclaimed the reservation; the endpoint's
-            // teardown finds nothing. The `killed` marker stays for the
-            // still-scheduled holding-time departure to consume.
+        let Some(admitted_at) = self.live_flows.remove(session) else {
+            // Departed or torn down before: its PATH_TEAR is in flight or
+            // lost, and the reservation waits for it or for soft state.
             return false;
-        }
-        let admitted_at = self.live_flows.remove(session).expect("checked live above");
-        self.wire_torn.insert(session);
+        };
         self.release(eng, eng.now(), session, admitted_at);
         true
     }

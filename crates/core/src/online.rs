@@ -309,7 +309,8 @@ impl<R: Recorder> OnlineEngine<R> {
     /// cover `[warmup_end, now]`.
     pub fn finish_now(mut self) -> (Metrics, Vec<Decision>, R) {
         let end = self.engine.now();
-        let decisions = self.sim.take_decisions();
+        let mut decisions = Vec::new();
+        self.sim.drain_decisions_into(&mut decisions);
         let (metrics, recorder) = self.sim.finish(end);
         (metrics, decisions, recorder)
     }

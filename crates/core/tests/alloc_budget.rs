@@ -74,16 +74,18 @@ fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// reallocations more than one heap vector did. The two session tables
 /// (the reservation engine's and the live flows') start at 16 slots, where
 /// the std maps they replaced started at 4 buckets, and fill to three
-/// quarters before they double: 4 or 6 allocations fewer a run.
+/// quarters before they double: 4 or 6 allocations fewer a run. The
+/// fault ledger's five counts were read back at the end of each run by a
+/// `String`-keyed registry lookup until they became plain fields: 5 fewer.
 #[test]
 fn a_full_mci_run_allocates_a_pinned_count_per_request() {
     let topo = topologies::mci();
     let pinned = [
-        (SystemSpec::dac(PolicySpec::Ed, 2), 317), // 0.0017
-        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 347), // 0.0018
-        (SystemSpec::dac(PolicySpec::WdDb, 2), 329), // 0.0017
-        (SystemSpec::ShortestPath, 278),           // 0.0015
-        (SystemSpec::GlobalDynamic, 1_185),        // 0.0063
+        (SystemSpec::dac(PolicySpec::Ed, 2), 312), // 0.0017
+        (SystemSpec::dac(PolicySpec::wd_dh_default(), 2), 342), // 0.0018
+        (SystemSpec::dac(PolicySpec::WdDb, 2), 324), // 0.0017
+        (SystemSpec::ShortestPath, 273),           // 0.0014
+        (SystemSpec::GlobalDynamic, 1_180),        // 0.0062
     ];
     for (system, expected) in pinned {
         let config = ExperimentConfig::paper_defaults(35.0, system).with_seed(11);

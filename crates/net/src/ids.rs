@@ -92,8 +92,8 @@ impl From<u32> for LinkId {
 }
 
 /// A deterministic hasher for keys made of ids the engine issues itself
-/// (reservation sessions, the node and link indices of a search's path):
-/// one rotate-xor-multiply per `u64` instead of SipHash.
+/// (the node and link indices of a search's path): one
+/// rotate-xor-multiply per `u64` instead of SipHash.
 ///
 /// Such ids are dense numbers, not values a client picks, so no client can
 /// choose keys that collide. Maps keyed by client-chosen values keep the

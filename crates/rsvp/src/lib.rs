@@ -47,6 +47,6 @@ mod two_phase;
 
 pub use engine::{ProbeError, ReservationEngine, ReservationOutcome, TeardownError};
 pub use message::{MessageKind, MessageLedger};
-pub use session::{Reservation, SessionId, SessionMap, SessionSet};
+pub use session::{Reservation, SessionId, SessionMap};
 pub use soft_state::{RefreshConfig, RefreshTracker};
 pub use two_phase::{PathStep, SetupId, SetupTable};

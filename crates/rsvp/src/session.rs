@@ -1,9 +1,7 @@
 //! Reservation sessions.
 
-use anycast_net::{Bandwidth, IdHasher, Path};
-use std::collections::HashSet;
+use anycast_net::{Bandwidth, Path};
 use std::fmt;
-use std::hash::BuildHasherDefault;
 
 /// Opaque identifier of an active reservation session.
 ///
@@ -204,9 +202,6 @@ impl<V> SessionMap<V> {
     }
 }
 
-/// A set of engine-issued sessions.
-pub type SessionSet = HashSet<SessionId, BuildHasherDefault<IdHasher>>;
-
 /// The state held for one admitted flow: its route and reserved bandwidth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reservation {
@@ -242,16 +237,6 @@ mod tests {
         assert_eq!(SessionId::new(5).to_string(), "s5");
         assert!(SessionId::new(1) < SessionId::new(2));
         assert_eq!(SessionId::new(3).raw(), 3);
-    }
-
-    #[test]
-    fn session_hasher_separates_dense_ids() {
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<IdHasher>::default();
-        let hashes: HashSet<u64> = (0..10_000)
-            .map(|i| build.hash_one(SessionId::new(i)))
-            .collect();
-        assert_eq!(hashes.len(), 10_000);
     }
 
     #[test]

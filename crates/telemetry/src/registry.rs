@@ -80,7 +80,8 @@ impl MetricsRegistry {
     }
 
     /// Reads a counter; zero when never incremented.
-    pub fn counter(&self, key: &MetricKey) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn counter(&self, key: &MetricKey) -> f64 {
         self.counters.get(key).copied().unwrap_or(0.0)
     }
 

@@ -2,10 +2,15 @@
 //! assumption (§3): the admission layer must degrade gracefully when
 //! links die, and recover when they return.
 
+use anycast::chaos::FaultPlan;
 use anycast::dac::baselines::GlobalDynamicSystem;
+use anycast::dac::online::{record_arrivals, OnlineEngine};
 use anycast::net::Path;
 use anycast::prelude::*;
-use anycast::rsvp::{RefreshConfig, RefreshTracker};
+use anycast::rsvp::{RefreshConfig, RefreshTracker, SessionId};
+use anycast::sim::SimTime;
+use anycast::telemetry::NullRecorder;
+use std::collections::BTreeMap;
 
 fn setup() -> (
     Topology,
@@ -225,4 +230,85 @@ fn partitioned_member_is_isolated_not_fatal() {
     // WD/D+B sees B_victim = 0 instantly, so admission stays near perfect
     // unless other routes shared the failed links.
     assert!(ap > 0.9, "AP {ap} with one partitioned member");
+}
+
+/// Wire teardowns race link faults and a lossy, slow control plane: every
+/// third admitted flow is torn down over the wire halfway through its
+/// holding time, while links fail under it and one PATH_TEAR in five is
+/// lost and the rest land after an exponential delay. A teardown can only
+/// find nothing when a fault killed the flow first; every other one
+/// releases, orphans or delays the reservation, and nothing leaks.
+#[test]
+fn wire_teardowns_race_link_faults_and_lossy_delayed_path_tears() {
+    let topo = topologies::mci();
+    let mut plan = FaultPlan::none().with_link_model(300.0, 30.0);
+    plan.control.teardown_loss_probability = 0.2;
+    plan.control.teardown_delay_secs = 2.0;
+    let config = ExperimentConfig::paper_defaults(30.0, SystemSpec::dac(PolicySpec::WdDb, 2))
+        .with_warmup_secs(100.0)
+        .with_measure_secs(900.0)
+        .with_seed(23)
+        .with_faults(plan);
+    let trace = record_arrivals(&config);
+    let horizon = config.warmup_secs + config.measure_secs;
+    let mut engine = OnlineEngine::new(&topo, &config, NullRecorder);
+
+    // Wire teardowns still to send, keyed by (instant bits, request): a
+    // non-negative f64's bits order as its value.
+    let mut due: BTreeMap<(u64, u64), SessionId> = BTreeMap::new();
+    let mut results = Vec::new();
+    let mut decisions = Vec::new();
+    let mut admitted = 0u64;
+    let mut tear_down_until = |engine: &mut OnlineEngine<NullRecorder>,
+                               due: &mut BTreeMap<(u64, u64), SessionId>,
+                               until: f64| {
+        while let Some(entry) = due.first_entry() {
+            let at = f64::from_bits(entry.key().0);
+            if at > until {
+                break;
+            }
+            let session = entry.remove();
+            engine.advance_to(SimTime::from_secs(at), &mut Vec::new());
+            results.push(engine.teardown(session));
+        }
+    };
+    for arrival in &trace {
+        tear_down_until(&mut engine, &mut due, arrival.at_secs);
+        engine.submit(*arrival);
+        engine.advance_to(SimTime::from_secs(arrival.at_secs), &mut decisions);
+        for d in decisions.drain(..) {
+            let Some(session) = d.session else { continue };
+            admitted += 1;
+            if admitted.is_multiple_of(3) {
+                let holding = trace[d.request as usize].holding_secs;
+                due.insert(((d.at_secs + holding / 2.0).to_bits(), d.request), session);
+            }
+        }
+    }
+    tear_down_until(&mut engine, &mut due, horizon);
+    let (metrics, _, _) = engine.finish();
+
+    assert_eq!(metrics.leaked_bandwidth_bps, 0);
+    // Each session is torn down once, before its holding time ends: a
+    // `false` is a flow a link fault killed first.
+    assert!(
+        results.contains(&false),
+        "no wire teardown met a fault kill"
+    );
+    let digest = results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &ok| {
+        (h ^ u64::from(ok)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let refused = results.iter().filter(|&&ok| !ok).count();
+    assert_eq!(
+        (results.len(), refused, digest),
+        (8_775, 2_979, 0x7c8f_3418_5ab4_66a3)
+    );
+    assert_eq!(
+        (
+            metrics.flows_killed_by_failure,
+            metrics.orphaned_reservations,
+            metrics.orphans_reclaimed
+        ),
+        (12_610, 2_830, 2_684)
+    );
 }
