@@ -231,6 +231,24 @@ wait "$daemon_pid"
 grep -Eq '^served +1 requests' "$daemon_log"
 rm -f "$daemon_log" "$daemon_client"
 
+echo "==> daemon horizon (a finite horizon ends an idle service by itself)"
+# No client and no signal: the service must stop once the wall clock
+# passes warm-up + measure, whether or not an engine event lands on it.
+timeout 30 ./target/release/anycast serve --listen 127.0.0.1:0 --warmup 0 --measure 2 > /dev/null
+
+echo "==> unroutable placement (a source cut off from the group is a CLI error, not a panic)"
+# Routers 3 and 4 are an island: as default sources they cannot reach
+# member 0, and the command must exit 2 naming the pair.
+island=$(mktemp)
+island_err=$(mktemp)
+printf '0 1 100000000\n1 2 100000000\n3 4 100000000\n' > "$island"
+status=0
+./target/release/anycast simulate --lambda 3 --topology "$island" --group 0 \
+    > /dev/null 2> "$island_err" || status=$?
+[ "$status" -eq 2 ]
+grep -q 'no route from' "$island_err"
+rm -f "$island" "$island_err"
+
 echo "==> daemon soak (thousands of faulted connections must leak nothing)"
 # Drives the daemon with the chaos client fleet — vanishing peers,
 # slow-loris writers, malformed frames, duplicate submits, resumes and

@@ -130,7 +130,7 @@ pub struct TracedCell {
     /// The run's end-of-run metrics.
     pub metrics: Metrics,
     /// The telemetry events the run emitted (empty for
-    /// [`TelemetryMode::Off`] and [`TelemetryMode::Null`]).
+    /// [`TelemetryMode::Null`]).
     pub events: Vec<TimedEvent>,
 }
 
@@ -161,7 +161,6 @@ pub fn run_grid_traced(
     let traced: Vec<TracedCell> = parallel_map(jobs, &cells, |_, &(cfg_idx, seed)| {
         let config = configs[cfg_idx].clone().with_seed(seed);
         let (metrics, events) = match mode {
-            TelemetryMode::Off => (run_experiment(topo, &config), Vec::new()),
             TelemetryMode::Null => {
                 let mut rec = NullRecorder;
                 (run_experiment_traced(topo, &config, &mut rec), Vec::new())
@@ -244,11 +243,7 @@ mod tests {
         let topo = topologies::mci();
         let configs = vec![tiny(15.0)];
         let plain = run_grid(&topo, &configs, &[5], 1);
-        for mode in [
-            TelemetryMode::Off,
-            TelemetryMode::Null,
-            TelemetryMode::ring(),
-        ] {
+        for mode in [TelemetryMode::Null, TelemetryMode::ring()] {
             let (summary, cells) = run_grid_traced(&topo, &configs, &[5], 1, mode);
             assert_eq!(summary[0].runs, plain[0].runs, "mode {mode:?}");
             assert_eq!(cells.len(), 1);

@@ -1,13 +1,19 @@
 //! The CLI subcommands.
+//!
+//! Each command declares its flags once, in `flags.rs`: the table its
+//! parser and its `--help` both read. The CLI only parses; whether a
+//! run's config is valid is [`ExperimentConfig::check`]'s call.
 
 use crate::args::{parse_id_list, parse_range, Args};
+use crate::flags::{
+    COMMANDS, OVERVIEW, PREDICT, RECORD, REPLAY, SERVE, SIMULATE, SWEEP, TOPO, TRACE,
+};
 use crate::spec::{parse_system, parse_topology};
 use anycast_analysis::scenario::{build_scenario, AnalyzedSystem, ScenarioSpec};
 use anycast_analysis::{predict_ap, predict_ap_batch, BlockingModel};
-use anycast_bench::{default_jobs, run_grid, run_grid_traced, TracedCell};
+use anycast_bench::{default_jobs, run_grid_traced, TracedCell};
 use anycast_dac::experiment::{
-    run_experiment, run_experiment_traced, ArrivalProcess, ExperimentConfig, SignalingMode,
-    SystemSpec, TwoPhaseConfig,
+    run_experiment_traced, ArrivalProcess, ExperimentConfig, SignalingMode, TwoPhaseConfig,
 };
 use anycast_dac::online::record_arrivals;
 use anycast_dac::BackoffPolicy;
@@ -15,402 +21,156 @@ use anycast_daemon::{
     install_signal_handler, replay_trace, write_trace, BoundServer, Endpoint, ServeOptions,
     ShutdownFlag,
 };
-use anycast_net::{metrics, LinkId, NodeId, Topology};
+use anycast_net::{metrics, AnycastGroup, LinkId, NodeId, RouteTable, Topology};
 use anycast_sim::SimRng;
 use anycast_telemetry::export::{to_csv, to_jsonl};
 use anycast_telemetry::{
     json, registry_from_events, Event as TelemetryEvent, MetricsRegistry, NullRecorder, SkipReason,
     StreamRecorder, TelemetryMode, DEFAULT_RING_CAPACITY,
 };
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Prints usage for a command (or the overview for anything else).
-pub fn print_help(command: &str) {
-    match command {
-        "simulate" => println!(
-            "usage: anycast simulate --lambda RATE [options]\n\
-             \n\
-             Runs one closed-loop admission-control simulation.\n\
-             \n\
-             options:\n\
-             \x20 --system ed|wddh|wddb|sp|gdi   admission system (default wddh)\n\
-             \x20 --r N                          retrial limit (default 2)\n\
-             \x20 --alpha X                      WD/D+H damping in [0,1] (default 0.5)\n\
-             \x20 --multipath K                  K shortest routes per member (default 1)\n\
-             \x20 --topology SPEC                mci | grid:WxH | ring:N | star:N |\n\
-             \x20                                waxman:N:SEED | fat_tree:K |\n\
-             \x20                                clos:SPINE:LEAF:HOSTS |\n\
-             \x20                                <edge-list file> (default mci)\n\
-             \x20 --group IDS                    comma-separated member routers (default 0,4,8,12,16)\n\
-             \x20 --sources IDS                  comma-separated source routers (default: odd\n\
-             \x20                                routers on mci, all non-members elsewhere)\n\
-             \x20 --seed N                       PRNG seed (default 1)\n\
-             \x20 --reps N                       independent replications; seeds are RNG\n\
-             \x20                                substreams of --seed (default 1)\n\
-             \x20 --jobs N                       worker threads for replications/sweep\n\
-             \x20                                points (default: available cores; results\n\
-             \x20                                are bit-identical for every N)\n\
-             \x20 --warmup SECS                  warm-up period (default 1800)\n\
-             \x20 --measure SECS                 measured period (default 3600)\n\
-             \x20 --burstiness B                 MMPP-2 burstiness in [1,2) (default: Poisson)\n\
-             \x20 --faults FILE                  fault-plan spec (TOML subset; see\n\
-             \x20                                anycast-chaos::spec for the grammar)\n\
-             \x20 --telemetry                    attach the ring recorder and print an\n\
-             \x20                                event summary (results are unchanged)\n\
-             \x20 --signaling-delay SECS         per-hop signalling latency; switches the\n\
-             \x20                                DAC engine to two-phase PATH/RESV setup\n\
-             \x20                                with pending holds (0 = atomic-identical)\n\
-             \x20 --setup-timeout SECS           source-side setup timer before a timed-out\n\
-             \x20                                attempt is retransmitted or failed\n\
-             \x20                                (default 1.0; `inf` disables)\n\
-             \x20 --backoff R:BASE:MULT:CAP      bounded exponential retransmit backoff:\n\
-             \x20                                R retransmits, BASE·MULT^n capped at CAP\n\
-             \x20                                seconds (default 3:0.1:2:2; optional\n\
-             \x20                                fifth :JITTER field in [0,1))"
-        ),
-        "sweep" => println!(
-            "usage: anycast sweep --lambdas START:END:STEP [simulate options]\n\
-             \n\
-             Runs a λ sweep and prints one row per rate. Takes the same\n\
-             options as `simulate`, with --lambdas replacing --lambda;\n\
-             --no-header omits the column header for scripting.\n\
-             Sweep points run on --jobs worker threads (default: available\n\
-             cores); output is bit-identical for every --jobs value.\n\
-             --telemetry attaches the ring recorder and appends an event\n\
-             summary (results are unchanged)."
-        ),
-        "trace" => println!(
-            "usage: anycast trace [SCENARIO] [simulate options] [options]\n\
-             \n\
-             Runs a scenario with structured tracing on and exports every\n\
-             event (arrivals, probes, retrials, setups, teardowns,\n\
-             rejections with full decision traces, link samples, faults)\n\
-             for offline analysis. Results are bit-identical to the same\n\
-             run without tracing.\n\
-             \n\
-             scenarios:\n\
-             \x20 paper       λ=35, WD/D+H — the paper's Figure 6 operating point\n\
-             \x20 saturated   λ=50, ED — overload, dense rejection traces (default)\n\
-             \x20 light       λ=5, WD/D+H — low load, mostly clean admissions\n\
-             \n\
-             options (plus all `simulate` options):\n\
-             \x20 --out DIR                      output directory (default traces)\n\
-             \x20 --format jsonl|csv|both        export format (default jsonl)\n\
-             \x20 --sample SECS                  link-state sampling interval (default 60)\n\
-             \x20 --events N                     ring capacity in events (default 2^20)\n\
-             \x20 --check                        re-parse every exported JSONL line\n\
-             \x20 --stream PATH                  stream events to PATH as JSONL while the\n\
-             \x20                                run executes (constant memory; single\n\
-             \x20                                replication; bypasses --out/--format)\n\
-             \n\
-             Writes trace_<scenario>_seed<seed>.jsonl (one JSON object per\n\
-             line) per replication plus metrics.json (the labelled metrics\n\
-             registry), and prints the first rejection's decision trace."
-        ),
-        "record" => println!(
-            "usage: anycast record --lambda RATE --out PATH [simulate options]\n\
-             \n\
-             Draws a config's complete arrival process (every arrival with\n\
-             its source, group, demand and holding time) and writes it as a\n\
-             replayable JSONL trace — one header line of provenance (seed,\n\
-             rate, bounds, horizon), then one line per arrival. No\n\
-             admission control runs. Replaying the trace with the same\n\
-             config reproduces the offline run bit-identically.\n\
-             \n\
-             options (plus all `simulate` options):\n\
-             \x20 --out PATH                     trace file (default trace.jsonl)"
-        ),
-        "replay" => println!(
-            "usage: anycast replay --trace PATH --lambda RATE [simulate options] [options]\n\
-             \n\
-             Feeds a recorded arrival trace through the online admission\n\
-             engine. With the config the trace was recorded from, a\n\
-             virtual-time replay is bit-identical to `simulate` — metrics\n\
-             go to stdout in exactly `simulate`'s format (auxiliary lines\n\
-             to stderr) so the two outputs diff clean.\n\
-             \n\
-             options (plus all `simulate` options):\n\
-             \x20 --trace PATH                   trace file from `anycast record`\n\
-             \x20 --stream PATH                  stream telemetry events to PATH as\n\
-             \x20                                JSONL while the replay executes"
-        ),
-        "serve" => println!(
-            "usage: anycast serve (--listen ADDR | --unix PATH) [simulate options] [options]\n\
-             \n\
-             Runs the admission controller as a long-lived daemon speaking\n\
-             line-delimited JSON (one request per line):\n\
-             \n\
-             \x20 {{\"op\":\"admit\",\"source\":2,\"group\":0,\"demand_bps\":64000,\"holding_secs\":120,\"token\":\"t1\"}}\n\
-             \x20 {{\"op\":\"teardown\",\"session\":7}}\n\
-             \x20 {{\"op\":\"resume\",\"token\":\"t1\"}}\n\
-             \x20 {{\"op\":\"stats\"}}\n\
-             \x20 {{\"op\":\"shutdown\"}}\n\
-             \n\
-             Decisions come back per connection, correlated by request id\n\
-             and optional client token (out of order under asynchronous\n\
-             two-phase signalling). Under overload the daemon answers\n\
-             `overloaded` instead of queueing without bound; malformed or\n\
-             overlong lines draw an `error` with a reason code and the\n\
-             offending line echoed. SIGINT/SIGTERM or a shutdown request\n\
-             drains in-flight work, rejects queued-but-unserved admits\n\
-             with `shutting_down`, releases pending holds and prints\n\
-             final metrics. The service lifetime is the config horizon\n\
-             (--warmup + --measure; a service typically wants --warmup 0)\n\
-             unless --window puts it in rolling mode.\n\
-             \n\
-             options (plus all `simulate` options):\n\
-             \x20 --listen ADDR                  TCP listen address (port 0 = any)\n\
-             \x20 --unix PATH                    Unix-domain socket path instead\n\
-             \x20 --speed X                      simulated seconds per real second\n\
-             \x20                                (default 1 = real time)\n\
-             \x20 --tick-ms MS                   idle engine tick (default 5)\n\
-             \x20 --stream PATH                  stream live telemetry to PATH as\n\
-             \x20                                JSONL (drop-newest backpressure)\n\
-             \x20 --window SECS                  rolling-horizon mode: serve forever,\n\
-             \x20                                stats report a trailing SECS window\n\
-             \x20 --queue-limit N                admission queue bound; shed\n\
-             \x20                                watermarks scale with it (default 1024)"
-        ),
-        "predict" => println!(
-            "usage: anycast predict --lambda RATE | --lambdas START:END:STEP [options]\n\
-             \n\
-             Predicts admission probability without a simulation, from the\n\
-             Appendix-A analytical model, batched over the whole λ grid. The\n\
-             other systems have no analytic model: `anycast sweep --system\n\
-             ed|wddh|wddb|gdi` simulates them.\n\
-             \n\
-             options:\n\
-             \x20 --system ed1|sp                analyzed system (default ed1)\n\
-             \x20 --model erlang|uaa             link-blocking model (default erlang)\n\
-             \x20 --jobs N                       worker threads for the λ-grid fan-out\n\
-             \x20                                (default: available cores; results\n\
-             \x20                                are bit-identical for every N)\n\
-             \x20 --topology SPEC                as in `simulate`\n\
-             \x20 --group IDS / --sources IDS    as in `simulate`\n\
-             \x20 --hot N                        list the N hottest links (default 5)"
-        ),
-        "topo" => println!(
-            "usage: anycast topo [--topology SPEC]\n\
-             \n\
-             Prints structural metrics of a topology."
-        ),
-        _ => println!(
-            "anycast — distributed admission control for anycast flows (ICDCS 2001)\n\
-             \n\
-             commands:\n\
-             \x20 simulate   run one closed-loop simulation\n\
-             \x20 sweep      run a λ sweep of simulations\n\
-             \x20 trace      run a scenario with structured tracing and export events\n\
-             \x20 record     dump a scenario's arrival process as a replayable trace\n\
-             \x20 replay     feed a recorded trace through the online engine\n\
-             \x20 serve      run the admission controller as a live daemon\n\
-             \x20 predict    analytical admission probability (Appendix A)\n\
-             \x20 topo       topology structure report\n\
-             \x20 help       this overview\n\
-             \n\
-             `anycast <command> --help` shows per-command options."
-        ),
+/// Usage for a command (or the overview for anything else): its
+/// description, then every flag of its table.
+pub fn help(command: &str) -> String {
+    let Some((_, table, about)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return OVERVIEW.to_string();
+    };
+    let mut text = format!("{about}\n\noptions:\n");
+    for flag in table.iter().flat_map(|group| group.iter()) {
+        let head = match flag.value {
+            Some(shape) => format!("--{} {shape}", flag.name),
+            None => format!("--{}", flag.name),
+        };
+        let lines = flag.help.replace('\n', &format!("\n{:33}", ""));
+        text += &format!("  {head:<30} {lines}\n");
     }
+    text
 }
 
-/// Builds the topology and experiment configuration shared by `simulate`,
-/// `sweep` and `trace` from the common option set. `default_system` is
-/// the system used when `--system` is absent (commands differ: trace
-/// presets pick their own).
+/// A `--group` or `--sources` list, if given.
+type Nodes = Option<Vec<NodeId>>;
+
+/// The placement flags [`common_config`] and [`predict`] share: whether
+/// `--topology` is the MCI backbone, the topology, and the `--group` and
+/// `--sources` lists as given.
+fn placement(args: &Args) -> Result<(bool, Topology, Nodes, Nodes), String> {
+    let spec = args.get_str("topology").unwrap_or("mci");
+    let nodes = |name: &str| -> Result<Nodes, String> {
+        let Some(raw) = args.get_str(name) else {
+            return Ok(None);
+        };
+        Ok(Some(
+            parse_id_list(raw)?.into_iter().map(NodeId::new).collect(),
+        ))
+    };
+    Ok((
+        spec == "mci",
+        parse_topology(spec)?,
+        nodes("group")?,
+        nodes("sources")?,
+    ))
+}
+
+/// Builds the topology and experiment configuration of the run flags
+/// and has [`ExperimentConfig::check`] judge it. `default_system` is the
+/// system used when `--system` is absent (a trace scenario picks its own).
 fn common_config(
-    args: &mut Args,
+    args: &Args,
     lambda: f64,
     default_system: &str,
 ) -> Result<(Topology, ExperimentConfig), String> {
     if !(lambda.is_finite() && lambda > 0.0) {
         return Err(format!("arrival rate must be positive, got {lambda}"));
     }
-    let system_name = args
-        .get_str("system")
-        .unwrap_or_else(|| default_system.into());
-    let r: u32 = args.get_or("r", 2)?;
-    let alpha: f64 = args.get_or("alpha", 0.5)?;
-    let multipath: usize = args.get_or("multipath", 1)?;
-    let system = parse_system(&system_name, r, alpha, multipath)?;
-    let topo_spec = args.get_str("topology").unwrap_or_else(|| "mci".into());
-    let topo = parse_topology(&topo_spec)?;
-
-    let warmup: f64 = args.get_or("warmup", 1_800.0)?;
-    if !(warmup.is_finite() && warmup >= 0.0) {
-        return Err(format!(
-            "--warmup must be non-negative seconds, got {warmup}"
-        ));
-    }
-    let measure: f64 = args.get_or("measure", 3_600.0)?;
-    if !(measure.is_finite() && measure > 0.0) {
-        return Err(format!("--measure must be positive seconds, got {measure}"));
-    }
+    let system = parse_system(
+        args.get_str("system").unwrap_or(default_system),
+        args.get_or("r", 2)?,
+        args.get_or("alpha", 0.5)?,
+        args.get_or("multipath", 1)?,
+    )?;
+    let (on_mci, topo, group, sources) = placement(args)?;
     let mut config = ExperimentConfig::paper_defaults(lambda, system)
         .with_seed(args.get_or("seed", 1)?)
-        .with_warmup_secs(warmup)
-        .with_measure_secs(measure);
-    if let Some(group) = args.get_str("group") {
-        config = config.with_group(
-            parse_id_list(&group)?
-                .into_iter()
-                .map(NodeId::new)
-                .collect(),
-        );
+        .with_warmup_secs(args.get_or("warmup", 1_800.0)?)
+        .with_measure_secs(args.get_or("measure", 3_600.0)?);
+    if let Some(group) = group {
+        config = config.with_group(group);
     }
-    if let Some(sources) = args.get_str("sources") {
-        config = config.with_sources(
-            parse_id_list(&sources)?
-                .into_iter()
-                .map(NodeId::new)
-                .collect(),
-        );
-    } else if topo_spec != "mci" {
+    if let Some(sources) = sources {
+        config = config.with_sources(sources);
+    } else if !on_mci {
         // The paper's odd-router default only makes sense on the MCI
         // backbone; elsewhere default to every non-member node.
-        let members: std::collections::BTreeSet<u32> =
-            config.group_members.iter().map(|n| n.raw()).collect();
-        config = config.with_sources(
-            topo.nodes()
-                .filter(|n| !members.contains(&n.raw()))
-                .collect(),
-        );
-        if config.sources.is_empty() {
+        let members = &config.group_members;
+        let sources: Vec<NodeId> = topo.nodes().filter(|n| !members.contains(n)).collect();
+        if sources.is_empty() {
             return Err("every node is a group member; no sources remain".to_string());
         }
+        config = config.with_sources(sources);
     }
-    if let Some(b) = args.get_str("burstiness") {
-        let burstiness: f64 = b
-            .parse()
-            .map_err(|e| format!("--burstiness: cannot parse `{b}`: {e}"))?;
-        if !(1.0..2.0).contains(&burstiness) {
-            return Err(format!("--burstiness must lie in [1, 2), got {burstiness}"));
-        }
+    if let Some(burstiness) = args.get("burstiness")? {
         config = config.with_arrivals(ArrivalProcess::Bursty {
             burstiness,
             mean_sojourn_secs: 60.0,
         });
     }
     if let Some(path) = args.get_str("faults") {
-        let text = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
         let plan =
             anycast_chaos::spec::parse_fault_plan(&text).map_err(|e| format!("`{path}`: {e}"))?;
         config = config.with_faults(plan);
     }
-    // Two-phase signalling: any of the three flags switches the engine
-    // from atomic to latency-aware two-phase mode. `[signaling]` faults act
-    // on its messages, so a plan with them needs one of the flags.
-    let signaling_delay = args.get_str("signaling-delay");
-    let setup_timeout = args.get_str("setup-timeout");
-    let backoff = args.get_str("backoff");
-    let two_phase = signaling_delay.is_some() || setup_timeout.is_some() || backoff.is_some();
-    if !two_phase && !config.faults.signaling.is_inert() {
-        return Err("a [signaling] fault section needs two-phase signalling \
-                    (pass --signaling-delay)"
-            .to_string());
+    // Any of the three two-phase flags switches the engine from atomic to
+    // latency-aware two-phase signalling.
+    let delay = args.get("signaling-delay")?;
+    let timeout = args.get("setup-timeout")?;
+    let backoff = args.get_str("backoff").map(parse_backoff).transpose()?;
+    if delay.is_some() || timeout.is_some() || backoff.is_some() {
+        let default = TwoPhaseConfig::default();
+        config = config.with_signaling(SignalingMode::TwoPhase(TwoPhaseConfig {
+            per_hop_delay_secs: delay.unwrap_or(default.per_hop_delay_secs),
+            setup_timeout_secs: timeout.unwrap_or(default.setup_timeout_secs),
+            backoff: backoff.unwrap_or(default.backoff),
+        }));
     }
-    if two_phase {
-        if !matches!(config.system, SystemSpec::Dac { .. }) {
-            return Err(format!(
-                "two-phase signalling flags require a DAC system \
-                 (--system ed|wddh|wddb without --multipath), got {}",
-                config.system.label()
-            ));
-        }
-        let mut tp = TwoPhaseConfig::default();
-        if let Some(raw) = signaling_delay {
-            let delay: f64 = raw
-                .parse()
-                .map_err(|e| format!("--signaling-delay: cannot parse `{raw}`: {e}"))?;
-            if !(delay.is_finite() && delay >= 0.0) {
-                return Err(format!(
-                    "--signaling-delay must be non-negative seconds, got {raw}"
-                ));
-            }
-            tp.per_hop_delay_secs = delay;
-        }
-        if let Some(raw) = setup_timeout {
-            let timeout = if raw == "inf" {
-                f64::INFINITY
-            } else {
-                raw.parse()
-                    .map_err(|e| format!("--setup-timeout: cannot parse `{raw}`: {e}"))?
-            };
-            // NaN parses; the comparison must also reject it.
-            if timeout.is_nan() || timeout <= 0.0 {
-                return Err(format!(
-                    "--setup-timeout must be positive seconds (or `inf`), got {raw}"
-                ));
-            }
-            tp.setup_timeout_secs = timeout;
-        }
-        if let Some(raw) = backoff {
-            tp.backoff = parse_backoff(&raw)?;
-        }
-        if tp.times_out_every_crossing() && !config.has_local_member() {
-            return Err(format!(
-                "--setup-timeout {} is shorter than a one-link round trip, \
-                 2 × --signaling-delay {}: no setup could complete",
-                tp.setup_timeout_secs, tp.per_hop_delay_secs
-            ));
-        }
-        config = config.with_signaling(SignalingMode::TwoPhase(tp));
-    }
-    // Validate placement early with a clear message.
-    for n in config.group_members.iter().chain(&config.sources) {
-        if !topo.contains_node(*n) {
-            return Err(format!(
-                "{n} is not a node of the topology ({} nodes)",
-                topo.node_count()
-            ));
-        }
-    }
+    config.check(&topo)?;
+    // The run builds these same routes, and panics on a source that cannot
+    // reach a member; built here, that is an error naming the pair.
+    let group =
+        AnycastGroup::new("G0", config.group_members.iter().copied()).map_err(|e| e.to_string())?;
+    RouteTable::for_sources(&topo, &group, config.sources.iter().copied())
+        .map_err(|e| format!("cannot route group 0: {e}"))?;
     Ok((topo, config))
 }
 
 /// Parses `--backoff RETRANSMITS:BASE:MULT:CAP[:JITTER]` into a
 /// [`BackoffPolicy`]. Omitted jitter keeps the default fraction.
 fn parse_backoff(raw: &str) -> Result<BackoffPolicy, String> {
-    let parts: Vec<&str> = raw.split(':').collect();
-    if !(parts.len() == 4 || parts.len() == 5) {
-        return Err(format!(
-            "--backoff `{raw}` must be RETRANSMITS:BASE:MULT:CAP[:JITTER]"
-        ));
+    fn field<T: FromStr<Err: Display>>(raw: &str, what: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|e| format!("--backoff {what} `{raw}`: {e}"))
     }
-    let mut policy = BackoffPolicy {
-        max_retransmits: parts[0]
-            .parse()
-            .map_err(|e| format!("--backoff retransmits `{}`: {e}", parts[0]))?,
-        base_secs: parts[1]
-            .parse()
-            .map_err(|e| format!("--backoff base `{}`: {e}", parts[1]))?,
-        multiplier: parts[2]
-            .parse()
-            .map_err(|e| format!("--backoff multiplier `{}`: {e}", parts[2]))?,
-        max_backoff_secs: parts[3]
-            .parse()
-            .map_err(|e| format!("--backoff cap `{}`: {e}", parts[3]))?,
-        ..BackoffPolicy::default()
+    let (retransmits, base, multiplier, cap, jitter) = match raw.split(':').collect::<Vec<_>>()[..]
+    {
+        [r, b, m, c] => (r, b, m, c, None),
+        [r, b, m, c, j] => (r, b, m, c, Some(j)),
+        _ => {
+            return Err(format!(
+                "--backoff `{raw}` must be RETRANSMITS:BASE:MULT:CAP[:JITTER]"
+            ))
+        }
     };
-    if let Some(jitter) = parts.get(4) {
-        policy.jitter_frac = jitter
-            .parse()
-            .map_err(|e| format!("--backoff jitter `{jitter}`: {e}"))?;
-    }
-    let valid = policy.base_secs.is_finite()
-        && policy.base_secs >= 0.0
-        && policy.multiplier.is_finite()
-        && policy.multiplier >= 1.0
-        && policy.max_backoff_secs.is_finite()
-        && policy.max_backoff_secs >= 0.0
-        && policy.jitter_frac.is_finite()
-        && (0.0..1.0).contains(&policy.jitter_frac);
-    if !valid {
-        return Err(format!(
-            "--backoff `{raw}`: base and cap must be non-negative, \
-             multiplier at least 1, jitter in [0, 1)"
-        ));
-    }
-    Ok(policy)
+    let default = BackoffPolicy::default();
+    Ok(BackoffPolicy {
+        max_retransmits: field(retransmits, "retransmits")?,
+        base_secs: field(base, "base")?,
+        multiplier: field(multiplier, "multiplier")?,
+        max_backoff_secs: field(cap, "cap")?,
+        jitter_frac: jitter.map_or(Ok(default.jitter_frac), |j| field(j, "jitter"))?,
+    })
 }
 
 fn print_metrics(m: &anycast_dac::experiment::Metrics) {
@@ -461,7 +221,7 @@ fn print_metrics(m: &anycast_dac::experiment::Metrics) {
 ///
 /// `--reps 1` (the default) runs the base seed itself, so single runs are
 /// byte-identical to the pre-`--reps` CLI.
-fn replication_plan(args: &mut Args, base_seed: u64) -> Result<(Vec<u64>, usize), String> {
+fn replication_plan(args: &Args, base_seed: u64) -> Result<(Vec<u64>, usize), String> {
     let reps: usize = args.get_or("reps", 1)?;
     if reps == 0 {
         return Err("--reps must be at least 1".to_string());
@@ -493,6 +253,16 @@ fn print_replicated(rep: &anycast_bench::ReplicatedMetrics, reps: usize, base_se
     println!("network utilization   {:.4}", rep.mean_network_utilization);
 }
 
+/// The recorder a `--telemetry` switch asks for: the ring when given, a
+/// [`NullRecorder`] otherwise (which records nothing and changes no result).
+fn mode(telemetry: bool) -> TelemetryMode {
+    if telemetry {
+        TelemetryMode::ring()
+    } else {
+        TelemetryMode::Null
+    }
+}
+
 /// One-line recap of what a ring recorder captured across the run's cells.
 fn print_telemetry_summary(cells: &[TracedCell]) {
     let total: usize = cells.iter().map(|c| c.events.len()).sum();
@@ -514,58 +284,31 @@ fn print_telemetry_summary(cells: &[TracedCell]) {
 
 /// `anycast simulate`.
 pub fn simulate(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["telemetry"])?;
-    let telemetry = args.switch("telemetry");
+    let args = Args::parse(raw, SIMULATE)?;
     let lambda: f64 = args.require("lambda")?;
-    let (topo, config) = common_config(&mut args, lambda, "wddh")?;
-    let (seeds, jobs) = replication_plan(&mut args, config.seed)?;
-    args.finish()?;
+    let (topo, config) = common_config(&args, lambda, "wddh")?;
+    let (seeds, jobs) = replication_plan(&args, config.seed)?;
+    let telemetry = args.switch("telemetry");
+    let configs = std::slice::from_ref(&config);
+    let (summaries, cells) = run_grid_traced(&topo, configs, &seeds, jobs, mode(telemetry));
+    match &cells[..] {
+        [cell] => print_metrics(&cell.metrics),
+        _ => print_replicated(&summaries[0], seeds.len(), config.seed),
+    }
     if telemetry {
-        let (mut summaries, cells) = run_grid_traced(
-            &topo,
-            std::slice::from_ref(&config),
-            &seeds,
-            jobs,
-            TelemetryMode::ring(),
-        );
-        let rep = summaries.pop().expect("one config in, one result out");
-        if seeds.len() == 1 {
-            print_metrics(&cells[0].metrics);
-        } else {
-            print_replicated(&rep, seeds.len(), config.seed);
-        }
         print_telemetry_summary(&cells);
-        return Ok(());
     }
-    if seeds.len() == 1 {
-        let m = run_experiment(&topo, &config);
-        print_metrics(&m);
-        return Ok(());
-    }
-    let rep = run_grid(&topo, std::slice::from_ref(&config), &seeds, jobs)
-        .pop()
-        .expect("one config in, one result out");
-    print_replicated(&rep, seeds.len(), config.seed);
     Ok(())
 }
 
 /// `anycast sweep`.
 pub fn sweep(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &["no-header", "telemetry"])?;
-    let no_header = args.switch("no-header");
+    let args = Args::parse(raw, SWEEP)?;
+    let lambdas = parse_range(&args.require::<String>("lambdas")?)?;
+    let (topo, base) = common_config(&args, lambdas[0], "wddh")?;
+    let (seeds, jobs) = replication_plan(&args, base.seed)?;
     let telemetry = args.switch("telemetry");
-    let lambdas = parse_range(
-        &args
-            .get_str("lambdas")
-            .ok_or_else(|| "missing required flag --lambdas".to_string())?,
-    )?;
-    if args.get_str("lambda").is_some() {
-        return Err("sweeps take --lambdas, not --lambda".to_string());
-    }
-    let (topo, base) = common_config(&mut args, lambdas[0], "wddh")?;
-    let (seeds, jobs) = replication_plan(&mut args, base.seed)?;
-    args.finish()?;
-    if !no_header {
+    if !args.switch("no-header") {
         println!(
             "{:>8} {:>10} {:>8} {:>9} {:>7}",
             "lambda", "AP", "tries", "msgs/req", "util"
@@ -579,13 +322,7 @@ pub fn sweep(raw: Vec<String>) -> Result<(), String> {
             config
         })
         .collect();
-    let (results, cells) = if telemetry {
-        let (results, cells) =
-            run_grid_traced(&topo, &configs, &seeds, jobs, TelemetryMode::ring());
-        (results, Some(cells))
-    } else {
-        (run_grid(&topo, &configs, &seeds, jobs), None)
-    };
+    let (results, cells) = run_grid_traced(&topo, &configs, &seeds, jobs, mode(telemetry));
     for (lambda, m) in lambdas.iter().zip(&results) {
         println!(
             "{:>8.2} {:>10.6} {:>8.4} {:>9.2} {:>7.4}",
@@ -596,7 +333,7 @@ pub fn sweep(raw: Vec<String>) -> Result<(), String> {
             m.mean_network_utilization
         );
     }
-    if let Some(cells) = cells {
+    if telemetry {
         print_telemetry_summary(&cells);
     }
     Ok(())
@@ -627,18 +364,17 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
             ))
         }
     };
-    let mut args = Args::parse(raw, &["check"])?;
+    let args = Args::parse(raw, TRACE)?;
     let check = args.switch("check");
     let lambda: f64 = args.get_or("lambda", preset_lambda)?;
-    let (topo, config) = common_config(&mut args, lambda, preset_system)?;
-    let (seeds, jobs) = replication_plan(&mut args, config.seed)?;
-    let out_dir = args.get_str("out").unwrap_or_else(|| "traces".into());
+    let (topo, config) = common_config(&args, lambda, preset_system)?;
+    let (seeds, jobs) = replication_plan(&args, config.seed)?;
+    let out_dir = args.get_str("out").unwrap_or("traces");
     let sample: f64 = args.get_or("sample", 60.0)?;
     if !(sample.is_finite() && sample > 0.0) {
         return Err(format!("--sample must be positive seconds, got {sample}"));
     }
-    let format = args.get_str("format").unwrap_or_else(|| "jsonl".into());
-    let (want_jsonl, want_csv) = match format.as_str() {
+    let (want_jsonl, want_csv) = match args.get_str("format").unwrap_or("jsonl") {
         "jsonl" => (true, false),
         "csv" => (false, true),
         "both" => (true, true),
@@ -652,17 +388,15 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
     if capacity == 0 {
         return Err("--events must be at least 1".to_string());
     }
-    let stream_path = args.get_str("stream");
-    args.finish()?;
 
-    if let Some(path) = stream_path {
+    if let Some(path) = args.get_str("stream") {
         // Constant-memory export: events go straight to the JSONL file as
         // they happen instead of through the in-memory ring, so the run
         // length is bounded by disk, not by --events.
         if seeds.len() != 1 {
             return Err("--stream exports a single replication; drop --reps".to_string());
         }
-        let mut rec = StreamRecorder::create_default(std::path::Path::new(&path), seeds[0])
+        let mut rec = StreamRecorder::create_default(std::path::Path::new(path), seeds[0])
             .map_err(|e| format!("cannot create stream file `{path}`: {e}"))?
             .with_sample_interval(sample);
         let m = run_experiment_traced(&topo, &config, &mut rec);
@@ -676,7 +410,7 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
         return Ok(());
     }
 
-    std::fs::create_dir_all(&out_dir)
+    std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create output directory `{out_dir}`: {e}"))?;
     let mode = TelemetryMode::Ring {
         sample_interval_secs: Some(sample),
@@ -687,15 +421,18 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
     let label = config.system.label();
     let mut registry = MetricsRegistry::new();
     let mut written: Vec<String> = Vec::new();
-    let mut first_rejection: Option<(u64, f64, TelemetryEvent)> = None;
+    let mut first_rejection = None;
     for cell in &cells {
         registry.merge(&registry_from_events(&label, &cell.events));
         if first_rejection.is_none() {
-            first_rejection = cell
-                .events
-                .iter()
-                .find(|e| matches!(e.event, TelemetryEvent::Rejection { .. }))
-                .map(|e| (cell.seed, e.time_secs, e.event.clone()));
+            first_rejection = cell.events.iter().find_map(|e| match &e.event {
+                TelemetryEvent::Rejection {
+                    request,
+                    tries,
+                    trace,
+                } => Some((cell.seed, e.time_secs, *request, *tries, trace)),
+                _ => None,
+            });
         }
         let stem = format!("{out_dir}/trace_{scenario}_seed{}", cell.seed);
         if want_jsonl {
@@ -730,44 +467,27 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
     for path in &written {
         println!("wrote                 {path}");
     }
-    match first_rejection {
-        None => println!("no rejections in this trace (try `saturated` or a higher --lambda)"),
-        Some((
-            seed,
-            t,
-            TelemetryEvent::Rejection {
-                request,
-                tries,
-                trace,
-            },
-        )) => {
-            println!(
-                "first rejection       request {request} (seed {seed}, t={t:.2}s, {tries} tries)"
-            );
-            let weights: Vec<String> = trace.weights.iter().map(|w| format!("{w:.4}")).collect();
-            println!("  weights             [{}]", weights.join(", "));
-            for step in &trace.steps {
-                match step.skip {
-                    SkipReason::LinkBlocked {
-                        link,
-                        hop_index,
-                        available_bps,
-                    } => println!(
-                        "  member {} (w={:.4})  link_blocked at {link} hop {hop_index}, {available_bps} bps free",
-                        step.member_index, step.weight
-                    ),
-                    SkipReason::NoFeasiblePath => println!(
-                        "  member {} (w={:.4})  no_feasible_path",
-                        step.member_index, step.weight
-                    ),
-                    SkipReason::NotSelected => println!(
-                        "  member {} (w={:.4})  not_selected",
-                        step.member_index, step.weight
-                    ),
-                }
-            }
-        }
-        Some(_) => unreachable!("first_rejection only holds Rejection events"),
+    let Some((seed, t, request, tries, trace)) = first_rejection else {
+        println!("no rejections in this trace (try `saturated` or a higher --lambda)");
+        return Ok(());
+    };
+    println!("first rejection       request {request} (seed {seed}, t={t:.2}s, {tries} tries)");
+    let weights: Vec<String> = trace.weights.iter().map(|w| format!("{w:.4}")).collect();
+    println!("  weights             [{}]", weights.join(", "));
+    for step in &trace.steps {
+        let why = match step.skip {
+            SkipReason::LinkBlocked {
+                link,
+                hop_index,
+                available_bps,
+            } => format!("link_blocked at {link} hop {hop_index}, {available_bps} bps free"),
+            SkipReason::NoFeasiblePath => "no_feasible_path".to_string(),
+            SkipReason::NotSelected => "not_selected".to_string(),
+        };
+        println!(
+            "  member {} (w={:.4})  {why}",
+            step.member_index, step.weight
+        );
     }
     Ok(())
 }
@@ -775,13 +495,12 @@ pub fn trace(raw: Vec<String>) -> Result<(), String> {
 /// `anycast record`: draw a config's complete arrival process and write
 /// it as a replayable JSONL trace. No admission control runs.
 pub fn record(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, RECORD)?;
     let lambda: f64 = args.require("lambda")?;
-    let (_topo, config) = common_config(&mut args, lambda, "wddh")?;
-    let out = args.get_str("out").unwrap_or_else(|| "trace.jsonl".into());
-    args.finish()?;
+    let (_topo, config) = common_config(&args, lambda, "wddh")?;
+    let out = args.get_str("out").unwrap_or("trace.jsonl");
     let arrivals = record_arrivals(&config);
-    let written = write_trace(std::path::Path::new(&out), &config, &arrivals)
+    let written = write_trace(std::path::Path::new(out), &config, &arrivals)
         .map_err(|e| format!("cannot write trace `{out}`: {e}"))?;
     println!("seed                  {}", config.seed);
     println!("lambda                {:.3} flows/s", config.lambda);
@@ -799,16 +518,12 @@ pub fn record(raw: Vec<String>) -> Result<(), String> {
 /// lines to stderr, so a virtual-time replay's stdout diffs clean against
 /// the offline run it reproduces.
 pub fn replay(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, REPLAY)?;
     let lambda: f64 = args.require("lambda")?;
-    let (topo, config) = common_config(&mut args, lambda, "wddh")?;
-    let trace_path = args
-        .get_str("trace")
-        .ok_or_else(|| "missing required flag --trace".to_string())?;
-    let stream = args.get_str("stream");
-    args.finish()?;
+    let (topo, config) = common_config(&args, lambda, "wddh")?;
+    let trace_path: String = args.require("trace")?;
     let path = std::path::Path::new(&trace_path);
-    let outcome = match stream {
+    let outcome = match args.get_str("stream") {
         None => {
             let (outcome, _) = replay_trace(&topo, &config, path, NullRecorder)
                 .map_err(|e| format!("replay `{trace_path}`: {e}"))?;
@@ -843,37 +558,24 @@ pub fn replay(raw: Vec<String>) -> Result<(), String> {
 /// `anycast serve`: run the admission controller as a long-lived daemon
 /// behind a TCP or Unix socket.
 pub fn serve(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, SERVE)?;
     let lambda: f64 = args.get_or("lambda", 1.0)?;
-    let (topo, config) = common_config(&mut args, lambda, "wddh")?;
-    let listen = args.get_str("listen");
-    let unix = args.get_str("unix");
+    let (topo, config) = common_config(&args, lambda, "wddh")?;
     let speed: f64 = args.get_or("speed", 1.0)?;
     let tick_ms: u64 = args.get_or("tick-ms", 5)?;
-    let stream = args.get_str("stream");
-    let window = args.get_str("window");
+    let window_secs: Option<f64> = args.get("window")?;
     let queue_limit: usize = args.get_or("queue-limit", 1024)?;
-    args.finish()?;
     if !(speed.is_finite() && speed > 0.0) {
         return Err(format!("--speed must be positive, got {speed}"));
     }
-    let window_secs = match window {
-        None => None,
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|e| format!("--window: cannot parse `{raw}`: {e}"))?;
-            if !(secs.is_finite() && secs > 0.0) {
-                return Err(format!("--window must be positive seconds, got {secs}"));
-            }
-            Some(secs)
-        }
-    };
+    if let Some(secs) = window_secs.filter(|secs| !(secs.is_finite() && *secs > 0.0)) {
+        return Err(format!("--window must be positive seconds, got {secs}"));
+    }
     if queue_limit == 0 {
         return Err("--queue-limit must be positive".to_string());
     }
-    let endpoint = match (listen, unix) {
-        (Some(addr), None) => Endpoint::Tcp(addr),
+    let endpoint = match (args.get_str("listen"), args.get_str("unix")) {
+        (Some(addr), None) => Endpoint::Tcp(addr.to_string()),
         (None, Some(path)) => Endpoint::Unix(path.into()),
         (Some(_), Some(_)) => return Err("--listen and --unix are mutually exclusive".into()),
         (None, None) => return Err("missing --listen or --unix".into()),
@@ -881,7 +583,7 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
     let options = ServeOptions {
         speed,
         tick: std::time::Duration::from_millis(tick_ms),
-        telemetry: stream.map(std::path::PathBuf::from),
+        telemetry: args.get_str("stream").map(std::path::PathBuf::from),
         window_secs,
         overload: anycast_daemon::OverloadOptions::default().with_queue_limit(queue_limit),
     };
@@ -945,12 +647,12 @@ pub fn serve(raw: Vec<String>) -> Result<(), String> {
 /// `anycast predict`: the Appendix-A analytic model for `--system ed1|sp`
 /// (closed-form weights, milliseconds, no simulation at all).
 pub fn predict(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, PREDICT)?;
     let lambdas = match (args.get_str("lambda"), args.get_str("lambdas")) {
         (Some(_), Some(_)) => {
             return Err("--lambda and --lambdas are mutually exclusive".to_string())
         }
-        (Some(spec), None) | (None, Some(spec)) => parse_range(&spec)?,
+        (Some(spec), None) | (None, Some(spec)) => parse_range(spec)?,
         (None, None) => return Err("one of --lambda or --lambdas is required".to_string()),
     };
     for &lambda in &lambdas {
@@ -963,26 +665,8 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
         return Err("--jobs must be at least 1".to_string());
     }
     let hot: usize = args.get_or("hot", 5)?;
-    let topo = parse_topology(&args.get_str("topology").unwrap_or_else(|| "mci".into()))?;
-    let group = match args.get_str("group") {
-        Some(raw) => Some(
-            parse_id_list(&raw)?
-                .into_iter()
-                .map(NodeId::new)
-                .collect::<Vec<_>>(),
-        ),
-        None => None,
-    };
-    let sources = match args.get_str("sources") {
-        Some(raw) => Some(
-            parse_id_list(&raw)?
-                .into_iter()
-                .map(NodeId::new)
-                .collect::<Vec<_>>(),
-        ),
-        None => None,
-    };
-    let system = match args.get_str("system").as_deref().unwrap_or("ed1") {
+    let (_, topo, group, sources) = placement(&args)?;
+    let system = match args.get_str("system").unwrap_or("ed1") {
         "ed1" => AnalyzedSystem::Ed1,
         "sp" => AnalyzedSystem::Sp,
         other @ ("ed" | "wddh" | "wddb" | "gdi") => {
@@ -993,11 +677,7 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
         }
         other => return Err(format!("unknown system `{other}` (expected ed1 or sp)")),
     };
-    let model = match args
-        .get_str("model")
-        .unwrap_or_else(|| "erlang".into())
-        .as_str()
-    {
+    let model = match args.get_str("model").unwrap_or("erlang") {
         "erlang" => BlockingModel::ErlangB,
         "uaa" => BlockingModel::Uaa,
         other => {
@@ -1006,7 +686,6 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
             ))
         }
     };
-    args.finish()?;
     let spec_at = |lambda: f64| {
         let mut spec = ScenarioSpec::paper_defaults(lambda);
         if let Some(g) = &group {
@@ -1018,7 +697,11 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
         spec
     };
     let probe = spec_at(lambdas[0]);
-    check_placement(&topo, probe.group_members.iter().chain(&probe.sources))?;
+    let mut placed = probe.group_members.iter().chain(&probe.sources);
+    if let Some(n) = placed.find(|n| !topo.contains_node(**n)) {
+        let nodes = topo.node_count();
+        return Err(format!("{n} is not a node of the topology ({nodes} nodes)"));
+    }
 
     if let [lambda] = lambdas[..] {
         let scenario = build_scenario(&topo, &spec_at(lambda), system);
@@ -1057,22 +740,6 @@ pub fn predict(raw: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Rejects any group/source node that the topology does not contain.
-fn check_placement<'a>(
-    topo: &Topology,
-    nodes: impl Iterator<Item = &'a NodeId>,
-) -> Result<(), String> {
-    for n in nodes {
-        if !topo.contains_node(*n) {
-            return Err(format!(
-                "{n} is not a node of the topology ({} nodes)",
-                topo.node_count()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Prints the `hot` highest-blocking links of `blocking` on `topo`.
 fn print_hot_links(topo: &Topology, blocking: &[f64], hot: usize) {
     let mut links: Vec<(usize, f64)> = blocking.iter().copied().enumerate().collect();
@@ -1093,10 +760,9 @@ fn print_hot_links(topo: &Topology, blocking: &[f64], hot: usize) {
 
 /// `anycast topo`.
 pub fn topo(raw: Vec<String>) -> Result<(), String> {
-    let mut args = Args::parse(raw, &[])?;
-    let spec = args.get_str("topology").unwrap_or_else(|| "mci".into());
-    args.finish()?;
-    let topo = parse_topology(&spec)?;
+    let args = Args::parse(raw, TOPO)?;
+    let spec = args.get_str("topology").unwrap_or("mci");
+    let topo = parse_topology(spec)?;
     let m = metrics::analyze(&topo);
     println!("topology       {spec}");
     println!("nodes          {}", m.nodes);
@@ -1124,8 +790,8 @@ mod tests {
 
     #[test]
     fn common_config_defaults_to_paper_setup() {
-        let mut args = Args::parse(strs(&[]), &[]).unwrap();
-        let (topo, config) = common_config(&mut args, 20.0, "wddh").unwrap();
+        let args = Args::parse(strs(&[]), SIMULATE).unwrap();
+        let (topo, config) = common_config(&args, 20.0, "wddh").unwrap();
         assert_eq!(topo.node_count(), 19);
         assert_eq!(config.lambda, 20.0);
         assert_eq!(config.system.label(), "<WD/D+H,2>");
@@ -1135,8 +801,9 @@ mod tests {
 
     #[test]
     fn non_mci_default_sources_are_non_members() {
-        let mut args = Args::parse(strs(&["--topology", "ring:6", "--group", "0,3"]), &[]).unwrap();
-        let (_, config) = common_config(&mut args, 5.0, "wddh").unwrap();
+        let args =
+            Args::parse(strs(&["--topology", "ring:6", "--group", "0,3"]), SIMULATE).unwrap();
+        let (_, config) = common_config(&args, 5.0, "wddh").unwrap();
         let sources: Vec<u32> = config.sources.iter().map(|n| n.raw()).collect();
         assert_eq!(sources, vec![1, 2, 4, 5]);
     }
@@ -1146,21 +813,21 @@ mod tests {
         for (flags, needle) in [
             (vec!["--system", "bogus"], "unknown system"),
             (vec!["--burstiness", "2.5"], "burstiness"),
-            (vec!["--group", "0,99"], "not a node"),
+            (vec!["--group", "0,99"], "not in topology"),
             (vec!["--r", "0"], "--r"),
-            (vec!["--measure", "0"], "--measure"),
-            (vec!["--measure", "inf"], "--measure"),
-            (vec!["--measure", "-5"], "--measure"),
-            (vec!["--warmup", "nan"], "--warmup"),
-            (vec!["--warmup", "-5"], "--warmup"),
-            (vec!["--warmup", "inf"], "--warmup"),
+            (vec!["--measure", "0"], "measured period"),
+            (vec!["--measure", "inf"], "measured period"),
+            (vec!["--measure", "-5"], "measured period"),
+            (vec!["--warmup", "nan"], "warm-up"),
+            (vec!["--warmup", "-5"], "warm-up"),
+            (vec!["--warmup", "inf"], "warm-up"),
         ] {
-            let mut args = Args::parse(strs(&flags), &[]).unwrap();
-            let err = common_config(&mut args, 10.0, "wddh").unwrap_err();
+            let args = Args::parse(strs(&flags), SIMULATE).unwrap();
+            let err = common_config(&args, 10.0, "wddh").unwrap_err();
             assert!(err.contains(needle), "{flags:?}: {err}");
         }
-        let mut args = Args::parse(strs(&[]), &[]).unwrap();
-        assert!(common_config(&mut args, -1.0, "wddh").is_err());
+        let args = Args::parse(strs(&[]), SIMULATE).unwrap();
+        assert!(common_config(&args, -1.0, "wddh").is_err());
     }
 
     #[test]
@@ -1270,8 +937,8 @@ mod tests {
 
     #[test]
     fn replication_seeds_are_substreams() {
-        let mut args = Args::parse(strs(&["--reps", "3", "--jobs", "2"]), &[]).unwrap();
-        let (seeds, jobs) = replication_plan(&mut args, 42).unwrap();
+        let args = Args::parse(strs(&["--reps", "3", "--jobs", "2"]), SIMULATE).unwrap();
+        let (seeds, jobs) = replication_plan(&args, 42).unwrap();
         assert_eq!(jobs, 2);
         assert_eq!(
             seeds,
@@ -1282,8 +949,8 @@ mod tests {
             ]
         );
         // The default keeps the base seed itself for exact compatibility.
-        let mut args = Args::parse(strs(&[]), &[]).unwrap();
-        let (seeds, _) = replication_plan(&mut args, 42).unwrap();
+        let args = Args::parse(strs(&[]), SIMULATE).unwrap();
+        let (seeds, _) = replication_plan(&args, 42).unwrap();
         assert_eq!(seeds, vec![42]);
     }
 
@@ -1444,18 +1111,15 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("DAC system"), "{err}");
-        for (flag, value) in [
-            ("--signaling-delay", "-1"),
-            ("--setup-timeout", "0"),
-            ("--backoff", "3:0.1:2"),
-            ("--backoff", "3:0.1:0.5:2"),
-            ("--backoff", "x:0.1:2:2"),
+        for (flag, value, needle) in [
+            ("--signaling-delay", "-1", "signalling delay"),
+            ("--setup-timeout", "0", "setup timeout"),
+            ("--backoff", "3:0.1:2", "backoff"),
+            ("--backoff", "3:0.1:0.5:2", "backoff"),
+            ("--backoff", "x:0.1:2:2", "backoff"),
         ] {
             let err = simulate(strs(&["--lambda", "3", flag, value])).unwrap_err();
-            assert!(
-                err.contains(flag.trim_start_matches('-')),
-                "{flag} {value}: {err}"
-            );
+            assert!(err.contains(needle), "{flag} {value}: {err}");
         }
     }
 
@@ -1481,7 +1145,7 @@ mod tests {
         ];
         let err = simulate(strs(&run)).unwrap_err();
         assert!(
-            err.contains("[signaling]") && err.contains("--signaling-delay"),
+            err.contains("[signaling]") && err.contains("two-phase signalling"),
             "{err}"
         );
         // The same plan over two-phase signalling, even without delay, runs.
@@ -1506,7 +1170,7 @@ mod tests {
         // The default 1 s timeout against a 2 s round trip.
         let err = simulate(strs(&run)).unwrap_err();
         assert!(
-            err.contains("--setup-timeout") && err.contains("--signaling-delay"),
+            err.contains("setup timeout") && err.contains("round trip"),
             "{err}"
         );
         // One round trip exactly is accepted, and so is a short timeout
@@ -1526,13 +1190,14 @@ mod tests {
         let p = parse_backoff("1:0.1:2:2:0").unwrap();
         assert_eq!(p.jitter_frac, 0.0);
         assert!(parse_backoff("1:2").is_err());
-        assert!(parse_backoff("1:0.1:2:2:1.5").is_err());
+        let err = simulate(strs(&["--lambda", "3", "--backoff", "1:0.1:2:2:1.5"])).unwrap_err();
+        assert!(err.contains("backoff jitter"), "{err}");
     }
 
     #[test]
-    fn parse_backoff_rejects_non_finite_fields() {
-        // `inf`/`nan` parse as valid f64s, so the finiteness guard (not
-        // the parser) must reject them — in every numeric position.
+    fn non_finite_backoff_fields_are_rejected() {
+        // `inf`/`nan` parse as valid f64s, so the config check (not the
+        // parser) must reject them — in every numeric position.
         for raw in [
             "3:inf:2:2",
             "3:nan:2:2",
@@ -1540,10 +1205,10 @@ mod tests {
             "3:0.1:2:inf",
             "3:0.1:2:2:nan",
         ] {
-            let err = parse_backoff(raw).unwrap_err();
+            let err = simulate(strs(&["--lambda", "3", "--backoff", raw])).unwrap_err();
             assert!(
-                err.contains("must be non-negative"),
-                "`{raw}` must hit the finiteness guard, got: {err}"
+                err.starts_with("backoff ") && err.contains(" must "),
+                "`{raw}` must hit the config check, got: {err}"
             );
         }
     }
@@ -1719,5 +1384,60 @@ mod tests {
         assert!(trace(strs(&["--format", "xml"])).is_err());
         assert!(trace(strs(&["--sample", "-5"])).is_err());
         assert!(trace(strs(&["--events", "0"])).is_err());
+    }
+
+    #[test]
+    fn an_unroutable_placement_is_an_error() {
+        // Nodes 3 and 4 form an island: as default sources on a non-MCI
+        // topology they cannot reach member 0.
+        let path =
+            std::env::temp_dir().join(format!("anycast_cli_island_{}.txt", std::process::id()));
+        std::fs::write(&path, "0 1 100000000\n1 2 100000000\n3 4 100000000\n").unwrap();
+        let topology = path.to_str().unwrap();
+        let err = simulate(strs(&[
+            "--lambda",
+            "3",
+            "--topology",
+            topology,
+            "--group",
+            "0",
+        ]));
+        std::fs::remove_file(&path).ok();
+        let err = err.unwrap_err();
+        assert!(err.contains("no route from"), "{err}");
+    }
+
+    #[test]
+    fn help_lists_exactly_the_flags_each_command_accepts() {
+        for (command, run, flag) in [
+            (
+                "record",
+                record as fn(Vec<String>) -> Result<(), String>,
+                ["--reps", "2"],
+            ),
+            ("serve", serve, ["--jobs", "2"]),
+            ("trace", trace, ["--telemetry", "--check"]),
+        ] {
+            let err = run(strs(&["--lambda", "5", flag[0], flag[1]])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {} for this command", flag[0]));
+            assert!(!help(command).contains(flag[0]), "{command}");
+        }
+        for command in [
+            "simulate", "sweep", "trace", "record", "replay", "serve", "predict", "topo",
+        ] {
+            let text = help(command);
+            let listed: Vec<&str> = text
+                .lines()
+                .filter_map(|line| line.strip_prefix("  --"))
+                .map(|line| line.split(' ').next().unwrap())
+                .collect();
+            let (_, table, _) = COMMANDS.iter().find(|(name, ..)| *name == command).unwrap();
+            let declared: Vec<&str> = table
+                .iter()
+                .flat_map(|g| g.iter())
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(listed, declared, "{command}");
+        }
     }
 }

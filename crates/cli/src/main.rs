@@ -15,6 +15,9 @@
 
 mod args;
 mod commands;
+// The flag tables are aligned by hand.
+#[rustfmt::skip]
+mod flags;
 mod spec;
 
 use std::process::ExitCode;
@@ -24,7 +27,7 @@ fn main() -> ExitCode {
     let command = argv.next().unwrap_or_else(|| "help".to_string());
     let rest: Vec<String> = argv.collect();
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        commands::print_help(&command);
+        print!("{}", commands::help(&command));
         return ExitCode::SUCCESS;
     }
     let result = match command.as_str() {
@@ -37,7 +40,7 @@ fn main() -> ExitCode {
         "predict" => commands::predict(rest),
         "topo" => commands::topo(rest),
         "help" | "--help" | "-h" => {
-            commands::print_help("");
+            print!("{}", commands::help(""));
             Ok(())
         }
         other => Err(format!("unknown command `{other}` (try `anycast help`)")),

@@ -48,34 +48,6 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// Validates the policy's parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any field is non-finite or out of range.
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.base_secs.is_finite() && self.base_secs >= 0.0,
-            "backoff base must be finite and non-negative, got {}",
-            self.base_secs
-        );
-        assert!(
-            self.multiplier.is_finite() && self.multiplier >= 1.0,
-            "backoff multiplier must be finite and at least 1, got {}",
-            self.multiplier
-        );
-        assert!(
-            self.max_backoff_secs.is_finite() && self.max_backoff_secs >= 0.0,
-            "backoff cap must be finite and non-negative, got {}",
-            self.max_backoff_secs
-        );
-        assert!(
-            self.jitter_frac.is_finite() && (0.0..1.0).contains(&self.jitter_frac),
-            "backoff jitter fraction must lie in [0, 1), got {}",
-            self.jitter_frac
-        );
-    }
-
     /// The delay before retransmission number `attempt` (0-based).
     ///
     /// Deterministic given the rng substream: the jitter factor is a
@@ -96,6 +68,9 @@ impl BackoffPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ExperimentConfig, SignalingMode, SystemSpec, TwoPhaseConfig};
+    use crate::policy::PolicySpec;
+    use anycast_net::topologies;
 
     #[test]
     fn defaults_grow_then_cap() {
@@ -103,7 +78,6 @@ mod tests {
             jitter_frac: 0.0,
             ..BackoffPolicy::default()
         };
-        p.validate();
         let mut rng = SimRng::seed_from(1);
         assert_eq!(p.delay_for(0, &mut rng), 0.1);
         assert_eq!(p.delay_for(1, &mut rng), 0.2);
@@ -145,12 +119,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backoff multiplier must be finite and at least 1")]
     fn shrinking_multiplier_rejected() {
-        BackoffPolicy {
-            multiplier: 0.5,
-            ..BackoffPolicy::default()
-        }
-        .validate();
+        let two_phase = TwoPhaseConfig {
+            backoff: BackoffPolicy {
+                multiplier: 0.5,
+                ..BackoffPolicy::default()
+            },
+            ..TwoPhaseConfig::default()
+        };
+        let config = ExperimentConfig::paper_defaults(1.0, SystemSpec::dac(PolicySpec::Ed, 2))
+            .with_signaling(SignalingMode::TwoPhase(two_phase));
+        let err = config.check(&topologies::mci()).unwrap_err();
+        assert!(
+            err.contains("backoff multiplier must be finite and at least 1"),
+            "{err}"
+        );
     }
 }

@@ -6,7 +6,7 @@ use crate::backoff::BackoffPolicy;
 use crate::policy::PolicySpec;
 use crate::RetrialPolicy;
 use anycast_chaos::FaultPlan;
-use anycast_net::{topologies, Bandwidth, NodeId};
+use anycast_net::{topologies, Bandwidth, NodeId, Topology};
 
 /// Which admission system the experiment evaluates — the paper's
 /// `<A, R>` tuples plus the two baselines.
@@ -151,36 +151,6 @@ impl TwoPhaseConfig {
     /// then times out before its RESV is back.
     pub fn times_out_every_crossing(&self) -> bool {
         self.setup_timeout_secs < 2.0 * self.per_hop_delay_secs
-    }
-
-    /// Validates the parameters. `local_member` says whether some source
-    /// is itself a group member: its zero-hop setups complete on the spot,
-    /// with no timer, so any timeout still admits them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-hop delay is negative or non-finite, the setup
-    /// timeout is not positive (infinity is allowed), or, with no local
-    /// member, the timeout [times out every crossing](Self::times_out_every_crossing).
-    pub(crate) fn validate(&self, local_member: bool) {
-        assert!(
-            self.per_hop_delay_secs.is_finite() && self.per_hop_delay_secs >= 0.0,
-            "per-hop signalling delay must be finite and non-negative, got {}",
-            self.per_hop_delay_secs
-        );
-        assert!(
-            self.setup_timeout_secs > 0.0 && !self.setup_timeout_secs.is_nan(),
-            "setup timeout must be positive (infinity allowed), got {}",
-            self.setup_timeout_secs
-        );
-        assert!(
-            local_member || !self.times_out_every_crossing(),
-            "setup timeout {} s is shorter than a one-link round trip (2 × {} s per hop): \
-             no setup could complete",
-            self.setup_timeout_secs,
-            self.per_hop_delay_secs
-        );
-        self.backoff.validate();
     }
 }
 
@@ -363,6 +333,134 @@ impl ExperimentConfig {
             }
         };
         self.sources.iter().any(is_member)
+    }
+
+    /// Checks the configuration against `topo` and against itself: the
+    /// one rulebook every run and every `anycast` command holds a config
+    /// to. Allocates nothing when the config is valid. Reachability is
+    /// left to route building, which finds it anyway.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, in words: a non-finite or negative warm-up,
+    /// a non-finite or non-positive measured period, no sources, a source
+    /// or member outside the topology, burstiness outside `[1, 2)`, an
+    /// invalid refresh or control-plane fault model, a `[signaling]` fault
+    /// section without two-phase signalling, two-phase signalling on a
+    /// system other than DAC, or an invalid two-phase or backoff parameter.
+    pub fn check(&self, topo: &Topology) -> Result<(), String> {
+        macro_rules! ensure {
+            ($ok:expr, $($message:tt)+) => {
+                if !$ok {
+                    return Err(format!($($message)+));
+                }
+            };
+        }
+        let (warmup, measure) = (self.warmup_secs, self.measure_secs);
+        ensure!(
+            warmup.is_finite() && warmup >= 0.0,
+            "warm-up must be finite and non-negative seconds, got {warmup}"
+        );
+        ensure!(
+            measure.is_finite() && measure > 0.0,
+            "measured period must be finite and positive seconds, got {measure}"
+        );
+        ensure!(!self.sources.is_empty(), "need at least one source");
+        for s in &self.sources {
+            ensure!(topo.contains_node(*s), "source {s} not in topology");
+        }
+        // `effective_groups` would clone; the member lists are read in place.
+        let single = self.groups.is_empty().then_some(&self.group_members);
+        for m in self
+            .groups
+            .iter()
+            .map(|g| &g.members)
+            .chain(single)
+            .flatten()
+        {
+            ensure!(topo.contains_node(*m), "member {m} not in topology");
+        }
+        if let ArrivalProcess::Bursty { burstiness, .. } = self.arrivals {
+            ensure!(
+                (1.0..2.0).contains(&burstiness),
+                "burstiness must lie in [1, 2), got {burstiness}"
+            );
+        }
+        let refresh = self.faults.refresh;
+        ensure!(
+            refresh.refresh_interval_secs.is_finite() && refresh.refresh_interval_secs > 0.0,
+            "refresh interval must be positive"
+        );
+        ensure!(
+            refresh.missed_refresh_limit > 0,
+            "missed-refresh limit must be at least 1"
+        );
+        let control = self.faults.control;
+        ensure!(
+            (0.0..=1.0).contains(&control.teardown_loss_probability),
+            "teardown loss probability must lie in [0, 1]"
+        );
+        ensure!(
+            control.teardown_delay_secs.is_finite() && control.teardown_delay_secs >= 0.0,
+            "teardown delay mean must be non-negative"
+        );
+        let tp = match self.signaling {
+            // An atomic exchange has no messages to lose or delay.
+            SignalingMode::Atomic => {
+                ensure!(
+                    self.faults.signaling.is_inert(),
+                    "a [signaling] fault section needs two-phase signalling"
+                );
+                return Ok(());
+            }
+            SignalingMode::TwoPhase(tp) => tp,
+        };
+        ensure!(
+            matches!(self.system, SystemSpec::Dac { .. }),
+            "two-phase signalling requires the DAC system, got {}",
+            self.system.label()
+        );
+        ensure!(
+            tp.per_hop_delay_secs.is_finite() && tp.per_hop_delay_secs >= 0.0,
+            "per-hop signalling delay must be finite and non-negative, got {}",
+            tp.per_hop_delay_secs
+        );
+        ensure!(
+            tp.setup_timeout_secs > 0.0 && !tp.setup_timeout_secs.is_nan(),
+            "setup timeout must be positive (infinity allowed), got {}",
+            tp.setup_timeout_secs
+        );
+        // A source on a member completes its zero-hop setups on the spot,
+        // with no timer, so any timeout still admits them.
+        ensure!(
+            self.has_local_member() || !tp.times_out_every_crossing(),
+            "setup timeout {} s is shorter than a one-link round trip (2 × {} s per hop): \
+             no setup could complete",
+            tp.setup_timeout_secs,
+            tp.per_hop_delay_secs
+        );
+        let b = tp.backoff;
+        ensure!(
+            b.base_secs.is_finite() && b.base_secs >= 0.0,
+            "backoff base must be finite and non-negative, got {}",
+            b.base_secs
+        );
+        ensure!(
+            b.multiplier.is_finite() && b.multiplier >= 1.0,
+            "backoff multiplier must be finite and at least 1, got {}",
+            b.multiplier
+        );
+        ensure!(
+            b.max_backoff_secs.is_finite() && b.max_backoff_secs >= 0.0,
+            "backoff cap must be finite and non-negative, got {}",
+            b.max_backoff_secs
+        );
+        ensure!(
+            b.jitter_frac.is_finite() && (0.0..1.0).contains(&b.jitter_frac),
+            "backoff jitter fraction must lie in [0, 1), got {}",
+            b.jitter_frac
+        );
+        Ok(())
     }
 
     /// Installs a heterogeneous demand mix (extension beyond the paper).

@@ -163,62 +163,12 @@ pub fn run_experiment_traced(
     sim.finish(horizon).0
 }
 
-/// Checks a configuration against the topology and against itself.
-///
-/// # Panics
-///
-/// As [`run_experiment`].
-fn validate(topo: &Topology, config: &ExperimentConfig) {
-    assert!(
-        config.measure_secs > 0.0 && config.warmup_secs >= 0.0,
-        "durations must be positive"
-    );
-    assert!(!config.sources.is_empty(), "need at least one source");
-    for s in &config.sources {
-        assert!(topo.contains_node(*s), "source {s} not in topology");
-    }
-    let refresh = config.faults.refresh;
-    assert!(
-        refresh.refresh_interval_secs.is_finite() && refresh.refresh_interval_secs > 0.0,
-        "refresh interval must be positive"
-    );
-    assert!(
-        refresh.missed_refresh_limit > 0,
-        "missed-refresh limit must be at least 1"
-    );
-    let control = config.faults.control;
-    assert!(
-        (0.0..=1.0).contains(&control.teardown_loss_probability),
-        "teardown loss probability must lie in [0, 1]"
-    );
-    assert!(
-        control.teardown_delay_secs.is_finite() && control.teardown_delay_secs >= 0.0,
-        "teardown delay mean must be non-negative"
-    );
-    match config.signaling {
-        // An atomic exchange has no messages to lose or delay.
-        SignalingMode::Atomic => assert!(
-            config.faults.signaling.is_inert(),
-            "a [signaling] fault section needs two-phase signalling"
-        ),
-        SignalingMode::TwoPhase(cfg) => {
-            cfg.validate(config.has_local_member());
-            assert!(
-                matches!(config.system, SystemSpec::Dac { .. }),
-                "two-phase signalling requires the DAC system, got {}",
-                config.system.label()
-            );
-        }
-    }
-}
-
 /// The anycast groups of `group_specs` and their fixed §3 routes from the
 /// configured sources.
 ///
 /// # Panics
 ///
-/// Panics on an empty group, a member outside the topology, or a source
-/// that cannot reach a member.
+/// Panics on an empty group or a source that cannot reach a member.
 fn route_groups(
     topo: &Topology,
     config: &ExperimentConfig,
@@ -229,9 +179,6 @@ fn route_groups(
     for (gi, spec) in group_specs.iter().enumerate() {
         let group = AnycastGroup::new(format!("G{gi}"), spec.members.iter().copied())
             .expect("group must be non-empty");
-        for m in group.members() {
-            assert!(topo.contains_node(*m), "member {m} not in topology");
-        }
         // Only the configured sources originate traffic, so only they
         // must reach every member.
         route_tables.push(
@@ -421,7 +368,7 @@ impl<R: Recorder> Sim<R> {
         recorder: R,
         external: bool,
     ) -> (Self, Engine<Event>) {
-        validate(topo, config);
+        config.check(topo).unwrap_or_else(|e| panic!("{e}"));
         let group_specs = config.effective_groups();
         let (groups, route_tables) = route_groups(topo, config, &group_specs);
         let route_sets: Vec<Vec<RouteSet>> = route_tables

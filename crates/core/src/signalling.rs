@@ -132,11 +132,10 @@ pub(crate) struct TwoPhaseState {
     sig: SignalingFaults,
     warmup_end: SimTime,
     table: SetupTable,
-    /// Request owning each setup, kept until the setup's state is reaped
-    /// (in-flight messages for dead setups still need attribution).
-    setup_req: HashMap<SetupId, u64>,
     pub(crate) pending: HashMap<u64, PendingAdmission>,
-    holds: DeadlineHeap<(SetupId, usize)>,
+    /// Expiry timers of unconfirmed holds, keyed by the request, setup and
+    /// hop each one holds, so an expiry names its request.
+    holds: DeadlineHeap<(u64, SetupId, usize)>,
     backoff_rng: SimRng,
     pub(crate) holds_placed: u64,
     pub(crate) holds_expired: u64,
@@ -165,7 +164,6 @@ impl TwoPhaseState {
             sig,
             warmup_end,
             table: SetupTable::new(),
-            setup_req: HashMap::new(),
             pending: HashMap::new(),
             holds: DeadlineHeap::new(),
             backoff_rng,
@@ -219,7 +217,6 @@ impl TwoPhaseState {
             .expect("attempt needs a pending admission");
         let setup = self.table.begin(route, p.arrival.demand, now.as_secs());
         p.setup = Some(setup);
-        self.setup_req.insert(setup, req);
         if self.cfg.setup_timeout_secs.is_finite() {
             eng.schedule_in(
                 now,
@@ -252,7 +249,6 @@ impl TwoPhaseState {
                     .blocked_error(setup)
                     .expect("refused setups recorded their bottleneck");
                 self.table.abandon(setup);
-                self.forget_if_reaped(setup);
                 return self.fail(req, err.into());
             }
             Signal::SetupTimeout { req, setup } if self.is_current(req, setup) => {
@@ -278,12 +274,6 @@ impl TwoPhaseState {
         self.pending
             .get(&req)
             .is_some_and(|p| p.setup == Some(setup))
-    }
-
-    fn forget_if_reaped(&mut self, setup: SetupId) {
-        if !self.table.contains(setup) {
-            self.setup_req.remove(&setup);
-        }
     }
 
     /// The attempt toward the current destination is over.
@@ -361,8 +351,10 @@ impl TwoPhaseState {
         };
         plane.note(now, held);
         if self.cfg.setup_timeout_secs.is_finite() {
-            self.holds
-                .arm((setup, hop), now.as_secs() + self.cfg.setup_timeout_secs);
+            self.holds.arm(
+                (req, setup, hop),
+                now.as_secs() + self.cfg.setup_timeout_secs,
+            );
             if let Some(tick) = self.holds.tick_needed() {
                 eng.schedule_at(SimTime::from_secs(tick), Event::Signal(Signal::HoldTick));
             }
@@ -424,7 +416,7 @@ impl TwoPhaseState {
             .expect("contains() checked above");
         if released.is_some() {
             // The error released this hop's hold before its timer fired.
-            self.holds.cancel(&(setup, hop));
+            self.holds.cancel(&(req, setup, hop));
         }
         plane.sent(now, req, MessageKind::ResvErr, link);
         // A lost RESV_ERR leaves the upstream holds until expiry, and the
@@ -437,7 +429,6 @@ impl TwoPhaseState {
             };
             eng.schedule_in(now, delay, Event::Signal(next));
         }
-        self.forget_if_reaped(setup);
     }
 
     fn setup_complete(
@@ -454,9 +445,8 @@ impl TwoPhaseState {
             .expect("pending setups stay tabled");
         let committed = self.table.complete(plane.rsvp, plane.links, setup);
         for h in 0..hops {
-            self.holds.cancel(&(setup, h));
+            self.holds.cancel(&(req, setup, h));
         }
-        self.forget_if_reaped(setup);
         match committed {
             Some(reserved) => Settled::Admitted {
                 req,
@@ -482,7 +472,6 @@ impl TwoPhaseState {
         // the source cannot reach them; they expire on their timers.
         let blocked = self.table.blocked_error(setup);
         self.table.abandon(setup);
-        self.forget_if_reaped(setup);
         let p = self.pending.get_mut(&req).expect("checked current");
         if p.attempts_this_dest >= self.cfg.backoff.max_retransmits {
             // Retransmissions exhausted: the destination counts as failed
@@ -505,26 +494,20 @@ impl TwoPhaseState {
     }
 
     fn hold_tick(&mut self, plane: &mut Plane<'_>, eng: &mut Engine<Event>, now: SimTime) {
-        for (setup, hop) in self.holds.pop_due(now.as_secs()) {
+        for (req, setup, hop) in self.holds.pop_due(now.as_secs()) {
             let bw_bps = self.table.bandwidth(setup).map(|b| b.bps());
             let Some(link) = self.table.expire_hold(plane.links, setup, hop) else {
                 continue;
             };
             self.holds_expired += 1;
             if plane.rec_on {
-                let owner = self
-                    .setup_req
-                    .get(&setup)
-                    .copied()
-                    .expect("tabled setups keep their owner mapping");
                 let expired = TelemetryEvent::HoldExpired {
-                    request: owner,
+                    request: req,
                     link,
                     bw_bps: bw_bps.expect("state existed at expiry"),
                 };
                 plane.note(now, expired);
             }
-            self.forget_if_reaped(setup);
         }
         if let Some(tick) = self.holds.tick_needed() {
             eng.schedule_at(SimTime::from_secs(tick), Event::Signal(Signal::HoldTick));

@@ -41,8 +41,7 @@ use anycast_net::Topology;
 use anycast_rsvp::SessionId;
 use anycast_sim::{TimeSource, WallClock};
 use anycast_telemetry::{
-    Event, MetricKey, MetricsRegistry, NullRecorder, Recorder, StreamPolicy, StreamRecorder,
-    DEFAULT_STREAM_CAPACITY,
+    Event, NullRecorder, Recorder, StreamPolicy, StreamRecorder, DEFAULT_STREAM_CAPACITY,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -135,38 +134,6 @@ pub struct DaemonCounters {
     pub journal_peak: u64,
     /// Times the shed controller engaged (excursions, not requests).
     pub shed_engaged: u64,
-}
-
-impl DaemonCounters {
-    /// Exports the counters as a [`MetricsRegistry`] (counters for the
-    /// monotone totals, high-water-mark gauges for the peaks) so daemon
-    /// runs merge and render like any other telemetry source.
-    pub fn to_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for (name, value) in [
-            ("daemon_admits_received", self.admits_received),
-            ("daemon_shed_total", self.shed),
-            ("daemon_duplicates_total", self.duplicates),
-            ("daemon_rejected_shutdown_total", self.rejected_shutdown),
-            ("daemon_resumed_total", self.resumed),
-            ("daemon_torn_down_total", self.torn_down),
-            ("daemon_teardown_misses_total", self.teardown_misses),
-            ("daemon_wire_errors_total", self.wire_errors),
-            ("daemon_journal_evicted_total", self.journal_evicted),
-            ("daemon_shed_engaged_total", self.shed_engaged),
-        ] {
-            reg.inc(MetricKey::plain(name), value as f64);
-        }
-        reg.set_gauge_max(
-            MetricKey::plain("daemon_queue_peak"),
-            self.queue_peak as f64,
-        );
-        reg.set_gauge_max(
-            MetricKey::plain("daemon_journal_peak"),
-            self.journal_peak as f64,
-        );
-        reg
-    }
 }
 
 /// What a completed service run reports.
@@ -646,7 +613,7 @@ impl BoundServer {
             engine.advance_to(clock.now(), &mut decided);
             state.route(decided.drain(..));
 
-            if shutdown.is_requested() || signalled() || (!rolling && engine.now() >= horizon) {
+            if shutdown.is_requested() || signalled() || (!rolling && clock.now() >= horizon) {
                 break;
             }
         }

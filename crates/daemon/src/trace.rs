@@ -276,6 +276,15 @@ mod tests {
         p
     }
 
+    /// Removes a test's file however the test ends.
+    struct RemoveOnDrop<'a>(&'a Path);
+
+    impl Drop for RemoveOnDrop<'_> {
+        fn drop(&mut self) {
+            std::fs::remove_file(self.0).ok();
+        }
+    }
+
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig::paper_defaults(10.0, SystemSpec::dac(PolicySpec::Ed, 2))
             .with_warmup_secs(30.0)
@@ -448,6 +457,7 @@ mod tests {
             let mut fields = members(std::str::from_utf8(&lines[target]).unwrap());
             let field = choice % fields.len();
             let path = temp_path("fuzz.jsonl");
+            let _remove = RemoveOnDrop(&path);
             match damage {
                 0 => {
                     let mut damaged = lines[target].clone();

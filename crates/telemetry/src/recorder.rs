@@ -188,10 +188,8 @@ impl Recorder for RingRecorder {
 /// How a sweep should record telemetry for each cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TelemetryMode {
-    /// No recorder at all — the pre-telemetry hot path.
-    Off,
-    /// A [`NullRecorder`] per cell: exercises the hooks, keeps them
-    /// disabled. Used by the overhead benchmark.
+    /// A [`NullRecorder`] per cell: the hooks stay disabled, and the run
+    /// is the one an untraced run makes.
     Null,
     /// A [`RingRecorder`] per cell.
     Ring {

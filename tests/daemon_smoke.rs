@@ -99,3 +99,37 @@ fn deeply_nested_line_is_a_parse_error() {
     });
     assert_eq!(report.decided, 1);
 }
+
+/// A finite horizon ends the service by itself, with no client and no
+/// shutdown request. The engine's own clock moves only when an event
+/// pops, so the loop watches the wall clock: a 0.5 s horizon has no event
+/// on it (the first refresh sweep is due at 30 s).
+#[test]
+fn an_idle_daemon_stops_at_its_horizon() {
+    let topo = topologies::mci();
+    let config =
+        ExperimentConfig::paper_defaults(1.0, SystemSpec::dac(PolicySpec::wd_dh_default(), 2))
+            .with_warmup_secs(0.0)
+            .with_measure_secs(0.5)
+            .with_seed(3);
+    let options = ServeOptions::default();
+    let server = BoundServer::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+    let shutdown = ShutdownFlag::new();
+    let (done, stopped) = std::sync::mpsc::channel();
+    let (topo, config, options) = (&topo, &config, &options);
+    std::thread::scope(|s| {
+        let flag = shutdown.clone();
+        s.spawn(move || {
+            let _ = done.send(server.run(topo, config, options, flag).unwrap());
+        });
+        let report = stopped.recv_timeout(Duration::from_secs(30));
+        if report.is_err() {
+            // Stop the server so the scope can join it, then fail.
+            shutdown.request();
+        }
+        let report = report.expect("the daemon was still serving 30 s past its 0.5 s horizon");
+        assert_eq!(report.submitted, 0);
+        assert_eq!(report.metrics.leaked_hold_bps, 0);
+        assert_eq!(report.metrics.leaked_bandwidth_bps, 0);
+    });
+}
